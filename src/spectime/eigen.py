@@ -2,8 +2,9 @@
 
 The contract is the residual certificate, not the method: every returned
 pair (lambda_j, v_j) satisfies ||A v_j - lambda_j v_j|| <= tol * max(1, max|lambda|),
-checked post hoc by direct multiplication.  Small matrices use a full
-symmetric eigendecomposition; larger ones use Lanczos (ARPACK) on the
+checked post hoc by direct multiplication.  Small matrices use a dense
+symmetric solver (LAPACK ``dsyevr``) that computes only the k wanted
+pairs; larger ones use Lanczos (ARPACK) on the
 spectrally flipped operator mu*I - A, where mu is a Gershgorin upper
 bound, so the smallest eigenvalues of A become the largest and converge
 fast without factorizations.
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NoConvergenceError
@@ -77,8 +79,9 @@ def smallest_eigenpairs(
         raise ValueError("tol must be positive")
 
     if n <= DENSE_CUTOFF or k > n // 4:
-        w, v = np.linalg.eigh(a)
-        values, vectors = w[:k], v[:, :k]
+        values, vectors = eigh(
+            a, subset_by_index=[0, k - 1], driver="evr", check_finite=False
+        )
     else:
         values, vectors = _lanczos_smallest(a, k, tol)
 

@@ -19,9 +19,13 @@ L = I - S, which is positive semidefinite with an exact null vector:
 ``LaplacianMatrix.inv_sqrt_degrees`` keeps the D^-1/2 (or D~^-1/2) of
 the normalization, for mapping eigenvectors of S back.
 
-The kernel matrix is assembled from the condensed upper triangle
-(scipy ``pdist``) and mirrored, so it is bit-exactly symmetric and the
-row sums are computed in a fixed order regardless of threading.
+The kernel matrix is built in one N x N buffer from the Gram product
+G = V^T V (a single BLAS ``syrk``, which fills one triangle and mirrors
+it) as ||v_i - v_j||^2 = (n_i + n_j) - 2 G_ij with n_i = ||v_i||^2; the
+norms are summed first, so the matrix is bit-exactly symmetric, and no
+copy of the data is made.  The output is reproducible at a fixed BLAS
+thread count; a different count can change the last bits of G and of
+the eigensolver's output.
 """
 
 from __future__ import annotations
@@ -30,10 +34,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .core import CurveKind, DataMatrix, KernelParams
 from .errors import DimensionMismatchError, ZeroDegreeError
+
+
+_BLOCK_ELEMENTS = 1 << 18  # row block of the distance pass, 2 MB of float64
 
 
 @dataclass(frozen=True)
@@ -69,13 +75,36 @@ def gaussian_kernel(x: np.ndarray, y: np.ndarray, p: KernelParams) -> float:
     return math.exp(-sq / (2.0 * p.sigma**2)) / (math.sqrt(2.0 * math.pi) * p.sigma)
 
 
+def squared_distances(values: np.ndarray) -> np.ndarray:
+    """N x N squared Euclidean distances between the columns of a (d, N)
+    array, built in one buffer from the Gram product.
+
+    Bit-exactly symmetric with a zero diagonal.  An entry at or below the
+    rounding error of the Gram form, (d + 2) * eps * (n_i + n_j), cannot be
+    told from 0 and is set to 0, so coincident points are at distance 0.
+    """
+    norms = np.einsum("ij,ij->j", values, values)
+    sq = values.T @ values
+    floor = (values.shape[0] + 2) * np.finfo(np.float64).eps
+    rows = max(1, _BLOCK_ELEMENTS // sq.shape[0])
+    for start in range(0, sq.shape[0], rows):
+        blk = sq[start : start + rows]
+        total = np.add.outer(norms[start : start + rows], norms)
+        blk *= -2.0
+        blk += total
+        total *= floor
+        blk[blk <= total] = 0.0
+    np.fill_diagonal(sq, 0.0)
+    return sq
+
+
 def build_kernel(z: DataMatrix | np.ndarray, p: KernelParams) -> KernelMatrix:
     """Assemble the full pairwise similarity matrix and degree vector."""
     values = z.values if isinstance(z, DataMatrix) else DataMatrix(z).values
-    pref = 1.0 / (math.sqrt(2.0 * math.pi) * p.sigma)
-    sq = pdist(values.T, metric="sqeuclidean")
-    k = squareform(pref * np.exp(-sq / (2.0 * p.sigma**2)))
-    np.fill_diagonal(k, pref)
+    k = squared_distances(values)
+    k /= -2.0 * p.sigma**2
+    np.exp(k, out=k)
+    k *= 1.0 / (math.sqrt(2.0 * math.pi) * p.sigma)  # diagonal: exp(0) * prefactor
     degrees = k.sum(axis=1)
     return KernelMatrix(k=k, degrees=degrees, sigma=p.sigma)
 

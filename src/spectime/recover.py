@@ -42,6 +42,7 @@ import numpy as np
 
 from .core import TWO_PI, CurveKind, DataMatrix, KernelParams, Ranking, TimeLabels, ranking_from_labels
 from .errors import LengthMismatchError
+from .kernel import squared_distances
 
 UNIFORM_LABEL_AMPLITUDE = math.sqrt(2.0)
 
@@ -166,9 +167,8 @@ def data_driven_bandwidth(z: DataMatrix, num: int = 25) -> KernelParams:
     This is a pragmatic fallback for data whose noise level is unknown,
     not a tuned or theory-backed rule.
     """
-    from scipy.spatial.distance import pdist
-
-    sq = pdist(z.values.T, metric="sqeuclidean")
+    # each pair once: the strict upper triangle
+    sq = squared_distances(z.values)[~np.tri(z.n_points, dtype=bool)]
     positive = sq[sq > 0]
     if positive.size == 0:
         raise ValueError("all points coincide; bandwidth is undefined")

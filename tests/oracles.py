@@ -1,12 +1,14 @@
-"""Independent brute-force oracles used to pin expected metric values.
+"""Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the implementations under test: the circular
-time alignment is minimized over an explicit theta grid, and the
-ranking alignment enumerates every (reflection, shift, modular term)
-combination with plain loops.
+time alignment is minimized over an explicit theta grid, the ranking
+alignment enumerates every (reflection, shift, modular term) combination
+with plain loops or with full N x N shift tables, and the kernel matrix
+is assembled from scipy's pairwise distances.
 """
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,3 +55,32 @@ def comparison_sort(values):
         order.append(best)
         remaining.remove(best)
     return order
+
+
+def closed_rank_shift_table(ranks, ranks2):
+    """(error, r, shift) of the closed-loop rank distance from full N x N
+    shift tables: every shift, both reflections, first minimizing shift."""
+    r1 = np.asarray(ranks, dtype=np.int64)
+    r2 = np.asarray(ranks2, dtype=np.int64)
+    n = r1.size
+    shifts = np.arange(n, dtype=np.int64)[:, None]
+    best = None
+    for refl, base in ((1, r1), (-1, n - r1)):
+        d = base[None, :] + shifts - r2[None, :]
+        cost = np.minimum(np.abs(d), np.minimum(np.abs(d - n), np.abs(d + n)))
+        worst = cost.max(axis=1)
+        j = int(np.argmin(worst))
+        err = float(worst[j]) / n
+        if best is None or err < best[0]:
+            best = (err, refl, j)
+    return best
+
+
+def gaussian_kernel_pdist(values, sigma):
+    """Kernel matrix assembled from scipy's condensed squared distances,
+    exponentiated and mirrored by ``squareform``, prefactor on the diagonal."""
+    pref = 1.0 / (np.sqrt(2.0 * np.pi) * sigma)
+    sq = pdist(np.asarray(values, dtype=float).T, metric="sqeuclidean")
+    k = squareform(pref * np.exp(-sq / (2.0 * sigma**2)))
+    np.fill_diagonal(k, pref)
+    return k

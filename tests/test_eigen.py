@@ -10,7 +10,8 @@ from spectime import (
     generate,
     smallest_eigenpairs,
 )
-from spectime.eigen import _lanczos_smallest
+from spectime import eigen
+from spectime.eigen import _fix_signs, _lanczos_smallest
 
 
 def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -102,6 +103,40 @@ class TestContracts:
             smallest_eigenpairs(l, k=0)
         with pytest.raises(ValueError):
             smallest_eigenpairs(l, k=4)
+
+
+class TestDenseSubset:
+    """The dense path solves only the k wanted pairs; it must agree with a
+    full decomposition."""
+
+    def random_symmetric(self, n, seed):
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        return (a + a.T) / 2.0
+
+    def assert_matches_full(self, a, k):
+        w, v = np.linalg.eigh(a)
+        res = smallest_eigenpairs(a, k=k)
+        scale = max(1.0, np.abs(w).max())
+        assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10 * scale
+        # a generic random matrix has simple eigenvalues: vectors match up to sign
+        assert np.abs(res.eigenvectors - _fix_signs(v[:, :k])).max() <= 1e-8
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_full_eigh(self, k):
+        self.assert_matches_full(self.random_symmetric(200, k), k)
+
+    def test_matches_full_eigh_when_k_exceeds_quarter(self, monkeypatch):
+        # above the cutoff, k > n // 4 still takes the dense path
+        monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
+        self.assert_matches_full(self.random_symmetric(60, 4), 20)
+
+    def test_laplacian_subspace_matches_full_eigh(self):
+        lap = circle_laplacian(300, sigma=0.33, seed=4)
+        w, v = np.linalg.eigh(lap.l)
+        res = smallest_eigenpairs(lap, k=3)
+        assert np.abs(res.eigenvalues - w[:3]).max() <= 1e-10
+        # lambda_2 ~ lambda_3 on a loop: compare subspaces, not vectors
+        assert principal_angle(res.eigenvectors, v[:, :3]) <= 1e-6
 
 
 class TestIterativePath:

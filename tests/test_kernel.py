@@ -14,6 +14,9 @@ from spectime import (
     CurveSpec,
 )
 from spectime.errors import DimensionMismatchError
+from spectime.kernel import squared_distances
+
+from oracles import gaussian_kernel_pdist
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -62,6 +65,39 @@ class TestBuildKernel:
         rng = np.random.default_rng(2)
         km = build_kernel(DataMatrix(rng.standard_normal((4, 50))), KernelParams(0.8))
         assert np.array_equal(km.k, km.k.T)
+
+    @pytest.mark.parametrize("d", [2, 300])
+    @pytest.mark.parametrize("offset", [0.0, 100.0])
+    def test_matches_pdist_oracle(self, d, offset):
+        # The Gram form (n_i + n_j) - 2 G_ij loses about eps * (n_i + n_j)
+        # of the squared distance to cancellation; an offset of 100 inflates
+        # the norms 1e4-fold, so the bound scales with them.
+        rng = np.random.default_rng(10 + d)
+        x = rng.standard_normal((d, 600)) / math.sqrt(d) + offset
+        sigma = 0.5
+        k = build_kernel(DataMatrix(x), KernelParams(sigma)).k
+        oracle = gaussian_kernel_pdist(x, sigma)
+        eps = np.finfo(np.float64).eps
+        sq_tol = 64 * eps * 2 * float((x * x).sum(axis=0).max())
+        pref = 1.0 / (math.sqrt(2 * math.pi) * sigma)
+        assert np.all(np.abs(k - oracle) <= oracle * sq_tol / (2 * sigma**2) + 8 * eps * pref)
+
+    def test_bit_exact_symmetry_blocked_gram(self):
+        # large enough that BLAS splits the Gram product into blocks
+        rng = np.random.default_rng(11)
+        km = build_kernel(DataMatrix(rng.standard_normal((300, 600))), KernelParams(20.0))
+        assert np.array_equal(km.k, km.k.T)
+
+    @pytest.mark.parametrize("d", [2, 300])
+    def test_coincident_points_at_distance_zero(self, d):
+        # the Gram form leaves rounding residue where pdist gives exactly 0
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((d, 200))
+        x = np.hstack([x, x])
+        sq = squared_distances(x)
+        assert np.all(sq[np.arange(200), np.arange(200, 400)] == 0.0)
+        km = build_kernel(DataMatrix(x), KernelParams(1.0))
+        assert np.all(km.k[np.arange(200), np.arange(200, 400)] == INV_SQRT_2PI)
 
     def test_diagonal_is_prefactor(self):
         sigma = 0.37

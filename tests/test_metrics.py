@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectime import (
     DataMatrix,
@@ -14,9 +16,10 @@ from spectime import (
     relative_error,
     snr,
 )
+from spectime import metrics
 from spectime.errors import EmptyInteriorError, LengthMismatchError, ZeroNormError
 
-from oracles import closed_rank_exhaustive, closed_time_grid
+from oracles import closed_rank_exhaustive, closed_rank_shift_table, closed_time_grid
 
 TWO_PI = 2 * np.pi
 
@@ -120,6 +123,34 @@ class TestClosedRank:
             assert err_closed_rank(p, p2).error == pytest.approx(
                 closed_rank_exhaustive(list(p.ranks()), list(p2.ranks()))
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 60).flatmap(
+            lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+        )
+    )
+    def test_matches_shift_table_oracle(self, perms):
+        p, p2 = Ranking(np.array(perms[0])), Ranking(np.array(perms[1]))
+        rep = err_closed_rank(p, p2)
+        assert (rep.error, rep.r, rep.shift) == closed_rank_shift_table(p.ranks(), p2.ranks())
+
+    def test_matches_shift_table_oracle_near_alignment(self):
+        # shifted and reflected copies with a few swaps put the optimum at
+        # a nonzero shift, where the peak neighbours decide the worst point
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            n = int(rng.integers(2, 90))
+            perm = rng.permutation(n)
+            perm2 = np.roll(perm, int(rng.integers(0, n)))
+            for _ in range(int(rng.integers(0, 4))):
+                i = int(rng.integers(0, n - 1))
+                perm2[[i, i + 1]] = perm2[[i + 1, i]]
+            if rng.integers(0, 2):
+                perm2 = perm2[::-1].copy()
+            p, p2 = Ranking(perm), Ranking(perm2)
+            rep = err_closed_rank(p, p2)
+            assert (rep.error, rep.r, rep.shift) == closed_rank_shift_table(p.ranks(), p2.ranks())
 
 
 class TestOpenTime:
@@ -252,6 +283,21 @@ class TestInteriorRelativeError:
         t = TimeLabels(rng.uniform(0, np.pi, 30))
         x = DataMatrix(np.vstack([np.cos(t.angles), np.sin(t.angles)]))
         assert interior_relative_error(x, t, t.angles, np.pi) <= 1e-12
+
+    def test_chunks_match_direct_computation(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", 7)  # one row per slab
+        rng = np.random.default_rng(15)
+        x = DataMatrix(rng.standard_normal((3, 41)))
+        t = TimeLabels(rng.uniform(0, np.pi, 41))
+        est = t.angles + rng.normal(0, 0.3, 41)
+        mask = (t.angles > 0.05 * np.pi) & (t.angles < 0.95 * np.pi)
+        sub = x.values[:, mask]
+        true_order = np.argsort(t.angles[mask], kind="stable")
+        expected = min(
+            np.linalg.norm(sub[:, np.argsort(e, kind="stable")] - sub[:, true_order])
+            for e in (est[mask], -est[mask])
+        ) / np.linalg.norm(sub)
+        assert interior_relative_error(x, t, est, np.pi) == pytest.approx(expected, rel=1e-12)
 
     def test_reflected_estimate_scores_zero(self):
         rng = np.random.default_rng(13)

@@ -4,6 +4,7 @@ import pytest
 from spectime import (
     CurveKind,
     CurveSpec,
+    DataMatrix,
     KernelParams,
     TimeLabels,
     UNIFORM_LABEL_AMPLITUDE,
@@ -177,6 +178,11 @@ class TestDataDrivenBandwidth:
         b = data_driven_bandwidth(x)
         assert a.sigma == b.sigma
         assert 0.0 < a.sigma < 2.5  # within the circle's diameter
+
+    def test_coincident_points_rejected(self):
+        x = DataMatrix(np.tile(np.random.default_rng(3).standard_normal((300, 1)), (1, 40)))
+        with pytest.raises(ValueError, match="coincide"):
+            data_driven_bandwidth(x)
 
     def test_recovery_quality_with_heuristic_bandwidth(self):
         x, t = generate(CurveSpec("circle"), 500, 1)
