@@ -20,7 +20,14 @@ from .core import (
 )
 from .denoise import DenoiseResult, denoise_auto, denoise_fixed_rank
 from .eigen import SpectralResult, smallest_eigenpairs
-from .kernel import KernelMatrix, LaplacianMatrix, build_kernel, build_laplacian, gaussian_kernel
+from .kernel import (
+    KernelMatrix,
+    LaplacianMatrix,
+    build_kernel,
+    build_laplacian,
+    gaussian_kernel,
+    laplacian_from_data,
+)
 from .metrics import (
     AlignmentReport,
     err_closed_rank,
@@ -49,6 +56,7 @@ from .synth import (
     comparison_matrix,
     generate,
     noise_for_snr,
+    noisy_sample,
     serialrank_baseline,
 )
 
@@ -85,7 +93,9 @@ __all__ = [
     "gaussian_kernel",
     "generate",
     "interior_relative_error",
+    "laplacian_from_data",
     "noise_for_snr",
+    "noisy_sample",
     "ranking_from_labels",
     "recover_closed",
     "recover_labels",

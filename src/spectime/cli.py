@@ -27,7 +27,7 @@ from .metrics import (
 from .pipeline import DEFAULT_EIG_TOL, recover_labels
 from .recover import UNIFORM_LABEL_AMPLITUDE, data_driven_bandwidth, select_bandwidth
 from .sweep import METHODS, SweepConfig, sweep
-from .synth import CurveSpec, add_noise, comparison_matrix, generate, noise_for_snr, serialrank_baseline
+from .synth import CurveSpec, comparison_matrix, noisy_sample, serialrank_baseline
 
 
 def _shared_flags(p: argparse.ArgumentParser) -> None:
@@ -122,16 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    spec = CurveSpec.parse(args.curve)
-    if args.snr is not None and args.eps is not None:
-        raise ConfigError("give either --snr or --eps, not both")
-    x, t = generate(spec, args.n, args.seed)
-    if args.snr is not None:
-        z = noise_for_snr(x, args.snr, args.seed + 1)
-    elif args.eps is not None:
-        z = add_noise(x, args.eps, args.seed + 1)
-    else:
-        z = x
+    _, t, z = noisy_sample(CurveSpec.parse(args.curve), args.n, args.seed, args.snr, args.eps)
     io.save_data_matrix(args.out, z)
     if args.labels:
         io.save_labels(args.labels, t)

@@ -7,7 +7,10 @@ symmetric solver (LAPACK ``dsyevr``) that computes only the k wanted
 pairs; larger ones use Lanczos (ARPACK) on the
 spectrally flipped operator mu*I - A, where mu is a Gershgorin upper
 bound, so the smallest eigenvalues of A become the largest and converge
-fast without factorizations.
+fast without factorizations.  The Lanczos path allocates no N x N array
+beside A (the bound is summed in row blocks and the operator is applied
+as mu*x - A x), so a Laplacian built in the kernel's buffer stays the
+only one; the dense path's LAPACK call works on its own copy of A.
 
 Sign convention: each eigenvector is flipped so its entry of largest
 absolute value is positive (ties broken by lowest index), which makes
@@ -23,7 +26,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NoConvergenceError
-from .kernel import LaplacianMatrix
+from .kernel import LaplacianMatrix, row_blocks
 
 DENSE_CUTOFF = 2048
 DEFAULT_TOL = 1e-8
@@ -48,7 +51,12 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _gershgorin_upper(a: np.ndarray) -> float:
-    return float((a.diagonal() + (np.abs(a).sum(axis=1) - np.abs(a.diagonal()))).max())
+    """max_i a_ii + sum_{j != i} |a_ij|, with the row sums of |a| taken in
+    row blocks so no N x N temporary is formed."""
+    abs_sums = np.empty(a.shape[0])
+    for rows in row_blocks(a.shape[0]):
+        np.abs(a[rows]).sum(axis=1, out=abs_sums[rows])
+    return float((a.diagonal() + (abs_sums - np.abs(a.diagonal()))).max())
 
 
 def smallest_eigenpairs(

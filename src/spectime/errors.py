@@ -30,8 +30,16 @@ class NotAPermutationError(SpectimeError):
     """A ranking vector is not a bijection on {0..N-1}."""
 
 
+class BadIndexError(SpectimeError):
+    """The index column of a CSV file does not hold 0..N-1 exactly once each."""
+
+
 class ZeroDegreeError(SpectimeError):
     """A kernel degree vanished; cannot normalize the Laplacian."""
+
+
+class DisconnectedGraphError(SpectimeError):
+    """Some point has no kernel neighbour above rounding; the bandwidth is too small."""
 
 
 class NoConvergenceError(SpectimeError):

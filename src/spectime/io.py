@@ -3,7 +3,8 @@
 Data matrices are stored one point per row (an N x d file), i.e. the
 transpose of the in-memory (d, N) layout.  There is no header unless
 the caller asks to skip one on read or write one explicitly.  Label,
-ranking, and recovery files carry an ``index,...`` header.  All floats
+ranking, and recovery files carry an ``index,...`` header, and their
+index column must hold 0..N-1 once each, in any order.  All floats
 are written with 17 significant digits so that a read-back round-trips
 bit-exactly.
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DataMatrix, Ranking, TimeLabels
-from .errors import LengthMismatchError
+from .errors import BadIndexError, LengthMismatchError
 
 FLOAT_FMT = "%.17g"
 
@@ -73,9 +74,22 @@ def _read_indexed_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     else:
         body = rows
         head = [f"c{j}" for j in range(len(rows[0]))]
+    if not body:
+        raise LengthMismatchError(f"{path}: no data rows")
     data = np.array([[float(x) for x in row] for row in body], dtype=np.float64)
-    order = np.argsort(data[:, 0], kind="stable")
-    return head, data[order]
+    data = data[np.argsort(data[:, 0], kind="stable")]
+    n = data.shape[0]
+    bad = np.flatnonzero(data[:, 0] != np.arange(n))
+    if bad.size:
+        j, found = int(bad[0]), data[bad[0], 0]
+        if found > j:
+            what = f"index {j} is missing"
+        elif j > 0 and found == j - 1:
+            what = f"index {j - 1} appears more than once"
+        else:
+            what = f"index {found:g} is not one of 0..{n - 1}"
+        raise BadIndexError(f"{path}: {what}; the index column must hold 0..{n - 1} once each")
+    return head, data
 
 
 def load_labels(path: str | Path) -> TimeLabels:

@@ -17,15 +17,23 @@ L = I - S, which is positive semidefinite with an exact null vector:
   the sample is spread along it.
 
 ``LaplacianMatrix.inv_sqrt_degrees`` keeps the D^-1/2 (or D~^-1/2) of
-the normalization, for mapping eigenvectors of S back.
+the normalization, for mapping eigenvectors of S back.  A point whose
+kernel row is its own self-term to rounding (off-diagonal degree at most
+N * eps * d_i, as when sigma is far below the point spacing) has no
+neighbour in the graph; normalization then raises
+``DisconnectedGraphError`` instead of handing a degenerate operator to
+the eigensolver.
 
 The kernel matrix is built in one N x N buffer from the Gram product
 G = V^T V (a single BLAS ``syrk``, which fills one triangle and mirrors
 it) as ||v_i - v_j||^2 = (n_i + n_j) - 2 G_ij with n_i = ||v_i||^2; the
 norms are summed first, so the matrix is bit-exactly symmetric, and no
-copy of the data is made.  The output is reproducible at a fixed BLAS
-thread count; a different count can change the last bits of G and of
-the eigensolver's output.
+copy of the data is made.  ``laplacian_from_data`` then normalizes
+that same buffer into L, so the recovery path holds one N x N array
+from the Gram product to the eigensolve; ``build_laplacian`` normalizes
+a copy and leaves its ``KernelMatrix`` intact.  The output is
+reproducible at a fixed BLAS thread count; a different count can change
+the last bits of G and of the eigensolver's output.
 """
 
 from __future__ import annotations
@@ -36,10 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CurveKind, DataMatrix, KernelParams
-from .errors import DimensionMismatchError, ZeroDegreeError
+from .errors import DimensionMismatchError, DisconnectedGraphError, ZeroDegreeError
 
 
-_BLOCK_ELEMENTS = 1 << 18  # row block of the distance pass, 2 MB of float64
+_BLOCK_ELEMENTS = 1 << 18  # row block of the N x N passes, 2 MB of float64
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,13 @@ def gaussian_kernel(x: np.ndarray, y: np.ndarray, p: KernelParams) -> float:
     return math.exp(-sq / (2.0 * p.sigma**2)) / (math.sqrt(2.0 * math.pi) * p.sigma)
 
 
+def row_blocks(n: int):
+    """Slices of consecutive rows of an N x N float64 array, about 2 MB each."""
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, n, rows):
+        yield slice(start, start + rows)
+
+
 def squared_distances(values: np.ndarray) -> np.ndarray:
     """N x N squared Euclidean distances between the columns of a (d, N)
     array, built in one buffer from the Gram product.
@@ -86,10 +101,9 @@ def squared_distances(values: np.ndarray) -> np.ndarray:
     norms = np.einsum("ij,ij->j", values, values)
     sq = values.T @ values
     floor = (values.shape[0] + 2) * np.finfo(np.float64).eps
-    rows = max(1, _BLOCK_ELEMENTS // sq.shape[0])
-    for start in range(0, sq.shape[0], rows):
-        blk = sq[start : start + rows]
-        total = np.add.outer(norms[start : start + rows], norms)
+    for rows in row_blocks(sq.shape[0]):
+        blk = sq[rows]
+        total = np.add.outer(norms[rows], norms)
         blk *= -2.0
         blk += total
         total *= floor
@@ -109,25 +123,45 @@ def build_kernel(z: DataMatrix | np.ndarray, p: KernelParams) -> KernelMatrix:
     return KernelMatrix(k=k, degrees=degrees, sigma=p.sigma)
 
 
+def laplacian_from_data(
+    z: DataMatrix | np.ndarray, p: KernelParams, kind: CurveKind
+) -> LaplacianMatrix:
+    """Kernel matrix normalized into L = I - S in its own buffer: the same L
+    as ``build_laplacian(build_kernel(z, p), kind)`` with one N x N array."""
+    km = build_kernel(z, p)
+    return _normalize(km.k, km.degrees, kind, km.sigma)
+
+
 def build_laplacian(km: KernelMatrix, kind: CurveKind) -> LaplacianMatrix:
-    """Normalized Laplacian L = I - S for the requested curve topology.
+    """Normalized Laplacian L = I - S for the requested curve topology,
+    built in a copy of ``km.k``; ``km`` is left unchanged."""
+    return _normalize(km.k.copy(), km.degrees, kind, km.sigma)
+
+
+def _normalize(k: np.ndarray, deg: np.ndarray, kind: CurveKind, sigma: float) -> LaplacianMatrix:
+    """Overwrite the kernel matrix k with L = I - S and return it.
 
     Closed loops: S_ij = k_ij / sqrt(d_i d_j).  Open curves: with
     K~ = D^-1 K D^-1 and d~ its row sums, S_ij = k~_ij / sqrt(d~_i d~_j).
-    Either way S_ij = k_ij c_i c_j for one scale vector c, so L is built
-    in a single N x N buffer and is bit-exactly symmetric.
+    Either way S_ij = k_ij c_i c_j for one scale vector c, applied in row
+    blocks, so L is bit-exactly symmetric.
     """
-    deg = km.degrees
+    n = k.shape[0]
     if np.any(deg <= 0.0):
         raise ZeroDegreeError("kernel degree vector has a nonpositive entry")
+    isolated = np.count_nonzero(deg - k.diagonal() <= n * np.finfo(np.float64).eps * deg)
+    if isolated:
+        raise DisconnectedGraphError(
+            f"kernel graph is disconnected at sigma={sigma!r}: {isolated} of {n} point(s) "
+            "have no neighbour above rounding; use a larger bandwidth"
+        )
     if kind is CurveKind.OPEN_CURVE:
         inv = 1.0 / deg
-        inv_sqrt = 1.0 / np.sqrt(inv * (km.k @ inv))  # d~ = D^-1 K D^-1 1
+        inv_sqrt = 1.0 / np.sqrt(inv * (k @ inv))  # d~ = D^-1 K D^-1 1
         scale = inv * inv_sqrt
     else:
         inv_sqrt = scale = 1.0 / np.sqrt(deg)
-    lap = np.outer(scale, scale)
-    np.multiply(lap, km.k, out=lap)
-    np.negative(lap, out=lap)
-    np.fill_diagonal(lap, 1.0 + lap.diagonal())
-    return LaplacianMatrix(l=lap, kind=kind, sigma=km.sigma, inv_sqrt_degrees=inv_sqrt)
+    for rows in row_blocks(n):
+        k[rows] *= np.outer(-scale[rows], scale)  # -(c_i c_j) exactly
+    np.fill_diagonal(k, 1.0 + k.diagonal())
+    return LaplacianMatrix(l=k, kind=kind, sigma=sigma, inv_sqrt_degrees=inv_sqrt)

@@ -24,7 +24,7 @@ from .core import CurveKind, DataMatrix, KernelParams
 from .denoise import DenoiseResult, denoise_auto, denoise_fixed_rank
 from .eigen import smallest_eigenpairs
 from .errors import ConfigError
-from .kernel import LaplacianMatrix, build_kernel, build_laplacian
+from .kernel import LaplacianMatrix, laplacian_from_data
 from .metrics import err_closed_time, err_open_time, interior_relative_error
 from .recover import (
     UNIFORM_LABEL_AMPLITUDE,
@@ -34,7 +34,7 @@ from .recover import (
     recover_open_blend,
     select_bandwidth,
 )
-from .synth import CurveSpec, add_noise, comparison_matrix, generate, noise_for_snr, serialrank_baseline
+from .synth import CurveSpec, comparison_matrix, noisy_sample, serialrank_baseline
 
 DEFAULT_EIG_TOL = 1e-8
 DEFAULT_DELTA_FRACTION = 0.05
@@ -93,9 +93,10 @@ def recover_labels(
     to the random-walk vector D~^-1/2 u2 and label it with
     ``recover_open_blend``; closed loops read u2, u3 directly.
     ``on_laplacian``, when given, sees the Laplacian before the
-    eigensolve.
+    eigensolve.  The kernel, the Laplacian and the eigensolve share one
+    N x N buffer.
     """
-    lap = build_laplacian(build_kernel(z, params), kind)
+    lap = laplacian_from_data(z, params, kind)
     if on_laplacian is not None:
         on_laplacian(lap)
     if kind is CurveKind.OPEN_CURVE:
@@ -114,15 +115,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     report: dict = {"curve": str(cfg.curve), "n": cfg.n, "seed": cfg.seed}
     started = time.perf_counter()
 
-    x, t_true = generate(cfg.curve, cfg.n, cfg.seed)
+    x, t_true, z = noisy_sample(cfg.curve, cfg.n, cfg.seed, cfg.snr, cfg.eps)
     if cfg.snr is not None:
-        z = noise_for_snr(x, cfg.snr, cfg.seed + 1)
         report["snr"] = cfg.snr
     elif cfg.eps is not None:
-        z = add_noise(x, cfg.eps, cfg.seed + 1)
         report["eps"] = cfg.eps
-    else:
-        z = x
     if out is not None:
         io.save_data_matrix(out / "z.csv", z)
         io.save_labels(out / "t_true.csv", t_true)

@@ -3,8 +3,10 @@
 Cells run independently in a thread pool (each cell is numpy-bound and
 releases the GIL); rows are collected and written through one sink,
 sorted by (n, snr, replicate, method), so the results CSV is
-deterministic apart from the wall-clock column.  Per-cell failures are
-recorded in the ``error`` column and the sweep continues.
+deterministic apart from the wall-clock column.  A cell that fails on
+its data (a ``SpectimeError``, ``ValueError`` or ARPACK error) is
+recorded in the ``error`` column and the sweep continues; any other
+exception is a fault in the program and propagates.
 
 Output: ``results.csv`` plus a ``manifest.json`` recording the config,
 derived per-cell seeds, and package version.
@@ -18,12 +20,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from scipy.sparse.linalg import ArpackError
+
 from .core import CurveKind
-from .errors import ConfigError
+from .errors import ConfigError, SpectimeError
 from .io import FLOAT_FMT
 from .metrics import interior_relative_error
 from .pipeline import PipelineConfig, baseline_labels, run_pipeline
-from .synth import CurveSpec, generate, noise_for_snr
+from .synth import CurveSpec, noisy_sample
 
 METHODS = ("spectral", "serialrank")
 
@@ -131,14 +135,13 @@ def _run_cell(sc: SweepConfig, cell: SweepCell) -> dict:
             row["time_error"] = report["time_error"]
             row["relative_error"] = report["relative_error"]
         else:
-            x, t_true = generate(sc.curve, cell.n, cell.seed)
-            z = noise_for_snr(x, cell.snr, cell.seed + 1)
+            x, t_true, z = noisy_sample(sc.curve, cell.n, cell.seed, snr=cell.snr)
             proxy = baseline_labels(z)
             fraction = sc.delta_fraction if sc.curve.kind is CurveKind.OPEN_CURVE else 0.0
             row["relative_error"] = interior_relative_error(
                 x, t_true, proxy, sc.curve.span, fraction
             )
-    except Exception as exc:  # cell failures must not kill the sweep
+    except (SpectimeError, ValueError, ArpackError) as exc:  # bad data must not kill the sweep
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["wall_ms"] = 1000.0 * (time.perf_counter() - started)
     return row

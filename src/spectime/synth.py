@@ -137,6 +137,24 @@ def noise_for_snr(x: DataMatrix, target_snr: float, seed: int) -> DataMatrix:
     return DataMatrix(x.values + e)
 
 
+def noisy_sample(
+    spec: CurveSpec, n: int, seed: int, snr: float | None = None, eps: float | None = None
+) -> tuple[DataMatrix, TimeLabels, DataMatrix]:
+    """(x, t, z): ``generate(spec, n, seed)``, then z = x plus noise drawn
+    from seed + 1, scaled to an exact ``snr`` or i.i.d. N(0, eps^2); z is x
+    when neither is given."""
+    if snr is not None and eps is not None:
+        raise ConfigError("give either snr or eps, not both")
+    x, t = generate(spec, n, seed)
+    if snr is not None:
+        z = noise_for_snr(x, snr, seed + 1)
+    elif eps is not None:
+        z = add_noise(x, eps, seed + 1)
+    else:
+        z = x
+    return x, t, z
+
+
 @dataclass(frozen=True)
 class ComparisonMatrix:
     """Antisymmetric matrix of pairwise norm comparisons, entries in {-1,0,+1}."""

@@ -157,9 +157,34 @@ def test_evaluate_relative_metric(tmp_path):
     run(["generate", "--curve", "cardioid", "--n", "50", "--seed", "6",
          "--out", z, "--labels", t])
     est = tmp_path / "est.csv"
-    run(["recover", "--kind", "open", "--input", z, "--sigma2", "0.005", "--out", est])
+    assert run(["recover", "--kind", "open", "--input", z, "--sigma2", "0.05",
+                "--out", est]) == 0
     out = tmp_path / "rep.json"
     assert run(["evaluate", "--metric", "relative", "--truth", t, "--estimate", est,
                 "--matrix", z, "--out", out]) == 0
     rep = json.loads(out.read_text())
     assert 0.0 <= rep["error"] <= 2.0
+
+
+def test_recover_disconnected_graph_exits_2(tmp_path, capsys):
+    # at sigma^2 = 0.005 two of these 50 cardioid points have no kernel
+    # neighbour above rounding; no labels may come back
+    z, est = tmp_path / "z.csv", tmp_path / "est.csv"
+    run(["generate", "--curve", "cardioid", "--n", "50", "--seed", "6", "--out", z])
+    capsys.readouterr()
+    for kind in ("open", "closed"):
+        assert run(["recover", "--kind", kind, "--input", z, "--sigma2", "0.005",
+                    "--out", est]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DisconnectedGraphError"
+        assert "2 of 50" in err["message"]
+    assert not est.exists()
+
+
+def test_evaluate_bad_index_exits_2(tmp_path, capsys):
+    t = tmp_path / "t.csv"
+    t.write_text("index,value\n0,0.1\n0,0.2\n2,0.3\n")
+    assert run(["evaluate", "--metric", "closed-time", "--truth", t, "--estimate", t]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BadIndexError"
+    assert "index 0 appears more than once" in err["message"]

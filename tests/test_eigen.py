@@ -11,7 +11,9 @@ from spectime import (
     smallest_eigenpairs,
 )
 from spectime import eigen
-from spectime.eigen import _fix_signs, _lanczos_smallest
+from spectime.eigen import _fix_signs, _gershgorin_upper, _lanczos_smallest
+
+from oracles import gershgorin_upper_abs_copy
 
 
 def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -140,6 +142,15 @@ class TestDenseSubset:
 
 
 class TestIterativePath:
+    @pytest.mark.parametrize("n", [7, 700, 1531])
+    def test_blocked_gershgorin_matches_abs_copy(self, n):
+        # 1531 rows span several 2 MB row blocks, the last one partial
+        a = np.random.default_rng(n).standard_normal((n, n))
+        a = (a + a.T) / 2.0
+        assert _gershgorin_upper(a) == gershgorin_upper_abs_copy(a)
+        lap = circle_laplacian(n, seed=n).l
+        assert _gershgorin_upper(lap) == gershgorin_upper_abs_copy(lap)
+
     def test_matches_dense_oracle(self):
         lap = circle_laplacian(300, sigma=0.33, seed=1)
         w_dense, v_dense = np.linalg.eigh(lap.l)

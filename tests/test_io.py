@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from spectime import DataMatrix, Ranking, TimeLabels
 from spectime import io
+from spectime.errors import BadIndexError, LengthMismatchError
 
 
 def test_matrix_roundtrip_is_exact(tmp_path):
@@ -65,3 +67,36 @@ def test_square_matrix_dump(tmp_path):
     path = tmp_path / "lap.csv"
     io.save_square_matrix(path, a)
     assert np.array_equal(np.loadtxt(path, delimiter=","), a)
+
+
+def test_shuffled_indices_accepted(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text("index,t_hat,rank\n3,0.4,3\n1,0.2,1\n0,0.1,0\n2,0.3,2\n")
+    assert np.array_equal(io.load_labels(path).angles, [0.1, 0.2, 0.3, 0.4])
+    assert np.array_equal(io.load_ranking(path).ranks(), [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0,0.1\n0,0.2\n2,0.3\n", "index 0 appears more than once"),
+        ("0,0.1\n1,0.2\n3,0.3\n", "index 2 is missing"),
+        ("1,0.1\n2,0.2\n3,0.3\n", "index 0 is missing"),
+        ("0,0.1\n0.5,0.2\n2,0.3\n", "index 0.5 is not one of 0..2"),
+        ("-1,0.1\n0,0.2\n1,0.3\n", "index -1 is not one of 0..2"),
+    ],
+)
+def test_bad_index_column_rejected(tmp_path, body, message):
+    path = tmp_path / "t.csv"
+    path.write_text("index,value\n" + body)
+    with pytest.raises(BadIndexError, match=message):
+        io.load_labels(path)
+    with pytest.raises(BadIndexError, match=message):
+        io.load_ranking(path)
+
+
+def test_header_only_file_rejected(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("index,value\n")
+    with pytest.raises(LengthMismatchError, match="no data rows"):
+        io.load_labels(path)

@@ -11,12 +11,14 @@ from spectime import (
     build_laplacian,
     gaussian_kernel,
     generate,
+    laplacian_from_data,
+    noise_for_snr,
     CurveSpec,
 )
-from spectime.errors import DimensionMismatchError
+from spectime.errors import DimensionMismatchError, DisconnectedGraphError
 from spectime.kernel import squared_distances
 
-from oracles import gaussian_kernel_pdist
+from oracles import gaussian_kernel_pdist, laplacian_outer_product
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -166,6 +168,61 @@ class TestBuildLaplacian:
         km = build_kernel(DataMatrix(rng.standard_normal((2, 30))), KernelParams(0.5))
         for kind in CurveKind:
             assert np.all(build_laplacian(km, kind).l.diagonal() < 1.0)
+
+
+class TestOneBuffer:
+    """The shared normalization works in place; ``build_laplacian`` hands it
+    a copy, and its row blocks must reproduce the whole-matrix product."""
+
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_build_laplacian_leaves_kernel_untouched(self, kind):
+        x, _ = generate(CurveSpec("circle"), 400, 13)
+        km = build_kernel(noise_for_snr(x, 100.0, 14), KernelParams(0.3))
+        k, degrees = km.k.copy(), km.degrees.copy()
+        lap = build_laplacian(km, kind)
+        assert np.array_equal(km.k, k) and np.array_equal(km.degrees, degrees)
+        assert not np.shares_memory(lap.l, km.k)
+
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_row_blocks_match_whole_matrix_product(self, kind):
+        # 1200 rows span several 2 MB row blocks, the last one partial
+        x, _ = generate(CurveSpec("circle"), 1200, 15)
+        km = build_kernel(x, KernelParams(0.2))
+        oracle = laplacian_outer_product(km.k, km.degrees, kind is CurveKind.OPEN_CURVE)
+        assert np.array_equal(build_laplacian(km, kind).l, oracle)
+
+
+class TestDisconnectedGraph:
+    """A point whose off-diagonal kernel mass is lost to rounding has no
+    neighbour; normalization must refuse rather than hand on a Laplacian
+    with a spurious null space."""
+
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    @pytest.mark.parametrize("sigma, isolated", [(1e-4, "300 of 300"), (0.01, "of 300")])
+    def test_tiny_bandwidth_raises_before_eigensolve(self, kind, sigma, isolated):
+        curve = "circle" if kind is CurveKind.CLOSED_LOOP else "half-circle"
+        x, _ = generate(CurveSpec(curve), 300, 0)
+        z = noise_for_snr(x, 100.0, 1)
+        for build in (lambda: laplacian_from_data(z, KernelParams(sigma), kind),
+                      lambda: build_laplacian(build_kernel(z, KernelParams(sigma)), kind)):
+            with pytest.raises(DisconnectedGraphError, match=isolated) as info:
+                build()
+            assert f"sigma={sigma!r}" in str(info.value)
+
+    def test_neighbour_mass_at_rounding_level_is_isolated(self):
+        # the lone point's neighbour mass is about 2 eps of its degree:
+        # nonzero, but within the N * eps rounding of the row sum
+        z = DataMatrix(np.array([[0.0, 0.1, 0.942]]))
+        km = build_kernel(z, KernelParams(0.1))
+        assert 0.0 < km.degrees[2] - km.k[2, 2] <= 3 * np.finfo(np.float64).eps * km.degrees[2]
+        with pytest.raises(DisconnectedGraphError, match="1 of 3"):
+            laplacian_from_data(z, KernelParams(0.1), CurveKind.CLOSED_LOOP)
+
+    def test_weakly_connected_graph_accepted(self):
+        # the lone point's neighbour weight exp(-18) is far above N * eps
+        z = DataMatrix(np.array([[0.0, 0.1, 0.7]]))
+        lap = laplacian_from_data(z, KernelParams(0.1), CurveKind.CLOSED_LOOP)
+        assert np.all(lap.l.diagonal() < 1.0)
 
 
 class TestInvariances:

@@ -1,9 +1,25 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spectime import CurveSpec, PipelineConfig, run_pipeline
+from spectime import (
+    CurveKind,
+    CurveSpec,
+    KernelParams,
+    PipelineConfig,
+    build_kernel,
+    build_laplacian,
+    generate,
+    noise_for_snr,
+    recover_closed,
+    recover_labels,
+    recover_open_blend,
+    run_pipeline,
+    smallest_eigenpairs,
+)
+from spectime import eigen
 from spectime.errors import ConfigError
 
 
@@ -62,3 +78,43 @@ def test_config_validation():
         PipelineConfig(curve=CurveSpec("circle"), n=10, denoise_rank=2, denoise_auto_r0=3)
     with pytest.raises(ConfigError):
         PipelineConfig(curve=CurveSpec("circle"), n=10, sigma_policy="guess")
+
+
+@pytest.mark.parametrize("kind", list(CurveKind))
+def test_recover_labels_matches_separate_stages(kind, monkeypatch):
+    # the one-buffer path against kernel -> copied Laplacian -> eigensolve,
+    # bit for bit, on the Lanczos path
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 100)
+    curve = "circle" if kind is CurveKind.CLOSED_LOOP else "half-circle"
+    x, _ = generate(CurveSpec(curve), 600, 21)
+    z = noise_for_snr(x, 100.0, 22)
+    p = KernelParams(0.25)
+    seen = []
+    out = recover_labels(z, kind, p, on_laplacian=seen.append)
+    lap = build_laplacian(build_kernel(z, p), kind)
+    assert np.array_equal(seen[0].l, lap.l)
+    if kind is CurveKind.OPEN_CURVE:
+        u = smallest_eigenpairs(lap, k=2).eigenvectors
+        expected = recover_open_blend(lap.inv_sqrt_degrees * u[:, 1])
+    else:
+        u = smallest_eigenpairs(lap, k=3).eigenvectors
+        expected = recover_closed(u[:, 1], u[:, 2])
+    assert np.array_equal(out.labels.angles, expected.labels.angles)
+    assert np.array_equal(out.ranking.perm, expected.ranking.perm)
+
+
+def test_recover_labels_holds_one_n_by_n_buffer():
+    # Lanczos path (N above the dense cutoff): the kernel, the Laplacian
+    # and the Gershgorin bound share one N x N array, plus row-block
+    # temporaries; two arrays would read 2.0
+    n = 2100
+    x, _ = generate(CurveSpec("circle"), n, 23)
+    z = noise_for_snr(x, 100.0, 24)
+    tracemalloc.start()
+    try:
+        recover_labels(z, CurveKind.CLOSED_LOOP, KernelParams(n ** (-1 / 7)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n > eigen.DENSE_CUTOFF
+    assert peak <= 1.25 * 8 * n * n

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from spectime import CurveSpec, SweepConfig, sweep
-from spectime.errors import ConfigError
+from spectime.errors import ConfigError, NoConvergenceError
 
 # the submodule is shadowed by the re-exported sweep() function
 sweep_mod = importlib.import_module("spectime.sweep")
@@ -74,7 +74,7 @@ def test_empty_grid_rejected_before_work(tmp_path):
 
 def test_cell_failure_recorded_and_sweep_continues(tmp_path, monkeypatch):
     def boom(cfg):
-        raise RuntimeError("injected failure")
+        raise NoConvergenceError(7, "injected failure")
 
     monkeypatch.setattr(sweep_mod, "run_pipeline", boom)
     sc = SweepConfig(
@@ -92,6 +92,23 @@ def test_cell_failure_recorded_and_sweep_continues(tmp_path, monkeypatch):
     agg = [r for r in read_rows(tmp_path) if r["replicate"] == "mean"
            and r["method"] == "spectral"]
     assert agg and "failed" in agg[0]["error"]
+
+
+def test_programming_error_propagates(tmp_path, monkeypatch):
+    # only data and solver failures become rows; a fault in the code must surface
+    def boom(cfg):
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(sweep_mod, "run_pipeline", boom)
+    sc = SweepConfig(
+        curve=CurveSpec("half-circle"),
+        n_values=(40,),
+        snr_values=(100.0,),
+        methods=("spectral",),
+        out_dir=str(tmp_path),
+    )
+    with pytest.raises(TypeError, match="injected bug"):
+        sweep(sc)
 
 
 def test_manifest_records_config_and_seeds(tmp_path):

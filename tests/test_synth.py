@@ -10,6 +10,7 @@ from spectime import (
     err_open_rank,
     generate,
     noise_for_snr,
+    noisy_sample,
     ranking_from_labels,
     serialrank_baseline,
     snr,
@@ -112,6 +113,23 @@ class TestNoise:
     def test_zero_signal_rejected(self):
         with pytest.raises(ZeroSignalError):
             noise_for_snr(DataMatrix(np.zeros((2, 4))), 1.0, 0)
+
+
+class TestNoisySample:
+    def test_consumes_seed_then_seed_plus_one(self):
+        spec = CurveSpec("cardioid")
+        x, t = generate(spec, 80, 4)
+        for kwargs, z in (({"snr": 10.0}, noise_for_snr(x, 10.0, 5)),
+                          ({"eps": 0.1}, add_noise(x, 0.1, 5)),
+                          ({}, x)):
+            xs, ts, zs = noisy_sample(spec, 80, 4, **kwargs)
+            assert np.array_equal(xs.values, x.values)
+            assert np.array_equal(ts.angles, t.angles)
+            assert np.array_equal(zs.values, z.values)
+
+    def test_snr_and_eps_exclusive(self):
+        with pytest.raises(ConfigError):
+            noisy_sample(CurveSpec("circle"), 10, 0, snr=1.0, eps=0.1)
 
 
 class TestComparisonMatrix:
