@@ -24,8 +24,8 @@ from .metrics import (
     err_open_time,
     relative_error,
 )
-from .pipeline import DEFAULT_EIG_TOL, recover_labels
-from .recover import UNIFORM_LABEL_AMPLITUDE, data_driven_bandwidth, select_bandwidth
+from .pipeline import DEFAULT_EIG_TOL, choose_bandwidth, recover_labels
+from .recover import UNIFORM_LABEL_AMPLITUDE
 from .sweep import METHODS, SweepConfig, sweep
 from .synth import CurveSpec, comparison_matrix, noisy_sample, serialrank_baseline
 
@@ -148,11 +148,9 @@ def _resolve_sigma(args, z, kind: CurveKind) -> KernelParams:
         if args.sigma != "auto":
             raise ConfigError("give either --sigma or --sigma2, not both")
         return KernelParams.from_sigma2(args.sigma2)
-    if args.sigma == "auto":
-        return select_bandwidth(z.n_points, args.noise_level, kind)
-    if args.sigma == "data":
-        return data_driven_bandwidth(z)
-    return KernelParams(float(args.sigma))
+    if args.sigma in ("auto", "data"):
+        return choose_bandwidth(z, kind, policy=args.sigma, noise_level=args.noise_level)
+    return choose_bandwidth(z, kind, sigma=float(args.sigma))
 
 
 def _cmd_recover(args) -> int:

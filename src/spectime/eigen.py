@@ -2,15 +2,28 @@
 
 The contract is the residual certificate, not the method: every returned
 pair (lambda_j, v_j) satisfies ||A v_j - lambda_j v_j|| <= tol * max(1, max|lambda|),
-checked post hoc by direct multiplication.  Small matrices use a dense
-symmetric solver (LAPACK ``dsyevr``) that computes only the k wanted
-pairs; larger ones use Lanczos (ARPACK) on the
-spectrally flipped operator mu*I - A, where mu is a Gershgorin upper
-bound, so the smallest eigenvalues of A become the largest and converge
-fast without factorizations.  The Lanczos path allocates no N x N array
-beside A (the bound is summed in row blocks and the operator is applied
-as mu*x - A x), so a Laplacian built in the kernel's buffer stays the
-only one; the dense path's LAPACK call works on its own copy of A.
+checked post hoc by direct multiplication.
+
+Small matrices (and k > N/4) take the dense path: one Cholesky factor of
+a copy of A + tau*I, then Lanczos (ARPACK) on its inverse, whose k
+largest eigenvalues w map back to lambda = 1/w - tau.  A successful
+factorization proves lambda_min > -tau, so these are exactly the k
+smallest eigenvalues of A; tau changes the speed, never which pairs come
+back.  The cost is one N^3/3 factorization and a few dozen O(N^2)
+triangular solves, where a symmetric eigensolver first spends 4N^3/3 on
+a tridiagonal reduction.  Input that is not positive definite after the
+shift (an indefinite A), or k >= N - 1, falls back to LAPACK ``dsyevr``
+on the k wanted pairs.
+
+Larger matrices use Lanczos on the spectrally flipped operator
+mu*I - A, where mu is a Gershgorin upper bound, so the smallest
+eigenvalues of A become the largest and converge fast without
+factorizations.  The Lanczos path allocates no N x N array beside A (the
+bound is summed in row blocks and the operator is applied as
+mu*x - A x), so a Laplacian built in the kernel's buffer stays the only
+one; the dense path holds one factored copy of A beside it.  Both
+iterative paths count their operator applications, and a
+``NoConvergenceError`` reports that count.
 
 Sign convention: each eigenvector is flipped so its entry of largest
 absolute value is positive (ties broken by lowest index), which makes
@@ -22,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NoConvergenceError
@@ -30,6 +43,7 @@ from .kernel import LaplacianMatrix, row_blocks
 
 DENSE_CUTOFF = 2048
 DEFAULT_TOL = 1e-8
+SHIFT = 1e-3  # tau of the dense path's shift-invert; sets the speed only
 
 
 @dataclass(frozen=True)
@@ -87,11 +101,9 @@ def smallest_eigenpairs(
         raise ValueError("tol must be positive")
 
     if n <= DENSE_CUTOFF or k > n // 4:
-        values, vectors = eigh(
-            a, subset_by_index=[0, k - 1], driver="evr", check_finite=False
-        )
+        values, vectors, applied = _dense_smallest(a, k, tol)
     else:
-        values, vectors = _lanczos_smallest(a, k, tol)
+        values, vectors, applied = _lanczos_smallest(a, k, tol)
 
     order = np.argsort(values, kind="stable")
     values = values[order]
@@ -99,20 +111,56 @@ def smallest_eigenpairs(
     residuals = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
     bound = tol * max(1.0, float(np.abs(values).max()))
     if residuals.max() > bound:
-        raise NoConvergenceError(0, f"residual {residuals.max():.3e} exceeds {bound:.3e}")
+        raise NoConvergenceError(
+            applied, f"residual {residuals.max():.3e} exceeds {bound:.3e} "
+            f"after {applied} operator applications")
     return SpectralResult(eigenvalues=values, eigenvectors=vectors, residuals=residuals)
 
 
-def _lanczos_smallest(a: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    n = a.shape[0]
-    mu = _gershgorin_upper(a) + 1.0
-    op = LinearOperator((n, n), matvec=lambda x: mu * x - a @ x, dtype=np.float64)
+def _arpack_largest(apply, n: int, k: int, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """k largest eigenpairs of the symmetric operator x -> apply(x), ascending,
+    and the number of times ARPACK applied it."""
+    applied = 0
+
+    def matvec(x):
+        nonlocal applied
+        applied += 1
+        return apply(x)
+
+    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     v0 = np.random.default_rng(0).standard_normal(n)  # fixed start, deterministic output
-    budget = 50 * k
     try:
-        # ARPACK tol is relative to the shifted spectrum; ask well below the
-        # certificate and let the post-hoc check be the arbiter.
-        w, v = eigsh(op, k=k, which="LA", tol=min(tol, 1e-10) * 1e-2, v0=v0, maxiter=budget)
-    except ArpackNoConvergence as exc:  # pragma: no cover - depends on ARPACK internals
-        raise NoConvergenceError(budget, str(exc)) from exc
-    return mu - w[::-1], v[:, ::-1]
+        # ARPACK tol is relative to the transformed spectrum; ask well below
+        # the certificate and let the post-hoc check be the arbiter.
+        w, v = eigsh(op, k=k, which="LA", tol=min(tol, 1e-10) * 1e-2, v0=v0, maxiter=50 * k)
+    except ArpackNoConvergence as exc:
+        raise NoConvergenceError(applied, str(exc)) from exc
+    return w, v, applied
+
+
+def _dense_smallest(a: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Smallest pairs from Lanczos on (A + SHIFT*I)^-1, or from LAPACK
+    ``dsyevr`` when that matrix has no Cholesky factor or k >= n - 1."""
+    n = a.shape[0]
+    if k < n - 1:
+        # a.T is a's Fortran-ordered view (the same matrix for symmetric A), so
+        # LAPACK factors this one copy in place instead of transposing another
+        shifted = a.T.copy(order="F")
+        diag = np.arange(n)
+        shifted[diag, diag] += SHIFT
+        try:
+            factor = cho_factor(shifted, overwrite_a=True, check_finite=False)
+        except LinAlgError:
+            pass  # lambda_min(A) <= -SHIFT: an indefinite matrix, never a Laplacian
+        else:
+            w, v, applied = _arpack_largest(
+                lambda x: cho_solve(factor, x, check_finite=False), n, k, tol)
+            return 1.0 / w - SHIFT, v, applied
+    values, vectors = eigh(a, subset_by_index=[0, k - 1], driver="evr", check_finite=False)
+    return values, vectors, 0
+
+
+def _lanczos_smallest(a: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    mu = _gershgorin_upper(a) + 1.0
+    w, v, applied = _arpack_largest(lambda x: mu * x - a @ x, a.shape[0], k, tol)
+    return mu - w[::-1], v[:, ::-1], applied

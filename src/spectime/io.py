@@ -66,16 +66,21 @@ def _read_indexed_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     if not rows:
         raise LengthMismatchError(f"{path}: empty file")
     head = rows[0]
-    body = rows[1:]
+    first_line = 2
     try:
         float(head[1])
     except (ValueError, IndexError):
         pass  # header line
     else:
-        body = rows
+        first_line = 1
         head = [f"c{j}" for j in range(len(rows[0]))]
+    body = rows[first_line - 1:]
     if not body:
         raise LengthMismatchError(f"{path}: no data rows")
+    for line, row in enumerate(body, start=first_line):
+        if len(row) != len(head):
+            raise LengthMismatchError(
+                f"{path}: line {line} has {len(row)} columns, expected {len(head)}")
     data = np.array([[float(x) for x in row] for row in body], dtype=np.float64)
     data = data[np.argsort(data[:, 0], kind="stable")]
     n = data.shape[0]

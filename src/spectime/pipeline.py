@@ -71,12 +71,20 @@ class PipelineConfig:
             raise ConfigError(f"unknown sigma policy {self.sigma_policy!r}")
 
 
-def choose_bandwidth(cfg: PipelineConfig, z: DataMatrix, kind: CurveKind) -> KernelParams:
-    if cfg.sigma is not None:
-        return KernelParams(cfg.sigma)
-    if cfg.sigma_policy == "data":
+def choose_bandwidth(
+    z: DataMatrix,
+    kind: CurveKind,
+    sigma: float | None = None,
+    policy: str = "auto",
+    noise_level: float = 0.0,
+) -> KernelParams:
+    """A fixed ``sigma`` when given, else the policy's bandwidth: ``auto``
+    (rate formula at ``noise_level``) or ``data`` (log-mass slope)."""
+    if sigma is not None:
+        return KernelParams(sigma)
+    if policy == "data":
         return data_driven_bandwidth(z)
-    return select_bandwidth(z.n_points, cfg.noise_level, kind)
+    return select_bandwidth(z.n_points, noise_level, kind)
 
 
 def recover_labels(
@@ -137,7 +145,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             io.save_data_matrix(out / "z_tilde.csv", z)
 
     kind = cfg.curve.kind
-    params = choose_bandwidth(cfg, z, kind)
+    params = choose_bandwidth(z, kind, cfg.sigma, cfg.sigma_policy, cfg.noise_level)
     report["sigma"] = params.sigma
     recovery = recover_labels(z, kind, params, cfg.amplitude, cfg.eig_tol)
     report["clamped_count"] = recovery.clamped_count

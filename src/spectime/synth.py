@@ -14,12 +14,15 @@ Labels are drawn i.i.d. uniform on the curve's domain.  Every generator
 is a pure function of (spec, n, seed).
 
 The baseline turns column norms (distances from the origin) into a
-comparison matrix C(i,j) = sign(||Z_j|| - ||Z_i||) and ranks by the
-Fiedler vector of the similarity S = (N + C C^T) / 2 under the
-unnormalized Laplacian D - S, the standard spectral treatment of
-pairwise-comparison seriation.  Norm comparisons ignore the curve's
-geodesic structure, which is exactly the failure mode the spectral
-method avoids.
+comparison matrix C(i,j) = sign(||Z_j|| - ||Z_i||) and ranks the points
+as SerialRank does: by the Fiedler vector of the similarity
+S = (N + C C^T) / 2 under the unnormalized Laplacian D - S, the standard
+spectral treatment of pairwise-comparison seriation.  On comparisons of
+a total preorder that Fiedler order is the Borda count, the row sums of
+C (Atkins, Boman & Hendrickson 1998; Fogel, d'Aspremont & Vojnovic,
+NeurIPS 2014), so the baseline is a sort; the spectral form is kept in
+the tests as its oracle.  Norm comparisons ignore the curve's geodesic
+structure, which is exactly the failure mode the spectral method avoids.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TWO_PI, CurveKind, DataMatrix, Ranking, TimeLabels
-from .eigen import smallest_eigenpairs
 from .errors import ConfigError, DegenerateBaselineError, ZeroSignalError
 
 
@@ -173,18 +175,18 @@ def comparison_matrix(z: DataMatrix) -> ComparisonMatrix:
 
 
 def serialrank_baseline(c: ComparisonMatrix) -> Ranking:
-    """Spectral seriation of a comparison matrix.
+    """SerialRank seriation of a comparison matrix, by its Borda count.
 
-    Builds the match-count similarity S = (N + C C^T) / 2, takes the
-    Fiedler vector of the unnormalized Laplacian D - S, and sorts its
-    entries.  The result is identifiable up to reflection, like any
-    Fiedler ordering.
+    Row i of C sums to #(points compared larger) - #(points compared
+    smaller), and sorting by that count gives the order of the Fiedler
+    vector of D - S, S = (N + C C^T) / 2, up to reflection and the order
+    within ties (tied points have equal Fiedler entries).  The
+    equivalence is exact when C holds the comparisons of a total
+    preorder, which is what ``comparison_matrix`` builds.  The
+    orientation is fixed: ascending norm, ties by index.  A Fiedler
+    vector's sign, and so its order's orientation, is arbitrary, which
+    is why the metrics applied to the baseline are reflection-invariant.
     """
-    mat = c.c
-    n = mat.shape[0]
-    if not np.any(mat):
+    if not np.any(c.c):
         raise DegenerateBaselineError("all comparisons tie; similarity is constant")
-    s = (n + mat @ mat.T) / 2.0
-    lap = np.diag(s.sum(axis=1)) - s
-    fiedler = smallest_eigenpairs(lap, k=2).eigenvectors[:, 1]
-    return Ranking(np.argsort(fiedler, kind="stable"))
+    return Ranking(np.argsort(-c.c.sum(axis=1), kind="stable"))

@@ -8,6 +8,7 @@ import pytest
 from spectime import CurveKind, KernelParams, build_kernel, build_laplacian, recover_labels
 from spectime.cli import main
 from spectime.io import load_data_matrix, load_labels
+from spectime.pipeline import choose_bandwidth
 
 
 def run(argv):
@@ -188,3 +189,39 @@ def test_evaluate_bad_index_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "BadIndexError"
     assert "index 0 appears more than once" in err["message"]
+
+
+def test_evaluate_ragged_row_exits_2(tmp_path, capsys):
+    t = tmp_path / "t.csv"
+    t.write_text("index,value\n0,0.1\n1\n2,0.3\n")
+    assert run(["evaluate", "--metric", "closed-time", "--truth", t, "--estimate", t]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "LengthMismatchError"
+    assert str(t) in err["message"]
+    assert "line 3 has 1 columns, expected 2" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "flags, choice",
+    [
+        (["--sigma", "auto", "--noise-level", "0.01"], dict(policy="auto", noise_level=0.01)),
+        (["--sigma", "data"], dict(policy="data")),
+        (["--sigma", "0.3"], dict(sigma=0.3)),
+    ],
+)
+def test_recover_reports_the_bandwidth_choose_bandwidth_picks(tmp_path, capsys, flags, choice):
+    z, est = tmp_path / "z.csv", tmp_path / "est.csv"
+    run(["generate", "--curve", "circle", "--n", "200", "--snr", "100", "--out", z])
+    capsys.readouterr()
+    assert run(["recover", "--kind", "closed", "--input", z, "--out", est, *flags]) == 0
+    reported = json.loads(capsys.readouterr().err)["sigma"]
+    expected = choose_bandwidth(load_data_matrix(z), CurveKind.CLOSED_LOOP, **choice)
+    assert reported == expected.sigma
+
+
+def test_recover_rejects_sigma_with_sigma2(tmp_path, capsys):
+    z = tmp_path / "z.csv"
+    run(["generate", "--curve", "circle", "--n", "50", "--out", z])
+    assert run(["recover", "--kind", "closed", "--input", z, "--sigma", "0.3",
+                "--sigma2", "0.09", "--out", tmp_path / "est.csv"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from spectime import (
     CurveKind,
@@ -11,7 +12,8 @@ from spectime import (
     smallest_eigenpairs,
 )
 from spectime import eigen
-from spectime.eigen import _fix_signs, _gershgorin_upper, _lanczos_smallest
+from spectime.eigen import SHIFT, _fix_signs, _gershgorin_upper, _lanczos_smallest
+from spectime.errors import NoConvergenceError
 
 from oracles import gershgorin_upper_abs_copy
 
@@ -28,6 +30,26 @@ def circle_laplacian(n, sigma=None, seed=0, kind=CurveKind.CLOSED_LOOP):
     x, _ = generate(CurveSpec("circle"), n, seed)
     params = KernelParams(sigma if sigma is not None else n ** (-1 / 7))
     return build_laplacian(build_kernel(x, params), kind)
+
+
+@pytest.fixture
+def no_evr(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense solver was called")
+
+    monkeypatch.setattr(eigen, "eigh", refuse)
+
+
+@pytest.fixture
+def evr_calls(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "eigh", spy)
+    return calls
 
 
 class TestClosedForm:
@@ -141,6 +163,68 @@ class TestDenseSubset:
         assert principal_angle(res.eigenvectors, v[:, :3]) <= 1e-6
 
 
+class TestShiftInvert:
+    """The dense path factors A + SHIFT*I and runs Lanczos on its inverse;
+    only input that is not positive definite after the shift, or
+    k >= n - 1, reaches LAPACK's dense solver."""
+
+    @pytest.mark.parametrize(
+        "curve, kind, sigma, k",
+        [
+            ("circle", CurveKind.CLOSED_LOOP, 0.33, 3),
+            ("cardioid", CurveKind.OPEN_CURVE, np.sqrt(0.02), 2),
+            ("half-circle", CurveKind.OPEN_CURVE, np.sqrt(0.05), 2),
+        ],
+    )
+    def test_laplacian_never_reaches_dense_solver(self, no_evr, curve, kind, sigma, k):
+        x, _ = generate(CurveSpec(curve), 400, 8)
+        lap = build_laplacian(build_kernel(x, KernelParams(sigma)), kind)
+        w, v = np.linalg.eigh(lap.l)
+        res = smallest_eigenpairs(lap, k=k)
+        assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
+        assert principal_angle(res.eigenvectors, v[:, :k]) <= 1e-6
+
+    def test_negative_eigenvalue_above_minus_shift_stays_on_shift_invert(self, no_evr):
+        lap = circle_laplacian(300, sigma=0.33, seed=4).l - 0.5 * SHIFT * np.eye(300)
+        w, v = np.linalg.eigh(lap)
+        res = smallest_eigenpairs(lap, k=3)
+        assert w[0] < 0
+        assert np.abs(res.eigenvalues - w[:3]).max() <= 1e-10
+        assert principal_angle(res.eigenvectors, v[:, :3]) <= 1e-6
+
+    def test_eigenvalue_below_minus_shift_falls_back(self, evr_calls):
+        lap = circle_laplacian(300, sigma=0.33, seed=4).l - 2.0 * SHIFT * np.eye(300)
+        res = smallest_eigenpairs(lap, k=3)
+        assert len(evr_calls) == 1
+        w, v = eigh(lap, subset_by_index=[0, 2], driver="evr")
+        assert np.array_equal(res.eigenvalues, w)
+        assert np.array_equal(res.eigenvectors, _fix_signs(v))
+
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_k_at_least_n_minus_one_falls_back(self, evr_calls, k):
+        lap = circle_laplacian(8, sigma=0.6, seed=2)
+        res = smallest_eigenpairs(lap, k=k)
+        assert len(evr_calls) == 1
+        w = np.linalg.eigvalsh(lap.l)
+        assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
+
+
+class TestNoConvergenceCount:
+    """An unreachable residual target reports how many times the iterative
+    solver applied its operator."""
+
+    def test_shift_invert_path(self, no_evr):
+        with pytest.raises(NoConvergenceError) as err:
+            smallest_eigenpairs(circle_laplacian(300, sigma=0.33), k=3, tol=1e-300)
+        assert err.value.iterations > 0
+
+    def test_lanczos_path(self, monkeypatch):
+        monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
+        with pytest.raises(NoConvergenceError) as err:
+            smallest_eigenpairs(circle_laplacian(300, sigma=0.33), k=3, tol=1e-300)
+        assert err.value.iterations > 0
+
+
 class TestIterativePath:
     @pytest.mark.parametrize("n", [7, 700, 1531])
     def test_blocked_gershgorin_matches_abs_copy(self, n):
@@ -154,7 +238,7 @@ class TestIterativePath:
     def test_matches_dense_oracle(self):
         lap = circle_laplacian(300, sigma=0.33, seed=1)
         w_dense, v_dense = np.linalg.eigh(lap.l)
-        values, vectors = _lanczos_smallest(lap.l, 3, 1e-10)
+        values, vectors, _ = _lanczos_smallest(lap.l, 3, 1e-10)
         order = np.argsort(values)
         values = values[order]
         vectors = vectors[:, order]
@@ -164,7 +248,7 @@ class TestIterativePath:
 
     def test_iterative_respects_certificate(self):
         lap = circle_laplacian(300, sigma=0.33, seed=2)
-        values, vectors = _lanczos_smallest(lap.l, 2, 1e-8)
+        values, vectors, _ = _lanczos_smallest(lap.l, 2, 1e-8)
         for j in range(2):
             r = np.linalg.norm(lap.l @ vectors[:, j] - values[j] * vectors[:, j])
             assert r <= 1e-8

@@ -100,3 +100,20 @@ def test_header_only_file_rejected(tmp_path):
     path.write_text("index,value\n")
     with pytest.raises(LengthMismatchError, match="no data rows"):
         io.load_labels(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("index,value\n0,0.1\n1\n2,0.3\n", "line 3 has 1 columns, expected 2"),
+        ("index,value\n0,0.1\n1,0.2,9\n", "line 3 has 3 columns, expected 2"),
+        ("0,0.1\n1,0.2\n2\n", "line 3 has 1 columns, expected 2"),
+        ("index,t_hat,rank\n0,0.1,0\n1,0.2\n", "line 3 has 2 columns, expected 3"),
+    ],
+)
+def test_ragged_row_named_by_file_and_line(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(LengthMismatchError, match=message) as err:
+        io.load_labels(path)
+    assert str(path) in str(err.value)

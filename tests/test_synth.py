@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spectime import (
     CurveKind,
@@ -17,6 +19,8 @@ from spectime import (
     TimeLabels,
 )
 from spectime.errors import ConfigError, DegenerateBaselineError, ZeroSignalError
+
+from oracles import serialrank_fiedler
 
 TWO_PI = 2 * np.pi
 
@@ -172,3 +176,31 @@ class TestSerialRankBaseline:
         z = DataMatrix(np.ones((2, 10)))
         with pytest.raises(DegenerateBaselineError):
             serialrank_baseline(comparison_matrix(z))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 80).flatmap(
+            lambda n: st.lists(st.integers(1, max(2, n // 3)), min_size=n, max_size=n)
+        )
+    )
+    def test_borda_count_matches_fiedler_oracle(self, levels):
+        # at most n/3 distinct norms, so most points tie with another
+        norms = np.array(levels, dtype=float)
+        assume(norms.min() < norms.max())
+        c = comparison_matrix(DataMatrix(norms[None, :]))
+        order = serialrank_baseline(c).perm
+        oracle = serialrank_fiedler(c.c)
+        # the oracle orders tied points by rounding, so compare the norm sequences
+        assert np.array_equal(norms[order], norms[oracle]) or np.array_equal(
+            norms[order], norms[oracle[::-1]])
+        # the orientation is pinned: ascending norm, ties by index
+        assert list(order) == sorted(range(norms.size), key=lambda i: (norms[i], i))
+
+    @pytest.mark.parametrize("curve", ["cardioid", "half-circle"])
+    def test_matches_fiedler_oracle_on_noisy_curves(self, curve):
+        # distinct norms: the orders agree point for point, up to reversal
+        _, _, z = noisy_sample(CurveSpec(curve), 300, 5, snr=100.0)
+        c = comparison_matrix(z)
+        order = serialrank_baseline(c).perm
+        oracle = serialrank_fiedler(c.c)
+        assert np.array_equal(order, oracle) or np.array_equal(order, oracle[::-1])
