@@ -24,8 +24,7 @@ from .metrics import (
     err_open_time,
     relative_error,
 )
-from .pipeline import DEFAULT_EIG_TOL, choose_bandwidth, recover_labels
-from .recover import UNIFORM_LABEL_AMPLITUDE
+from .pipeline import choose_bandwidth, recover_labels
 from .sweep import METHODS, SweepConfig, sweep
 from .synth import CurveSpec, comparison_matrix, noisy_sample, serialrank_baseline
 
@@ -76,10 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--sigma2", type=float, help="squared bandwidth (alternative to --sigma)")
     r.add_argument("--noise-level", type=float, default=0.0,
                    help="per-point noise magnitude fed to the auto bandwidth")
-    r.add_argument("--amplitude", type=float, default=UNIFORM_LABEL_AMPLITUDE,
-                   help="assumed Fiedler amplitude for open curves "
-                   "(default sqrt(2), the unit-norm value under uniform labels)")
-    r.add_argument("--eig-tol", type=float, default=DEFAULT_EIG_TOL)
     r.add_argument("--dump-laplacian", help="write the Laplacian to this CSV")
     r.add_argument("--out", required=True, help="output CSV: index,t_hat,rank")
     _shared_flags(r)
@@ -161,8 +156,7 @@ def _cmd_recover(args) -> int:
     def dump(lap):
         io.save_square_matrix(args.dump_laplacian, lap.l)
 
-    out = recover_labels(z, kind, params, args.amplitude, args.eig_tol,
-                         on_laplacian=dump if args.dump_laplacian else None)
+    out = recover_labels(z, kind, params, on_laplacian=dump if args.dump_laplacian else None)
     io.save_recovery(args.out, out.labels, out.ranking)
     print(json.dumps({"sigma": params.sigma, "clamped_count": out.clamped_count,
                       "out": args.out}), file=sys.stderr)

@@ -15,15 +15,14 @@ a tridiagonal reduction.  Input that is not positive definite after the
 shift (an indefinite A), or k >= N - 1, falls back to LAPACK ``dsyevr``
 on the k wanted pairs.
 
-Larger matrices use Lanczos on the spectrally flipped operator
-mu*I - A, where mu is a Gershgorin upper bound, so the smallest
-eigenvalues of A become the largest and converge fast without
-factorizations.  The Lanczos path allocates no N x N array beside A (the
-bound is summed in row blocks and the operator is applied as
-mu*x - A x), so a Laplacian built in the kernel's buffer stays the only
-one; the dense path holds one factored copy of A beside it.  Both
-iterative paths count their operator applications, and a
-``NoConvergenceError`` reports that count.
+Larger matrices use Lanczos on the flipped operator I - A, whose
+largest eigenvalues 1 - lambda belong to the smallest of A.  No bound
+on the spectrum is needed: ``which="LA"`` takes the largest algebraic
+values, and the Krylov space does not depend on the shift.  The
+operator is applied as x - A x, so a Laplacian built in the kernel's
+buffer stays the only N x N array; the dense path holds one factored
+copy of A beside it.  Both iterative paths count their operator
+applications, and a ``NoConvergenceError`` reports that count.
 
 Sign convention: each eigenvector is flipped so its entry of largest
 absolute value is positive (ties broken by lowest index), which makes
@@ -39,7 +38,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NoConvergenceError
-from .kernel import LaplacianMatrix, row_blocks
+from .kernel import LaplacianMatrix
 
 DENSE_CUTOFF = 2048
 DEFAULT_TOL = 1e-8
@@ -62,15 +61,6 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
         if out[lead, j] < 0:
             out[:, j] = -out[:, j]
     return out
-
-
-def _gershgorin_upper(a: np.ndarray) -> float:
-    """max_i a_ii + sum_{j != i} |a_ij|, with the row sums of |a| taken in
-    row blocks so no N x N temporary is formed."""
-    abs_sums = np.empty(a.shape[0])
-    for rows in row_blocks(a.shape[0]):
-        np.abs(a[rows]).sum(axis=1, out=abs_sums[rows])
-    return float((a.diagonal() + (abs_sums - np.abs(a.diagonal()))).max())
 
 
 def smallest_eigenpairs(
@@ -161,6 +151,5 @@ def _dense_smallest(a: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, np.n
 
 
 def _lanczos_smallest(a: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
-    mu = _gershgorin_upper(a) + 1.0
-    w, v, applied = _arpack_largest(lambda x: mu * x - a @ x, a.shape[0], k, tol)
-    return mu - w[::-1], v[:, ::-1], applied
+    w, v, applied = _arpack_largest(lambda x: x - a @ x, a.shape[0], k, tol)
+    return 1.0 - w[::-1], v[:, ::-1], applied

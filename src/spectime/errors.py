@@ -30,6 +30,10 @@ class NotAPermutationError(SpectimeError):
     """A ranking vector is not a bijection on {0..N-1}."""
 
 
+class BadCellError(SpectimeError):
+    """A CSV cell does not parse as a number."""
+
+
 class BadIndexError(SpectimeError):
     """The index column of a CSV file does not hold 0..N-1 exactly once each."""
 

@@ -17,14 +17,24 @@ from pathlib import Path
 import numpy as np
 
 from .core import DataMatrix, Ranking, TimeLabels
-from .errors import BadIndexError, LengthMismatchError
+from .errors import BadCellError, BadIndexError, LengthMismatchError
 
 FLOAT_FMT = "%.17g"
 
 
 def load_data_matrix(path: str | Path, header: bool = False) -> DataMatrix:
     """Read an N x d CSV of points (one per row) into a (d, N) DataMatrix."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    skip = 1 if header else 0
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except ValueError:
+        # find the row or cell numpy refused, to name the file and the line
+        with open(path, newline="") as f:
+            body = [(line, row) for line, row in enumerate(csv.reader(f), start=1)
+                    if row and line > skip]
+        if body:
+            _to_floats(path, body, len(body[0][1]))
+        raise
     return DataMatrix(rows.T)
 
 
@@ -60,6 +70,23 @@ def save_recovery(path: str | Path, t: TimeLabels, r: Ranking) -> None:
             w.writerow([i, FLOAT_FMT % t.angles[i], int(ranks[i])])
 
 
+def _to_floats(path: str | Path, body: list[tuple[int, list[str]]], width: int) -> np.ndarray:
+    """The cells of (1-based line, row) pairs as a float array; a row of
+    another width or a cell that is not a number is named by file and line."""
+    out = []
+    for line, row in body:
+        if len(row) != width:
+            raise LengthMismatchError(
+                f"{path}: line {line} has {len(row)} columns, expected {width}")
+        for col, cell in enumerate(row, start=1):
+            try:
+                out.append(float(cell))
+            except ValueError:
+                raise BadCellError(
+                    f"{path}: line {line}, column {col}: {cell!r} is not a number") from None
+    return np.array(out, dtype=np.float64).reshape(len(body), width)
+
+
 def _read_indexed_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
@@ -74,14 +101,10 @@ def _read_indexed_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     else:
         first_line = 1
         head = [f"c{j}" for j in range(len(rows[0]))]
-    body = rows[first_line - 1:]
+    body = list(enumerate(rows[first_line - 1:], start=first_line))
     if not body:
         raise LengthMismatchError(f"{path}: no data rows")
-    for line, row in enumerate(body, start=first_line):
-        if len(row) != len(head):
-            raise LengthMismatchError(
-                f"{path}: line {line} has {len(row)} columns, expected {len(head)}")
-    data = np.array([[float(x) for x in row] for row in body], dtype=np.float64)
+    data = _to_floats(path, body, len(head))
     data = data[np.argsort(data[:, 0], kind="stable")]
     n = data.shape[0]
     bad = np.flatnonzero(data[:, 0] != np.arange(n))

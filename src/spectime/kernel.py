@@ -1,23 +1,22 @@
-"""Gaussian-kernel similarity and the two normalized graph Laplacians.
+"""Gaussian-kernel similarity and the normalized graph Laplacian.
 
 The similarity between points x, y is
 
     k(x, y) = (sqrt(2*pi) * sigma)^-1 * exp(-||x - y||^2 / (2 * sigma^2))
 
 and the degree of point i is the full row sum of the kernel matrix,
-self-term included.  Both topologies use a symmetric normalization
-L = I - S, which is positive semidefinite with an exact null vector:
+self-term included.  Both topologies use one operator, the symmetric
+form of the alpha = 1 diffusion-map kernel (Coifman & Lafon, 2006):
+K~ = D^-1 K D^-1 divides out the sampling density, d~ are the row sums
+of K~, S = D~^-1/2 K~ D~^-1/2 and L = I - S, which is positive
+semidefinite with the exact null vector sqrt(d~).  The random-walk
+eigenvector of K~ is D~^-1/2 u for an eigenvector u of S, so the
+Fiedler vectors follow the curve's geometry rather than how the sample
+is spread along it; L converges to the Laplace-Beltrami operator
+whatever the sampling density.
 
-- closed loops: S = D^-1/2 K D^-1/2, null vector sqrt(d);
-- open curves: the alpha = 1 diffusion-map kernel (Coifman & Lafon,
-  2006).  K~ = D^-1 K D^-1 divides out the sampling density, d~ are the
-  row sums of K~, and S = D~^-1/2 K~ D~^-1/2, null vector sqrt(d~).  The
-  random-walk eigenvector of K~ is D~^-1/2 u for an eigenvector u of S,
-  so its Fiedler vector follows the curve's geometry rather than how
-  the sample is spread along it.
-
-``LaplacianMatrix.inv_sqrt_degrees`` keeps the D^-1/2 (or D~^-1/2) of
-the normalization, for mapping eigenvectors of S back.  A point whose
+``LaplacianMatrix.inv_sqrt_degrees`` keeps the D~^-1/2 of the
+normalization, for mapping eigenvectors of S back.  A point whose
 kernel row is its own self-term to rounding (off-diagonal degree at most
 N * eps * d_i, as when sigma is far below the point spacing) has no
 neighbour in the graph; normalization then raises
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CurveKind, DataMatrix, KernelParams
+from .core import DataMatrix, KernelParams
 from .errors import DimensionMismatchError, DisconnectedGraphError, ZeroDegreeError
 
 
@@ -64,9 +63,8 @@ class LaplacianMatrix:
     """Symmetric normalized graph Laplacian L = I - S."""
 
     l: np.ndarray
-    kind: CurveKind
     sigma: float
-    inv_sqrt_degrees: np.ndarray  # D^-1/2 of S; random-walk vector = inv_sqrt_degrees * u
+    inv_sqrt_degrees: np.ndarray  # D~^-1/2 of S; random-walk vector = inv_sqrt_degrees * u
 
     @property
     def n(self) -> int:
@@ -123,27 +121,24 @@ def build_kernel(z: DataMatrix | np.ndarray, p: KernelParams) -> KernelMatrix:
     return KernelMatrix(k=k, degrees=degrees, sigma=p.sigma)
 
 
-def laplacian_from_data(
-    z: DataMatrix | np.ndarray, p: KernelParams, kind: CurveKind
-) -> LaplacianMatrix:
+def laplacian_from_data(z: DataMatrix | np.ndarray, p: KernelParams) -> LaplacianMatrix:
     """Kernel matrix normalized into L = I - S in its own buffer: the same L
-    as ``build_laplacian(build_kernel(z, p), kind)`` with one N x N array."""
+    as ``build_laplacian(build_kernel(z, p))`` with one N x N array."""
     km = build_kernel(z, p)
-    return _normalize(km.k, km.degrees, kind, km.sigma)
+    return _normalize(km.k, km.degrees, km.sigma)
 
 
-def build_laplacian(km: KernelMatrix, kind: CurveKind) -> LaplacianMatrix:
-    """Normalized Laplacian L = I - S for the requested curve topology,
-    built in a copy of ``km.k``; ``km`` is left unchanged."""
-    return _normalize(km.k.copy(), km.degrees, kind, km.sigma)
+def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:
+    """Normalized Laplacian L = I - S, built in a copy of ``km.k``; ``km``
+    is left unchanged."""
+    return _normalize(km.k.copy(), km.degrees, km.sigma)
 
 
-def _normalize(k: np.ndarray, deg: np.ndarray, kind: CurveKind, sigma: float) -> LaplacianMatrix:
+def _normalize(k: np.ndarray, deg: np.ndarray, sigma: float) -> LaplacianMatrix:
     """Overwrite the kernel matrix k with L = I - S and return it.
 
-    Closed loops: S_ij = k_ij / sqrt(d_i d_j).  Open curves: with
-    K~ = D^-1 K D^-1 and d~ its row sums, S_ij = k~_ij / sqrt(d~_i d~_j).
-    Either way S_ij = k_ij c_i c_j for one scale vector c, applied in row
+    With K~ = D^-1 K D^-1 and d~ its row sums, S_ij = k~_ij / sqrt(d~_i d~_j)
+    = k_ij c_i c_j for the scale vector c = D^-1 D~^-1/2, applied in row
     blocks, so L is bit-exactly symmetric.
     """
     n = k.shape[0]
@@ -155,13 +150,10 @@ def _normalize(k: np.ndarray, deg: np.ndarray, kind: CurveKind, sigma: float) ->
             f"kernel graph is disconnected at sigma={sigma!r}: {isolated} of {n} point(s) "
             "have no neighbour above rounding; use a larger bandwidth"
         )
-    if kind is CurveKind.OPEN_CURVE:
-        inv = 1.0 / deg
-        inv_sqrt = 1.0 / np.sqrt(inv * (k @ inv))  # d~ = D^-1 K D^-1 1
-        scale = inv * inv_sqrt
-    else:
-        inv_sqrt = scale = 1.0 / np.sqrt(deg)
+    inv = 1.0 / deg
+    inv_sqrt = 1.0 / np.sqrt(inv * (k @ inv))  # d~ = D^-1 K D^-1 1
+    scale = inv * inv_sqrt
     for rows in row_blocks(n):
         k[rows] *= np.outer(-scale[rows], scale)  # -(c_i c_j) exactly
     np.fill_diagonal(k, 1.0 + k.diagonal())
-    return LaplacianMatrix(l=k, kind=kind, sigma=sigma, inv_sqrt_degrees=inv_sqrt)
+    return LaplacianMatrix(l=k, sigma=sigma, inv_sqrt_degrees=inv_sqrt)

@@ -1,10 +1,12 @@
 """End-to-end composition: generate -> denoise -> recover -> evaluate.
 
-Each stage is a pure function of its inputs and the seeds in the
-config, so rerunning any stage from its persisted inputs reproduces its
-outputs.  When an output directory is given, every stage's artifact is
-written before the next stage begins (z.csv, z_tilde.csv,
-recovered.csv, report.json).
+Recovery builds the same Laplacian for both curve kinds; the kind picks
+only how many eigenpairs are solved and how they become labels.  Each
+stage is a pure function of its inputs and the seeds in the config, so
+rerunning any stage from its persisted inputs reproduces its outputs.
+When an output directory is given, every stage's artifact is written
+before the next stage begins (z.csv, z_tilde.csv, recovered.csv,
+report.json).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import ConfigError
 from .kernel import LaplacianMatrix, laplacian_from_data
 from .metrics import err_closed_time, err_open_time, interior_relative_error
 from .recover import (
-    UNIFORM_LABEL_AMPLITUDE,
     RecoveryOutput,
     data_driven_bandwidth,
     recover_closed,
@@ -36,7 +37,6 @@ from .recover import (
 )
 from .synth import CurveSpec, comparison_matrix, noisy_sample, serialrank_baseline
 
-DEFAULT_EIG_TOL = 1e-8
 DEFAULT_DELTA_FRACTION = 0.05
 
 
@@ -52,12 +52,10 @@ class PipelineConfig:
     sigma: float | None = None  # fixed bandwidth; None selects by policy
     sigma_policy: str = "auto"  # auto (rate formula) | data (log-mass slope)
     noise_level: float = 0.0  # eps handed to the auto bandwidth formula
-    amplitude: float = UNIFORM_LABEL_AMPLITUDE
     denoise_rank: int | None = None  # fixed-rank projection
     denoise_auto_r0: int | None = None  # randomized rank estimation
     denoise_eta: float = 1e-3
     delta_fraction: float = DEFAULT_DELTA_FRACTION
-    eig_tol: float = DEFAULT_EIG_TOL
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -91,27 +89,25 @@ def recover_labels(
     z: DataMatrix,
     kind: CurveKind,
     params: KernelParams,
-    amplitude: float = UNIFORM_LABEL_AMPLITUDE,
-    eig_tol: float = DEFAULT_EIG_TOL,
     on_laplacian: Callable[[LaplacianMatrix], None] | None = None,
 ) -> RecoveryOutput:
     """Kernel -> Laplacian -> Fiedler vector(s) -> labels, in one call.
 
-    Open curves map the Fiedler vector u2 of the symmetric operator back
-    to the random-walk vector D~^-1/2 u2 and label it with
-    ``recover_open_blend``; closed loops read u2, u3 directly.
-    ``on_laplacian``, when given, sees the Laplacian before the
-    eigensolve.  The kernel, the Laplacian and the eigensolve share one
-    N x N buffer.
+    Open curves map the Fiedler vector u2 back to the random-walk vector
+    D~^-1/2 u2 and label it with ``recover_open_blend``.  Closed loops
+    read u2, u3 directly: atan2(u3, u2) is unchanged by the common
+    positive scale D~^-1/2, and ``recover_closed``'s degeneracy threshold
+    is set for unit-norm columns.  ``on_laplacian``, when given, sees the
+    Laplacian before the eigensolve.  The kernel, the Laplacian and the
+    eigensolve share one N x N buffer.
     """
-    lap = laplacian_from_data(z, params, kind)
+    lap = laplacian_from_data(z, params)
     if on_laplacian is not None:
         on_laplacian(lap)
     if kind is CurveKind.OPEN_CURVE:
-        spectral = smallest_eigenpairs(lap, k=2, tol=eig_tol)
-        f = lap.inv_sqrt_degrees * spectral.eigenvectors[:, 1]
-        return recover_open_blend(f, amplitude=amplitude)
-    spectral = smallest_eigenpairs(lap, k=3, tol=eig_tol)
+        spectral = smallest_eigenpairs(lap, k=2)
+        return recover_open_blend(lap.inv_sqrt_degrees * spectral.eigenvectors[:, 1])
+    spectral = smallest_eigenpairs(lap, k=3)
     return recover_closed(spectral.eigenvectors[:, 1], spectral.eigenvectors[:, 2])
 
 
@@ -147,7 +143,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     kind = cfg.curve.kind
     params = choose_bandwidth(z, kind, cfg.sigma, cfg.sigma_policy, cfg.noise_level)
     report["sigma"] = params.sigma
-    recovery = recover_labels(z, kind, params, cfg.amplitude, cfg.eig_tol)
+    recovery = recover_labels(z, kind, params)
     report["clamped_count"] = recovery.clamped_count
     if out is not None:
         io.save_recovery(out / "recovered.csv", recovery.labels, recovery.ranking)

@@ -6,11 +6,11 @@ the first Neumann eigenfunction cos(t/2) of the curve (t rescaled to
 scaled entries (``recover_open``).  The raw formula assumes entries of
 size cos(t_i/2)/sqrt(N); a unit-norm eigenvector under uniformly drawn
 labels actually carries amplitude sqrt(2/N), because the mean square of
-cos(t/2) over the curve is 1/2.  The ``amplitude`` argument selects the
-assumed scale: 1.0 reproduces the raw formula,
-``UNIFORM_LABEL_AMPLITUDE`` (sqrt 2, the default used by the pipeline)
-matches unit-norm eigenvectors.  Entries outside arccos's domain are
-clamped and counted.
+cos(t/2) over the curve is 1/2.  ``recover_open``'s ``amplitude``
+argument selects the assumed scale (1.0 reproduces the raw formula);
+the pipeline's ``recover_open_blend`` always uses
+``UNIFORM_LABEL_AMPLITUDE`` = sqrt 2, which matches unit-norm
+eigenvectors.  Entries outside arccos's domain are clamped and counted.
 
 arccos multiplies any error in an entry by 2/sin(t/2), about 25 at
 t = 0.05*pi, so it is unreliable near the ends of the curve.  The
@@ -20,9 +20,10 @@ dominates.  The quantile is exact in expectation when the labels are
 drawn uniformly, an assumption of this map, not of the operator.
 
 Closed loops: the second and third eigenvectors track cos(t) and
-sin(t) up to a common rotation/reflection of the pair, and the
-normalization cancels any amplitude, so the label is just the angle
-atan2(f3, f2) in [0, 2pi).
+sin(t) up to a common rotation/reflection of the pair, and the angle
+cancels any amplitude, including a positive scale per point such as
+the operator's D~^-1/2, so the label is just atan2(f3, f2) in
+[0, 2pi).
 
 Bandwidth selection follows the consistency analysis of the two cases:
 sigma = max(N^(-1/7), eps^(1/4)) for closed loops and
@@ -86,14 +87,13 @@ def recover_open(f2: np.ndarray, n: int | None = None, amplitude: float = 1.0) -
     )
 
 
-def recover_open_blend(
-    f: np.ndarray, n: int | None = None, amplitude: float = UNIFORM_LABEL_AMPLITUDE
-) -> RecoveryOutput:
+def recover_open_blend(f: np.ndarray, n: int | None = None) -> RecoveryOutput:
     """Labels from the open-curve random-walk Fiedler vector, any scale.
 
-    t_arccos is ``recover_open`` on f scaled to unit norm; rank counts
-    down from the largest entry of f (larger entries have smaller
-    labels, as under arccos), ties by index; t_q = 2pi (rank + 1/2) / N;
+    t_arccos is ``recover_open`` on f scaled to unit norm, amplitude
+    ``UNIFORM_LABEL_AMPLITUDE``; rank counts down from the largest entry
+    of f (larger entries have smaller labels, as under arccos), ties by
+    index; t_q = 2pi (rank + 1/2) / N;
 
         t_hat_i = sin^2(t_q,i / 2) * t_arccos,i + cos^2(t_q,i / 2) * t_q,i.
 
@@ -101,7 +101,7 @@ def recover_open_blend(
     2pi keep their order.  ``clamped_count`` is the arccos map's.
     """
     f = _as_unit_vector(f, n, "f")
-    arc = recover_open(f / np.linalg.norm(f), amplitude=amplitude)
+    arc = recover_open(f / np.linalg.norm(f), amplitude=UNIFORM_LABEL_AMPLITUDE)
     ranks = np.empty(f.size)
     ranks[np.argsort(-f, kind="stable")] = np.arange(f.size)
     t_q = TWO_PI * (ranks + 0.5) / f.size

@@ -5,9 +5,8 @@ time alignment is minimized over an explicit theta grid, the ranking
 alignment enumerates every (reflection, shift, modular term) combination
 with plain loops or with full N x N shift tables, the kernel matrix
 is assembled from scipy's pairwise distances, the Laplacian is one
-whole-matrix product with outer(c, c), the Gershgorin bound takes
-|A| whole, and the serialrank baseline is the Fiedler vector of its
-similarity Laplacian from LAPACK.
+whole-matrix product with outer(c, c), and the serialrank baseline is
+the Fiedler vector of its similarity Laplacian from LAPACK.
 """
 
 import numpy as np
@@ -90,18 +89,10 @@ def gaussian_kernel_pdist(values, sigma):
     return k
 
 
-def gershgorin_upper_abs_copy(a):
-    """max_i a_ii + sum_{j != i} |a_ij| from one N x N |a| temporary."""
-    return float((a.diagonal() + (np.abs(a).sum(axis=1) - np.abs(a.diagonal()))).max())
-
-
-def laplacian_outer_product(k, degrees, open_curve):
-    """L = I - outer(c, c) * K with c = D^-1/2 (closed) or D^-1 D~^-1/2 (open)."""
-    if open_curve:
-        inv = 1.0 / degrees
-        c = inv * (1.0 / np.sqrt(inv * (k @ inv)))
-    else:
-        c = 1.0 / np.sqrt(degrees)
+def laplacian_outer_product(k, degrees):
+    """L = I - outer(c, c) * K with c = D^-1 D~^-1/2."""
+    inv = 1.0 / degrees
+    c = inv * (1.0 / np.sqrt(inv * (k @ inv)))
     lap = -(np.outer(c, c) * k)
     np.fill_diagonal(lap, 1.0 + lap.diagonal())
     return lap

@@ -70,8 +70,7 @@ def test_open_recover_matches_library(tmp_path):
     expected = recover_labels(data, CurveKind.OPEN_CURVE, params)
     assert np.array_equal(load_labels(est).angles, expected.labels.angles)
     dumped = np.loadtxt(lap, delimiter=",")
-    assert np.array_equal(dumped, build_laplacian(build_kernel(data, params),
-                                                  CurveKind.OPEN_CURVE).l)
+    assert np.array_equal(dumped, build_laplacian(build_kernel(data, params)).l)
 
 
 def test_denoise_cli_fixed_and_auto(tmp_path, capsys):
@@ -198,6 +197,26 @@ def test_evaluate_ragged_row_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "LengthMismatchError"
     assert str(t) in err["message"]
+    assert "line 3 has 1 columns, expected 2" in err["message"]
+
+
+def test_evaluate_non_numeric_cell_exits_2(tmp_path, capsys):
+    t = tmp_path / "t.csv"
+    t.write_text("index,value\n0,0.1\n1,abc\n")
+    assert run(["evaluate", "--metric", "closed-time", "--truth", t, "--estimate", t]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BadCellError"
+    assert str(t) in err["message"]
+    assert "line 3, column 2: 'abc' is not a number" in err["message"]
+
+
+def test_recover_column_count_change_exits_2(tmp_path, capsys):
+    z = tmp_path / "z.csv"
+    z.write_text("0.0,1.0\n1.0,0.0\n-1.0\n")
+    assert run(["recover", "--kind", "closed", "--input", z, "--out", tmp_path / "o.csv"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "LengthMismatchError"
+    assert str(z) in err["message"]
     assert "line 3 has 1 columns, expected 2" in err["message"]
 
 

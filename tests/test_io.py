@@ -3,7 +3,7 @@ import pytest
 
 from spectime import DataMatrix, Ranking, TimeLabels
 from spectime import io
-from spectime.errors import BadIndexError, LengthMismatchError
+from spectime.errors import BadCellError, BadIndexError, LengthMismatchError
 
 
 def test_matrix_roundtrip_is_exact(tmp_path):
@@ -116,4 +116,37 @@ def test_ragged_row_named_by_file_and_line(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(LengthMismatchError, match=message) as err:
         io.load_labels(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("index,value\n0,0.1\n1,abc\n", "line 3, column 2: 'abc' is not a number"),
+        ("index,t_hat,rank\n0,0.1,0\nx,0.2,1\n", "line 3, column 1: 'x' is not a number"),
+        ("0,0.1\n1,\n", "line 2, column 2: '' is not a number"),
+    ],
+)
+def test_non_numeric_cell_named_by_file_line_and_cell(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    for load in (io.load_labels, io.load_ranking):
+        with pytest.raises(BadCellError, match=message) as err:
+            load(path)
+        assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, header, error, message",
+    [
+        ("1,2\n3,4\n5\n", False, LengthMismatchError, "line 3 has 1 columns, expected 2"),
+        ("a,b\n1,2\n\n3,4,5\n", True, LengthMismatchError, "line 4 has 3 columns, expected 2"),
+        ("1,2\n3,x\n", False, BadCellError, "line 2, column 2: 'x' is not a number"),
+    ],
+)
+def test_data_matrix_errors_named_by_file_and_line(tmp_path, text, header, error, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(error, match=message) as err:
+        io.load_data_matrix(path, header=header)
     assert str(path) in str(err.value)

@@ -13,6 +13,7 @@ from spectime import (
     generate,
     laplacian_from_data,
     noise_for_snr,
+    recover_labels,
     CurveSpec,
 )
 from spectime.errors import DimensionMismatchError, DisconnectedGraphError
@@ -109,37 +110,27 @@ class TestBuildKernel:
 
 
 class TestBuildLaplacian:
-    def test_two_identical_points_both_kinds(self):
+    def test_two_identical_points(self):
         km = build_kernel(DataMatrix(np.zeros((2, 2))), KernelParams(1.0))
         expected = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        for kind in CurveKind:
-            lap = build_laplacian(km, kind)
-            assert np.allclose(lap.l, expected, atol=1e-15)
-
-    def test_closed_null_vector_sqrt_degrees(self):
-        rng = np.random.default_rng(4)
-        km = build_kernel(DataMatrix(rng.standard_normal((3, 40))), KernelParams(0.9))
-        lap = build_laplacian(km, CurveKind.CLOSED_LOOP)
-        v = np.sqrt(km.degrees)
-        assert np.linalg.norm(lap.l @ v) / np.linalg.norm(v) <= 1e-10
+        assert np.allclose(build_laplacian(km).l, expected, atol=1e-15)
 
     def test_closed_positive_semidefinite(self):
-        rng = np.random.default_rng(5)
-        km = build_kernel(DataMatrix(rng.standard_normal((2, 60))), KernelParams(0.6))
-        lap = build_laplacian(km, CurveKind.CLOSED_LOOP)
+        x, _ = generate(CurveSpec("circle"), 60, 5)
+        lap = build_laplacian(build_kernel(x, KernelParams(0.6)))
         assert np.linalg.eigvalsh(lap.l).min() >= -1e-10
 
     def test_open_half_circle_smallest_eigenvalue_near_zero(self):
         # dense eigendecomposition oracle on 50 noiseless half-circle points
         x, _ = generate(CurveSpec("half-circle"), 50, 0)
         km = build_kernel(x, KernelParams.from_sigma2(0.05))
-        lap = build_laplacian(km, CurveKind.OPEN_CURVE)
+        lap = build_laplacian(km)
         assert abs(np.linalg.eigvalsh(lap.l).min()) <= 1e-10
 
     def test_open_null_vector_sqrt_density_normalized_degrees(self):
         rng = np.random.default_rng(10)
         km = build_kernel(DataMatrix(rng.standard_normal((3, 40))), KernelParams(0.9))
-        lap = build_laplacian(km, CurveKind.OPEN_CURVE)
+        lap = build_laplacian(km)
         # alpha = 1 kernel K~ = D^-1 K D^-1, formed explicitly as an oracle
         d_tilde = (km.k / np.outer(km.degrees, km.degrees)).sum(axis=1)
         v = np.sqrt(d_tilde)
@@ -149,14 +140,14 @@ class TestBuildLaplacian:
     def test_open_positive_semidefinite(self):
         rng = np.random.default_rng(11)
         km = build_kernel(DataMatrix(rng.standard_normal((2, 60))), KernelParams(0.6))
-        lap = build_laplacian(km, CurveKind.OPEN_CURVE)
+        lap = build_laplacian(km)
         assert np.linalg.eigvalsh(lap.l).min() >= -1e-10
 
     def test_open_random_walk_eigenvector(self):
         # D~^-1/2 u is an eigenvector of the random-walk matrix D~^-1 K~
         rng = np.random.default_rng(12)
         km = build_kernel(DataMatrix(rng.standard_normal((2, 50))), KernelParams(0.7))
-        lap = build_laplacian(km, CurveKind.OPEN_CURVE)
+        lap = build_laplacian(km)
         w, u = np.linalg.eigh(lap.l)
         f = lap.inv_sqrt_degrees * u[:, 1]
         k_tilde = km.k / np.outer(km.degrees, km.degrees)
@@ -166,30 +157,27 @@ class TestBuildLaplacian:
     def test_diagonal_below_one(self):
         rng = np.random.default_rng(6)
         km = build_kernel(DataMatrix(rng.standard_normal((2, 30))), KernelParams(0.5))
-        for kind in CurveKind:
-            assert np.all(build_laplacian(km, kind).l.diagonal() < 1.0)
+        assert np.all(build_laplacian(km).l.diagonal() < 1.0)
 
 
 class TestOneBuffer:
-    """The shared normalization works in place; ``build_laplacian`` hands it
-    a copy, and its row blocks must reproduce the whole-matrix product."""
+    """The normalization works in place; ``build_laplacian`` hands it a
+    copy, and its row blocks must reproduce the whole-matrix product."""
 
-    @pytest.mark.parametrize("kind", list(CurveKind))
-    def test_build_laplacian_leaves_kernel_untouched(self, kind):
+    def test_build_laplacian_leaves_kernel_untouched(self):
         x, _ = generate(CurveSpec("circle"), 400, 13)
         km = build_kernel(noise_for_snr(x, 100.0, 14), KernelParams(0.3))
         k, degrees = km.k.copy(), km.degrees.copy()
-        lap = build_laplacian(km, kind)
+        lap = build_laplacian(km)
         assert np.array_equal(km.k, k) and np.array_equal(km.degrees, degrees)
         assert not np.shares_memory(lap.l, km.k)
 
-    @pytest.mark.parametrize("kind", list(CurveKind))
-    def test_row_blocks_match_whole_matrix_product(self, kind):
+    def test_row_blocks_match_whole_matrix_product(self):
         # 1200 rows span several 2 MB row blocks, the last one partial
         x, _ = generate(CurveSpec("circle"), 1200, 15)
         km = build_kernel(x, KernelParams(0.2))
-        oracle = laplacian_outer_product(km.k, km.degrees, kind is CurveKind.OPEN_CURVE)
-        assert np.array_equal(build_laplacian(km, kind).l, oracle)
+        oracle = laplacian_outer_product(km.k, km.degrees)
+        assert np.array_equal(build_laplacian(km).l, oracle)
 
 
 class TestDisconnectedGraph:
@@ -203,8 +191,9 @@ class TestDisconnectedGraph:
         curve = "circle" if kind is CurveKind.CLOSED_LOOP else "half-circle"
         x, _ = generate(CurveSpec(curve), 300, 0)
         z = noise_for_snr(x, 100.0, 1)
-        for build in (lambda: laplacian_from_data(z, KernelParams(sigma), kind),
-                      lambda: build_laplacian(build_kernel(z, KernelParams(sigma)), kind)):
+        for build in (lambda: laplacian_from_data(z, KernelParams(sigma)),
+                      lambda: build_laplacian(build_kernel(z, KernelParams(sigma))),
+                      lambda: recover_labels(z, kind, KernelParams(sigma))):
             with pytest.raises(DisconnectedGraphError, match=isolated) as info:
                 build()
             assert f"sigma={sigma!r}" in str(info.value)
@@ -216,12 +205,12 @@ class TestDisconnectedGraph:
         km = build_kernel(z, KernelParams(0.1))
         assert 0.0 < km.degrees[2] - km.k[2, 2] <= 3 * np.finfo(np.float64).eps * km.degrees[2]
         with pytest.raises(DisconnectedGraphError, match="1 of 3"):
-            laplacian_from_data(z, KernelParams(0.1), CurveKind.CLOSED_LOOP)
+            laplacian_from_data(z, KernelParams(0.1))
 
     def test_weakly_connected_graph_accepted(self):
         # the lone point's neighbour weight exp(-18) is far above N * eps
         z = DataMatrix(np.array([[0.0, 0.1, 0.7]]))
-        lap = laplacian_from_data(z, KernelParams(0.1), CurveKind.CLOSED_LOOP)
+        lap = laplacian_from_data(z, KernelParams(0.1))
         assert np.all(lap.l.diagonal() < 1.0)
 
 
@@ -239,18 +228,16 @@ class TestInvariances:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 35))
         c = 3.7
-        for kind in CurveKind:
-            l1 = build_laplacian(build_kernel(DataMatrix(x), KernelParams(0.5)), kind).l
-            l2 = build_laplacian(build_kernel(DataMatrix(c * x), KernelParams(0.5 * c)), kind).l
-            assert np.abs(l1 - l2).max() <= 1e-10
-            # k * sigma itself is scale-invariant
+        l1 = build_laplacian(build_kernel(DataMatrix(x), KernelParams(0.5))).l
+        l2 = build_laplacian(build_kernel(DataMatrix(c * x), KernelParams(0.5 * c))).l
+        assert np.abs(l1 - l2).max() <= 1e-10
+        # k * sigma itself is scale-invariant
         k1 = build_kernel(DataMatrix(x), KernelParams(0.5)).k * 0.5
         k2 = build_kernel(DataMatrix(c * x), KernelParams(0.5 * c)).k * (0.5 * c)
         assert np.abs(k1 - k2).max() <= 1e-10
 
     def test_laplacian_symmetry(self):
         rng = np.random.default_rng(9)
-        km = build_kernel(DataMatrix(rng.standard_normal((2, 45))), KernelParams(0.7))
-        for kind in CurveKind:
-            lap = build_laplacian(km, kind).l
-            assert np.abs(lap - lap.T).max() <= 1e-12 * max(1.0, np.abs(lap).max())
+        lap = build_laplacian(build_kernel(DataMatrix(rng.standard_normal((2, 45))),
+                                           KernelParams(0.7))).l
+        assert np.abs(lap - lap.T).max() <= 1e-12 * max(1.0, np.abs(lap).max())

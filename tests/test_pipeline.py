@@ -7,10 +7,13 @@ import pytest
 from spectime import (
     CurveKind,
     CurveSpec,
+    DataMatrix,
     KernelParams,
     PipelineConfig,
+    TimeLabels,
     build_kernel,
     build_laplacian,
+    err_closed_time,
     generate,
     noise_for_snr,
     recover_closed,
@@ -91,7 +94,7 @@ def test_recover_labels_matches_separate_stages(kind, monkeypatch):
     p = KernelParams(0.25)
     seen = []
     out = recover_labels(z, kind, p, on_laplacian=seen.append)
-    lap = build_laplacian(build_kernel(z, p), kind)
+    lap = build_laplacian(build_kernel(z, p))
     assert np.array_equal(seen[0].l, lap.l)
     if kind is CurveKind.OPEN_CURVE:
         u = smallest_eigenpairs(lap, k=2).eigenvectors
@@ -103,9 +106,25 @@ def test_recover_labels_matches_separate_stages(kind, monkeypatch):
     assert np.array_equal(out.ranking.perm, expected.ranking.perm)
 
 
+def test_closed_loop_labels_under_non_uniform_sampling_density():
+    # labels drawn with density proportional to 1 + 0.5 cos t: the alpha = 1
+    # operator divides the density out (D^-1/2 K D^-1/2 does not, 0.34-0.42 rad)
+    n = 2000
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        t = np.empty(0)
+        while t.size < n:  # rejection sampling
+            c = rng.uniform(0.0, 2.0 * np.pi, 2 * n)
+            t = np.concatenate([t, c[rng.uniform(0.0, 1.5, c.size) < 1.0 + 0.5 * np.cos(c)]])
+        t = t[:n]
+        x = DataMatrix(np.vstack([np.cos(t), np.sin(t)]))
+        out = recover_labels(x, CurveKind.CLOSED_LOOP, KernelParams(n ** (-1 / 7)))
+        assert err_closed_time(TimeLabels(t), out.labels).error <= 0.1
+
+
 def test_recover_labels_holds_one_n_by_n_buffer():
     # Lanczos path (N above the dense cutoff): the kernel, the Laplacian
-    # and the Gershgorin bound share one N x N array, plus row-block
+    # and the eigensolve share one N x N array, plus row-block
     # temporaries; two arrays would read 2.0
     n = 2100
     x, _ = generate(CurveSpec("circle"), n, 23)
