@@ -59,7 +59,13 @@ def validate_matrix(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """N points in d dimensions, one column per point."""
+    """N points in d dimensions, one column per point.
+
+    ``values`` is a read-only, C-ordered float64 (d, N) array.  The public
+    constructor validates a copy of its argument, so later writes to the
+    caller's array do not reach it; ``_adopt`` validates an array the
+    library has just allocated and takes it over without a copy.
+    """
 
     values: np.ndarray
 
@@ -67,6 +73,16 @@ class DataMatrix:
         arr = validate_matrix(self.values).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> "DataMatrix":
+        """Wrap a freshly allocated array that no caller holds, uncopied;
+        it becomes read-only."""
+        arr = np.ascontiguousarray(validate_matrix(values))
+        arr.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", arr)
+        return out
 
     @property
     def dim(self) -> int:

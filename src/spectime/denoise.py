@@ -33,7 +33,7 @@ class DenoiseResult:
 
 
 def _project(values: np.ndarray, basis: np.ndarray) -> DataMatrix:
-    return DataMatrix(basis @ (basis.T @ values))
+    return DataMatrix._adopt(basis @ (basis.T @ values))
 
 
 def denoise_fixed_rank(z: DataMatrix, r: int) -> DenoiseResult:

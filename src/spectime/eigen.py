@@ -5,8 +5,8 @@ pair (lambda_j, v_j) satisfies ||A v_j - lambda_j v_j|| <= tol * max(1, max|lamb
 checked post hoc by direct multiplication.
 
 Small matrices (and k > N/4) take the dense path: one Cholesky factor of
-a copy of A + tau*I, then Lanczos (ARPACK) on its inverse, whose k
-largest eigenvalues w map back to lambda = 1/w - tau.  A successful
+A + tau*I, then Lanczos (ARPACK) on its inverse, whose k largest
+eigenvalues w map back to lambda = 1/w - tau.  A successful
 factorization proves lambda_min > -tau, so these are exactly the k
 smallest eigenvalues of A; tau changes the speed, never which pairs come
 back.  The cost is one N^3/3 factorization and a few dozen O(N^2)
@@ -20,9 +20,19 @@ largest eigenvalues 1 - lambda belong to the smallest of A.  No bound
 on the spectrum is needed: ``which="LA"`` takes the largest algebraic
 values, and the Krylov space does not depend on the shift.  The
 operator is applied as x - A x, so a Laplacian built in the kernel's
-buffer stays the only N x N array; the dense path holds one factored
-copy of A beside it.  Both iterative paths count their operator
-applications, and a ``NoConvergenceError`` reports that count.
+buffer stays the only N x N array.  Both iterative paths count their
+operator applications, and a ``NoConvergenceError`` reports that count.
+
+A writable, C-ordered ``LaplacianMatrix`` (bit-exactly symmetric, as
+``kernel`` builds it) is factored in its own buffer, so the dense path
+holds one N x N array too: LAPACK ``potrf`` factors A + tau*I through
+the Fortran-ordered view ``l.T`` and writes only the lower triangle of
+``l``.  However the solve ends (pairs, the ``dsyevr`` fallback, an
+error), that triangle is copied back from the intact upper one and the
+saved diagonal is restored, so ``l`` comes back bit for bit.  Do not
+share one ``LaplacianMatrix`` between concurrent solves.  Other input
+(a bare ndarray, or a read-only or Fortran-ordered Laplacian) is
+factored in a copy.
 
 Sign convention: each eigenvector is flipped so its entry of largest
 absolute value is positive (ties broken by lowest index), which makes
@@ -31,6 +41,7 @@ the output a pure function of the input matrix.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +54,7 @@ from .kernel import LaplacianMatrix
 DENSE_CUTOFF = 2048
 DEFAULT_TOL = 1e-8
 SHIFT = 1e-3  # tau of the dense path's shift-invert; sets the speed only
+_TILE = 128  # side of the square tiles that restore a factored Laplacian
 
 
 @dataclass(frozen=True)
@@ -91,7 +103,8 @@ def smallest_eigenpairs(
         raise ValueError("tol must be positive")
 
     if n <= DENSE_CUTOFF or k > n // 4:
-        values, vectors, applied = _dense_smallest(a, k, tol)
+        in_place = isinstance(l, LaplacianMatrix) and a.flags.writeable and a.flags.c_contiguous
+        values, vectors, applied = _dense_smallest(a, k, tol, in_place)
     else:
         values, vectors, applied = _lanczos_smallest(a, k, tol)
 
@@ -128,24 +141,57 @@ def _arpack_largest(apply, n: int, k: int, tol: float) -> tuple[np.ndarray, np.n
     return w, v, applied
 
 
-def _dense_smallest(a: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+@contextmanager
+def _shifted(a: np.ndarray, in_place: bool):
+    """A + SHIFT*I in Fortran order, for LAPACK to factor in place: a copy,
+    or a's own buffer through its view a.T (the same matrix, a being
+    bit-exactly symmetric), restored from its strict upper triangle and
+    the saved diagonal however the block ends."""
+    n = a.shape[0]
+    if not in_place:
+        shifted = a.T.copy(order="F")
+        shifted[np.diag_indices(n)] += SHIFT
+        yield shifted
+        return
+    diag = a.diagonal().copy()
+    a[np.diag_indices(n)] = diag + SHIFT
+    try:
+        yield a.T
+    finally:
+        _mirror_upper(a)
+        a[np.diag_indices(n)] = diag
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy a's strict upper triangle onto its strict lower one, tile by tile."""
+    n = a.shape[0]
+    below = np.tri(_TILE, k=-1, dtype=bool)
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(0, i, _TILE):
+            a[rows, j : j + _TILE] = a[j : j + _TILE, rows].T
+        block = a[rows, rows]
+        mask = below[: block.shape[0], : block.shape[0]]
+        block[mask] = block.T[mask]
+
+
+def _dense_smallest(
+    a: np.ndarray, k: int, tol: float, in_place: bool
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Smallest pairs from Lanczos on (A + SHIFT*I)^-1, or from LAPACK
-    ``dsyevr`` when that matrix has no Cholesky factor or k >= n - 1."""
+    ``dsyevr`` when that matrix has no Cholesky factor or k >= n - 1.
+    ``in_place`` factors a's own buffer and restores it before returning."""
     n = a.shape[0]
     if k < n - 1:
-        # a.T is a's Fortran-ordered view (the same matrix for symmetric A), so
-        # LAPACK factors this one copy in place instead of transposing another
-        shifted = a.T.copy(order="F")
-        diag = np.arange(n)
-        shifted[diag, diag] += SHIFT
-        try:
-            factor = cho_factor(shifted, overwrite_a=True, check_finite=False)
-        except LinAlgError:
-            pass  # lambda_min(A) <= -SHIFT: an indefinite matrix, never a Laplacian
-        else:
-            w, v, applied = _arpack_largest(
-                lambda x: cho_solve(factor, x, check_finite=False), n, k, tol)
-            return 1.0 / w - SHIFT, v, applied
+        with _shifted(a, in_place) as shifted:
+            try:
+                factor = cho_factor(shifted, overwrite_a=True, check_finite=False)
+            except LinAlgError:
+                pass  # lambda_min(A) <= -SHIFT: an indefinite matrix, never a Laplacian
+            else:
+                w, v, applied = _arpack_largest(
+                    lambda x: cho_solve(factor, x, check_finite=False), n, k, tol)
+                return 1.0 / w - SHIFT, v, applied
     values, vectors = eigh(a, subset_by_index=[0, k - 1], driver="evr", check_finite=False)
     return values, vectors, 0
 

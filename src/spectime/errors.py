@@ -43,7 +43,13 @@ class ZeroDegreeError(SpectimeError):
 
 
 class DisconnectedGraphError(SpectimeError):
-    """Some point has no kernel neighbour above rounding; the bandwidth is too small."""
+    """The kernel graph has more than one component (some point has no
+    neighbour above rounding, or L's zero eigenvalue repeats); the
+    bandwidth is too small."""
+
+
+class CoincidentPointsError(SpectimeError):
+    """All points coincide; a bandwidth cannot be read from their distances."""
 
 
 class NoConvergenceError(SpectimeError):

@@ -60,7 +60,10 @@ class KernelMatrix:
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
-    """Symmetric normalized graph Laplacian L = I - S."""
+    """Symmetric normalized graph Laplacian L = I - S.
+
+    ``l`` is bit-exactly symmetric; the dense eigensolve relies on that
+    when it factors ``l`` in place and restores it (see ``eigen``)."""
 
     l: np.ndarray
     sigma: float

@@ -25,7 +25,7 @@ from . import io
 from .core import CurveKind, DataMatrix, KernelParams
 from .denoise import DenoiseResult, denoise_auto, denoise_fixed_rank
 from .eigen import smallest_eigenpairs
-from .errors import ConfigError
+from .errors import ConfigError, DisconnectedGraphError
 from .kernel import LaplacianMatrix, laplacian_from_data
 from .metrics import err_closed_time, err_open_time, interior_relative_error
 from .recover import (
@@ -100,15 +100,26 @@ def recover_labels(
     is set for unit-norm columns.  ``on_laplacian``, when given, sees the
     Laplacian before the eigensolve.  The kernel, the Laplacian and the
     eigensolve share one N x N buffer.
+
+    L has one zero eigenvalue per connected component of the kernel
+    graph, so a second eigenvalue at rounding level (at most N * eps)
+    means the Fiedler vectors only tell the components apart; that
+    raises ``DisconnectedGraphError``, naming sigma, instead of labels.
     """
     lap = laplacian_from_data(z, params)
     if on_laplacian is not None:
         on_laplacian(lap)
+    spectral = smallest_eigenpairs(lap, k=2 if kind is CurveKind.OPEN_CURVE else 3)
+    second = float(spectral.eigenvalues[1])
+    if second <= lap.n * np.finfo(np.float64).eps:
+        raise DisconnectedGraphError(
+            f"kernel graph is disconnected at sigma={params.sigma!r}: the second-smallest "
+            f"Laplacian eigenvalue {second:.3e} is at rounding level, so the graph has more "
+            "than one component; use a larger bandwidth")
+    u = spectral.eigenvectors
     if kind is CurveKind.OPEN_CURVE:
-        spectral = smallest_eigenpairs(lap, k=2)
-        return recover_open_blend(lap.inv_sqrt_degrees * spectral.eigenvectors[:, 1])
-    spectral = smallest_eigenpairs(lap, k=3)
-    return recover_closed(spectral.eigenvectors[:, 1], spectral.eigenvectors[:, 2])
+        return recover_open_blend(lap.inv_sqrt_degrees * u[:, 1])
+    return recover_closed(u[:, 1], u[:, 2])
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TWO_PI, CurveKind, DataMatrix, KernelParams, Ranking, TimeLabels, ranking_from_labels
-from .errors import LengthMismatchError
+from .errors import CoincidentPointsError, LengthMismatchError
 from .kernel import squared_distances
 
 UNIFORM_LABEL_AMPLITUDE = math.sqrt(2.0)
@@ -165,13 +165,15 @@ def data_driven_bandwidth(z: DataMatrix, num: int = 25) -> KernelParams:
     total kernel mass sum_ij k(Z_i, Z_j; sigma) over a geometric sigma grid.
 
     This is a pragmatic fallback for data whose noise level is unknown,
-    not a tuned or theory-backed rule.
+    not a tuned or theory-backed rule.  Raises ``CoincidentPointsError``
+    when no two points are apart.
     """
     # each pair once: the strict upper triangle
     sq = squared_distances(z.values)[~np.tri(z.n_points, dtype=bool)]
     positive = sq[sq > 0]
     if positive.size == 0:
-        raise ValueError("all points coincide; bandwidth is undefined")
+        raise CoincidentPointsError(
+            f"all {z.n_points} points coincide; the data-driven bandwidth is undefined")
     lo = math.sqrt(float(np.quantile(positive, 0.01))) / 4.0
     hi = math.sqrt(float(positive.max()))
     sigmas = np.geomspace(lo, hi, num)

@@ -20,9 +20,16 @@ S = (N + C C^T) / 2 under the unnormalized Laplacian D - S, the standard
 spectral treatment of pairwise-comparison seriation.  On comparisons of
 a total preorder that Fiedler order is the Borda count, the row sums of
 C (Atkins, Boman & Hendrickson 1998; Fogel, d'Aspremont & Vojnovic,
-NeurIPS 2014), so the baseline is a sort; the spectral form is kept in
-the tests as its oracle.  Norm comparisons ignore the curve's geodesic
-structure, which is exactly the failure mode the spectral method avoids.
+NeurIPS 2014), and a row sum strictly decreases as the norm grows, so
+the baseline is a sort of the norms: O(N) memory, no N x N array.
+``ComparisonMatrix`` keeps the norms and builds C only when asked; the
+spectral form is kept in the tests as its oracle.  Norm comparisons
+ignore the curve's geodesic structure, which is exactly the failure mode
+the spectral method avoids.
+
+The generators and the noise functions hand the arrays they allocate to
+``DataMatrix`` uncopied (noise is added in the noise array's own buffer),
+so each holds one d x N array per output.
 """
 
 from __future__ import annotations
@@ -111,8 +118,7 @@ def generate(spec: CurveSpec, n: int, seed: int) -> tuple[DataMatrix, TimeLabels
     t = rng.uniform(0.0, spec.span, n)
     if spec.kind is CurveKind.CLOSED_LOOP:
         t = np.mod(t, TWO_PI)
-    x = _positions(spec, t, rng)
-    return DataMatrix(x), TimeLabels(t)
+    return DataMatrix._adopt(_positions(spec, t, rng)), TimeLabels(t)
 
 
 def add_noise(x: DataMatrix, eps: float, seed: int) -> DataMatrix:
@@ -121,8 +127,10 @@ def add_noise(x: DataMatrix, eps: float, seed: int) -> DataMatrix:
         raise ValueError("eps must be nonnegative")
     if eps == 0.0:
         return x
-    rng = np.random.default_rng(seed)
-    return DataMatrix(x.values + eps * rng.standard_normal(x.values.shape))
+    e = np.random.default_rng(seed).standard_normal(x.values.shape)
+    e *= eps
+    e += x.values  # the same sums as x + eps * e: IEEE products and sums commute
+    return DataMatrix._adopt(e)
 
 
 def noise_for_snr(x: DataMatrix, target_snr: float, seed: int) -> DataMatrix:
@@ -136,7 +144,8 @@ def noise_for_snr(x: DataMatrix, target_snr: float, seed: int) -> DataMatrix:
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(x.values.shape)
     e *= signal / (math.sqrt(target_snr) * np.linalg.norm(e))
-    return DataMatrix(x.values + e)
+    e += x.values  # the same sums as x + e: IEEE addition commutes
+    return DataMatrix._adopt(e)
 
 
 def noisy_sample(
@@ -159,19 +168,21 @@ def noisy_sample(
 
 @dataclass(frozen=True)
 class ComparisonMatrix:
-    """Antisymmetric matrix of pairwise norm comparisons, entries in {-1,0,+1}."""
+    """Pairwise norm comparisons C(i,j) = sign(norms[j] - norms[i]), kept as
+    the N norms; ``c`` builds the antisymmetric N x N matrix on demand."""
 
-    c: np.ndarray
+    norms: np.ndarray
+
+    @property
+    def c(self) -> np.ndarray:
+        """C(i,j) = +1 if norms[i] < norms[j], -1 if greater, 0 on ties."""
+        return np.sign(self.norms[None, :] - self.norms[:, None])
 
 
 def comparison_matrix(z: DataMatrix) -> ComparisonMatrix:
-    """C(i,j) = +1 if ||Z_i|| < ||Z_j||, -1 if greater, 0 on ties.
-
-    The reference point is the origin.
-    """
-    norms = np.linalg.norm(z.values, axis=0)
-    c = np.sign(norms[None, :] - norms[:, None])
-    return ComparisonMatrix(c=c)
+    """Compare the points by their norms ||Z_i|| (the reference point is
+    the origin)."""
+    return ComparisonMatrix(norms=np.linalg.norm(z.values, axis=0))
 
 
 def serialrank_baseline(c: ComparisonMatrix) -> Ranking:
@@ -180,13 +191,15 @@ def serialrank_baseline(c: ComparisonMatrix) -> Ranking:
     Row i of C sums to #(points compared larger) - #(points compared
     smaller), and sorting by that count gives the order of the Fiedler
     vector of D - S, S = (N + C C^T) / 2, up to reflection and the order
-    within ties (tied points have equal Fiedler entries).  The
-    equivalence is exact when C holds the comparisons of a total
-    preorder, which is what ``comparison_matrix`` builds.  The
-    orientation is fixed: ascending norm, ties by index.  A Fiedler
-    vector's sign, and so its order's orientation, is arbitrary, which
-    is why the metrics applied to the baseline are reflection-invariant.
+    within ties (tied points have equal Fiedler entries); C holds the
+    comparisons of a total preorder, so the equivalence is exact.  The
+    row sum strictly decreases as the norm grows and ties with it, so
+    the stable sort of the norms is the stable sort of minus the row
+    sums, entry for entry, and C is never formed.  The orientation is
+    fixed: ascending norm, ties by index.  A Fiedler vector's sign, and
+    so its order's orientation, is arbitrary, which is why the metrics
+    applied to the baseline are reflection-invariant.
     """
-    if not np.any(c.c):
+    if c.norms.min() == c.norms.max():
         raise DegenerateBaselineError("all comparisons tie; similarity is constant")
-    return Ranking(np.argsort(-c.c.sum(axis=1), kind="stable"))
+    return Ranking(np.argsort(c.norms, kind="stable"))

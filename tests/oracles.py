@@ -17,17 +17,27 @@ TWO_PI = 2.0 * np.pi
 
 
 def closed_time_grid(t, t2, grid_size=1_000_000, chunk=100_000):
-    """min over r, theta-grid of max_i |[r t_i + theta - t2_i]_2pi|."""
+    """min over r, theta-grid of max_i |[r t_i + theta - t2_i]_2pi|.
+
+    With base = r t - t2 reduced into [0, 2pi) once, x = base + theta lies
+    in [0, 4pi), where the circular distance |[x]_2pi| is
+    pi - |pi - |x - 2pi||: no per-element modulo over the grid."""
     t = np.asarray(t, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    thetas = np.arange(grid_size) * (TWO_PI / grid_size)
+    shifted = np.arange(grid_size) * (TWO_PI / grid_size) - TWO_PI  # theta - 2pi
+    buf = np.empty((t.size, min(chunk, grid_size)))  # points x grid chunk
     best = np.inf
     for r in (1.0, -1.0):
-        base = r * t - t2
+        base = np.mod(r * t - t2, TWO_PI)
         for start in range(0, grid_size, chunk):
-            th = thetas[start : start + chunk]
-            resid = np.mod(base[None, :] + th[:, None] + np.pi, TWO_PI) - np.pi
-            best = min(best, np.abs(resid).max(axis=1).min())
+            th = shifted[start : start + chunk]
+            x = buf[:, : th.size]
+            np.add(base[:, None], th[None, :], out=x)
+            np.abs(x, out=x)
+            np.subtract(np.pi, x, out=x)
+            np.abs(x, out=x)
+            # max_i (pi - x_i) = pi - min_i x_i
+            best = min(best, np.pi - x.min(axis=0).max())
     return float(best)
 
 

@@ -181,6 +181,17 @@ def test_recover_disconnected_graph_exits_2(tmp_path, capsys):
     assert not est.exists()
 
 
+def test_recover_data_bandwidth_on_coincident_points_exits_2(tmp_path, capsys):
+    z, est = tmp_path / "z.csv", tmp_path / "est.csv"
+    z.write_text("0.5,-1.25\n" * 20)
+    assert run(["recover", "--kind", "closed", "--input", z, "--sigma", "data",
+                "--out", est]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CoincidentPointsError"
+    assert "all 20 points coincide" in err["message"]
+    assert not est.exists()
+
+
 def test_evaluate_bad_index_exits_2(tmp_path, capsys):
     t = tmp_path / "t.csv"
     t.write_text("index,value\n0,0.1\n0,0.2\n2,0.3\n")

@@ -40,6 +40,24 @@ class TestDataMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 1.0
 
+    def test_public_constructor_copies(self):
+        arr = np.zeros((2, 3))
+        m = DataMatrix(arr)
+        arr[0, 0] = 1.0
+        assert m.values[0, 0] == 0.0 and arr.flags.writeable
+
+    def test_adopt_takes_the_array_uncopied_and_read_only(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        m = DataMatrix._adopt(arr)
+        assert m.values is arr and not arr.flags.writeable
+        assert (m.dim, m.n_points) == (2, 3)
+
+    def test_adopt_validates(self):
+        with pytest.raises(NonFiniteEntryError):
+            DataMatrix._adopt(np.array([[0.0, np.inf]]))
+        with pytest.raises(TooFewPointsError):
+            DataMatrix._adopt(np.zeros((2, 1)))
+
 
 class TestTimeLabels:
     def test_range_enforced(self):

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from spectime import (
     CurveKind,
     CurveSpec,
     KernelParams,
+    LaplacianMatrix,
     build_kernel,
     build_laplacian,
     generate,
@@ -260,3 +264,75 @@ class TestIterativePath:
         res = smallest_eigenpairs(lap, k=3)
         assert res.residuals.max() <= 1e-8
         assert res.eigenvalues[0] <= 1e-9
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit-for-bit equality, so -0.0 and 0.0 differ."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestInPlaceFactor:
+    """The dense path factors a LaplacianMatrix in its own buffer and hands
+    it back unchanged, bit for bit, however the solve ends."""
+
+    @pytest.fixture
+    def lap(self):
+        # sigma well below the loop's diameter: kernel entries underflow, so
+        # L holds -0.0 entries that a sloppy restore would turn into 0.0
+        lap = circle_laplacian(300, sigma=0.05, seed=4)
+        assert np.signbit(lap.l[lap.l == 0.0]).any()
+        return lap
+
+    def test_allocates_less_than_a_quarter_of_the_matrix(self):
+        n = 1000
+        lap = circle_laplacian(n, seed=5)
+        tracemalloc.start()
+        try:
+            smallest_eigenpairs(lap, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n <= eigen.DENSE_CUTOFF
+        assert peak < n * n * 8 / 4
+
+    def test_laplacian_unchanged_after_return(self, lap, no_evr):
+        before = lap.l.copy()
+        smallest_eigenpairs(lap, k=3)
+        assert same_bits(lap.l, before)
+
+    def test_same_pairs_as_the_copy_path(self, lap):
+        res = smallest_eigenpairs(lap, k=3)
+        ref = smallest_eigenpairs(lap.l.copy(), k=3)  # a bare ndarray is copied
+        for field in ("eigenvalues", "eigenvectors", "residuals"):
+            assert same_bits(getattr(res, field), getattr(ref, field))
+
+    def test_laplacian_unchanged_after_failed_factor(self, evr_calls):
+        a = np.random.default_rng(3).standard_normal((300, 300))
+        a = (a + a.T) / 2.0  # bit-exactly symmetric and indefinite
+        lap = LaplacianMatrix(l=a.copy(), sigma=1.0, inv_sqrt_degrees=np.ones(300))
+        res = smallest_eigenpairs(lap, k=3)
+        assert len(evr_calls) == 1
+        assert same_bits(lap.l, a)
+        w, v = eigh(a, subset_by_index=[0, 2], driver="evr")
+        assert np.array_equal(res.eigenvalues, w)
+
+    def test_laplacian_unchanged_after_no_convergence(self, lap, monkeypatch):
+        def give_up(op, k, **kwargs):
+            op.matvec(np.ones(op.shape[0]))
+            raise ArpackNoConvergence("forced", np.empty(0), np.empty((op.shape[0], 0)))
+
+        monkeypatch.setattr(eigen, "eigsh", give_up)
+        before = lap.l.copy()
+        with pytest.raises(NoConvergenceError) as err:
+            smallest_eigenpairs(lap, k=3)
+        assert err.value.iterations == 1
+        assert same_bits(lap.l, before)
+
+    def test_read_only_inputs_are_copied(self, lap):
+        ref = smallest_eigenpairs(lap, k=3)
+        frozen = lap.l.copy()
+        frozen.flags.writeable = False
+        for arg in (frozen, LaplacianMatrix(frozen, lap.sigma, lap.inv_sqrt_degrees)):
+            res = smallest_eigenpairs(arg, k=3)
+            assert same_bits(res.eigenvectors, ref.eigenvectors)
+        assert same_bits(frozen, lap.l)

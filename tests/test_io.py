@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spectime import DataMatrix, Ranking, TimeLabels
 from spectime import io
@@ -13,6 +19,34 @@ def test_matrix_roundtrip_is_exact(tmp_path):
     io.save_data_matrix(path, m)
     back = io.load_data_matrix(path)
     assert np.array_equal(back.values, m.values)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 8)), elements=finite))
+def test_matrix_roundtrip_is_bit_exact_property(values):
+    # every finite double, signed zeros and subnormals included, survives %.17g
+    m = DataMatrix(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        io.save_data_matrix(path, m)
+        assert same_bits(io.load_data_matrix(path).values, m.values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.integers(1, 12), elements=st.floats(0.0, 2.0 * np.pi)))
+def test_labels_roundtrip_is_bit_exact_property(angles):
+    t = TimeLabels(angles)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        io.save_labels(path, t)
+        assert same_bits(io.load_labels(path).angles, t.angles)
 
 
 def test_matrix_file_is_point_per_row(tmp_path):

@@ -23,7 +23,7 @@ from spectime import (
     smallest_eigenpairs,
 )
 from spectime import eigen
-from spectime.errors import ConfigError
+from spectime.errors import ConfigError, DisconnectedGraphError
 
 
 def test_smoke_noiseless_circle(tmp_path):
@@ -137,3 +137,32 @@ def test_recover_labels_holds_one_n_by_n_buffer():
         tracemalloc.stop()
     assert n > eigen.DENSE_CUTOFF
     assert peak <= 1.25 * 8 * n * n
+
+
+def test_recover_labels_dense_path_holds_one_n_by_n_buffer():
+    # dense path (N at most the cutoff): the Cholesky factor lives in the
+    # Laplacian's own buffer, so no second N x N array appears either
+    n = 2000
+    x, _ = generate(CurveSpec("cardioid"), n, 25)
+    z = noise_for_snr(x, 100.0, 26)
+    tracemalloc.start()
+    try:
+        recover_labels(z, CurveKind.OPEN_CURVE, KernelParams(0.1414))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n <= eigen.DENSE_CUTOFF
+    assert peak <= 1.25 * 8 * n * n
+
+
+@pytest.mark.parametrize("kind", list(CurveKind))
+def test_two_components_raise_instead_of_labels(kind):
+    # two arcs of the unit circle, every point with close neighbours: no
+    # point is isolated, but L's zero eigenvalue is double
+    t = np.concatenate([np.linspace(0.0, 1.0, 300), np.linspace(3.5, 4.5, 300)])
+    z = DataMatrix(np.vstack([np.cos(t), np.sin(t)]))
+    with pytest.raises(DisconnectedGraphError, match="sigma=0.05") as info:
+        recover_labels(z, kind, KernelParams(0.05))
+    assert "more than one component" in str(info.value)
+    # one arc alone is connected
+    recover_labels(DataMatrix(z.values[:, :300]), kind, KernelParams(0.05))

@@ -17,7 +17,7 @@ from spectime import (
     recover_open_blend,
     select_bandwidth,
 )
-from spectime.errors import LengthMismatchError
+from spectime.errors import CoincidentPointsError, LengthMismatchError
 
 TWO_PI = 2 * np.pi
 
@@ -181,7 +181,7 @@ class TestDataDrivenBandwidth:
 
     def test_coincident_points_rejected(self):
         x = DataMatrix(np.tile(np.random.default_rng(3).standard_normal((300, 1)), (1, 40)))
-        with pytest.raises(ValueError, match="coincide"):
+        with pytest.raises(CoincidentPointsError, match="coincide"):
             data_driven_bandwidth(x)
 
     def test_recovery_quality_with_heuristic_bandwidth(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +25,17 @@ from spectime.errors import ConfigError, DegenerateBaselineError, ZeroSignalErro
 from oracles import serialrank_fiedler
 
 TWO_PI = 2 * np.pi
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes that tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def cardioid_curve(t):
@@ -118,6 +131,28 @@ class TestNoise:
         with pytest.raises(ZeroSignalError):
             noise_for_snr(DataMatrix(np.zeros((2, 4))), 1.0, 0)
 
+    def test_noise_added_in_the_noise_buffer_is_the_same_sum(self):
+        x, _ = generate(CurveSpec.parse("embedded:7"), 200, 4)
+        e = np.random.default_rng(5).standard_normal(x.values.shape)
+        assert np.array_equal(add_noise(x, 0.3, 5).values, x.values + 0.3 * e)
+        scaled = e * (np.linalg.norm(x.values) / (np.sqrt(2.0) * np.linalg.norm(e)))
+        assert np.array_equal(noise_for_snr(x, 2.0, 5).values, x.values + scaled)
+
+    @pytest.mark.parametrize("make", [
+        lambda x: noise_for_snr(x, 2.0, 1),
+        lambda x: add_noise(x, 0.1, 1),
+    ], ids=["noise_for_snr", "add_noise"])
+    def test_noise_holds_one_d_by_n_array(self, make):
+        # the noise array becomes the output; a copy or a separate sum reads 2 or 3
+        x, _ = generate(CurveSpec.parse("embedded:400"), 500, 0)
+        z, peak = traced_peak(make, x)
+        assert peak < 1.5 * z.values.nbytes
+        assert not z.values.flags.writeable
+
+    def test_generate_holds_one_d_by_n_array(self):
+        (x, _), peak = traced_peak(generate, CurveSpec.parse("embedded:400"), 500, 0)
+        assert peak < 1.5 * x.values.nbytes
+
 
 class TestNoisySample:
     def test_consumes_seed_then_seed_plus_one(self):
@@ -171,6 +206,21 @@ class TestSerialRankBaseline:
         ranking = serialrank_baseline(comparison_matrix(z))
         truth = ranking_from_labels(TimeLabels(radii / 5.0))
         assert err_open_rank(truth, ranking, 0.0).error == 0.0
+
+    def test_baseline_allocates_o_n(self):
+        # the comparison matrix alone would be 8 N^2 bytes
+        _, _, z = noisy_sample(CurveSpec("cardioid"), 2000, 1, snr=100.0)
+        _, peak = traced_peak(lambda: serialrank_baseline(comparison_matrix(z)))
+        assert peak < 100 * z.n_points
+
+    def test_norm_sort_is_the_borda_count_sort(self):
+        # entry for entry, including the order within ties
+        _, _, z = noisy_sample(CurveSpec("cardioid"), 2000, 8, snr=100.0)
+        tied = DataMatrix(np.array([[3.0, 1.0, 2.0, 1.0, 3.0, 0.5, 2.0, 1.0]]))
+        for data in (z, tied):
+            c = comparison_matrix(data)
+            borda = np.argsort(-c.c.sum(axis=1), kind="stable")
+            assert np.array_equal(serialrank_baseline(c).perm, borda)
 
     def test_all_ties_degenerate(self):
         z = DataMatrix(np.ones((2, 10)))
