@@ -40,12 +40,10 @@ from .metrics import (
 )
 from .pipeline import PipelineConfig, recover_labels, run_pipeline
 from .recover import (
-    UNIFORM_LABEL_AMPLITUDE,
     RecoveryOutput,
     data_driven_bandwidth,
     recover_closed,
     recover_open,
-    recover_open_blend,
     select_bandwidth,
 )
 from .sweep import SweepConfig, sweep
@@ -78,7 +76,6 @@ __all__ = [
     "SpectralResult",
     "SweepConfig",
     "TimeLabels",
-    "UNIFORM_LABEL_AMPLITUDE",
     "add_noise",
     "build_kernel",
     "build_laplacian",
@@ -100,7 +97,6 @@ __all__ = [
     "recover_closed",
     "recover_labels",
     "recover_open",
-    "recover_open_blend",
     "relative_error",
     "run_pipeline",
     "select_bandwidth",

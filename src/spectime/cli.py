@@ -24,7 +24,8 @@ from .metrics import (
     err_open_time,
     relative_error,
 )
-from .pipeline import choose_bandwidth, recover_labels
+from .pipeline import recover_labels
+from .recover import check_sigma, choose_bandwidth
 from .sweep import METHODS, SweepConfig, sweep
 from .synth import CurveSpec, comparison_matrix, noisy_sample, serialrank_baseline
 
@@ -100,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--snr", type=float, action="append", required=True,
                    help="target SNR (repeatable)")
     s.add_argument("--replicates", type=int, default=1)
-    s.add_argument("--sigma", default="auto", help="a float, or 'auto'")
+    s.add_argument("--sigma", default="auto",
+                   help="bandwidth: a float, 'auto' (rate formula), or 'data'")
     s.add_argument("--noise-level", type=float, default=0.0)
     s.add_argument("--methods", default=",".join(METHODS),
                    help="comma-separated subset of: " + ", ".join(METHODS))
@@ -143,9 +145,7 @@ def _resolve_sigma(args, z, kind: CurveKind) -> KernelParams:
         if args.sigma != "auto":
             raise ConfigError("give either --sigma or --sigma2, not both")
         return KernelParams.from_sigma2(args.sigma2)
-    if args.sigma in ("auto", "data"):
-        return choose_bandwidth(z, kind, policy=args.sigma, noise_level=args.noise_level)
-    return choose_bandwidth(z, kind, sigma=float(args.sigma))
+    return choose_bandwidth(z, kind, check_sigma(args.sigma), args.noise_level)
 
 
 def _cmd_recover(args) -> int:
@@ -214,14 +214,13 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sigma = None if args.sigma == "auto" else float(args.sigma)
     sc = SweepConfig(
         curve=CurveSpec.parse(args.curve),
         n_values=tuple(args.n),
         snr_values=tuple(args.snr),
         replicates=args.replicates,
         methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-        sigma=sigma,
+        sigma=args.sigma,  # SweepConfig checks it with check_sigma
         noise_level=args.noise_level,
         seed_base=args.seed,
         threads=args.threads,

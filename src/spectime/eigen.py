@@ -31,8 +31,9 @@ the Fortran-ordered view ``l.T`` and writes only the lower triangle of
 error), that triangle is copied back from the intact upper one and the
 saved diagonal is restored, so ``l`` comes back bit for bit.  Do not
 share one ``LaplacianMatrix`` between concurrent solves.  Other input
-(a bare ndarray, or a read-only or Fortran-ordered Laplacian) is
-factored in a copy.
+(a bare ndarray, or a read-only or Fortran-ordered Laplacian) is first
+copied into a C-ordered array, which is factored the same way; the
+certificate and ``dsyevr`` still read the caller's matrix.
 
 Sign convention: each eigenvector is flipped so its entry of largest
 absolute value is positive (ties broken by lowest index), which makes
@@ -103,8 +104,9 @@ def smallest_eigenpairs(
         raise ValueError("tol must be positive")
 
     if n <= DENSE_CUTOFF or k > n // 4:
-        in_place = isinstance(l, LaplacianMatrix) and a.flags.writeable and a.flags.c_contiguous
-        values, vectors, applied = _dense_smallest(a, k, tol, in_place)
+        owned = isinstance(l, LaplacianMatrix) and a.flags.writeable and a.flags.c_contiguous
+        work = a if owned else np.array(a, order="C")  # one copy of input it may not write
+        values, vectors, applied = _dense_smallest(a, work, k, tol)
     else:
         values, vectors, applied = _lanczos_smallest(a, k, tol)
 
@@ -142,17 +144,12 @@ def _arpack_largest(apply, n: int, k: int, tol: float) -> tuple[np.ndarray, np.n
 
 
 @contextmanager
-def _shifted(a: np.ndarray, in_place: bool):
-    """A + SHIFT*I in Fortran order, for LAPACK to factor in place: a copy,
-    or a's own buffer through its view a.T (the same matrix, a being
-    bit-exactly symmetric), restored from its strict upper triangle and
-    the saved diagonal however the block ends."""
+def _shifted(a: np.ndarray):
+    """A + SHIFT*I in a's own buffer, through its Fortran-ordered view a.T
+    (the same matrix, a being bit-exactly symmetric), for LAPACK to factor
+    in place; restored from its strict upper triangle and the saved
+    diagonal however the block ends."""
     n = a.shape[0]
-    if not in_place:
-        shifted = a.T.copy(order="F")
-        shifted[np.diag_indices(n)] += SHIFT
-        yield shifted
-        return
     diag = a.diagonal().copy()
     a[np.diag_indices(n)] = diag + SHIFT
     try:
@@ -176,14 +173,15 @@ def _mirror_upper(a: np.ndarray) -> None:
 
 
 def _dense_smallest(
-    a: np.ndarray, k: int, tol: float, in_place: bool
+    a: np.ndarray, work: np.ndarray, k: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Smallest pairs from Lanczos on (A + SHIFT*I)^-1, or from LAPACK
-    ``dsyevr`` when that matrix has no Cholesky factor or k >= n - 1.
-    ``in_place`` factors a's own buffer and restores it before returning."""
+    """Smallest pairs of a from Lanczos on (A + SHIFT*I)^-1, factored in
+    ``work`` (a itself or a C-ordered copy, restored before returning), or
+    from LAPACK ``dsyevr`` on a when that matrix has no Cholesky factor or
+    k >= n - 1."""
     n = a.shape[0]
     if k < n - 1:
-        with _shifted(a, in_place) as shifted:
+        with _shifted(work) as shifted:
             try:
                 factor = cho_factor(shifted, overwrite_a=True, check_finite=False)
             except LinAlgError:

@@ -44,30 +44,31 @@ def save_data_matrix(path: str | Path, m: DataMatrix) -> None:
 
 def save_labels(path: str | Path, t: TimeLabels) -> None:
     """Write ``index,value`` rows, one per point."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "value"])
-        for i, v in enumerate(t.angles):
-            w.writerow([i, FLOAT_FMT % v])
+    _write_indexed_csv(path, ["index", "value"], [FLOAT_FMT % v for v in t.angles])
 
 
 def save_ranking(path: str | Path, r: Ranking) -> None:
     """Write ``index,value`` rows where value is the rank of point index."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "value"])
-        for i, v in enumerate(r.ranks()):
-            w.writerow([i, int(v)])
+    _write_indexed_csv(path, ["index", "value"], r.ranks().tolist())
 
 
 def save_recovery(path: str | Path, t: TimeLabels, r: Ranking) -> None:
     """Write ``index,t_hat,rank`` rows, one per point."""
-    ranks = r.ranks()
+    _write_indexed_csv(path, ["index", "t_hat", "rank"],
+                       [FLOAT_FMT % v for v in t.angles], r.ranks().tolist())
+
+
+def _write_indexed_csv(path: str | Path, head: list[str], *columns: list) -> None:
+    """Write ``head``, then one row ``i, columns[0][i], ...`` per point.
+    No points raise ``LengthMismatchError``: a file without data rows
+    does not load."""
+    n = len(columns[0])
+    if n == 0:
+        raise LengthMismatchError(f"{path}: no points to write; a file of no rows does not load")
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["index", "t_hat", "rank"])
-        for i in range(len(t)):
-            w.writerow([i, FLOAT_FMT % t.angles[i], int(ranks[i])])
+        w.writerow(head)
+        w.writerows(zip(range(n), *columns))
 
 
 def _to_floats(path: str | Path, body: list[tuple[int, list[str]]], width: int) -> np.ndarray:

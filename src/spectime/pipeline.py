@@ -1,17 +1,18 @@
 """End-to-end composition: generate -> denoise -> recover -> evaluate.
 
 Recovery builds the same Laplacian for both curve kinds; the kind picks
-only how many eigenpairs are solved and how they become labels.  Each
-stage is a pure function of its inputs and the seeds in the config, so
-rerunning any stage from its persisted inputs reproduces its outputs.
-When an output directory is given, every stage's artifact is written
-before the next stage begins (z.csv, z_tilde.csv, recovered.csv,
-report.json).
+only how many eigenpairs are solved and which map turns them into
+labels: ``recover_open`` for an open curve, ``recover_closed`` for a
+closed loop.  The bandwidth is one setting, a number, ``"auto"`` or
+``"data"``, resolved by ``recover.choose_bandwidth``.  Each stage is a
+pure function of its inputs and the seeds in the config, so rerunning
+any stage from its persisted inputs reproduces its outputs.  When an
+output directory is given, every stage's artifact is written before the
+next stage begins (z.csv, z_tilde.csv, recovered.csv, report.json).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time
@@ -28,13 +29,7 @@ from .eigen import smallest_eigenpairs
 from .errors import ConfigError, DisconnectedGraphError
 from .kernel import LaplacianMatrix, laplacian_from_data
 from .metrics import err_closed_time, err_open_time, interior_relative_error
-from .recover import (
-    RecoveryOutput,
-    data_driven_bandwidth,
-    recover_closed,
-    recover_open_blend,
-    select_bandwidth,
-)
+from .recover import RecoveryOutput, check_sigma, choose_bandwidth, recover_closed, recover_open
 from .synth import CurveSpec, comparison_matrix, noisy_sample, serialrank_baseline
 
 DEFAULT_DELTA_FRACTION = 0.05
@@ -49,8 +44,7 @@ class PipelineConfig:
     seed: int = 0
     snr: float | None = None  # exact target SNR, or
     eps: float | None = None  # entrywise noise standard deviation
-    sigma: float | None = None  # fixed bandwidth; None selects by policy
-    sigma_policy: str = "auto"  # auto (rate formula) | data (log-mass slope)
+    sigma: float | str = "auto"  # fixed bandwidth | auto (rate formula) | data (log-mass slope)
     noise_level: float = 0.0  # eps handed to the auto bandwidth formula
     denoise_rank: int | None = None  # fixed-rank projection
     denoise_auto_r0: int | None = None  # randomized rank estimation
@@ -65,24 +59,7 @@ class PipelineConfig:
             raise ConfigError("give either snr or eps, not both")
         if self.denoise_rank is not None and self.denoise_auto_r0 is not None:
             raise ConfigError("give either a fixed denoise rank or an oversampling rank")
-        if self.sigma_policy not in ("auto", "data"):
-            raise ConfigError(f"unknown sigma policy {self.sigma_policy!r}")
-
-
-def choose_bandwidth(
-    z: DataMatrix,
-    kind: CurveKind,
-    sigma: float | None = None,
-    policy: str = "auto",
-    noise_level: float = 0.0,
-) -> KernelParams:
-    """A fixed ``sigma`` when given, else the policy's bandwidth: ``auto``
-    (rate formula at ``noise_level``) or ``data`` (log-mass slope)."""
-    if sigma is not None:
-        return KernelParams(sigma)
-    if policy == "data":
-        return data_driven_bandwidth(z)
-    return select_bandwidth(z.n_points, noise_level, kind)
+        object.__setattr__(self, "sigma", check_sigma(self.sigma))
 
 
 def recover_labels(
@@ -94,7 +71,7 @@ def recover_labels(
     """Kernel -> Laplacian -> Fiedler vector(s) -> labels, in one call.
 
     Open curves map the Fiedler vector u2 back to the random-walk vector
-    D~^-1/2 u2 and label it with ``recover_open_blend``.  Closed loops
+    D~^-1/2 u2 and label it with ``recover_open``.  Closed loops
     read u2, u3 directly: atan2(u3, u2) is unchanged by the common
     positive scale D~^-1/2, and ``recover_closed``'s degeneracy threshold
     is set for unit-norm columns.  ``on_laplacian``, when given, sees the
@@ -118,7 +95,7 @@ def recover_labels(
             "than one component; use a larger bandwidth")
     u = spectral.eigenvectors
     if kind is CurveKind.OPEN_CURVE:
-        return recover_open_blend(lap.inv_sqrt_degrees * u[:, 1])
+        return recover_open(lap.inv_sqrt_degrees * u[:, 1])
     return recover_closed(u[:, 1], u[:, 2])
 
 
@@ -152,7 +129,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             io.save_data_matrix(out / "z_tilde.csv", z)
 
     kind = cfg.curve.kind
-    params = choose_bandwidth(z, kind, cfg.sigma, cfg.sigma_policy, cfg.noise_level)
+    params = choose_bandwidth(z, kind, cfg.sigma, cfg.noise_level)
     report["sigma"] = params.sigma
     recovery = recover_labels(z, kind, params)
     report["clamped_count"] = recovery.clamped_count
@@ -185,9 +162,3 @@ def baseline_labels(z: DataMatrix) -> np.ndarray:
     point's rank in the Fiedler ordering of the comparison similarity."""
     ranking = serialrank_baseline(comparison_matrix(z))
     return ranking.ranks().astype(np.float64)
-
-
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["curve"] = str(cfg.curve)
-    return d

@@ -2,22 +2,17 @@
 
 Open curves: the random-walk Fiedler vector f (see ``kernel``) tracks
 the first Neumann eigenfunction cos(t/2) of the curve (t rescaled to
-[0, 2pi]), so labels follow from t_hat = 2*arccos of the suitably
-scaled entries (``recover_open``).  The raw formula assumes entries of
-size cos(t_i/2)/sqrt(N); a unit-norm eigenvector under uniformly drawn
-labels actually carries amplitude sqrt(2/N), because the mean square of
-cos(t/2) over the curve is 1/2.  ``recover_open``'s ``amplitude``
-argument selects the assumed scale (1.0 reproduces the raw formula);
-the pipeline's ``recover_open_blend`` always uses
-``UNIFORM_LABEL_AMPLITUDE`` = sqrt 2, which matches unit-norm
-eigenvectors.  Entries outside arccos's domain are clamped and counted.
-
-arccos multiplies any error in an entry by 2/sin(t/2), about 25 at
-t = 0.05*pi, so it is unreliable near the ends of the curve.  The
-pipeline labels open curves with ``recover_open_blend``, which hands
-over there to the rank quantile of f; mid-curve the arccos label
-dominates.  The quantile is exact in expectation when the labels are
-drawn uniformly, an assumption of this map, not of the operator.
+[0, 2pi]), so labels follow from t_hat = 2*arccos of its scaled
+entries.  Under uniformly drawn labels a unit-norm eigenvector carries
+amplitude sqrt(2/N), because the mean square of cos(t/2) over the curve
+is 1/2; ``recover_open`` divides by that amplitude, clamps the argument
+into arccos's domain and counts the clamped entries.  arccos multiplies
+any error in an entry by 2/sin(t/2), about 25 at t = 0.05*pi, so it is
+unreliable near the ends of the curve; ``recover_open`` hands over
+there to the rank quantile of f, and mid-curve the arccos label
+dominates.  The amplitude and the quantile are exact in expectation
+when the labels are drawn uniformly, an assumption of this map, not of
+the operator.
 
 Closed loops: the second and third eigenvectors track cos(t) and
 sin(t) up to a common rotation/reflection of the pair, and the angle
@@ -25,12 +20,13 @@ cancels any amplitude, including a positive scale per point such as
 the operator's D~^-1/2, so the label is just atan2(f3, f2) in
 [0, 2pi).
 
-Bandwidth selection follows the consistency analysis of the two cases:
-sigma = max(N^(-1/7), eps^(1/4)) for closed loops and
-max(N^(-1/14), eps^(2/7)) for open curves, with eps the caller's
-per-point noise magnitude (0 when unknown).  A data-driven alternative
-picks sigma on a log grid where log sum_ij k_ij grows fastest in
-log sigma, a common kernel-bandwidth heuristic.
+Bandwidth: a setting is a positive number or the name of one of two
+rules (``choose_bandwidth``).  ``"auto"`` follows the consistency
+analysis of the two cases: sigma = max(N^(-1/7), eps^(1/4)) for closed
+loops and max(N^(-1/14), eps^(2/7)) for open curves, with eps the
+caller's per-point noise magnitude (0 when unknown).  ``"data"`` picks
+sigma on a log grid where log sum_ij k_ij grows fastest in log sigma, a
+common kernel-bandwidth heuristic.
 """
 
 from __future__ import annotations
@@ -42,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TWO_PI, CurveKind, DataMatrix, KernelParams, Ranking, TimeLabels, ranking_from_labels
-from .errors import CoincidentPointsError, LengthMismatchError
+from .errors import CoincidentPointsError, ConfigError, LengthMismatchError
 from .kernel import squared_distances
 
-UNIFORM_LABEL_AMPLITUDE = math.sqrt(2.0)
+_UNIFORM_LABEL_AMPLITUDE = math.sqrt(2.0)  # of a unit-norm cos(t/2) under uniform labels
 
 DEGENERATE_SQ_NORM = 1e-24
 
@@ -56,67 +52,40 @@ class RecoveryOutput:
 
     labels: TimeLabels
     ranking: Ranking
-    kind: CurveKind
     clamped_count: int = 0
 
 
-def _as_unit_vector(f: np.ndarray, n: int | None, name: str) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64).ravel()
-    if n is not None and f.size != n:
-        raise LengthMismatchError(f"{name} has length {f.size}, expected {n}")
-    return f
-
-
-def recover_open(f2: np.ndarray, n: int | None = None, amplitude: float = 1.0) -> RecoveryOutput:
-    """Labels from the open-curve Fiedler vector.
-
-    t_hat_i = 2 * arccos(clamp(sqrt(N) * f2_i / amplitude, -1, 1)).
-    ``clamped_count`` reports how many entries fell outside [-1, 1]
-    before clamping.
-    """
-    f2 = _as_unit_vector(f2, n, "f2")
-    arg = math.sqrt(f2.size) * f2 / float(amplitude)
-    clamped = int(np.count_nonzero(np.abs(arg) > 1.0))
-    t_hat = 2.0 * np.arccos(np.clip(arg, -1.0, 1.0))
-    labels = TimeLabels(t_hat)
-    return RecoveryOutput(
-        labels=labels,
-        ranking=ranking_from_labels(labels),
-        kind=CurveKind.OPEN_CURVE,
-        clamped_count=clamped,
-    )
-
-
-def recover_open_blend(f: np.ndarray, n: int | None = None) -> RecoveryOutput:
+def recover_open(f: np.ndarray) -> RecoveryOutput:
     """Labels from the open-curve random-walk Fiedler vector, any scale.
 
-    t_arccos is ``recover_open`` on f scaled to unit norm, amplitude
-    ``UNIFORM_LABEL_AMPLITUDE``; rank counts down from the largest entry
-    of f (larger entries have smaller labels, as under arccos), ties by
-    index; t_q = 2pi (rank + 1/2) / N;
+    With u = f / ||f||, t_arccos = 2 arccos(clamp(sqrt(N) u / sqrt 2,
+    -1, 1)); rank counts down from the largest entry of f (larger
+    entries have smaller labels, as under arccos), ties by index;
+    t_q = 2pi (rank + 1/2) / N;
 
         t_hat_i = sin^2(t_q,i / 2) * t_arccos,i + cos^2(t_q,i / 2) * t_q,i.
 
     Ranks come from f itself, so entries that arccos clamps to 0 or
-    2pi keep their order.  ``clamped_count`` is the arccos map's.
+    2pi keep their order.  ``clamped_count`` reports how many arccos
+    arguments fell outside [-1, 1] before clamping.
     """
-    f = _as_unit_vector(f, n, "f")
-    arc = recover_open(f / np.linalg.norm(f), amplitude=UNIFORM_LABEL_AMPLITUDE)
+    f = np.asarray(f, dtype=np.float64).ravel()
+    arg = math.sqrt(f.size) * (f / np.linalg.norm(f)) / _UNIFORM_LABEL_AMPLITUDE
+    t_arccos = 2.0 * np.arccos(np.clip(arg, -1.0, 1.0))
     ranks = np.empty(f.size)
     ranks[np.argsort(-f, kind="stable")] = np.arange(f.size)
     t_q = TWO_PI * (ranks + 0.5) / f.size
     weight = np.sin(0.5 * t_q) ** 2
-    t_hat = weight * arc.labels.angles + (1.0 - weight) * t_q
+    t_hat = weight * t_arccos + (1.0 - weight) * t_q
     labels = TimeLabels(np.clip(t_hat, 0.0, TWO_PI))
     return RecoveryOutput(
         labels=labels,
         ranking=ranking_from_labels(labels),
-        kind=CurveKind.OPEN_CURVE,
-        clamped_count=arc.clamped_count,
+        clamped_count=int(np.count_nonzero(np.abs(arg) > 1.0)),
     )
 
 
-def recover_closed(f2: np.ndarray, f3: np.ndarray, n: int | None = None) -> RecoveryOutput:
+def recover_closed(f2: np.ndarray, f3: np.ndarray) -> RecoveryOutput:
     """Labels from the two closed-loop Fiedler vectors.
 
     t_hat_i is the angle whose cosine and sine are f2_i and f3_i after
@@ -124,8 +93,8 @@ def recover_closed(f2: np.ndarray, f3: np.ndarray, n: int | None = None) -> Reco
     Points where both entries vanish have no defined angle; they are
     assigned label 0 with a warning rather than aborting the recovery.
     """
-    f2 = _as_unit_vector(f2, n, "f2")
-    f3 = _as_unit_vector(f3, n, "f3")
+    f2 = np.asarray(f2, dtype=np.float64).ravel()
+    f3 = np.asarray(f3, dtype=np.float64).ravel()
     if f2.size != f3.size:
         raise LengthMismatchError(f"f2 and f3 lengths differ: {f2.size} vs {f3.size}")
     degenerate = f2**2 + f3**2 < DEGENERATE_SQ_NORM
@@ -140,11 +109,7 @@ def recover_closed(f2: np.ndarray, f3: np.ndarray, n: int | None = None) -> Reco
     t_hat = np.mod(np.arctan2(f3, f2), TWO_PI)
     t_hat[degenerate] = 0.0
     labels = TimeLabels(t_hat)
-    return RecoveryOutput(
-        labels=labels,
-        ranking=ranking_from_labels(labels),
-        kind=CurveKind.CLOSED_LOOP,
-    )
+    return RecoveryOutput(labels=labels, ranking=ranking_from_labels(labels))
 
 
 def select_bandwidth(n: int, eps: float = 0.0, kind: CurveKind = CurveKind.CLOSED_LOOP) -> KernelParams:
@@ -185,3 +150,31 @@ def data_driven_bandwidth(z: DataMatrix, num: int = 25) -> KernelParams:
     ) / (np.sqrt(2.0 * math.pi) * sigmas)
     slope = np.gradient(np.log(mass), np.log(sigmas))
     return KernelParams(float(sigmas[int(np.argmax(slope))]))
+
+
+def check_sigma(sigma: float | str) -> float | str:
+    """A bandwidth setting as ``choose_bandwidth`` takes it: the rule name
+    ``"auto"`` or ``"data"`` unchanged, anything else as a positive finite
+    float (a numeric string included).  Other strings and non-positive or
+    non-finite numbers raise ``ConfigError``."""
+    if sigma in ("auto", "data"):
+        return sigma
+    try:
+        value = float(sigma)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"sigma must be a positive number, 'auto' or 'data', got {sigma!r}")
+    return value
+
+
+def choose_bandwidth(
+    z: DataMatrix, kind: CurveKind, sigma: float | str = "auto", noise_level: float = 0.0
+) -> KernelParams:
+    """The bandwidth a setting names: a fixed ``sigma``, ``"auto"`` (the rate
+    formula at ``noise_level``) or ``"data"`` (the log-mass slope)."""
+    if sigma == "auto":
+        return select_bandwidth(z.n_points, noise_level, kind)
+    if sigma == "data":
+        return data_driven_bandwidth(z)
+    return KernelParams(sigma)

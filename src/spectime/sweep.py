@@ -27,6 +27,7 @@ from .errors import ConfigError, SpectimeError
 from .io import FLOAT_FMT
 from .metrics import interior_relative_error
 from .pipeline import PipelineConfig, baseline_labels, run_pipeline
+from .recover import check_sigma
 from .synth import CurveSpec, noisy_sample
 
 METHODS = ("spectral", "serialrank")
@@ -55,7 +56,7 @@ class SweepConfig:
     snr_values: tuple[float, ...]
     replicates: int = 1
     methods: tuple[str, ...] = METHODS
-    sigma: float | None = None  # fixed bandwidth; None = auto per cell
+    sigma: float | str = "auto"  # fixed bandwidth | auto or data, chosen per cell
     noise_level: float = 0.0
     seed_base: int = 0
     threads: int = 1
@@ -76,6 +77,7 @@ class SweepConfig:
             raise ConfigError(f"unknown methods: {bad}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        object.__setattr__(self, "sigma", check_sigma(self.sigma))
 
 
 @dataclass

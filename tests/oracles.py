@@ -5,8 +5,9 @@ time alignment is minimized over an explicit theta grid, the ranking
 alignment enumerates every (reflection, shift, modular term) combination
 with plain loops or with full N x N shift tables, the kernel matrix
 is assembled from scipy's pairwise distances, the Laplacian is one
-whole-matrix product with outer(c, c), and the serialrank baseline is
-the Fiedler vector of its similarity Laplacian from LAPACK.
+whole-matrix product with outer(c, c), the serialrank baseline is
+the Fiedler vector of its similarity Laplacian from LAPACK, and the
+arccos half of the open-curve label map is its formula alone.
 """
 
 import numpy as np
@@ -117,3 +118,10 @@ def serialrank_fiedler(c):
     lap = np.diag(s.sum(axis=1)) - s
     fiedler = eigh(lap, subset_by_index=[0, 1])[1][:, 1]
     return np.argsort(fiedler, kind="stable")
+
+
+def open_arccos_labels(f):
+    """2 arccos(sqrt(N) f / (sqrt 2 ||f||)), clamped into [-1, 1] first,
+    and the number of entries the clamp moved."""
+    arg = np.sqrt(f.size) * np.asarray(f, dtype=float) / (np.sqrt(2.0) * np.linalg.norm(f))
+    return 2.0 * np.arccos(np.clip(arg, -1.0, 1.0)), int(np.count_nonzero(np.abs(arg) > 1.0))

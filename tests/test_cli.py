@@ -8,7 +8,7 @@ import pytest
 from spectime import CurveKind, KernelParams, build_kernel, build_laplacian, recover_labels
 from spectime.cli import main
 from spectime.io import load_data_matrix, load_labels
-from spectime.pipeline import choose_bandwidth
+from spectime.recover import choose_bandwidth
 
 
 def run(argv):
@@ -141,6 +141,25 @@ def test_sweep_cli_row_count(tmp_path):
     assert (out_dir / "manifest.json").exists()
 
 
+def test_sweep_cli_data_bandwidth(tmp_path, capsys):
+    out_dir = tmp_path / "sweepout"
+    assert run(["sweep", "--curve", "half-circle", "--n", "40", "--snr", "100",
+                "--methods", "spectral", "--sigma", "data", "--out-dir", out_dir]) == 0
+    assert json.loads(capsys.readouterr().err)["failures"] == 0
+    with open(out_dir / "results.csv", newline="") as f:
+        row = next(csv.DictReader(f))
+    assert row["error"] == "" and float(row["sigma"]) > 0.0
+    assert json.loads((out_dir / "manifest.json").read_text())["config"]["sigma"] == "data"
+
+
+def test_sweep_cli_bad_sigma_exits_2_before_work(tmp_path, capsys):
+    out_dir = tmp_path / "sweepout"
+    assert run(["sweep", "--curve", "circle", "--n", "40", "--snr", "100",
+                "--sigma", "-1", "--out-dir", out_dir]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out_dir.exists()
+
+
 def test_evaluate_csv_format(tmp_path, capsys):
     t = tmp_path / "t.csv"
     run(["generate", "--curve", "circle", "--n", "30", "--out", tmp_path / "z.csv",
@@ -234,8 +253,8 @@ def test_recover_column_count_change_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, choice",
     [
-        (["--sigma", "auto", "--noise-level", "0.01"], dict(policy="auto", noise_level=0.01)),
-        (["--sigma", "data"], dict(policy="data")),
+        (["--sigma", "auto", "--noise-level", "0.01"], dict(sigma="auto", noise_level=0.01)),
+        (["--sigma", "data"], dict(sigma="data")),
         (["--sigma", "0.3"], dict(sigma=0.3)),
     ],
 )

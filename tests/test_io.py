@@ -40,11 +40,17 @@ def test_matrix_roundtrip_is_bit_exact_property(values):
 
 
 @settings(max_examples=100, deadline=None)
-@given(arrays(np.float64, st.integers(1, 12), elements=st.floats(0.0, 2.0 * np.pi)))
+@given(arrays(np.float64, st.integers(0, 12), elements=st.floats(0.0, 2.0 * np.pi)))
 def test_labels_roundtrip_is_bit_exact_property(angles):
+    # no labels: the writer refuses, since a header-only file does not load
     t = TimeLabels(angles)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
+        if len(t) == 0:
+            with pytest.raises(LengthMismatchError, match="no points to write"):
+                io.save_labels(path, t)
+            assert not path.exists()
+            return
         io.save_labels(path, t)
         assert same_bits(io.load_labels(path).angles, t.angles)
 
@@ -87,6 +93,26 @@ def test_ranking_roundtrip(tmp_path):
     path = tmp_path / "rank.csv"
     io.save_ranking(path, r)
     assert np.array_equal(io.load_ranking(path).perm, r.perm)
+
+
+def test_indexed_writers_bytes(tmp_path):
+    # the csv module's CRLF line ends, %.17g labels, integer ranks
+    t, r = TimeLabels(np.array([0.5, 0.1])), Ranking(np.array([1, 0]))
+    io.save_labels(tmp_path / "t.csv", t)
+    io.save_ranking(tmp_path / "r.csv", r)
+    io.save_recovery(tmp_path / "rec.csv", t, r)
+    assert (tmp_path / "t.csv").read_bytes() == b"index,value\r\n0,0.5\r\n1,0.10000000000000001\r\n"
+    assert (tmp_path / "r.csv").read_bytes() == b"index,value\r\n0,1\r\n1,0\r\n"
+    assert (tmp_path / "rec.csv").read_bytes() == (
+        b"index,t_hat,rank\r\n0,0.5,1\r\n1,0.10000000000000001,0\r\n")
+
+
+def test_empty_ranking_and_recovery_refused(tmp_path):
+    t, r = TimeLabels(np.empty(0)), Ranking(np.empty(0, dtype=np.int64))
+    for write in (lambda p: io.save_ranking(p, r), lambda p: io.save_recovery(p, t, r)):
+        with pytest.raises(LengthMismatchError, match="no points to write"):
+            write(tmp_path / "o.csv")
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_indexed_files_sorted_by_index(tmp_path):

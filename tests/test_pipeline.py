@@ -18,7 +18,7 @@ from spectime import (
     noise_for_snr,
     recover_closed,
     recover_labels,
-    recover_open_blend,
+    recover_open,
     run_pipeline,
     smallest_eigenpairs,
 )
@@ -80,7 +80,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(curve=CurveSpec("circle"), n=10, denoise_rank=2, denoise_auto_r0=3)
     with pytest.raises(ConfigError):
-        PipelineConfig(curve=CurveSpec("circle"), n=10, sigma_policy="guess")
+        PipelineConfig(curve=CurveSpec("circle"), n=10, sigma="guess")
 
 
 @pytest.mark.parametrize("kind", list(CurveKind))
@@ -98,7 +98,7 @@ def test_recover_labels_matches_separate_stages(kind, monkeypatch):
     assert np.array_equal(seen[0].l, lap.l)
     if kind is CurveKind.OPEN_CURVE:
         u = smallest_eigenpairs(lap, k=2).eigenvectors
-        expected = recover_open_blend(lap.inv_sqrt_degrees * u[:, 1])
+        expected = recover_open(lap.inv_sqrt_degrees * u[:, 1])
     else:
         u = smallest_eigenpairs(lap, k=3).eigenvectors
         expected = recover_closed(u[:, 1], u[:, 2])

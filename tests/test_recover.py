@@ -7,54 +7,39 @@ from spectime import (
     DataMatrix,
     KernelParams,
     TimeLabels,
-    UNIFORM_LABEL_AMPLITUDE,
     data_driven_bandwidth,
     err_closed_time,
     generate,
     recover_closed,
     recover_labels,
     recover_open,
-    recover_open_blend,
     select_bandwidth,
 )
-from spectime.errors import CoincidentPointsError, LengthMismatchError
+from spectime.errors import CoincidentPointsError, ConfigError, LengthMismatchError
+from spectime.recover import check_sigma
+
+from oracles import open_arccos_labels
 
 TWO_PI = 2 * np.pi
 
 
 class TestRecoverOpen:
-    def test_arccos_endpoints(self):
-        n = 4
-        f2 = np.array([1.0, -1.0, 0.5, 0.0]) / np.sqrt(n)
-        out = recover_open(f2, n)
-        assert out.labels.angles[0] == 0.0
-        assert out.labels.angles[1] == pytest.approx(TWO_PI)
-        assert out.labels.angles[2] == pytest.approx(2 * np.arccos(0.5))
-        assert out.clamped_count == 0
+    """Labels, ranking and clamp count of the open-curve label map."""
 
     def test_clamping_counted(self):
-        n = 4
-        f2 = np.array([1.05, -1.2, 0.0, 0.5]) / np.sqrt(n)
-        out = recover_open(f2, n)
-        assert out.clamped_count == 2
-        assert out.labels.angles[0] == 0.0
-        assert out.labels.angles[1] == pytest.approx(TWO_PI)
-
-    def test_amplitude_rescales_argument(self):
-        n = 4
-        f2 = np.full(n, np.sqrt(2.0) / np.sqrt(n))
-        literal = recover_open(f2, n)  # argument 1.414 clamps
-        scaled = recover_open(f2, n, amplitude=UNIFORM_LABEL_AMPLITUDE)
-        assert literal.clamped_count == n
-        assert scaled.clamped_count == 0
-        assert np.allclose(scaled.labels.angles, 2 * np.arccos(1.0))
+        # unit-norm entries +-1/sqrt 2 give arccos arguments +-sqrt(N)/2 = +-sqrt 2
+        f = np.zeros(8)
+        f[:2] = [1.0, -1.0]
+        assert recover_open(f).clamped_count == 2
+        g = np.random.default_rng(6).standard_normal(40) ** 3
+        assert recover_open(g).clamped_count == open_arccos_labels(g)[1] > 0
 
     def test_reflection_covariance(self):
-        rng = np.random.default_rng(0)
-        n = 30
-        f2 = rng.uniform(-0.9, 0.9, n) / np.sqrt(n)
-        out = recover_open(f2, n)
-        flipped = recover_open(-f2, n)
+        # heavy tails: some arccos arguments clamp, and the map is still odd
+        f = np.random.default_rng(0).standard_normal(30) ** 3
+        out = recover_open(f)
+        flipped = recover_open(-f)
+        assert out.clamped_count > 0
         assert np.allclose(flipped.labels.angles, TWO_PI - out.labels.angles, atol=1e-12)
         assert np.array_equal(flipped.ranking.perm, out.ranking.perm[::-1])
 
@@ -64,53 +49,47 @@ class TestRecoverOpen:
         out = recover_open(f2)
         assert np.all(np.diff(out.labels.angles[out.ranking.perm]) >= 0)
 
-    def test_length_check(self):
-        with pytest.raises(LengthMismatchError):
-            recover_open(np.zeros(3), 4)
-
 
 class TestRecoverOpenBlend:
+    """The hand-over from the arccos label to the rank quantile."""
+
     def test_ends_follow_quantile_middle_follows_arccos(self):
         n = 101
         t = TWO_PI * (np.arange(n) + 0.5) / n  # the rank quantiles themselves
         f = np.cbrt(np.cos(t / 2)) + 0.2  # monotone, but not a cosine
-        arc = recover_open(f / np.linalg.norm(f), n, amplitude=UNIFORM_LABEL_AMPLITUDE)
-        out = recover_open_blend(f, n)
+        arc, clamped = open_arccos_labels(f)
+        out = recover_open(f)
         for i in (0, n - 1):
-            assert abs(arc.labels.angles[i] - t[i]) > 0.1
+            assert abs(arc[i] - t[i]) > 0.1
             assert out.labels.angles[i] == pytest.approx(t[i], abs=2e-3)
         mid = n // 2  # quantile pi: all weight on arccos
-        assert abs(arc.labels.angles[mid] - t[mid]) > 0.1
-        assert out.labels.angles[mid] == pytest.approx(arc.labels.angles[mid], abs=1e-12)
-        assert out.clamped_count == arc.clamped_count
+        assert abs(arc[mid] - t[mid]) > 0.1
+        assert out.labels.angles[mid] == pytest.approx(arc[mid], abs=1e-12)
+        assert out.clamped_count == clamped
 
     def test_reflection_covariance(self):
         rng = np.random.default_rng(4)
         n = 30
         f = rng.uniform(-0.9, 0.9, n)
-        out = recover_open_blend(f, n)
-        flipped = recover_open_blend(-f, n)
+        out = recover_open(f)
+        flipped = recover_open(-f)
         assert np.allclose(flipped.labels.angles, TWO_PI - out.labels.angles, atol=1e-12)
         assert np.array_equal(flipped.ranking.perm, out.ranking.perm[::-1])
 
     def test_clamped_entries_keep_their_order(self):
         n = 20
         f = np.linspace(3.0, -3.0, n)  # unit-norm arccos argument clamps at both ends
-        arc = recover_open(f / np.linalg.norm(f), n, amplitude=UNIFORM_LABEL_AMPLITUDE)
-        out = recover_open_blend(f, n)
-        assert arc.clamped_count > 2
-        assert np.count_nonzero(arc.labels.angles == 0.0) > 1  # arccos ties
+        arc, clamped = open_arccos_labels(f)
+        out = recover_open(f)
+        assert clamped > 2
+        assert np.count_nonzero(arc == 0.0) > 1  # arccos ties
         assert np.all(np.diff(out.labels.angles) > 0)
         assert np.array_equal(out.ranking.perm, np.arange(n))
 
     def test_invariant_under_positive_scaling(self):
         f = np.random.default_rng(5).uniform(-1.0, 1.0, 25)
-        assert np.allclose(recover_open_blend(3.5 * f).labels.angles,
-                           recover_open_blend(f).labels.angles, rtol=0.0, atol=1e-12)
-
-    def test_length_check(self):
-        with pytest.raises(LengthMismatchError):
-            recover_open_blend(np.ones(3), 4)
+        assert np.allclose(recover_open(3.5 * f).labels.angles,
+                           recover_open(f).labels.angles, rtol=0.0, atol=1e-12)
 
 
 class TestRecoverClosed:
@@ -136,6 +115,10 @@ class TestRecoverClosed:
         out = recover_closed(f2, f3)
         norms = np.hypot(f2, f3)
         assert np.abs(np.cos(out.labels.angles) * norms - f2).max() <= 1e-12
+
+    def test_length_check(self):
+        with pytest.raises(LengthMismatchError, match="3 vs 4"):
+            recover_closed(np.ones(3), np.ones(4))
 
     def test_rotation_of_eigenbasis_is_quotiented(self):
         rng = np.random.default_rng(3)
@@ -169,6 +152,18 @@ class TestSelectBandwidth:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             select_bandwidth(1, 0.0, CurveKind.CLOSED_LOOP)
+
+
+class TestCheckSigma:
+    @pytest.mark.parametrize("given, kept", [("auto", "auto"), ("data", "data"),
+                                             (0.3, 0.3), ("0.3", 0.3), (2, 2.0)])
+    def test_settings_kept(self, given, kept):
+        assert check_sigma(given) == kept
+
+    @pytest.mark.parametrize("given", ["guess", "", None, 0.0, -1.0, "-1", np.inf, np.nan])
+    def test_bad_settings_raise(self, given):
+        with pytest.raises(ConfigError, match="positive number, 'auto' or 'data'"):
+            check_sigma(given)
 
 
 class TestDataDrivenBandwidth:

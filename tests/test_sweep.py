@@ -72,6 +72,14 @@ def test_empty_grid_rejected_before_work(tmp_path):
         SweepConfig(curve=CurveSpec("circle"), n_values=(10,), snr_values=())
 
 
+@pytest.mark.parametrize("sigma", ["guess", -1.0, 0.0, float("inf")])
+def test_bad_sigma_rejected_before_work(tmp_path, sigma):
+    with pytest.raises(ConfigError, match="sigma"):
+        SweepConfig(curve=CurveSpec("circle"), n_values=(10,), snr_values=(10.0,),
+                    sigma=sigma, out_dir=str(tmp_path))
+    assert not any(tmp_path.iterdir())
+
+
 def test_cell_failure_recorded_and_sweep_continues(tmp_path, monkeypatch):
     def boom(cfg):
         raise NoConvergenceError(7, "injected failure")
@@ -124,5 +132,6 @@ def test_manifest_records_config_and_seeds(tmp_path):
     sweep(sc)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["seed_base"] == 5
+    assert manifest["config"]["sigma"] == "auto"
     assert manifest["seeds"] == [5]
     assert manifest["rows"] == 1
