@@ -11,6 +11,14 @@ r_hat = r + 1.
 
 The payoff of projecting is a uniform (per-point) error bound that
 scales like sqrt(r) instead of sqrt(d) for entrywise Gaussian noise.
+
+Both denoisers return the coordinates C = B^T Z of the data in the
+orthonormal basis B, an (r_hat, N) matrix.  The projection
+z_tilde = B C has the same pairwise distances, so recovery reads C and
+its kernel's Gram product runs over r_hat rows instead of d.
+``DenoiseResult.z_tilde`` builds the d x N projection on demand, for a
+caller that needs the points in the original dimensions; each access
+allocates it afresh.
 """
 
 from __future__ import annotations
@@ -25,15 +33,21 @@ from .errors import DegenerateSketchError, RankTooLargeError
 
 @dataclass(frozen=True)
 class DenoiseResult:
-    """Estimated rank, orthonormal basis, and projected data."""
+    """Estimated rank, orthonormal basis, and the data's coordinates in it."""
 
     r_hat: int
-    z_tilde: DataMatrix
+    coords: DataMatrix  # (r_hat, N) = basis.T @ Z
     basis: np.ndarray  # (d, r_hat), orthonormal columns
 
+    @property
+    def z_tilde(self) -> DataMatrix:
+        """The projected data basis @ coords, (d, N), allocated on each access."""
+        return DataMatrix._adopt(self.basis @ self.coords.values)
 
-def _project(values: np.ndarray, basis: np.ndarray) -> DataMatrix:
-    return DataMatrix._adopt(basis @ (basis.T @ values))
+
+def _result(z: DataMatrix, basis: np.ndarray) -> DenoiseResult:
+    coords = DataMatrix._adopt(basis.T @ z.values)
+    return DenoiseResult(r_hat=basis.shape[1], coords=coords, basis=basis)
 
 
 def denoise_fixed_rank(z: DataMatrix, r: int) -> DenoiseResult:
@@ -44,8 +58,7 @@ def denoise_fixed_rank(z: DataMatrix, r: int) -> DenoiseResult:
             f"rank {r} outside [1, {min(z.dim, z.n_points)}] for shape {z.values.shape}"
         )
     u, _, _ = np.linalg.svd(z.values, full_matrices=False)
-    basis = u[:, :r]
-    return DenoiseResult(r_hat=r, z_tilde=_project(z.values, basis), basis=basis)
+    return _result(z, u[:, :r])
 
 
 def denoise_auto(z: DataMatrix, r0: int, eta: float, seed: int) -> DenoiseResult:
@@ -72,5 +85,4 @@ def denoise_auto(z: DataMatrix, r0: int, eta: float, seed: int) -> DenoiseResult
         raise DegenerateSketchError("sketch has zero leading singular value")
     below = np.nonzero(s / s[0] < eta)[0]
     r_hat = int(below[0]) + 1 if below.size else r0
-    basis = u[:, :r_hat]
-    return DenoiseResult(r_hat=r_hat, z_tilde=_project(z.values, basis), basis=basis)
+    return _result(z, u[:, :r_hat])

@@ -33,7 +33,11 @@ saved diagonal is restored, so ``l`` comes back bit for bit.  Do not
 share one ``LaplacianMatrix`` between concurrent solves.  Other input
 (a bare ndarray, or a read-only or Fortran-ordered Laplacian) is first
 copied into a C-ordered array, which is factored the same way; the
-certificate and ``dsyevr`` still read the caller's matrix.
+certificate and ``dsyevr`` still read the caller's matrix.  A factor
+reads one triangle only, so a bare ndarray must equal its transpose bit
+for bit, checked one row block at a time (no N x N temporary); one that
+does not raises ``AsymmetricMatrixError`` naming max|A - A^T|.  A
+``LaplacianMatrix`` is symmetric by construction and skips the check.
 
 Sign convention: each eigenvector is flipped so its entry of largest
 absolute value is positive (ties broken by lowest index), which makes
@@ -49,8 +53,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import NoConvergenceError
-from .kernel import LaplacianMatrix
+from .errors import AsymmetricMatrixError, NoConvergenceError
+from .kernel import LaplacianMatrix, row_blocks
 
 DENSE_CUTOFF = 2048
 DEFAULT_TOL = 1e-8
@@ -90,6 +94,8 @@ def smallest_eigenpairs(
 
     Raises
     ------
+    AsymmetricMatrixError
+        if a bare ndarray differs from its transpose.
     NoConvergenceError
         if the residual target cannot be certified within the iteration
         budget.
@@ -102,6 +108,8 @@ def smallest_eigenpairs(
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not isinstance(l, LaplacianMatrix):
+        _check_symmetric(a)
 
     if n <= DENSE_CUTOFF or k > n // 4:
         owned = isinstance(l, LaplacianMatrix) and a.flags.writeable and a.flags.c_contiguous
@@ -120,6 +128,14 @@ def smallest_eigenpairs(
             applied, f"residual {residuals.max():.3e} exceeds {bound:.3e} "
             f"after {applied} operator applications")
     return SpectralResult(eigenvalues=values, eigenvectors=vectors, residuals=residuals)
+
+
+def _check_symmetric(a: np.ndarray) -> None:
+    worst = 0.0
+    for rows in row_blocks(a.shape[0]):
+        worst = max(worst, float(np.abs(a[rows] - a[:, rows].T).max()))
+    if worst > 0.0:
+        raise AsymmetricMatrixError(worst)
 
 
 def _arpack_largest(apply, n: int, k: int, tol: float) -> tuple[np.ndarray, np.ndarray, int]:

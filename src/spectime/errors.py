@@ -60,6 +60,16 @@ class NoConvergenceError(SpectimeError):
         super().__init__(message or f"no convergence after {self.iterations} iterations")
 
 
+class AsymmetricMatrixError(SpectimeError):
+    """A matrix handed to the symmetric eigensolver is not its own transpose."""
+
+    def __init__(self, max_asymmetry: float):
+        self.max_asymmetry = float(max_asymmetry)
+        super().__init__(
+            f"matrix is not symmetric: max|A - A^T| = {self.max_asymmetry:.3e}; "
+            "symmetrize it first, e.g. (A + A.T) / 2")
+
+
 class EmptyInteriorError(SpectimeError):
     """No point falls inside the requested interior window."""
 

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from spectime import DataMatrix, denoise_auto, denoise_fixed_rank
+from spectime import (
+    CurveKind,
+    CurveSpec,
+    DataMatrix,
+    denoise_auto,
+    denoise_fixed_rank,
+    err_closed_time,
+    noisy_sample,
+    recover_labels,
+    select_bandwidth,
+)
 from spectime.errors import DegenerateSketchError, RankTooLargeError
+from spectime.kernel import squared_distances
 
 
 def low_rank_matrix(rng, d, n, singular_values):
@@ -119,3 +130,36 @@ class TestProjectionProperties:
         per_point_before = np.linalg.norm(z.values - x, axis=0).max()
         per_point_after = np.linalg.norm(res.z_tilde.values - x, axis=0).max()
         assert per_point_after <= per_point_before / 3.0
+
+
+def both_denoisers(z):
+    return [denoise_fixed_rank(z, 3), denoise_auto(z, r0=10, eta=1e-3, seed=11)]
+
+
+class TestCoordinates:
+    """Denoisers return the coordinates C = B^T Z; z_tilde = B C is built on demand."""
+
+    def test_z_tilde_is_basis_times_coordinates_bit_for_bit(self):
+        rng = np.random.default_rng(10)
+        z = DataMatrix(rng.standard_normal((40, 30)))
+        for res in both_denoisers(z):
+            assert res.coords.values.shape == (res.r_hat, z.n_points)
+            assert np.array_equal(res.coords.values, res.basis.T @ z.values)
+            assert np.array_equal(res.z_tilde.values, res.basis @ (res.basis.T @ z.values))
+            assert not res.z_tilde.values.flags.writeable
+
+    def test_recovery_from_coordinates_matches_recovery_from_z_tilde(self):
+        d, n = 60, 200
+        _, _, z = noisy_sample(CurveSpec("embedded", d), n, 12, 5.0, None)
+        eps = np.finfo(np.float64).eps
+        params = select_bandwidth(n, 0.0, CurveKind.CLOSED_LOOP)
+        for res in both_denoisers(z):
+            c, zt = res.coords.values, res.z_tilde.values
+            # each Gram form is within (rows + 2) * eps * (n_i + n_j) of the
+            # exact distance, and B C has the distances of C in exact arithmetic
+            norms = np.einsum("ij,ij->j", zt, zt)
+            bound = (d + res.r_hat + 4) * eps * np.add.outer(norms, norms)
+            assert np.all(np.abs(squared_distances(c) - squared_distances(zt)) <= bound)
+            from_coords = recover_labels(res.coords, CurveKind.CLOSED_LOOP, params)
+            from_z_tilde = recover_labels(res.z_tilde, CurveKind.CLOSED_LOOP, params)
+            assert err_closed_time(from_z_tilde.labels, from_coords.labels).error <= 1e-8

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from spectime import (
 )
 from spectime import eigen
 from spectime.eigen import SHIFT, _fix_signs, _lanczos_smallest
-from spectime.errors import NoConvergenceError
+from spectime.errors import AsymmetricMatrixError, NoConvergenceError
 
 
 def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -226,6 +227,44 @@ class TestNoConvergenceCount:
         with pytest.raises(NoConvergenceError) as err:
             smallest_eigenpairs(circle_laplacian(300, sigma=0.33), k=3, tol=1e-300)
         assert err.value.iterations > 0
+
+
+class TestAsymmetricInput:
+    """A bare ndarray must equal its transpose: the dense factor reads one
+    triangle, so an asymmetric matrix is invalid input, not a solver failure."""
+
+    def perturbed(self):
+        a = circle_laplacian(300, sigma=0.3).l
+        return a + 1e-9 * np.random.default_rng(0).standard_normal(a.shape)
+
+    @pytest.mark.parametrize("cutoff", [eigen.DENSE_CUTOFF, 16])
+    def test_perturbed_laplacian_names_the_asymmetry(self, monkeypatch, cutoff):
+        monkeypatch.setattr(eigen, "DENSE_CUTOFF", cutoff)
+        a = self.perturbed()
+        with pytest.raises(AsymmetricMatrixError, match=re.escape("max|A - A^T|")) as err:
+            smallest_eigenpairs(a, k=3)
+        assert err.value.max_asymmetry == np.abs(a - a.T).max()
+
+    def test_check_makes_no_n_by_n_temporary(self):
+        n = 2000
+        a = np.random.default_rng(1).standard_normal((n, n))
+        a = (a + a.T) / 2.0
+        a[n - 1, 0] += 1e-12
+        tracemalloc.start()
+        try:
+            with pytest.raises(AsymmetricMatrixError):
+                smallest_eigenpairs(a, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
+    def test_laplacian_skips_the_check(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("a LaplacianMatrix was checked for symmetry")
+
+        monkeypatch.setattr(eigen, "_check_symmetric", refuse)
+        assert smallest_eigenpairs(circle_laplacian(300, sigma=0.3), k=3).eigenvalues[0] < 1e-10
 
 
 class TestIterativePath:

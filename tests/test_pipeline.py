@@ -22,7 +22,7 @@ from spectime import (
     run_pipeline,
     smallest_eigenpairs,
 )
-from spectime import eigen
+from spectime import eigen, io, pipeline
 from spectime.errors import ConfigError, DisconnectedGraphError
 
 
@@ -50,6 +50,35 @@ def test_denoise_stage_runs_when_requested(tmp_path):
     report = run_pipeline(cfg)
     assert report["r_hat"] >= 1
     assert (tmp_path / "z_tilde.csv").exists()
+
+
+@pytest.mark.parametrize("mode", [dict(denoise_rank=3), dict(denoise_auto_r0=10)])
+def test_denoised_recovery_reads_coordinates(tmp_path, monkeypatch, mode):
+    # the kernel sees the r_hat coordinate rows; z_tilde.csv still holds the
+    # d x N projection basis @ (basis.T @ z)
+    calls = {}
+
+    def spy(name):
+        fn = getattr(pipeline, name)
+
+        def wrapped(*args):
+            result = fn(*args)
+            calls[name] = (args, result)
+            return result
+
+        monkeypatch.setattr(pipeline, name, wrapped)
+
+    for name in ("denoise_fixed_rank", "denoise_auto", "laplacian_from_data"):
+        spy(name)
+    cfg = PipelineConfig(curve=CurveSpec("embedded", 50), n=120, seed=2, snr=10.0,
+                         out_dir=str(tmp_path), **mode)
+    report = run_pipeline(cfg)
+    (z, *_), den = calls["denoise_fixed_rank" if "denoise_rank" in mode else "denoise_auto"]
+    (seen, _), _ = calls["laplacian_from_data"]
+    assert seen.values.shape == (report["r_hat"], 120)
+    assert np.array_equal(seen.values, den.basis.T @ z.values)
+    written = io.load_data_matrix(tmp_path / "z_tilde.csv").values
+    assert np.array_equal(written, den.basis @ (den.basis.T @ z.values))
 
 
 def test_rerun_reproduces_stage_outputs(tmp_path):
