@@ -28,16 +28,17 @@ A writable, C-ordered ``LaplacianMatrix`` (bit-exactly symmetric, as
 holds one N x N array too: LAPACK ``potrf`` factors A + tau*I through
 the Fortran-ordered view ``l.T`` and writes only the lower triangle of
 ``l``.  However the solve ends (pairs, the ``dsyevr`` fallback, an
-error), that triangle is copied back from the intact upper one and the
-saved diagonal is restored, so ``l`` comes back bit for bit.  Do not
-share one ``LaplacianMatrix`` between concurrent solves.  Other input
-(a bare ndarray, or a read-only or Fortran-ordered Laplacian) is first
-copied into a C-ordered array, which is factored the same way; the
-certificate and ``dsyevr`` still read the caller's matrix.  A factor
-reads one triangle only, so a bare ndarray must equal its transpose bit
-for bit, checked one row block at a time (no N x N temporary); one that
-does not raises ``AsymmetricMatrixError`` naming max|A - A^T|.  A
-``LaplacianMatrix`` is symmetric by construction and skips the check.
+error), ``kernel.mirror_upper`` copies that triangle back from the
+intact upper one and the saved diagonal is restored, so ``l`` comes back
+bit for bit.  Do not share one ``LaplacianMatrix`` between concurrent
+solves.  Other input (a bare ndarray, or a read-only or Fortran-ordered
+Laplacian) is first copied into a C-ordered array, which is factored the
+same way; the certificate and ``dsyevr`` still read the caller's matrix.
+A factor reads one triangle only, so a bare ndarray must equal its
+transpose bit for bit, checked one row block at a time (no N x N
+temporary); one that does not raises ``AsymmetricMatrixError`` naming
+max|A - A^T|.  A ``LaplacianMatrix`` is symmetric by construction and
+skips the check.
 
 Sign convention: each eigenvector is flipped so its entry of largest
 absolute value is positive (ties broken by lowest index), which makes
@@ -54,12 +55,11 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import AsymmetricMatrixError, NoConvergenceError
-from .kernel import LaplacianMatrix, row_blocks
+from .kernel import LaplacianMatrix, mirror_upper, row_blocks
 
 DENSE_CUTOFF = 2048
 DEFAULT_TOL = 1e-8
 SHIFT = 1e-3  # tau of the dense path's shift-invert; sets the speed only
-_TILE = 128  # side of the square tiles that restore a factored Laplacian
 
 
 @dataclass(frozen=True)
@@ -171,21 +171,8 @@ def _shifted(a: np.ndarray):
     try:
         yield a.T
     finally:
-        _mirror_upper(a)
+        mirror_upper(a)
         a[np.diag_indices(n)] = diag
-
-
-def _mirror_upper(a: np.ndarray) -> None:
-    """Copy a's strict upper triangle onto its strict lower one, tile by tile."""
-    n = a.shape[0]
-    below = np.tri(_TILE, k=-1, dtype=bool)
-    for i in range(0, n, _TILE):
-        rows = slice(i, i + _TILE)
-        for j in range(0, i, _TILE):
-            a[rows, j : j + _TILE] = a[j : j + _TILE, rows].T
-        block = a[rows, rows]
-        mask = below[: block.shape[0], : block.shape[0]]
-        block[mask] = block.T[mask]
 
 
 def _dense_smallest(

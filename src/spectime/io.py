@@ -28,13 +28,7 @@ def load_data_matrix(path: str | Path, header: bool = False) -> DataMatrix:
     try:
         rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     except ValueError:
-        # find the row or cell numpy refused, to name the file and the line
-        with open(path, newline="") as f:
-            body = [(line, row) for line, row in enumerate(csv.reader(f), start=1)
-                    if row and line > skip]
-        if body:
-            _to_floats(path, body, len(body[0][1]))
-        raise
+        rows = _scan_cells(path, skip)  # or name the file, line and cell numpy refused
     return DataMatrix(rows.T)
 
 
@@ -71,9 +65,15 @@ def _write_indexed_csv(path: str | Path, head: list[str], *columns: list) -> Non
         w.writerows(zip(range(n), *columns))
 
 
-def _to_floats(path: str | Path, body: list[tuple[int, list[str]]], width: int) -> np.ndarray:
-    """The cells of (1-based line, row) pairs as a float array; a row of
-    another width or a cell that is not a number is named by file and line."""
+def _scan_cells(path: str | Path, skip: int, width: int | None = None) -> np.ndarray:
+    """The nonblank rows after line ``skip``, read cell by cell; a row not
+    ``width`` (default: the first row's) cells wide or a cell that is not a
+    number is named by file and line."""
+    with open(path, newline="") as f:
+        body = [(line, row) for line, row in enumerate(csv.reader(f), start=1)
+                if row and line > skip]
+    if width is None:
+        width = len(body[0][1]) if body else 0
     out = []
     for line, row in body:
         if len(row) != width:
@@ -89,23 +89,28 @@ def _to_floats(path: str | Path, body: list[tuple[int, list[str]]], width: int) 
 
 
 def _read_indexed_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Header (``c0, c1, ...`` if line 1 is data) and rows sorted by index,
+    parsed by ``np.loadtxt``; a file it refuses is scanned to name the line."""
     with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows:
+        first = f.readline()
+        data_follows = any(line.strip() for line in f)
+    if not first:
         raise LengthMismatchError(f"{path}: empty file")
-    head = rows[0]
-    first_line = 2
+    head = next(csv.reader([first]), [])
     try:
         float(head[1])
     except (ValueError, IndexError):
-        pass  # header line
+        skip = 1  # header line
     else:
-        first_line = 1
-        head = [f"c{j}" for j in range(len(rows[0]))]
-    body = list(enumerate(rows[first_line - 1:], start=first_line))
-    if not body:
+        skip, head = 0, [f"c{j}" for j in range(len(head))]
+    if skip and not data_follows:
         raise LengthMismatchError(f"{path}: no data rows")
-    data = _to_floats(path, body, len(head))
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, comments=None)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(head):
+        data = _scan_cells(path, skip, len(head))
     data = data[np.argsort(data[:, 0], kind="stable")]
     n = data.shape[0]
     bad = np.flatnonzero(data[:, 0] != np.arange(n))

@@ -23,16 +23,19 @@ neighbour in the graph; normalization then raises
 ``DisconnectedGraphError`` instead of handing a degenerate operator to
 the eigensolver.
 
-The kernel matrix is built in one N x N buffer from the Gram product
-G = V^T V (a single BLAS ``syrk``, which fills one triangle and mirrors
-it) as ||v_i - v_j||^2 = (n_i + n_j) - 2 G_ij with n_i = ||v_i||^2; the
-norms are summed first, so the matrix is bit-exactly symmetric, and no
-copy of the data is made.  ``laplacian_from_data`` then normalizes
-that same buffer into L, so the recovery path holds one N x N array
-from the Gram product to the eigensolve; ``build_laplacian`` normalizes
-a copy and leaves its ``KernelMatrix`` intact.  The output is
-reproducible at a fixed BLAS thread count; a different count can change
-the last bits of G and of the eigensolver's output.
+The kernel matrix is built in one N x N buffer, one strip of rows of
+its upper triangle at a time: a ``gemm`` writes the strip's block of the
+Gram product G = V^T V in place, and ||v_i - v_j||^2 = (n_i + n_j) -
+2 G_ij with n_i = ||v_i||^2, the distance floor, the exponential and the
+prefactor follow while the strip is in cache.  ``mirror_upper`` then
+copies the upper triangle onto the lower one, so the matrix is
+bit-exactly symmetric by construction; no copy of the data is made.
+``laplacian_from_data`` then normalizes that same buffer into L, so the
+recovery path holds one N x N array from the Gram product to the
+eigensolve; ``build_laplacian`` normalizes a copy and leaves its
+``KernelMatrix`` intact.  The output is reproducible at a fixed BLAS
+thread count; a different count can change the last bits of G and of the
+eigensolver's output.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .errors import DimensionMismatchError, DisconnectedGraphError, ZeroDegreeEr
 
 
 _BLOCK_ELEMENTS = 1 << 18  # row block of the N x N passes, 2 MB of float64
+_TILE = 128  # side of the square tiles that mirror a triangle
 
 
 @dataclass(frozen=True)
@@ -99,29 +103,57 @@ def squared_distances(values: np.ndarray) -> np.ndarray:
     rounding error of the Gram form, (d + 2) * eps * (n_i + n_j), cannot be
     told from 0 and is set to 0, so coincident points are at distance 0.
     """
-    norms = np.einsum("ij,ij->j", values, values)
-    sq = values.T @ values
-    floor = (values.shape[0] + 2) * np.finfo(np.float64).eps
-    for rows in row_blocks(sq.shape[0]):
-        blk = sq[rows]
-        total = np.add.outer(norms[rows], norms)
-        blk *= -2.0
-        blk += total
-        total *= floor
-        blk[blk <= total] = 0.0
-    np.fill_diagonal(sq, 0.0)
+    sq = np.empty((values.shape[1],) * 2)
+    for _ in _upper_strips(values, sq):
+        pass
+    mirror_upper(sq)
     return sq
+
+
+def _upper_strips(values: np.ndarray, out: np.ndarray):
+    """Write the squared distances between the columns of ``values`` into
+    the upper triangle of ``out`` and yield each row block's strip
+    out[rows, rows.start:] while it is in cache; ``mirror_upper`` then
+    overwrites the part below the diagonal."""
+    norms = np.einsum("ij,ij->j", values, values)
+    floor = (values.shape[0] + 2) * np.finfo(np.float64).eps
+    for rows in row_blocks(out.shape[0]):
+        s = rows.start
+        strip = np.matmul(values[:, rows].T, values[:, s:], out=out[rows, s:])
+        total = np.add.outer(norms[rows], norms[s:])
+        strip *= -2.0
+        strip += total
+        total *= floor
+        strip[strip <= total] = 0.0
+        del total  # one strip temporary at a time
+        np.fill_diagonal(strip, 0.0)  # strip[i, i] is the entry (s + i, s + i)
+        yield strip
+
+
+def mirror_upper(a: np.ndarray) -> None:
+    """Copy a's strict upper triangle onto its strict lower one, tile by tile."""
+    n = a.shape[0]
+    below = np.tri(_TILE, k=-1, dtype=bool)
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(0, i, _TILE):
+            a[rows, j : j + _TILE] = a[j : j + _TILE, rows].T
+        block = a[rows, rows]
+        mask = below[: block.shape[0], : block.shape[0]]
+        block[mask] = block.T[mask]
 
 
 def build_kernel(z: DataMatrix | np.ndarray, p: KernelParams) -> KernelMatrix:
     """Assemble the full pairwise similarity matrix and degree vector."""
     values = z.values if isinstance(z, DataMatrix) else DataMatrix(z).values
-    k = squared_distances(values)
-    k /= -2.0 * p.sigma**2
-    np.exp(k, out=k)
-    k *= 1.0 / (math.sqrt(2.0 * math.pi) * p.sigma)  # diagonal: exp(0) * prefactor
-    degrees = k.sum(axis=1)
-    return KernelMatrix(k=k, degrees=degrees, sigma=p.sigma)
+    k = np.empty((values.shape[1],) * 2)
+    prefactor = 1.0 / (math.sqrt(2.0 * math.pi) * p.sigma)
+    for strip in _upper_strips(values, k):
+        strip /= -2.0 * p.sigma**2
+        np.exp(strip, out=strip)
+        strip *= prefactor  # diagonal: exp(0) * prefactor
+    mirror_upper(k)
+    return KernelMatrix(k=k, degrees=k.sum(axis=1), sigma=p.sigma)
 
 
 def laplacian_from_data(z: DataMatrix | np.ndarray, p: KernelParams) -> LaplacianMatrix:

@@ -155,6 +155,15 @@ def test_bad_index_column_rejected(tmp_path, body, message):
         io.load_ranking(path)
 
 
+def test_cells_numpy_refuses_read_by_the_csv_scan(tmp_path):
+    # quoted cells are valid CSV that np.loadtxt does not parse; blank lines are skipped
+    path = tmp_path / "t.csv"
+    path.write_text('index,value\n"1","0.2"\n\n0,0.1\n\n')
+    assert np.array_equal(io.load_labels(path).angles, [0.1, 0.2])
+    path.write_text('"1",2\n\n3,"4"\n')
+    assert np.array_equal(io.load_data_matrix(path).values, [[1.0, 3.0], [2.0, 4.0]])
+
+
 def test_header_only_file_rejected(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("index,value\n")
@@ -169,6 +178,7 @@ def test_header_only_file_rejected(tmp_path):
         ("index,value\n0,0.1\n1,0.2,9\n", "line 3 has 3 columns, expected 2"),
         ("0,0.1\n1,0.2\n2\n", "line 3 has 1 columns, expected 2"),
         ("index,t_hat,rank\n0,0.1,0\n1,0.2\n", "line 3 has 2 columns, expected 3"),
+        ("index,value\n0,0.1,9\n1,0.2,9\n", "line 2 has 3 columns, expected 2"),
     ],
 )
 def test_ragged_row_named_by_file_and_line(tmp_path, text, message):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from spectime import (
     CurveSpec,
 )
 from spectime.errors import DimensionMismatchError, DisconnectedGraphError
-from spectime.kernel import squared_distances
+from spectime.kernel import row_blocks, squared_distances
 
 from oracles import gaussian_kernel_pdist, laplacian_outer_product
 
@@ -107,6 +108,51 @@ class TestBuildKernel:
         km = build_kernel(DataMatrix(np.random.default_rng(3).standard_normal((2, 10))),
                           KernelParams(sigma))
         assert np.allclose(km.k.diagonal(), 1.0 / (math.sqrt(2 * math.pi) * sigma))
+
+
+class TestStrips:
+    """The kernel is built one row-block strip of the upper triangle at a
+    time and mirrored; N = 1500 spans 9 strips, the last one partial."""
+
+    def test_strip_layout(self):
+        # 9 strips, the last one partial, each under 750 rows high
+        blocks = list(row_blocks(1500))
+        assert len(blocks) == 9 and blocks[-1].stop > 1500 and blocks[0].stop <= 750
+
+    @pytest.mark.parametrize("d", [1, 2, 300])
+    @pytest.mark.parametrize("n", [2, 3, 1500])
+    def test_strip_boundaries(self, d, n):
+        rng = np.random.default_rng(20 + d + n)
+        x = rng.standard_normal((d, n)) / math.sqrt(d)
+        h = n // 2  # columns i and i + h coincide: in different strips at N = 1500
+        x[:, h : 2 * h] = x[:, :h]
+        sigma = 0.5
+        pref = 1.0 / (math.sqrt(2 * math.pi) * sigma)
+        sq = squared_distances(x)
+        km = build_kernel(DataMatrix(x), KernelParams(sigma))
+        eps = np.finfo(np.float64).eps
+        oracle = gaussian_kernel_pdist(x, sigma)
+        sq_tol = 64 * eps * 2 * float((x * x).sum(axis=0).max())
+        assert np.all(np.abs(km.k - oracle) <= oracle * sq_tol / (2 * sigma**2) + 8 * eps * pref)
+        assert np.array_equal(sq, sq.T) and np.array_equal(km.k, km.k.T)
+        assert np.all(sq.diagonal() == 0.0)
+        assert np.array_equal(km.degrees, km.k.sum(axis=1))
+        i = np.arange(h)
+        for a, b in ((i, i + h), (i + h, i)):
+            assert np.all(sq[a, b] == 0.0)
+            assert np.all(km.k[a, b] == pref)
+
+    def test_peak_memory_one_n_by_n_array(self):
+        # the kernel array plus one strip's temporaries, never a second N x N
+        n = 2000
+        z = DataMatrix(np.random.default_rng(21).standard_normal((2, n)))
+        tracemalloc.start()
+        try:
+            build_kernel(z, KernelParams(0.3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n + 3 * 2**20
 
 
 class TestBuildLaplacian:
