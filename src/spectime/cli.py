@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Subcommands: generate, denoise, recover, evaluate, sweep, baseline.
-Shared flags (--seed, --threads, --out-dir, --format) are accepted by
-every subcommand.  Failures exit nonzero with a machine-readable JSON
-error object on stderr.
+Each declares only the flags its handler reads: ``--seed`` belongs to
+generate, denoise and sweep, ``--threads`` and ``--out-dir`` to sweep,
+``--format`` to evaluate.  Every failure exits nonzero with a JSON
+object ``{"error": <class name>, "message": ...}`` on stderr: 2 for a
+usage error (an unknown flag, a bad value, a missing subcommand, all
+reported as ``ConfigError``) or a domain error, 3 for an I/O error.
+``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -30,16 +34,17 @@ from .sweep import METHODS, SweepConfig, sweep
 from .synth import CurveSpec, comparison_matrix, noisy_sample, serialrank_baseline
 
 
-def _shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
-    p.add_argument("--out-dir", default=".", help="directory for sweep outputs")
-    p.add_argument("--format", choices=("csv", "json"), default="json",
-                   help="report format where applicable")
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``ConfigError`` for ``main`` to report as
+    JSON; ``add_subparsers`` builds every subcommand's parser from this
+    class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectime",
         description="Recover temporal labels and orderings of noisy dynamical data "
         "from graph-Laplacian Fiedler vectors.",
@@ -54,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--eps", type=float, help="entrywise noise standard deviation")
     g.add_argument("--out", required=True, help="data CSV (one point per row)")
     g.add_argument("--labels", help="ground-truth labels CSV")
-    _shared_flags(g)
+    g.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
     d = sub.add_parser("denoise", help="PCA projection denoising")
     d.add_argument("--input", required=True)
@@ -65,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--eta", type=float, default=1e-3,
                    help="singular-value ratio threshold (default 1e-3)")
     d.add_argument("--out", required=True)
-    _shared_flags(d)
+    d.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
     r = sub.add_parser("recover", help="recover labels and ranking from data")
     r.add_argument("--kind", choices=("open", "closed"), required=True)
@@ -78,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-point noise magnitude fed to the auto bandwidth")
     r.add_argument("--dump-laplacian", help="write the Laplacian to this CSV")
     r.add_argument("--out", required=True, help="output CSV: index,t_hat,rank")
-    _shared_flags(r)
 
     e = sub.add_parser("evaluate", help="alignment-invariant error metrics")
     e.add_argument("--metric", required=True,
@@ -92,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--matrix", help="data CSV, required for --metric relative")
     e.add_argument("--header", action="store_true")
     e.add_argument("--out", help="write the report here instead of stdout")
-    _shared_flags(e)
+    e.add_argument("--format", choices=("csv", "json"), default="json",
+                   help="report format (default json)")
 
     s = sub.add_parser("sweep", help="benchmark grid over N x SNR x replicates")
     s.add_argument("--curve", required=True)
@@ -107,13 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--methods", default=",".join(METHODS),
                    help="comma-separated subset of: " + ", ".join(METHODS))
     s.add_argument("--delta-fraction", type=float, default=0.05)
-    _shared_flags(s)
+    s.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    s.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    s.add_argument("--out-dir", default=".", help="directory for sweep outputs")
 
     b = sub.add_parser("baseline", help="pairwise-comparison spectral ranking")
     b.add_argument("--input", required=True)
     b.add_argument("--header", action="store_true")
     b.add_argument("--out", required=True, help="output CSV: index,value (value = rank)")
-    _shared_flags(b)
 
     return parser
 
@@ -252,8 +258,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (SpectimeError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -30,8 +30,9 @@ class CurveKind(enum.Enum):
     """Topology of the underlying trajectory.
 
     Open curves (distinct endpoints) and closed loops (periodic
-    trajectories) use different Laplacian normalizations and different
-    label-recovery formulas.
+    trajectories) share one Laplacian (see ``kernel``); the kind picks
+    only how many eigenvectors are computed (two or three) and the map
+    from them to labels.
     """
 
     OPEN_CURVE = "open"
@@ -164,14 +165,23 @@ class Ranking:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Gaussian kernel bandwidth, in the same length units as the data."""
+    """Gaussian kernel bandwidth, in the same length units as the data.
+
+    A valid sigma is positive, and 2 sigma^2 and 1 / (2 sigma^2) are both
+    finite and positive (about 5e-155 < sigma < 9e153), so the kernel's
+    exponent scale and its prefactor 1 / (sqrt(2 pi) sigma) are finite and
+    positive; anything else raises ``ValueError``.
+    """
 
     sigma: float
 
     def __post_init__(self):
         s = float(self.sigma)
-        if not math.isfinite(s) or s <= 0.0:
-            raise ValueError(f"sigma must be a positive real, got {self.sigma}")
+        two_s2 = 2.0 * s * s
+        if not (s > 0.0 and 0.0 < two_s2 < math.inf and 1.0 / two_s2 < math.inf):
+            raise ValueError(
+                f"sigma must be positive with 2 sigma^2 and 1/(2 sigma^2) finite, "
+                f"got {self.sigma}")
         object.__setattr__(self, "sigma", s)
 
     @classmethod

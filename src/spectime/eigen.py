@@ -22,6 +22,10 @@ values, and the Krylov space does not depend on the shift.  The
 operator is applied as x - A x, so a Laplacian built in the kernel's
 buffer stays the only N x N array.  Both iterative paths count their
 operator applications, and a ``NoConvergenceError`` reports that count.
+Every failure to certify k pairs raises ``NoConvergenceError``: an ARPACK
+error of any kind, fewer than k pairs back (as ``dsyevr`` returns on a
+matrix with NaN entries), or a residual above the bound or NaN.  No
+ARPACK exception leaves this module.
 
 A writable, C-ordered ``LaplacianMatrix`` (bit-exactly symmetric, as
 ``kernel`` builds it) is factored in its own buffer, so the dense path
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import AsymmetricMatrixError, NoConvergenceError
 from .kernel import LaplacianMatrix, mirror_upper, row_blocks
@@ -98,7 +102,8 @@ def smallest_eigenpairs(
         if a bare ndarray differs from its transpose.
     NoConvergenceError
         if the residual target cannot be certified within the iteration
-        budget.
+        budget: ARPACK fails, fewer than k pairs come back, or a residual
+        exceeds the bound or is NaN.
     """
     a = l.l if isinstance(l, LaplacianMatrix) else np.asarray(l, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -118,12 +123,15 @@ def smallest_eigenpairs(
     else:
         values, vectors, applied = _lanczos_smallest(a, k, tol)
 
+    if values.size < k:
+        raise NoConvergenceError(applied, f"{values.size} of {k} eigenpairs came back "
+                                 f"after {applied} operator applications")
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = _fix_signs(vectors[:, order])
     residuals = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
     bound = tol * max(1.0, float(np.abs(values).max()))
-    if residuals.max() > bound:
+    if not residuals.max() <= bound:  # NaN fails too
         raise NoConvergenceError(
             applied, f"residual {residuals.max():.3e} exceeds {bound:.3e} "
             f"after {applied} operator applications")
@@ -154,7 +162,7 @@ def _arpack_largest(apply, n: int, k: int, tol: float) -> tuple[np.ndarray, np.n
         # ARPACK tol is relative to the transformed spectrum; ask well below
         # the certificate and let the post-hoc check be the arbiter.
         w, v = eigsh(op, k=k, which="LA", tol=min(tol, 1e-10) * 1e-2, v0=v0, maxiter=50 * k)
-    except ArpackNoConvergence as exc:
+    except ArpackError as exc:  # ArpackNoConvergence included
         raise NoConvergenceError(applied, str(exc)) from exc
     return w, v, applied
 

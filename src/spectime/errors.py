@@ -38,10 +38,6 @@ class BadIndexError(SpectimeError):
     """The index column of a CSV file does not hold 0..N-1 exactly once each."""
 
 
-class ZeroDegreeError(SpectimeError):
-    """A kernel degree vanished; cannot normalize the Laplacian."""
-
-
 class DisconnectedGraphError(SpectimeError):
     """The kernel graph has more than one component (some point has no
     neighbour above rounding, or L's zero eigenvalue repeats); the

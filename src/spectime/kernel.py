@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataMatrix, KernelParams
-from .errors import DimensionMismatchError, DisconnectedGraphError, ZeroDegreeError
+from .errors import DimensionMismatchError, DisconnectedGraphError
 
 
 _BLOCK_ELEMENTS = 1 << 18  # row block of the N x N passes, 2 MB of float64
@@ -174,11 +174,12 @@ def _normalize(k: np.ndarray, deg: np.ndarray, sigma: float) -> LaplacianMatrix:
 
     With K~ = D^-1 K D^-1 and d~ its row sums, S_ij = k~_ij / sqrt(d~_i d~_j)
     = k_ij c_i c_j for the scale vector c = D^-1 D~^-1/2, applied in row
-    blocks, so L is bit-exactly symmetric.
+    blocks, so L is bit-exactly symmetric.  Every degree holds the self
+    term 1 / (sqrt(2 pi) sigma), finite and positive for any sigma that
+    ``KernelParams`` accepts, and no other entry is negative, so D^-1
+    exists.
     """
     n = k.shape[0]
-    if np.any(deg <= 0.0):
-        raise ZeroDegreeError("kernel degree vector has a nonpositive entry")
     isolated = np.count_nonzero(deg - k.diagonal() <= n * np.finfo(np.float64).eps * deg)
     if isolated:
         raise DisconnectedGraphError(

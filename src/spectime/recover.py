@@ -154,18 +154,16 @@ def data_driven_bandwidth(z: DataMatrix, num: int = 25) -> KernelParams:
 
 def check_sigma(sigma: float | str) -> float | str:
     """A bandwidth setting as ``choose_bandwidth`` takes it: the rule name
-    ``"auto"`` or ``"data"`` unchanged, anything else as a positive finite
-    float (a numeric string included).  Other strings and non-positive or
-    non-finite numbers raise ``ConfigError``."""
+    ``"auto"`` or ``"data"`` unchanged, anything else as a float (a numeric
+    string included) that ``KernelParams`` accepts.  Other strings and
+    numbers ``KernelParams`` rejects raise ``ConfigError``."""
     if sigma in ("auto", "data"):
         return sigma
     try:
-        value = float(sigma)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"sigma must be a positive number, 'auto' or 'data', got {sigma!r}")
-    return value
+        return KernelParams(float(sigma)).sigma
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"sigma must be a positive number, 'auto' or 'data', got {sigma!r} ({exc})") from exc
 
 
 def choose_bandwidth(

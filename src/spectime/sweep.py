@@ -4,9 +4,9 @@ Cells run independently in a thread pool (each cell is numpy-bound and
 releases the GIL); rows are collected and written through one sink,
 sorted by (n, snr, replicate, method), so the results CSV is
 deterministic apart from the wall-clock column.  A cell that fails on
-its data (a ``SpectimeError``, ``ValueError`` or ARPACK error) is
-recorded in the ``error`` column and the sweep continues; any other
-exception is a fault in the program and propagates.
+its data (a ``SpectimeError`` or ``ValueError``) is recorded in the
+``error`` column and the sweep continues; any other exception is a
+fault in the program and propagates.
 
 Output: ``results.csv`` plus a ``manifest.json`` recording the config,
 derived per-cell seeds, and package version.
@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-
-from scipy.sparse.linalg import ArpackError
 
 from .core import CurveKind
 from .errors import ConfigError, SpectimeError
@@ -104,21 +103,9 @@ def _cells(sc: SweepConfig) -> list[SweepCell]:
 
 
 def _run_cell(sc: SweepConfig, cell: SweepCell) -> dict:
-    import time
-
-    row = {
-        "curve": str(sc.curve),
-        "n": cell.n,
-        "snr": cell.snr,
-        "replicate": cell.replicate,
-        "seed": cell.seed,
-        "sigma": "",
-        "method": cell.method,
-        "time_error": "",
-        "relative_error": "",
-        "wall_ms": "",
-        "error": "",
-    }
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(curve=str(sc.curve), n=cell.n, snr=cell.snr, replicate=cell.replicate,
+               seed=cell.seed, method=cell.method)
     started = time.perf_counter()
     try:
         if cell.method == "spectral":
@@ -143,7 +130,7 @@ def _run_cell(sc: SweepConfig, cell: SweepCell) -> dict:
             row["relative_error"] = interior_relative_error(
                 x, t_true, proxy, sc.curve.span, fraction
             )
-    except (SpectimeError, ValueError, ArpackError) as exc:  # bad data must not kill the sweep
+    except (SpectimeError, ValueError) as exc:  # bad data must not kill the sweep
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["wall_ms"] = 1000.0 * (time.perf_counter() - started)
     return row
@@ -161,6 +148,8 @@ def sweep(sc: SweepConfig) -> list[dict]:
     Returns the per-cell rows (aggregate rows are appended to the CSV
     only).
     """
+    from . import __version__  # at call time: the package imports this module first
+
     out = Path(sc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = _cells(sc)
@@ -192,7 +181,7 @@ def sweep(sc: SweepConfig) -> list[dict]:
             "delta_fraction": sc.delta_fraction,
         },
         "seeds": [c.seed for c in cells],
-        "version": _version(),
+        "version": __version__,
         "rows": len(rows),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
@@ -207,31 +196,12 @@ def _aggregate(rows: list[dict]) -> list[dict]:
     out = []
     for (n, snr, method), members in sorted(groups.items(), key=lambda kv: kv[0]):
         ok = [m for m in members if not m["error"]]
-        agg = {
-            "curve": members[0]["curve"],
-            "n": n,
-            "snr": snr,
-            "replicate": "mean",
-            "seed": "",
-            "sigma": "",
-            "method": method,
-            "time_error": "",
-            "relative_error": "",
-            "wall_ms": "",
-            "error": f"{len(members) - len(ok)} failed" if len(ok) < len(members) else "",
-        }
+        agg = dict.fromkeys(CSV_COLUMNS, "")
+        agg.update(curve=members[0]["curve"], n=n, snr=snr, replicate="mean", method=method,
+                   error=f"{len(members) - len(ok)} failed" if len(ok) < len(members) else "")
         for key in ("time_error", "relative_error", "wall_ms"):
             vals = [m[key] for m in ok if m[key] != ""]
             if vals:
                 agg[key] = sum(vals) / len(vals)
         out.append(agg)
     return out
-
-
-def _version() -> str:
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        return version("spectime")
-    except PackageNotFoundError:
-        return "unknown"

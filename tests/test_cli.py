@@ -1,12 +1,16 @@
+import argparse
 import csv
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spectime import CurveKind, KernelParams, build_kernel, build_laplacian, recover_labels
-from spectime.cli import main
+from spectime.cli import build_parser, main
 from spectime.io import load_data_matrix, load_labels
 from spectime.recover import choose_bandwidth
 
@@ -85,8 +89,6 @@ def test_denoise_cli_fixed_and_auto(tmp_path, capsys):
 
 
 def test_denoise_reference_defaults():
-    from spectime.cli import build_parser
-
     args = build_parser().parse_args(
         ["denoise", "--input", "z.csv", "--auto", "--out", "o.csv"]
     )
@@ -274,3 +276,117 @@ def test_recover_rejects_sigma_with_sigma2(tmp_path, capsys):
     assert run(["recover", "--kind", "closed", "--input", z, "--sigma", "0.3",
                 "--sigma2", "0.09", "--out", tmp_path / "est.csv"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+# the flags each subcommand's handler reads, and no others
+DECLARED_FLAGS = {
+    "generate": ["--curve", "--n", "--snr", "--eps", "--out", "--labels", "--seed"],
+    "denoise": ["--input", "--header", "--rank", "--auto", "--r0", "--eta", "--out", "--seed"],
+    "recover": ["--kind", "--input", "--header", "--sigma", "--sigma2", "--noise-level",
+                "--dump-laplacian", "--out"],
+    "evaluate": ["--metric", "--truth", "--estimate", "--delta", "--truth-span", "--matrix",
+                 "--header", "--out", "--format"],
+    "sweep": ["--curve", "--n", "--snr", "--replicates", "--sigma", "--noise-level",
+              "--methods", "--delta-fraction", "--seed", "--threads", "--out-dir"],
+    "baseline": ["--input", "--header", "--out"],
+}
+
+# the smallest argument list each subcommand parses; with one more flag
+# the only usage error left is that flag
+REQUIRED_ARGS = {
+    "generate": ["--curve", "circle", "--n", "10", "--out", "z.csv"],
+    "denoise": ["--input", "z.csv", "--auto", "--out", "zt.csv"],
+    "recover": ["--kind", "closed", "--input", "z.csv", "--out", "est.csv"],
+    "evaluate": ["--metric", "closed-time", "--truth", "t.csv", "--estimate", "est.csv"],
+    "sweep": ["--curve", "circle", "--n", "10", "--snr", "10"],
+    "baseline": ["--input", "z.csv", "--out", "rank.csv"],
+}
+
+
+def declared_flags():
+    (subs,) = [a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a.option_strings[-1] for a in p._actions if a.dest != "help"]
+            for name, p in subs.choices.items()}
+
+
+def test_each_subcommand_declares_exactly_the_flags_it_reads():
+    assert declared_flags() == DECLARED_FLAGS
+    assert sum(len(flags) for flags in DECLARED_FLAGS.values()) == 46
+
+
+@pytest.mark.parametrize("command", sorted(DECLARED_FLAGS))
+def test_undeclared_formerly_shared_flags_exit_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)  # nothing may be written, here or elsewhere
+    values = {"--seed": "3", "--threads": "2", "--out-dir": "runs", "--format": "csv"}
+    for flag, value in values.items():
+        if flag in DECLARED_FLAGS[command]:
+            continue
+        assert run([command, *REQUIRED_ARGS[command], flag, value]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"unrecognized arguments: {flag} {value}" in err["message"]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["recover", "--kind", "closed", "--input", "z.csv", "--out", "o.csv", "--bogus", "1"],
+         "unrecognized arguments: --bogus 1"),
+        (["generate", "--curve", "circle", "--n", "many", "--out", "z.csv"],
+         "argument --n: invalid int value: 'many'"),
+        (["recover", "--kind", "loop", "--input", "z.csv", "--out", "o.csv"],
+         "argument --kind: invalid choice: 'loop'"),
+        (["recover", "--kind", "closed", "--input", "z.csv"],
+         "spectime recover: the following arguments are required: --out"),
+        ([], "the following arguments are required: command"),
+        (["smooth"], "invalid choice: 'smooth'"),
+    ],
+)
+def test_usage_error_is_a_json_config_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError"
+    assert message in err["message"]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["recover", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert "usage: spectime" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sigma", ["1e-200", "1e300"])
+def test_recover_sigma_with_nonfinite_kernel_scale_exits_2(tmp_path, capsys, sigma):
+    # 2 sigma^2 underflows to 0 at 1e-200 and overflows at 1e300
+    z, est = tmp_path / "z.csv", tmp_path / "est.csv"
+    run(["generate", "--curve", "circle", "--n", "50", "--out", z])
+    capsys.readouterr()
+    assert run(["recover", "--kind", "closed", "--input", z, "--sigma", sigma,
+                "--out", est]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "sigma" in err["message"]
+    assert not est.exists()
+
+
+def readme_cli_commands():
+    """Each ``spectime ...`` command of the README's CLI block, as argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```bash\n(.*?)```", readme, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("spectime ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = readme_cli_commands()
+    assert {argv[0] for argv in commands} == set(DECLARED_FLAGS)
+    for argv in commands:
+        build_parser().parse_args(argv)

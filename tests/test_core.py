@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from spectime import DataMatrix, Ranking, TimeLabels, ranking_from_labels, validate_matrix
+from spectime import (
+    DataMatrix,
+    KernelParams,
+    Ranking,
+    TimeLabels,
+    ranking_from_labels,
+    validate_matrix,
+)
 from spectime.errors import NonFiniteEntryError, NotAPermutationError, TooFewPointsError
 
 from oracles import comparison_sort
@@ -28,6 +35,19 @@ class TestValidateMatrix:
     def test_single_point_rejected(self):
         with pytest.raises(TooFewPointsError):
             validate_matrix(np.zeros((3, 1)))
+
+
+class TestKernelParams:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, 1e-200, 1e300])
+    def test_rejects_sigma_whose_kernel_scale_is_not_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            KernelParams(sigma)
+
+    @pytest.mark.parametrize("sigma", [6e-155, 1e-3, 1e3, 9e153])
+    def test_accepted_sigma_gives_a_finite_positive_scale(self, sigma):
+        s = KernelParams(sigma).sigma
+        assert 0.0 < 1.0 / (2.0 * s * s) < np.inf
+        assert 0.0 < 1.0 / (np.sqrt(2.0 * np.pi) * s) < np.inf
 
 
 class TestDataMatrix:

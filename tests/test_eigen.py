@@ -229,6 +229,31 @@ class TestNoConvergenceCount:
         assert err.value.iterations > 0
 
 
+class TestNaNInput:
+    """A NaN entry cannot be certified on any path: each one raises
+    NoConvergenceError, never a raw ARPACK or numpy error, and never
+    hands back pairs."""
+
+    # k=5 reaches dsyevr, which returns 3 pairs; k=4 returns none; k=1
+    # reaches ARPACK through the shift-invert factor, which fails
+    @pytest.mark.parametrize("k", [5, 4, 1])
+    def test_identity_with_nan_pair(self, k):
+        a = np.eye(5)
+        a[1, 2] = a[2, 1] = np.nan
+        with pytest.raises(NoConvergenceError):
+            smallest_eigenpairs(a, k)
+
+    def test_nan_residual_fails_the_certificate(self, monkeypatch):
+        def nan_vector(a, work, k, tol):
+            v = np.eye(5)[:, :k]
+            v[0, 0] = np.nan
+            return np.arange(k, dtype=float), v, 0
+
+        monkeypatch.setattr(eigen, "_dense_smallest", nan_vector)
+        with pytest.raises(NoConvergenceError, match="residual nan"):
+            smallest_eigenpairs(np.diag(np.arange(5.0)), 2)
+
+
 class TestAsymmetricInput:
     """A bare ndarray must equal its transpose: the dense factor reads one
     triangle, so an asymmetric matrix is invalid input, not a solver failure."""

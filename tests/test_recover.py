@@ -160,7 +160,9 @@ class TestCheckSigma:
     def test_settings_kept(self, given, kept):
         assert check_sigma(given) == kept
 
-    @pytest.mark.parametrize("given", ["guess", "", None, 0.0, -1.0, "-1", np.inf, np.nan])
+    # 1e-200 and 1e300: 2 sigma^2 underflows to 0 and overflows to inf
+    @pytest.mark.parametrize("given", ["guess", "", None, 0.0, -1.0, "-1", np.inf, np.nan,
+                                       1e-200, "1e300"])
     def test_bad_settings_raise(self, given):
         with pytest.raises(ConfigError, match="positive number, 'auto' or 'data'"):
             check_sigma(given)

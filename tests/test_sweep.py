@@ -72,7 +72,7 @@ def test_empty_grid_rejected_before_work(tmp_path):
         SweepConfig(curve=CurveSpec("circle"), n_values=(10,), snr_values=())
 
 
-@pytest.mark.parametrize("sigma", ["guess", -1.0, 0.0, float("inf")])
+@pytest.mark.parametrize("sigma", ["guess", -1.0, 0.0, float("inf"), 1e-200, 1e300])
 def test_bad_sigma_rejected_before_work(tmp_path, sigma):
     with pytest.raises(ConfigError, match="sigma"):
         SweepConfig(curve=CurveSpec("circle"), n_values=(10,), snr_values=(10.0,),
