@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import io
-from .core import TWO_PI, CurveKind, KernelParams, TimeLabels, ranking_from_labels
+from .core import TWO_PI, CurveKind, TimeLabels, ranking_from_labels
 from .denoise import denoise_auto, denoise_fixed_rank
 from .errors import ConfigError, NotAPermutationError, SpectimeError
 from .metrics import (
@@ -29,7 +29,7 @@ from .metrics import (
     relative_error,
 )
 from .pipeline import recover_labels
-from .recover import check_sigma, choose_bandwidth
+from .recover import check_bandwidth
 from .sweep import METHODS, SweepConfig, sweep
 from .synth import CurveSpec, comparison_matrix, noisy_sample, serialrank_baseline
 
@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--header", action="store_true")
     r.add_argument("--sigma", default="auto",
                    help="bandwidth: a float, 'auto' (rate formula), or 'data'")
-    r.add_argument("--sigma2", type=float, help="squared bandwidth (alternative to --sigma)")
     r.add_argument("--noise-level", type=float, default=0.0,
                    help="per-point noise magnitude fed to the auto bandwidth")
     r.add_argument("--dump-laplacian", help="write the Laplacian to this CSV")
@@ -146,25 +145,17 @@ def _cmd_denoise(args) -> int:
     return 0
 
 
-def _resolve_sigma(args, z, kind: CurveKind) -> KernelParams:
-    if args.sigma2 is not None:
-        if args.sigma != "auto":
-            raise ConfigError("give either --sigma or --sigma2, not both")
-        return KernelParams.from_sigma2(args.sigma2)
-    return choose_bandwidth(z, kind, check_sigma(args.sigma), args.noise_level)
-
-
 def _cmd_recover(args) -> int:
+    sigma = check_bandwidth(args.sigma, args.noise_level)  # before the input is read
     z = io.load_data_matrix(args.input, header=args.header)
     kind = CurveKind.OPEN_CURVE if args.kind == "open" else CurveKind.CLOSED_LOOP
-    params = _resolve_sigma(args, z, kind)
 
     def dump(lap):
         io.save_square_matrix(args.dump_laplacian, lap.l)
 
-    out = recover_labels(z, kind, params, on_laplacian=dump if args.dump_laplacian else None)
+    out = recover_labels(z, kind, sigma, args.noise_level, dump if args.dump_laplacian else None)
     io.save_recovery(args.out, out.labels, out.ranking)
-    print(json.dumps({"sigma": params.sigma, "clamped_count": out.clamped_count,
+    print(json.dumps({"sigma": out.sigma, "clamped_count": out.clamped_count,
                       "out": args.out}), file=sys.stderr)
     return 0
 
@@ -180,30 +171,31 @@ def _ranking_from_file(path):
 def _cmd_evaluate(args) -> int:
     report: dict = {"metric": args.metric, "delta": None, "r": None,
                     "theta": None, "shift": None}
-    if args.metric == "relative":
-        if not args.matrix:
-            raise ConfigError("--metric relative needs --matrix")
-        x = io.load_data_matrix(args.matrix, header=args.header)
-        p = _ranking_from_file(args.truth)
-        p2 = _ranking_from_file(args.estimate)
-        report["error"] = relative_error(x, p, p2)
+    if args.truth_span is not None and not 0.0 < args.truth_span < math.inf:
+        raise ConfigError(f"--truth-span must be positive and finite, got {args.truth_span}")
+    if args.metric == "relative" and not args.matrix:
+        raise ConfigError("--metric relative needs --matrix")
+    if args.metric in ("relative", "closed-rank", "open-rank"):
+        p, p2 = _ranking_from_file(args.truth), _ranking_from_file(args.estimate)
     else:
         truth = io.load_labels(args.truth)
-        if args.truth_span:
+        if args.truth_span is not None:
             truth = TimeLabels(truth.angles * (TWO_PI / args.truth_span))
         est = io.load_labels(args.estimate)
+    if args.metric == "relative":
+        x = io.load_data_matrix(args.matrix, header=args.header)
+        report["error"] = relative_error(x, p, p2)
+    else:
         if args.metric == "closed-time":
             rep = err_closed_time(truth, est)
         elif args.metric == "open-time":
             rep = err_open_time(truth, est, args.delta)
             report["delta"] = args.delta
+        elif args.metric == "closed-rank":
+            rep = err_closed_rank(p, p2)
         else:
-            p, p2 = ranking_from_labels(truth), ranking_from_labels(est)
-            if args.metric == "closed-rank":
-                rep = err_closed_rank(p, p2)
-            else:
-                rep = err_open_rank(p, p2, args.delta / TWO_PI)
-                report["delta"] = args.delta / TWO_PI
+            rep = err_open_rank(p, p2, args.delta / TWO_PI)
+            report["delta"] = args.delta / TWO_PI
         report.update(error=rep.error, r=rep.r, theta=rep.theta, shift=rep.shift)
 
     if args.format == "csv":
@@ -226,7 +218,7 @@ def _cmd_sweep(args) -> int:
         snr_values=tuple(args.snr),
         replicates=args.replicates,
         methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-        sigma=args.sigma,  # SweepConfig checks it with check_sigma
+        sigma=args.sigma,  # SweepConfig checks it and --noise-level with check_bandwidth
         noise_level=args.noise_level,
         seed_base=args.seed,
         threads=args.threads,

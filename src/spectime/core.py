@@ -156,11 +156,9 @@ class Ranking:
 
     @classmethod
     def from_ranks(cls, ranks: np.ndarray) -> "Ranking":
-        """Build from per-point ranks (inverse of ``perm``)."""
-        ranks = np.asarray(ranks, dtype=np.int64)
-        perm = np.empty(ranks.size, dtype=np.int64)
-        perm[ranks] = np.arange(ranks.size)
-        return cls(perm)
+        """Build from per-point ranks (inverse of ``perm``), which must be a
+        permutation of {0..N-1} themselves, else ``NotAPermutationError``."""
+        return cls(cls(np.asarray(ranks, dtype=np.int64)).ranks())
 
 
 @dataclass(frozen=True)
@@ -183,12 +181,6 @@ class KernelParams:
                 f"sigma must be positive with 2 sigma^2 and 1/(2 sigma^2) finite, "
                 f"got {self.sigma}")
         object.__setattr__(self, "sigma", s)
-
-    @classmethod
-    def from_sigma2(cls, sigma2: float) -> "KernelParams":
-        """Construct from a squared bandwidth (some benchmark settings quote
-        sigma^2 rather than sigma)."""
-        return cls(math.sqrt(float(sigma2)))
 
 
 def ranking_from_labels(t: TimeLabels) -> Ranking:

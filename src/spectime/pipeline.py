@@ -4,7 +4,7 @@ Recovery builds the same Laplacian for both curve kinds; the kind picks
 only how many eigenpairs are solved and which map turns them into
 labels: ``recover_open`` for an open curve, ``recover_closed`` for a
 closed loop.  The bandwidth is one setting, a number, ``"auto"`` or
-``"data"``, resolved by ``recover.choose_bandwidth``.  Each stage is a
+``"data"``, resolved by ``recover_labels``.  Each stage is a
 pure function of its inputs and the seeds in the config, so rerunning
 any stage from its persisted inputs reproduces its outputs.  When an
 output directory is given, every stage's artifact is written before the
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -36,10 +36,9 @@ from .eigen import smallest_eigenpairs
 from .errors import ConfigError, DisconnectedGraphError
 from .kernel import LaplacianMatrix, laplacian_from_data
 from .metrics import err_closed_time, err_open_time, interior_relative_error
-from .recover import RecoveryOutput, check_sigma, choose_bandwidth, recover_closed, recover_open
+from .recover import RecoveryOutput, check_bandwidth, recover_closed, recover_open
+from .recover import data_driven_bandwidth, select_bandwidth
 from .synth import CurveSpec, comparison_matrix, noisy_sample, serialrank_baseline
-
-DEFAULT_DELTA_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class PipelineConfig:
     denoise_rank: int | None = None  # fixed-rank projection
     denoise_auto_r0: int | None = None  # randomized rank estimation
     denoise_eta: float = 1e-3
-    delta_fraction: float = DEFAULT_DELTA_FRACTION
+    delta_fraction: float = 0.05
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -66,16 +65,27 @@ class PipelineConfig:
             raise ConfigError("give either snr or eps, not both")
         if self.denoise_rank is not None and self.denoise_auto_r0 is not None:
             raise ConfigError("give either a fixed denoise rank or an oversampling rank")
-        object.__setattr__(self, "sigma", check_sigma(self.sigma))
+        object.__setattr__(self, "sigma", check_bandwidth(self.sigma, self.noise_level))
+        check_delta_fraction(self.delta_fraction)
+
+
+def check_delta_fraction(fraction: float) -> None:
+    """delta = fraction * 2pi must lie in [0, pi), else ``ConfigError``."""
+    if not 0.0 <= fraction < 0.5:
+        raise ConfigError(f"delta_fraction must lie in [0, 0.5), got {fraction!r}")
 
 
 def recover_labels(
     z: DataMatrix,
     kind: CurveKind,
-    params: KernelParams,
+    sigma: float | str = "auto",
+    noise_level: float = 0.0,
     on_laplacian: Callable[[LaplacianMatrix], None] | None = None,
 ) -> RecoveryOutput:
-    """Kernel -> Laplacian -> Fiedler vector(s) -> labels, in one call.
+    """Bandwidth -> kernel -> Laplacian -> Fiedler vector(s) -> labels.
+
+    ``sigma``, ``noise_level``: a setting ``check_bandwidth`` accepts; the
+    sigma it resolves to comes back as ``RecoveryOutput.sigma``.
 
     Open curves map the Fiedler vector u2 back to the random-walk vector
     D~^-1/2 u2 and label it with ``recover_open``.  Closed loops
@@ -90,6 +100,13 @@ def recover_labels(
     means the Fiedler vectors only tell the components apart; that
     raises ``DisconnectedGraphError``, naming sigma, instead of labels.
     """
+    sigma = check_bandwidth(sigma, noise_level)
+    if sigma == "auto":
+        params = select_bandwidth(z.n_points, noise_level, kind)
+    elif sigma == "data":
+        params = data_driven_bandwidth(z)
+    else:
+        params = KernelParams(sigma)
     lap = laplacian_from_data(z, params)
     if on_laplacian is not None:
         on_laplacian(lap)
@@ -102,8 +119,10 @@ def recover_labels(
             "than one component; use a larger bandwidth")
     u = spectral.eigenvectors
     if kind is CurveKind.OPEN_CURVE:
-        return recover_open(lap.inv_sqrt_degrees * u[:, 1])
-    return recover_closed(u[:, 1], u[:, 2])
+        out = recover_open(lap.inv_sqrt_degrees * u[:, 1])
+    else:
+        out = recover_closed(u[:, 1], u[:, 2])
+    return replace(out, sigma=params.sigma)
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -136,9 +155,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         z = den.coords
 
     kind = cfg.curve.kind
-    params = choose_bandwidth(z, kind, cfg.sigma, cfg.noise_level)
-    report["sigma"] = params.sigma
-    recovery = recover_labels(z, kind, params)
+    recovery = recover_labels(z, kind, cfg.sigma, cfg.noise_level)
+    report["sigma"] = recovery.sigma
     report["clamped_count"] = recovery.clamped_count
     if out is not None:
         io.save_recovery(out / "recovered.csv", recovery.labels, recovery.ranking)

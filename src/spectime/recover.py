@@ -21,7 +21,7 @@ the operator's D~^-1/2, so the label is just atan2(f3, f2) in
 [0, 2pi).
 
 Bandwidth: a setting is a positive number or the name of one of two
-rules (``choose_bandwidth``).  ``"auto"`` follows the consistency
+rules (``check_bandwidth``).  ``"auto"`` follows the consistency
 analysis of the two cases: sigma = max(N^(-1/7), eps^(1/4)) for closed
 loops and max(N^(-1/14), eps^(2/7)) for open curves, with eps the
 caller's per-point noise magnitude (0 when unknown).  ``"data"`` picks
@@ -53,6 +53,7 @@ class RecoveryOutput:
     labels: TimeLabels
     ranking: Ranking
     clamped_count: int = 0
+    sigma: float | None = None  # the bandwidth ``recover_labels`` used
 
 
 def recover_open(f: np.ndarray) -> RecoveryOutput:
@@ -152,11 +153,16 @@ def data_driven_bandwidth(z: DataMatrix, num: int = 25) -> KernelParams:
     return KernelParams(float(sigmas[int(np.argmax(slope))]))
 
 
-def check_sigma(sigma: float | str) -> float | str:
-    """A bandwidth setting as ``choose_bandwidth`` takes it: the rule name
-    ``"auto"`` or ``"data"`` unchanged, anything else as a float (a numeric
-    string included) that ``KernelParams`` accepts.  Other strings and
-    numbers ``KernelParams`` rejects raise ``ConfigError``."""
+def check_bandwidth(sigma: float | str, noise_level: float = 0.0) -> float | str:
+    """The sigma of a bandwidth setting: ``"auto"`` or ``"data"`` as given,
+    anything else as a float (numeric strings included) that ``KernelParams``
+    accepts.  ``noise_level`` must be finite and >= 0, and 0 unless sigma
+    is ``"auto"``, the one rule that reads it.  Else ``ConfigError``."""
+    if not 0.0 <= noise_level < math.inf:
+        raise ConfigError(f"noise_level must be finite and nonnegative, got {noise_level!r}")
+    if noise_level != 0.0 and sigma != "auto":
+        raise ConfigError(
+            f"noise_level is read only by sigma='auto', got {noise_level!r} with sigma={sigma!r}")
     if sigma in ("auto", "data"):
         return sigma
     try:
@@ -164,15 +170,3 @@ def check_sigma(sigma: float | str) -> float | str:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
             f"sigma must be a positive number, 'auto' or 'data', got {sigma!r} ({exc})") from exc
-
-
-def choose_bandwidth(
-    z: DataMatrix, kind: CurveKind, sigma: float | str = "auto", noise_level: float = 0.0
-) -> KernelParams:
-    """The bandwidth a setting names: a fixed ``sigma``, ``"auto"`` (the rate
-    formula at ``noise_level``) or ``"data"`` (the log-mass slope)."""
-    if sigma == "auto":
-        return select_bandwidth(z.n_points, noise_level, kind)
-    if sigma == "data":
-        return data_driven_bandwidth(z)
-    return KernelParams(sigma)

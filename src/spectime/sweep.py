@@ -25,8 +25,8 @@ from .core import CurveKind
 from .errors import ConfigError, SpectimeError
 from .io import FLOAT_FMT
 from .metrics import interior_relative_error
-from .pipeline import PipelineConfig, baseline_labels, run_pipeline
-from .recover import check_sigma
+from .pipeline import PipelineConfig, baseline_labels, check_delta_fraction, run_pipeline
+from .recover import check_bandwidth
 from .synth import CurveSpec, noisy_sample
 
 METHODS = ("spectral", "serialrank")
@@ -76,7 +76,8 @@ class SweepConfig:
             raise ConfigError(f"unknown methods: {bad}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        object.__setattr__(self, "sigma", check_sigma(self.sigma))
+        object.__setattr__(self, "sigma", check_bandwidth(self.sigma, self.noise_level))
+        check_delta_fraction(self.delta_fraction)
 
 
 @dataclass

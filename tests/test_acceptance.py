@@ -49,7 +49,7 @@ def report(num: int, name: str, ok: bool, detail: str) -> bool:
 
 def closed_loop_error(n: int, seed: int) -> float:
     x, t = generate(CurveSpec("circle"), n, seed)
-    out = recover_labels(x, CurveKind.CLOSED_LOOP, KernelParams(n ** (-1.0 / 7.0)))
+    out = recover_labels(x, CurveKind.CLOSED_LOOP, n ** (-1.0 / 7.0))
     return err_closed_time(t, out.labels).error
 
 
@@ -79,7 +79,7 @@ def open_curve_run(seed: int, sigma2: float, snr: float, curve: str = "half-circ
     spec = CurveSpec(curve)
     x, t = generate(spec, 2000, seed)
     z = noise_for_snr(x, snr, seed + 1)
-    out = recover_labels(z, CurveKind.OPEN_CURVE, KernelParams.from_sigma2(sigma2))
+    out = recover_labels(z, CurveKind.OPEN_CURVE, math.sqrt(sigma2))
     canon = spec.canonical_labels(t)
     return spec, x, t, canon, out
 
@@ -258,7 +258,7 @@ def test_criterion_7_eigensolver_certification():
     x, _ = generate(CurveSpec("circle"), 300, 0)
     instances.append(("closed-300", build_laplacian(build_kernel(x, KernelParams(0.35)))))
     x, _ = generate(CurveSpec("half-circle"), 300, 1)
-    instances.append(("open-300", build_laplacian(build_kernel(x, KernelParams.from_sigma2(0.05)))))
+    instances.append(("open-300", build_laplacian(build_kernel(x, KernelParams(math.sqrt(0.05))))))
     x, _ = generate(CurveSpec("cardioid"), 250, 2)
     z = noise_for_snr(x, 50.0, 3)
     instances.append(("open-noisy-250", build_laplacian(build_kernel(z, KernelParams(0.2)))))

@@ -9,10 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectime import CurveKind, KernelParams, build_kernel, build_laplacian, recover_labels
+from spectime import (
+    CurveKind,
+    KernelParams,
+    build_kernel,
+    build_laplacian,
+    data_driven_bandwidth,
+    err_closed_rank,
+    err_open_rank,
+    ranking_from_labels,
+    recover_labels,
+    select_bandwidth,
+)
 from spectime.cli import build_parser, main
-from spectime.io import load_data_matrix, load_labels
-from spectime.recover import choose_bandwidth
+from spectime.io import load_data_matrix, load_labels, load_ranking
 
 
 def run(argv):
@@ -39,7 +49,7 @@ def test_open_curve_with_truth_span(tmp_path):
     z, t, est = tmp_path / "z.csv", tmp_path / "t.csv", tmp_path / "est.csv"
     run(["generate", "--curve", "half-circle", "--n", "400", "--seed", "1",
          "--snr", "1000", "--out", z, "--labels", t])
-    assert run(["recover", "--kind", "open", "--input", z, "--sigma2", "0.05",
+    assert run(["recover", "--kind", "open", "--input", z, "--sigma", "0.22360679774997896",
                 "--out", est]) == 0
     out = tmp_path / "rep.json"
     assert run(["evaluate", "--metric", "open-time", "--truth", t, "--estimate", est,
@@ -67,13 +77,13 @@ def test_open_recover_matches_library(tmp_path):
     z, est, lap = tmp_path / "z.csv", tmp_path / "est.csv", tmp_path / "lap.csv"
     run(["generate", "--curve", "half-circle", "--n", "120", "--snr", "1000",
          "--seed", "5", "--out", z])
-    assert run(["recover", "--kind", "open", "--input", z, "--sigma2", "0.05",
+    assert run(["recover", "--kind", "open", "--input", z, "--sigma", "0.22360679774997896",
                 "--dump-laplacian", lap, "--out", est]) == 0
     data = load_data_matrix(z)
-    params = KernelParams.from_sigma2(0.05)
-    expected = recover_labels(data, CurveKind.OPEN_CURVE, params)
+    expected = recover_labels(data, CurveKind.OPEN_CURVE, math.sqrt(0.05))
     assert np.array_equal(load_labels(est).angles, expected.labels.angles)
     dumped = np.loadtxt(lap, delimiter=",")
+    params = KernelParams(math.sqrt(0.05))
     assert np.array_equal(dumped, build_laplacian(build_kernel(data, params)).l)
 
 
@@ -178,7 +188,7 @@ def test_evaluate_relative_metric(tmp_path):
     run(["generate", "--curve", "cardioid", "--n", "50", "--seed", "6",
          "--out", z, "--labels", t])
     est = tmp_path / "est.csv"
-    assert run(["recover", "--kind", "open", "--input", z, "--sigma2", "0.05",
+    assert run(["recover", "--kind", "open", "--input", z, "--sigma", "0.22360679774997896",
                 "--out", est]) == 0
     out = tmp_path / "rep.json"
     assert run(["evaluate", "--metric", "relative", "--truth", t, "--estimate", est,
@@ -188,13 +198,13 @@ def test_evaluate_relative_metric(tmp_path):
 
 
 def test_recover_disconnected_graph_exits_2(tmp_path, capsys):
-    # at sigma^2 = 0.005 two of these 50 cardioid points have no kernel
+    # at sigma = sqrt(0.005) two of these 50 cardioid points have no kernel
     # neighbour above rounding; no labels may come back
     z, est = tmp_path / "z.csv", tmp_path / "est.csv"
     run(["generate", "--curve", "cardioid", "--n", "50", "--seed", "6", "--out", z])
     capsys.readouterr()
     for kind in ("open", "closed"):
-        assert run(["recover", "--kind", kind, "--input", z, "--sigma2", "0.005",
+        assert run(["recover", "--kind", kind, "--input", z, "--sigma", "0.070710678118654752",
                     "--out", est]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DisconnectedGraphError"
@@ -255,35 +265,106 @@ def test_recover_column_count_change_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, choice",
     [
-        (["--sigma", "auto", "--noise-level", "0.01"], dict(sigma="auto", noise_level=0.01)),
-        (["--sigma", "data"], dict(sigma="data")),
-        (["--sigma", "0.3"], dict(sigma=0.3)),
+        (["--sigma", "auto", "--noise-level", "0.01"],
+         dict(pick=lambda z: select_bandwidth(z.n_points, 0.01, CurveKind.CLOSED_LOOP).sigma)),
+        (["--sigma", "data"], dict(pick=lambda z: data_driven_bandwidth(z).sigma)),
+        (["--sigma", "0.3"], dict(pick=lambda z: 0.3)),
     ],
 )
 def test_recover_reports_the_bandwidth_choose_bandwidth_picks(tmp_path, capsys, flags, choice):
+    # the reported sigma is the named rule's pick on the loaded data, or the number given
     z, est = tmp_path / "z.csv", tmp_path / "est.csv"
     run(["generate", "--curve", "circle", "--n", "200", "--snr", "100", "--out", z])
     capsys.readouterr()
     assert run(["recover", "--kind", "closed", "--input", z, "--out", est, *flags]) == 0
     reported = json.loads(capsys.readouterr().err)["sigma"]
-    expected = choose_bandwidth(load_data_matrix(z), CurveKind.CLOSED_LOOP, **choice)
-    assert reported == expected.sigma
+    assert reported == choice["pick"](load_data_matrix(z))
 
 
-def test_recover_rejects_sigma_with_sigma2(tmp_path, capsys):
-    z = tmp_path / "z.csv"
-    run(["generate", "--curve", "circle", "--n", "50", "--out", z])
-    assert run(["recover", "--kind", "closed", "--input", z, "--sigma", "0.3",
-                "--sigma2", "0.09", "--out", tmp_path / "est.csv"]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+@pytest.mark.parametrize("flags, message", [
+    (["--noise-level", "-1"], "noise_level must be finite and nonnegative"),
+    (["--noise-level", "inf"], "noise_level must be finite and nonnegative"),
+    (["--sigma", "0.3", "--noise-level", "0.5"], "noise_level is read only by sigma='auto'"),
+    (["--sigma", "data", "--noise-level", "0.5"], "noise_level is read only by sigma='auto'"),
+])
+def test_recover_bad_noise_level_exits_2_before_work(tmp_path, capsys, flags, message):
+    # the input does not exist: the setting is checked before it is read
+    z, est = tmp_path / "z.csv", tmp_path / "est.csv"
+    assert run(["recover", "--kind", "closed", "--input", z, "--out", est, *flags]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert message in err["message"]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--noise-level", "-1"], "noise_level"),
+    (["--sigma", "0.3", "--noise-level", "0.5"], "noise_level"),
+    (["--delta-fraction", "0.7"], "delta_fraction"),
+    (["--delta-fraction", "-0.1"], "delta_fraction"),
+])
+def test_sweep_cli_bad_setting_exits_2_before_work(tmp_path, capsys, flags, name):
+    out_dir = tmp_path / "sw"
+    assert run(["sweep", "--curve", "half-circle", "--n", "50", "--snr", "100",
+                "--out-dir", out_dir, *flags]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert name in err["message"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("span", ["0", "-1", "inf", "nan"])
+def test_evaluate_bad_truth_span_exits_2(tmp_path, capsys, span):
+    t, rep = tmp_path / "t.csv", tmp_path / "rep.json"
+    run(["generate", "--curve", "half-circle", "--n", "30", "--out", tmp_path / "z.csv",
+         "--labels", t])
+    capsys.readouterr()
+    assert run(["evaluate", "--metric", "open-time", "--truth", t, "--estimate", t,
+                "--truth-span", span, "--out", rep]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "--truth-span" in err["message"]
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("metric", ["relative", "closed-rank"])
+def test_small_labels_file_is_ranked_by_its_labels(tmp_path, capsys, metric):
+    # rounded to integers these labels are {0, 1, 2, 3, 6}, not ranks of 5
+    # points, so the file is read as labels
+    t, z = tmp_path / "t.csv", tmp_path / "z.csv"
+    t.write_text("index,value\n0,0.5\n1,6.0\n2,2.0\n3,3.1\n4,1.2\n")
+    z.write_text("0,1\n1,0\n0,-1\n-1,0\n0.5,0.5\n")
+    matrix = ["--matrix", z] if metric == "relative" else []
+    assert run(["evaluate", "--metric", metric, "--truth", t, "--estimate", t, *matrix]) == 0
+    assert json.loads(capsys.readouterr().out)["error"] == 0.0
+
+
+@pytest.mark.parametrize("metric", ["open-rank", "closed-rank"])
+def test_baseline_output_scored_by_rank_metrics(tmp_path, metric):
+    # a baseline ranking file is read as a ranking, the truth labels file
+    # as labels, as --metric relative reads them
+    z, t, ranks, rep = (tmp_path / name for name in ("z.csv", "t.csv", "r.csv", "rep.json"))
+    run(["generate", "--curve", "half-circle", "--n", "60", "--snr", "100", "--seed", "2",
+         "--out", z, "--labels", t])
+    assert run(["baseline", "--input", z, "--out", ranks]) == 0
+    assert run(["evaluate", "--metric", metric, "--truth", t, "--estimate", ranks,
+                "--out", rep]) == 0
+    report = json.loads(rep.read_text())
+    truth, estimate = ranking_from_labels(load_labels(t)), load_ranking(ranks)
+    if metric == "open-rank":
+        fraction = 0.1 * math.pi / (2.0 * math.pi)  # the default --delta over 2pi
+        assert report["error"] == err_open_rank(truth, estimate, fraction).error
+        assert report["delta"] == fraction
+    else:
+        assert report["error"] == err_closed_rank(truth, estimate).error
 
 
 # the flags each subcommand's handler reads, and no others
 DECLARED_FLAGS = {
     "generate": ["--curve", "--n", "--snr", "--eps", "--out", "--labels", "--seed"],
     "denoise": ["--input", "--header", "--rank", "--auto", "--r0", "--eta", "--out", "--seed"],
-    "recover": ["--kind", "--input", "--header", "--sigma", "--sigma2", "--noise-level",
-                "--dump-laplacian", "--out"],
+    "recover": ["--kind", "--input", "--header", "--sigma", "--noise-level", "--dump-laplacian",
+                "--out"],
     "evaluate": ["--metric", "--truth", "--estimate", "--delta", "--truth-span", "--matrix",
                  "--header", "--out", "--format"],
     "sweep": ["--curve", "--n", "--snr", "--replicates", "--sigma", "--noise-level",
@@ -312,7 +393,7 @@ def declared_flags():
 
 def test_each_subcommand_declares_exactly_the_flags_it_reads():
     assert declared_flags() == DECLARED_FLAGS
-    assert sum(len(flags) for flags in DECLARED_FLAGS.values()) == 46
+    assert sum(len(flags) for flags in DECLARED_FLAGS.values()) == 45
 
 
 @pytest.mark.parametrize("command", sorted(DECLARED_FLAGS))

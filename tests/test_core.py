@@ -113,6 +113,13 @@ class TestRanking:
         # ranks[i] = position of point i in sorted order
         assert np.array_equal(r.ranks(), [1, 3, 0, 2])
 
+    # a rank past N-1 used to raise IndexError; repeated ranks left
+    # uninitialized entries in the permutation
+    @pytest.mark.parametrize("ranks", [[0, 6, 2], [1, 1, 0], [-1, 0, 1]])
+    def test_from_ranks_rejects_a_non_permutation(self, ranks):
+        with pytest.raises(NotAPermutationError):
+            Ranking.from_ranks(np.array(ranks))
+
 
 class TestRankingFromLabels:
     def test_direct_sort(self):

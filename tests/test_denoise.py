@@ -152,7 +152,7 @@ class TestCoordinates:
         d, n = 60, 200
         _, _, z = noisy_sample(CurveSpec("embedded", d), n, 12, 5.0, None)
         eps = np.finfo(np.float64).eps
-        params = select_bandwidth(n, 0.0, CurveKind.CLOSED_LOOP)
+        sigma = select_bandwidth(n, 0.0, CurveKind.CLOSED_LOOP).sigma
         for res in both_denoisers(z):
             c, zt = res.coords.values, res.z_tilde.values
             # each Gram form is within (rows + 2) * eps * (n_i + n_j) of the
@@ -160,6 +160,6 @@ class TestCoordinates:
             norms = np.einsum("ij,ij->j", zt, zt)
             bound = (d + res.r_hat + 4) * eps * np.add.outer(norms, norms)
             assert np.all(np.abs(squared_distances(c) - squared_distances(zt)) <= bound)
-            from_coords = recover_labels(res.coords, CurveKind.CLOSED_LOOP, params)
-            from_z_tilde = recover_labels(res.z_tilde, CurveKind.CLOSED_LOOP, params)
+            from_coords = recover_labels(res.coords, CurveKind.CLOSED_LOOP, sigma)
+            from_z_tilde = recover_labels(res.z_tilde, CurveKind.CLOSED_LOOP, sigma)
             assert err_closed_time(from_z_tilde.labels, from_coords.labels).error <= 1e-8

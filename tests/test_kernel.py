@@ -169,7 +169,7 @@ class TestBuildLaplacian:
     def test_open_half_circle_smallest_eigenvalue_near_zero(self):
         # dense eigendecomposition oracle on 50 noiseless half-circle points
         x, _ = generate(CurveSpec("half-circle"), 50, 0)
-        km = build_kernel(x, KernelParams.from_sigma2(0.05))
+        km = build_kernel(x, KernelParams(math.sqrt(0.05)))
         lap = build_laplacian(km)
         assert abs(np.linalg.eigvalsh(lap.l).min()) <= 1e-10
 
@@ -239,7 +239,7 @@ class TestDisconnectedGraph:
         z = noise_for_snr(x, 100.0, 1)
         for build in (lambda: laplacian_from_data(z, KernelParams(sigma)),
                       lambda: build_laplacian(build_kernel(z, KernelParams(sigma))),
-                      lambda: recover_labels(z, kind, KernelParams(sigma))):
+                      lambda: recover_labels(z, kind, sigma)):
             with pytest.raises(DisconnectedGraphError, match=isolated) as info:
                 build()
             assert f"sigma={sigma!r}" in str(info.value)

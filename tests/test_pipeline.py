@@ -13,13 +13,16 @@ from spectime import (
     TimeLabels,
     build_kernel,
     build_laplacian,
+    data_driven_bandwidth,
     err_closed_time,
     generate,
     noise_for_snr,
+    noisy_sample,
     recover_closed,
     recover_labels,
     recover_open,
     run_pipeline,
+    select_bandwidth,
     smallest_eigenpairs,
 )
 from spectime import eigen, io, pipeline
@@ -112,6 +115,35 @@ def test_config_validation():
         PipelineConfig(curve=CurveSpec("circle"), n=10, sigma="guess")
 
 
+@pytest.mark.parametrize("setting, name", [
+    (dict(noise_level=-1.0), "noise_level"),
+    (dict(noise_level=float("inf")), "noise_level"),
+    (dict(sigma="data", noise_level=0.1), "noise_level"),
+    (dict(delta_fraction=0.7), "delta_fraction"),
+    (dict(delta_fraction=float("nan")), "delta_fraction"),
+])
+def test_bad_noise_level_or_delta_fraction_rejected_before_work(tmp_path, setting, name):
+    with pytest.raises(ConfigError, match=name):
+        PipelineConfig(curve=CurveSpec("half-circle"), n=10, out_dir=str(tmp_path / "run"),
+                       **setting)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind, curve", [(CurveKind.CLOSED_LOOP, "circle"),
+                                         (CurveKind.OPEN_CURVE, "half-circle")])
+@pytest.mark.parametrize("setting", [dict(sigma="auto", noise_level=0.01), dict(sigma="data")])
+def test_report_sigma_is_the_rules_pick(kind, curve, setting):
+    # a fixed sigma is test_fixed_sigma_respected
+    cfg = PipelineConfig(curve=CurveSpec(curve), n=120, seed=6, snr=100.0, **setting)
+    report = run_pipeline(cfg)
+    if setting["sigma"] == "auto":
+        expected = select_bandwidth(cfg.n, 0.01, kind)
+    else:
+        _, _, z = noisy_sample(cfg.curve, cfg.n, cfg.seed, cfg.snr, None)
+        expected = data_driven_bandwidth(z)
+    assert report["sigma"] == expected.sigma
+
+
 @pytest.mark.parametrize("kind", list(CurveKind))
 def test_recover_labels_matches_separate_stages(kind, monkeypatch):
     # the one-buffer path against kernel -> copied Laplacian -> eigensolve,
@@ -120,10 +152,10 @@ def test_recover_labels_matches_separate_stages(kind, monkeypatch):
     curve = "circle" if kind is CurveKind.CLOSED_LOOP else "half-circle"
     x, _ = generate(CurveSpec(curve), 600, 21)
     z = noise_for_snr(x, 100.0, 22)
-    p = KernelParams(0.25)
     seen = []
-    out = recover_labels(z, kind, p, on_laplacian=seen.append)
-    lap = build_laplacian(build_kernel(z, p))
+    out = recover_labels(z, kind, 0.25, on_laplacian=seen.append)
+    assert out.sigma == 0.25
+    lap = build_laplacian(build_kernel(z, KernelParams(0.25)))
     assert np.array_equal(seen[0].l, lap.l)
     if kind is CurveKind.OPEN_CURVE:
         u = smallest_eigenpairs(lap, k=2).eigenvectors
@@ -147,7 +179,7 @@ def test_closed_loop_labels_under_non_uniform_sampling_density():
             t = np.concatenate([t, c[rng.uniform(0.0, 1.5, c.size) < 1.0 + 0.5 * np.cos(c)]])
         t = t[:n]
         x = DataMatrix(np.vstack([np.cos(t), np.sin(t)]))
-        out = recover_labels(x, CurveKind.CLOSED_LOOP, KernelParams(n ** (-1 / 7)))
+        out = recover_labels(x, CurveKind.CLOSED_LOOP, n ** (-1 / 7))
         assert err_closed_time(TimeLabels(t), out.labels).error <= 0.1
 
 
@@ -160,7 +192,7 @@ def test_recover_labels_holds_one_n_by_n_buffer():
     z = noise_for_snr(x, 100.0, 24)
     tracemalloc.start()
     try:
-        recover_labels(z, CurveKind.CLOSED_LOOP, KernelParams(n ** (-1 / 7)))
+        recover_labels(z, CurveKind.CLOSED_LOOP, n ** (-1 / 7))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -176,7 +208,7 @@ def test_recover_labels_dense_path_holds_one_n_by_n_buffer():
     z = noise_for_snr(x, 100.0, 26)
     tracemalloc.start()
     try:
-        recover_labels(z, CurveKind.OPEN_CURVE, KernelParams(0.1414))
+        recover_labels(z, CurveKind.OPEN_CURVE, 0.1414)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -191,7 +223,7 @@ def test_two_components_raise_instead_of_labels(kind):
     t = np.concatenate([np.linspace(0.0, 1.0, 300), np.linspace(3.5, 4.5, 300)])
     z = DataMatrix(np.vstack([np.cos(t), np.sin(t)]))
     with pytest.raises(DisconnectedGraphError, match="sigma=0.05") as info:
-        recover_labels(z, kind, KernelParams(0.05))
+        recover_labels(z, kind, 0.05)
     assert "more than one component" in str(info.value)
     # one arc alone is connected
-    recover_labels(DataMatrix(z.values[:, :300]), kind, KernelParams(0.05))
+    recover_labels(DataMatrix(z.values[:, :300]), kind, 0.05)

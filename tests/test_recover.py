@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from spectime import (
     CurveKind,
     CurveSpec,
     DataMatrix,
-    KernelParams,
     TimeLabels,
     data_driven_bandwidth,
     err_closed_time,
@@ -16,7 +17,7 @@ from spectime import (
     select_bandwidth,
 )
 from spectime.errors import CoincidentPointsError, ConfigError, LengthMismatchError
-from spectime.recover import check_sigma
+from spectime.recover import check_bandwidth
 
 from oracles import open_arccos_labels
 
@@ -158,14 +159,28 @@ class TestCheckSigma:
     @pytest.mark.parametrize("given, kept", [("auto", "auto"), ("data", "data"),
                                              (0.3, 0.3), ("0.3", 0.3), (2, 2.0)])
     def test_settings_kept(self, given, kept):
-        assert check_sigma(given) == kept
+        assert check_bandwidth(given) == kept
 
     # 1e-200 and 1e300: 2 sigma^2 underflows to 0 and overflows to inf
     @pytest.mark.parametrize("given", ["guess", "", None, 0.0, -1.0, "-1", np.inf, np.nan,
                                        1e-200, "1e300"])
     def test_bad_settings_raise(self, given):
         with pytest.raises(ConfigError, match="positive number, 'auto' or 'data'"):
-            check_sigma(given)
+            check_bandwidth(given)
+
+    # the noise level is part of the setting: finite, >= 0, read by "auto" only
+    @pytest.mark.parametrize("sigma, noise_level, message", [
+        ("auto", -1.0, "finite and nonnegative"), ("auto", np.inf, "finite and nonnegative"),
+        ("auto", np.nan, "finite and nonnegative"), ("data", -1.0, "finite and nonnegative"),
+        (0.3, 0.5, "read only by sigma='auto'"), ("data", 0.01, "read only by sigma='auto'"),
+    ])
+    def test_bad_noise_levels_raise(self, sigma, noise_level, message):
+        with pytest.raises(ConfigError, match=f"noise_level.*{message}"):
+            check_bandwidth(sigma, noise_level)
+
+    def test_noise_level_kept_with_auto(self):
+        assert check_bandwidth("auto", 0.5) == "auto"
+        assert check_bandwidth(0.3, 0.0) == 0.3
 
 
 class TestDataDrivenBandwidth:
@@ -183,7 +198,8 @@ class TestDataDrivenBandwidth:
 
     def test_recovery_quality_with_heuristic_bandwidth(self):
         x, t = generate(CurveSpec("circle"), 500, 1)
-        out = recover_labels(x, CurveKind.CLOSED_LOOP, data_driven_bandwidth(x))
+        out = recover_labels(x, CurveKind.CLOSED_LOOP, "data")
+        assert out.sigma == data_driven_bandwidth(x).sigma
         assert err_closed_time(t, out.labels).error <= 0.5
 
 
@@ -191,12 +207,12 @@ class TestEndToEnd:
     def test_noiseless_circle_at_rate_bandwidth(self):
         n = 2000
         x, t = generate(CurveSpec("circle"), n, 0)
-        out = recover_labels(x, CurveKind.CLOSED_LOOP, KernelParams(n ** (-1 / 7)))
+        out = recover_labels(x, CurveKind.CLOSED_LOOP, n ** (-1 / 7))
         assert err_closed_time(t, out.labels).error <= 0.15
 
     def test_open_recovery_is_monotone_in_fiedler(self):
         x, t = generate(CurveSpec("half-circle"), 400, 2)
-        out = recover_labels(x, CurveKind.OPEN_CURVE, KernelParams.from_sigma2(0.05))
+        out = recover_labels(x, CurveKind.OPEN_CURVE, math.sqrt(0.05))
         # up to reflection, recovered order tracks the true order closely
         spec = CurveSpec("half-circle")
         canon = spec.canonical_labels(t)

@@ -80,6 +80,21 @@ def test_bad_sigma_rejected_before_work(tmp_path, sigma):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("setting, name", [
+    (dict(noise_level=-1.0), "noise_level"),
+    (dict(noise_level=float("nan")), "noise_level"),
+    (dict(sigma=0.3, noise_level=0.5), "noise_level"),
+    (dict(delta_fraction=0.7), "delta_fraction"),
+    (dict(delta_fraction=0.5), "delta_fraction"),
+    (dict(delta_fraction=-0.1), "delta_fraction"),
+])
+def test_bad_noise_level_or_delta_fraction_rejected_before_work(tmp_path, setting, name):
+    with pytest.raises(ConfigError, match=name):
+        SweepConfig(curve=CurveSpec("half-circle"), n_values=(10,), snr_values=(10.0,),
+                    out_dir=str(tmp_path / "sw"), **setting)
+    assert not any(tmp_path.iterdir())
+
+
 def test_cell_failure_recorded_and_sweep_continues(tmp_path, monkeypatch):
     def boom(cfg):
         raise NoConvergenceError(7, "injected failure")
