@@ -64,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("denoise", help="PCA projection denoising")
     d.add_argument("--input", required=True)
     d.add_argument("--header", action="store_true", help="input CSV has a header line")
-    d.add_argument("--rank", type=int, help="fixed projection rank")
-    d.add_argument("--auto", action="store_true", help="estimate the rank from a sketch")
+    mode = d.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--rank", type=int, help="fixed projection rank")
+    mode.add_argument("--auto", action="store_true", help="estimate the rank from a sketch")
     d.add_argument("--r0", type=int, default=400, help="oversampling rank (default 400)")
     d.add_argument("--eta", type=float, default=1e-3,
                    help="singular-value ratio threshold (default 1e-3)")
@@ -88,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("closed-time", "closed-rank", "open-time", "open-rank", "relative"))
     e.add_argument("--truth", required=True, help="truth labels/ranking CSV")
     e.add_argument("--estimate", required=True, help="estimate labels/ranking CSV")
-    e.add_argument("--delta", type=float, default=0.1 * math.pi,
-                   help="interior half-width for open metrics (default 0.05*2pi)")
+    e.add_argument("--delta", type=float,
+                   help="interior half-width in radians for open metrics (default 0.05*2pi)")
     e.add_argument("--truth-span", type=float,
                    help="rescale truth labels from [0, span] to [0, 2pi] first")
     e.add_argument("--matrix", help="data CSV, required for --metric relative")
@@ -133,8 +134,6 @@ def _cmd_generate(args) -> int:
 
 def _cmd_denoise(args) -> int:
     z = io.load_data_matrix(args.input, header=args.header)
-    if args.auto == (args.rank is not None):
-        raise ConfigError("give exactly one of --rank or --auto")
     if args.rank is not None:
         result = denoise_fixed_rank(z, args.rank)
     else:
@@ -148,7 +147,7 @@ def _cmd_denoise(args) -> int:
 def _cmd_recover(args) -> int:
     sigma = check_bandwidth(args.sigma, args.noise_level)  # before the input is read
     z = io.load_data_matrix(args.input, header=args.header)
-    kind = CurveKind.OPEN_CURVE if args.kind == "open" else CurveKind.CLOSED_LOOP
+    kind = CurveKind(args.kind)
 
     def dump(lap):
         io.save_square_matrix(args.dump_laplacian, lap.l)
@@ -168,13 +167,25 @@ def _ranking_from_file(path):
         return ranking_from_labels(io.load_labels(path))
 
 
+# the optional flags each evaluate metric reads; giving any other is a usage error
+_METRIC_FLAGS = {"closed-time": ("--truth-span",), "open-time": ("--truth-span", "--delta"),
+                 "closed-rank": (), "open-rank": ("--delta",), "relative": ("--matrix", "--header")}
+
+
 def _cmd_evaluate(args) -> int:
     report: dict = {"metric": args.metric, "delta": None, "r": None,
                     "theta": None, "shift": None}
+    for flag in ("--delta", "--truth-span", "--matrix", "--header"):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False and flag not in _METRIC_FLAGS[args.metric]:
+            raise ConfigError(f"--metric {args.metric} does not read {flag}")
     if args.truth_span is not None and not 0.0 < args.truth_span < math.inf:
         raise ConfigError(f"--truth-span must be positive and finite, got {args.truth_span}")
     if args.metric == "relative" and not args.matrix:
         raise ConfigError("--metric relative needs --matrix")
+    delta = 0.1 * math.pi if args.delta is None else args.delta
+    if not 0.0 <= delta < math.pi:
+        raise ConfigError(f"--delta must lie in [0, pi) radians, got {delta}")
     if args.metric in ("relative", "closed-rank", "open-rank"):
         p, p2 = _ranking_from_file(args.truth), _ranking_from_file(args.estimate)
     else:
@@ -189,13 +200,13 @@ def _cmd_evaluate(args) -> int:
         if args.metric == "closed-time":
             rep = err_closed_time(truth, est)
         elif args.metric == "open-time":
-            rep = err_open_time(truth, est, args.delta)
-            report["delta"] = args.delta
+            rep = err_open_time(truth, est, delta)
+            report["delta"] = delta
         elif args.metric == "closed-rank":
             rep = err_closed_rank(p, p2)
         else:
-            rep = err_open_rank(p, p2, args.delta / TWO_PI)
-            report["delta"] = args.delta / TWO_PI
+            rep = err_open_rank(p, p2, delta / TWO_PI)
+            report["delta"] = delta / TWO_PI
         report.update(error=rep.error, r=rep.r, theta=rep.theta, shift=rep.shift)
 
     if args.format == "csv":
@@ -218,7 +229,7 @@ def _cmd_sweep(args) -> int:
         snr_values=tuple(args.snr),
         replicates=args.replicates,
         methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-        sigma=args.sigma,  # SweepConfig checks it and --noise-level with check_bandwidth
+        sigma=args.sigma,  # each data set's PipelineConfig checks the per-run settings
         noise_level=args.noise_level,
         seed_base=args.seed,
         threads=args.threads,

@@ -1,5 +1,10 @@
 """End-to-end composition: generate -> denoise -> recover -> evaluate.
 
+The unit of work is a data set, one ``PipelineConfig``, which checks
+every per-run setting before any work.  ``run_pipeline`` scores its
+recovered labels and ``run_baseline`` the pairwise-comparison baseline,
+on the same sample and interior window (``_interior_error``).
+
 Recovery builds the same Laplacian for both curve kinds; the kind picks
 only how many eigenpairs are solved and which map turns them into
 labels: ``recover_open`` for an open curve, ``recover_closed`` for a
@@ -30,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import io
-from .core import CurveKind, DataMatrix, KernelParams
+from .core import CurveKind, DataMatrix, KernelParams, TimeLabels
 from .denoise import DenoiseResult, denoise_auto, denoise_fixed_rank
 from .eigen import smallest_eigenpairs
 from .errors import ConfigError, DisconnectedGraphError
@@ -63,16 +68,15 @@ class PipelineConfig:
             raise ConfigError("n must be at least 2")
         if self.snr is not None and self.eps is not None:
             raise ConfigError("give either snr or eps, not both")
+        if self.snr is not None and not self.snr > 0.0:
+            raise ConfigError(f"snr must be positive, got {self.snr!r}")
+        if self.eps is not None and not 0.0 <= self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and nonnegative, got {self.eps!r}")
         if self.denoise_rank is not None and self.denoise_auto_r0 is not None:
             raise ConfigError("give either a fixed denoise rank or an oversampling rank")
         object.__setattr__(self, "sigma", check_bandwidth(self.sigma, self.noise_level))
-        check_delta_fraction(self.delta_fraction)
-
-
-def check_delta_fraction(fraction: float) -> None:
-    """delta = fraction * 2pi must lie in [0, pi), else ``ConfigError``."""
-    if not 0.0 <= fraction < 0.5:
-        raise ConfigError(f"delta_fraction must lie in [0, 0.5), got {fraction!r}")
+        if not 0.0 <= self.delta_fraction < 0.5:  # delta = fraction * 2pi in [0, pi)
+            raise ConfigError(f"delta_fraction must lie in [0, 0.5), got {self.delta_fraction!r}")
 
 
 def recover_labels(
@@ -168,18 +172,30 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         # Orderings on a loop only compare after undoing the rotation the
         # time metric identified; the wrap point then contributes little.
         est = np.mod(aligned.r * (recovery.labels.angles - aligned.theta), 2.0 * math.pi)
-        report["relative_error"] = interior_relative_error(x, t_true, est, cfg.curve.span, 0.0)
     else:
         delta = cfg.delta_fraction * 2.0 * math.pi
         report["time_error"] = err_open_time(canon, recovery.labels, delta).error
-        report["relative_error"] = interior_relative_error(
-            x, t_true, recovery.labels.angles, cfg.curve.span, cfg.delta_fraction
-        )
+        est = recovery.labels.angles
+    report["relative_error"] = _interior_error(cfg, x, t_true, est)
     report["delta_fraction"] = cfg.delta_fraction
     report["wall_ms"] = 1000.0 * (time.perf_counter() - started)
     if out is not None:
         (out / "report.json").write_text(json.dumps(report, indent=2))
     return report
+
+
+def run_baseline(cfg: PipelineConfig) -> dict:
+    """The baseline's ``relative_error`` on ``cfg``'s noisy sample (not denoised)."""
+    x, t_true, z = noisy_sample(cfg.curve, cfg.n, cfg.seed, cfg.snr, cfg.eps)
+    return {"relative_error": _interior_error(cfg, x, t_true, baseline_labels(z))}
+
+
+def _interior_error(cfg: PipelineConfig, x: DataMatrix, t_true: TimeLabels,
+                    est: np.ndarray) -> float:
+    """``interior_relative_error`` on ``cfg``'s window: an open curve drops
+    ``delta_fraction`` of its span at each end, a loop keeps every point."""
+    fraction = cfg.delta_fraction if cfg.curve.kind is CurveKind.OPEN_CURVE else 0.0
+    return interior_relative_error(x, t_true, est, cfg.curve.span, fraction)
 
 
 def baseline_labels(z: DataMatrix) -> np.ndarray:

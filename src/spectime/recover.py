@@ -45,6 +45,8 @@ _UNIFORM_LABEL_AMPLITUDE = math.sqrt(2.0)  # of a unit-norm cos(t/2) under unifo
 
 DEGENERATE_SQ_NORM = 1e-24
 
+DATA_BANDWIDTH_GRID = 25  # sigmas on the log grid of data_driven_bandwidth
+
 
 @dataclass(frozen=True)
 class RecoveryOutput:
@@ -126,7 +128,7 @@ def select_bandwidth(n: int, eps: float = 0.0, kind: CurveKind = CurveKind.CLOSE
     return KernelParams(sigma)
 
 
-def data_driven_bandwidth(z: DataMatrix, num: int = 25) -> KernelParams:
+def data_driven_bandwidth(z: DataMatrix) -> KernelParams:
     """Heuristic bandwidth from the data: maximize the log-log slope of the
     total kernel mass sum_ij k(Z_i, Z_j; sigma) over a geometric sigma grid.
 
@@ -142,7 +144,7 @@ def data_driven_bandwidth(z: DataMatrix, num: int = 25) -> KernelParams:
             f"all {z.n_points} points coincide; the data-driven bandwidth is undefined")
     lo = math.sqrt(float(np.quantile(positive, 0.01))) / 4.0
     hi = math.sqrt(float(positive.max()))
-    sigmas = np.geomspace(lo, hi, num)
+    sigmas = np.geomspace(lo, hi, DATA_BANDWIDTH_GRID)
     mass = np.array(
         [
             2.0 * np.exp(-sq / (2.0 * s * s)).sum() + z.n_points

@@ -313,6 +313,54 @@ def test_sweep_cli_bad_setting_exits_2_before_work(tmp_path, capsys, flags, name
     assert not out_dir.exists()
 
 
+def test_sweep_cli_nan_snr_exits_2_before_work(tmp_path, capsys):
+    out_dir = tmp_path / "sw"
+    assert run(["sweep", "--curve", "circle", "--n", "40", "--snr", "100", "--snr", "nan",
+                "--out-dir", out_dir]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "snr must be positive" in err["message"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("metric, flags", [
+    ("closed-time", ["--delta", "5"]),
+    ("closed-time", ["--matrix", "nope.csv"]),
+    ("closed-rank", ["--truth-span", "3"]),
+    ("closed-rank", ["--delta", "0"]),
+    ("open-time", ["--header"]),
+    ("open-rank", ["--truth-span", "3"]),
+    ("relative", ["--delta", "0.3"]),
+    ("relative", ["--truth-span", "3"]),
+])
+def test_evaluate_flag_its_metric_does_not_read_exits_2(tmp_path, capsys, metric, flags):
+    # neither input exists: the flags are checked before any file is read
+    matrix = ["--matrix", tmp_path / "z.csv"] if metric == "relative" else []
+    assert run(["evaluate", "--metric", metric, "--truth", tmp_path / "t.csv", "--estimate",
+                tmp_path / "e.csv", *matrix, *flags]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert f"--metric {metric} does not read {flags[0]}" in err["message"]
+
+
+@pytest.mark.parametrize("metric", ["open-time", "open-rank"])
+@pytest.mark.parametrize("delta", ["5", "-0.1", "nan", str(math.pi)])
+def test_evaluate_bad_delta_exits_2_before_io(tmp_path, capsys, metric, delta):
+    assert run(["evaluate", "--metric", metric, "--truth", tmp_path / "t.csv",
+                "--estimate", tmp_path / "e.csv", "--delta", delta]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "--delta must lie in [0, pi) radians" in err["message"]
+
+
+def test_denoise_without_mode_exits_2_before_io(tmp_path, capsys):
+    assert run(["denoise", "--input", tmp_path / "nope.csv", "--out", tmp_path / "x.csv"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "one of the arguments --rank --auto is required" in err["message"]
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("span", ["0", "-1", "inf", "nan"])
 def test_evaluate_bad_truth_span_exits_2(tmp_path, capsys, span):
     t, rep = tmp_path / "t.csv", tmp_path / "rep.json"

@@ -251,6 +251,16 @@ class TestRelativeError:
         with pytest.raises(ZeroNormError):
             relative_error(x, p, p)
 
+    def test_slabs_match_unchunked_formula(self):
+        # 400 rows at 131 rows per slab: four slabs, the last one short
+        rng = np.random.default_rng(16)
+        x = DataMatrix(rng.standard_normal((400, 2000)))
+        assert x.dim > metrics._CHUNK_ELEMENTS // x.n_points
+        p, p2 = Ranking(rng.permutation(2000)), Ranking(rng.permutation(2000))
+        expected = (np.linalg.norm(x.values[:, p2.perm] - x.values[:, p.perm])
+                    / np.linalg.norm(x.values))
+        assert relative_error(x, p, p2) == pytest.approx(expected, rel=1e-12)
+
 
 class TestSnr:
     def test_equal_norms(self):

@@ -16,6 +16,7 @@ from spectime import (
     data_driven_bandwidth,
     err_closed_time,
     generate,
+    interior_relative_error,
     noise_for_snr,
     noisy_sample,
     recover_closed,
@@ -127,6 +128,34 @@ def test_bad_noise_level_or_delta_fraction_rejected_before_work(tmp_path, settin
         PipelineConfig(curve=CurveSpec("half-circle"), n=10, out_dir=str(tmp_path / "run"),
                        **setting)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("setting, name", [
+    (dict(snr=0.0), "snr"),
+    (dict(snr=-1.0), "snr"),
+    (dict(snr=float("nan")), "snr"),
+    (dict(eps=-0.1), "eps"),
+    (dict(eps=float("inf")), "eps"),
+    (dict(eps=float("nan")), "eps"),
+])
+def test_bad_noise_setting_rejected_before_work(tmp_path, setting, name):
+    out_dir = tmp_path / "run"
+    with pytest.raises(ConfigError, match=name):
+        run_pipeline(PipelineConfig(curve=CurveSpec("circle"), n=10, out_dir=str(out_dir),
+                                    **setting))
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("curve", ["circle", "half-circle"])
+def test_run_baseline_scores_the_pipelines_sample_and_window(curve):
+    # the baseline reads the same noisy sample as run_pipeline and is scored
+    # on its window: delta_fraction for an open curve, every point on a loop
+    cfg = PipelineConfig(curve=CurveSpec(curve), n=80, seed=3, snr=50.0, delta_fraction=0.1)
+    x, t_true, z = noisy_sample(cfg.curve, cfg.n, cfg.seed, cfg.snr, None)
+    fraction = 0.1 if curve == "half-circle" else 0.0
+    expected = interior_relative_error(x, t_true, pipeline.baseline_labels(z), cfg.curve.span,
+                                       fraction)
+    assert pipeline.run_baseline(cfg) == {"relative_error": expected}
 
 
 @pytest.mark.parametrize("kind, curve", [(CurveKind.CLOSED_LOOP, "circle"),

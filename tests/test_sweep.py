@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from spectime import CurveSpec, SweepConfig, sweep
+from spectime import CurveSpec, PipelineConfig, SweepConfig, sweep
 from spectime.errors import ConfigError, NoConvergenceError
+from spectime.pipeline import run_baseline
 
 # the submodule is shadowed by the re-exported sweep() function
 sweep_mod = importlib.import_module("spectime.sweep")
@@ -150,3 +151,49 @@ def test_manifest_records_config_and_seeds(tmp_path):
     assert manifest["config"]["sigma"] == "auto"
     assert manifest["seeds"] == [5]
     assert manifest["rows"] == 1
+
+
+def test_data_sets_are_pipeline_configs_seeded_in_grid_order():
+    sc = SweepConfig(curve=CurveSpec("half-circle"), n_values=(40, 60), snr_values=(10.0, 100.0),
+                     replicates=2, sigma="0.3", seed_base=9)
+    grid = [(n, snr, rep) for n in (40, 60) for snr in (10.0, 100.0) for rep in range(2)]
+    assert [(cfg.n, cfg.snr, rep) for rep, cfg in sc.data_sets] == grid
+    assert [cfg.seed for _, cfg in sc.data_sets] == list(range(9, 17))
+    assert all(isinstance(cfg, PipelineConfig) and cfg.sigma == 0.3 for _, cfg in sc.data_sets)
+    assert sc.sigma == 0.3
+
+
+@pytest.mark.parametrize("curve", ["cardioid", "circle"])
+def test_serialrank_row_is_run_baseline(tmp_path, curve):
+    sc = SweepConfig(curve=CurveSpec(curve), n_values=(60,), snr_values=(100.0,),
+                     replicates=2, methods=("serialrank",), seed_base=4, out_dir=str(tmp_path))
+    rows = sweep(sc)
+    for row, (_, cfg) in zip(rows, sc.data_sets):
+        assert row["seed"] == cfg.seed and row["error"] == ""
+        assert row["relative_error"] == run_baseline(cfg)["relative_error"]
+        assert row["sigma"] == "" and row["time_error"] == ""
+
+
+@pytest.mark.parametrize("setting, name", [
+    (dict(n_values=(40, 1)), "n must be at least 2"),
+    (dict(snr_values=(100.0, float("nan"))), "snr must be positive"),
+    (dict(snr_values=(0.0,)), "snr must be positive"),
+])
+def test_each_data_set_checked_before_work(tmp_path, setting, name):
+    kwargs = dict(curve=CurveSpec("circle"), n_values=(40,), snr_values=(100.0,))
+    with pytest.raises(ConfigError, match=name):
+        SweepConfig(**{**kwargs, **setting}, out_dir=str(tmp_path / "sw"))
+    assert not any(tmp_path.iterdir())
+
+
+def test_baseline_failure_recorded_through_the_module_name(tmp_path, monkeypatch):
+    # the runner is looked up when each row runs, as the benchmark tracer needs
+    def boom(cfg):
+        raise ValueError("injected baseline failure")
+
+    monkeypatch.setattr(sweep_mod, "run_baseline", boom)
+    sc = SweepConfig(curve=CurveSpec("half-circle"), n_values=(40,), snr_values=(100.0,),
+                     out_dir=str(tmp_path))
+    rows = {r["method"]: r for r in sweep(sc)}
+    assert "injected baseline failure" in rows["serialrank"]["error"]
+    assert rows["spectral"]["error"] == ""
