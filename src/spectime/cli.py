@@ -18,9 +18,9 @@ import math
 import sys
 
 from . import io
-from .core import TWO_PI, CurveKind, TimeLabels, ranking_from_labels
-from .denoise import denoise_auto, denoise_fixed_rank
-from .errors import ConfigError, NotAPermutationError, SpectimeError
+from .core import TWO_PI, CurveKind, TimeLabels
+from .denoise import ETA, check_denoise, denoise_auto, denoise_fixed_rank
+from .errors import ConfigError, SpectimeError
 from .metrics import (
     err_closed_rank,
     err_closed_time,
@@ -28,7 +28,7 @@ from .metrics import (
     err_open_time,
     relative_error,
 )
-from .pipeline import recover_labels
+from .pipeline import DELTA_FRACTION, recover_labels
 from .recover import check_bandwidth
 from .sweep import METHODS, SweepConfig, sweep
 from .synth import CurveSpec, comparison_matrix, noisy_sample, serialrank_baseline
@@ -41,6 +41,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
+
+
+class _Given(argparse.Action):
+    """Stores a flag's value and adds the flag to the set ``args.given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {*getattr(namespace, "given", ()), self.option_strings[0]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,11 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode = d.add_mutually_exclusive_group(required=True)
     mode.add_argument("--rank", type=int, help="fixed projection rank")
     mode.add_argument("--auto", action="store_true", help="estimate the rank from a sketch")
-    d.add_argument("--r0", type=int, default=400, help="oversampling rank (default 400)")
-    d.add_argument("--eta", type=float, default=1e-3,
+    d.add_argument("--r0", type=int, default=400, action=_Given,
+                   help="oversampling rank (default 400)")
+    d.add_argument("--eta", type=float, default=ETA, action=_Given,
                    help="singular-value ratio threshold (default 1e-3)")
     d.add_argument("--out", required=True)
-    d.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    d.add_argument("--seed", type=int, default=0, action=_Given, help="random seed (default 0)")
 
     r = sub.add_parser("recover", help="recover labels and ranking from data")
     r.add_argument("--kind", choices=("open", "closed"), required=True)
@@ -111,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--noise-level", type=float, default=0.0)
     s.add_argument("--methods", default=",".join(METHODS),
                    help="comma-separated subset of: " + ", ".join(METHODS))
-    s.add_argument("--delta-fraction", type=float, default=0.05)
+    s.add_argument("--delta-fraction", type=float, default=DELTA_FRACTION)
     s.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     s.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     s.add_argument("--out-dir", default=".", help="directory for sweep outputs")
@@ -133,6 +142,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
+    if args.rank is not None and getattr(args, "given", None):
+        raise ConfigError(f"--rank does not read {', '.join(sorted(args.given))}; only --auto does")
+    check_denoise(args.rank, None if args.rank is not None else args.r0, args.eta)  # before I/O
     z = io.load_data_matrix(args.input, header=args.header)
     if args.rank is not None:
         result = denoise_fixed_rank(z, args.rank)
@@ -159,14 +171,6 @@ def _cmd_recover(args) -> int:
     return 0
 
 
-def _ranking_from_file(path):
-    """Accept a ranking file or a labels file; derive ranks when needed."""
-    try:
-        return io.load_ranking(path)
-    except NotAPermutationError:
-        return ranking_from_labels(io.load_labels(path))
-
-
 # the optional flags each evaluate metric reads; giving any other is a usage error
 _METRIC_FLAGS = {"closed-time": ("--truth-span",), "open-time": ("--truth-span", "--delta"),
                  "closed-rank": (), "open-rank": ("--delta",), "relative": ("--matrix", "--header")}
@@ -187,7 +191,7 @@ def _cmd_evaluate(args) -> int:
     if not 0.0 <= delta < math.pi:
         raise ConfigError(f"--delta must lie in [0, pi) radians, got {delta}")
     if args.metric in ("relative", "closed-rank", "open-rank"):
-        p, p2 = _ranking_from_file(args.truth), _ranking_from_file(args.estimate)
+        p, p2 = io.load_ranking(args.truth), io.load_ranking(args.estimate)
     else:
         truth = io.load_labels(args.truth)
         if args.truth_span is not None:
@@ -264,14 +268,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (SpectimeError, ValueError) as exc:
+    except (SpectimeError, ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

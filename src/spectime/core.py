@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    LabelRangeError,
     LengthMismatchError,
     NonFiniteEntryError,
     NotAPermutationError,
@@ -108,7 +109,8 @@ class TimeLabels:
             bad = int(np.argwhere(~np.isfinite(arr))[0])
             raise NonFiniteEntryError(0, bad)
         if arr.size and (arr.min() < 0.0 or arr.max() > TWO_PI):
-            raise ValueError("labels must lie in [0, 2*pi]")
+            i = int(np.flatnonzero((arr < 0.0) | (arr > TWO_PI))[0])
+            raise LabelRangeError(f"label {i} is {float(arr[i])!r}, outside [0, 2*pi]")
         arr.flags.writeable = False
         object.__setattr__(self, "angles", arr)
 

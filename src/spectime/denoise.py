@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataMatrix
-from .errors import DegenerateSketchError, RankTooLargeError
+from .errors import ConfigError, DegenerateSketchError, RankTooLargeError
+
+ETA = 1e-3  # default singular-value ratio threshold of denoise_auto
 
 
 @dataclass(frozen=True)
@@ -50,34 +52,35 @@ def _result(z: DataMatrix, basis: np.ndarray) -> DenoiseResult:
     return DenoiseResult(r_hat=basis.shape[1], coords=coords, basis=basis)
 
 
+def check_denoise(rank=None, r0=None, eta: float = ETA, size: int | None = None) -> None:
+    """The denoise rule on data of min(d, N) = ``size`` (None: unread).  At most
+    one of a fixed ``rank`` and an oversampling rank ``r0``; 0 < eta < 1, and
+    ``ETA`` unless r0 reads it (else ``ConfigError``); the rank an integer in
+    [1, size] (else ``RankTooLargeError``)."""
+    if rank is not None and r0 is not None:
+        raise ConfigError("give either a fixed denoise rank or an oversampling rank")
+    if not 0.0 < eta < 1.0:
+        raise ConfigError(f"eta must lie in (0, 1), got {eta!r}")
+    if eta != ETA and r0 is None:
+        raise ConfigError(f"eta is read only with an oversampling rank r0, got eta={eta!r}")
+    for name, r in (("rank", rank), ("oversampling rank", r0)):
+        if r is not None and (not isinstance(r, (int, np.integer)) or r < 1
+                              or size is not None and r > size):
+            raise RankTooLargeError(f"{name} {r!r} is not an integer in [1, {size or 'min(d, N)'}]")
+
+
 def denoise_fixed_rank(z: DataMatrix, r: int) -> DenoiseResult:
     """Project onto the top-r left singular subspace of z."""
-    r = int(r)
-    if not 1 <= r <= min(z.dim, z.n_points):
-        raise RankTooLargeError(
-            f"rank {r} outside [1, {min(z.dim, z.n_points)}] for shape {z.values.shape}"
-        )
+    check_denoise(rank=r, size=min(z.values.shape))
     u, _, _ = np.linalg.svd(z.values, full_matrices=False)
     return _result(z, u[:, :r])
 
 
 def denoise_auto(z: DataMatrix, r0: int, eta: float, seed: int) -> DenoiseResult:
-    """Estimate the rank from a randomized sketch, then project.
-
-    Parameters
-    ----------
-    z : (d, N) data
-    r0 : oversampling rank, 1 <= r0 <= min(d, N)
-    eta : singular-value ratio threshold, 0 < eta < 1
-    seed : seeds the Gaussian sketch; identical seeds give identical output
-    """
-    r0 = int(r0)
-    if not 1 <= r0 <= min(z.dim, z.n_points):
-        raise RankTooLargeError(
-            f"oversampling rank {r0} outside [1, {min(z.dim, z.n_points)}]"
-        )
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    """Estimate the rank from a sketch of r0 Gaussian columns drawn from
+    ``seed`` (identical seeds give identical output) with the ratio threshold
+    ``eta``, then project; ``check_denoise`` is the rule on r0 and eta."""
+    check_denoise(r0=r0, eta=eta, size=min(z.values.shape))
     g = np.random.default_rng(seed).standard_normal((z.n_points, r0))
     y = z.values @ g
     u, s, _ = np.linalg.svd(y, full_matrices=False)

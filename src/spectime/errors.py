@@ -90,5 +90,9 @@ class DegenerateBaselineError(SpectimeError):
     """The pairwise-comparison similarity is constant; no Fiedler ordering exists."""
 
 
-class ConfigError(SpectimeError):
-    """Invalid pipeline or sweep configuration."""
+class LabelRangeError(SpectimeError, ValueError):
+    """A time label lies outside [0, 2*pi]."""
+
+
+class ConfigError(SpectimeError, ValueError):
+    """A run setting outside the range of the stage that reads it."""

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataMatrix, Ranking, TimeLabels
-from .errors import BadCellError, BadIndexError, LengthMismatchError
+from .core import DataMatrix, Ranking, TimeLabels, ranking_from_labels
+from .errors import BadCellError, BadIndexError, LabelRangeError, LengthMismatchError
+from .errors import NotAPermutationError
 
 FLOAT_FMT = "%.17g"
 
@@ -88,8 +89,8 @@ def _scan_cells(path: str | Path, skip: int, width: int | None = None) -> np.nda
     return np.array(out, dtype=np.float64).reshape(len(body), width)
 
 
-def _read_indexed_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Header (``c0, c1, ...`` if line 1 is data) and rows sorted by index,
+def _read_indexed_csv(path: str | Path) -> np.ndarray:
+    """The rows sorted by index, after a header line if line 1 is not data,
     parsed by ``np.loadtxt``; a file it refuses is scanned to name the line."""
     with open(path, newline="") as f:
         first = f.readline()
@@ -99,10 +100,9 @@ def _read_indexed_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     head = next(csv.reader([first]), [])
     try:
         float(head[1])
+        skip = 0
     except (ValueError, IndexError):
         skip = 1  # header line
-    else:
-        skip, head = 0, [f"c{j}" for j in range(len(head))]
     if skip and not data_follows:
         raise LengthMismatchError(f"{path}: no data rows")
     try:
@@ -123,21 +123,31 @@ def _read_indexed_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
         else:
             what = f"index {found:g} is not one of 0..{n - 1}"
         raise BadIndexError(f"{path}: {what}; the index column must hold 0..{n - 1} once each")
-    return head, data
+    return data
 
 
 def load_labels(path: str | Path) -> TimeLabels:
     """Read labels from an ``index,value`` or ``index,t_hat,rank`` file."""
-    _, data = _read_indexed_csv(path)
-    return TimeLabels(data[:, 1])
+    return _labels(path, _read_indexed_csv(path))
+
+
+def _labels(path: str | Path, data: np.ndarray) -> TimeLabels:
+    try:
+        return TimeLabels(data[:, 1])
+    except LabelRangeError as exc:
+        raise LabelRangeError(f"{path}: {exc}") from None
 
 
 def load_ranking(path: str | Path) -> Ranking:
     """Read a ranking from an ``index,value`` (value = rank) or
-    ``index,t_hat,rank`` file."""
-    head, data = _read_indexed_csv(path)
+    ``index,t_hat,rank`` file; when that column, rounded, is not a
+    permutation of 0..N-1, from the labels in column 1, ranked."""
+    data = _read_indexed_csv(path)
     col = 2 if data.shape[1] >= 3 else 1
-    return Ranking.from_ranks(np.rint(data[:, col]).astype(np.int64))
+    try:
+        return Ranking.from_ranks(np.rint(data[:, col]).astype(np.int64))
+    except NotAPermutationError:
+        return ranking_from_labels(_labels(path, data))
 
 
 def save_square_matrix(path: str | Path, a: np.ndarray) -> None:

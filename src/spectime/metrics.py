@@ -41,12 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TWO_PI, DataMatrix, Ranking, TimeLabels
-from .errors import (
-    DimensionMismatchError,
-    EmptyInteriorError,
-    LengthMismatchError,
-    ZeroNormError,
-)
+from .errors import DimensionMismatchError, EmptyInteriorError, LengthMismatchError, ZeroNormError
 
 
 _CHUNK_ELEMENTS = 1 << 18  # row slab of the arrangement distance, 2 MB of float64
@@ -68,31 +63,33 @@ def _check_lengths(a, b) -> int:
     return len(a)
 
 
-def _one_center(points: np.ndarray) -> tuple[float, float]:
-    """Minimax center of points on the circle via the largest gap.
+def _best(reports) -> AlignmentReport:
+    """The first report of least error."""
+    return min(reports, key=lambda rep: rep.error)
 
-    Returns (max circular distance at the optimum, optimal center).
-    """
+
+def _reflection(a: np.ndarray, b: np.ndarray, top: float) -> AlignmentReport:
+    """Sup distance from b to a (r = +1) or to top - a (r = -1); direct on a tie."""
+    return _best([AlignmentReport(error=float(np.abs(a - b).max()), r=1),
+                  AlignmentReport(error=float(np.abs(top - a - b).max()), r=-1)])
+
+
+def _one_center(points: np.ndarray, r: int) -> AlignmentReport:
+    """Minimax center theta of points on the circle via the largest gap,
+    with the max circular distance at the optimum as the error of branch r."""
     s = np.sort(np.mod(points, TWO_PI))
     gaps = np.diff(s, append=s[0] + TWO_PI)
     j = int(np.argmax(gaps))
-    gap = float(gaps[j])
-    arc = TWO_PI - gap
+    arc = TWO_PI - float(gaps[j])
     start = s[(j + 1) % s.size]  # first point after the largest gap
     theta = float(np.mod(start + arc / 2.0, TWO_PI))
-    return min(math.pi, arc / 2.0), theta
+    return AlignmentReport(error=min(math.pi, arc / 2.0), r=r, theta=theta)
 
 
 def err_closed_time(t: TimeLabels, t2: TimeLabels) -> AlignmentReport:
     """Rotation/reflection-invariant sup-norm distance between label vectors."""
     _check_lengths(t, t2)
-    best: AlignmentReport | None = None
-    for r in (1, -1):
-        resid = np.mod(t2.angles - r * t.angles, TWO_PI)
-        err, center = _one_center(resid)
-        if best is None or err < best.error:
-            best = AlignmentReport(error=err, r=r, theta=center)
-    return best
+    return _best(_one_center(np.mod(t2.angles - r * t.angles, TWO_PI), r) for r in (1, -1))
 
 
 def _rank_cost(x: np.ndarray, n: int) -> np.ndarray:
@@ -106,7 +103,7 @@ def err_closed_rank(p: Ranking, p2: Ranking) -> AlignmentReport:
     r1 = p.ranks().astype(np.int64)
     r2 = p2.ranks().astype(np.int64)
     shifts = np.arange(n, dtype=np.int64)
-    best: AlignmentReport | None = None
+    reports = []
     for refl, base in ((1, r1), (-1, n - r1)):
         a = np.sort(base - r2)  # point i sits at a_i + shift
         worst = np.maximum(_rank_cost(a[0] + shifts, n), _rank_cost(a[-1] + shifts, n))
@@ -116,10 +113,8 @@ def err_closed_rank(p: Ranking, p2: Ranking) -> AlignmentReport:
             for idx in (left, right):
                 np.maximum(worst, _rank_cost(a[idx] + shifts, n), out=worst)
         j = int(np.argmin(worst))
-        err = float(worst[j]) / n
-        if best is None or err < best.error:
-            best = AlignmentReport(error=err, r=refl, shift=j)
-    return best
+        reports.append(AlignmentReport(error=float(worst[j]) / n, r=refl, shift=j))
+    return _best(reports)
 
 
 def err_open_time(t: TimeLabels, t2: TimeLabels, delta: float) -> AlignmentReport:
@@ -131,11 +126,7 @@ def err_open_time(t: TimeLabels, t2: TimeLabels, delta: float) -> AlignmentRepor
     mask = (t.angles > delta) & (t.angles < TWO_PI - delta)
     if not mask.any():
         raise EmptyInteriorError(f"no label inside ({delta}, {TWO_PI - delta})")
-    direct = float(np.abs(t.angles[mask] - t2.angles[mask]).max())
-    reflected = float(np.abs(TWO_PI - t.angles[mask] - t2.angles[mask]).max())
-    if direct <= reflected:
-        return AlignmentReport(error=direct, r=1)
-    return AlignmentReport(error=reflected, r=-1)
+    return _reflection(t.angles[mask], t2.angles[mask], TWO_PI)
 
 
 def err_open_rank(p: Ranking, p2: Ranking, delta: float) -> AlignmentReport:
@@ -150,11 +141,7 @@ def err_open_rank(p: Ranking, p2: Ranking, delta: float) -> AlignmentReport:
     mask = (r1 >= n * delta) & (r1 <= n * (1.0 - delta))
     if not mask.any():
         raise EmptyInteriorError("no rank inside the interior window")
-    direct = float(np.abs(r1[mask] - r2[mask]).max())
-    reflected = float(np.abs((n - 1) - r1[mask] - r2[mask]).max())
-    if direct <= reflected:
-        return AlignmentReport(error=direct, r=1)
-    return AlignmentReport(error=reflected, r=-1)
+    return _reflection(r1[mask], r2[mask], n - 1)
 
 
 def relative_error(x: DataMatrix, p: Ranking, p2: Ranking) -> float:
@@ -207,11 +194,8 @@ def interior_relative_error(
     if denom == 0.0:
         raise ZeroNormError("interior submatrix has zero Frobenius norm")
     true_cols = cols[np.argsort(t_true.angles[mask], kind="stable")]
-    best = math.inf
-    for oriented in (est[mask], -est[mask]):
-        est_cols = cols[np.argsort(oriented, kind="stable")]
-        best = min(best, math.sqrt(_arrangement_distance_sq(x.values, est_cols, true_cols)) / denom)
-    return best
+    arranged = (cols[np.argsort(oriented, kind="stable")] for oriented in (est[mask], -est[mask]))
+    return min(math.sqrt(_arrangement_distance_sq(x.values, c, true_cols)) / denom for c in arranged)
 
 
 def _arrangement_distance_sq(values: np.ndarray, cols: np.ndarray, cols2: np.ndarray) -> float:

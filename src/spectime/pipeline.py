@@ -36,14 +36,16 @@ import numpy as np
 
 from . import io
 from .core import CurveKind, DataMatrix, KernelParams, TimeLabels
-from .denoise import DenoiseResult, denoise_auto, denoise_fixed_rank
+from .denoise import ETA, DenoiseResult, check_denoise, denoise_auto, denoise_fixed_rank
 from .eigen import smallest_eigenpairs
 from .errors import ConfigError, DisconnectedGraphError
 from .kernel import LaplacianMatrix, laplacian_from_data
 from .metrics import err_closed_time, err_open_time, interior_relative_error
 from .recover import RecoveryOutput, check_bandwidth, recover_closed, recover_open
 from .recover import data_driven_bandwidth, select_bandwidth
-from .synth import CurveSpec, comparison_matrix, noisy_sample, serialrank_baseline
+from .synth import CurveSpec, check_sample, comparison_matrix, noisy_sample, serialrank_baseline
+
+DELTA_FRACTION = 0.05  # default interior margin of an open curve, a fraction of 2pi
 
 
 @dataclass(frozen=True)
@@ -59,24 +61,19 @@ class PipelineConfig:
     noise_level: float = 0.0  # eps handed to the auto bandwidth formula
     denoise_rank: int | None = None  # fixed-rank projection
     denoise_auto_r0: int | None = None  # randomized rank estimation
-    denoise_eta: float = 1e-3
-    delta_fraction: float = 0.05
+    denoise_eta: float = ETA
+    delta_fraction: float = DELTA_FRACTION  # read by open curves only
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError("n must be at least 2")
-        if self.snr is not None and self.eps is not None:
-            raise ConfigError("give either snr or eps, not both")
-        if self.snr is not None and not self.snr > 0.0:
-            raise ConfigError(f"snr must be positive, got {self.snr!r}")
-        if self.eps is not None and not 0.0 <= self.eps < math.inf:
-            raise ConfigError(f"eps must be finite and nonnegative, got {self.eps!r}")
-        if self.denoise_rank is not None and self.denoise_auto_r0 is not None:
-            raise ConfigError("give either a fixed denoise rank or an oversampling rank")
+        check_sample(self.n, self.snr, self.eps)
+        check_denoise(self.denoise_rank, self.denoise_auto_r0, self.denoise_eta,
+                      min(self.curve.embed_dim or 2, self.n))
         object.__setattr__(self, "sigma", check_bandwidth(self.sigma, self.noise_level))
         if not 0.0 <= self.delta_fraction < 0.5:  # delta = fraction * 2pi in [0, pi)
             raise ConfigError(f"delta_fraction must lie in [0, 0.5), got {self.delta_fraction!r}")
+        if self.curve.kind is CurveKind.CLOSED_LOOP and self.delta_fraction != DELTA_FRACTION:
+            raise ConfigError(f"a closed loop reads no delta_fraction, got {self.delta_fraction!r}")
 
 
 def recover_labels(

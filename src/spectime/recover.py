@@ -40,6 +40,7 @@ import numpy as np
 from .core import TWO_PI, CurveKind, DataMatrix, KernelParams, Ranking, TimeLabels, ranking_from_labels
 from .errors import CoincidentPointsError, ConfigError, LengthMismatchError
 from .kernel import squared_distances
+from .synth import check_sample
 
 _UNIFORM_LABEL_AMPLITUDE = math.sqrt(2.0)  # of a unit-norm cos(t/2) under uniform labels
 
@@ -117,10 +118,8 @@ def recover_closed(f2: np.ndarray, f3: np.ndarray) -> RecoveryOutput:
 
 def select_bandwidth(n: int, eps: float = 0.0, kind: CurveKind = CurveKind.CLOSED_LOOP) -> KernelParams:
     """Rate-optimal Gaussian bandwidth for a given sample size and noise level."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    check_sample(n)
+    check_bandwidth("auto", eps)
     if kind is CurveKind.CLOSED_LOOP:
         sigma = max(n ** (-1.0 / 7.0), eps ** (1.0 / 4.0))
     else:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .errors import ConfigError, SpectimeError
 from .io import FLOAT_FMT
-from .pipeline import PipelineConfig, run_baseline, run_pipeline
+from .pipeline import DELTA_FRACTION, PipelineConfig, run_baseline, run_pipeline
 from .synth import CurveSpec
 
 METHODS = ("spectral", "serialrank")
@@ -62,7 +62,7 @@ class SweepConfig:
     noise_level: float = 0.0
     seed_base: int = 0
     threads: int = 1
-    delta_fraction: float = 0.05
+    delta_fraction: float = DELTA_FRACTION
     out_dir: str = "sweep_out"
 
     def __post_init__(self):

@@ -110,10 +110,22 @@ def _positions(spec: CurveSpec, t: np.ndarray, rng: np.random.Generator) -> np.n
     return frame @ np.vstack([np.cos(t), np.sin(t)])
 
 
+def check_sample(n: int, snr: float | None = None, eps: float | None = None) -> None:
+    """The sample rule, else ``ConfigError``: n >= 2, and at most one of an
+    exact ``snr`` > 0 and an entrywise noise level 0 <= ``eps`` < inf."""
+    if n < 2:
+        raise ConfigError(f"n must be at least 2, got {n!r}")
+    if snr is not None and eps is not None:
+        raise ConfigError("give either snr or eps, not both")
+    if snr is not None and not snr > 0.0:
+        raise ConfigError(f"snr must be positive, got {snr!r}")
+    if eps is not None and not 0.0 <= eps < math.inf:
+        raise ConfigError(f"eps must be finite and nonnegative, got {eps!r}")
+
+
 def generate(spec: CurveSpec, n: int, seed: int) -> tuple[DataMatrix, TimeLabels]:
     """Draw n uniform labels on the curve's domain and evaluate the curve."""
-    if n < 2:
-        raise ConfigError(f"need n >= 2, got {n}")
+    check_sample(n)
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, spec.span, n)
     if spec.kind is CurveKind.CLOSED_LOOP:
@@ -123,8 +135,7 @@ def generate(spec: CurveSpec, n: int, seed: int) -> tuple[DataMatrix, TimeLabels
 
 def add_noise(x: DataMatrix, eps: float, seed: int) -> DataMatrix:
     """Z = X + E with i.i.d. N(0, eps^2) entries."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    check_sample(x.n_points, eps=eps)
     if eps == 0.0:
         return x
     e = np.random.default_rng(seed).standard_normal(x.values.shape)
@@ -136,8 +147,7 @@ def add_noise(x: DataMatrix, eps: float, seed: int) -> DataMatrix:
 def noise_for_snr(x: DataMatrix, target_snr: float, seed: int) -> DataMatrix:
     """Z = X + E with the realized noise rescaled so that
     ||X||_F^2 / ||E||_F^2 equals target_snr exactly."""
-    if target_snr <= 0:
-        raise ValueError("target SNR must be positive")
+    check_sample(x.n_points, snr=target_snr)
     signal = float(np.linalg.norm(x.values))
     if signal == 0.0:
         raise ZeroSignalError("cannot scale noise against an all-zero signal")
@@ -154,8 +164,7 @@ def noisy_sample(
     """(x, t, z): ``generate(spec, n, seed)``, then z = x plus noise drawn
     from seed + 1, scaled to an exact ``snr`` or i.i.d. N(0, eps^2); z is x
     when neither is given."""
-    if snr is not None and eps is not None:
-        raise ConfigError("give either snr or eps, not both")
+    check_sample(n, snr, eps)
     x, t = generate(spec, n, seed)
     if snr is not None:
         z = noise_for_snr(x, snr, seed + 1)

@@ -150,7 +150,9 @@ def test_bad_noise_setting_rejected_before_work(tmp_path, setting, name):
 def test_run_baseline_scores_the_pipelines_sample_and_window(curve):
     # the baseline reads the same noisy sample as run_pipeline and is scored
     # on its window: delta_fraction for an open curve, every point on a loop
-    cfg = PipelineConfig(curve=CurveSpec(curve), n=80, seed=3, snr=50.0, delta_fraction=0.1)
+    # (which takes only the default delta_fraction, 0.05)
+    setting = dict(delta_fraction=0.1) if curve == "half-circle" else {}
+    cfg = PipelineConfig(curve=CurveSpec(curve), n=80, seed=3, snr=50.0, **setting)
     x, t_true, z = noisy_sample(cfg.curve, cfg.n, cfg.seed, cfg.snr, None)
     fraction = 0.1 if curve == "half-circle" else 0.0
     expected = interior_relative_error(x, t_true, pipeline.baseline_labels(z), cfg.curve.span,
