@@ -20,15 +20,10 @@ import sys
 from . import io
 from .core import TWO_PI, CurveKind, TimeLabels
 from .denoise import ETA, check_denoise, denoise_auto, denoise_fixed_rank
-from .errors import ConfigError, SpectimeError
-from .metrics import (
-    err_closed_rank,
-    err_closed_time,
-    err_open_rank,
-    err_open_time,
-    relative_error,
-)
-from .pipeline import DELTA_FRACTION, recover_labels
+from .errors import ConfigError, LabelRangeError, SpectimeError
+from .metrics import DELTA_FRACTION, AlignmentReport, check_delta_fraction, err_closed_rank
+from .metrics import err_closed_time, err_open_rank, err_open_time, relative_error
+from .pipeline import recover_labels
 from .recover import check_bandwidth
 from .sweep import METHODS, SweepConfig, sweep
 from .synth import CurveSpec, comparison_matrix, noisy_sample, serialrank_baseline
@@ -41,14 +36,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
-
-
-class _Given(argparse.Action):
-    """Stores a flag's value and adds the flag to the set ``args.given``."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = {*getattr(namespace, "given", ()), self.option_strings[0]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,12 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode = d.add_mutually_exclusive_group(required=True)
     mode.add_argument("--rank", type=int, help="fixed projection rank")
     mode.add_argument("--auto", action="store_true", help="estimate the rank from a sketch")
-    d.add_argument("--r0", type=int, default=400, action=_Given,
-                   help="oversampling rank (default 400)")
-    d.add_argument("--eta", type=float, default=ETA, action=_Given,
-                   help="singular-value ratio threshold (default 1e-3)")
+    d.add_argument("--r0", type=int, help="oversampling rank (default 400)")
+    d.add_argument("--eta", type=float, help="singular-value ratio threshold (default 1e-3)")
     d.add_argument("--out", required=True)
-    d.add_argument("--seed", type=int, default=0, action=_Given, help="random seed (default 0)")
+    d.add_argument("--seed", type=int, help="random seed (default 0)")
 
     r = sub.add_parser("recover", help="recover labels and ranking from data")
     r.add_argument("--kind", choices=("open", "closed"), required=True)
@@ -93,13 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--dump-laplacian", help="write the Laplacian to this CSV")
     r.add_argument("--out", required=True, help="output CSV: index,t_hat,rank")
 
-    e = sub.add_parser("evaluate", help="alignment-invariant error metrics")
-    e.add_argument("--metric", required=True,
-                   choices=("closed-time", "closed-rank", "open-time", "open-rank", "relative"))
+    # no abbreviations: a radians --delta must not parse as --delta-fraction
+    e = sub.add_parser("evaluate", help="alignment-invariant error metrics", allow_abbrev=False)
+    e.add_argument("--metric", required=True, choices=tuple(_METRICS))
     e.add_argument("--truth", required=True, help="truth labels/ranking CSV")
     e.add_argument("--estimate", required=True, help="estimate labels/ranking CSV")
-    e.add_argument("--delta", type=float,
-                   help="interior half-width in radians for open metrics (default 0.05*2pi)")
+    e.add_argument("--delta-fraction", type=float,
+                   help="open-metric margin, a fraction in [0, 0.5) (default 0.05)")
     e.add_argument("--truth-span", type=float,
                    help="rescale truth labels from [0, span] to [0, 2pi] first")
     e.add_argument("--matrix", help="data CSV, required for --metric relative")
@@ -142,14 +127,15 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    if args.rank is not None and getattr(args, "given", None):
-        raise ConfigError(f"--rank does not read {', '.join(sorted(args.given))}; only --auto does")
-    check_denoise(args.rank, None if args.rank is not None else args.r0, args.eta)  # before I/O
+    _refuse_unread_flags(args, "--auto" if args.auto else "--rank")
+    r0 = 400 if args.r0 is None else args.r0
+    eta = ETA if args.eta is None else args.eta
+    check_denoise(args.rank, r0 if args.auto else None, eta)  # before I/O
     z = io.load_data_matrix(args.input, header=args.header)
-    if args.rank is not None:
-        result = denoise_fixed_rank(z, args.rank)
+    if args.auto:
+        result = denoise_auto(z, r0, eta, 0 if args.seed is None else args.seed)
     else:
-        result = denoise_auto(z, args.r0, args.eta, args.seed)
+        result = denoise_fixed_rank(z, args.rank)
     io.save_data_matrix(args.out, result.z_tilde)
     summary = {"r_hat": result.r_hat, "d": z.dim, "n": z.n_points, "out": args.out}
     print(json.dumps(summary), file=sys.stderr)
@@ -171,51 +157,57 @@ def _cmd_recover(args) -> int:
     return 0
 
 
-# the optional flags each evaluate metric reads; giving any other is a usage error
-_METRIC_FLAGS = {"closed-time": ("--truth-span",), "open-time": ("--truth-span", "--delta"),
-                 "closed-rank": (), "open-rank": ("--delta",), "relative": ("--matrix", "--header")}
+# metric -> (what its truth and estimate files hold, score(truth, estimate, args),
+# the optional flags it reads); the lambdas look the metric up when called
+_METRICS = {
+    "closed-time": ("labels", lambda t, e, a: err_closed_time(t, e), ("--truth-span",)),
+    "closed-rank": ("ranking", lambda p, q, a: err_closed_rank(p, q), ()),
+    "open-time": ("labels", lambda t, e, a: err_open_time(t, e, a.delta_fraction),
+                  ("--truth-span", "--delta-fraction")),
+    "open-rank": ("ranking", lambda p, q, a: err_open_rank(p, q, a.delta_fraction),
+                  ("--delta-fraction",)),
+    "relative": ("ranking", lambda p, q, a: AlignmentReport(relative_error(
+        io.load_data_matrix(a.matrix, header=a.header), p, q), r=None), ("--matrix", "--header")),
+}
+
+# the optional flags each mode reads; giving one another mode reads is a usage error
+_MODE_FLAGS = {
+    "denoise": {"--rank": (), "--auto": ("--r0", "--eta", "--seed")},
+    "evaluate": {f"--metric {metric}": flags for metric, (_, _, flags) in _METRICS.items()},
+}
+
+
+def _refuse_unread_flags(args, mode: str) -> None:
+    modes = _MODE_FLAGS[args.command]
+    for flag in dict.fromkeys(flag for flags in modes.values() for flag in flags):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False and flag not in modes[mode]:
+            raise ConfigError(f"{mode} does not read {flag}")
 
 
 def _cmd_evaluate(args) -> int:
-    report: dict = {"metric": args.metric, "delta": None, "r": None,
-                    "theta": None, "shift": None}
-    for flag in ("--delta", "--truth-span", "--matrix", "--header"):
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and value is not False and flag not in _METRIC_FLAGS[args.metric]:
-            raise ConfigError(f"--metric {args.metric} does not read {flag}")
+    files, score, flags = _METRICS[args.metric]
+    _refuse_unread_flags(args, f"--metric {args.metric}")
     if args.truth_span is not None and not 0.0 < args.truth_span < math.inf:
         raise ConfigError(f"--truth-span must be positive and finite, got {args.truth_span}")
     if args.metric == "relative" and not args.matrix:
         raise ConfigError("--metric relative needs --matrix")
-    delta = 0.1 * math.pi if args.delta is None else args.delta
-    if not 0.0 <= delta < math.pi:
-        raise ConfigError(f"--delta must lie in [0, pi) radians, got {delta}")
-    if args.metric in ("relative", "closed-rank", "open-rank"):
-        p, p2 = io.load_ranking(args.truth), io.load_ranking(args.estimate)
-    else:
-        truth = io.load_labels(args.truth)
-        if args.truth_span is not None:
-            truth = TimeLabels(truth.angles * (TWO_PI / args.truth_span))
-        est = io.load_labels(args.estimate)
-    if args.metric == "relative":
-        x = io.load_data_matrix(args.matrix, header=args.header)
-        report["error"] = relative_error(x, p, p2)
-    else:
-        if args.metric == "closed-time":
-            rep = err_closed_time(truth, est)
-        elif args.metric == "open-time":
-            rep = err_open_time(truth, est, delta)
-            report["delta"] = delta
-        elif args.metric == "closed-rank":
-            rep = err_closed_rank(p, p2)
-        else:
-            rep = err_open_rank(p, p2, delta / TWO_PI)
-            report["delta"] = delta / TWO_PI
-        report.update(error=rep.error, r=rep.r, theta=rep.theta, shift=rep.shift)
-
+    if "--delta-fraction" in flags:
+        args.delta_fraction = DELTA_FRACTION if args.delta_fraction is None else args.delta_fraction
+        check_delta_fraction(args.delta_fraction)  # before I/O
+    truth, est = (getattr(io, f"load_{files}")(path) for path in (args.truth, args.estimate))
+    if args.truth_span is not None:  # the truth file's labels lie in [0, span]
+        over = truth.angles > args.truth_span
+        if over.any():
+            i = int(over.argmax())
+            raise LabelRangeError(f"{args.truth}: label {i} is {float(truth.angles[i])!r}, "
+                                  f"outside [0, --truth-span {args.truth_span!r}]")
+        truth = TimeLabels((truth.angles * (TWO_PI / args.truth_span)).clip(max=TWO_PI))
+    rep = score(truth, est, args)
+    report = {"metric": args.metric, "delta_fraction": args.delta_fraction, "r": rep.r,
+              "theta": rep.theta, "shift": rep.shift, "error": rep.error}
     if args.format == "csv":
-        keys = list(report)
-        text = ",".join(keys) + "\n" + ",".join(str(report[k]) for k in keys) + "\n"
+        text = ",".join(report) + "\n" + ",".join(str(v) for v in report.values()) + "\n"
     else:
         text = json.dumps(report, indent=2) + "\n"
     if args.out:

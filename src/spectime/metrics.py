@@ -25,7 +25,8 @@ oracle.
 
 Open-curve metrics restrict to an interior window selected by the
 *first* argument (the truth) and minimize only over reflection; they are
-deliberately not symmetric in their arguments.
+deliberately not symmetric in their arguments.  The window's margin is
+one fraction of the span, ``delta_fraction`` in [0, 0.5) at every reader.
 
 Ranks are 0-based throughout.  The closed-loop reflection is applied
 verbatim as N - rank; the cyclic shift absorbs the unit offset from the
@@ -41,9 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TWO_PI, DataMatrix, Ranking, TimeLabels
-from .errors import DimensionMismatchError, EmptyInteriorError, LengthMismatchError, ZeroNormError
+from .errors import ConfigError, DimensionMismatchError, EmptyInteriorError, LengthMismatchError
+from .errors import ZeroNormError
 
-
+DELTA_FRACTION = 0.05  # default interior margin of an open curve, a fraction of its span
 _CHUNK_ELEMENTS = 1 << 18  # row slab of the arrangement distance, 2 MB of float64
 
 
@@ -55,6 +57,12 @@ class AlignmentReport:
     r: int = 1  # reflection choice, +1 or -1
     theta: float | None = None  # rotation angle, closed-loop time metric only
     shift: int | None = None  # cyclic shift, closed-loop ranking metric only
+
+
+def check_delta_fraction(delta_fraction: float) -> None:
+    """The window rule: a margin in [0, 0.5), NaN refused, else ``ConfigError``."""
+    if not 0.0 <= delta_fraction < 0.5:
+        raise ConfigError(f"delta_fraction must lie in [0, 0.5), got {delta_fraction!r}")
 
 
 def _check_lengths(a, b) -> int:
@@ -117,28 +125,28 @@ def err_closed_rank(p: Ranking, p2: Ranking) -> AlignmentReport:
     return _best(reports)
 
 
-def err_open_time(t: TimeLabels, t2: TimeLabels, delta: float) -> AlignmentReport:
+def err_open_time(t: TimeLabels, t2: TimeLabels, delta_fraction: float) -> AlignmentReport:
     """Reflection-invariant sup-norm label distance on the interior
-    delta < t_i < 2*pi - delta, interior selected by the first argument."""
+    delta < t_i < 2*pi - delta, delta = delta_fraction * 2pi, interior
+    selected by the first argument."""
     _check_lengths(t, t2)
-    if not 0.0 <= delta < math.pi:
-        raise ValueError(f"delta must lie in [0, pi), got {delta}")
+    check_delta_fraction(delta_fraction)
+    delta = delta_fraction * TWO_PI
     mask = (t.angles > delta) & (t.angles < TWO_PI - delta)
     if not mask.any():
         raise EmptyInteriorError(f"no label inside ({delta}, {TWO_PI - delta})")
     return _reflection(t.angles[mask], t2.angles[mask], TWO_PI)
 
 
-def err_open_rank(p: Ranking, p2: Ranking, delta: float) -> AlignmentReport:
+def err_open_rank(p: Ranking, p2: Ranking, delta_fraction: float) -> AlignmentReport:
     """Reflection-invariant sup-norm rank distance on the interior
-    N*delta <= rank_i <= N*(1-delta), interior selected by the first
-    argument.  Unnormalized (counts ranks)."""
+    N*delta_fraction <= rank_i <= N*(1-delta_fraction), interior selected
+    by the first argument.  Unnormalized (counts ranks)."""
     n = _check_lengths(p, p2)
-    if not 0.0 <= delta < 0.5:
-        raise ValueError(f"delta must lie in [0, 0.5), got {delta}")
+    check_delta_fraction(delta_fraction)
     r1 = p.ranks()
     r2 = p2.ranks()
-    mask = (r1 >= n * delta) & (r1 <= n * (1.0 - delta))
+    mask = (r1 >= n * delta_fraction) & (r1 <= n * (1.0 - delta_fraction))
     if not mask.any():
         raise EmptyInteriorError("no rank inside the interior window")
     return _reflection(r1[mask], r2[mask], n - 1)
@@ -172,21 +180,22 @@ def interior_relative_error(
     t_true: TimeLabels,
     t_est: np.ndarray | TimeLabels,
     span: float,
-    fraction: float = 0.05,
+    delta_fraction: float = DELTA_FRACTION,
 ) -> float:
     """Benchmark-style relative error restricted to the interior window.
 
-    Keeps the points whose true label lies in (fraction*span,
-    (1-fraction)*span), arranges them by true and by estimated order, and
-    returns the relative Frobenius distance, minimized over the estimate's
-    orientation (open-curve recoveries are identifiable only up to
-    reflection).  ``t_est`` may be any monotone proxy for estimated time,
-    e.g. recovered labels or baseline Fiedler scores.
+    Keeps the points whose true label lies in (delta_fraction*span,
+    (1-delta_fraction)*span), arranges them by true and by estimated
+    order, and returns the relative Frobenius distance, minimized over
+    the estimate's orientation (open-curve recoveries are identifiable
+    only up to reflection).  ``t_est`` may be any monotone proxy for
+    estimated time, e.g. recovered labels or baseline Fiedler scores.
     """
     est = t_est.angles if isinstance(t_est, TimeLabels) else np.asarray(t_est, dtype=np.float64)
     if len(t_true) != x.n_points or est.size != x.n_points:
         raise LengthMismatchError("labels do not match the matrix")
-    mask = (t_true.angles > fraction * span) & (t_true.angles < (1.0 - fraction) * span)
+    check_delta_fraction(delta_fraction)
+    mask = (t_true.angles > delta_fraction * span) & (t_true.angles < (1.0 - delta_fraction) * span)
     if not mask.any():
         raise EmptyInteriorError("interior window is empty")
     cols = np.flatnonzero(mask)

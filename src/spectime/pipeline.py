@@ -3,7 +3,8 @@
 The unit of work is a data set, one ``PipelineConfig``, which checks
 every per-run setting before any work.  ``run_pipeline`` scores its
 recovered labels and ``run_baseline`` the pairwise-comparison baseline,
-on the same sample and interior window (``_interior_error``).
+on the same sample and interior window (``_interior_error``): an open
+curve drops ``delta_fraction`` of its span at each end, a loop no point.
 
 Recovery builds the same Laplacian for both curve kinds; the kind picks
 only how many eigenpairs are solved and which map turns them into
@@ -26,7 +27,6 @@ recovered.csv to rounding, not bit for bit.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -35,17 +35,16 @@ from typing import Callable
 import numpy as np
 
 from . import io
-from .core import CurveKind, DataMatrix, KernelParams, TimeLabels
+from .core import TWO_PI, CurveKind, DataMatrix, KernelParams, TimeLabels
 from .denoise import ETA, DenoiseResult, check_denoise, denoise_auto, denoise_fixed_rank
 from .eigen import smallest_eigenpairs
 from .errors import ConfigError, DisconnectedGraphError
 from .kernel import LaplacianMatrix, laplacian_from_data
-from .metrics import err_closed_time, err_open_time, interior_relative_error
+from .metrics import DELTA_FRACTION, check_delta_fraction, err_closed_time, err_open_time
+from .metrics import interior_relative_error
 from .recover import RecoveryOutput, check_bandwidth, recover_closed, recover_open
 from .recover import data_driven_bandwidth, select_bandwidth
 from .synth import CurveSpec, check_sample, comparison_matrix, noisy_sample, serialrank_baseline
-
-DELTA_FRACTION = 0.05  # default interior margin of an open curve, a fraction of 2pi
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,7 @@ class PipelineConfig:
         check_denoise(self.denoise_rank, self.denoise_auto_r0, self.denoise_eta,
                       min(self.curve.embed_dim or 2, self.n))
         object.__setattr__(self, "sigma", check_bandwidth(self.sigma, self.noise_level))
-        if not 0.0 <= self.delta_fraction < 0.5:  # delta = fraction * 2pi in [0, pi)
-            raise ConfigError(f"delta_fraction must lie in [0, 0.5), got {self.delta_fraction!r}")
+        check_delta_fraction(self.delta_fraction)
         if self.curve.kind is CurveKind.CLOSED_LOOP and self.delta_fraction != DELTA_FRACTION:
             raise ConfigError(f"a closed loop reads no delta_fraction, got {self.delta_fraction!r}")
 
@@ -168,10 +166,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         report["time_error"] = aligned.error
         # Orderings on a loop only compare after undoing the rotation the
         # time metric identified; the wrap point then contributes little.
-        est = np.mod(aligned.r * (recovery.labels.angles - aligned.theta), 2.0 * math.pi)
+        est = np.mod(aligned.r * (recovery.labels.angles - aligned.theta), TWO_PI)
     else:
-        delta = cfg.delta_fraction * 2.0 * math.pi
-        report["time_error"] = err_open_time(canon, recovery.labels, delta).error
+        report["time_error"] = err_open_time(canon, recovery.labels, cfg.delta_fraction).error
         est = recovery.labels.angles
     report["relative_error"] = _interior_error(cfg, x, t_true, est)
     report["delta_fraction"] = cfg.delta_fraction
@@ -189,8 +186,7 @@ def run_baseline(cfg: PipelineConfig) -> dict:
 
 def _interior_error(cfg: PipelineConfig, x: DataMatrix, t_true: TimeLabels,
                     est: np.ndarray) -> float:
-    """``interior_relative_error`` on ``cfg``'s window: an open curve drops
-    ``delta_fraction`` of its span at each end, a loop keeps every point."""
+    """``interior_relative_error`` on ``cfg``'s window."""
     fraction = cfg.delta_fraction if cfg.curve.kind is CurveKind.OPEN_CURVE else 0.0
     return interior_relative_error(x, t_true, est, cfg.curve.span, fraction)
 

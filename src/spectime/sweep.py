@@ -28,7 +28,8 @@ from pathlib import Path
 
 from .errors import ConfigError, SpectimeError
 from .io import FLOAT_FMT
-from .pipeline import DELTA_FRACTION, PipelineConfig, run_baseline, run_pipeline
+from .metrics import DELTA_FRACTION
+from .pipeline import PipelineConfig, run_baseline, run_pipeline
 from .synth import CurveSpec
 
 METHODS = ("spectral", "serialrank")

@@ -61,8 +61,8 @@ class CurveSpec:
         if self.name not in self._SPANS:
             raise ConfigError(f"unknown curve {self.name!r}")
         if self.name == "embedded":
-            if self.embed_dim is None or int(self.embed_dim) < 2:
-                raise ConfigError("embedded curve needs an ambient dimension >= 2")
+            if not isinstance(self.embed_dim, (int, np.integer)) or self.embed_dim < 2:
+                raise ConfigError(f"embedded:<d> needs an integer d >= 2, got {self.embed_dim!r}")
             object.__setattr__(self, "embed_dim", int(self.embed_dim))
         elif self.embed_dim is not None:
             raise ConfigError(f"curve {self.name!r} does not take a dimension")
@@ -71,7 +71,8 @@ class CurveSpec:
     def parse(cls, text: str) -> "CurveSpec":
         """Parse CLI syntax: half-circle | cardioid | circle | embedded:<d>."""
         if text.startswith("embedded:"):
-            return cls("embedded", int(text.split(":", 1)[1]))
+            d = text.split(":", 1)[1]
+            return cls("embedded", int(d) if d.isdecimal() else d)
         return cls(text)
 
     def __str__(self) -> str:

@@ -91,11 +91,11 @@ def test_criterion_2_open_curve_interior_recovery():
     # blend, because arccos alone amplifies entry errors by 2/sin(t/2) near
     # the window edges.  Measured: 0.193 rad and 0.0223 against a noise
     # floor of about 0.15 rad (each noisy point read at its own angle).
-    delta = 0.05 * math.pi
+    delta_fraction = 0.025  # a margin of 0.05*pi radians
     time_errs, rel_errs = [], []
     for seed in range(20):
         spec, x, t, canon, out = open_curve_run(100 + 3 * seed, sigma2=0.05, snr=1000.0)
-        time_errs.append(err_open_time(canon, out.labels, delta).error)
+        time_errs.append(err_open_time(canon, out.labels, delta_fraction).error)
         rel_errs.append(
             interior_relative_error(x, t, out.labels.angles, spec.span, 0.05)
         )

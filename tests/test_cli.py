@@ -11,18 +11,21 @@ import pytest
 
 from spectime import (
     CurveKind,
+    TimeLabels,
     KernelParams,
     build_kernel,
     build_laplacian,
     data_driven_bandwidth,
+    denoise_fixed_rank,
     err_closed_rank,
     err_open_rank,
     ranking_from_labels,
     recover_labels,
     select_bandwidth,
 )
+from spectime import cli
 from spectime.cli import build_parser, main
-from spectime.io import load_data_matrix, load_labels, load_ranking
+from spectime.io import load_data_matrix, load_labels, load_ranking, save_labels
 
 
 def run(argv):
@@ -53,7 +56,7 @@ def test_open_curve_with_truth_span(tmp_path):
                 "--out", est]) == 0
     out = tmp_path / "rep.json"
     assert run(["evaluate", "--metric", "open-time", "--truth", t, "--estimate", est,
-                "--truth-span", str(math.pi), "--delta", str(0.1 * math.pi),
+                "--truth-span", str(math.pi), "--delta-fraction", "0.05",
                 "--out", out]) == 0
     assert json.loads(out.read_text())["error"] < math.pi / 2
 
@@ -98,12 +101,29 @@ def test_denoise_cli_fixed_and_auto(tmp_path, capsys):
     assert out1.exists() and out2.exists()
 
 
-def test_denoise_reference_defaults():
-    args = build_parser().parse_args(
-        ["denoise", "--input", "z.csv", "--auto", "--out", "o.csv"]
-    )
-    assert args.r0 == 400
-    assert args.eta == 1e-3
+def test_denoise_reference_defaults(tmp_path, monkeypatch):
+    # --auto without --r0, --eta or --seed sketches with r0 = 400, eta = 1e-3, seed 0
+    z = tmp_path / "z.csv"
+    run(["generate", "--curve", "embedded:30", "--n", "60", "--out", z])
+    calls = []
+
+    def recorded(data, r0, eta, seed):
+        calls.append((r0, eta, seed))
+        return denoise_fixed_rank(data, 2)
+
+    monkeypatch.setattr(cli, "denoise_auto", recorded)
+    assert run(["denoise", "--input", z, "--auto", "--out", tmp_path / "o.csv"]) == 0
+    assert calls == [(400, 1e-3, 0)]
+
+
+def test_generate_bad_embedded_dimension_exits_2(tmp_path, capsys):
+    z = tmp_path / "z.csv"
+    for curve in ("embedded:abc", "embedded:2.7"):
+        assert run(["generate", "--curve", curve, "--n", "10", "--out", z]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"embedded:<d> needs an integer d >= 2, got '{curve[9:]}'" in err["message"]
+    assert not z.exists()
 
 
 def test_denoise_requires_exactly_one_mode(tmp_path):
@@ -324,13 +344,13 @@ def test_sweep_cli_nan_snr_exits_2_before_work(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("metric, flags", [
-    ("closed-time", ["--delta", "5"]),
+    ("closed-time", ["--delta-fraction", "5"]),
     ("closed-time", ["--matrix", "nope.csv"]),
     ("closed-rank", ["--truth-span", "3"]),
-    ("closed-rank", ["--delta", "0"]),
+    ("closed-rank", ["--delta-fraction", "0"]),
     ("open-time", ["--header"]),
     ("open-rank", ["--truth-span", "3"]),
-    ("relative", ["--delta", "0.3"]),
+    ("relative", ["--delta-fraction", "0.3"]),
     ("relative", ["--truth-span", "3"]),
 ])
 def test_evaluate_flag_its_metric_does_not_read_exits_2(tmp_path, capsys, metric, flags):
@@ -347,10 +367,54 @@ def test_evaluate_flag_its_metric_does_not_read_exits_2(tmp_path, capsys, metric
 @pytest.mark.parametrize("delta", ["5", "-0.1", "nan", str(math.pi)])
 def test_evaluate_bad_delta_exits_2_before_io(tmp_path, capsys, metric, delta):
     assert run(["evaluate", "--metric", metric, "--truth", tmp_path / "t.csv",
-                "--estimate", tmp_path / "e.csv", "--delta", delta]) == 2
+                "--estimate", tmp_path / "e.csv", "--delta-fraction", delta]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
-    assert "--delta must lie in [0, pi) radians" in err["message"]
+    assert "delta_fraction must lie in [0, 0.5)" in err["message"]
+
+
+@pytest.mark.parametrize("metric", ["open-time", "open-rank", "closed-time"])
+def test_evaluate_refuses_a_radians_delta_flag(tmp_path, capsys, metric):
+    # --delta is no abbreviation of --delta-fraction: a radians value must not
+    # be read as a fraction
+    assert run(["evaluate", "--metric", metric, "--truth", tmp_path / "t.csv",
+                "--estimate", tmp_path / "e.csv", "--delta", "0.3"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "unrecognized arguments: --delta 0.3" in err["message"]
+
+
+def test_default_open_reports_keep_the_window_and_errors(tmp_path, capsys):
+    # the default window is delta_fraction = 0.05 for both open metrics; the
+    # errors are the ones the radians window 0.1*pi gave.  Two truth labels sit
+    # on that window's edges, with estimates far off, so they must stay out.
+    rng = np.random.default_rng(11)
+    t = rng.uniform(0.0, 2.0 * math.pi, 40)
+    t[:2] = 0.1 * math.pi, 2.0 * math.pi - 0.1 * math.pi
+    est = np.clip(t + rng.normal(0.0, 0.2, 40), 0.0, 2.0 * math.pi)
+    est[:2] = 2.0 * math.pi - t[:2]
+    truth, estimate = tmp_path / "t.csv", tmp_path / "e.csv"
+    save_labels(truth, TimeLabels(t))
+    save_labels(estimate, TimeLabels(est))
+    for metric, error in (("open-time", 0.3582351026995979), ("open-rank", 36.0)):
+        assert run(["evaluate", "--metric", metric, "--truth", truth,
+                    "--estimate", estimate]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"metric": metric, "delta_fraction": 0.05, "r": 1, "theta": None,
+                          "shift": None, "error": error}
+
+
+def test_truth_span_error_names_file_flag_and_value(tmp_path, capsys):
+    t = tmp_path / "t.csv"
+    t.write_text("index,value\n0,0.5\n1,3.1\n")
+    assert run(["evaluate", "--metric", "open-time", "--truth", t, "--estimate", t,
+                "--truth-span", "1.0"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "LabelRangeError",
+                   "message": f"{t}: label 1 is 3.1, outside [0, --truth-span 1.0]"}
+    # a label equal to the span is read as 2pi (3.1 * (2pi / 3.1) rounds above 2pi)
+    assert run(["evaluate", "--metric", "open-time", "--truth", t, "--estimate", t,
+                "--truth-span", "3.1", "--delta-fraction", "0"]) == 0
 
 
 def test_denoise_without_mode_exits_2_before_io(tmp_path, capsys):
@@ -400,9 +464,8 @@ def test_baseline_output_scored_by_rank_metrics(tmp_path, metric):
     report = json.loads(rep.read_text())
     truth, estimate = ranking_from_labels(load_labels(t)), load_ranking(ranks)
     if metric == "open-rank":
-        fraction = 0.1 * math.pi / (2.0 * math.pi)  # the default --delta over 2pi
-        assert report["error"] == err_open_rank(truth, estimate, fraction).error
-        assert report["delta"] == fraction
+        assert report["error"] == err_open_rank(truth, estimate, 0.05).error
+        assert report["delta_fraction"] == 0.05
     else:
         assert report["error"] == err_closed_rank(truth, estimate).error
 
@@ -413,8 +476,8 @@ DECLARED_FLAGS = {
     "denoise": ["--input", "--header", "--rank", "--auto", "--r0", "--eta", "--out", "--seed"],
     "recover": ["--kind", "--input", "--header", "--sigma", "--noise-level", "--dump-laplacian",
                 "--out"],
-    "evaluate": ["--metric", "--truth", "--estimate", "--delta", "--truth-span", "--matrix",
-                 "--header", "--out", "--format"],
+    "evaluate": ["--metric", "--truth", "--estimate", "--delta-fraction", "--truth-span",
+                 "--matrix", "--header", "--out", "--format"],
     "sweep": ["--curve", "--n", "--snr", "--replicates", "--sigma", "--noise-level",
               "--methods", "--delta-fraction", "--seed", "--threads", "--out-dir"],
     "baseline": ["--input", "--header", "--out"],

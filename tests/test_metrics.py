@@ -156,39 +156,39 @@ class TestClosedRank:
 class TestOpenTime:
     def test_identity(self):
         t = TimeLabels(np.array([1.0, 2.0, 3.0]))
-        assert err_open_time(t, t, 0.1).error == 0.0
+        assert err_open_time(t, t, 0.1 / TWO_PI).error == 0.0
 
     def test_reflection_branch(self):
         t = TimeLabels(np.array([1.0, 2.0, 5.0]))
         reflected = TimeLabels(TWO_PI - t.angles)
-        rep = err_open_time(t, reflected, 0.1)
+        rep = err_open_time(t, reflected, 0.1 / TWO_PI)
         assert rep.error == 0.0
         assert rep.r == -1
 
     def test_boundary_points_excluded(self):
         t = TimeLabels(np.array([0.01, 1.0, 2.0, 6.27]))
         t2 = TimeLabels(np.array([3.0, 1.1, 2.0, 3.0]))
-        rep = err_open_time(t, t2, 0.1)
+        rep = err_open_time(t, t2, 0.1 / TWO_PI)
         assert rep.error == pytest.approx(0.1)
 
     def test_interior_chosen_by_first_argument(self):
         # asymmetric by design: swapping arguments changes the window
         t = TimeLabels(np.array([0.01, 3.0]))
         t2 = TimeLabels(np.array([3.0, 3.0]))
-        assert err_open_time(t, t2, 0.1).error == pytest.approx(0.0)
-        assert err_open_time(t2, t, 0.1).error > 1.0
+        assert err_open_time(t, t2, 0.1 / TWO_PI).error == pytest.approx(0.0)
+        assert err_open_time(t2, t, 0.1 / TWO_PI).error > 1.0
 
     def test_monotone_in_delta(self):
         rng = np.random.default_rng(7)
         t, t2 = rand_labels(rng, 50), rand_labels(rng, 50)
         deltas = [0.0, 0.2, 0.5, 1.0, 1.5]
-        errs = [err_open_time(t, t2, d).error for d in deltas]
+        errs = [err_open_time(t, t2, d / TWO_PI).error for d in deltas]
         assert all(a >= b for a, b in zip(errs, errs[1:]))
 
     def test_empty_interior(self):
         t = TimeLabels(np.array([0.01, 6.28]))
         with pytest.raises(EmptyInteriorError):
-            err_open_time(t, t, 3.0)
+            err_open_time(t, t, 3.0 / TWO_PI)
 
 
 class TestOpenRank:

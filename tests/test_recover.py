@@ -218,5 +218,5 @@ class TestEndToEnd:
         canon = spec.canonical_labels(t)
         from spectime import err_open_time
 
-        rep = err_open_time(canon, out.labels, 0.1 * TWO_PI)
+        rep = err_open_time(canon, out.labels, 0.1)
         assert rep.error < np.pi / 2

@@ -2,7 +2,7 @@
 the setting, and every entry point applies it before any work.
 
 Each table below is one rule.  A row drives one bad value through every
-entry point that takes it: the stage function, ``PipelineConfig`` (through
+entry point that takes it: the stage functions, ``PipelineConfig`` (through
 ``run_pipeline``), ``SweepConfig`` (through ``sweep``) and the CLI.  Every
 entry point must raise the row's error type, the CLI must exit 2 with it
 as JSON, and nothing may be written.
@@ -29,6 +29,7 @@ from spectime import (
     err_open_rank,
     err_open_time,
     generate,
+    interior_relative_error,
     noise_for_snr,
     noisy_sample,
     ranking_from_labels,
@@ -54,7 +55,7 @@ Z = DataMatrix(np.random.default_rng(0).standard_normal((20, 30)))  # d = 20, N 
 
 class Case(NamedTuple):
     error: type
-    stage: Callable | None = None  # the stage function, called with the bad value
+    stage: Callable | tuple | None = None  # the stage function(s), called with the bad value
     config: dict | None = None  # PipelineConfig fields over a 20-point circle
     sweep: dict | None = None  # SweepConfig fields over a 20-point circle at SNR 10
     cli: tuple = ()  # argv lists; "{z}" is a 30 x 20 data file, "{out}" the output directory
@@ -77,16 +78,18 @@ def refused_before_any_write(case, entry, tmp_path, monkeypatch, capsys):
             assert main([a.format(z=z, out=out) for a in argv]) == 2
             assert json.loads(capsys.readouterr().err)["error"] == case.error.__name__
     else:
-        with pytest.raises(SpectimeError) as info:
-            if entry == "stage":
-                case.stage()
-            elif entry == "config":
-                run_pipeline(PipelineConfig(**{"curve": CIRCLE, "n": 20, **case.config},
-                                            out_dir=str(out / "run")))
-            else:
-                sweep(SweepConfig(**{"curve": CIRCLE, "n_values": (20,), "snr_values": (10.0,),
-                                     **case.sweep}, out_dir=str(out / "sw")))
-        assert type(info.value) is case.error
+        calls = {
+            "stage": case.stage,
+            "config": lambda: run_pipeline(PipelineConfig(
+                **{"curve": CIRCLE, "n": 20, **case.config}, out_dir=str(out / "run"))),
+            "sweep": lambda: sweep(SweepConfig(
+                **{"curve": CIRCLE, "n_values": (20,), "snr_values": (10.0,), **case.sweep},
+                out_dir=str(out / "sw"))),
+        }[entry]
+        for call in calls if isinstance(calls, tuple) else (calls,):
+            with pytest.raises(SpectimeError) as info:
+                call()
+            assert type(info.value) is case.error
     assert not any(out.iterdir())
 
 
@@ -95,9 +98,15 @@ def generate_argv(*flags):
             "--labels", "{out}/t.csv"]
 
 
-def sweep_argv(*flags):
-    return ["sweep", "--curve", "circle", "--n", "20", "--snr", "10", *flags,
+def sweep_argv(*flags, curve="circle"):
+    return ["sweep", "--curve", curve, "--n", "20", "--snr", "10", *flags,
             "--out-dir", "{out}/sw"]
+
+
+def evaluate_argv(metric, *flags):
+    # neither input exists: a rule applied after reading them would exit 3
+    return ["evaluate", "--metric", metric, "--truth", "{out}/t.csv", "--estimate",
+            "{out}/e.csv", *flags, "--out", "{out}/report.json"]
 
 
 # synth.check_sample: n >= 2; at most one of snr > 0 and 0 <= eps < inf
@@ -174,8 +183,26 @@ DENOISE_RULE = {
                               "--out", "{out}/x.csv"],)),
 }
 
-# pipeline.PipelineConfig: a closed loop reads no delta_fraction
+# metrics.check_delta_fraction: the open-curve margin is a fraction in [0, 0.5),
+# at every reader of the window; pipeline.PipelineConfig: a closed loop reads none
+HALF_CIRCLE = CurveSpec("half-circle")
+T = TimeLabels(np.linspace(0.0, 2.0 * math.pi, 20))
+P = ranking_from_labels(T)
+
+
+def window_readers(fraction):
+    return (lambda: err_open_time(T, T, fraction), lambda: err_open_rank(P, P, fraction),
+            lambda: interior_relative_error(X, T, T, math.pi, fraction))
+
+
 WINDOW_RULE = {
+    **{f"fraction-{v}": Case(ConfigError, window_readers(float(v)),
+                             dict(curve=HALF_CIRCLE, delta_fraction=float(v)),
+                             dict(curve=HALF_CIRCLE, delta_fraction=float(v)),
+                             (evaluate_argv("open-time", "--delta-fraction", v),
+                              evaluate_argv("open-rank", "--delta-fraction", v),
+                              sweep_argv("--delta-fraction", v, curve="half-circle")))
+       for v in ("-0.1", "0.5", "0.7", "nan", "inf")},
     "closed-loop-0.3": Case(ConfigError, None, dict(delta_fraction=0.3),
                             dict(delta_fraction=0.3), (sweep_argv("--delta-fraction", "0.3"),)),
     "embedded-loop-0": Case(ConfigError, None, dict(curve=EMBEDDED, delta_fraction=0.0),

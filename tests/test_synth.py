@@ -54,6 +54,20 @@ class TestCurveSpecs:
         with pytest.raises(ConfigError):
             CurveSpec("lemniscate")
 
+    @pytest.mark.parametrize("dim", [2.7, 2.0, "3", None, 1, -3])
+    def test_embedded_dimension_is_an_integer_at_least_2(self, dim):
+        # a float is refused, not truncated: 2.7 is no embedded:2
+        with pytest.raises(ConfigError, match=r"embedded:<d> needs an integer d >= 2"):
+            CurveSpec("embedded", dim)
+        spec = CurveSpec("embedded", np.int64(3))
+        assert spec.embed_dim == 3 and type(spec.embed_dim) is int
+
+    @pytest.mark.parametrize("text", ["embedded:abc", "embedded:2.7", "embedded:", "embedded:-3",
+                                      "embedded:1"])
+    def test_parse_names_the_embedded_syntax(self, text):
+        with pytest.raises(ConfigError, match="embedded:<d>"):
+            CurveSpec.parse(text)
+
     def test_canonical_labels_rescale_open_domains(self):
         spec = CurveSpec("half-circle")
         t = TimeLabels(np.array([0.0, np.pi / 2, np.pi]))
