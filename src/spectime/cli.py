@@ -18,9 +18,9 @@ import math
 import sys
 
 from . import io
-from .core import TWO_PI, CurveKind, TimeLabels
+from .core import CurveKind
 from .denoise import ETA, check_denoise, denoise_auto, denoise_fixed_rank
-from .errors import ConfigError, LabelRangeError, SpectimeError
+from .errors import ConfigError, SpectimeError
 from .metrics import DELTA_FRACTION, AlignmentReport, check_delta_fraction, err_closed_rank
 from .metrics import err_closed_time, err_open_rank, err_open_time, relative_error
 from .pipeline import recover_labels
@@ -195,14 +195,9 @@ def _cmd_evaluate(args) -> int:
     if "--delta-fraction" in flags:
         args.delta_fraction = DELTA_FRACTION if args.delta_fraction is None else args.delta_fraction
         check_delta_fraction(args.delta_fraction)  # before I/O
-    truth, est = (getattr(io, f"load_{files}")(path) for path in (args.truth, args.estimate))
-    if args.truth_span is not None:  # the truth file's labels lie in [0, span]
-        over = truth.angles > args.truth_span
-        if over.any():
-            i = int(over.argmax())
-            raise LabelRangeError(f"{args.truth}: label {i} is {float(truth.angles[i])!r}, "
-                                  f"outside [0, --truth-span {args.truth_span!r}]")
-        truth = TimeLabels((truth.angles * (TWO_PI / args.truth_span)).clip(max=TWO_PI))
+    load = getattr(io, f"load_{files}")
+    truth = load(args.truth) if args.truth_span is None else load(args.truth, args.truth_span)
+    est = load(args.estimate)
     rep = score(truth, est, args)
     report = {"metric": args.metric, "delta_fraction": args.delta_fraction, "r": rep.r,
               "theta": rep.theta, "shift": rep.shift, "error": rep.error}

@@ -15,15 +15,35 @@ a tridiagonal reduction.  Input that is not positive definite after the
 shift (an indefinite A), or k >= N - 1, falls back to LAPACK ``dsyevr``
 on the k wanted pairs.
 
-Larger matrices use Lanczos on the flipped operator I - A, whose
-largest eigenvalues 1 - lambda belong to the smallest of A.  No bound
-on the spectrum is needed: ``which="LA"`` takes the largest algebraic
-values, and the Krylov space does not depend on the shift.  The
-operator is applied as x - A x, so a Laplacian built in the kernel's
-buffer stays the only N x N array.  Both iterative paths count their
-operator applications, and a ``NoConvergenceError`` reports that count.
-Every failure to certify k pairs raises ``NoConvergenceError``: an ARPACK
-error of any kind, fewer than k pairs back (as ``dsyevr`` returns on a
+Larger matrices take the block path: a thick-restarted block Krylov
+iteration that ends each pass with Rayleigh-Ritz.  It starts from BLOCK
+random rows (``default_rng(0)``); each next block is the image of the
+last one, orthogonalized twice against the basis.  Blocks are stored as
+rows, so one pass is ``block @ A``, which equals (A block^T)^T because A
+is symmetric: OpenBLAS reads A once for all BLOCK rows, at about the
+cost of one matrix-vector product, where ARPACK read it once per vector.
+The basis and its image ``basis @ A`` live in two preallocated buffers
+of BASIS_ROWS rows, or 2(k + BLOCK) when that is more (12 MB at N=8000
+for k <= 36), so a Laplacian built in the kernel's buffer stays the only
+N x N array.  The iteration stops when the k smallest Ritz pairs'
+residuals, read from the stored image, are at most half the
+certificate's bound.  When the buffers fill it keeps the k + BLOCK
+smallest Ritz vectors and goes on from the last image's part orthogonal
+to the old basis.  A row that loses rank is redrawn from the same
+generator, and a basis that reaches N solves the whole space.  No bound
+on the spectrum is needed.  The Krylov space of BLOCK start rows holds
+at most BLOCK copies of a repeated eigenvalue, so this path can miss
+copies of one repeated more often; the residual certificate cannot tell.
+The certificate on this path also multiplies rows, ``V^T A``: at N=8000,
+``A V`` with 3 columns raised the resident size by 24 MB, ``V^T A`` by
+1.3 MB.
+
+Both iterative paths count their operator applications (one per vector:
+a block pass counts BLOCK), and ``SpectralResult`` reports them with the
+path taken.  Every failure to certify k pairs raises
+``NoConvergenceError`` with that count: an ARPACK error of any kind, a
+block path past its budget of PASSES_PER_PAIR * k passes or with a
+non-finite entry, fewer than k pairs back (as ``dsyevr`` returns on a
 matrix with NaN entries), or a residual above the bound or NaN.  No
 ARPACK exception leaves this module.
 
@@ -64,6 +84,10 @@ from .kernel import LaplacianMatrix, mirror_upper, row_blocks
 DENSE_CUTOFF = 2048
 DEFAULT_TOL = 1e-8
 SHIFT = 1e-3  # tau of the dense path's shift-invert; sets the speed only
+BLOCK = 12  # rows the block path applies L to in one pass over its memory
+BASIS_ROWS = 96  # basis rows the block path holds before a thick restart (or 2(k + BLOCK))
+PASSES_PER_PAIR = 100  # the block path's budget of passes over L, per wanted pair
+RANK_DROP = 1e-8  # a new basis row kept below this fraction of its norm is redrawn
 
 
 @dataclass(frozen=True)
@@ -73,6 +97,8 @@ class SpectralResult:
     eigenvalues: np.ndarray  # (k,) ascending
     eigenvectors: np.ndarray  # (N, k), unit-norm columns
     residuals: np.ndarray  # (k,) ||A v - lambda v||
+    path: str  # "dense" (shift-invert factor), "evr" (LAPACK dsyevr) or "block"
+    applications: int  # vectors the solver applied its operator to
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -102,7 +128,8 @@ def smallest_eigenpairs(
         if a bare ndarray differs from its transpose.
     NoConvergenceError
         if the residual target cannot be certified within the iteration
-        budget: ARPACK fails, fewer than k pairs come back, or a residual
+        budget: ARPACK fails, the block path meets a non-finite entry or
+        spends its passes, fewer than k pairs come back, or a residual
         exceeds the bound or is NaN.
     """
     a = l.l if isinstance(l, LaplacianMatrix) else np.asarray(l, dtype=np.float64)
@@ -119,9 +146,10 @@ def smallest_eigenpairs(
     if n <= DENSE_CUTOFF or k > n // 4:
         owned = isinstance(l, LaplacianMatrix) and a.flags.writeable and a.flags.c_contiguous
         work = a if owned else np.array(a, order="C")  # one copy of input it may not write
-        values, vectors, applied = _dense_smallest(a, work, k, tol)
+        values, vectors, applied, path = _dense_smallest(a, work, k, tol)
     else:
-        values, vectors, applied = _lanczos_smallest(a, k, tol)
+        values, vectors, applied = _block_smallest(a, k, tol)
+        path = "block"
 
     if values.size < k:
         raise NoConvergenceError(applied, f"{values.size} of {k} eigenpairs came back "
@@ -129,13 +157,19 @@ def smallest_eigenpairs(
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = _fix_signs(vectors[:, order])
-    residuals = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
+    # V^T A reads A in rows, as the block path does (A V costs OpenBLAS an
+    # N x k buffer); the dense path keeps A V, faster at its sizes
+    if path == "block":
+        residuals = np.linalg.norm(vectors.T @ a - vectors.T * values[:, None], axis=1)
+    else:
+        residuals = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
     bound = tol * max(1.0, float(np.abs(values).max()))
     if not residuals.max() <= bound:  # NaN fails too
         raise NoConvergenceError(
             applied, f"residual {residuals.max():.3e} exceeds {bound:.3e} "
             f"after {applied} operator applications")
-    return SpectralResult(eigenvalues=values, eigenvectors=vectors, residuals=residuals)
+    return SpectralResult(eigenvalues=values, eigenvectors=vectors, residuals=residuals,
+                          path=path, applications=applied)
 
 
 def _check_symmetric(a: np.ndarray) -> None:
@@ -185,11 +219,11 @@ def _shifted(a: np.ndarray):
 
 def _dense_smallest(
     a: np.ndarray, work: np.ndarray, k: int, tol: float
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, str]:
     """Smallest pairs of a from Lanczos on (A + SHIFT*I)^-1, factored in
     ``work`` (a itself or a C-ordered copy, restored before returning), or
     from LAPACK ``dsyevr`` on a when that matrix has no Cholesky factor or
-    k >= n - 1."""
+    k >= n - 1; with the operator applications and the path taken."""
     n = a.shape[0]
     if k < n - 1:
         with _shifted(work) as shifted:
@@ -200,11 +234,61 @@ def _dense_smallest(
             else:
                 w, v, applied = _arpack_largest(
                     lambda x: cho_solve(factor, x, check_finite=False), n, k, tol)
-                return 1.0 / w - SHIFT, v, applied
+                return 1.0 / w - SHIFT, v, applied, "dense"
     values, vectors = eigh(a, subset_by_index=[0, k - 1], driver="evr", check_finite=False)
-    return values, vectors, 0
+    return values, vectors, 0, "evr"
 
 
-def _lanczos_smallest(a: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
-    w, v, applied = _arpack_largest(lambda x: x - a @ x, a.shape[0], k, tol)
-    return 1.0 - w[::-1], v[:, ::-1], applied
+def _orthonormal(block: np.ndarray, basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The rows of block made orthonormal and orthogonal to the rows of basis
+    (projected twice, so rounding leaves no component along basis); a row
+    that loses rank is redrawn from rng."""
+    while True:
+        norms = np.linalg.norm(block, axis=1)
+        for _ in range(2):
+            block -= (block @ basis.T) @ basis
+        q, r = np.linalg.qr(block.T)
+        lost = np.abs(r.diagonal()) <= RANK_DROP * norms
+        if not lost.any():
+            return q.T
+        block[lost] = rng.standard_normal((int(lost.sum()), block.shape[1]))
+
+
+def _block_smallest(a: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """k smallest pairs of a, ascending, from a thick-restarted block Krylov
+    iteration with Rayleigh-Ritz, and the number of vectors a was applied to."""
+    n = a.shape[0]
+    rows = min(n, max(BASIS_ROWS, 2 * (k + BLOCK)))
+    rng = np.random.default_rng(0)  # fixed start, deterministic output
+    basis = np.empty((rows, n))  # orthonormal rows
+    image = np.empty((rows, n))  # basis @ a; row j is a @ basis[j], a being symmetric
+    h = np.zeros((rows, rows))  # basis a basis^T, lower triangle
+    block = _orthonormal(rng.standard_normal((min(BLOCK, n), n)), basis[:0], rng)
+    used = applied = 0
+    while True:
+        start, used = used, used + block.shape[0]
+        basis[start:used] = block
+        np.matmul(basis[start:used], a, out=image[start:used])  # one pass over a
+        applied += used - start
+        h[start:used, :used] = image[start:used] @ basis[:used].T
+        if not np.isfinite(h[start:used, :used]).all():
+            raise NoConvergenceError(applied, f"a non-finite entry after {applied} "
+                                     "operator applications")
+        theta, y = np.linalg.eigh(h[:used, :used])
+        ritz = y[:, :k].T @ basis[:used]
+        residual = np.linalg.norm(y[:, :k].T @ image[:used] - theta[:k, None] * ritz, axis=1)
+        # stop at half the certificate's bound, which the caller checks directly
+        bound = tol * max(1.0, float(np.abs(theta[:k]).max()))
+        if used >= k and residual.max() <= 0.5 * bound:
+            return theta[:k], ritz.T, applied
+        if used == n or applied >= PASSES_PER_PAIR * k * BLOCK:
+            raise NoConvergenceError(applied, f"Ritz residual {residual.max():.3e} "
+                                     f"after {applied} operator applications")
+        # the next Krylov block: the last block's image, orthogonal to the basis
+        block = _orthonormal(image[start:start + min(BLOCK, n - used)].copy(), basis[:used], rng)
+        if used + block.shape[0] > rows:  # thick restart from the smallest Ritz vectors
+            keep = k + BLOCK
+            basis[:keep] = y[:, :keep].T @ basis[:used]
+            image[:keep] = y[:, :keep].T @ image[:used]
+            h[:keep, :keep] = np.diag(theta[:keep])
+            used = keep

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataMatrix, Ranking, TimeLabels, ranking_from_labels
+from .core import TWO_PI, DataMatrix, Ranking, TimeLabels, ranking_from_labels
 from .errors import BadCellError, BadIndexError, LabelRangeError, LengthMismatchError
 from .errors import NotAPermutationError
 
@@ -126,9 +126,22 @@ def _read_indexed_csv(path: str | Path) -> np.ndarray:
     return data
 
 
-def load_labels(path: str | Path) -> TimeLabels:
-    """Read labels from an ``index,value`` or ``index,t_hat,rank`` file."""
-    return _labels(path, _read_indexed_csv(path))
+def load_labels(path: str | Path, span: float | None = None) -> TimeLabels:
+    """Read labels from an ``index,value`` or ``index,t_hat,rank`` file.
+
+    With ``span`` (``evaluate --truth-span``) the file's labels lie in
+    [0, span] and come back rescaled to [0, 2*pi]; a label equal to the
+    span is read as 2*pi."""
+    data = _read_indexed_csv(path)
+    if span is not None:
+        values = data[:, 1]
+        out = np.flatnonzero((values < 0.0) | (values > span))
+        if out.size:
+            i = int(out[0])
+            raise LabelRangeError(f"{path}: label {i} is {float(values[i])!r}, "
+                                  f"outside [0, --truth-span {span!r}]")
+        data[:, 1] = (values * (TWO_PI / span)).clip(max=TWO_PI)
+    return _labels(path, data)
 
 
 def _labels(path: str | Path, data: np.ndarray) -> TimeLabels:

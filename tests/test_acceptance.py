@@ -263,7 +263,7 @@ def test_criterion_7_eigensolver_certification():
     z = noise_for_snr(x, 50.0, 3)
     instances.append(("open-noisy-250", build_laplacian(build_kernel(z, KernelParams(0.2)))))
     x, _ = generate(CurveSpec("circle"), 2100, 4)
-    instances.append(("closed-2100-lanczos", build_laplacian(build_kernel(x, KernelParams(2100 ** (-1 / 7))))))
+    instances.append(("closed-2100-block", build_laplacian(build_kernel(x, KernelParams(2100 ** (-1 / 7))))))
 
     worst_residual = 0.0
     worst_value_gap = 0.0

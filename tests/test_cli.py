@@ -417,6 +417,26 @@ def test_truth_span_error_names_file_flag_and_value(tmp_path, capsys):
                 "--truth-span", "3.1", "--delta-fraction", "0"]) == 0
 
 
+def test_truth_span_reads_labels_above_2pi(tmp_path, capsys):
+    t, est = tmp_path / "t.csv", tmp_path / "est.csv"
+    t.write_text("index,value\n0,0.5\n1,7.0\n2,10.0\n")
+    save_labels(est, TimeLabels(np.array([0.5, 7.0, 10.0]) * (2 * math.pi / 10.0)))
+    assert run(["evaluate", "--metric", "open-time", "--truth", t, "--estimate", est,
+                "--truth-span", "10", "--delta-fraction", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["error"] <= 1e-12
+
+
+@pytest.mark.parametrize("label", ["11.0", "-0.5"])
+def test_truth_label_outside_span_names_the_flag(tmp_path, capsys, label):
+    t = tmp_path / "t.csv"
+    t.write_text(f"index,value\n0,0.5\n1,{label}\n2,7.0\n")
+    assert run(["evaluate", "--metric", "closed-time", "--truth", t, "--estimate", t,
+                "--truth-span", "10"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "LabelRangeError",
+                   "message": f"{t}: label 1 is {float(label)!r}, outside [0, --truth-span 10.0]"}
+
+
 def test_denoise_without_mode_exits_2_before_io(tmp_path, capsys):
     assert run(["denoise", "--input", tmp_path / "nope.csv", "--out", tmp_path / "x.csv"]) == 2
     err = json.loads(capsys.readouterr().err)

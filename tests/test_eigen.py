@@ -17,7 +17,7 @@ from spectime import (
     smallest_eigenpairs,
 )
 from spectime import eigen
-from spectime.eigen import SHIFT, _fix_signs, _lanczos_smallest
+from spectime.eigen import SHIFT, _block_smallest, _fix_signs
 from spectime.errors import AsymmetricMatrixError, NoConvergenceError
 
 
@@ -187,6 +187,7 @@ class TestShiftInvert:
         res = smallest_eigenpairs(lap, k=k)
         assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v[:, :k]) <= 1e-6
+        assert res.path == "dense" and res.applications > 0
 
     def test_negative_eigenvalue_above_minus_shift_stays_on_shift_invert(self, no_evr):
         lap = circle_laplacian(300, sigma=0.33, seed=4).l - 0.5 * SHIFT * np.eye(300)
@@ -209,6 +210,7 @@ class TestShiftInvert:
         lap = circle_laplacian(8, sigma=0.6, seed=2)
         res = smallest_eigenpairs(lap, k=k)
         assert len(evr_calls) == 1
+        assert res.path == "evr" and res.applications == 0
         w = np.linalg.eigvalsh(lap.l)
         assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
 
@@ -222,7 +224,7 @@ class TestNoConvergenceCount:
             smallest_eigenpairs(circle_laplacian(300, sigma=0.33), k=3, tol=1e-300)
         assert err.value.iterations > 0
 
-    def test_lanczos_path(self, monkeypatch):
+    def test_block_path(self, monkeypatch):
         monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
         with pytest.raises(NoConvergenceError) as err:
             smallest_eigenpairs(circle_laplacian(300, sigma=0.33), k=3, tol=1e-300)
@@ -243,11 +245,19 @@ class TestNaNInput:
         with pytest.raises(NoConvergenceError):
             smallest_eigenpairs(a, k)
 
+    def test_block_path(self, monkeypatch):
+        monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
+        a = np.eye(80)
+        a[1, 2] = a[2, 1] = np.nan
+        with pytest.raises(NoConvergenceError, match="non-finite") as err:
+            smallest_eigenpairs(a, 3)
+        assert err.value.iterations == eigen.BLOCK
+
     def test_nan_residual_fails_the_certificate(self, monkeypatch):
         def nan_vector(a, work, k, tol):
             v = np.eye(5)[:, :k]
             v[0, 0] = np.nan
-            return np.arange(k, dtype=float), v, 0
+            return np.arange(k, dtype=float), v, 0, "evr"
 
         monkeypatch.setattr(eigen, "_dense_smallest", nan_vector)
         with pytest.raises(NoConvergenceError, match="residual nan"):
@@ -296,7 +306,7 @@ class TestIterativePath:
     def test_matches_dense_oracle(self):
         lap = circle_laplacian(300, sigma=0.33, seed=1)
         w_dense, v_dense = np.linalg.eigh(lap.l)
-        values, vectors, _ = _lanczos_smallest(lap.l, 3, 1e-10)
+        values, vectors, _ = _block_smallest(lap.l, 3, 1e-10)
         order = np.argsort(values)
         values = values[order]
         vectors = vectors[:, order]
@@ -309,7 +319,7 @@ class TestIterativePath:
         a = np.random.default_rng(9).standard_normal((300, 300))
         a = 10.0 * (a + a.T)
         w_dense, v_dense = np.linalg.eigh(a)
-        values, vectors, _ = _lanczos_smallest(a, 3, 1e-10)
+        values, vectors, _ = _block_smallest(a, 3, 1e-10)
         order = np.argsort(values)
         scale = np.abs(w_dense).max()
         assert np.abs(values[order] - w_dense[:3]).max() <= 1e-10 * scale
@@ -317,17 +327,108 @@ class TestIterativePath:
 
     def test_iterative_respects_certificate(self):
         lap = circle_laplacian(300, sigma=0.33, seed=2)
-        values, vectors, _ = _lanczos_smallest(lap.l, 2, 1e-8)
+        values, vectors, _ = _block_smallest(lap.l, 2, 1e-8)
         for j in range(2):
             r = np.linalg.norm(lap.l @ vectors[:, j] - values[j] * vectors[:, j])
             assert r <= 1e-8
 
     def test_large_path_via_public_api(self):
-        # above the dense cutoff the Lanczos branch is used transparently
+        # above the dense cutoff the block branch is used transparently
         lap = circle_laplacian(2100, seed=3)
         res = smallest_eigenpairs(lap, k=3)
         assert res.residuals.max() <= 1e-8
         assert res.eigenvalues[0] <= 1e-9
+        # 4 passes of BLOCK rows when this bound was set; more is a slowdown
+        assert res.path == "block"
+        assert res.applications <= 4 * eigen.BLOCK
+
+    @pytest.mark.parametrize(
+        "curve, k, sigma",
+        [("circle", 3, 0.33), ("half-circle", 2, np.sqrt(0.05)), ("cardioid", 2, np.sqrt(0.02))],
+    )
+    def test_laplacians_match_dense_oracle(self, monkeypatch, curve, k, sigma):
+        monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
+        x, _ = generate(CurveSpec(curve), 400, 8)
+        lap = build_laplacian(build_kernel(x, KernelParams(sigma)))
+        w, v = np.linalg.eigh(lap.l)
+        res = smallest_eigenpairs(lap, k=k)
+        assert res.path == "block"
+        assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
+        assert principal_angle(res.eigenvectors, v[:, :k]) <= 1e-6
+
+    def test_basis_reaching_n_solves_the_whole_space(self, monkeypatch):
+        monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
+        a = np.random.default_rng(0).standard_normal((40, 40))
+        a = a + a.T
+        w = np.linalg.eigvalsh(a)
+        res = smallest_eigenpairs(a, k=10)
+        assert res.applications == 40  # blocks of 12, 12, 12 and 4 rows
+        assert np.abs(res.eigenvalues - w[:10]).max() <= 1e-10 * np.abs(w).max()
+
+    def test_block_that_loses_rank_is_redrawn(self, monkeypatch):
+        # eigenvalues 0 (three times) and 1: the second block, the image of
+        # the first, adds 3 directions, and its other 9 rows are redrawn
+        monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
+        q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((100, 100)))
+        p = q[:, 3:] @ q[:, 3:].T
+        a = (p + p.T) / 2.0
+        res = smallest_eigenpairs(a, k=3)
+        assert res.applications == 2 * eigen.BLOCK
+        assert np.abs(res.eigenvalues).max() <= 1e-12
+        assert principal_angle(res.eigenvectors, q[:, :3]) <= 1e-6
+        gram = res.eigenvectors.T @ res.eigenvectors
+        assert np.abs(gram - np.eye(3)).max() <= 1e-12
+
+    def test_more_pairs_than_a_block_when_the_first_block_is_exact(self, monkeypatch):
+        # every vector is an eigenvector of 2I: the first block's 12 Ritz
+        # pairs are exact, yet k = 20 pairs must come back
+        monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
+        res = smallest_eigenpairs(2.0 * np.eye(100), k=20)
+        assert res.applications == 2 * eigen.BLOCK
+        assert np.abs(res.eigenvalues - 2.0).max() <= 1e-14
+
+    def test_redrawn_rows_are_orthonormal_and_orthogonal_to_the_basis(self):
+        rng = np.random.default_rng(1)
+        basis = np.linalg.qr(rng.standard_normal((50, 6)))[0].T
+        block = np.vstack([3.0 * basis[:2], rng.standard_normal((2, 50))])
+        block = np.vstack([block, block[2] - block[3], np.zeros(50)])
+        out = eigen._orthonormal(block, basis, np.random.default_rng(0))
+        assert out.shape == (6, 50)
+        assert np.abs(out @ out.T - np.eye(6)).max() <= 1e-12
+        assert np.abs(out @ basis.T).max() <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def circle_2100():
+    return circle_laplacian(2100, seed=5)
+
+
+class TestBlockPathContracts:
+    """Above the cutoff: reproducible bits, L untouched, O(N) extra memory."""
+
+    def test_two_calls_return_the_same_bits(self, circle_2100):
+        a = smallest_eigenpairs(circle_2100, k=3)
+        b = smallest_eigenpairs(circle_2100, k=3)
+        assert a.path == "block"
+        for field in ("eigenvalues", "eigenvectors", "residuals"):
+            assert same_bits(getattr(a, field), getattr(b, field))
+        assert a.applications == b.applications
+
+    def test_laplacian_unchanged_after_return(self, circle_2100):
+        before = circle_2100.l.copy()
+        smallest_eigenpairs(circle_2100, k=3)
+        assert same_bits(circle_2100.l, before)
+
+    def test_allocates_less_than_a_quarter_of_the_matrix(self, circle_2100):
+        n = circle_2100.n
+        tracemalloc.start()
+        try:
+            res = smallest_eigenpairs(circle_2100, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.path == "block"
+        assert peak < n * n * 8 / 4
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -178,7 +178,7 @@ def test_report_sigma_is_the_rules_pick(kind, curve, setting):
 @pytest.mark.parametrize("kind", list(CurveKind))
 def test_recover_labels_matches_separate_stages(kind, monkeypatch):
     # the one-buffer path against kernel -> copied Laplacian -> eigensolve,
-    # bit for bit, on the Lanczos path
+    # bit for bit, on the block path
     monkeypatch.setattr(eigen, "DENSE_CUTOFF", 100)
     curve = "circle" if kind is CurveKind.CLOSED_LOOP else "half-circle"
     x, _ = generate(CurveSpec(curve), 600, 21)
@@ -215,7 +215,7 @@ def test_closed_loop_labels_under_non_uniform_sampling_density():
 
 
 def test_recover_labels_holds_one_n_by_n_buffer():
-    # Lanczos path (N above the dense cutoff): the kernel, the Laplacian
+    # block path (N above the dense cutoff): the kernel, the Laplacian
     # and the eigensolve share one N x N array, plus row-block
     # temporaries; two arrays would read 2.0
     n = 2100
