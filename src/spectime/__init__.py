@@ -25,7 +25,6 @@ from .kernel import (
     LaplacianMatrix,
     build_kernel,
     build_laplacian,
-    gaussian_kernel,
     laplacian_from_data,
 )
 from .metrics import (
@@ -87,7 +86,6 @@ __all__ = [
     "err_closed_time",
     "err_open_rank",
     "err_open_time",
-    "gaussian_kernel",
     "generate",
     "interior_relative_error",
     "laplacian_from_data",

@@ -4,48 +4,51 @@ The contract is the residual certificate, not the method: every returned
 pair (lambda_j, v_j) satisfies ||A v_j - lambda_j v_j|| <= tol * max(1, max|lambda|),
 checked post hoc by direct multiplication.
 
-Small matrices (and k > N/4) take the dense path: one Cholesky factor of
-A + tau*I, then Lanczos (ARPACK) on its inverse, whose k largest
-eigenvalues w map back to lambda = 1/w - tau.  A successful
-factorization proves lambda_min > -tau, so these are exactly the k
-smallest eigenvalues of A; tau changes the speed, never which pairs come
-back.  The cost is one N^3/3 factorization and a few dozen O(N^2)
-triangular solves, where a symmetric eigensolver first spends 4N^3/3 on
-a tridiagonal reduction.  Input that is not positive definite after the
-shift (an indefinite A), or k >= N - 1, falls back to LAPACK ``dsyevr``
-on the k wanted pairs.
-
-Larger matrices take the block path: a thick-restarted block Krylov
-iteration that ends each pass with Rayleigh-Ritz.  It starts from BLOCK
-random rows (``default_rng(0)``); each next block is the image of the
-last one, orthogonalized twice against the basis.  Blocks are stored as
-rows, so one pass is ``block @ A``, which equals (A block^T)^T because A
-is symmetric: OpenBLAS reads A once for all BLOCK rows, at about the
-cost of one matrix-vector product, where ARPACK read it once per vector.
-The basis and its image ``basis @ A`` live in two preallocated buffers
-of BASIS_ROWS rows, or 2(k + BLOCK) when that is more (12 MB at N=8000
-for k <= 36), so a Laplacian built in the kernel's buffer stays the only
-N x N array.  The iteration stops when the k smallest Ritz pairs'
-residuals, read from the stored image, are at most half the
-certificate's bound.  When the buffers fill it keeps the k + BLOCK
+One iteration, two operators.  ``_block_smallest`` is a thick-restarted
+block Krylov iteration that ends each pass with Rayleigh-Ritz.  It starts
+from ``width`` random rows (``default_rng(0)``); each next block is the
+image of the last one, orthogonalized twice against the basis.  Blocks
+are stored as rows, and the operator comes as a function that writes
+``rows @ op``.  The basis and its image live in two preallocated buffers
+of BASIS_ROWS rows, or 2(k + width) when that is more (12 MB at N=8000
+for k <= 24).  The iteration stops when the k smallest Ritz pairs'
+residuals, read from the stored image, are at most half of
+tol * max(1, max|theta|).  When the buffers fill it keeps the k + BLOCK
 smallest Ritz vectors and goes on from the last image's part orthogonal
 to the old basis.  A row that loses rank is redrawn from the same
 generator, and a basis that reaches N solves the whole space.  No bound
-on the spectrum is needed.  The Krylov space of BLOCK start rows holds
-at most BLOCK copies of a repeated eigenvalue, so this path can miss
-copies of one repeated more often; the residual certificate cannot tell.
-The certificate on this path also multiplies rows, ``V^T A``: at N=8000,
-``A V`` with 3 columns raised the resident size by 24 MB, ``V^T A`` by
-1.3 MB.
+on the spectrum is needed.  The Krylov space of w start rows holds at
+most w copies of a repeated eigenvalue, so both paths use w >= k.
 
-Both iterative paths count their operator applications (one per vector:
-a block pass counts BLOCK), and ``SpectralResult`` reports them with the
-path taken.  Every failure to certify k pairs raises
-``NoConvergenceError`` with that count: an ARPACK error of any kind, a
-block path past its budget of PASSES_PER_PAIR * k passes or with a
-non-finite entry, fewer than k pairs back (as ``dsyevr`` returns on a
-matrix with NaN entries), or a residual above the bound or NaN.  No
-ARPACK exception leaves this module.
+Larger matrices (N > DENSE_CUTOFF and k <= N/4) take the block path: the
+operator is A itself, in blocks of max(BLOCK, k) rows.  One pass is
+``block @ A``, which equals (A block^T)^T because A is symmetric, so
+OpenBLAS reads A once per block, at about the cost of one matrix-vector
+product.  A Laplacian built in the kernel's buffer stays the only N x N
+array.
+
+Smaller matrices (and k > N/4) take the dense path: one Cholesky factor
+of A + tau*I, then the iteration on -(A + tau*I)^-1 in blocks of k rows,
+whose k smallest eigenvalues theta map back to lambda = -1/theta - tau.
+A successful factorization proves lambda_min > -tau, so these are
+exactly the k smallest eigenvalues of A; tau changes the speed, never
+which pairs come back.  The cost is one N^3/3 factorization and a few
+dozen O(N^2) triangular solves, where a symmetric eigensolver first
+spends 4N^3/3 on a tridiagonal reduction.  The inner target is
+min(tol, 1e-10) / 100 on the transformed operator; a residual r there
+gives ||A v - lambda v|| <= (||A|| + tau) ||r|| / |theta|, far inside
+the certificate, which stays the only arbiter.  Input that is not
+positive definite after the shift (an indefinite A) falls back to
+LAPACK ``dsyevr`` on the k wanted pairs.
+
+The certificate on the block path multiplies rows, ``V^T A``: at N=8000,
+``A V`` with 3 columns raised the resident size by 24 MB, ``V^T A`` by
+1.3 MB.  ``SpectralResult`` reports the path taken and the operator
+applications (one per vector: a pass counts its block's rows).  Every
+failure to certify k pairs raises ``NoConvergenceError`` with that
+count: the iteration past its budget of PASSES_PER_PAIR * k passes or
+with a non-finite entry, fewer than k pairs back (as ``dsyevr`` returns
+on a matrix with NaN entries), or a residual above the bound or NaN.
 
 A writable, C-ordered ``LaplacianMatrix`` (bit-exactly symmetric, as
 ``kernel`` builds it) is factored in its own buffer, so the dense path
@@ -76,7 +79,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import AsymmetricMatrixError, NoConvergenceError
 from .kernel import LaplacianMatrix, mirror_upper, row_blocks
@@ -84,9 +86,9 @@ from .kernel import LaplacianMatrix, mirror_upper, row_blocks
 DENSE_CUTOFF = 2048
 DEFAULT_TOL = 1e-8
 SHIFT = 1e-3  # tau of the dense path's shift-invert; sets the speed only
-BLOCK = 12  # rows the block path applies L to in one pass over its memory
-BASIS_ROWS = 96  # basis rows the block path holds before a thick restart (or 2(k + BLOCK))
-PASSES_PER_PAIR = 100  # the block path's budget of passes over L, per wanted pair
+BLOCK = 12  # least rows the block path applies L to in one pass over its memory
+BASIS_ROWS = 96  # basis rows the iteration holds before a thick restart (or 2(k + width))
+PASSES_PER_PAIR = 100  # the iteration's budget of passes, per wanted pair
 RANK_DROP = 1e-8  # a new basis row kept below this fraction of its norm is redrawn
 
 
@@ -128,9 +130,9 @@ def smallest_eigenpairs(
         if a bare ndarray differs from its transpose.
     NoConvergenceError
         if the residual target cannot be certified within the iteration
-        budget: ARPACK fails, the block path meets a non-finite entry or
-        spends its passes, fewer than k pairs come back, or a residual
-        exceeds the bound or is NaN.
+        budget: the iteration meets a non-finite entry or spends its
+        passes, fewer than k pairs come back, or a residual exceeds the
+        bound or is NaN.
     """
     a = l.l if isinstance(l, LaplacianMatrix) else np.asarray(l, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -148,7 +150,10 @@ def smallest_eigenpairs(
         work = a if owned else np.array(a, order="C")  # one copy of input it may not write
         values, vectors, applied, path = _dense_smallest(a, work, k, tol)
     else:
-        values, vectors, applied = _block_smallest(a, k, tol)
+        def product(rows, out):
+            np.matmul(rows, a, out=out)
+
+        values, vectors, applied = _block_smallest(product, n, k, max(BLOCK, k), tol)
         path = "block"
 
     if values.size < k:
@@ -180,27 +185,6 @@ def _check_symmetric(a: np.ndarray) -> None:
         raise AsymmetricMatrixError(worst)
 
 
-def _arpack_largest(apply, n: int, k: int, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """k largest eigenpairs of the symmetric operator x -> apply(x), ascending,
-    and the number of times ARPACK applied it."""
-    applied = 0
-
-    def matvec(x):
-        nonlocal applied
-        applied += 1
-        return apply(x)
-
-    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    v0 = np.random.default_rng(0).standard_normal(n)  # fixed start, deterministic output
-    try:
-        # ARPACK tol is relative to the transformed spectrum; ask well below
-        # the certificate and let the post-hoc check be the arbiter.
-        w, v = eigsh(op, k=k, which="LA", tol=min(tol, 1e-10) * 1e-2, v0=v0, maxiter=50 * k)
-    except ArpackError as exc:  # ArpackNoConvergence included
-        raise NoConvergenceError(applied, str(exc)) from exc
-    return w, v, applied
-
-
 @contextmanager
 def _shifted(a: np.ndarray):
     """A + SHIFT*I in a's own buffer, through its Fortran-ordered view a.T
@@ -220,21 +204,23 @@ def _shifted(a: np.ndarray):
 def _dense_smallest(
     a: np.ndarray, work: np.ndarray, k: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray, int, str]:
-    """Smallest pairs of a from Lanczos on (A + SHIFT*I)^-1, factored in
-    ``work`` (a itself or a C-ordered copy, restored before returning), or
-    from LAPACK ``dsyevr`` on a when that matrix has no Cholesky factor or
-    k >= n - 1; with the operator applications and the path taken."""
-    n = a.shape[0]
-    if k < n - 1:
-        with _shifted(work) as shifted:
-            try:
-                factor = cho_factor(shifted, overwrite_a=True, check_finite=False)
-            except LinAlgError:
-                pass  # lambda_min(A) <= -SHIFT: an indefinite matrix, never a Laplacian
-            else:
-                w, v, applied = _arpack_largest(
-                    lambda x: cho_solve(factor, x, check_finite=False), n, k, tol)
-                return 1.0 / w - SHIFT, v, applied, "dense"
+    """Smallest pairs of a from the block iteration on -(A + SHIFT*I)^-1,
+    factored in ``work`` (a itself or a C-ordered copy, restored before
+    returning), or from LAPACK ``dsyevr`` on a when that matrix has no
+    Cholesky factor; with the operator applications and the path taken."""
+    with _shifted(work) as shifted:
+        try:
+            factor = cho_factor(shifted, overwrite_a=True, check_finite=False)
+        except LinAlgError:
+            pass  # lambda_min(A) <= -SHIFT: an indefinite matrix, never a Laplacian
+        else:
+            def solve(rows, out):
+                np.negative(cho_solve(factor, rows.T, check_finite=False).T, out=out)
+
+            # the inner target is relative to the transformed spectrum; ask
+            # well below the certificate, which stays the only arbiter
+            theta, v, applied = _block_smallest(solve, a.shape[0], k, k, min(tol, 1e-10) * 1e-2)
+            return -1.0 / theta - SHIFT, v, applied, "dense"
     values, vectors = eigh(a, subset_by_index=[0, k - 1], driver="evr", check_finite=False)
     return values, vectors, 0, "evr"
 
@@ -254,21 +240,23 @@ def _orthonormal(block: np.ndarray, basis: np.ndarray, rng: np.random.Generator)
         block[lost] = rng.standard_normal((int(lost.sum()), block.shape[1]))
 
 
-def _block_smallest(a: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """k smallest pairs of a, ascending, from a thick-restarted block Krylov
-    iteration with Rayleigh-Ritz, and the number of vectors a was applied to."""
-    n = a.shape[0]
-    rows = min(n, max(BASIS_ROWS, 2 * (k + BLOCK)))
+def _block_smallest(apply, n: int, k: int, width: int,
+                    tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """k smallest pairs of the symmetric operator that ``apply(rows, out)``
+    applies (it writes ``rows @ op``), ascending, from a thick-restarted
+    block Krylov iteration with Rayleigh-Ritz in blocks of ``width`` rows,
+    and the number of vectors the operator was applied to."""
+    cap = min(n, max(BASIS_ROWS, 2 * (k + width)))
     rng = np.random.default_rng(0)  # fixed start, deterministic output
-    basis = np.empty((rows, n))  # orthonormal rows
-    image = np.empty((rows, n))  # basis @ a; row j is a @ basis[j], a being symmetric
-    h = np.zeros((rows, rows))  # basis a basis^T, lower triangle
-    block = _orthonormal(rng.standard_normal((min(BLOCK, n), n)), basis[:0], rng)
+    basis = np.empty((cap, n))  # orthonormal rows
+    image = np.empty((cap, n))  # basis @ op; row j is op @ basis[j], op being symmetric
+    h = np.zeros((cap, cap))  # basis op basis^T, lower triangle
+    block = _orthonormal(rng.standard_normal((min(width, n), n)), basis[:0], rng)
     used = applied = 0
     while True:
         start, used = used, used + block.shape[0]
         basis[start:used] = block
-        np.matmul(basis[start:used], a, out=image[start:used])  # one pass over a
+        apply(basis[start:used], image[start:used])  # one pass over the operator
         applied += used - start
         h[start:used, :used] = image[start:used] @ basis[:used].T
         if not np.isfinite(h[start:used, :used]).all():
@@ -277,16 +265,16 @@ def _block_smallest(a: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, np.n
         theta, y = np.linalg.eigh(h[:used, :used])
         ritz = y[:, :k].T @ basis[:used]
         residual = np.linalg.norm(y[:, :k].T @ image[:used] - theta[:k, None] * ritz, axis=1)
-        # stop at half the certificate's bound, which the caller checks directly
+        # stop at half the bound; the caller checks its certificate directly
         bound = tol * max(1.0, float(np.abs(theta[:k]).max()))
         if used >= k and residual.max() <= 0.5 * bound:
             return theta[:k], ritz.T, applied
-        if used == n or applied >= PASSES_PER_PAIR * k * BLOCK:
+        if used == n or applied >= PASSES_PER_PAIR * k * width:
             raise NoConvergenceError(applied, f"Ritz residual {residual.max():.3e} "
                                      f"after {applied} operator applications")
         # the next Krylov block: the last block's image, orthogonal to the basis
-        block = _orthonormal(image[start:start + min(BLOCK, n - used)].copy(), basis[:used], rng)
-        if used + block.shape[0] > rows:  # thick restart from the smallest Ritz vectors
+        block = _orthonormal(image[start:start + min(width, n - used)].copy(), basis[:used], rng)
+        if used + block.shape[0] > cap:  # thick restart from the smallest Ritz vectors
             keep = k + BLOCK
             basis[:keep] = y[:, :keep].T @ basis[:used]
             image[:keep] = y[:, :keep].T @ image[:used]

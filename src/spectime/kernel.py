@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataMatrix, KernelParams
-from .errors import DimensionMismatchError, DisconnectedGraphError
+from .errors import DisconnectedGraphError
 
 
 _BLOCK_ELEMENTS = 1 << 18  # row block of the N x N passes, 2 MB of float64
@@ -76,16 +76,6 @@ class LaplacianMatrix:
     @property
     def n(self) -> int:
         return self.l.shape[0]
-
-
-def gaussian_kernel(x: np.ndarray, y: np.ndarray, p: KernelParams) -> float:
-    """Evaluate the Gaussian similarity between two points."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"point dimensions differ: {x.shape} vs {y.shape}")
-    sq = float(np.dot(x - y, x - y))
-    return math.exp(-sq / (2.0 * p.sigma**2)) / (math.sqrt(2.0 * math.pi) * p.sigma)
 
 
 def row_blocks(n: int):

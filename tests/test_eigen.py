@@ -1,10 +1,13 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from spectime import (
     CurveKind,
@@ -35,6 +38,14 @@ def circle_laplacian(n, sigma=None, seed=0):
     return build_laplacian(build_kernel(x, params))
 
 
+def product(a):
+    """The block path's operator: rows -> rows @ a."""
+    def apply(rows, out):
+        np.matmul(rows, a, out=out)
+
+    return apply
+
+
 @pytest.fixture
 def no_evr(monkeypatch):
     def refuse(*args, **kwargs):
@@ -53,6 +64,17 @@ def evr_calls(monkeypatch):
 
     monkeypatch.setattr(eigen, "eigh", spy)
     return calls
+
+
+def test_import_loads_no_sparse_module():
+    # both solver paths run one block iteration; scipy.sparse is not needed
+    src = str(Path(eigen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, spectime; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestClosedForm:
@@ -166,9 +188,9 @@ class TestDenseSubset:
 
 
 class TestShiftInvert:
-    """The dense path factors A + SHIFT*I and runs Lanczos on its inverse;
-    only input that is not positive definite after the shift, or
-    k >= n - 1, reaches LAPACK's dense solver."""
+    """The dense path factors A + SHIFT*I and runs the block iteration on
+    its negated inverse; only input that is not positive definite after the
+    shift reaches LAPACK's dense solver."""
 
     @pytest.mark.parametrize(
         "curve, kind, sigma",
@@ -189,6 +211,19 @@ class TestShiftInvert:
         assert principal_angle(res.eigenvectors, v[:, :k]) <= 1e-6
         assert res.path == "dense" and res.applications > 0
 
+    @pytest.mark.parametrize("sigma2", [0.02, 0.002])
+    def test_slow_cardioid_spectrum(self, no_evr, sigma2):
+        # lambda_2 of the cardioid (4.5e-4 and 4.0e-5) is small against the
+        # spectrum's spread: the block iteration on L takes 27 and 171
+        # passes here, the factor's inverse 10 and 15 passes of 2 rows
+        x, _ = generate(CurveSpec("cardioid"), 2000, 0)
+        lap = build_laplacian(build_kernel(x, KernelParams(np.sqrt(sigma2))))
+        w, v = eigh(lap.l, subset_by_index=[0, 1])
+        res = smallest_eigenpairs(lap, k=2)
+        assert res.path == "dense"
+        assert np.abs(res.eigenvalues - w).max() <= 1e-10
+        assert principal_angle(res.eigenvectors, v) <= 1e-6
+
     def test_negative_eigenvalue_above_minus_shift_stays_on_shift_invert(self, no_evr):
         lap = circle_laplacian(300, sigma=0.33, seed=4).l - 0.5 * SHIFT * np.eye(300)
         w, v = np.linalg.eigh(lap)
@@ -206,11 +241,12 @@ class TestShiftInvert:
         assert np.array_equal(res.eigenvectors, _fix_signs(v))
 
     @pytest.mark.parametrize("k", [7, 8])
-    def test_k_at_least_n_minus_one_falls_back(self, evr_calls, k):
+    def test_k_at_least_n_minus_one_stays_on_the_factor(self, evr_calls, k):
+        # the basis reaches n = 8 rows and solves the whole space
         lap = circle_laplacian(8, sigma=0.6, seed=2)
         res = smallest_eigenpairs(lap, k=k)
-        assert len(evr_calls) == 1
-        assert res.path == "evr" and res.applications == 0
+        assert evr_calls == []
+        assert res.path == "dense" and res.applications == 8
         w = np.linalg.eigvalsh(lap.l)
         assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
 
@@ -233,17 +269,26 @@ class TestNoConvergenceCount:
 
 class TestNaNInput:
     """A NaN entry cannot be certified on any path: each one raises
-    NoConvergenceError, never a raw ARPACK or numpy error, and never
+    NoConvergenceError, never a raw LAPACK or numpy error, and never
     hands back pairs."""
 
-    # k=5 reaches dsyevr, which returns 3 pairs; k=4 returns none; k=1
-    # reaches ARPACK through the shift-invert factor, which fails
+    # every k reaches the factor, whose iteration meets the NaN
     @pytest.mark.parametrize("k", [5, 4, 1])
     def test_identity_with_nan_pair(self, k):
         a = np.eye(5)
         a[1, 2] = a[2, 1] = np.nan
         with pytest.raises(NoConvergenceError):
             smallest_eigenpairs(a, k)
+
+    # a negative pivot stops the factor first: dsyevr returns 3 pairs, or none
+    @pytest.mark.parametrize("k", [5, 4])
+    def test_indefinite_with_nan_pair_reaches_dsyevr(self, evr_calls, k):
+        a = np.eye(5)
+        a[0, 0] = -1.0
+        a[1, 2] = a[2, 1] = np.nan
+        with pytest.raises(NoConvergenceError, match=f"of {k} eigenpairs came back"):
+            smallest_eigenpairs(a, k)
+        assert len(evr_calls) == 1
 
     def test_block_path(self, monkeypatch):
         monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
@@ -306,7 +351,7 @@ class TestIterativePath:
     def test_matches_dense_oracle(self):
         lap = circle_laplacian(300, sigma=0.33, seed=1)
         w_dense, v_dense = np.linalg.eigh(lap.l)
-        values, vectors, _ = _block_smallest(lap.l, 3, 1e-10)
+        values, vectors, _ = _block_smallest(product(lap.l), 300, 3, eigen.BLOCK, 1e-10)
         order = np.argsort(values)
         values = values[order]
         vectors = vectors[:, order]
@@ -319,7 +364,7 @@ class TestIterativePath:
         a = np.random.default_rng(9).standard_normal((300, 300))
         a = 10.0 * (a + a.T)
         w_dense, v_dense = np.linalg.eigh(a)
-        values, vectors, _ = _block_smallest(a, 3, 1e-10)
+        values, vectors, _ = _block_smallest(product(a), 300, 3, eigen.BLOCK, 1e-10)
         order = np.argsort(values)
         scale = np.abs(w_dense).max()
         assert np.abs(values[order] - w_dense[:3]).max() <= 1e-10 * scale
@@ -327,7 +372,7 @@ class TestIterativePath:
 
     def test_iterative_respects_certificate(self):
         lap = circle_laplacian(300, sigma=0.33, seed=2)
-        values, vectors, _ = _block_smallest(lap.l, 2, 1e-8)
+        values, vectors, _ = _block_smallest(product(lap.l), 300, 2, eigen.BLOCK, 1e-8)
         for j in range(2):
             r = np.linalg.norm(lap.l @ vectors[:, j] - values[j] * vectors[:, j])
             assert r <= 1e-8
@@ -380,12 +425,23 @@ class TestIterativePath:
         assert np.abs(gram - np.eye(3)).max() <= 1e-12
 
     def test_more_pairs_than_a_block_when_the_first_block_is_exact(self, monkeypatch):
-        # every vector is an eigenvector of 2I: the first block's 12 Ritz
-        # pairs are exact, yet k = 20 pairs must come back
+        # every vector is an eigenvector of 2I: k = 20 > BLOCK widens the
+        # block to 20 rows, whose Ritz pairs are exact after one pass
         monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
         res = smallest_eigenpairs(2.0 * np.eye(100), k=20)
-        assert res.applications == 2 * eigen.BLOCK
+        assert res.applications == 20
         assert np.abs(res.eigenvalues - 2.0).max() <= 1e-14
+
+    def test_eigenvalue_repeated_more_often_than_a_block(self, monkeypatch):
+        # eigenvalue 0 twenty times and 1 eighty times: a Krylov space of
+        # 12 start rows holds only 12 zeros, one of k = 15 rows holds 15
+        monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((100, 100)))
+        p = q[:, 20:] @ q[:, 20:].T
+        res = smallest_eigenpairs((p + p.T) / 2.0, k=15)
+        assert res.path == "block"
+        assert np.abs(res.eigenvalues).max() <= 1e-12
+        assert np.abs(q[:, 20:].T @ res.eigenvectors).max() <= 1e-10  # in the null space
 
     def test_redrawn_rows_are_orthonormal_and_orthogonal_to_the_basis(self):
         rng = np.random.default_rng(1)
@@ -481,16 +537,13 @@ class TestInPlaceFactor:
         w, v = eigh(a, subset_by_index=[0, 2], driver="evr")
         assert np.array_equal(res.eigenvalues, w)
 
-    def test_laplacian_unchanged_after_no_convergence(self, lap, monkeypatch):
-        def give_up(op, k, **kwargs):
-            op.matvec(np.ones(op.shape[0]))
-            raise ArpackNoConvergence("forced", np.empty(0), np.empty((op.shape[0], 0)))
-
-        monkeypatch.setattr(eigen, "eigsh", give_up)
+    def test_laplacian_unchanged_after_no_convergence(self, lap, no_evr):
+        # an unreachable target spends the budget of PASSES_PER_PAIR * k
+        # passes of k rows on the factor, then raises
         before = lap.l.copy()
         with pytest.raises(NoConvergenceError) as err:
-            smallest_eigenpairs(lap, k=3)
-        assert err.value.iterations == 1
+            smallest_eigenpairs(lap, k=3, tol=1e-300)
+        assert err.value.iterations == eigen.PASSES_PER_PAIR * 3 * 3
         assert same_bits(lap.l, before)
 
     def test_read_only_inputs_are_copied(self, lap):

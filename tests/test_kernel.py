@@ -10,14 +10,13 @@ from spectime import (
     KernelParams,
     build_kernel,
     build_laplacian,
-    gaussian_kernel,
     generate,
     laplacian_from_data,
     noise_for_snr,
     recover_labels,
     CurveSpec,
 )
-from spectime.errors import DimensionMismatchError, DisconnectedGraphError
+from spectime.errors import DisconnectedGraphError
 from spectime.kernel import row_blocks, squared_distances
 
 from oracles import gaussian_kernel_pdist, laplacian_outer_product
@@ -26,26 +25,24 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class TestGaussianKernel:
+    """The pair formula, read off ``build_kernel`` entries."""
+
     def test_zero_distance(self):
-        v = gaussian_kernel(np.array([1.0, 2.0]), np.array([1.0, 2.0]), KernelParams(1.0))
+        z = DataMatrix(np.array([[1.0, 1.0], [2.0, 2.0]]))
+        v = build_kernel(z, KernelParams(1.0)).k[0, 1]
         assert v == pytest.approx(INV_SQRT_2PI, abs=1e-15)
 
     def test_unit_sigma_sqrt2_distance(self):
         # ||x - y|| = sqrt(2) so the exponent is -1
-        x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        v = gaussian_kernel(x, y, KernelParams(1.0))
+        z = DataMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        v = build_kernel(z, KernelParams(1.0)).k[0, 1]
         assert v == pytest.approx(math.exp(-1.0) * INV_SQRT_2PI, abs=1e-15)
 
     def test_symmetry_random_pairs(self):
-        rng = np.random.default_rng(0)
-        p = KernelParams(0.7)
-        for _ in range(100):
-            x, y = rng.standard_normal(3), rng.standard_normal(3)
-            assert gaussian_kernel(x, y, p) == gaussian_kernel(y, x, p)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            gaussian_kernel(np.zeros(2), np.zeros(3), KernelParams(1.0))
+        x = np.random.default_rng(0).standard_normal((3, 100))
+        k = build_kernel(DataMatrix(x), KernelParams(0.7)).k
+        assert np.array_equal(k, k.T)
+        assert np.abs(k - gaussian_kernel_pdist(x, 0.7)).max() <= 1e-14
 
 
 class TestBuildKernel:
