@@ -39,7 +39,25 @@ min(tol, 1e-10) / 100 on the transformed operator; a residual r there
 gives ||A v - lambda v|| <= (||A|| + tau) ||r|| / |theta|, far inside
 the certificate, which stays the only arbiter.  Input that is not
 positive definite after the shift (an indefinite A) falls back to
-LAPACK ``dsyevr`` on the k wanted pairs.
+numpy's full ``eigh``; a ``LinAlgError`` or a non-finite entry there
+raises ``NoConvergenceError``.
+
+The factor is built from numpy alone, so the process runs one BLAS
+library.  numpy and scipy each load their own OpenBLAS, and each keeps a
+thread pool that spins for about 0.1 s after a threaded call; scipy's
+``potrf`` right after numpy's kernel build took 0.10-0.14 s at N=2000,
+against 0.05 s alone (2-core KVM box, OpenBLAS 0.3.30, 2 threads).
+``_factor`` is a left-looking blocked Cholesky: each column block of at
+most FACTOR_BLOCK columns takes one product for its update from the
+blocks left of it, ``np.linalg.cholesky`` on its diagonal block, and the
+panel below times that block's inverse.  The inverse is stored in place
+of the diagonal block, and ``_solve``'s forward and back solves multiply
+by it one column block at a time.  Multiplying by an inverse in place of
+a triangular solve loses little: A + tau*I of a positive semidefinite A
+has cond(A + tau*I) <= (||A|| + tau) / tau, about 2000 for a Laplacian
+(||A|| <= 2), and a diagonal block of its factor has a condition number
+of at most the square root of that, about 45.  The certificate stays the
+arbiter of every pair.
 
 The certificate on the block path multiplies rows, ``V^T A``: at N=8000,
 ``A V`` with 3 columns raised the resident size by 24 MB, ``V^T A`` by
@@ -47,20 +65,19 @@ The certificate on the block path multiplies rows, ``V^T A``: at N=8000,
 applications (one per vector: a pass counts its block's rows).  Every
 failure to certify k pairs raises ``NoConvergenceError`` with that
 count: the iteration past its budget of PASSES_PER_PAIR * k passes or
-with a non-finite entry, fewer than k pairs back (as ``dsyevr`` returns
-on a matrix with NaN entries), or a residual above the bound or NaN.
+with a non-finite entry, the ``eigh`` fallback failing or returning a
+non-finite entry, or a residual above the bound or NaN.
 
 A writable, C-ordered ``LaplacianMatrix`` (bit-exactly symmetric, as
 ``kernel`` builds it) is factored in its own buffer, so the dense path
-holds one N x N array too: LAPACK ``potrf`` factors A + tau*I through
-the Fortran-ordered view ``l.T`` and writes only the lower triangle of
-``l``.  However the solve ends (pairs, the ``dsyevr`` fallback, an
+holds one N x N array too: ``_factor`` writes only the lower triangle
+of ``l``.  However the solve ends (pairs, the ``eigh`` fallback, an
 error), ``kernel.mirror_upper`` copies that triangle back from the
 intact upper one and the saved diagonal is restored, so ``l`` comes back
 bit for bit.  Do not share one ``LaplacianMatrix`` between concurrent
 solves.  Other input (a bare ndarray, or a read-only or Fortran-ordered
 Laplacian) is first copied into a C-ordered array, which is factored the
-same way; the certificate and ``dsyevr`` still read the caller's matrix.
+same way; the certificate and ``eigh`` still read the caller's matrix.
 A factor reads one triangle only, so a bare ndarray must equal its
 transpose bit for bit, checked one row block at a time (no N x N
 temporary); one that does not raises ``AsymmetricMatrixError`` naming
@@ -76,9 +93,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .errors import AsymmetricMatrixError, NoConvergenceError
 from .kernel import LaplacianMatrix, mirror_upper, row_blocks
@@ -86,6 +103,7 @@ from .kernel import LaplacianMatrix, mirror_upper, row_blocks
 DENSE_CUTOFF = 2048
 DEFAULT_TOL = 1e-8
 SHIFT = 1e-3  # tau of the dense path's shift-invert; sets the speed only
+FACTOR_BLOCK = 128  # rows of the dense factor's diagonal blocks
 BLOCK = 12  # least rows the block path applies L to in one pass over its memory
 BASIS_ROWS = 96  # basis rows the iteration holds before a thick restart (or 2(k + width))
 PASSES_PER_PAIR = 100  # the iteration's budget of passes, per wanted pair
@@ -99,7 +117,7 @@ class SpectralResult:
     eigenvalues: np.ndarray  # (k,) ascending
     eigenvectors: np.ndarray  # (N, k), unit-norm columns
     residuals: np.ndarray  # (k,) ||A v - lambda v||
-    path: str  # "dense" (shift-invert factor), "evr" (LAPACK dsyevr) or "block"
+    path: str  # "dense" (shift-invert factor), "eigh" (numpy's full eigh) or "block"
     applications: int  # vectors the solver applied its operator to
 
 
@@ -131,8 +149,8 @@ def smallest_eigenpairs(
     NoConvergenceError
         if the residual target cannot be certified within the iteration
         budget: the iteration meets a non-finite entry or spends its
-        passes, fewer than k pairs come back, or a residual exceeds the
-        bound or is NaN.
+        passes, the ``eigh`` fallback fails or returns a non-finite entry,
+        or a residual exceeds the bound or is NaN.
     """
     a = l.l if isinstance(l, LaplacianMatrix) else np.asarray(l, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -156,9 +174,6 @@ def smallest_eigenpairs(
         values, vectors, applied = _block_smallest(product, n, k, max(BLOCK, k), tol)
         path = "block"
 
-    if values.size < k:
-        raise NoConvergenceError(applied, f"{values.size} of {k} eigenpairs came back "
-                                 f"after {applied} operator applications")
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = _fix_signs(vectors[:, order])
@@ -187,18 +202,59 @@ def _check_symmetric(a: np.ndarray) -> None:
 
 @contextmanager
 def _shifted(a: np.ndarray):
-    """A + SHIFT*I in a's own buffer, through its Fortran-ordered view a.T
-    (the same matrix, a being bit-exactly symmetric), for LAPACK to factor
-    in place; restored from its strict upper triangle and the saved
-    diagonal however the block ends."""
+    """Shift a to A + SHIFT*I in its own buffer, for ``_factor`` to
+    overwrite its lower triangle; restored from the strict upper triangle
+    and the saved diagonal however the block ends."""
     n = a.shape[0]
     diag = a.diagonal().copy()
     a[np.diag_indices(n)] = diag + SHIFT
     try:
-        yield a.T
+        yield
     finally:
         mirror_upper(a)
         a[np.diag_indices(n)] = diag
+
+
+def _factor(a: np.ndarray) -> None:
+    """Overwrite the lower triangle of the C-ordered symmetric matrix a (read
+    from that triangle) with its Cholesky factor L, a = L L^T, computed
+    left-looking in column blocks of FACTOR_BLOCK; each diagonal block of L
+    is stored as its inverse, which both the panel below it and ``_solve``
+    multiply by.  The strict upper triangle is never written.  Raises
+    ``LinAlgError`` when a diagonal block has no Cholesky factor, leaving
+    the blocks before it factored."""
+    n = a.shape[0]
+    lower = np.tri(FACTOR_BLOCK, dtype=bool)
+    update = np.empty((n, min(n, FACTOR_BLOCK)))
+    for j in range(0, n, FACTOR_BLOCK):
+        cols = slice(j, j + FACTOR_BLOCK)
+        m = min(FACTOR_BLOCK, n - j)
+        panel = update[: n - j, :m]
+        np.matmul(a[j:, :j], a[cols, :j].T, out=panel)  # the block column's update
+        np.subtract(a[j:, cols], panel, out=panel)
+        inv = np.linalg.inv(np.linalg.cholesky(panel[:m]))
+        block = a[cols, cols]
+        block[lower[:m, :m]] = inv[lower[:m, :m]]
+        np.matmul(panel[m:], inv.T, out=a[j + m:, cols])
+
+
+def _solve(a: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """out = -rows (L L^T)^-1 for the factor ``_factor`` left in a: a forward
+    solve Y L^T = rows, then a back solve X L = Y, one block of columns at a
+    time, each multiplied by its diagonal block's stored inverse."""
+    n = a.shape[0]
+    lower = np.tri(FACTOR_BLOCK, dtype=bool)
+    inv = np.zeros((FACTOR_BLOCK, FACTOR_BLOCK))  # the upper triangle stays 0
+    starts = range(0, n, FACTOR_BLOCK)
+    for j in starts:
+        cols, m = slice(j, j + FACTOR_BLOCK), min(FACTOR_BLOCK, n - j)
+        np.copyto(inv[:m, :m], a[cols, cols], where=lower[:m, :m])
+        out[:, cols] = (rows[:, cols] - out[:, :j] @ a[cols, :j].T) @ inv[:m, :m].T
+    for j in reversed(starts):
+        cols, m = slice(j, j + FACTOR_BLOCK), min(FACTOR_BLOCK, n - j)
+        np.copyto(inv[:m, :m], a[cols, cols], where=lower[:m, :m])
+        out[:, cols] = (out[:, cols] - out[:, j + m:] @ a[j + m:, cols]) @ inv[:m, :m]
+    np.negative(out, out=out)
 
 
 def _dense_smallest(
@@ -206,23 +262,32 @@ def _dense_smallest(
 ) -> tuple[np.ndarray, np.ndarray, int, str]:
     """Smallest pairs of a from the block iteration on -(A + SHIFT*I)^-1,
     factored in ``work`` (a itself or a C-ordered copy, restored before
-    returning), or from LAPACK ``dsyevr`` on a when that matrix has no
-    Cholesky factor; with the operator applications and the path taken."""
-    with _shifted(work) as shifted:
+    returning), or from ``_eigh_smallest`` when that matrix has no Cholesky
+    factor; with the operator applications and the path taken."""
+    with _shifted(work):
         try:
-            factor = cho_factor(shifted, overwrite_a=True, check_finite=False)
-        except LinAlgError:
+            _factor(work)
+        except np.linalg.LinAlgError:
             pass  # lambda_min(A) <= -SHIFT: an indefinite matrix, never a Laplacian
         else:
-            def solve(rows, out):
-                np.negative(cho_solve(factor, rows.T, check_finite=False).T, out=out)
-
             # the inner target is relative to the transformed spectrum; ask
             # well below the certificate, which stays the only arbiter
-            theta, v, applied = _block_smallest(solve, a.shape[0], k, k, min(tol, 1e-10) * 1e-2)
+            theta, v, applied = _block_smallest(partial(_solve, work), a.shape[0], k, k,
+                                                min(tol, 1e-10) * 1e-2)
             return -1.0 / theta - SHIFT, v, applied, "dense"
-    values, vectors = eigh(a, subset_by_index=[0, k - 1], driver="evr", check_finite=False)
-    return values, vectors, 0, "evr"
+    values, vectors = _eigh_smallest(a, k)
+    return values, vectors, 0, "eigh"
+
+
+def _eigh_smallest(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest pairs from numpy's full symmetric eigensolver."""
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as err:
+        raise NoConvergenceError(0, f"eigh failed: {err}") from err
+    if not (np.isfinite(values).all() and np.isfinite(vectors).all()):
+        raise NoConvergenceError(0, "eigh returned a non-finite entry")
+    return values[:k], vectors[:, :k]
 
 
 def _orthonormal(block: np.ndarray, basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -97,7 +97,9 @@ def recover_labels(
     L has one zero eigenvalue per connected component of the kernel
     graph, so a second eigenvalue at rounding level (at most N * eps)
     means the Fiedler vectors only tell the components apart; that
-    raises ``DisconnectedGraphError``, naming sigma, instead of labels.
+    raises ``DisconnectedGraphError`` instead of labels, naming sigma and
+    the count of computed eigenvalues at rounding level, a lower bound
+    on the number of components.
     """
     sigma = check_bandwidth(sigma, noise_level)
     if sigma == "auto":
@@ -110,12 +112,14 @@ def recover_labels(
     if on_laplacian is not None:
         on_laplacian(lap)
     spectral = smallest_eigenpairs(lap, k=2 if kind is CurveKind.OPEN_CURVE else 3)
-    second = float(spectral.eigenvalues[1])
-    if second <= lap.n * np.finfo(np.float64).eps:
+    rounding = lap.n * np.finfo(np.float64).eps
+    zeros = int(np.count_nonzero(spectral.eigenvalues <= rounding))
+    if zeros > 1:
         raise DisconnectedGraphError(
-            f"kernel graph is disconnected at sigma={params.sigma!r}: the second-smallest "
-            f"Laplacian eigenvalue {second:.3e} is at rounding level, so the graph has more "
-            "than one component; use a larger bandwidth")
+            f"kernel graph is disconnected at sigma={params.sigma!r}: {zeros} of the "
+            f"{spectral.eigenvalues.size} computed Laplacian eigenvalues are at rounding level "
+            f"(at most N*eps = {rounding:.3e}), so the graph has more than one component, "
+            f"at least {zeros}; use a larger bandwidth")
     u = spectral.eigenvectors
     if kind is CurveKind.OPEN_CURVE:
         out = recover_open(lap.inv_sqrt_degrees * u[:, 1])

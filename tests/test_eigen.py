@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import cholesky, eigh
 
 from spectime import (
     CurveKind,
@@ -47,33 +47,37 @@ def product(a):
 
 
 @pytest.fixture
-def no_evr(monkeypatch):
+def no_eigh(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the dense solver was called")
+        raise AssertionError("the eigh fallback was called")
 
-    monkeypatch.setattr(eigen, "eigh", refuse)
+    monkeypatch.setattr(eigen, "_eigh_smallest", refuse)
 
 
 @pytest.fixture
-def evr_calls(monkeypatch):
+def eigh_calls(monkeypatch):
     calls = []
+    fallback = eigen._eigh_smallest
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs)
-        return eigh(*args, **kwargs)
+    def spy(a, k):
+        calls.append(k)
+        return fallback(a, k)
 
-    monkeypatch.setattr(eigen, "eigh", spy)
+    monkeypatch.setattr(eigen, "_eigh_smallest", spy)
     return calls
 
 
-def test_import_loads_no_sparse_module():
-    # both solver paths run one block iteration; scipy.sparse is not needed
+def test_import_and_dense_recovery_load_no_scipy():
+    # the dense path factors on numpy, so the runtime needs no scipy module
     src = str(Path(eigen.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, spectime; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
-        env=env, capture_output=True, text=True, check=True)
+    script = (
+        "import sys, spectime as st\n"
+        "x, _ = st.generate(st.CurveSpec('circle'), 300, seed=0)\n"
+        "st.recover_labels(st.noise_for_snr(x, 100.0, seed=1), st.CurveKind.CLOSED_LOOP)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -190,7 +194,7 @@ class TestDenseSubset:
 class TestShiftInvert:
     """The dense path factors A + SHIFT*I and runs the block iteration on
     its negated inverse; only input that is not positive definite after the
-    shift reaches LAPACK's dense solver."""
+    shift reaches numpy's full eigh."""
 
     @pytest.mark.parametrize(
         "curve, kind, sigma",
@@ -200,7 +204,7 @@ class TestShiftInvert:
             ("half-circle", CurveKind.OPEN_CURVE, np.sqrt(0.05)),
         ],
     )
-    def test_laplacian_never_reaches_dense_solver(self, no_evr, curve, kind, sigma):
+    def test_laplacian_never_reaches_dense_solver(self, no_eigh, curve, kind, sigma):
         # k as recovery asks for it: u2, u3 on a loop, u2 on an open curve
         k = 3 if kind is CurveKind.CLOSED_LOOP else 2
         x, _ = generate(CurveSpec(curve), 400, 8)
@@ -212,7 +216,7 @@ class TestShiftInvert:
         assert res.path == "dense" and res.applications > 0
 
     @pytest.mark.parametrize("sigma2", [0.02, 0.002])
-    def test_slow_cardioid_spectrum(self, no_evr, sigma2):
+    def test_slow_cardioid_spectrum(self, no_eigh, sigma2):
         # lambda_2 of the cardioid (4.5e-4 and 4.0e-5) is small against the
         # spectrum's spread: the block iteration on L takes 27 and 171
         # passes here, the factor's inverse 10 and 15 passes of 2 rows
@@ -224,7 +228,7 @@ class TestShiftInvert:
         assert np.abs(res.eigenvalues - w).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v) <= 1e-6
 
-    def test_negative_eigenvalue_above_minus_shift_stays_on_shift_invert(self, no_evr):
+    def test_negative_eigenvalue_above_minus_shift_stays_on_shift_invert(self, no_eigh):
         lap = circle_laplacian(300, sigma=0.33, seed=4).l - 0.5 * SHIFT * np.eye(300)
         w, v = np.linalg.eigh(lap)
         res = smallest_eigenpairs(lap, k=3)
@@ -232,20 +236,20 @@ class TestShiftInvert:
         assert np.abs(res.eigenvalues - w[:3]).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v[:, :3]) <= 1e-6
 
-    def test_eigenvalue_below_minus_shift_falls_back(self, evr_calls):
+    def test_eigenvalue_below_minus_shift_falls_back(self, eigh_calls):
         lap = circle_laplacian(300, sigma=0.33, seed=4).l - 2.0 * SHIFT * np.eye(300)
         res = smallest_eigenpairs(lap, k=3)
-        assert len(evr_calls) == 1
-        w, v = eigh(lap, subset_by_index=[0, 2], driver="evr")
-        assert np.array_equal(res.eigenvalues, w)
-        assert np.array_equal(res.eigenvectors, _fix_signs(v))
+        assert eigh_calls == [3] and res.path == "eigh" and res.applications == 0
+        w, v = np.linalg.eigh(lap)
+        assert np.array_equal(res.eigenvalues, w[:3])
+        assert np.array_equal(res.eigenvectors, _fix_signs(v[:, :3]))
 
     @pytest.mark.parametrize("k", [7, 8])
-    def test_k_at_least_n_minus_one_stays_on_the_factor(self, evr_calls, k):
+    def test_k_at_least_n_minus_one_stays_on_the_factor(self, eigh_calls, k):
         # the basis reaches n = 8 rows and solves the whole space
         lap = circle_laplacian(8, sigma=0.6, seed=2)
         res = smallest_eigenpairs(lap, k=k)
-        assert evr_calls == []
+        assert eigh_calls == []
         assert res.path == "dense" and res.applications == 8
         w = np.linalg.eigvalsh(lap.l)
         assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
@@ -255,7 +259,7 @@ class TestNoConvergenceCount:
     """An unreachable residual target reports how many times the iterative
     solver applied its operator."""
 
-    def test_shift_invert_path(self, no_evr):
+    def test_shift_invert_path(self, no_eigh):
         with pytest.raises(NoConvergenceError) as err:
             smallest_eigenpairs(circle_laplacian(300, sigma=0.33), k=3, tol=1e-300)
         assert err.value.iterations > 0
@@ -280,15 +284,16 @@ class TestNaNInput:
         with pytest.raises(NoConvergenceError):
             smallest_eigenpairs(a, k)
 
-    # a negative pivot stops the factor first: dsyevr returns 3 pairs, or none
-    @pytest.mark.parametrize("k", [5, 4])
-    def test_indefinite_with_nan_pair_reaches_dsyevr(self, evr_calls, k):
+    # a negative pivot stops the factor first; numpy's eigh returns NaN
+    # pairs, refused even when the k wanted ones are finite
+    @pytest.mark.parametrize("k", [5, 4, 1])
+    def test_indefinite_with_nan_pair_reaches_eigh(self, eigh_calls, k):
         a = np.eye(5)
         a[0, 0] = -1.0
         a[1, 2] = a[2, 1] = np.nan
-        with pytest.raises(NoConvergenceError, match=f"of {k} eigenpairs came back"):
+        with pytest.raises(NoConvergenceError, match="eigh") as err:
             smallest_eigenpairs(a, k)
-        assert len(evr_calls) == 1
+        assert eigh_calls == [k] and err.value.iterations == 0
 
     def test_block_path(self, monkeypatch):
         monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
@@ -302,7 +307,7 @@ class TestNaNInput:
         def nan_vector(a, work, k, tol):
             v = np.eye(5)[:, :k]
             v[0, 0] = np.nan
-            return np.arange(k, dtype=float), v, 0, "evr"
+            return np.arange(k, dtype=float), v, 0, "eigh"
 
         monkeypatch.setattr(eigen, "_dense_smallest", nan_vector)
         with pytest.raises(NoConvergenceError, match="residual nan"):
@@ -516,7 +521,7 @@ class TestInPlaceFactor:
         assert n <= eigen.DENSE_CUTOFF
         assert peak < n * n * 8 / 4
 
-    def test_laplacian_unchanged_after_return(self, lap, no_evr):
+    def test_laplacian_unchanged_after_return(self, lap, no_eigh):
         before = lap.l.copy()
         smallest_eigenpairs(lap, k=3)
         assert same_bits(lap.l, before)
@@ -527,17 +532,18 @@ class TestInPlaceFactor:
         for field in ("eigenvalues", "eigenvectors", "residuals"):
             assert same_bits(getattr(res, field), getattr(ref, field))
 
-    def test_laplacian_unchanged_after_failed_factor(self, evr_calls):
+    def test_laplacian_unchanged_after_failed_factor(self, eigh_calls):
         a = np.random.default_rng(3).standard_normal((300, 300))
         a = (a + a.T) / 2.0  # bit-exactly symmetric and indefinite
         lap = LaplacianMatrix(l=a.copy(), sigma=1.0, inv_sqrt_degrees=np.ones(300))
         res = smallest_eigenpairs(lap, k=3)
-        assert len(evr_calls) == 1
+        assert eigh_calls == [3]
         assert same_bits(lap.l, a)
-        w, v = eigh(a, subset_by_index=[0, 2], driver="evr")
-        assert np.array_equal(res.eigenvalues, w)
+        w, v = np.linalg.eigh(a)
+        assert np.array_equal(res.eigenvalues, w[:3])
+        assert np.array_equal(res.eigenvectors, _fix_signs(v[:, :3]))
 
-    def test_laplacian_unchanged_after_no_convergence(self, lap, no_evr):
+    def test_laplacian_unchanged_after_no_convergence(self, lap, no_eigh):
         # an unreachable target spends the budget of PASSES_PER_PAIR * k
         # passes of k rows on the factor, then raises
         before = lap.l.copy()
@@ -554,3 +560,63 @@ class TestInPlaceFactor:
             res = smallest_eigenpairs(arg, k=3)
             assert same_bits(res.eigenvectors, ref.eigenvectors)
         assert same_bits(frozen, lap.l)
+
+
+def spd_with_signed_zeros(n: int, seed: int = 0) -> np.ndarray:
+    """A well-conditioned, bit-exactly symmetric positive definite matrix
+    with -0.0 entries in both triangles."""
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    a = g @ g.T / n + np.eye(n)
+    a = (a + a.T) / 2.0
+    a[np.abs(a) < 0.05] = -0.0
+    return a
+
+
+def undo_inverted_blocks(factored: np.ndarray) -> np.ndarray:
+    """The lower factor _factor leaves in its lower triangle, with each
+    stored diagonal-block inverse inverted back."""
+    out = np.tril(factored)
+    for j in range(0, factored.shape[0], eigen.FACTOR_BLOCK):
+        cols = slice(j, j + eigen.FACTOR_BLOCK)
+        out[cols, cols] = np.linalg.inv(out[cols, cols])
+    return out
+
+
+class TestBlockedFactor:
+    """The dense path's Cholesky factor, built from numpy in column blocks
+    of FACTOR_BLOCK, against scipy's LAPACK factor."""
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_matches_scipy_cholesky(self, n):
+        a = spd_with_signed_zeros(n)
+        work = a.copy()
+        eigen._factor(work)
+        assert np.abs(undo_inverted_blocks(work) - cholesky(a, lower=True)).max() <= 1e-13
+        upper = np.triu_indices(n, 1)
+        assert same_bits(work[upper], a[upper])
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_solve_inverts_the_factored_matrix(self, n):
+        a = spd_with_signed_zeros(n)
+        work = a.copy()
+        eigen._factor(work)
+        rows = np.random.default_rng(1).standard_normal((3, n))
+        out = np.empty_like(rows)
+        eigen._solve(work, rows, out)
+        assert np.abs(out @ a + rows).max() <= 1e-12
+
+    def test_indefinite_later_block_raises_and_laplacian_comes_back(self):
+        n = 300
+        a = spd_with_signed_zeros(n)
+        a[280, 280] = -1.0  # only the third diagonal block is indefinite
+        work = a.copy()
+        with pytest.raises(np.linalg.LinAlgError):
+            eigen._factor(work)
+        # the first two column blocks were factored before the failure
+        assert not same_bits(work[:, :256], a[:, :256])
+        upper = np.triu_indices(n, 1)
+        assert same_bits(work[upper], a[upper])
+        lap = LaplacianMatrix(l=a.copy(), sigma=1.0, inv_sqrt_degrees=np.ones(n))
+        res = smallest_eigenpairs(lap, k=2)
+        assert res.path == "eigh"
+        assert same_bits(lap.l, a)

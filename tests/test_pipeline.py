@@ -255,6 +255,16 @@ def test_two_components_raise_instead_of_labels(kind):
     z = DataMatrix(np.vstack([np.cos(t), np.sin(t)]))
     with pytest.raises(DisconnectedGraphError, match="sigma=0.05") as info:
         recover_labels(z, kind, 0.05)
-    assert "more than one component" in str(info.value)
+    assert "more than one component, at least 2;" in str(info.value)
     # one arc alone is connected
     recover_labels(DataMatrix(z.values[:, :300]), kind, 0.05)
+
+
+def test_three_components_are_counted_on_a_closed_loop():
+    # a closed loop computes three eigenvalues, so it can name three components
+    t = np.concatenate([np.linspace(0.0, 1.0, 200), np.linspace(2.0, 3.0, 200),
+                        np.linspace(4.0, 5.0, 200)])
+    z = DataMatrix(np.vstack([np.cos(t), np.sin(t)]))
+    with pytest.raises(DisconnectedGraphError, match="3 of the 3 computed") as info:
+        recover_labels(z, CurveKind.CLOSED_LOOP, 0.05)
+    assert "at least 3;" in str(info.value)
