@@ -20,13 +20,7 @@ from .core import (
 )
 from .denoise import DenoiseResult, denoise_auto, denoise_fixed_rank
 from .eigen import SpectralResult, smallest_eigenpairs
-from .kernel import (
-    KernelMatrix,
-    LaplacianMatrix,
-    build_kernel,
-    build_laplacian,
-    laplacian_from_data,
-)
+from .kernel import KernelMatrix, LaplacianMatrix, build_kernel, build_laplacian
 from .metrics import (
     AlignmentReport,
     err_closed_rank,
@@ -88,7 +82,6 @@ __all__ = [
     "err_open_time",
     "generate",
     "interior_relative_error",
-    "laplacian_from_data",
     "noise_for_snr",
     "noisy_sample",
     "ranking_from_labels",

@@ -38,9 +38,10 @@ spends 4N^3/3 on a tridiagonal reduction.  The inner target is
 min(tol, 1e-10) / 100 on the transformed operator; a residual r there
 gives ||A v - lambda v|| <= (||A|| + tau) ||r|| / |theta|, far inside
 the certificate, which stays the only arbiter.  Input that is not
-positive definite after the shift (an indefinite A) falls back to
-numpy's full ``eigh``; a ``LinAlgError`` or a non-finite entry there
-raises ``NoConvergenceError``.
+positive definite after the shift (an indefinite A, never a Laplacian)
+takes the block path on A instead, once a copy made for the factor is
+freed; the iteration needs no bound on the spectrum, so it serves any
+symmetric matrix.
 
 The factor is built from numpy alone, so the process runs one BLAS
 library.  numpy and scipy each load their own OpenBLAS, and each keeps a
@@ -59,25 +60,28 @@ has cond(A + tau*I) <= (||A|| + tau) / tau, about 2000 for a Laplacian
 of at most the square root of that, about 45.  The certificate stays the
 arbiter of every pair.
 
-The certificate on the block path multiplies rows, ``V^T A``: at N=8000,
-``A V`` with 3 columns raised the resident size by 24 MB, ``V^T A`` by
-1.3 MB.  ``SpectralResult`` reports the path taken and the operator
-applications (one per vector: a pass counts its block's rows).  Every
+Both paths certify with one product, ``V^T A``, which reads A in rows:
+at N=8000, ``A V`` with 3 columns raised the resident size by 24 MB,
+``V^T A`` by 1.3 MB, and ``V^T A`` was the faster of the two at both
+sizes (medians of 30 alternating calls on a circle Laplacian: 1.6 ms
+against 2.4 ms at N=2000 with k=2, 36 ms against 75 ms at N=8000 with
+k=3; 2-core KVM box, OpenBLAS 0.3.31, 2 threads).  ``SpectralResult``
+reports the path taken and the operator applications (one per vector: a
+pass counts its block's rows).  Every
 failure to certify k pairs raises ``NoConvergenceError`` with that
 count: the iteration past its budget of PASSES_PER_PAIR * k passes or
-with a non-finite entry, the ``eigh`` fallback failing or returning a
-non-finite entry, or a residual above the bound or NaN.
+with a non-finite entry, or a residual above the bound or NaN.
 
 A writable, C-ordered ``LaplacianMatrix`` (bit-exactly symmetric, as
 ``kernel`` builds it) is factored in its own buffer, so the dense path
 holds one N x N array too: ``_factor`` writes only the lower triangle
-of ``l``.  However the solve ends (pairs, the ``eigh`` fallback, an
+of ``l``.  However the factor's solve ends (pairs, a failed factor, an
 error), ``kernel.mirror_upper`` copies that triangle back from the
 intact upper one and the saved diagonal is restored, so ``l`` comes back
 bit for bit.  Do not share one ``LaplacianMatrix`` between concurrent
 solves.  Other input (a bare ndarray, or a read-only or Fortran-ordered
 Laplacian) is first copied into a C-ordered array, which is factored the
-same way; the certificate and ``eigh`` still read the caller's matrix.
+same way; the certificate and the block path read the caller's matrix.
 A factor reads one triangle only, so a bare ndarray must equal its
 transpose bit for bit, checked one row block at a time (no N x N
 temporary); one that does not raises ``AsymmetricMatrixError`` naming
@@ -117,7 +121,7 @@ class SpectralResult:
     eigenvalues: np.ndarray  # (k,) ascending
     eigenvectors: np.ndarray  # (N, k), unit-norm columns
     residuals: np.ndarray  # (k,) ||A v - lambda v||
-    path: str  # "dense" (shift-invert factor), "eigh" (numpy's full eigh) or "block"
+    path: str  # "dense" (shift-invert factor) or "block" (the iteration on A)
     applications: int  # vectors the solver applied its operator to
 
 
@@ -149,8 +153,7 @@ def smallest_eigenpairs(
     NoConvergenceError
         if the residual target cannot be certified within the iteration
         budget: the iteration meets a non-finite entry or spends its
-        passes, the ``eigh`` fallback fails or returns a non-finite entry,
-        or a residual exceeds the bound or is NaN.
+        passes, or a residual exceeds the bound or is NaN.
     """
     a = l.l if isinstance(l, LaplacianMatrix) else np.asarray(l, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -163,26 +166,24 @@ def smallest_eigenpairs(
     if not isinstance(l, LaplacianMatrix):
         _check_symmetric(a)
 
+    found = None
     if n <= DENSE_CUTOFF or k > n // 4:
         owned = isinstance(l, LaplacianMatrix) and a.flags.writeable and a.flags.c_contiguous
         work = a if owned else np.array(a, order="C")  # one copy of input it may not write
-        values, vectors, applied, path = _dense_smallest(a, work, k, tol)
-    else:
+        found, path = _dense_smallest(work, k, tol), "dense"
+        del work  # a copy is freed before the block iteration allocates
+    if found is None:  # above the cutoff, or A + SHIFT*I has no Cholesky factor
         def product(rows, out):
             np.matmul(rows, a, out=out)
 
-        values, vectors, applied = _block_smallest(product, n, k, max(BLOCK, k), tol)
-        path = "block"
+        found, path = _block_smallest(product, n, k, max(BLOCK, k), tol), "block"
+    values, vectors, applied = found
 
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = _fix_signs(vectors[:, order])
-    # V^T A reads A in rows, as the block path does (A V costs OpenBLAS an
-    # N x k buffer); the dense path keeps A V, faster at its sizes
-    if path == "block":
-        residuals = np.linalg.norm(vectors.T @ a - vectors.T * values[:, None], axis=1)
-    else:
-        residuals = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
+    # V^T A reads A in rows, as the block path does (A V costs OpenBLAS an N x k buffer)
+    residuals = np.linalg.norm(vectors.T @ a - vectors.T * values[:, None], axis=1)
     bound = tol * max(1.0, float(np.abs(values).max()))
     if not residuals.max() <= bound:  # NaN fails too
         raise NoConvergenceError(
@@ -257,37 +258,21 @@ def _solve(a: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
     np.negative(out, out=out)
 
 
-def _dense_smallest(
-    a: np.ndarray, work: np.ndarray, k: int, tol: float
-) -> tuple[np.ndarray, np.ndarray, int, str]:
-    """Smallest pairs of a from the block iteration on -(A + SHIFT*I)^-1,
-    factored in ``work`` (a itself or a C-ordered copy, restored before
-    returning), or from ``_eigh_smallest`` when that matrix has no Cholesky
-    factor; with the operator applications and the path taken."""
+def _dense_smallest(work: np.ndarray, k: int,
+                    tol: float) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Smallest pairs of the matrix in ``work`` (a C-ordered array, restored
+    before returning) from the block iteration on -(A + SHIFT*I)^-1, with the
+    operator applications; None when A + SHIFT*I has no Cholesky factor."""
     with _shifted(work):
         try:
             _factor(work)
         except np.linalg.LinAlgError:
-            pass  # lambda_min(A) <= -SHIFT: an indefinite matrix, never a Laplacian
-        else:
-            # the inner target is relative to the transformed spectrum; ask
-            # well below the certificate, which stays the only arbiter
-            theta, v, applied = _block_smallest(partial(_solve, work), a.shape[0], k, k,
-                                                min(tol, 1e-10) * 1e-2)
-            return -1.0 / theta - SHIFT, v, applied, "dense"
-    values, vectors = _eigh_smallest(a, k)
-    return values, vectors, 0, "eigh"
-
-
-def _eigh_smallest(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k smallest pairs from numpy's full symmetric eigensolver."""
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as err:
-        raise NoConvergenceError(0, f"eigh failed: {err}") from err
-    if not (np.isfinite(values).all() and np.isfinite(vectors).all()):
-        raise NoConvergenceError(0, "eigh returned a non-finite entry")
-    return values[:k], vectors[:, :k]
+            return None  # lambda_min(A) <= -SHIFT: an indefinite matrix, never a Laplacian
+        # the inner target is relative to the transformed spectrum; ask
+        # well below the certificate, which stays the only arbiter
+        theta, v, applied = _block_smallest(partial(_solve, work), work.shape[0], k, k,
+                                            min(tol, 1e-10) * 1e-2)
+    return -1.0 / theta - SHIFT, v, applied
 
 
 def _orthonormal(block: np.ndarray, basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -30,10 +30,10 @@ Gram product G = V^T V in place, and ||v_i - v_j||^2 = (n_i + n_j) -
 prefactor follow while the strip is in cache.  ``mirror_upper`` then
 copies the upper triangle onto the lower one, so the matrix is
 bit-exactly symmetric by construction; no copy of the data is made.
-``laplacian_from_data`` then normalizes that same buffer into L, so the
+``build_laplacian`` then writes L over that same buffer, ``km.k``, so the
 recovery path holds one N x N array from the Gram product to the
-eigensolve; ``build_laplacian`` normalizes a copy and leaves its
-``KernelMatrix`` intact.  The output is reproducible at a fixed BLAS
+eigensolve, and a ``KernelMatrix`` no longer holds its kernel once its
+Laplacian is built.  The output is reproducible at a fixed BLAS
 thread count; a different count can change the last bits of G and of the
 eigensolver's output.
 """
@@ -55,7 +55,8 @@ _TILE = 128  # side of the square tiles that mirror a triangle
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric N x N Gaussian similarity matrix with its degree vector."""
+    """Symmetric N x N Gaussian similarity matrix with its degree vector;
+    ``build_laplacian`` writes L over ``k``."""
 
     k: np.ndarray
     degrees: np.ndarray
@@ -146,21 +147,9 @@ def build_kernel(z: DataMatrix | np.ndarray, p: KernelParams) -> KernelMatrix:
     return KernelMatrix(k=k, degrees=k.sum(axis=1), sigma=p.sigma)
 
 
-def laplacian_from_data(z: DataMatrix | np.ndarray, p: KernelParams) -> LaplacianMatrix:
-    """Kernel matrix normalized into L = I - S in its own buffer: the same L
-    as ``build_laplacian(build_kernel(z, p))`` with one N x N array."""
-    km = build_kernel(z, p)
-    return _normalize(km.k, km.degrees, km.sigma)
-
-
 def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:
-    """Normalized Laplacian L = I - S, built in a copy of ``km.k``; ``km``
-    is left unchanged."""
-    return _normalize(km.k.copy(), km.degrees, km.sigma)
-
-
-def _normalize(k: np.ndarray, deg: np.ndarray, sigma: float) -> LaplacianMatrix:
-    """Overwrite the kernel matrix k with L = I - S and return it.
+    """Overwrite the kernel matrix ``km.k`` with L = I - S and return it, so
+    L shares the kernel's buffer; ``km.degrees`` is left as it was.
 
     With K~ = D^-1 K D^-1 and d~ its row sums, S_ij = k~_ij / sqrt(d~_i d~_j)
     = k_ij c_i c_j for the scale vector c = D^-1 D~^-1/2, applied in row
@@ -169,6 +158,7 @@ def _normalize(k: np.ndarray, deg: np.ndarray, sigma: float) -> LaplacianMatrix:
     ``KernelParams`` accepts, and no other entry is negative, so D^-1
     exists.
     """
+    k, deg, sigma = km.k, km.degrees, km.sigma
     n = k.shape[0]
     isolated = np.count_nonzero(deg - k.diagonal() <= n * np.finfo(np.float64).eps * deg)
     if isolated:

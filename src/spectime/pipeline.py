@@ -39,7 +39,7 @@ from .core import TWO_PI, CurveKind, DataMatrix, KernelParams, TimeLabels
 from .denoise import ETA, DenoiseResult, check_denoise, denoise_auto, denoise_fixed_rank
 from .eigen import smallest_eigenpairs
 from .errors import ConfigError, DisconnectedGraphError
-from .kernel import LaplacianMatrix, laplacian_from_data
+from .kernel import LaplacianMatrix, build_kernel, build_laplacian
 from .metrics import DELTA_FRACTION, check_delta_fraction, err_closed_time, err_open_time
 from .metrics import interior_relative_error
 from .recover import RecoveryOutput, check_bandwidth, recover_closed, recover_open
@@ -108,7 +108,7 @@ def recover_labels(
         params = data_driven_bandwidth(z)
     else:
         params = KernelParams(sigma)
-    lap = laplacian_from_data(z, params)
+    lap = build_laplacian(build_kernel(z, params))
     if on_laplacian is not None:
         on_laplacian(lap)
     spectral = smallest_eigenpairs(lap, k=2 if kind is CurveKind.OPEN_CURVE else 3)

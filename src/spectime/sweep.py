@@ -74,6 +74,9 @@ class SweepConfig:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigError(f"unknown methods: {bad}")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ConfigError("methods must be a non-empty list without repeats, "
+                              f"got {list(self.methods)}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         grid = itertools.product(self.n_values, self.snr_values, range(self.replicates))

@@ -322,6 +322,8 @@ def test_recover_bad_noise_level_exits_2_before_work(tmp_path, capsys, flags, me
     (["--sigma", "0.3", "--noise-level", "0.5"], "noise_level"),
     (["--delta-fraction", "0.7"], "delta_fraction"),
     (["--delta-fraction", "-0.1"], "delta_fraction"),
+    (["--methods", ","], "methods"),
+    (["--methods", "spectral,spectral"], "methods"),
 ])
 def test_sweep_cli_bad_setting_exits_2_before_work(tmp_path, capsys, flags, name):
     out_dir = tmp_path / "sw"

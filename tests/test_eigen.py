@@ -47,24 +47,27 @@ def product(a):
 
 
 @pytest.fixture
-def no_eigh(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the eigh fallback was called")
-
-    monkeypatch.setattr(eigen, "_eigh_smallest", refuse)
-
-
-@pytest.fixture
-def eigh_calls(monkeypatch):
+def fallback_calls(monkeypatch):
+    """k of each dense solve whose factor failed, sending it to the block path."""
     calls = []
-    fallback = eigen._eigh_smallest
+    dense = eigen._dense_smallest
 
-    def spy(a, k):
-        calls.append(k)
-        return fallback(a, k)
+    def spy(work, k, tol):
+        found = dense(work, k, tol)
+        if found is None:
+            calls.append(k)
+        return found
 
-    monkeypatch.setattr(eigen, "_eigh_smallest", spy)
+    monkeypatch.setattr(eigen, "_dense_smallest", spy)
     return calls
+
+
+def assert_matches_eigh(res, a, k):
+    """Eigenvalues within 1e-10 max|lambda| of numpy's full eigh, and the
+    same k-dimensional eigenspace."""
+    w, v = np.linalg.eigh(a)
+    assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10 * np.abs(w).max()
+    assert principal_angle(res.eigenvectors, v[:, :k]) <= 1e-6
 
 
 def test_import_and_dense_recovery_load_no_scipy():
@@ -193,8 +196,8 @@ class TestDenseSubset:
 
 class TestShiftInvert:
     """The dense path factors A + SHIFT*I and runs the block iteration on
-    its negated inverse; only input that is not positive definite after the
-    shift reaches numpy's full eigh."""
+    its negated inverse; input that is not positive definite after the
+    shift falls back to the block iteration on A."""
 
     @pytest.mark.parametrize(
         "curve, kind, sigma",
@@ -204,7 +207,7 @@ class TestShiftInvert:
             ("half-circle", CurveKind.OPEN_CURVE, np.sqrt(0.05)),
         ],
     )
-    def test_laplacian_never_reaches_dense_solver(self, no_eigh, curve, kind, sigma):
+    def test_laplacian_never_reaches_dense_solver(self, curve, kind, sigma):
         # k as recovery asks for it: u2, u3 on a loop, u2 on an open curve
         k = 3 if kind is CurveKind.CLOSED_LOOP else 2
         x, _ = generate(CurveSpec(curve), 400, 8)
@@ -216,7 +219,7 @@ class TestShiftInvert:
         assert res.path == "dense" and res.applications > 0
 
     @pytest.mark.parametrize("sigma2", [0.02, 0.002])
-    def test_slow_cardioid_spectrum(self, no_eigh, sigma2):
+    def test_slow_cardioid_spectrum(self, sigma2):
         # lambda_2 of the cardioid (4.5e-4 and 4.0e-5) is small against the
         # spectrum's spread: the block iteration on L takes 27 and 171
         # passes here, the factor's inverse 10 and 15 passes of 2 rows
@@ -228,28 +231,26 @@ class TestShiftInvert:
         assert np.abs(res.eigenvalues - w).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v) <= 1e-6
 
-    def test_negative_eigenvalue_above_minus_shift_stays_on_shift_invert(self, no_eigh):
+    def test_negative_eigenvalue_above_minus_shift_stays_on_shift_invert(self):
         lap = circle_laplacian(300, sigma=0.33, seed=4).l - 0.5 * SHIFT * np.eye(300)
         w, v = np.linalg.eigh(lap)
         res = smallest_eigenpairs(lap, k=3)
-        assert w[0] < 0
+        assert w[0] < 0 and res.path == "dense"
         assert np.abs(res.eigenvalues - w[:3]).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v[:, :3]) <= 1e-6
 
-    def test_eigenvalue_below_minus_shift_falls_back(self, eigh_calls):
+    def test_eigenvalue_below_minus_shift_falls_back(self, fallback_calls):
         lap = circle_laplacian(300, sigma=0.33, seed=4).l - 2.0 * SHIFT * np.eye(300)
         res = smallest_eigenpairs(lap, k=3)
-        assert eigh_calls == [3] and res.path == "eigh" and res.applications == 0
-        w, v = np.linalg.eigh(lap)
-        assert np.array_equal(res.eigenvalues, w[:3])
-        assert np.array_equal(res.eigenvectors, _fix_signs(v[:, :3]))
+        assert fallback_calls == [3] and res.path == "block" and res.applications > 0
+        assert_matches_eigh(res, lap, 3)
 
     @pytest.mark.parametrize("k", [7, 8])
-    def test_k_at_least_n_minus_one_stays_on_the_factor(self, eigh_calls, k):
+    def test_k_at_least_n_minus_one_stays_on_the_factor(self, fallback_calls, k):
         # the basis reaches n = 8 rows and solves the whole space
         lap = circle_laplacian(8, sigma=0.6, seed=2)
         res = smallest_eigenpairs(lap, k=k)
-        assert eigh_calls == []
+        assert fallback_calls == []
         assert res.path == "dense" and res.applications == 8
         w = np.linalg.eigvalsh(lap.l)
         assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
@@ -259,10 +260,10 @@ class TestNoConvergenceCount:
     """An unreachable residual target reports how many times the iterative
     solver applied its operator."""
 
-    def test_shift_invert_path(self, no_eigh):
+    def test_shift_invert_path(self, fallback_calls):
         with pytest.raises(NoConvergenceError) as err:
             smallest_eigenpairs(circle_laplacian(300, sigma=0.33), k=3, tol=1e-300)
-        assert err.value.iterations > 0
+        assert err.value.iterations > 0 and fallback_calls == []
 
     def test_block_path(self, monkeypatch):
         monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
@@ -284,16 +285,16 @@ class TestNaNInput:
         with pytest.raises(NoConvergenceError):
             smallest_eigenpairs(a, k)
 
-    # a negative pivot stops the factor first; numpy's eigh returns NaN
-    # pairs, refused even when the k wanted ones are finite
+    # a negative pivot stops the factor first; the block iteration on A
+    # then meets the NaN in its first pass of 5 rows, whatever k is
     @pytest.mark.parametrize("k", [5, 4, 1])
-    def test_indefinite_with_nan_pair_reaches_eigh(self, eigh_calls, k):
+    def test_indefinite_with_nan_pair_reaches_the_block_path(self, fallback_calls, k):
         a = np.eye(5)
         a[0, 0] = -1.0
         a[1, 2] = a[2, 1] = np.nan
-        with pytest.raises(NoConvergenceError, match="eigh") as err:
+        with pytest.raises(NoConvergenceError, match="non-finite") as err:
             smallest_eigenpairs(a, k)
-        assert eigh_calls == [k] and err.value.iterations == 0
+        assert fallback_calls == [k] and err.value.iterations == 5
 
     def test_block_path(self, monkeypatch):
         monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
@@ -304,12 +305,14 @@ class TestNaNInput:
         assert err.value.iterations == eigen.BLOCK
 
     def test_nan_residual_fails_the_certificate(self, monkeypatch):
-        def nan_vector(a, work, k, tol):
-            v = np.eye(5)[:, :k]
+        # a failed factor, then a block iteration that hands back a NaN entry
+        def nan_vector(apply, n, k, width, tol):
+            v = np.eye(n)[:, :k]
             v[0, 0] = np.nan
-            return np.arange(k, dtype=float), v, 0, "eigh"
+            return np.arange(k, dtype=float), v, 0
 
-        monkeypatch.setattr(eigen, "_dense_smallest", nan_vector)
+        monkeypatch.setattr(eigen, "_dense_smallest", lambda work, k, tol: None)
+        monkeypatch.setattr(eigen, "_block_smallest", nan_vector)
         with pytest.raises(NoConvergenceError, match="residual nan"):
             smallest_eigenpairs(np.diag(np.arange(5.0)), 2)
 
@@ -521,9 +524,9 @@ class TestInPlaceFactor:
         assert n <= eigen.DENSE_CUTOFF
         assert peak < n * n * 8 / 4
 
-    def test_laplacian_unchanged_after_return(self, lap, no_eigh):
+    def test_laplacian_unchanged_after_return(self, lap):
         before = lap.l.copy()
-        smallest_eigenpairs(lap, k=3)
+        assert smallest_eigenpairs(lap, k=3).path == "dense"
         assert same_bits(lap.l, before)
 
     def test_same_pairs_as_the_copy_path(self, lap):
@@ -532,18 +535,16 @@ class TestInPlaceFactor:
         for field in ("eigenvalues", "eigenvectors", "residuals"):
             assert same_bits(getattr(res, field), getattr(ref, field))
 
-    def test_laplacian_unchanged_after_failed_factor(self, eigh_calls):
+    def test_laplacian_unchanged_after_failed_factor(self, fallback_calls):
         a = np.random.default_rng(3).standard_normal((300, 300))
         a = (a + a.T) / 2.0  # bit-exactly symmetric and indefinite
         lap = LaplacianMatrix(l=a.copy(), sigma=1.0, inv_sqrt_degrees=np.ones(300))
         res = smallest_eigenpairs(lap, k=3)
-        assert eigh_calls == [3]
+        assert fallback_calls == [3] and res.path == "block"
         assert same_bits(lap.l, a)
-        w, v = np.linalg.eigh(a)
-        assert np.array_equal(res.eigenvalues, w[:3])
-        assert np.array_equal(res.eigenvectors, _fix_signs(v[:, :3]))
+        assert_matches_eigh(res, a, 3)
 
-    def test_laplacian_unchanged_after_no_convergence(self, lap, no_eigh):
+    def test_laplacian_unchanged_after_no_convergence(self, lap):
         # an unreachable target spends the budget of PASSES_PER_PAIR * k
         # passes of k rows on the factor, then raises
         before = lap.l.copy()
@@ -618,5 +619,6 @@ class TestBlockedFactor:
         assert same_bits(work[upper], a[upper])
         lap = LaplacianMatrix(l=a.copy(), sigma=1.0, inv_sqrt_degrees=np.ones(n))
         res = smallest_eigenpairs(lap, k=2)
-        assert res.path == "eigh"
+        assert res.path == "block"
         assert same_bits(lap.l, a)
+        assert_matches_eigh(res, a, 2)

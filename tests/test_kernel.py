@@ -11,7 +11,6 @@ from spectime import (
     build_kernel,
     build_laplacian,
     generate,
-    laplacian_from_data,
     noise_for_snr,
     recover_labels,
     CurveSpec,
@@ -173,9 +172,10 @@ class TestBuildLaplacian:
     def test_open_null_vector_sqrt_density_normalized_degrees(self):
         rng = np.random.default_rng(10)
         km = build_kernel(DataMatrix(rng.standard_normal((3, 40))), KernelParams(0.9))
-        lap = build_laplacian(km)
         # alpha = 1 kernel K~ = D^-1 K D^-1, formed explicitly as an oracle
+        # before build_laplacian writes L over km.k
         d_tilde = (km.k / np.outer(km.degrees, km.degrees)).sum(axis=1)
+        lap = build_laplacian(km)
         v = np.sqrt(d_tilde)
         assert np.linalg.norm(lap.l @ v) / np.linalg.norm(v) <= 1e-10
         assert np.allclose(lap.inv_sqrt_degrees, 1.0 / v, rtol=1e-12, atol=0.0)
@@ -190,10 +190,10 @@ class TestBuildLaplacian:
         # D~^-1/2 u is an eigenvector of the random-walk matrix D~^-1 K~
         rng = np.random.default_rng(12)
         km = build_kernel(DataMatrix(rng.standard_normal((2, 50))), KernelParams(0.7))
+        k_tilde = km.k / np.outer(km.degrees, km.degrees)  # read before L overwrites km.k
         lap = build_laplacian(km)
         w, u = np.linalg.eigh(lap.l)
         f = lap.inv_sqrt_degrees * u[:, 1]
-        k_tilde = km.k / np.outer(km.degrees, km.degrees)
         walk = k_tilde / k_tilde.sum(axis=1)[:, None]
         assert np.linalg.norm(walk @ f - (1.0 - w[1]) * f) <= 1e-10 * np.linalg.norm(f)
 
@@ -204,16 +204,16 @@ class TestBuildLaplacian:
 
 
 class TestOneBuffer:
-    """The normalization works in place; ``build_laplacian`` hands it a
-    copy, and its row blocks must reproduce the whole-matrix product."""
+    """``build_laplacian`` writes L over the kernel's own buffer, and its
+    row blocks must reproduce the whole-matrix product."""
 
-    def test_build_laplacian_leaves_kernel_untouched(self):
+    def test_build_laplacian_writes_over_the_kernel(self):
         x, _ = generate(CurveSpec("circle"), 400, 13)
         km = build_kernel(noise_for_snr(x, 100.0, 14), KernelParams(0.3))
-        k, degrees = km.k.copy(), km.degrees.copy()
+        degrees = km.degrees.copy()
         lap = build_laplacian(km)
-        assert np.array_equal(km.k, k) and np.array_equal(km.degrees, degrees)
-        assert not np.shares_memory(lap.l, km.k)
+        assert np.shares_memory(lap.l, km.k)
+        assert np.array_equal(km.degrees, degrees)
 
     def test_row_blocks_match_whole_matrix_product(self):
         # 1200 rows span several 2 MB row blocks, the last one partial
@@ -234,8 +234,7 @@ class TestDisconnectedGraph:
         curve = "circle" if kind is CurveKind.CLOSED_LOOP else "half-circle"
         x, _ = generate(CurveSpec(curve), 300, 0)
         z = noise_for_snr(x, 100.0, 1)
-        for build in (lambda: laplacian_from_data(z, KernelParams(sigma)),
-                      lambda: build_laplacian(build_kernel(z, KernelParams(sigma))),
+        for build in (lambda: build_laplacian(build_kernel(z, KernelParams(sigma))),
                       lambda: recover_labels(z, kind, sigma)):
             with pytest.raises(DisconnectedGraphError, match=isolated) as info:
                 build()
@@ -248,12 +247,12 @@ class TestDisconnectedGraph:
         km = build_kernel(z, KernelParams(0.1))
         assert 0.0 < km.degrees[2] - km.k[2, 2] <= 3 * np.finfo(np.float64).eps * km.degrees[2]
         with pytest.raises(DisconnectedGraphError, match="1 of 3"):
-            laplacian_from_data(z, KernelParams(0.1))
+            build_laplacian(km)
 
     def test_weakly_connected_graph_accepted(self):
         # the lone point's neighbour weight exp(-18) is far above N * eps
         z = DataMatrix(np.array([[0.0, 0.1, 0.7]]))
-        lap = laplacian_from_data(z, KernelParams(0.1))
+        lap = build_laplacian(build_kernel(z, KernelParams(0.1)))
         assert np.all(lap.l.diagonal() < 1.0)
 
 

@@ -72,13 +72,15 @@ def test_denoised_recovery_reads_coordinates(tmp_path, monkeypatch, mode):
 
         monkeypatch.setattr(pipeline, name, wrapped)
 
-    for name in ("denoise_fixed_rank", "denoise_auto", "laplacian_from_data"):
+    for name in ("denoise_fixed_rank", "denoise_auto", "build_kernel", "build_laplacian"):
         spy(name)
     cfg = PipelineConfig(curve=CurveSpec("embedded", 50), n=120, seed=2, snr=10.0,
                          out_dir=str(tmp_path), **mode)
     report = run_pipeline(cfg)
     (z, *_), den = calls["denoise_fixed_rank" if "denoise_rank" in mode else "denoise_auto"]
-    (seen, _), _ = calls["laplacian_from_data"]
+    (seen, _), km = calls["build_kernel"]
+    ((built,), lap) = calls["build_laplacian"]
+    assert built is km and lap.l is km.k  # L is written over the kernel's buffer
     assert seen.values.shape == (report["r_hat"], 120)
     assert np.array_equal(seen.values, den.basis.T @ z.values)
     written = io.load_data_matrix(tmp_path / "z_tilde.csv").values

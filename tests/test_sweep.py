@@ -73,6 +73,16 @@ def test_empty_grid_rejected_before_work(tmp_path):
         SweepConfig(curve=CurveSpec("circle"), n_values=(10,), snr_values=())
 
 
+@pytest.mark.parametrize("methods", [(), ("spectral", "spectral"),
+                                     ("serialrank", "spectral", "serialrank")])
+def test_empty_or_repeated_methods_rejected_before_work(tmp_path, methods):
+    # no method would write a header-only CSV; a repeat would run a data set twice
+    with pytest.raises(ConfigError, match="methods"):
+        SweepConfig(curve=CurveSpec("circle"), n_values=(10,), snr_values=(10.0,),
+                    methods=methods, out_dir=str(tmp_path / "sw"))
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("sigma", ["guess", -1.0, 0.0, float("inf"), 1e-200, 1e300])
 def test_bad_sigma_rejected_before_work(tmp_path, sigma):
     with pytest.raises(ConfigError, match="sigma"):

@@ -54,6 +54,10 @@ def test_traced_pipeline_records_its_layers(curve, label_map):
     assert "error" not in spans["pipeline.run_pipeline"]
     assert spans["pipeline.recover_labels"]["parent"] == spans["pipeline.run_pipeline"]["id"]
     assert spans["kernel.build_kernel"]["n"] == 60
+    # both kernel layers run inside recovery, so kernel.build_laplacian_s is its time
+    recovery = spans["pipeline.recover_labels"]["id"]
+    for layer in ("kernel.build_kernel", "kernel.build_laplacian"):
+        assert spans[layer]["parent"] == recovery
     assert spans["eigen.smallest_eigenpairs"]["path"] == "dense"
     assert spans[label_map]["clamped_count"] >= 0
     assert "recover.select_bandwidth" in spans
