@@ -27,20 +27,37 @@ The kernel matrix is built in one N x N buffer, one strip of rows of
 its upper triangle at a time: a ``gemm`` writes the strip's block of the
 Gram product G = V^T V in place, and ||v_i - v_j||^2 = (n_i + n_j) -
 2 G_ij with n_i = ||v_i||^2, the distance floor, the exponential and the
-prefactor follow while the strip is in cache.  ``mirror_upper`` then
-copies the upper triangle onto the lower one, so the matrix is
-bit-exactly symmetric by construction; no copy of the data is made.
-``build_laplacian`` then writes L over that same buffer, ``km.k``, so the
-recovery path holds one N x N array from the Gram product to the
-eigensolve, and a ``KernelMatrix`` no longer holds its kernel once its
-Laplacian is built.  The output is reproducible at a fixed BLAS
-thread count; a different count can change the last bits of G and of the
+prefactor follow, a chunk of the strip's rows at a time, while the strip
+is in cache.  ``mirror_upper`` then copies the upper triangle onto the
+lower one, so the matrix is bit-exactly symmetric by construction; no
+copy of the data is made, and each degree is the row sum of a finished
+row of tiles.  ``build_laplacian`` then writes L over that same buffer,
+``km.k``, so the recovery path holds one N x N array from the Gram
+product to the eigensolve, and a ``KernelMatrix`` no longer holds its
+kernel once its Laplacian is built.
+
+Every N x N pass (the strips, the mirror with its row sums, and the
+Laplacian's scale pass) runs on W worker threads, W the number of CPUs
+in the process's affinity mask (``taskset`` limits it) but at most one
+per 32 MB of the matrix, so one at N <= 2048, where a second worker
+gained nothing while the BLAS threads of the last product still spin;
+numpy releases the interpreter lock in the ufuncs and in the strip
+``gemm``.  Strips and tile rows shrink along the triangle, so jobs are
+dealt round-robin.  The calling thread allocates the workers' chunk
+buffers, about 0.6 MB split among them whatever W is (one row each at
+the least), and the pool lives for one call, so a forked child starts
+its own.  The strip heights are ``row_blocks``' whatever W is, and the
+rest is elementwise, so K, the degrees, L and the squared distances do
+not depend on W: the output is reproducible at a fixed BLAS thread
+count; a different BLAS count can change the last bits of G and of the
 eigensolver's output.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +67,9 @@ from .errors import DisconnectedGraphError
 
 
 _BLOCK_ELEMENTS = 1 << 18  # row block of the N x N passes, 2 MB of float64
+_CHUNK_ELEMENTS = 1 << 16  # the workers' chunk buffers together, 512 KB of float64
 _TILE = 128  # side of the square tiles that mirror a triangle
+_WORKER_ELEMENTS = 1 << 22  # entries per worker thread, 32 MB of float64; one at N <= 2048
 
 
 @dataclass(frozen=True)
@@ -79,11 +98,43 @@ class LaplacianMatrix:
         return self.l.shape[0]
 
 
-def row_blocks(n: int):
-    """Slices of consecutive rows of an N x N float64 array, about 2 MB each."""
-    rows = max(1, _BLOCK_ELEMENTS // n)
+def row_blocks(n: int, width: int | None = None, elements: int = _BLOCK_ELEMENTS):
+    """Slices of consecutive rows of an n-row array of ``width`` columns
+    (n by default), about ``elements`` entries (2 MB of float64) each."""
+    rows = max(1, elements // (width or n))
     for start in range(0, n, rows):
         yield slice(start, start + rows)
+
+
+def _worker_count(n: int) -> int:
+    """W for a pass over an n x n matrix: the CPUs in this process's
+    affinity mask, but no more than one per ``_WORKER_ELEMENTS`` entries."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n * n // _WORKER_ELEMENTS))
+
+
+def _on_workers(task, jobs: list | range, n: int, *dtypes) -> None:
+    """Deal ``jobs``, parts of a pass over an n x n matrix, round-robin to
+    W threads: worker w calls task(jobs[w::W], *buffers) with its own
+    buffer of each dtype.  The buffers are allocated here,
+    ``_CHUNK_ELEMENTS`` entries of each dtype split among the workers, or
+    one row of n each if that is more, so the workers allocate nothing
+    large and the total does not grow with W; the pool lives for this call
+    only, and a worker's exception is raised here.  One worker is the
+    calling thread itself."""
+    w = max(1, min(_worker_count(n), len(jobs)))
+    size = max(n, _CHUNK_ELEMENTS // w)
+    buffers = [np.empty((w, size), dtype) for dtype in dtypes]
+    if w == 1:  # a one-thread pool cost 4 ms per N = 2000 kernel on a 2-core box
+        task(jobs, *(b[0] for b in buffers))
+        return
+    with ThreadPoolExecutor(w) as pool:
+        futures = [pool.submit(task, jobs[i::w], *(b[i] for b in buffers)) for i in range(w)]
+        for future in futures:
+            future.result()
 
 
 def squared_distances(values: np.ndarray) -> np.ndarray:
@@ -95,56 +146,81 @@ def squared_distances(values: np.ndarray) -> np.ndarray:
     told from 0 and is set to 0, so coincident points are at distance 0.
     """
     sq = np.empty((values.shape[1],) * 2)
-    for _ in _upper_strips(values, sq):
-        pass
+    _upper_strips(values, sq)
     mirror_upper(sq)
     return sq
 
 
-def _upper_strips(values: np.ndarray, out: np.ndarray):
+def _upper_strips(values: np.ndarray, out: np.ndarray, finish=None) -> None:
     """Write the squared distances between the columns of ``values`` into
-    the upper triangle of ``out`` and yield each row block's strip
-    out[rows, rows.start:] while it is in cache; ``mirror_upper`` then
-    overwrites the part below the diagonal."""
+    the upper triangle of ``out``, one ``row_blocks`` strip
+    out[rows, rows.start:] at a time, the strips dealt to the workers;
+    ``finish``, if given, is applied to each chunk of a strip's rows while
+    it is in cache.  ``mirror_upper`` then overwrites the part below the
+    diagonal."""
+    n = out.shape[0]
     norms = np.einsum("ij,ij->j", values, values)
     floor = (values.shape[0] + 2) * np.finfo(np.float64).eps
-    for rows in row_blocks(out.shape[0]):
-        s = rows.start
-        strip = np.matmul(values[:, rows].T, values[:, s:], out=out[rows, s:])
-        total = np.add.outer(norms[rows], norms[s:])
-        strip *= -2.0
-        strip += total
-        total *= floor
-        strip[strip <= total] = 0.0
-        del total  # one strip temporary at a time
-        np.fill_diagonal(strip, 0.0)  # strip[i, i] is the entry (s + i, s + i)
-        yield strip
+
+    def run(strips, total_buf, mask_buf):
+        for rows in strips:
+            s = rows.start
+            strip = np.matmul(values[:, rows].T, values[:, s:], out=out[rows, s:])
+            for part in row_blocks(strip.shape[0], strip.shape[1], total_buf.size):
+                chunk = strip[part]
+                shape = chunk.shape
+                total = np.add.outer(norms[rows][part], norms[s:],
+                                     out=total_buf[: chunk.size].reshape(shape))
+                chunk *= -2.0
+                chunk += total
+                total *= floor
+                mask = np.less_equal(chunk, total, out=mask_buf[: chunk.size].reshape(shape))
+                np.copyto(chunk, 0.0, where=mask)
+                np.fill_diagonal(chunk[:, part.start :], 0.0)  # the entries (s + i, s + i)
+                if finish is not None:
+                    finish(chunk)
+
+    _on_workers(run, list(row_blocks(n)), n, np.float64, np.bool_)
 
 
-def mirror_upper(a: np.ndarray) -> None:
-    """Copy a's strict upper triangle onto its strict lower one, tile by tile."""
+def mirror_upper(a: np.ndarray, sums: np.ndarray | None = None) -> None:
+    """Copy a's strict upper triangle onto its strict lower one, one row of
+    tiles per job on the workers; with ``sums``, write each row's sum there
+    once its tile row is whole."""
     n = a.shape[0]
     below = np.tri(_TILE, k=-1, dtype=bool)
-    for i in range(0, n, _TILE):
-        rows = slice(i, i + _TILE)
-        for j in range(0, i, _TILE):
-            a[rows, j : j + _TILE] = a[j : j + _TILE, rows].T
-        block = a[rows, rows]
-        mask = below[: block.shape[0], : block.shape[0]]
-        block[mask] = block.T[mask]
+
+    def run(starts):
+        for i in starts:
+            rows = slice(i, i + _TILE)
+            for j in range(0, i, _TILE):
+                a[rows, j : j + _TILE] = a[j : j + _TILE, rows].T
+            block = a[rows, rows]
+            mask = below[: block.shape[0], : block.shape[0]]
+            block[mask] = block.T[mask]
+            if sums is not None:
+                np.sum(a[rows], axis=1, out=sums[rows])
+
+    _on_workers(run, range(0, n, _TILE), n)
 
 
 def build_kernel(z: DataMatrix | np.ndarray, p: KernelParams) -> KernelMatrix:
     """Assemble the full pairwise similarity matrix and degree vector."""
     values = z.values if isinstance(z, DataMatrix) else DataMatrix(z).values
-    k = np.empty((values.shape[1],) * 2)
+    n = values.shape[1]
+    k = np.empty((n, n))
     prefactor = 1.0 / (math.sqrt(2.0 * math.pi) * p.sigma)
-    for strip in _upper_strips(values, k):
-        strip /= -2.0 * p.sigma**2
-        np.exp(strip, out=strip)
-        strip *= prefactor  # diagonal: exp(0) * prefactor
-    mirror_upper(k)
-    return KernelMatrix(k=k, degrees=k.sum(axis=1), sigma=p.sigma)
+    scale = -2.0 * p.sigma**2
+
+    def finish(chunk):
+        chunk /= scale
+        np.exp(chunk, out=chunk)
+        chunk *= prefactor  # diagonal: exp(0) * prefactor
+
+    _upper_strips(values, k, finish)
+    degrees = np.empty(n)
+    mirror_upper(k, degrees)
+    return KernelMatrix(k=k, degrees=degrees, sigma=p.sigma)
 
 
 def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:
@@ -169,7 +245,15 @@ def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:
     inv = 1.0 / deg
     inv_sqrt = 1.0 / np.sqrt(inv * (k @ inv))  # d~ = D^-1 K D^-1 1
     scale = inv * inv_sqrt
-    for rows in row_blocks(n):
-        k[rows] *= np.outer(-scale[rows], scale)  # -(c_i c_j) exactly
+
+    def run(strips, outer_buf):
+        for rows in strips:
+            strip, neg = k[rows], -scale[rows]
+            for part in row_blocks(strip.shape[0], n, outer_buf.size):
+                chunk = strip[part]
+                chunk *= np.multiply.outer(neg[part], scale,  # -(c_i c_j) exactly
+                                           out=outer_buf[: chunk.size].reshape(chunk.shape))
+
+    _on_workers(run, list(row_blocks(n)), n, np.float64)
     np.fill_diagonal(k, 1.0 + k.diagonal())
     return LaplacianMatrix(l=k, sigma=sigma, inv_sqrt_degrees=inv_sqrt)

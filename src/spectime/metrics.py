@@ -160,7 +160,8 @@ def relative_error(x: DataMatrix, p: Ranking, p2: Ranking) -> float:
     denom = float(np.linalg.norm(x.values))
     if denom == 0.0:
         raise ZeroNormError("matrix has zero Frobenius norm")
-    return math.sqrt(_arrangement_distance_sq(x.values, p2.perm, p.perm)) / denom
+    (num,) = _arrangement_distances_sq(x.values, p.perm, p2.perm)
+    return math.sqrt(num) / denom
 
 
 def snr(x: DataMatrix, e: DataMatrix) -> float:
@@ -203,18 +204,21 @@ def interior_relative_error(
     if denom == 0.0:
         raise ZeroNormError("interior submatrix has zero Frobenius norm")
     true_cols = cols[np.argsort(t_true.angles[mask], kind="stable")]
-    arranged = (cols[np.argsort(oriented, kind="stable")] for oriented in (est[mask], -est[mask]))
-    return min(math.sqrt(_arrangement_distance_sq(x.values, c, true_cols)) / denom for c in arranged)
+    arranged = [cols[np.argsort(oriented, kind="stable")] for oriented in (est[mask], -est[mask])]
+    return min(math.sqrt(d) / denom for d in _arrangement_distances_sq(x.values, true_cols, *arranged))
 
 
-def _arrangement_distance_sq(values: np.ndarray, cols: np.ndarray, cols2: np.ndarray) -> float:
-    """||values[:, cols] - values[:, cols2]||_F^2, gathered one row slab
-    of about ``_CHUNK_ELEMENTS`` entries at a time, never a full copy."""
-    rows = max(1, _CHUNK_ELEMENTS // cols.size)
-    num = 0.0
+def _arrangement_distances_sq(values: np.ndarray, ref: np.ndarray, *cols: np.ndarray) -> list[float]:
+    """||values[:, c] - values[:, ref]||_F^2 for each c in ``cols``, in one
+    pass of row slabs of about ``_CHUNK_ELEMENTS`` entries per gather, which
+    gathers ``ref`` once per slab and never copies ``values`` whole."""
+    rows = max(1, _CHUNK_ELEMENTS // ref.size)
+    nums = [0.0] * len(cols)
     for start in range(0, values.shape[0], rows):
         slab = values[start : start + rows]  # contiguous rows: cache-friendly gathers
-        diff = slab[:, cols]
-        diff -= slab[:, cols2]
-        num += float(np.einsum("ij,ij->", diff, diff))
-    return num
+        base = slab[:, ref]
+        for i, c in enumerate(cols):
+            diff = slab[:, c]
+            diff -= base
+            nums[i] += float(np.einsum("ij,ij->", diff, diff))
+    return nums

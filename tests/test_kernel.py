@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from spectime import (
     recover_labels,
     CurveSpec,
 )
+from spectime import kernel
 from spectime.errors import DisconnectedGraphError
 from spectime.kernel import row_blocks, squared_distances
 
@@ -139,7 +142,7 @@ class TestStrips:
             assert np.all(km.k[a, b] == pref)
 
     def test_peak_memory_one_n_by_n_array(self):
-        # the kernel array plus one strip's temporaries, never a second N x N
+        # the kernel array plus the workers' chunk buffers, never a second N x N
         n = 2000
         z = DataMatrix(np.random.default_rng(21).standard_normal((2, n)))
         tracemalloc.start()
@@ -149,6 +152,63 @@ class TestStrips:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * n * n + 3 * 2**20
+
+    @pytest.mark.parametrize("workers", [3, 16])
+    def test_peak_memory_at_many_workers(self, monkeypatch, workers):
+        # the workers' chunk buffers share one budget, so the bound holds at any W
+        monkeypatch.setattr(kernel, "_worker_count", lambda n: workers)
+        self.test_peak_memory_one_n_by_n_array()
+
+
+class TestWorkers:
+    """Every N x N pass runs on W worker threads; K, the degrees, L and the
+    squared distances must not depend on W at a fixed BLAS thread count."""
+
+    @staticmethod
+    def _outputs(x, monkeypatch, workers):
+        monkeypatch.setattr(kernel, "_worker_count", lambda n: workers)
+        km = build_kernel(DataMatrix(x), KernelParams(0.4))
+        k, degrees = km.k.copy(), km.degrees
+        lap = build_laplacian(km)
+        return k, degrees, lap.l, lap.inv_sqrt_degrees, squared_distances(x)
+
+    @pytest.mark.parametrize("n, d", [(3001, 2), (1500, 300)])
+    def test_bit_identical_across_worker_counts(self, monkeypatch, n, d):
+        x = np.random.default_rng(n + d).standard_normal((d, n)) / math.sqrt(d) + 0.3
+        one = self._outputs(x, monkeypatch, 1)
+        for workers in (2, 3):
+            for a, b in zip(one, self._outputs(x, monkeypatch, workers)):
+                assert np.array_equal(a, b)
+
+    def test_one_worker_per_32_mb_of_matrix(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert kernel._worker_count(2048) == 1
+        assert kernel._worker_count(2897) == min(cpus, 2)
+        assert kernel._worker_count(8000) == min(cpus, 15)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_child_after_parent_built_a_kernel(self, monkeypatch):
+        # a pool kept past its call would leave the child threads that do not exist
+        monkeypatch.setattr(kernel, "_worker_count", lambda n: 2)
+        x = np.random.default_rng(22).standard_normal((2, 600))
+        parent = build_kernel(DataMatrix(x), KernelParams(0.5)).k
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_kernel_into, args=(queue, x, 0.5))
+        child.start()
+        try:
+            k = queue.get(timeout=60)  # drained before the join
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.terminate()
+        assert not child.is_alive() and child.exitcode == 0
+        assert np.array_equal(k, parent)
+
+
+def _kernel_into(queue, x, sigma):
+    queue.put(build_kernel(DataMatrix(x), KernelParams(sigma)).k)
 
 
 class TestBuildLaplacian:

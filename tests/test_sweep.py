@@ -68,6 +68,18 @@ def test_deterministic_given_seed_base(tmp_path):
         assert ra == rb
 
 
+def test_concurrent_data_sets_match_serial_above_one_strip(tmp_path):
+    # N = 1200 spans several kernel strips, built by two data sets' threads at once
+    kwargs = dict(curve=CurveSpec("circle"), n_values=(1200,), snr_values=(100.0,),
+                  replicates=2, methods=("spectral",))
+    serial = sweep(SweepConfig(**kwargs, out_dir=str(tmp_path / "a")))
+    threaded = sweep(SweepConfig(**kwargs, out_dir=str(tmp_path / "b"), threads=2))
+    assert len(serial) == len(threaded) == 2
+    for ra, rb in zip(serial, threaded):
+        ra.pop("wall_ms"), rb.pop("wall_ms")
+        assert ra == rb and not ra["error"]
+
+
 def test_empty_grid_rejected_before_work(tmp_path):
     with pytest.raises(ConfigError):
         SweepConfig(curve=CurveSpec("circle"), n_values=(10,), snr_values=())
