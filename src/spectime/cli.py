@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--auto", action="store_true", help="estimate the rank from a sketch")
     d.add_argument("--r0", type=int, help="oversampling rank (default 400)")
     d.add_argument("--eta", type=float, help="singular-value ratio threshold (default 1e-3)")
-    d.add_argument("--out", required=True)
+    d.add_argument("--out", required=True, help="coordinates CSV: one point per row, r_hat columns")
     d.add_argument("--seed", type=int, help="random seed (default 0)")
 
     r = sub.add_parser("recover", help="recover labels and ranking from data")
@@ -136,7 +136,7 @@ def _cmd_denoise(args) -> int:
         result = denoise_auto(z, r0, eta, 0 if args.seed is None else args.seed)
     else:
         result = denoise_fixed_rank(z, args.rank)
-    io.save_data_matrix(args.out, result.z_tilde)
+    io.save_data_matrix(args.out, result.coords)
     summary = {"r_hat": result.r_hat, "d": z.dim, "n": z.n_points, "out": args.out}
     print(json.dumps(summary), file=sys.stderr)
     return 0
@@ -202,7 +202,8 @@ def _cmd_evaluate(args) -> int:
     report = {"metric": args.metric, "delta_fraction": args.delta_fraction, "r": rep.r,
               "theta": rep.theta, "shift": rep.shift, "error": rep.error}
     if args.format == "csv":
-        text = ",".join(report) + "\n" + ",".join(str(v) for v in report.values()) + "\n"
+        cells = ("" if v is None else str(v) for v in report.values())
+        text = ",".join(report) + "\n" + ",".join(cells) + "\n"
     else:
         text = json.dumps(report, indent=2) + "\n"
     if args.out:

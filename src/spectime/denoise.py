@@ -13,12 +13,10 @@ The payoff of projecting is a uniform (per-point) error bound that
 scales like sqrt(r) instead of sqrt(d) for entrywise Gaussian noise.
 
 Both denoisers return the coordinates C = B^T Z of the data in the
-orthonormal basis B, an (r_hat, N) matrix.  The projection
-z_tilde = B C has the same pairwise distances, so recovery reads C and
-its kernel's Gram product runs over r_hat rows instead of d.
-``DenoiseResult.z_tilde`` builds the d x N projection on demand, for a
-caller that needs the points in the original dimensions; each access
-allocates it afresh.
+orthonormal basis B, an (r_hat, N) matrix, and that is the only form of
+denoised data.  B has orthonormal columns, so the projection B C has the
+norms and pairwise distances of C: recovery reads C, and its kernel's
+Gram product runs over r_hat rows instead of d.
 """
 
 from __future__ import annotations
@@ -40,11 +38,6 @@ class DenoiseResult:
     r_hat: int
     coords: DataMatrix  # (r_hat, N) = basis.T @ Z
     basis: np.ndarray  # (d, r_hat), orthonormal columns
-
-    @property
-    def z_tilde(self) -> DataMatrix:
-        """The projected data basis @ coords, (d, N), allocated on each access."""
-        return DataMatrix._adopt(self.basis @ self.coords.values)
 
 
 def _result(z: DataMatrix, basis: np.ndarray) -> DenoiseResult:

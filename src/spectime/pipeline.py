@@ -14,14 +14,13 @@ closed loop.  The bandwidth is one setting, a number, ``"auto"`` or
 pure function of its inputs and the seeds in the config, so rerunning
 any stage from its persisted inputs reproduces its outputs.  When an
 output directory is given, every stage's artifact is written before the
-next stage begins (z.csv, z_tilde.csv, recovered.csv, report.json).
+next stage begins (z.csv, t_true.csv, coords.csv, recovered.csv,
+report.json).
 
 After denoising, recovery reads the denoiser's (r_hat, N) coordinates
-``DenoiseResult.coords``: they have the pairwise distances of the d x N
-projection z_tilde, so the bandwidth and the kernel see the same
-geometry at r_hat/d of the Gram cost.  z_tilde itself is built only to
-write z_tilde.csv, and labels recovered from that file agree with
-recovered.csv to rounding, not bit for bit.
+``DenoiseResult.coords``, which coords.csv holds: they have the pairwise
+distances of the d x N projection, so the bandwidth and the kernel see
+the same geometry at r_hat/d of the Gram cost.
 """
 
 from __future__ import annotations
@@ -154,7 +153,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     if den is not None:
         report["r_hat"] = den.r_hat
         if out is not None:
-            io.save_data_matrix(out / "z_tilde.csv", den.z_tilde)
+            io.save_data_matrix(out / "coords.csv", den.coords)
         z = den.coords
 
     kind = cfg.curve.kind

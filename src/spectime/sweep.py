@@ -67,8 +67,10 @@ class SweepConfig:
     out_dir: str = "sweep_out"
 
     def __post_init__(self):
-        if not self.n_values or not self.snr_values:
-            raise ConfigError("n and snr grids must be non-empty")
+        for name, grid in (("n", self.n_values), ("snr", self.snr_values)):
+            if not grid or len(set(grid)) < len(grid):
+                raise ConfigError(f"the {name} grid must be non-empty and without repeats, "
+                                  f"got {list(grid)}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         bad = [m for m in self.methods if m not in METHODS]

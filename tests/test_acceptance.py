@@ -231,7 +231,7 @@ def test_criterion_6_denoising():
         fixed = denoise_fixed_rank(z, 5)
         loss_fixed = np.linalg.norm(fixed.basis @ (fixed.basis.T @ x) - x) / np.linalg.norm(x)
         before = np.linalg.norm(z.values - x, axis=0).max()
-        after = np.linalg.norm(fixed.z_tilde.values - x, axis=0).max()
+        after = np.linalg.norm(fixed.basis @ fixed.coords.values - x, axis=0).max()
         results.append((auto.r_hat, loss_auto, loss_fixed, after / before))
 
     r_hats = [r[0] for r in results]

@@ -11,6 +11,8 @@ import pytest
 
 from spectime import (
     CurveKind,
+    CurveSpec,
+    PipelineConfig,
     TimeLabels,
     KernelParams,
     build_kernel,
@@ -21,6 +23,7 @@ from spectime import (
     err_open_rank,
     ranking_from_labels,
     recover_labels,
+    run_pipeline,
     select_bandwidth,
 )
 from spectime import cli
@@ -99,6 +102,27 @@ def test_denoise_cli_fixed_and_auto(tmp_path, capsys):
     assert summary["r_hat"] == 2
     assert run(["denoise", "--input", z, "--auto", "--r0", "10", "--out", out2]) == 0
     assert out1.exists() and out2.exists()
+    # the file holds the N x r_hat coordinates, which load back bit for bit
+    fixed = denoise_fixed_rank(load_data_matrix(z), 2)
+    assert np.array_equal(load_data_matrix(out1).values, fixed.coords.values)
+
+
+@pytest.mark.parametrize("mode, flags", [
+    (dict(denoise_rank=3), ["--rank", "3"]),
+    (dict(denoise_auto_r0=10), ["--auto", "--r0", "10", "--seed", "9"]),  # cfg.seed + 2
+])
+def test_cli_chain_matches_pipeline_byte_for_byte(tmp_path, mode, flags):
+    # generate -> denoise -> recover through the CLI is the pipeline's computation
+    pipe = tmp_path / "pipe"
+    run_pipeline(PipelineConfig(curve=CurveSpec("embedded", 40), n=150, seed=7, snr=10.0,
+                                out_dir=str(pipe), **mode))
+    z, coords, est = tmp_path / "z.csv", tmp_path / "coords.csv", tmp_path / "est.csv"
+    assert run(["generate", "--curve", "embedded:40", "--n", "150", "--snr", "10",
+                "--seed", "7", "--out", z]) == 0
+    assert run(["denoise", "--input", z, *flags, "--out", coords]) == 0
+    assert run(["recover", "--kind", "closed", "--input", coords, "--out", est]) == 0
+    assert coords.read_bytes() == (pipe / "coords.csv").read_bytes()
+    assert est.read_bytes() == (pipe / "recovered.csv").read_bytes()
 
 
 def test_denoise_reference_defaults(tmp_path, monkeypatch):
@@ -201,6 +225,8 @@ def test_evaluate_csv_format(tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0].startswith("metric,")
     assert "closed-time" in out[1]
+    row = dict(zip(out[0].split(","), out[1].split(",")))
+    assert row["delta_fraction"] == "" and row["shift"] == ""  # absent, as in results.csv
 
 
 def test_evaluate_relative_metric(tmp_path):
@@ -324,6 +350,8 @@ def test_recover_bad_noise_level_exits_2_before_work(tmp_path, capsys, flags, me
     (["--delta-fraction", "-0.1"], "delta_fraction"),
     (["--methods", ","], "methods"),
     (["--methods", "spectral,spectral"], "methods"),
+    (["--n", "50"], "n grid"),  # a repeated grid value would key two rows alike
+    (["--snr", "100"], "snr grid"),
 ])
 def test_sweep_cli_bad_setting_exits_2_before_work(tmp_path, capsys, flags, name):
     out_dir = tmp_path / "sw"

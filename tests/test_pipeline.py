@@ -43,7 +43,7 @@ def test_denoise_stage_skipped_without_rank(tmp_path):
     cfg = PipelineConfig(curve=CurveSpec("circle"), n=100, seed=1, out_dir=str(tmp_path))
     report = run_pipeline(cfg)
     assert "r_hat" not in report
-    assert not (tmp_path / "z_tilde.csv").exists()
+    assert not (tmp_path / "coords.csv").exists()
 
 
 def test_denoise_stage_runs_when_requested(tmp_path):
@@ -53,13 +53,12 @@ def test_denoise_stage_runs_when_requested(tmp_path):
     )
     report = run_pipeline(cfg)
     assert report["r_hat"] >= 1
-    assert (tmp_path / "z_tilde.csv").exists()
+    assert (tmp_path / "coords.csv").exists()
 
 
 @pytest.mark.parametrize("mode", [dict(denoise_rank=3), dict(denoise_auto_r0=10)])
 def test_denoised_recovery_reads_coordinates(tmp_path, monkeypatch, mode):
-    # the kernel sees the r_hat coordinate rows; z_tilde.csv still holds the
-    # d x N projection basis @ (basis.T @ z)
+    # the kernel sees the r_hat coordinate rows, and coords.csv holds them
     calls = {}
 
     def spy(name):
@@ -83,8 +82,8 @@ def test_denoised_recovery_reads_coordinates(tmp_path, monkeypatch, mode):
     assert built is km and lap.l is km.k  # L is written over the kernel's buffer
     assert seen.values.shape == (report["r_hat"], 120)
     assert np.array_equal(seen.values, den.basis.T @ z.values)
-    written = io.load_data_matrix(tmp_path / "z_tilde.csv").values
-    assert np.array_equal(written, den.basis @ (den.basis.T @ z.values))
+    written = io.load_data_matrix(tmp_path / "coords.csv").values
+    assert np.array_equal(written, den.coords.values)
 
 
 def test_rerun_reproduces_stage_outputs(tmp_path):
