@@ -137,7 +137,8 @@ def _cmd_denoise(args) -> int:
     else:
         result = denoise_fixed_rank(z, args.rank)
     io.save_data_matrix(args.out, result.coords)
-    summary = {"r_hat": result.r_hat, "d": z.dim, "n": z.n_points, "out": args.out}
+    summary = {"r_hat": result.r_hat, "route": result.route, "ratio": result.ratio,
+               "d": z.dim, "n": z.n_points, "out": args.out}
     print(json.dumps(summary), file=sys.stderr)
     return 0
 
@@ -152,8 +153,7 @@ def _cmd_recover(args) -> int:
 
     out = recover_labels(z, kind, sigma, args.noise_level, dump if args.dump_laplacian else None)
     io.save_recovery(args.out, out.labels, out.ranking)
-    print(json.dumps({"sigma": out.sigma, "clamped_count": out.clamped_count,
-                      "out": args.out}), file=sys.stderr)
+    print(json.dumps({**out.report(), "out": args.out}), file=sys.stderr)
     return 0
 
 

@@ -15,7 +15,8 @@ class NonFiniteEntryError(SpectimeError):
 
 
 class TooFewPointsError(SpectimeError):
-    """Fewer than two data points were supplied."""
+    """Fewer than two data points were supplied, or fewer than three for a
+    closed loop."""
 
 
 class DimensionMismatchError(SpectimeError):

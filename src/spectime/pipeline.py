@@ -37,13 +37,15 @@ from . import io
 from .core import TWO_PI, CurveKind, DataMatrix, KernelParams, TimeLabels
 from .denoise import ETA, DenoiseResult, check_denoise, denoise_auto, denoise_fixed_rank
 from .eigen import smallest_eigenpairs
-from .errors import ConfigError, DisconnectedGraphError
+from .errors import ConfigError, DisconnectedGraphError, TooFewPointsError
 from .kernel import LaplacianMatrix, build_kernel, build_laplacian
 from .metrics import DELTA_FRACTION, check_delta_fraction, err_closed_time, err_open_time
 from .metrics import interior_relative_error
 from .recover import RecoveryOutput, check_bandwidth, recover_closed, recover_open
 from .recover import data_driven_bandwidth, select_bandwidth
 from .synth import CurveSpec, check_sample, comparison_matrix, noisy_sample, serialrank_baseline
+
+CLOSED_MIN_POINTS = 3  # a closed loop's recovery reads three eigenpairs
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_sample(self.n, self.snr, self.eps)
+        if self.curve.kind is CurveKind.CLOSED_LOOP and self.n < CLOSED_MIN_POINTS:
+            raise ConfigError(f"a closed loop needs at least {CLOSED_MIN_POINTS} points, "
+                              f"got n={self.n}")
         check_denoise(self.denoise_rank, self.denoise_auto_r0, self.denoise_eta,
                       min(self.curve.embed_dim or 2, self.n))
         object.__setattr__(self, "sigma", check_bandwidth(self.sigma, self.noise_level))
@@ -99,8 +104,16 @@ def recover_labels(
     raises ``DisconnectedGraphError`` instead of labels, naming sigma and
     the count of computed eigenvalues at rounding level, a lower bound
     on the number of components.
+
+    A closed loop needs three eigenpairs, so fewer than 3 points raise
+    ``TooFewPointsError`` before the bandwidth is chosen.  The returned
+    output carries the eigensolve's path, eigenvalues, largest residual
+    and operator applications (``RecoveryOutput.report``).
     """
     sigma = check_bandwidth(sigma, noise_level)
+    if kind is CurveKind.CLOSED_LOOP and z.n_points < CLOSED_MIN_POINTS:
+        raise TooFewPointsError(f"a closed loop needs at least {CLOSED_MIN_POINTS} points, "
+                                f"got N={z.n_points}")
     if sigma == "auto":
         params = select_bandwidth(z.n_points, noise_level, kind)
     elif sigma == "data":
@@ -124,7 +137,10 @@ def recover_labels(
         out = recover_open(lap.inv_sqrt_degrees * u[:, 1])
     else:
         out = recover_closed(u[:, 1], u[:, 2])
-    return replace(out, sigma=params.sigma)
+    return replace(out, sigma=params.sigma, solver_path=spectral.path,
+                   eigenvalues=tuple(spectral.eigenvalues.tolist()),
+                   max_residual=float(spectral.residuals.max()),
+                   applications=spectral.applications)
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -151,15 +167,14 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     else:
         den = None
     if den is not None:
-        report["r_hat"] = den.r_hat
+        report.update(r_hat=den.r_hat, denoise_route=den.route, denoise_ratio=den.ratio)
         if out is not None:
             io.save_data_matrix(out / "coords.csv", den.coords)
         z = den.coords
 
     kind = cfg.curve.kind
     recovery = recover_labels(z, kind, cfg.sigma, cfg.noise_level)
-    report["sigma"] = recovery.sigma
-    report["clamped_count"] = recovery.clamped_count
+    report.update(recovery.report())
     if out is not None:
         io.save_recovery(out / "recovered.csv", recovery.labels, recovery.ranking)
 

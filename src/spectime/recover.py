@@ -51,12 +51,23 @@ DATA_BANDWIDTH_GRID = 25  # sigmas on the log grid of data_driven_bandwidth
 
 @dataclass(frozen=True)
 class RecoveryOutput:
-    """Recovered labels and the ranking they induce."""
+    """Recovered labels and the ranking they induce; ``recover_labels`` adds
+    the bandwidth it used and its eigensolve's diagnostics."""
 
     labels: TimeLabels
     ranking: Ranking
     clamped_count: int = 0
-    sigma: float | None = None  # the bandwidth ``recover_labels`` used
+    sigma: float | None = None
+    solver_path: str | None = None  # SpectralResult.path: "dense" or "block"
+    eigenvalues: tuple[float, ...] = ()  # the k smallest, ascending
+    max_residual: float | None = None  # largest ||L v - lambda v||
+    applications: int | None = None  # vectors the eigensolver applied its operator to
+
+    def report(self) -> dict:
+        """The JSON-ready diagnostics: everything but the labels and the ranking."""
+        return {"sigma": self.sigma, "clamped_count": self.clamped_count,
+                "solver_path": self.solver_path, "eigenvalues": list(self.eigenvalues),
+                "max_residual": self.max_residual, "applications": self.applications}
 
 
 def recover_open(f: np.ndarray) -> RecoveryOutput:

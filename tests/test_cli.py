@@ -99,11 +99,11 @@ def test_denoise_cli_fixed_and_auto(tmp_path, capsys):
          "--seed", "2", "--out", z])
     assert run(["denoise", "--input", z, "--rank", "2", "--out", out1]) == 0
     summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert summary["r_hat"] == 2
+    fixed = denoise_fixed_rank(load_data_matrix(z), 2)
+    assert (summary["r_hat"], summary["route"], summary["ratio"]) == (2, "gram", fixed.ratio)
     assert run(["denoise", "--input", z, "--auto", "--r0", "10", "--out", out2]) == 0
     assert out1.exists() and out2.exists()
     # the file holds the N x r_hat coordinates, which load back bit for bit
-    fixed = denoise_fixed_rank(load_data_matrix(z), 2)
     assert np.array_equal(load_data_matrix(out1).values, fixed.coords.values)
 
 
@@ -361,6 +361,30 @@ def test_sweep_cli_bad_setting_exits_2_before_work(tmp_path, capsys, flags, name
     assert err["error"] == "ConfigError"
     assert name in err["message"]
     assert not out_dir.exists()
+
+
+def test_closed_loop_of_two_points_exits_2_before_work(tmp_path, capsys):
+    z, est, out_dir = tmp_path / "z.csv", tmp_path / "est.csv", tmp_path / "sw"
+    assert run(["generate", "--curve", "circle", "--n", "2", "--out", z]) == 0
+    assert run(["recover", "--kind", "closed", "--input", z, "--out", est]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "TooFewPointsError",
+                   "message": "a closed loop needs at least 3 points, got N=2"}
+    assert not est.exists()
+    assert run(["sweep", "--curve", "circle", "--n", "2", "--snr", "100",
+                "--out-dir", out_dir]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out_dir.exists()
+
+
+def test_recover_stderr_reports_the_eigensolve(tmp_path, capsys):
+    z, est = tmp_path / "z.csv", tmp_path / "est.csv"
+    assert run(["generate", "--curve", "circle", "--n", "200", "--snr", "100", "--out", z]) == 0
+    assert run(["recover", "--kind", "closed", "--input", z, "--sigma", "0.4", "--out", est]) == 0
+    summary = json.loads(capsys.readouterr().err)
+    expected = recover_labels(load_data_matrix(z), CurveKind.CLOSED_LOOP, 0.4)
+    assert summary == {**expected.report(), "out": str(est)}
+    assert summary["solver_path"] == "dense" and len(summary["eigenvalues"]) == 3
 
 
 def test_sweep_cli_nan_snr_exits_2_before_work(tmp_path, capsys):

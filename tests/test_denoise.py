@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectime import (
     CurveKind,
@@ -12,6 +14,8 @@ from spectime import (
     recover_labels,
     select_bandwidth,
 )
+from spectime import denoise
+from spectime.denoise import _left_basis
 from spectime.errors import DegenerateSketchError, RankTooLargeError
 from spectime.kernel import squared_distances
 
@@ -169,3 +173,117 @@ class TestCoordinates:
             from_coords = recover_labels(res.coords, CurveKind.CLOSED_LOOP, sigma)
             from_z_tilde = recover_labels(DataMatrix(zt), CurveKind.CLOSED_LOOP, sigma)
             assert err_closed_time(from_z_tilde.labels, from_coords.labels).error <= 1e-8
+
+
+def first_below(eta, r0):
+    """denoise_auto's rank rule on a nonzero spectrum."""
+    def rule(s):
+        below = np.nonzero(s / s[0] < eta)[0]
+        return int(below[0]) + 1 if below.size else r0
+    return rule
+
+
+def svd_reference(z, r):
+    """The thin-SVD basis and coordinates that the SVD route returns."""
+    u, _, _ = np.linalg.svd(z, full_matrices=False)
+    return u[:, :r], u[:, :r].T @ z
+
+
+class TestGramRoute:
+    """The Gram eigenproblem's basis against the thin SVD's, and the inputs
+    its certificate refuses."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(d=st.integers(1, 60), n=st.integers(2, 60), low_rank=st.booleans(),
+           fixed=st.booleans(), pick=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @example(d=12, n=50, low_rank=True, fixed=True, pick=1.0, seed=0)  # d < N: a a^T
+    @example(d=50, n=12, low_rank=True, fixed=False, pick=1.0, seed=1)  # d > N: a^T a
+    def test_matches_svd(self, d, n, low_rank, fixed, pick, seed):
+        rng = np.random.default_rng(seed)
+        m = min(d, n)
+        if low_rank:  # rank k down to a singular value of 1, noise of norm 1e-3 to 1e-1
+            k = 1 + int(pick * (m - 1))
+            x = low_rank_matrix(rng, d, n, np.geomspace(10.0, 1.0, k))
+            noise = 10.0 ** rng.uniform(-3.0, -1.0) / (np.sqrt(d) + np.sqrt(n))
+            a = x + noise * rng.standard_normal((d, n))
+        else:
+            k = m
+            a = rng.standard_normal((d, n))
+        r_fixed = 1 + int(pick * (k - 1))  # a split at a resolved gap
+        rule = (lambda s: r_fixed) if fixed else first_below(1e-3, m)
+        s, basis, route = _left_basis(a, rule)
+        u, s_svd, _ = np.linalg.svd(a, full_matrices=False)
+        r = rule(s_svd)
+        assert route == "gram"
+        assert basis.shape == (d, r)
+        # the Gram holds s_i**2, to 1e-12 s_1**2: s_i is within 1e-12 s_1**2 / (2 s_i)
+        assert np.abs(s[:r] ** 2 - s_svd[:r] ** 2).max() <= 1e-12 * s_svd[0] ** 2
+        assert np.abs(basis.T @ basis - np.eye(r)).max() <= 1e-12
+        projector = basis @ basis.T
+        exact = u[:, :r] @ u[:, :r].T
+        # the projected data agree everywhere; the projectors where the split
+        # has a gap (the ratio rule may split the noise floor's cluster)
+        assert np.linalg.norm((projector - exact) @ a, 2) <= 1e-10 * s_svd[0]
+        if fixed:
+            assert np.abs(projector - exact).max() <= 1e-10
+
+    def test_clean_low_rank_takes_the_svd_bit_for_bit(self):
+        # test_rank_rule_on_clean_low_rank's data: the kept sixth direction is
+        # at rounding level, below the Gram's margin
+        rng = np.random.default_rng(3)
+        x = low_rank_matrix(rng, 60, 40, [10.0, 8.0, 6.0, 4.0, 2.0])
+        z = DataMatrix(x + 1e-12 * rng.standard_normal(x.shape))
+        res = denoise_auto(z, r0=10, eta=1e-3, seed=0)
+        assert res.route == "svd"
+        y = z.values @ np.random.default_rng(0).standard_normal((40, 10))
+        basis, coords = svd_reference(y, res.r_hat)
+        assert np.array_equal(res.basis, basis)
+        assert np.array_equal(res.coords.values, basis.T @ z.values)
+        s = np.linalg.svd(y, full_matrices=False)[1]
+        assert res.ratio == s[res.r_hat - 1] / s[0]
+
+    def test_all_zero_data_takes_the_svd(self):
+        # denoise_auto raises DegenerateSketchError (test_all_zero_data_degenerate)
+        z = DataMatrix(np.zeros((10, 8)))
+        res = denoise_fixed_rank(z, 2)
+        basis, coords = svd_reference(z.values, 2)
+        assert res.route == "svd" and res.ratio == 0.0
+        assert np.array_equal(res.basis, basis)
+        assert np.array_equal(res.coords.values, coords)
+
+    def test_eta_inside_the_rounding_margin_takes_the_svd(self):
+        rng = np.random.default_rng(14)
+        z = DataMatrix(low_rank_matrix(rng, 50, 40, [10.0, 5.0, 2.0, 1.0, 0.5]))
+        g = np.random.default_rng(0).standard_normal((40, 8))
+        y = z.values @ g
+        w = np.linalg.eigvalsh(y.T @ y)[::-1]
+        eta = float(np.sqrt(w[2] / w[0]))  # on the Gram's third ratio
+        res = denoise_auto(z, r0=8, eta=eta, seed=0)
+        assert res.route == "svd"
+        s = np.linalg.svd(y, full_matrices=False)[1]
+        below = np.nonzero(s / s[0] < eta)[0]
+        r_hat = int(below[0]) + 1 if below.size else 8
+        assert res.r_hat == r_hat
+        assert np.array_equal(res.basis, svd_reference(y, r_hat)[0])
+        # a threshold clear of every ratio takes the Gram route
+        assert denoise_auto(z, r0=8, eta=0.5 * eta, seed=0).route == "gram"
+
+    def test_basis_off_the_orthonormal_bound_takes_the_svd(self, monkeypatch):
+        # a bound no basis meets, even after the Cholesky step
+        monkeypatch.setattr(denoise, "ORTHONORMAL_TOL", 0.0)
+        rng = np.random.default_rng(16)
+        z = DataMatrix(rng.standard_normal((40, 30)))
+        res = denoise_fixed_rank(z, 4)
+        basis, coords = svd_reference(z.values, 4)
+        assert res.route == "svd"
+        assert np.array_equal(res.basis, basis)
+        assert np.array_equal(res.coords.values, coords)
+
+    def test_noisy_embedded_circle_takes_the_gram_route(self):
+        _, _, z = noisy_sample(CurveSpec("embedded", 500), 400, 15, 1.0, None)
+        res = denoise_auto(z, r0=100, eta=1e-3, seed=2)
+        assert res.route == "gram" and res.r_hat == 100
+        assert np.abs(res.basis.T @ res.basis - np.eye(100)).max() <= 1e-12
+        y = z.values @ np.random.default_rng(2).standard_normal((400, 100))
+        s = np.linalg.svd(y, full_matrices=False)[1]
+        assert abs(res.ratio - s[99] / s[0]) <= 1e-12

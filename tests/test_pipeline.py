@@ -14,6 +14,7 @@ from spectime import (
     build_kernel,
     build_laplacian,
     data_driven_bandwidth,
+    denoise_auto,
     err_closed_time,
     generate,
     interior_relative_error,
@@ -27,7 +28,7 @@ from spectime import (
     smallest_eigenpairs,
 )
 from spectime import eigen, io, pipeline
-from spectime.errors import ConfigError, DisconnectedGraphError
+from spectime.errors import ConfigError, DisconnectedGraphError, TooFewPointsError
 
 
 def test_smoke_noiseless_circle(tmp_path):
@@ -115,6 +116,55 @@ def test_config_validation():
         PipelineConfig(curve=CurveSpec("circle"), n=10, denoise_rank=2, denoise_auto_r0=3)
     with pytest.raises(ConfigError):
         PipelineConfig(curve=CurveSpec("circle"), n=10, sigma="guess")
+
+
+def test_closed_loop_of_two_points_refused_before_work(tmp_path):
+    with pytest.raises(ConfigError, match="a closed loop needs at least 3 points"):
+        PipelineConfig(curve=CurveSpec("circle"), n=2, snr=10.0, out_dir=str(tmp_path / "run"))
+    assert not any(tmp_path.iterdir())
+    PipelineConfig(curve=CurveSpec("half-circle"), n=2)  # an open curve reads two pairs
+
+
+def test_recover_labels_refuses_a_closed_loop_of_two_points_before_the_kernel(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the bandwidth or the kernel ran")
+
+    for name in ("select_bandwidth", "data_driven_bandwidth", "build_kernel"):
+        monkeypatch.setattr(pipeline, name, unreachable)
+    z = DataMatrix(np.array([[1.0, -1.0], [0.0, 0.5]]))
+    for sigma in ("auto", "data", 0.5):
+        with pytest.raises(TooFewPointsError, match="closed loop needs at least 3 points, got N=2"):
+            recover_labels(z, CurveKind.CLOSED_LOOP, sigma)
+
+
+@pytest.mark.parametrize("kind", list(CurveKind))
+def test_recovery_carries_the_eigensolve_diagnostics(kind):
+    x, _ = generate(CurveSpec("circle" if kind is CurveKind.CLOSED_LOOP else "half-circle"), 300, 5)
+    out = recover_labels(x, kind, 0.3)
+    spectral = smallest_eigenpairs(build_laplacian(build_kernel(x, KernelParams(0.3))),
+                                   k=3 if kind is CurveKind.CLOSED_LOOP else 2)
+    assert out.solver_path == spectral.path == "dense"
+    assert out.eigenvalues == tuple(spectral.eigenvalues.tolist())
+    assert out.max_residual == spectral.residuals.max()
+    assert out.applications == spectral.applications
+    report = out.report()
+    assert report["eigenvalues"] == list(out.eigenvalues)
+    assert json.loads(json.dumps(report)) == report
+
+
+def test_report_records_the_denoise_route_and_the_recovery_diagnostics(tmp_path):
+    cfg = PipelineConfig(curve=CurveSpec("embedded", 50), n=120, seed=2, snr=10.0,
+                         denoise_auto_r0=10, out_dir=str(tmp_path))
+    report = run_pipeline(cfg)
+    _, _, z = noisy_sample(cfg.curve, cfg.n, cfg.seed, cfg.snr, None)
+    den = denoise_auto(z, 10, cfg.denoise_eta, cfg.seed + 2)
+    assert (report["r_hat"], report["denoise_route"], report["denoise_ratio"]) == (
+        den.r_hat, "gram", den.ratio)
+    recovery = recover_labels(den.coords, CurveKind.CLOSED_LOOP)
+    for key, value in recovery.report().items():
+        assert report[key] == value
+    assert len(report["eigenvalues"]) == 3
+    assert json.loads((tmp_path / "report.json").read_text())["solver_path"] == "dense"
 
 
 @pytest.mark.parametrize("setting, name", [

@@ -200,6 +200,7 @@ def test_serialrank_row_is_run_baseline(tmp_path, curve):
     (dict(n_values=(40, 1)), "n must be at least 2"),
     (dict(snr_values=(100.0, float("nan"))), "snr must be positive"),
     (dict(snr_values=(0.0,)), "snr must be positive"),
+    (dict(n_values=(40, 2)), "a closed loop needs at least 3 points"),
 ])
 def test_each_data_set_checked_before_work(tmp_path, setting, name):
     kwargs = dict(curve=CurveSpec("circle"), n_values=(40,), snr_values=(100.0,))
