@@ -41,7 +41,6 @@ from .recover import (
 )
 from .sweep import SweepConfig, sweep
 from .synth import (
-    ComparisonMatrix,
     CurveSpec,
     add_noise,
     comparison_matrix,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentReport",
-    "ComparisonMatrix",
     "CurveKind",
     "CurveSpec",
     "DataMatrix",

@@ -26,7 +26,7 @@ from .metrics import err_closed_time, err_open_rank, err_open_time, relative_err
 from .pipeline import recover_labels
 from .recover import check_bandwidth
 from .sweep import METHODS, SweepConfig, sweep
-from .synth import CurveSpec, comparison_matrix, noisy_sample, serialrank_baseline
+from .synth import CurveSpec, noisy_sample, serialrank_baseline
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,8 +237,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_baseline(args) -> int:
     z = io.load_data_matrix(args.input, header=args.header)
-    ranking = serialrank_baseline(comparison_matrix(z))
-    io.save_ranking(args.out, ranking)
+    io.save_ranking(args.out, serialrank_baseline(z))
     return 0
 
 

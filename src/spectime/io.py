@@ -12,24 +12,30 @@ bit-exactly.
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .core import TWO_PI, DataMatrix, Ranking, TimeLabels, ranking_from_labels
 from .errors import BadCellError, BadIndexError, LabelRangeError, LengthMismatchError
-from .errors import NotAPermutationError
+from .errors import NotAPermutationError, TooFewPointsError
 
 FLOAT_FMT = "%.17g"
 
 
 def load_data_matrix(path: str | Path, header: bool = False) -> DataMatrix:
-    """Read an N x d CSV of points (one per row) into a (d, N) DataMatrix."""
+    """Read an N x d CSV of points (one per row) into a (d, N) DataMatrix.
+    A file with no data rows raises ``TooFewPointsError`` naming it."""
     skip = 1 if header else 0
-    try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    except ValueError:
-        rows = _scan_cells(path, skip)  # or name the file, line and cell numpy refused
+    with warnings.catch_warnings():  # numpy warns on no data; the error below says so
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        except ValueError:
+            rows = _scan_cells(path, skip)  # or name the file, line and cell numpy refused
+    if rows.size == 0:
+        raise TooFewPointsError(f"{path}: no data rows")
     return DataMatrix(rows.T)
 
 

@@ -4,7 +4,8 @@ The unit of work is a data set, one ``PipelineConfig``, which checks
 every per-run setting before any work.  ``run_pipeline`` scores its
 recovered labels and ``run_baseline`` the pairwise-comparison baseline,
 on the same sample and interior window (``_interior_error``): an open
-curve drops ``delta_fraction`` of its span at each end, a loop no point.
+curve drops ``delta_fraction`` of its span at each end, a loop no point,
+and its report's ``delta_fraction`` is None.
 
 Recovery builds the same Laplacian for both curve kinds; the kind picks
 only how many eigenpairs are solved and which map turns them into
@@ -43,7 +44,7 @@ from .metrics import DELTA_FRACTION, check_delta_fraction, err_closed_time, err_
 from .metrics import interior_relative_error
 from .recover import RecoveryOutput, check_bandwidth, recover_closed, recover_open
 from .recover import data_driven_bandwidth, select_bandwidth
-from .synth import CurveSpec, check_sample, comparison_matrix, noisy_sample, serialrank_baseline
+from .synth import CurveSpec, check_sample, noisy_sample, serialrank_baseline
 
 CLOSED_MIN_POINTS = 3  # a closed loop's recovery reads three eigenpairs
 
@@ -88,7 +89,8 @@ def recover_labels(
     """Bandwidth -> kernel -> Laplacian -> Fiedler vector(s) -> labels.
 
     ``sigma``, ``noise_level``: a setting ``check_bandwidth`` accepts; the
-    sigma it resolves to comes back as ``RecoveryOutput.sigma``.
+    sigma it resolves to comes back as ``RecoveryOutput.sigma``, and the rule
+    that chose it (``"auto"``, ``"data"`` or ``"fixed"``) as ``sigma_rule``.
 
     Open curves map the Fiedler vector u2 back to the random-walk vector
     D~^-1/2 u2 and label it with ``recover_open``.  Closed loops
@@ -138,6 +140,7 @@ def recover_labels(
     else:
         out = recover_closed(u[:, 1], u[:, 2])
     return replace(out, sigma=params.sigma, solver_path=spectral.path,
+                   sigma_rule=sigma if isinstance(sigma, str) else "fixed",
                    eigenvalues=tuple(spectral.eigenvalues.tolist()),
                    max_residual=float(spectral.residuals.max()),
                    applications=spectral.applications)
@@ -189,7 +192,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         report["time_error"] = err_open_time(canon, recovery.labels, cfg.delta_fraction).error
         est = recovery.labels.angles
     report["relative_error"] = _interior_error(cfg, x, t_true, est)
-    report["delta_fraction"] = cfg.delta_fraction
+    report["delta_fraction"] = _window(cfg)
     report["wall_ms"] = 1000.0 * (time.perf_counter() - started)
     if out is not None:
         (out / "report.json").write_text(json.dumps(report, indent=2))
@@ -205,12 +208,15 @@ def run_baseline(cfg: PipelineConfig) -> dict:
 def _interior_error(cfg: PipelineConfig, x: DataMatrix, t_true: TimeLabels,
                     est: np.ndarray) -> float:
     """``interior_relative_error`` on ``cfg``'s window."""
-    fraction = cfg.delta_fraction if cfg.curve.kind is CurveKind.OPEN_CURVE else 0.0
-    return interior_relative_error(x, t_true, est, cfg.curve.span, fraction)
+    return interior_relative_error(x, t_true, est, cfg.curve.span, _window(cfg) or 0.0)
+
+
+def _window(cfg: PipelineConfig) -> float | None:
+    """The margin an open curve's metrics drop at each end; a loop has none."""
+    return cfg.delta_fraction if cfg.curve.kind is CurveKind.OPEN_CURVE else None
 
 
 def baseline_labels(z: DataMatrix) -> np.ndarray:
     """Monotone time proxy from the pairwise-comparison baseline: each
     point's rank in the Fiedler ordering of the comparison similarity."""
-    ranking = serialrank_baseline(comparison_matrix(z))
-    return ranking.ranks().astype(np.float64)
+    return serialrank_baseline(z).ranks().astype(np.float64)

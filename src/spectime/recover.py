@@ -58,6 +58,7 @@ class RecoveryOutput:
     ranking: Ranking
     clamped_count: int = 0
     sigma: float | None = None
+    sigma_rule: str | None = None  # "auto", "data" or "fixed" (a number given)
     solver_path: str | None = None  # SpectralResult.path: "dense" or "block"
     eigenvalues: tuple[float, ...] = ()  # the k smallest, ascending
     max_residual: float | None = None  # largest ||L v - lambda v||
@@ -65,7 +66,8 @@ class RecoveryOutput:
 
     def report(self) -> dict:
         """The JSON-ready diagnostics: everything but the labels and the ranking."""
-        return {"sigma": self.sigma, "clamped_count": self.clamped_count,
+        return {"sigma": self.sigma, "sigma_rule": self.sigma_rule,
+                "clamped_count": self.clamped_count,
                 "solver_path": self.solver_path, "eigenvalues": list(self.eigenvalues),
                 "max_residual": self.max_residual, "applications": self.applications}
 

@@ -13,16 +13,15 @@ embedded:<d>  unit circle mapped into R^d by a seeded random
 Labels are drawn i.i.d. uniform on the curve's domain.  Every generator
 is a pure function of (spec, n, seed).
 
-The baseline turns column norms (distances from the origin) into a
-comparison matrix C(i,j) = sign(||Z_j|| - ||Z_i||) and ranks the points
-as SerialRank does: by the Fiedler vector of the similarity
-S = (N + C C^T) / 2 under the unnormalized Laplacian D - S, the standard
-spectral treatment of pairwise-comparison seriation.  On comparisons of
-a total preorder that Fiedler order is the Borda count, the row sums of
-C (Atkins, Boman & Hendrickson 1998; Fogel, d'Aspremont & Vojnovic,
-NeurIPS 2014), and a row sum strictly decreases as the norm grows, so
-the baseline is a sort of the norms: O(N) memory, no N x N array.
-``ComparisonMatrix`` keeps the norms and builds C only when asked; the
+The baseline compares the points by their norms (distances from the
+origin), C(i,j) = sign(||Z_j|| - ||Z_i||), and ranks them as SerialRank
+does: by the Fiedler vector of the similarity S = (N + C C^T) / 2 under
+the unnormalized Laplacian D - S, the standard spectral treatment of
+pairwise-comparison seriation.  On comparisons of a total preorder that
+Fiedler order is the Borda count, the row sums of C (Atkins, Boman &
+Hendrickson 1998; Fogel, d'Aspremont & Vojnovic, NeurIPS 2014), and a
+row sum strictly decreases as the norm grows, so the baseline is a
+stable sort of the norms: O(N) memory, and C is never formed; the
 spectral form is kept in the tests as its oracle.  Norm comparisons
 ignore the curve's geodesic structure, which is exactly the failure mode
 the spectral method avoids.
@@ -176,27 +175,15 @@ def noisy_sample(
     return x, t, z
 
 
-@dataclass(frozen=True)
-class ComparisonMatrix:
-    """Pairwise norm comparisons C(i,j) = sign(norms[j] - norms[i]), kept as
-    the N norms; ``c`` builds the antisymmetric N x N matrix on demand."""
-
-    norms: np.ndarray
-
-    @property
-    def c(self) -> np.ndarray:
-        """C(i,j) = +1 if norms[i] < norms[j], -1 if greater, 0 on ties."""
-        return np.sign(self.norms[None, :] - self.norms[:, None])
+def comparison_matrix(z: DataMatrix) -> np.ndarray:
+    """The (N,) norms ||Z_i|| that the baseline compares (the reference
+    point is the origin), C(i,j) = sign(norms[j] - norms[i]); the name is
+    the one perfbench's per-layer ``synth.comparison_matrix_s`` times."""
+    return np.linalg.norm(z.values, axis=0)
 
 
-def comparison_matrix(z: DataMatrix) -> ComparisonMatrix:
-    """Compare the points by their norms ||Z_i|| (the reference point is
-    the origin)."""
-    return ComparisonMatrix(norms=np.linalg.norm(z.values, axis=0))
-
-
-def serialrank_baseline(c: ComparisonMatrix) -> Ranking:
-    """SerialRank seriation of a comparison matrix, by its Borda count.
+def serialrank_baseline(z: DataMatrix) -> Ranking:
+    """SerialRank seriation of the points' norm comparisons, by their Borda count.
 
     Row i of C sums to #(points compared larger) - #(points compared
     smaller), and sorting by that count gives the order of the Fiedler
@@ -205,11 +192,12 @@ def serialrank_baseline(c: ComparisonMatrix) -> Ranking:
     comparisons of a total preorder, so the equivalence is exact.  The
     row sum strictly decreases as the norm grows and ties with it, so
     the stable sort of the norms is the stable sort of minus the row
-    sums, entry for entry, and C is never formed.  The orientation is
-    fixed: ascending norm, ties by index.  A Fiedler vector's sign, and
-    so its order's orientation, is arbitrary, which is why the metrics
-    applied to the baseline are reflection-invariant.
+    sums, entry for entry.  The orientation is fixed: ascending norm,
+    ties by index.  A Fiedler vector's sign, and so its order's
+    orientation, is arbitrary, which is why the metrics applied to the
+    baseline are reflection-invariant.
     """
-    if c.norms.min() == c.norms.max():
+    norms = comparison_matrix(z)
+    if norms.min() == norms.max():
         raise DegenerateBaselineError("all comparisons tie; similarity is constant")
-    return Ranking(np.argsort(c.norms, kind="stable"))
+    return Ranking(np.argsort(norms, kind="stable"))

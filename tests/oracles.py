@@ -109,6 +109,11 @@ def laplacian_outer_product(k, degrees):
     return lap
 
 
+def comparison_signs(norms):
+    """The N x N comparison matrix C(i,j) = sign(norms[j] - norms[i])."""
+    return np.sign(norms[None, :] - norms[:, None])
+
+
 def serialrank_fiedler(c):
     """SerialRank by eigendecomposition: argsort of the Fiedler vector of
     D - S with the match-count similarity S = (N + C C^T) / 2."""

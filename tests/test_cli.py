@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from spectime import (
     run_pipeline,
     select_bandwidth,
 )
-from spectime import cli
+from spectime import cli, pipeline
 from spectime.cli import build_parser, main
 from spectime.io import load_data_matrix, load_labels, load_ranking, save_labels
 
@@ -170,11 +171,41 @@ def test_baseline_cli(tmp_path):
     assert ranks == list(range(40))
 
 
+def test_baseline_cli_ranks_are_the_pipelines_baseline(tmp_path):
+    # one baseline path: the CLI's ranks are the ones run_baseline and the
+    # sweep's serialrank rows score
+    z, out = tmp_path / "z.csv", tmp_path / "rank.csv"
+    run(["generate", "--curve", "half-circle", "--n", "300", "--snr", "100",
+         "--seed", "5", "--out", z])
+    assert run(["baseline", "--input", z, "--out", out]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 0], np.arange(300))
+    assert np.array_equal(rows[:, 1], pipeline.baseline_labels(load_data_matrix(z)))
+
+
 def test_missing_file_gives_json_error(tmp_path, capsys):
     assert run(["recover", "--kind", "open", "--input", tmp_path / "nope.csv",
                 "--out", tmp_path / "o.csv"]) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "error" in err
+
+
+@pytest.mark.parametrize("text, header", [("", []), ("\n\n", []), ("a,b\n", ["--header"])],
+                         ids=["empty", "blank", "header-only"])
+@pytest.mark.parametrize("command", [["recover", "--kind", "open"], ["denoise", "--rank", "1"],
+                                     ["baseline"]], ids=["recover", "denoise", "baseline"])
+def test_data_file_without_rows_is_one_json_error(tmp_path, capsys, text, header, command):
+    # numpy warns on a file of no data; the warning must neither print nor,
+    # as an error, escape main
+    z, out = tmp_path / "z.csv", tmp_path / "o.csv"
+    z.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*command, "--input", z, *header, "--out", out])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "TooFewPointsError",
+                                                   "message": f"{z}: no data rows"}
+    assert not out.exists()
 
 
 def test_spectime_error_exit_code(tmp_path, capsys):
@@ -312,19 +343,22 @@ def test_recover_column_count_change_exits_2(tmp_path, capsys):
     "flags, choice",
     [
         (["--sigma", "auto", "--noise-level", "0.01"],
-         dict(pick=lambda z: select_bandwidth(z.n_points, 0.01, CurveKind.CLOSED_LOOP).sigma)),
-        (["--sigma", "data"], dict(pick=lambda z: data_driven_bandwidth(z).sigma)),
-        (["--sigma", "0.3"], dict(pick=lambda z: 0.3)),
+         dict(pick=lambda z: select_bandwidth(z.n_points, 0.01, CurveKind.CLOSED_LOOP).sigma,
+              rule="auto")),
+        (["--sigma", "data"], dict(pick=lambda z: data_driven_bandwidth(z).sigma, rule="data")),
+        (["--sigma", "0.3"], dict(pick=lambda z: 0.3, rule="fixed")),
     ],
 )
 def test_recover_reports_the_bandwidth_choose_bandwidth_picks(tmp_path, capsys, flags, choice):
-    # the reported sigma is the named rule's pick on the loaded data, or the number given
+    # the reported sigma is the named rule's pick on the loaded data, or the
+    # number given, and sigma_rule names which
     z, est = tmp_path / "z.csv", tmp_path / "est.csv"
     run(["generate", "--curve", "circle", "--n", "200", "--snr", "100", "--out", z])
     capsys.readouterr()
     assert run(["recover", "--kind", "closed", "--input", z, "--out", est, *flags]) == 0
-    reported = json.loads(capsys.readouterr().err)["sigma"]
-    assert reported == choice["pick"](load_data_matrix(z))
+    reported = json.loads(capsys.readouterr().err)
+    assert reported["sigma"] == choice["pick"](load_data_matrix(z))
+    assert reported["sigma_rule"] == choice["rule"]
 
 
 @pytest.mark.parametrize("flags, message", [

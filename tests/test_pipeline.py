@@ -226,6 +226,26 @@ def test_report_sigma_is_the_rules_pick(kind, curve, setting):
     assert report["sigma"] == expected.sigma
 
 
+@pytest.mark.parametrize("sigma, rule", [("auto", "auto"), ("data", "data"), (0.3, "fixed"),
+                                         ("0.3", "fixed")])
+def test_report_names_the_rule_that_chose_sigma(tmp_path, sigma, rule):
+    cfg = PipelineConfig(curve=CurveSpec("circle"), n=120, seed=6, snr=100.0, sigma=sigma,
+                         out_dir=str(tmp_path))
+    assert run_pipeline(cfg)["sigma_rule"] == rule
+    assert json.loads((tmp_path / "report.json").read_text())["sigma_rule"] == rule
+    _, _, z = noisy_sample(cfg.curve, cfg.n, cfg.seed, cfg.snr, None)
+    assert recover_labels(z, CurveKind.CLOSED_LOOP, sigma).sigma_rule == rule
+
+
+@pytest.mark.parametrize("curve, window", [("circle", None), ("half-circle", 0.05)])
+def test_report_window_is_the_one_the_metrics_used(tmp_path, curve, window):
+    # a loop's relative_error reads every point and its time_error has no
+    # window, so its report gives none
+    cfg = PipelineConfig(curve=CurveSpec(curve), n=200, snr=100.0, out_dir=str(tmp_path))
+    assert run_pipeline(cfg)["delta_fraction"] == window
+    assert json.loads((tmp_path / "report.json").read_text())["delta_fraction"] == window
+
+
 @pytest.mark.parametrize("kind", list(CurveKind))
 def test_recover_labels_matches_separate_stages(kind, monkeypatch):
     # the one-buffer path against kernel -> copied Laplacian -> eigensolve,

@@ -22,7 +22,7 @@ from spectime import (
 )
 from spectime.errors import ConfigError, DegenerateBaselineError, ZeroSignalError
 
-from oracles import serialrank_fiedler
+from oracles import comparison_signs, serialrank_fiedler
 
 TWO_PI = 2 * np.pi
 
@@ -186,24 +186,29 @@ class TestNoisySample:
 
 
 class TestComparisonMatrix:
+    # comparison_matrix returns the norms; the Fiedler and Borda oracles
+    # build C from them with comparison_signs, checked here
     def test_sign_cases(self):
         z = DataMatrix(np.array([[1.0, 2.0]]))
-        c = comparison_matrix(z).c
+        c = comparison_signs(comparison_matrix(z))
         assert c[0, 1] == 1.0 and c[1, 0] == -1.0 and c[0, 0] == 0.0
 
     def test_tie_is_zero(self):
         z = DataMatrix(np.array([[1.0, -1.0]]))
-        assert comparison_matrix(z).c[0, 1] == 0.0
+        assert comparison_signs(comparison_matrix(z))[0, 1] == 0.0
 
     def test_antisymmetric_exactly(self):
         rng = np.random.default_rng(0)
-        c = comparison_matrix(DataMatrix(rng.standard_normal((3, 25)))).c
+        values = rng.standard_normal((3, 25))
+        norms = comparison_matrix(DataMatrix(values))
+        assert np.array_equal(norms, np.linalg.norm(values, axis=0))
+        c = comparison_signs(norms)
         assert np.array_equal(c, -c.T)
         assert np.all(np.diag(c) == 0)
 
     def test_hand_built_norms_vs_pairwise_oracle(self):
         z = DataMatrix(np.array([[1.0, 2.0, 3.0, 2.0]]))
-        c = comparison_matrix(z).c
+        c = comparison_signs(comparison_matrix(z))
         norms = [1.0, 2.0, 3.0, 2.0]
         for i in range(4):
             for j in range(4):
@@ -217,14 +222,14 @@ class TestSerialRankBaseline:
         radii = np.sort(rng.uniform(1.0, 5.0, 20))
         angles = rng.uniform(0, np.pi / 4, 20)
         z = DataMatrix(np.vstack([radii * np.cos(angles), radii * np.sin(angles)]))
-        ranking = serialrank_baseline(comparison_matrix(z))
+        ranking = serialrank_baseline(z)
         truth = ranking_from_labels(TimeLabels(radii / 5.0))
         assert err_open_rank(truth, ranking, 0.0).error == 0.0
 
     def test_baseline_allocates_o_n(self):
         # the comparison matrix alone would be 8 N^2 bytes
         _, _, z = noisy_sample(CurveSpec("cardioid"), 2000, 1, snr=100.0)
-        _, peak = traced_peak(lambda: serialrank_baseline(comparison_matrix(z)))
+        _, peak = traced_peak(lambda: serialrank_baseline(z))
         assert peak < 100 * z.n_points
 
     def test_norm_sort_is_the_borda_count_sort(self):
@@ -232,14 +237,14 @@ class TestSerialRankBaseline:
         _, _, z = noisy_sample(CurveSpec("cardioid"), 2000, 8, snr=100.0)
         tied = DataMatrix(np.array([[3.0, 1.0, 2.0, 1.0, 3.0, 0.5, 2.0, 1.0]]))
         for data in (z, tied):
-            c = comparison_matrix(data)
-            borda = np.argsort(-c.c.sum(axis=1), kind="stable")
-            assert np.array_equal(serialrank_baseline(c).perm, borda)
+            c = comparison_signs(comparison_matrix(data))
+            borda = np.argsort(-c.sum(axis=1), kind="stable")
+            assert np.array_equal(serialrank_baseline(data).perm, borda)
 
     def test_all_ties_degenerate(self):
         z = DataMatrix(np.ones((2, 10)))
         with pytest.raises(DegenerateBaselineError):
-            serialrank_baseline(comparison_matrix(z))
+            serialrank_baseline(z)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -251,9 +256,8 @@ class TestSerialRankBaseline:
         # at most n/3 distinct norms, so most points tie with another
         norms = np.array(levels, dtype=float)
         assume(norms.min() < norms.max())
-        c = comparison_matrix(DataMatrix(norms[None, :]))
-        order = serialrank_baseline(c).perm
-        oracle = serialrank_fiedler(c.c)
+        order = serialrank_baseline(DataMatrix(norms[None, :])).perm
+        oracle = serialrank_fiedler(comparison_signs(norms))
         # the oracle orders tied points by rounding, so compare the norm sequences
         assert np.array_equal(norms[order], norms[oracle]) or np.array_equal(
             norms[order], norms[oracle[::-1]])
@@ -264,7 +268,6 @@ class TestSerialRankBaseline:
     def test_matches_fiedler_oracle_on_noisy_curves(self, curve):
         # distinct norms: the orders agree point for point, up to reversal
         _, _, z = noisy_sample(CurveSpec(curve), 300, 5, snr=100.0)
-        c = comparison_matrix(z)
-        order = serialrank_baseline(c).perm
-        oracle = serialrank_fiedler(c.c)
+        order = serialrank_baseline(z).perm
+        oracle = serialrank_fiedler(comparison_signs(comparison_matrix(z)))
         assert np.array_equal(order, oracle) or np.array_equal(order, oracle[::-1])
