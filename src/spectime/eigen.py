@@ -20,17 +20,33 @@ generator, and a basis that reaches N solves the whole space.  No bound
 on the spectrum is needed.  The Krylov space of w start rows holds at
 most w copies of a repeated eigenvalue, so both paths use w >= k.
 
-Larger matrices (N > DENSE_CUTOFF and k <= N/4) take the block path: the
-operator is A itself, in blocks of max(BLOCK, k) rows.  One pass is
-``block @ A``, which equals (A block^T)^T because A is symmetric, so
-OpenBLAS reads A once per block, at about the cost of one matrix-vector
-product.  A Laplacian built in the kernel's buffer stays the only N x N
-array.
+Every solve with k <= N/4 starts on the block path, whose operator is A
+itself in blocks of max(BLOCK, k) rows.  One pass is ``block @ A``,
+which equals (A block^T)^T because A is symmetric, so OpenBLAS reads A
+once per block, at about the cost of one matrix-vector product, and a
+Laplacian built in the kernel's buffer stays the only N x N array.
+Above DENSE_CUTOFF, the bound on where a factor may be held, the
+iteration runs to the end.  At N <= DENSE_CUTOFF its first PROBE_PASSES
+passes are a probe: from their Ritz values theta it predicts
+GAP_PASSES / sqrt(gap) passes, gap = (theta_w - theta_k) / (theta_max -
+theta_w) for a block of w rows (a block iteration resolves the k
+smallest pairs at a rate set by how far its block's low spectrum lies
+below the top), and when that exceeds FACTOR_PASSES, the factor's cost
+in passes, it frees its buffers and the solve factors as if no probe had
+run (the probe's applications are not counted).  Those buffers hold the
+probe's passes only, and are widened when the iteration goes on; at the
+full BASIS_ROWS they raised the cardioid sweep's peak resident size by
+about 1 MB.  A theta_1 <= -SHIFT
+proves that no factor exists, so the iteration goes on.  At N=2000,
+after two passes, the gap read 5.9-828 on the circle, the half-circle
+and ``highdim-5k``'s Laplacian, which take 3-7 passes (0.02-0.03 s
+against 0.10 s for the factor), and 0.22-0.59 on the cardioid at
+sigma = 0.0632 and 0.1414, which take 27-105 (the factor, 20-22 solves).
 
-Smaller matrices (and k > N/4) take the dense path: one Cholesky factor
-of A + tau*I, then the iteration on -(A + tau*I)^-1 in blocks of k rows,
-whose k smallest eigenvalues theta map back to lambda = -1/theta - tau.
-A successful factorization proves lambda_min > -tau, so these are
+The dense path (chosen by the probe, or k > N/4 at any N): one Cholesky
+factor of A + tau*I, then the iteration on -(A + tau*I)^-1 in blocks of
+k rows, whose k smallest eigenvalues theta map back to lambda = -1/theta
+- tau.  A successful factorization proves lambda_min > -tau, so these are
 exactly the k smallest eigenvalues of A; tau changes the speed, never
 which pairs come back.  The cost is one N^3/3 factorization and a few
 dozen O(N^2) triangular solves, where a symmetric eigensolver first
@@ -39,9 +55,9 @@ min(tol, 1e-10) / 100 on the transformed operator; a residual r there
 gives ||A v - lambda v|| <= (||A|| + tau) ||r|| / |theta|, far inside
 the certificate, which stays the only arbiter.  Input that is not
 positive definite after the shift (an indefinite A, never a Laplacian)
-takes the block path on A instead, once a copy made for the factor is
-freed; the iteration needs no bound on the spectrum, so it serves any
-symmetric matrix.
+takes the block path on A instead, from its start and with no probe,
+once a copy made for the factor is freed; the iteration needs no bound
+on the spectrum, so it serves any symmetric matrix.
 
 The factor is built from numpy alone, so the process runs one BLAS
 library.  numpy and scipy each load their own OpenBLAS, and each keeps a
@@ -104,7 +120,7 @@ import numpy as np
 from .errors import AsymmetricMatrixError, NoConvergenceError
 from .kernel import LaplacianMatrix, mirror_upper, row_blocks
 
-DENSE_CUTOFF = 2048
+DENSE_CUTOFF = 2048  # largest N whose L may be factored when k <= N/4 (memory, not speed)
 DEFAULT_TOL = 1e-8
 SHIFT = 1e-3  # tau of the dense path's shift-invert; sets the speed only
 FACTOR_BLOCK = 128  # rows of the dense factor's diagonal blocks
@@ -112,6 +128,9 @@ BLOCK = 12  # least rows the block path applies L to in one pass over its memory
 BASIS_ROWS = 96  # basis rows the iteration holds before a thick restart (or 2(k + width))
 PASSES_PER_PAIR = 100  # the iteration's budget of passes, per wanted pair
 RANK_DROP = 1e-8  # a new basis row kept below this fraction of its norm is redrawn
+PROBE_PASSES = 2  # block passes before the path is chosen at N <= DENSE_CUTOFF; 0 factors at once
+FACTOR_PASSES = 12  # the factor and its solves, in block passes (8.8-27 measured at N=2000)
+GAP_PASSES = 20  # block passes times sqrt(gap): 12-32 on circles and cardioids, N=500-2000
 
 
 @dataclass(frozen=True)
@@ -166,16 +185,19 @@ def smallest_eigenpairs(
     if not isinstance(l, LaplacianMatrix):
         _check_symmetric(a)
 
-    found = None
-    if n <= DENSE_CUTOFF or k > n // 4:
+    def product(rows, out):
+        np.matmul(rows, a, out=out)
+
+    small = n <= DENSE_CUTOFF
+    found, path = None, "block"
+    if k <= n // 4 and not (small and PROBE_PASSES == 0):  # the block path, or its probe
+        found = _block_smallest(product, n, k, max(BLOCK, k), tol, PROBE_PASSES if small else None)
+    if found is None and (small or k > n // 4):  # the probe chose the factor, or k > N/4
         owned = isinstance(l, LaplacianMatrix) and a.flags.writeable and a.flags.c_contiguous
         work = a if owned else np.array(a, order="C")  # one copy of input it may not write
         found, path = _dense_smallest(work, k, tol), "dense"
         del work  # a copy is freed before the block iteration allocates
-    if found is None:  # above the cutoff, or A + SHIFT*I has no Cholesky factor
-        def product(rows, out):
-            np.matmul(rows, a, out=out)
-
+    if found is None:  # A + SHIFT*I has no Cholesky factor
         found, path = _block_smallest(product, n, k, max(BLOCK, k), tol), "block"
     values, vectors, applied = found
 
@@ -290,20 +312,43 @@ def _orthonormal(block: np.ndarray, basis: np.ndarray, rng: np.random.Generator)
         block[lost] = rng.standard_normal((int(lost.sum()), block.shape[1]))
 
 
-def _block_smallest(apply, n: int, k: int, width: int,
-                    tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _factor_pays(theta: np.ndarray, k: int, width: int) -> bool:
+    """Whether the factor is predicted to cost less than the rest of a block
+    iteration whose Ritz values are ``theta`` (ascending): GAP_PASSES /
+    sqrt(gap) passes against FACTOR_PASSES, with gap = (theta_w - theta_k) /
+    (theta_max - theta_w).  Never when theta_1 <= -SHIFT, since then
+    A + SHIFT*I has no factor."""
+    if theta[0] <= -SHIFT:
+        return False
+    below, above = theta[width - 1] - theta[k - 1], theta[-1] - theta[width - 1]
+    return GAP_PASSES**2 * above > FACTOR_PASSES**2 * below
+
+
+def _widened(a: np.ndarray, rows: int) -> np.ndarray:
+    """a's rows at the top of a new array of ``rows`` rows."""
+    out = np.empty((rows, a.shape[1]))
+    out[: a.shape[0]] = a
+    return out
+
+
+def _block_smallest(apply, n: int, k: int, width: int, tol: float,
+                    probe: int | None = None) -> tuple[np.ndarray, np.ndarray, int] | None:
     """k smallest pairs of the symmetric operator that ``apply(rows, out)``
     applies (it writes ``rows @ op``), ascending, from a thick-restarted
     block Krylov iteration with Rayleigh-Ritz in blocks of ``width`` rows,
-    and the number of vectors the operator was applied to."""
+    and the number of vectors the operator was applied to.  With ``probe``,
+    the buffers first hold that many passes, and the result is None when
+    the pairs are not found by then and ``_factor_pays``."""
     cap = min(n, max(BASIS_ROWS, 2 * (k + width)))
+    rows = cap if probe is None else min(cap, probe * width)  # a probe holds its passes only
     rng = np.random.default_rng(0)  # fixed start, deterministic output
-    basis = np.empty((cap, n))  # orthonormal rows
-    image = np.empty((cap, n))  # basis @ op; row j is op @ basis[j], op being symmetric
+    basis = np.empty((rows, n))  # orthonormal rows
+    image = np.empty((rows, n))  # basis @ op; row j is op @ basis[j], op being symmetric
     h = np.zeros((cap, cap))  # basis op basis^T, lower triangle
     block = _orthonormal(rng.standard_normal((min(width, n), n)), basis[:0], rng)
-    used = applied = 0
+    used = applied = passes = 0
     while True:
+        passes += 1
         start, used = used, used + block.shape[0]
         basis[start:used] = block
         apply(basis[start:used], image[start:used])  # one pass over the operator
@@ -319,6 +364,10 @@ def _block_smallest(apply, n: int, k: int, width: int,
         bound = tol * max(1.0, float(np.abs(theta[:k]).max()))
         if used >= k and residual.max() <= 0.5 * bound:
             return theta[:k], ritz.T, applied
+        if passes == probe:
+            if _factor_pays(theta, k, width):
+                return None
+            basis, image = _widened(basis, cap), _widened(image, cap)
         if used == n or applied >= PASSES_PER_PAIR * k * width:
             raise NoConvergenceError(applied, f"Ritz residual {residual.max():.3e} "
                                      f"after {applied} operator applications")

@@ -106,27 +106,29 @@ def row_blocks(n: int, width: int | None = None, elements: int = _BLOCK_ELEMENTS
         yield slice(start, start + rows)
 
 
-def _worker_count(n: int) -> int:
-    """W for a pass over an n x n matrix: the CPUs in this process's
-    affinity mask, but no more than one per ``_WORKER_ELEMENTS`` entries."""
+def _worker_count(n: int, m: int | None = None) -> int:
+    """W for a pass over an n x m array (n x n by default): the CPUs in
+    this process's affinity mask, but no more than one per
+    ``_WORKER_ELEMENTS`` entries."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n * n // _WORKER_ELEMENTS))
+    return max(1, min(cpus, n * (m or n) // _WORKER_ELEMENTS))
 
 
-def _on_workers(task, jobs: list | range, n: int, *dtypes) -> None:
-    """Deal ``jobs``, parts of a pass over an n x n matrix, round-robin to
-    W threads: worker w calls task(jobs[w::W], *buffers) with its own
-    buffer of each dtype.  The buffers are allocated here,
-    ``_CHUNK_ELEMENTS`` entries of each dtype split among the workers, or
-    one row of n each if that is more, so the workers allocate nothing
-    large and the total does not grow with W; the pool lives for this call
-    only, and a worker's exception is raised here.  One worker is the
-    calling thread itself."""
-    w = max(1, min(_worker_count(n), len(jobs)))
-    size = max(n, _CHUNK_ELEMENTS // w)
+def _on_workers(task, jobs: list | range, shape: int | tuple[int, int], *dtypes) -> None:
+    """Deal ``jobs``, parts of a pass over an n x n matrix (``shape`` n) or
+    an n x m array (``shape`` (n, m)), round-robin to W threads: worker w
+    calls task(jobs[w::W], *buffers) with its own buffer of each dtype.
+    The buffers are allocated here, ``_CHUNK_ELEMENTS`` entries of each
+    dtype split among the workers, or one row each if that is more, so the
+    workers allocate nothing large and the total does not grow with W; the
+    pool lives for this call only, and a worker's exception is raised here.
+    One worker is the calling thread itself."""
+    shape = (shape,) if isinstance(shape, int) else shape
+    w = max(1, min(_worker_count(*shape), len(jobs)))
+    size = max(shape[-1], _CHUNK_ELEMENTS // w)
     buffers = [np.empty((w, size), dtype) for dtype in dtypes]
     if w == 1:  # a one-thread pool cost 4 ms per N = 2000 kernel on a 2-core box
         task(jobs, *(b[0] for b in buffers))

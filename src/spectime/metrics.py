@@ -44,9 +44,10 @@ import numpy as np
 from .core import TWO_PI, DataMatrix, Ranking, TimeLabels
 from .errors import ConfigError, DimensionMismatchError, EmptyInteriorError, LengthMismatchError
 from .errors import ZeroNormError
+from .kernel import _on_workers, row_blocks
 
 DELTA_FRACTION = 0.05  # default interior margin of an open curve, a fraction of its span
-_CHUNK_ELEMENTS = 1 << 18  # row slab of the arrangement distance, 2 MB of float64
+_CHUNK_ELEMENTS = 1 << 16  # row slab of the arrangement distance, 512 KB of float64
 
 
 @dataclass(frozen=True)
@@ -157,11 +158,10 @@ def relative_error(x: DataMatrix, p: Ranking, p2: Ranking) -> float:
     relative to ||x||_F."""
     if len(p) != x.n_points or len(p2) != x.n_points:
         raise LengthMismatchError("ranking length does not match the matrix")
-    denom = float(np.linalg.norm(x.values))
-    if denom == 0.0:
+    denom_sq, (num,) = _arrangement_distances_sq(x.values, p.perm, p2.perm)
+    if denom_sq == 0.0:
         raise ZeroNormError("matrix has zero Frobenius norm")
-    (num,) = _arrangement_distances_sq(x.values, p.perm, p2.perm)
-    return math.sqrt(num) / denom
+    return math.sqrt(num) / math.sqrt(denom_sq)
 
 
 def snr(x: DataMatrix, e: DataMatrix) -> float:
@@ -200,25 +200,48 @@ def interior_relative_error(
     if not mask.any():
         raise EmptyInteriorError("interior window is empty")
     cols = np.flatnonzero(mask)
-    denom = math.sqrt(float(np.einsum("ij,ij->j", x.values, x.values)[cols].sum()))
-    if denom == 0.0:
-        raise ZeroNormError("interior submatrix has zero Frobenius norm")
     true_cols = cols[np.argsort(t_true.angles[mask], kind="stable")]
     arranged = [cols[np.argsort(oriented, kind="stable")] for oriented in (est[mask], -est[mask])]
-    return min(math.sqrt(d) / denom for d in _arrangement_distances_sq(x.values, true_cols, *arranged))
+    denom_sq, nums = _arrangement_distances_sq(x.values, true_cols, *arranged)
+    if denom_sq == 0.0:
+        raise ZeroNormError("interior submatrix has zero Frobenius norm")
+    return min(math.sqrt(d) / math.sqrt(denom_sq) for d in nums)
 
 
-def _arrangement_distances_sq(values: np.ndarray, ref: np.ndarray, *cols: np.ndarray) -> list[float]:
-    """||values[:, c] - values[:, ref]||_F^2 for each c in ``cols``, in one
-    pass of row slabs of about ``_CHUNK_ELEMENTS`` entries per gather, which
-    gathers ``ref`` once per slab and never copies ``values`` whole."""
-    rows = max(1, _CHUNK_ELEMENTS // ref.size)
-    nums = [0.0] * len(cols)
-    for start in range(0, values.shape[0], rows):
-        slab = values[start : start + rows]  # contiguous rows: cache-friendly gathers
-        base = slab[:, ref]
-        for i, c in enumerate(cols):
-            diff = slab[:, c]
-            diff -= base
-            nums[i] += float(np.einsum("ij,ij->", diff, diff))
-    return nums
+def _arrangement_distances_sq(values: np.ndarray, ref: np.ndarray,
+                              *cols: np.ndarray) -> tuple[float, list[float]]:
+    """||values[:, ref]||_F^2 and, for each rearrangement c of ref's
+    columns in ``cols``, ||values[:, c] - values[:, ref]||_F^2, which is
+    the sum over the columns i of ref of ||v_m(i) - v_i||^2 with
+    m(ref_j) = c_j.  One pass of row slabs of about ``_CHUNK_ELEMENTS``
+    entries gathers ref's columns once per slab, or reads the slab as it
+    is when ref holds every column, and each c with one more gather; it
+    never copies ``values`` whole.  The slabs are dealt to the kernel's
+    workers, one per 32 MB of ``values``; each slab's sums are kept and
+    added in slab order, so the values do not depend on the worker
+    count."""
+    n = values.shape[1]
+    own = None if ref.size == n else np.sort(ref)
+    moved = []
+    for c in cols:
+        m = np.empty(n, dtype=np.intp)
+        m[ref] = c
+        moved.append(m if own is None else m[own])
+    slabs = list(row_blocks(values.shape[0], ref.size, _CHUNK_ELEMENTS))
+    sums = np.empty((len(slabs), 1 + len(cols)))
+
+    def run(jobs):
+        for i in jobs:
+            slab = values[slabs[i]]  # contiguous rows: cache-friendly gathers
+            # np.take returns C-ordered rows; slab[:, m] did not, and the
+            # subtraction below ran 2.4x slower on it (d=5000, one thread)
+            base = slab if own is None else np.take(slab, own, axis=1)
+            sums[i, 0] = np.einsum("ij,ij->", base, base)
+            for j, m in enumerate(moved, start=1):
+                diff = np.take(slab, m, axis=1)
+                diff -= base
+                sums[i, j] = np.einsum("ij,ij->", diff, diff)
+
+    _on_workers(run, range(len(slabs)), values.shape)
+    ref_sq, *nums = (float(s) for s in sums.sum(axis=0))
+    return ref_sq, nums

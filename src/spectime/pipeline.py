@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -110,22 +111,29 @@ def recover_labels(
     A closed loop needs three eigenpairs, so fewer than 3 points raise
     ``TooFewPointsError`` before the bandwidth is chosen.  The returned
     output carries the eigensolve's path, eigenvalues, largest residual
-    and operator applications (``RecoveryOutput.report``).
+    and operator applications, and the wall time of each stage in ms
+    (``RecoveryOutput.report``; ``on_laplacian`` is in none of them).
     """
     sigma = check_bandwidth(sigma, noise_level)
     if kind is CurveKind.CLOSED_LOOP and z.n_points < CLOSED_MIN_POINTS:
         raise TooFewPointsError(f"a closed loop needs at least {CLOSED_MIN_POINTS} points, "
                                 f"got N={z.n_points}")
-    if sigma == "auto":
-        params = select_bandwidth(z.n_points, noise_level, kind)
-    elif sigma == "data":
-        params = data_driven_bandwidth(z)
-    else:
-        params = KernelParams(sigma)
-    lap = build_laplacian(build_kernel(z, params))
+    stage_ms: dict[str, float] = {}
+    with _timed(stage_ms, "bandwidth"):
+        if sigma == "auto":
+            params = select_bandwidth(z.n_points, noise_level, kind)
+        elif sigma == "data":
+            params = data_driven_bandwidth(z)
+        else:
+            params = KernelParams(sigma)
+    with _timed(stage_ms, "kernel"):
+        km = build_kernel(z, params)
+    with _timed(stage_ms, "laplacian"):
+        lap = build_laplacian(km)
     if on_laplacian is not None:
         on_laplacian(lap)
-    spectral = smallest_eigenpairs(lap, k=2 if kind is CurveKind.OPEN_CURVE else 3)
+    with _timed(stage_ms, "eigensolve"):
+        spectral = smallest_eigenpairs(lap, k=2 if kind is CurveKind.OPEN_CURVE else 3)
     rounding = lap.n * np.finfo(np.float64).eps
     zeros = int(np.count_nonzero(spectral.eigenvalues <= rounding))
     if zeros > 1:
@@ -135,15 +143,24 @@ def recover_labels(
             f"(at most N*eps = {rounding:.3e}), so the graph has more than one component, "
             f"at least {zeros}; use a larger bandwidth")
     u = spectral.eigenvectors
-    if kind is CurveKind.OPEN_CURVE:
-        out = recover_open(lap.inv_sqrt_degrees * u[:, 1])
-    else:
-        out = recover_closed(u[:, 1], u[:, 2])
+    with _timed(stage_ms, "labels"):
+        if kind is CurveKind.OPEN_CURVE:
+            out = recover_open(lap.inv_sqrt_degrees * u[:, 1])
+        else:
+            out = recover_closed(u[:, 1], u[:, 2])
     return replace(out, sigma=params.sigma, solver_path=spectral.path,
                    sigma_rule=sigma if isinstance(sigma, str) else "fixed",
                    eigenvalues=tuple(spectral.eigenvalues.tolist()),
                    max_residual=float(spectral.residuals.max()),
-                   applications=spectral.applications)
+                   applications=spectral.applications, stage_ms=stage_ms)
+
+
+@contextmanager
+def _timed(stage_ms: dict[str, float], name: str):
+    """Record the block's wall time in ms as ``stage_ms[name]``."""
+    started = time.perf_counter()
+    yield
+    stage_ms[name] = 1000.0 * (time.perf_counter() - started)
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:

@@ -63,13 +63,15 @@ class RecoveryOutput:
     eigenvalues: tuple[float, ...] = ()  # the k smallest, ascending
     max_residual: float | None = None  # largest ||L v - lambda v||
     applications: int | None = None  # vectors the eigensolver applied its operator to
+    stage_ms: dict[str, float] | None = None  # bandwidth, kernel, laplacian, eigensolve, labels
 
     def report(self) -> dict:
         """The JSON-ready diagnostics: everything but the labels and the ranking."""
         return {"sigma": self.sigma, "sigma_rule": self.sigma_rule,
                 "clamped_count": self.clamped_count,
                 "solver_path": self.solver_path, "eigenvalues": list(self.eigenvalues),
-                "max_residual": self.max_residual, "applications": self.applications}
+                "max_residual": self.max_residual, "applications": self.applications,
+                "stage_ms": self.stage_ms}
 
 
 def recover_open(f: np.ndarray) -> RecoveryOutput:

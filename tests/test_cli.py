@@ -416,9 +416,11 @@ def test_recover_stderr_reports_the_eigensolve(tmp_path, capsys):
     assert run(["generate", "--curve", "circle", "--n", "200", "--snr", "100", "--out", z]) == 0
     assert run(["recover", "--kind", "closed", "--input", z, "--sigma", "0.4", "--out", est]) == 0
     summary = json.loads(capsys.readouterr().err)
-    expected = recover_labels(load_data_matrix(z), CurveKind.CLOSED_LOOP, 0.4)
-    assert summary == {**expected.report(), "out": str(est)}
-    assert summary["solver_path"] == "dense" and len(summary["eigenvalues"]) == 3
+    expected = recover_labels(load_data_matrix(z), CurveKind.CLOSED_LOOP, 0.4).report()
+    stage_ms = summary.pop("stage_ms")  # timings differ from run to run
+    assert set(stage_ms) == set(expected.pop("stage_ms"))
+    assert summary == {**expected, "out": str(est)}  # the path the solver returned, too
+    assert len(summary["eigenvalues"]) == 3
 
 
 def test_sweep_cli_nan_snr_exits_2_before_work(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -17,6 +18,8 @@ from spectime import (
     build_kernel,
     build_laplacian,
     generate,
+    noise_for_snr,
+    select_bandwidth,
     smallest_eigenpairs,
 )
 from spectime import eigen
@@ -44,6 +47,12 @@ def product(a):
         np.matmul(rows, a, out=out)
 
     return apply
+
+
+@pytest.fixture
+def factor_first(monkeypatch):
+    """No probe: every solve the factor may take factors at once."""
+    monkeypatch.setattr(eigen, "PROBE_PASSES", 0)
 
 
 @pytest.fixture
@@ -207,8 +216,10 @@ class TestShiftInvert:
             ("half-circle", CurveKind.OPEN_CURVE, np.sqrt(0.05)),
         ],
     )
-    def test_laplacian_never_reaches_dense_solver(self, curve, kind, sigma):
-        # k as recovery asks for it: u2, u3 on a loop, u2 on an open curve
+    def test_laplacian_never_reaches_dense_solver(self, factor_first, fallback_calls,
+                                                  curve, kind, sigma):
+        # k as recovery asks for it: u2, u3 on a loop, u2 on an open curve;
+        # a Laplacian's factor exists, so nothing falls back
         k = 3 if kind is CurveKind.CLOSED_LOOP else 2
         x, _ = generate(CurveSpec(curve), 400, 8)
         lap = build_laplacian(build_kernel(x, KernelParams(sigma)))
@@ -216,7 +227,7 @@ class TestShiftInvert:
         res = smallest_eigenpairs(lap, k=k)
         assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v[:, :k]) <= 1e-6
-        assert res.path == "dense" and res.applications > 0
+        assert res.path == "dense" and res.applications > 0 and fallback_calls == []
 
     @pytest.mark.parametrize("sigma2", [0.02, 0.002])
     def test_slow_cardioid_spectrum(self, sigma2):
@@ -231,7 +242,7 @@ class TestShiftInvert:
         assert np.abs(res.eigenvalues - w).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v) <= 1e-6
 
-    def test_negative_eigenvalue_above_minus_shift_stays_on_shift_invert(self):
+    def test_negative_eigenvalue_above_minus_shift_stays_on_shift_invert(self, factor_first):
         lap = circle_laplacian(300, sigma=0.33, seed=4).l - 0.5 * SHIFT * np.eye(300)
         w, v = np.linalg.eigh(lap)
         res = smallest_eigenpairs(lap, k=3)
@@ -239,7 +250,7 @@ class TestShiftInvert:
         assert np.abs(res.eigenvalues - w[:3]).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v[:, :3]) <= 1e-6
 
-    def test_eigenvalue_below_minus_shift_falls_back(self, fallback_calls):
+    def test_eigenvalue_below_minus_shift_falls_back(self, factor_first, fallback_calls):
         lap = circle_laplacian(300, sigma=0.33, seed=4).l - 2.0 * SHIFT * np.eye(300)
         res = smallest_eigenpairs(lap, k=3)
         assert fallback_calls == [3] and res.path == "block" and res.applications > 0
@@ -288,7 +299,8 @@ class TestNaNInput:
     # a negative pivot stops the factor first; the block iteration on A
     # then meets the NaN in its first pass of 5 rows, whatever k is
     @pytest.mark.parametrize("k", [5, 4, 1])
-    def test_indefinite_with_nan_pair_reaches_the_block_path(self, fallback_calls, k):
+    def test_indefinite_with_nan_pair_reaches_the_block_path(self, factor_first,
+                                                             fallback_calls, k):
         a = np.eye(5)
         a[0, 0] = -1.0
         a[1, 2] = a[2, 1] = np.nan
@@ -462,6 +474,59 @@ class TestIterativePath:
         assert np.abs(out @ basis.T).max() <= 1e-12
 
 
+def noisy_laplacian(curve: str, n: int, snr: float, sigma: float | None = None, seed: int = 0):
+    """L of a noisy sample at ``sigma``, or at the auto bandwidth when None."""
+    spec = CurveSpec(curve)
+    x, _ = generate(spec, n, seed)
+    params = select_bandwidth(n, 0.0, spec.kind) if sigma is None else KernelParams(sigma)
+    return build_laplacian(build_kernel(noise_for_snr(x, snr, seed + 1), params))
+
+
+class TestPathByInput:
+    """At N <= DENSE_CUTOFF the probe picks the path from the solve's own
+    Ritz values: the block path on a well-separated spectrum, the factor on
+    a clustered one."""
+
+    @pytest.mark.parametrize("curve, k", [("circle", 3), ("half-circle", 2)])
+    def test_separated_spectrum_takes_the_block_path(self, fallback_calls, curve, k):
+        res = smallest_eigenpairs(noisy_laplacian(curve, 2000, 100.0), k=k)
+        assert res.path == "block" and fallback_calls == []
+
+    @pytest.mark.parametrize("snr", [100.0, 1000.0])
+    def test_clustered_cardioid_takes_the_factor(self, snr):
+        res = smallest_eigenpairs(noisy_laplacian("cardioid", 2000, snr, 0.1414), k=2)
+        assert res.path == "dense"
+
+    def test_indefinite_input_takes_the_block_path(self, fallback_calls):
+        # theta_1 <= -SHIFT after the probe: A + SHIFT*I has no factor to try
+        a = np.random.default_rng(7).standard_normal((300, 300))
+        a = (a + a.T) / 2.0
+        res = smallest_eigenpairs(a, k=3)
+        assert res.path == "block" and fallback_calls == []
+        assert_matches_eigh(res, a, 3)
+
+    @pytest.mark.parametrize("curve, k, sigma", [("circle", 3, None), ("cardioid", 2, 0.1414)])
+    def test_forced_paths_agree_within_the_certificate(self, monkeypatch, curve, k, sigma):
+        lap = noisy_laplacian(curve, 1000, 100.0, sigma)
+        before = lap.l.copy()
+        found = {}
+        for path, name, value in (("dense", "PROBE_PASSES", 0),
+                                  ("block", "FACTOR_PASSES", math.inf)):
+            with monkeypatch.context() as m:
+                m.setattr(eigen, name, value)
+                a = smallest_eigenpairs(lap, k=k)
+                b = smallest_eigenpairs(lap, k=k)
+            assert a.path == b.path == path
+            for field in ("eigenvalues", "eigenvectors", "residuals"):
+                assert same_bits(getattr(a, field), getattr(b, field))
+            assert same_bits(lap.l, before)
+            found[path] = a
+        dense, block = found["dense"], found["block"]
+        # each eigenvalue lies within its residual of one of A's
+        assert (np.abs(dense.eigenvalues - block.eigenvalues)
+                <= dense.residuals + block.residuals).all()
+
+
 @pytest.fixture(scope="module")
 def circle_2100():
     return circle_laplacian(2100, seed=5)
@@ -513,15 +578,18 @@ class TestInPlaceFactor:
         return lap
 
     def test_allocates_less_than_a_quarter_of_the_matrix(self):
-        n = 1000
-        lap = circle_laplacian(n, seed=5)
+        # a clustered spectrum, which the probe hands to the factor; the
+        # probe's buffers are freed before the factor allocates
+        n = 2000
+        x, _ = generate(CurveSpec("cardioid"), n, 5)
+        lap = build_laplacian(build_kernel(x, KernelParams(0.1414)))
         tracemalloc.start()
         try:
-            smallest_eigenpairs(lap, k=3)
+            res = smallest_eigenpairs(lap, k=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert n <= eigen.DENSE_CUTOFF
+        assert n <= eigen.DENSE_CUTOFF and res.path == "dense"
         assert peak < n * n * 8 / 4
 
     def test_laplacian_unchanged_after_return(self, lap):
@@ -535,7 +603,7 @@ class TestInPlaceFactor:
         for field in ("eigenvalues", "eigenvectors", "residuals"):
             assert same_bits(getattr(res, field), getattr(ref, field))
 
-    def test_laplacian_unchanged_after_failed_factor(self, fallback_calls):
+    def test_laplacian_unchanged_after_failed_factor(self, factor_first, fallback_calls):
         a = np.random.default_rng(3).standard_normal((300, 300))
         a = (a + a.T) / 2.0  # bit-exactly symmetric and indefinite
         lap = LaplacianMatrix(l=a.copy(), sigma=1.0, inv_sqrt_degrees=np.ones(300))

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from spectime import (
     relative_error,
     snr,
 )
-from spectime import metrics
+from spectime import CurveSpec, kernel, metrics, noisy_sample, recover_labels
 from spectime.errors import EmptyInteriorError, LengthMismatchError, ZeroNormError
 
 from oracles import closed_rank_exhaustive, closed_rank_shift_table, closed_time_grid
@@ -252,7 +255,7 @@ class TestRelativeError:
             relative_error(x, p, p)
 
     def test_slabs_match_unchunked_formula(self):
-        # 400 rows at 131 rows per slab: four slabs, the last one short
+        # 400 rows at 32 rows per slab: thirteen slabs, the last one short
         rng = np.random.default_rng(16)
         x = DataMatrix(rng.standard_normal((400, 2000)))
         assert x.dim > metrics._CHUNK_ELEMENTS // x.n_points
@@ -314,3 +317,78 @@ class TestInteriorRelativeError:
         t = TimeLabels(rng.uniform(0, np.pi, 30))
         x = DataMatrix(np.vstack([np.cos(t.angles), np.sin(t.angles)]))
         assert interior_relative_error(x, t, np.pi - t.angles, np.pi) <= 1e-12
+
+
+def interior_oracle(x, t, est, span, delta_fraction):
+    """interior_relative_error from one gather of the whole interior."""
+    mask = (t.angles > delta_fraction * span) & (t.angles < (1.0 - delta_fraction) * span)
+    sub = x.values[:, mask]
+    true = sub[:, np.argsort(t.angles[mask], kind="stable")]
+    return min(np.linalg.norm(sub[:, np.argsort(e, kind="stable")] - true)
+               for e in (est[mask], -est[mask])) / np.linalg.norm(sub)
+
+
+class TestArrangementPass:
+    """The slab pass of both relative errors: dealt to the kernel's workers,
+    one per 32 MB of the data, with a value that does not depend on W."""
+
+    @staticmethod
+    def scores(monkeypatch, workers, x, t, est, p, p2):
+        monkeypatch.setattr(kernel, "_worker_count", lambda *shape: workers)
+        return (interior_relative_error(x, t, est, TWO_PI),
+                interior_relative_error(x, t, est, TWO_PI, 0.0),
+                relative_error(x, p, p2))
+
+    def test_same_bits_at_one_two_and_three_workers(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        x = DataMatrix(rng.standard_normal((400, 2000)))  # thirteen slabs
+        t = rand_labels(rng, 2000)
+        est = t.angles + rng.normal(0.0, 0.3, 2000)
+        p, p2 = Ranking(rng.permutation(2000)), Ranking(rng.permutation(2000))
+        one = self.scores(monkeypatch, 1, x, t, est, p, p2)
+        for workers in (2, 3):
+            assert self.scores(monkeypatch, workers, x, t, est, p, p2) == one
+
+    def test_highdim_configuration_matches_one_gather(self):
+        # the highdim-5k data (d = 5000, N = 2000) with an estimate as far off
+        # as its recovery (about 0.06 rad)
+        x, t, _ = noisy_sample(CurveSpec("embedded", 5000), 2000, 0, 1.0, None)
+        est = t.angles + np.random.default_rng(31).normal(0.0, 0.06, 2000)
+        got = interior_relative_error(x, t, est, TWO_PI, 0.0)
+        assert got == pytest.approx(interior_oracle(x, t, est, TWO_PI, 0.0), rel=1e-12)
+        p, p2 = ranking_from_labels(t), ranking_from_labels(TimeLabels(np.mod(est, TWO_PI)))
+        expected = (np.linalg.norm(x.values[:, p2.perm] - x.values[:, p.perm])
+                    / np.linalg.norm(x.values))
+        assert relative_error(x, p, p2) == pytest.approx(expected, rel=1e-12)
+
+    def test_criterion_2_seeds_match_one_gather(self):
+        spec = CurveSpec("half-circle")
+        for seed in range(20):
+            x, t, z = noisy_sample(spec, 2000, 100 + 3 * seed, 1000.0, None)
+            est = recover_labels(z, spec.kind, math.sqrt(0.05)).labels.angles
+            got = interior_relative_error(x, t, est, spec.span, 0.05)
+            assert got == pytest.approx(interior_oracle(x, t, est, spec.span, 0.05), rel=1e-12)
+
+    def test_no_copy_of_the_data(self):
+        rng = np.random.default_rng(32)
+        x = DataMatrix(rng.standard_normal((800, 4000)))  # 25.6 MB
+        t = rand_labels(rng, 4000)
+        est = t.angles + rng.normal(0.0, 0.3, 4000)
+        tracemalloc.start()
+        try:
+            interior_relative_error(x, t, est, TWO_PI)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.values.nbytes / 8
+
+    def test_two_rows_run_on_the_calling_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for a 2 x N input")
+
+        monkeypatch.setattr(kernel, "ThreadPoolExecutor", no_pool)
+        rng = np.random.default_rng(33)
+        t = rand_labels(rng, 5000)
+        x = DataMatrix(np.vstack([np.cos(t.angles), np.sin(t.angles)]))
+        assert interior_relative_error(x, t, t.angles, TWO_PI) <= 1e-12
+        assert relative_error(x, ranking_from_labels(t), ranking_from_labels(t)) == 0.0

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,8 @@ from spectime import (
 )
 from spectime import eigen, io, pipeline
 from spectime.errors import ConfigError, DisconnectedGraphError, TooFewPointsError
+
+STAGES = ("bandwidth", "kernel", "laplacian", "eigensolve", "labels")
 
 
 def test_smoke_noiseless_circle(tmp_path):
@@ -96,7 +99,8 @@ def test_rerun_reproduces_stage_outputs(tmp_path):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
     ra = json.loads((a_dir / "report.json").read_text())
     rb = json.loads((b_dir / "report.json").read_text())
-    ra.pop("wall_ms"), rb.pop("wall_ms")
+    for r in (ra, rb):
+        r.pop("wall_ms"), r.pop("stage_ms")  # the timings are the nondeterministic fields
     assert ra == rb
 
 
@@ -143,13 +147,35 @@ def test_recovery_carries_the_eigensolve_diagnostics(kind):
     out = recover_labels(x, kind, 0.3)
     spectral = smallest_eigenpairs(build_laplacian(build_kernel(x, KernelParams(0.3))),
                                    k=3 if kind is CurveKind.CLOSED_LOOP else 2)
-    assert out.solver_path == spectral.path == "dense"
+    assert out.solver_path == spectral.path
     assert out.eigenvalues == tuple(spectral.eigenvalues.tolist())
     assert out.max_residual == spectral.residuals.max()
     assert out.applications == spectral.applications
     report = out.report()
     assert report["eigenvalues"] == list(out.eigenvalues)
     assert json.loads(json.dumps(report)) == report
+
+
+@pytest.mark.parametrize("sigma", ["auto", "data", 0.3])
+def test_report_times_each_stage_of_the_recovery(sigma):
+    x, _ = generate(CurveSpec("circle"), 300, 5)
+    started = time.perf_counter()
+    out = recover_labels(x, CurveKind.CLOSED_LOOP, sigma)
+    elapsed_ms = 1000.0 * (time.perf_counter() - started)
+    assert tuple(out.stage_ms) == STAGES
+    assert all(ms >= 0.0 for ms in out.stage_ms.values())
+    assert sum(out.stage_ms.values()) <= elapsed_ms
+    assert out.report()["stage_ms"] == out.stage_ms
+
+
+def test_highdim_configuration_takes_the_block_path():
+    # the highdim-5k benchmark's recovery: embedded:5000, N=2000, SNR 1,
+    # denoised to r_hat coordinates; its Laplacian's spectrum is well separated
+    _, _, z = noisy_sample(CurveSpec("embedded", 5000), 2000, 0, 1.0, None)
+    den = denoise_auto(z, 400, 1e-3, 2)
+    del z
+    out = recover_labels(den.coords, CurveKind.CLOSED_LOOP)
+    assert out.solver_path == "block"
 
 
 def test_report_records_the_denoise_route_and_the_recovery_diagnostics(tmp_path):
@@ -162,9 +188,11 @@ def test_report_records_the_denoise_route_and_the_recovery_diagnostics(tmp_path)
         den.r_hat, "gram", den.ratio)
     recovery = recover_labels(den.coords, CurveKind.CLOSED_LOOP)
     for key, value in recovery.report().items():
-        assert report[key] == value
+        assert key == "stage_ms" or report[key] == value
     assert len(report["eigenvalues"]) == 3
-    assert json.loads((tmp_path / "report.json").read_text())["solver_path"] == "dense"
+    written = json.loads((tmp_path / "report.json").read_text())
+    assert written["solver_path"] == recovery.solver_path
+    assert set(written["stage_ms"]) == set(STAGES)
 
 
 @pytest.mark.parametrize("setting, name", [

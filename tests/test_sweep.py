@@ -220,3 +220,56 @@ def test_baseline_failure_recorded_through_the_module_name(tmp_path, monkeypatch
     rows = {r["method"]: r for r in sweep(sc)}
     assert "injected baseline failure" in rows["serialrank"]["error"]
     assert rows["spectral"]["error"] == ""
+
+
+PARENT_COLUMNS = ("curve", "n", "snr", "replicate", "seed", "sigma", "method", "time_error",
+                  "relative_error", "wall_ms", "error")
+
+
+def test_header_adds_the_solver_columns_and_keeps_the_rest(tmp_path):
+    sc = SweepConfig(curve=CurveSpec("half-circle"), n_values=(40,), snr_values=(100.0,),
+                     out_dir=str(tmp_path))
+    sweep(sc)
+    with open(tmp_path / "results.csv", newline="") as f:
+        header = next(csv.reader(f))
+    assert header == list(sweep_mod.CSV_COLUMNS)
+    assert [c for c in header if c in PARENT_COLUMNS] == list(PARENT_COLUMNS)
+    assert {"solver_path", "applications"} <= set(header)
+
+
+def test_failed_cells_leave_the_solver_columns_empty(tmp_path, monkeypatch):
+    def boom(cfg):
+        raise NoConvergenceError(7, "injected failure")
+
+    monkeypatch.setattr(sweep_mod, "run_pipeline", boom)
+    sweep(SweepConfig(curve=CurveSpec("half-circle"), n_values=(40,), snr_values=(100.0,),
+                      methods=("spectral",), out_dir=str(tmp_path)))
+    for row in read_rows(tmp_path):
+        assert row["solver_path"] == row["applications"] == ""
+
+
+def solver_columns(tmp_path, **grid):
+    """(method, replicate, solver_path, applications) of every row on disk."""
+    sweep(SweepConfig(**grid, out_dir=str(tmp_path)))
+    return [(r["method"], r["replicate"], r["solver_path"], r["applications"])
+            for r in read_rows(tmp_path)]
+
+
+def test_cardioid_grid_spectral_cells_take_the_factor(tmp_path):
+    # the grid of the sweep-cardioid-2k benchmark: a clustered spectrum
+    rows = solver_columns(tmp_path, curve=CurveSpec("cardioid"), n_values=(2000,),
+                          snr_values=(100.0, 1000.0), replicates=3, sigma=0.1414)
+    for method, replicate, path, applications in rows:
+        if method == "spectral" and replicate != "mean":
+            assert path == "dense" and int(applications) > 0
+        else:  # baseline cells and mean rows
+            assert path == applications == ""
+
+
+def test_circle_cells_at_n_2000_take_the_block_path(tmp_path):
+    rows = solver_columns(tmp_path, curve=CurveSpec("circle"), n_values=(2000,),
+                          snr_values=(100.0,), replicates=2, methods=("spectral",))
+    cells = [(path, applications) for _, replicate, path, applications in rows
+             if replicate != "mean"]
+    assert len(cells) == 2
+    assert all(path == "block" and int(applications) > 0 for path, applications in cells)
