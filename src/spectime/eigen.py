@@ -16,48 +16,50 @@ residuals, read from the stored image, are at most half of
 tol * max(1, max|theta|).  When the buffers fill it keeps the k + BLOCK
 smallest Ritz vectors and goes on from the last image's part orthogonal
 to the old basis.  A row that loses rank is redrawn from the same
-generator, and a basis that reaches N solves the whole space.  No bound
-on the spectrum is needed.  The Krylov space of w start rows holds at
-most w copies of a repeated eigenvalue, so both paths use w >= k.
+generator, and a basis that reaches N solves the whole space, so its
+Ritz pairs go to the certificate.  No bound on the spectrum is needed.
+The Krylov space of w start rows holds at most w copies of a repeated
+eigenvalue, so both paths use w >= k.
 
-Every solve with k <= N/4 starts on the block path, whose operator is A
-itself in blocks of max(BLOCK, k) rows.  One pass is ``block @ A``,
-which equals (A block^T)^T because A is symmetric, so OpenBLAS reads A
-once per block, at about the cost of one matrix-vector product, and a
-Laplacian built in the kernel's buffer stays the only N x N array.
-Above DENSE_CUTOFF, the bound on where a factor may be held, the
-iteration runs to the end.  At N <= DENSE_CUTOFF its first PROBE_PASSES
-passes are a probe: from their Ritz values theta it predicts
-GAP_PASSES / sqrt(gap) passes, gap = (theta_w - theta_k) / (theta_max -
-theta_w) for a block of w rows (a block iteration resolves the k
-smallest pairs at a rate set by how far its block's low spectrum lies
-below the top), and when that exceeds FACTOR_PASSES, the factor's cost
-in passes, it frees its buffers and the solve factors as if no probe had
-run (the probe's applications are not counted).  Those buffers hold the
-probe's passes only, and are widened when the iteration goes on; at the
-full BASIS_ROWS they raised the cardioid sweep's peak resident size by
-about 1 MB.  A theta_1 <= -SHIFT
-proves that no factor exists, so the iteration goes on.  At N=2000,
-after two passes, the gap read 5.9-828 on the circle, the half-circle
-and ``highdim-5k``'s Laplacian, which take 3-7 passes (0.02-0.03 s
-against 0.10 s for the factor), and 0.22-0.59 on the cardioid at
-sigma = 0.0632 and 0.1414, which take 27-105 (the factor, 20-22 solves).
+Every solve starts on the block path, whose operator is A itself in
+blocks of max(BLOCK, k) rows.  One pass is ``block @ A``, which equals
+(A block^T)^T because A is symmetric, so OpenBLAS reads A once per
+block, at about the cost of one matrix-vector product, and a Laplacian
+built in the kernel's buffer stays the only N x N array.  Above
+DENSE_CUTOFF, the bound on where a factor may be held, and at k > N/4,
+where the basis reaches N rows and a factor only adds N^3/3 of work,
+the iteration runs to the end.  Else
+its first PROBE_PASSES passes are a probe: from their Ritz values theta
+it predicts GAP_PASSES / sqrt(gap) passes, gap = (theta_w - theta_k) /
+(theta_max - theta_w) for a block of w rows (a block iteration resolves
+the k smallest pairs at a rate set by how far its block's low spectrum
+lies below the top), and when that exceeds FACTOR_PASSES, the factor's
+cost in passes, it frees its buffers and the solve factors as if no
+probe had run (the probe's applications are not counted).  Those
+buffers hold the probe's passes only, and are widened when the
+iteration goes on; at the full BASIS_ROWS they raised the cardioid
+sweep's peak resident size by about 1 MB.  A theta_1 <= -SHIFT proves
+that no factor exists, so the iteration goes on.  At N=2000, after two
+passes, the gap read 5.9-828 on the circle, the half-circle and
+``highdim-5k``'s Laplacian, which take 3-7 passes (0.02-0.03 s against
+0.10 s for the factor), and 0.22-0.59 on the cardioid at sigma = 0.0632
+and 0.1414, which take 27-105 (the factor, 20-22 solves).
 
-The dense path (chosen by the probe, or k > N/4 at any N): one Cholesky
-factor of A + tau*I, then the iteration on -(A + tau*I)^-1 in blocks of
-k rows, whose k smallest eigenvalues theta map back to lambda = -1/theta
-- tau.  A successful factorization proves lambda_min > -tau, so these are
-exactly the k smallest eigenvalues of A; tau changes the speed, never
-which pairs come back.  The cost is one N^3/3 factorization and a few
-dozen O(N^2) triangular solves, where a symmetric eigensolver first
-spends 4N^3/3 on a tridiagonal reduction.  The inner target is
-min(tol, 1e-10) / 100 on the transformed operator; a residual r there
-gives ||A v - lambda v|| <= (||A|| + tau) ||r|| / |theta|, far inside
-the certificate, which stays the only arbiter.  Input that is not
-positive definite after the shift (an indefinite A, never a Laplacian)
-takes the block path on A instead, from its start and with no probe,
-once a copy made for the factor is freed; the iteration needs no bound
-on the spectrum, so it serves any symmetric matrix.
+The dense path (chosen by the probe): one Cholesky factor of A + tau*I,
+then the iteration on -(A + tau*I)^-1 in blocks of k rows, whose k
+smallest eigenvalues theta map back to lambda = -1/theta - tau.  A
+successful factorization proves lambda_min > -tau, so these are exactly
+the k smallest eigenvalues of A; tau changes the speed, never which
+pairs come back.  The cost is one N^3/3 factorization and a few dozen
+O(N^2) triangular solves, where a symmetric eigensolver first spends
+4N^3/3 on a tridiagonal reduction.  The inner target is min(tol, 1e-10)
+/ 100 on the transformed operator; a residual r there gives
+||A v - lambda v|| <= (||A|| + tau) ||r|| / |theta|, far inside the
+certificate, which stays the only arbiter.  Input that is not positive
+definite after the shift (an indefinite A, never a Laplacian) takes the
+block path on A instead, from its start and with no probe, once a copy
+made for the factor is freed; the iteration needs no bound on the
+spectrum, so it serves any symmetric matrix.
 
 The factor is built from numpy alone, so the process runs one BLAS
 library.  numpy and scipy each load their own OpenBLAS, and each keeps a
@@ -104,8 +106,8 @@ temporary); one that does not raises ``AsymmetricMatrixError`` naming
 max|A - A^T|.  A ``LaplacianMatrix`` is symmetric by construction and
 skips the check.
 
-Sign convention: each eigenvector is flipped so its entry of largest
-absolute value is positive (ties broken by lowest index), which makes
+Sign convention: each eigenvector is flipped so that its first entry
+within 4 ulps of the largest absolute value is positive, which makes
 the output a pure function of the input matrix.
 """
 
@@ -120,7 +122,7 @@ import numpy as np
 from .errors import AsymmetricMatrixError, NoConvergenceError
 from .kernel import LaplacianMatrix, mirror_upper, row_blocks
 
-DENSE_CUTOFF = 2048  # largest N whose L may be factored when k <= N/4 (memory, not speed)
+DENSE_CUTOFF = 2048  # largest N whose L the probe may hand to the factor (memory, not speed)
 DEFAULT_TOL = 1e-8
 SHIFT = 1e-3  # tau of the dense path's shift-invert; sets the speed only
 FACTOR_BLOCK = 128  # rows of the dense factor's diagonal blocks
@@ -128,7 +130,7 @@ BLOCK = 12  # least rows the block path applies L to in one pass over its memory
 BASIS_ROWS = 96  # basis rows the iteration holds before a thick restart (or 2(k + width))
 PASSES_PER_PAIR = 100  # the iteration's budget of passes, per wanted pair
 RANK_DROP = 1e-8  # a new basis row kept below this fraction of its norm is redrawn
-PROBE_PASSES = 2  # block passes before the path is chosen at N <= DENSE_CUTOFF; 0 factors at once
+PROBE_PASSES = 2  # block passes before the path is chosen at N <= DENSE_CUTOFF, k <= N/4
 FACTOR_PASSES = 12  # the factor and its solves, in block passes (8.8-27 measured at N=2000)
 GAP_PASSES = 20  # block passes times sqrt(gap): 12-32 on circles and cardioids, N=500-2000
 
@@ -145,12 +147,9 @@ class SpectralResult:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        lead = np.argmax(np.abs(out[:, j]))
-        if out[lead, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    mags = np.abs(vectors)  # entries within 4 ulps of a column's largest tie
+    lead = np.argmax(mags >= (1.0 - 4.0 * np.finfo(np.float64).eps) * mags.max(axis=0), axis=0)
+    return vectors * np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
 
 
 def smallest_eigenpairs(
@@ -188,11 +187,9 @@ def smallest_eigenpairs(
     def product(rows, out):
         np.matmul(rows, a, out=out)
 
-    small = n <= DENSE_CUTOFF
-    found, path = None, "block"
-    if k <= n // 4 and not (small and PROBE_PASSES == 0):  # the block path, or its probe
-        found = _block_smallest(product, n, k, max(BLOCK, k), tol, PROBE_PASSES if small else None)
-    if found is None and (small or k > n // 4):  # the probe chose the factor, or k > N/4
+    probe = PROBE_PASSES if n <= DENSE_CUTOFF and k <= n // 4 else None
+    found, path = _block_smallest(product, n, k, max(BLOCK, k), tol, probe), "block"
+    if found is None:  # the probe chose the factor
         owned = isinstance(l, LaplacianMatrix) and a.flags.writeable and a.flags.c_contiguous
         work = a if owned else np.array(a, order="C")  # one copy of input it may not write
         found, path = _dense_smallest(work, k, tol), "dense"
@@ -362,13 +359,13 @@ def _block_smallest(apply, n: int, k: int, width: int, tol: float,
         residual = np.linalg.norm(y[:, :k].T @ image[:used] - theta[:k, None] * ritz, axis=1)
         # stop at half the bound; the caller checks its certificate directly
         bound = tol * max(1.0, float(np.abs(theta[:k]).max()))
-        if used >= k and residual.max() <= 0.5 * bound:
+        if used >= k and (residual.max() <= 0.5 * bound or used == n):  # n: the whole space
             return theta[:k], ritz.T, applied
         if passes == probe:
             if _factor_pays(theta, k, width):
                 return None
             basis, image = _widened(basis, cap), _widened(image, cap)
-        if used == n or applied >= PASSES_PER_PAIR * k * width:
+        if applied >= PASSES_PER_PAIR * k * width:
             raise NoConvergenceError(applied, f"Ritz residual {residual.max():.3e} "
                                      f"after {applied} operator applications")
         # the next Krylov block: the last block's image, orthogonal to the basis

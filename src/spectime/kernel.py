@@ -47,10 +47,9 @@ dealt round-robin.  The calling thread allocates the workers' chunk
 buffers, about 0.6 MB split among them whatever W is (one row each at
 the least), and the pool lives for one call, so a forked child starts
 its own.  The strip heights are ``row_blocks``' whatever W is, and the
-rest is elementwise, so K, the degrees, L and the squared distances do
-not depend on W: the output is reproducible at a fixed BLAS thread
-count; a different BLAS count can change the last bits of G and of the
-eigensolver's output.
+rest is elementwise, so K, the degrees and L do not depend on W: the
+output is reproducible at a fixed BLAS thread count; a different BLAS
+count can change the last bits of G and of the eigensolver's output.
 """
 
 from __future__ import annotations
@@ -139,27 +138,14 @@ def _on_workers(task, jobs: list | range, shape: int | tuple[int, int], *dtypes)
             future.result()
 
 
-def squared_distances(values: np.ndarray) -> np.ndarray:
-    """N x N squared Euclidean distances between the columns of a (d, N)
-    array, built in one buffer from the Gram product.
-
-    Bit-exactly symmetric with a zero diagonal.  An entry at or below the
-    rounding error of the Gram form, (d + 2) * eps * (n_i + n_j), cannot be
-    told from 0 and is set to 0, so coincident points are at distance 0.
-    """
-    sq = np.empty((values.shape[1],) * 2)
-    _upper_strips(values, sq)
-    mirror_upper(sq)
-    return sq
-
-
 def _upper_strips(values: np.ndarray, out: np.ndarray, finish=None) -> None:
     """Write the squared distances between the columns of ``values`` into
     the upper triangle of ``out``, one ``row_blocks`` strip
     out[rows, rows.start:] at a time, the strips dealt to the workers;
     ``finish``, if given, is applied to each chunk of a strip's rows while
-    it is in cache.  ``mirror_upper`` then overwrites the part below the
-    diagonal."""
+    it is in cache.  The diagonal, and any entry at or below the Gram
+    form's rounding error (d + 2) * eps * (n_i + n_j), is 0, so coincident
+    points are at distance 0.  Nothing below the diagonal is written."""
     n = out.shape[0]
     norms = np.einsum("ij,ij->j", values, values)
     floor = (values.shape[0] + 2) * np.finfo(np.float64).eps

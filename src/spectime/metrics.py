@@ -44,10 +44,9 @@ import numpy as np
 from .core import TWO_PI, DataMatrix, Ranking, TimeLabels
 from .errors import ConfigError, DimensionMismatchError, EmptyInteriorError, LengthMismatchError
 from .errors import ZeroNormError
-from .kernel import _on_workers, row_blocks
+from .kernel import _CHUNK_ELEMENTS, _on_workers, row_blocks  # a slab: 512 KB of float64
 
 DELTA_FRACTION = 0.05  # default interior margin of an open curve, a fraction of its span
-_CHUNK_ELEMENTS = 1 << 16  # row slab of the arrangement distance, 512 KB of float64
 
 
 @dataclass(frozen=True)

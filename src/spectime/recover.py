@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import TWO_PI, CurveKind, DataMatrix, KernelParams, Ranking, TimeLabels, ranking_from_labels
 from .errors import CoincidentPointsError, ConfigError, LengthMismatchError
-from .kernel import squared_distances
+from .kernel import _upper_strips
 from .synth import check_sample
 
 _UNIFORM_LABEL_AMPLITUDE = math.sqrt(2.0)  # of a unit-norm cos(t/2) under uniform labels
@@ -150,8 +150,9 @@ def data_driven_bandwidth(z: DataMatrix) -> KernelParams:
     not a tuned or theory-backed rule.  Raises ``CoincidentPointsError``
     when no two points are apart.
     """
-    # each pair once: the strict upper triangle
-    sq = squared_distances(z.values)[~np.tri(z.n_points, dtype=bool)]
+    sq = np.empty((z.n_points,) * 2)
+    _upper_strips(z.values, sq)
+    sq = sq[~np.tri(z.n_points, dtype=bool)]  # each pair once; frees the N x N buffer
     positive = sq[sq > 0]
     if positive.size == 0:
         raise CoincidentPointsError(

@@ -25,7 +25,7 @@ import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, SpectimeError
@@ -144,18 +144,10 @@ def sweep(sc: SweepConfig) -> list[dict]:
         for row in rows + aggregates:
             writer.writerow({k: _fmt(v) for k, v in row.items()})
 
+    config = {f.name: getattr(sc, f.name) for f in fields(sc)
+              if f.name not in ("threads", "out_dir")}
     manifest = {
-        "config": {
-            "curve": str(sc.curve),
-            "n_values": list(sc.n_values),
-            "snr_values": list(sc.snr_values),
-            "replicates": sc.replicates,
-            "methods": list(sc.methods),
-            "sigma": sc.sigma,
-            "noise_level": sc.noise_level,
-            "seed_base": sc.seed_base,
-            "delta_fraction": sc.delta_fraction,
-        },
+        "config": {**config, "curve": str(sc.curve)},  # tuples are written as lists
         "seeds": [cfg.seed for _, cfg in sc.data_sets for _ in sc.methods],
         "version": __version__,
         "rows": len(rows),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 from spectime import (
     CurveKind,
@@ -17,7 +18,6 @@ from spectime import (
 from spectime import denoise
 from spectime.denoise import _left_basis
 from spectime.errors import DegenerateSketchError, RankTooLargeError
-from spectime.kernel import squared_distances
 
 
 def low_rank_matrix(rng, d, n, singular_values):
@@ -165,11 +165,13 @@ class TestCoordinates:
         sigma = select_bandwidth(n, 0.0, CurveKind.CLOSED_LOOP).sigma
         for res in both_denoisers(z):
             c, zt = res.coords.values, projection(res)
-            # each Gram form is within (rows + 2) * eps * (n_i + n_j) of the
-            # exact distance, and B C has the distances of C in exact arithmetic
+            # B C has the distances of C in exact arithmetic; taken from the
+            # differences, they agree within the bound of the Gram form that
+            # the kernel uses, (rows + 2) * eps * (n_i + n_j) for each side
             norms = np.einsum("ij,ij->j", zt, zt)
             bound = (d + res.r_hat + 4) * eps * np.add.outer(norms, norms)
-            assert np.all(np.abs(squared_distances(c) - squared_distances(zt)) <= bound)
+            gap = squareform(pdist(c.T, "sqeuclidean") - pdist(zt.T, "sqeuclidean"))
+            assert np.all(np.abs(gap) <= bound)
             from_coords = recover_labels(res.coords, CurveKind.CLOSED_LOOP, sigma)
             from_z_tilde = recover_labels(DataMatrix(zt), CurveKind.CLOSED_LOOP, sigma)
             assert err_closed_time(from_z_tilde.labels, from_coords.labels).error <= 1e-8

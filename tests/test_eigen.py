@@ -1,4 +1,3 @@
-import math
 import os
 import re
 import subprocess
@@ -51,8 +50,9 @@ def product(a):
 
 @pytest.fixture
 def factor_first(monkeypatch):
-    """No probe: every solve the factor may take factors at once."""
-    monkeypatch.setattr(eigen, "PROBE_PASSES", 0)
+    """The probe always predicts that the factor pays: a solve the probe
+    does not finish factors, as if no probe had run."""
+    monkeypatch.setattr(eigen, "_factor_pays", lambda theta, k, width: True)
 
 
 @pytest.fixture
@@ -189,9 +189,8 @@ class TestDenseSubset:
     def test_matches_full_eigh(self, k):
         self.assert_matches_full(self.random_symmetric(200, k), k)
 
-    def test_matches_full_eigh_when_k_exceeds_quarter(self, monkeypatch):
-        # above the cutoff, k > n // 4 still takes the dense path
-        monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
+    def test_matches_full_eigh_when_k_exceeds_quarter(self):
+        # k > n // 4 takes the block path, whose basis reaches n = 60 rows
         self.assert_matches_full(self.random_symmetric(60, 4), 20)
 
     def test_laplacian_subspace_matches_full_eigh(self):
@@ -257,14 +256,14 @@ class TestShiftInvert:
         assert_matches_eigh(res, lap, 3)
 
     @pytest.mark.parametrize("k", [7, 8])
-    def test_k_at_least_n_minus_one_stays_on_the_factor(self, fallback_calls, k):
-        # the basis reaches n = 8 rows and solves the whole space
+    def test_k_at_least_n_minus_one_takes_the_block_path(self, fallback_calls, k):
+        # k > n // 4 never reaches the factor; one pass of n = 8 rows
+        # solves the whole space
         lap = circle_laplacian(8, sigma=0.6, seed=2)
         res = smallest_eigenpairs(lap, k=k)
         assert fallback_calls == []
-        assert res.path == "dense" and res.applications == 8
-        w = np.linalg.eigvalsh(lap.l)
-        assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
+        assert res.path == "block" and res.applications == 8
+        assert_matches_eigh(res, lap.l, k)
 
 
 class TestNoConvergenceCount:
@@ -288,7 +287,7 @@ class TestNaNInput:
     NoConvergenceError, never a raw LAPACK or numpy error, and never
     hands back pairs."""
 
-    # every k reaches the factor, whose iteration meets the NaN
+    # the first pass over A meets the NaN, whatever k is
     @pytest.mark.parametrize("k", [5, 4, 1])
     def test_identity_with_nan_pair(self, k):
         a = np.eye(5)
@@ -296,8 +295,8 @@ class TestNaNInput:
         with pytest.raises(NoConvergenceError):
             smallest_eigenpairs(a, k)
 
-    # a negative pivot stops the factor first; the block iteration on A
-    # then meets the NaN in its first pass of 5 rows, whatever k is
+    # every solve starts on the block iteration on A, which meets the NaN
+    # in its first pass of 5 rows, whatever k is, before any factor
     @pytest.mark.parametrize("k", [5, 4, 1])
     def test_indefinite_with_nan_pair_reaches_the_block_path(self, factor_first,
                                                              fallback_calls, k):
@@ -306,7 +305,7 @@ class TestNaNInput:
         a[1, 2] = a[2, 1] = np.nan
         with pytest.raises(NoConvergenceError, match="non-finite") as err:
             smallest_eigenpairs(a, k)
-        assert fallback_calls == [k] and err.value.iterations == 5
+        assert fallback_calls == [] and err.value.iterations == 5
 
     def test_block_path(self, monkeypatch):
         monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
@@ -317,13 +316,12 @@ class TestNaNInput:
         assert err.value.iterations == eigen.BLOCK
 
     def test_nan_residual_fails_the_certificate(self, monkeypatch):
-        # a failed factor, then a block iteration that hands back a NaN entry
-        def nan_vector(apply, n, k, width, tol):
+        # a block iteration that hands back a NaN entry
+        def nan_vector(apply, n, k, width, tol, probe=None):
             v = np.eye(n)[:, :k]
             v[0, 0] = np.nan
             return np.arange(k, dtype=float), v, 0
 
-        monkeypatch.setattr(eigen, "_dense_smallest", lambda work, k, tol: None)
         monkeypatch.setattr(eigen, "_block_smallest", nan_vector)
         with pytest.raises(NoConvergenceError, match="residual nan"):
             smallest_eigenpairs(np.diag(np.arange(5.0)), 2)
@@ -510,10 +508,9 @@ class TestPathByInput:
         lap = noisy_laplacian(curve, 1000, 100.0, sigma)
         before = lap.l.copy()
         found = {}
-        for path, name, value in (("dense", "PROBE_PASSES", 0),
-                                  ("block", "FACTOR_PASSES", math.inf)):
+        for path, pays in (("dense", True), ("block", False)):
             with monkeypatch.context() as m:
-                m.setattr(eigen, name, value)
+                m.setattr(eigen, "_factor_pays", lambda theta, k, width: pays)
                 a = smallest_eigenpairs(lap, k=k)
                 b = smallest_eigenpairs(lap, k=k)
             assert a.path == b.path == path
@@ -525,6 +522,43 @@ class TestPathByInput:
         # each eigenvalue lies within its residual of one of A's
         assert (np.abs(dense.eigenvalues - block.eigenvalues)
                 <= dense.residuals + block.residuals).all()
+
+
+class TestMoreThanAQuarterOfThePairs:
+    """k > N/4 solves on the block path, whose basis reaches N rows and
+    hands its Ritz pairs to the certificate."""
+
+    @pytest.mark.parametrize("n, sigma, k, snr", [
+        (60, 0.3, 16, None), (100, 0.4, 26, None), (200, 0.3, 51, None),
+        (1000, 0.3, 251, 100.0), (2000, 0.3, 501, 100.0),
+    ])
+    def test_circle_certifies_on_the_block_path(self, fallback_calls, n, sigma, k, snr):
+        lap = circle_laplacian(n, sigma) if snr is None else noisy_laplacian("circle", n, snr, sigma)
+        res = smallest_eigenpairs(lap, k=k)
+        assert res.path == "block" and res.applications == n and fallback_calls == []
+        # k pairs, each certified, with orthonormal vectors and the k smallest
+        # eigenvalues within ||residuals||_F of numpy's (the k-th and k+1-th
+        # are 6e-11 apart at N=200, so the k-space itself is not pinned)
+        w = np.linalg.eigvalsh(lap.l)
+        assert np.abs(res.eigenvalues - w[:k]).max() <= np.linalg.norm(res.residuals)
+        assert np.abs(res.eigenvectors.T @ res.eigenvectors - np.eye(k)).max() <= 1e-8
+        if n <= 100:
+            assert_matches_eigh(res, lap.l, k)
+
+    def test_whole_space_residual_is_judged_by_the_certificate(self):
+        # the whole-space Ritz residual r is what rounding leaves; a tol
+        # that puts r between half the bound and the bound returns the
+        # pairs, and one that puts it above the bound raises
+        lap = circle_laplacian(200, sigma=0.3)
+        values, vectors, applied = _block_smallest(product(lap.l), 200, 51, 51, 1e-300)
+        assert applied == 200
+        r = np.linalg.norm(vectors.T @ lap.l - vectors.T * values[:, None], axis=1).max()
+        scale = max(1.0, np.abs(values).max())
+        res = smallest_eigenpairs(lap, k=51, tol=1.5 * r / scale)
+        assert res.path == "block" and res.applications == 200
+        assert 0.5 * 1.5 * r < res.residuals.max() <= 1.5 * r
+        with pytest.raises(NoConvergenceError, match="exceeds"):
+            smallest_eigenpairs(lap, k=51, tol=0.5 * r / scale)
 
 
 @pytest.fixture(scope="module")

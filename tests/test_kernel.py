@@ -19,7 +19,7 @@ from spectime import (
 )
 from spectime import kernel
 from spectime.errors import DisconnectedGraphError
-from spectime.kernel import row_blocks, squared_distances
+from spectime.kernel import row_blocks
 
 from oracles import gaussian_kernel_pdist, laplacian_outer_product
 
@@ -93,14 +93,17 @@ class TestBuildKernel:
 
     @pytest.mark.parametrize("d", [2, 300])
     def test_coincident_points_at_distance_zero(self, d):
-        # the Gram form leaves rounding residue where pdist gives exactly 0
+        # the Gram form leaves rounding residue where pdist gives exactly 0;
+        # at sigma = 1e-4 a residue of 1e-24 would already move k below its
+        # prefactor, so k equal to it means a distance of exactly 0
         rng = np.random.default_rng(12)
         x = rng.standard_normal((d, 200))
         x = np.hstack([x, x])
-        sq = squared_distances(x)
-        assert np.all(sq[np.arange(200), np.arange(200, 400)] == 0.0)
-        km = build_kernel(DataMatrix(x), KernelParams(1.0))
-        assert np.all(km.k[np.arange(200), np.arange(200, 400)] == INV_SQRT_2PI)
+        for sigma in (1.0, 1e-4):
+            km = build_kernel(DataMatrix(x), KernelParams(sigma))
+            pref = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
+            assert np.all(km.k[np.arange(200), np.arange(200, 400)] == pref)
+            assert np.all(km.k.diagonal() == pref)
 
     def test_diagonal_is_prefactor(self):
         sigma = 0.37
@@ -127,19 +130,21 @@ class TestStrips:
         x[:, h : 2 * h] = x[:, :h]
         sigma = 0.5
         pref = 1.0 / (math.sqrt(2 * math.pi) * sigma)
-        sq = squared_distances(x)
         km = build_kernel(DataMatrix(x), KernelParams(sigma))
         eps = np.finfo(np.float64).eps
         oracle = gaussian_kernel_pdist(x, sigma)
         sq_tol = 64 * eps * 2 * float((x * x).sum(axis=0).max())
         assert np.all(np.abs(km.k - oracle) <= oracle * sq_tol / (2 * sigma**2) + 8 * eps * pref)
-        assert np.array_equal(sq, sq.T) and np.array_equal(km.k, km.k.T)
-        assert np.all(sq.diagonal() == 0.0)
+        assert np.array_equal(km.k, km.k.T)
         assert np.array_equal(km.degrees, km.k.sum(axis=1))
+        # at sigma = 1e-4 k equals its prefactor only at a distance of exactly 0
+        tiny = 1e-4
+        k0 = build_kernel(DataMatrix(x), KernelParams(tiny)).k
+        pref0 = 1.0 / (math.sqrt(2 * math.pi) * tiny)
+        assert np.array_equal(k0, k0.T) and np.all(k0.diagonal() == pref0)
         i = np.arange(h)
         for a, b in ((i, i + h), (i + h, i)):
-            assert np.all(sq[a, b] == 0.0)
-            assert np.all(km.k[a, b] == pref)
+            assert np.all(km.k[a, b] == pref) and np.all(k0[a, b] == pref0)
 
     def test_peak_memory_one_n_by_n_array(self):
         # the kernel array plus the workers' chunk buffers, never a second N x N
@@ -161,8 +166,8 @@ class TestStrips:
 
 
 class TestWorkers:
-    """Every N x N pass runs on W worker threads; K, the degrees, L and the
-    squared distances must not depend on W at a fixed BLAS thread count."""
+    """Every N x N pass runs on W worker threads; K, the degrees and L must
+    not depend on W at a fixed BLAS thread count."""
 
     @staticmethod
     def _outputs(x, monkeypatch, workers):
@@ -170,7 +175,7 @@ class TestWorkers:
         km = build_kernel(DataMatrix(x), KernelParams(0.4))
         k, degrees = km.k.copy(), km.degrees
         lap = build_laplacian(km)
-        return k, degrees, lap.l, lap.inv_sqrt_degrees, squared_distances(x)
+        return k, degrees, lap.l, lap.inv_sqrt_degrees
 
     @pytest.mark.parametrize("n, d", [(3001, 2), (1500, 300)])
     def test_bit_identical_across_worker_counts(self, monkeypatch, n, d):

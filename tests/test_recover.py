@@ -11,6 +11,7 @@ from spectime import (
     data_driven_bandwidth,
     err_closed_time,
     generate,
+    noisy_sample,
     recover_closed,
     recover_labels,
     recover_open,
@@ -190,6 +191,19 @@ class TestDataDrivenBandwidth:
         b = data_driven_bandwidth(x)
         assert a.sigma == b.sigma
         assert 0.0 < a.sigma < 2.5  # within the circle's diameter
+
+    @pytest.mark.parametrize("curve, n, sigma", [
+        ("circle", 200, 0.0876374223101844),
+        ("circle", 2000, 0.041212887357113634),
+        ("half-circle", 200, 0.06880058843541824),
+        ("half-circle", 2000, 0.03839474394439145),
+        ("cardioid", 200, 0.22117484104166135),
+        ("cardioid", 2000, 0.09352123189557808),
+    ])
+    def test_pinned_values(self, curve, n, sigma):
+        # exact: the distances come from the kernel's strips, bit for bit
+        _, _, z = noisy_sample(CurveSpec(curve), n, 3, 100.0, None)
+        assert data_driven_bandwidth(z).sigma == sigma
 
     def test_coincident_points_rejected(self):
         x = DataMatrix(np.tile(np.random.default_rng(3).standard_normal((300, 1)), (1, 40)))

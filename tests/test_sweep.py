@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import spectime
 from spectime import CurveSpec, PipelineConfig, SweepConfig, sweep
 from spectime.errors import ConfigError, NoConvergenceError
 from spectime.pipeline import run_baseline
@@ -173,6 +174,20 @@ def test_manifest_records_config_and_seeds(tmp_path):
     assert manifest["config"]["sigma"] == "auto"
     assert manifest["seeds"] == [5]
     assert manifest["rows"] == 1
+
+
+def test_manifest_bytes_for_a_fixed_config(tmp_path):
+    # every SweepConfig field but threads and out_dir, in field order
+    sc = SweepConfig(curve=CurveSpec("half-circle"), n_values=(40, 50), snr_values=(100.0,),
+                     methods=("spectral", "serialrank"), noise_level=0.01, seed_base=3,
+                     threads=2, delta_fraction=0.1, out_dir=str(tmp_path))
+    sweep(sc)
+    config = ('{"curve": "half-circle", "n_values": [40, 50], "snr_values": [100.0], '
+              '"replicates": 1, "methods": ["spectral", "serialrank"], "sigma": "auto", '
+              '"noise_level": 0.01, "seed_base": 3, "delta_fraction": 0.1}')
+    expected = {"config": json.loads(config), "seeds": [3, 3, 4, 4],
+                "version": spectime.__version__, "rows": 4}
+    assert (tmp_path / "manifest.json").read_text() == json.dumps(expected, indent=2)
 
 
 def test_data_sets_are_pipeline_configs_seeded_in_grid_order():
