@@ -31,11 +31,12 @@ from .metrics import (
     relative_error,
     snr,
 )
-from .pipeline import PipelineConfig, recover_labels, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 from .recover import (
     RecoveryOutput,
     data_driven_bandwidth,
     recover_closed,
+    recover_labels,
     recover_open,
     select_bandwidth,
 )

@@ -23,8 +23,7 @@ from .denoise import ETA, check_denoise, denoise_auto, denoise_fixed_rank
 from .errors import ConfigError, SpectimeError
 from .metrics import DELTA_FRACTION, AlignmentReport, check_delta_fraction, err_closed_rank
 from .metrics import err_closed_time, err_open_rank, err_open_time, relative_error
-from .pipeline import recover_labels
-from .recover import check_bandwidth
+from .recover import check_bandwidth, recover_labels
 from .sweep import METHODS, SweepConfig, sweep
 from .synth import CurveSpec, noisy_sample, serialrank_baseline
 
@@ -75,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bandwidth: a float, 'auto' (rate formula), or 'data'")
     r.add_argument("--noise-level", type=float, default=0.0,
                    help="per-point noise magnitude fed to the auto bandwidth")
-    r.add_argument("--dump-laplacian", help="write the Laplacian to this CSV")
     r.add_argument("--out", required=True, help="output CSV: index,t_hat,rank")
 
     # no abbreviations: a radians --delta must not parse as --delta-fraction
@@ -146,12 +144,7 @@ def _cmd_denoise(args) -> int:
 def _cmd_recover(args) -> int:
     sigma = check_bandwidth(args.sigma, args.noise_level)  # before the input is read
     z = io.load_data_matrix(args.input, header=args.header)
-    kind = CurveKind(args.kind)
-
-    def dump(lap):
-        io.save_square_matrix(args.dump_laplacian, lap.l)
-
-    out = recover_labels(z, kind, sigma, args.noise_level, dump if args.dump_laplacian else None)
+    out = recover_labels(z, CurveKind(args.kind), sigma, args.noise_level)
     io.save_recovery(args.out, out.labels, out.ranking)
     print(json.dumps({**out.report(), "out": args.out}), file=sys.stderr)
     return 0

@@ -26,12 +26,14 @@ FLOAT_FMT = "%.17g"
 
 def load_data_matrix(path: str | Path, header: bool = False) -> DataMatrix:
     """Read an N x d CSV of points (one per row) into a (d, N) DataMatrix.
-    A file with no data rows raises ``TooFewPointsError`` naming it."""
+    There are no comments: a ``#`` cell is a ``BadCellError`` like any
+    other cell that is not a number.  A file with no data rows raises
+    ``TooFewPointsError`` naming it."""
     skip = 1 if header else 0
     with warnings.catch_warnings():  # numpy warns on no data; the error below says so
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+            rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, comments=None)
         except ValueError:
             rows = _scan_cells(path, skip)  # or name the file, line and cell numpy refused
     if rows.size == 0:
@@ -167,8 +169,3 @@ def load_ranking(path: str | Path) -> Ranking:
         return Ranking.from_ranks(np.rint(data[:, col]).astype(np.int64))
     except NotAPermutationError:
         return ranking_from_labels(_labels(path, data))
-
-
-def save_square_matrix(path: str | Path, a: np.ndarray) -> None:
-    """Dump a square matrix row-major (used for kernel/Laplacian debugging)."""
-    np.savetxt(path, np.asarray(a), delimiter=",", fmt=FLOAT_FMT)

@@ -154,13 +154,14 @@ def err_open_rank(p: Ranking, p2: Ranking, delta_fraction: float) -> AlignmentRe
 
 def relative_error(x: DataMatrix, p: Ranking, p2: Ranking) -> float:
     """Frobenius distance between the two column arrangements of x,
-    relative to ||x||_F."""
+    relative to ||x||_F, minimized over p2's orientation (an ordering is
+    identifiable only up to reflection; a loop's rotation is not undone)."""
     if len(p) != x.n_points or len(p2) != x.n_points:
         raise LengthMismatchError("ranking length does not match the matrix")
-    denom_sq, (num,) = _arrangement_distances_sq(x.values, p.perm, p2.perm)
+    denom_sq, nums = _arrangement_distances_sq(x.values, p.perm, p2.perm, p2.perm[::-1])
     if denom_sq == 0.0:
         raise ZeroNormError("matrix has zero Frobenius norm")
-    return math.sqrt(num) / math.sqrt(denom_sq)
+    return min(math.sqrt(d) / math.sqrt(denom_sq) for d in nums)
 
 
 def snr(x: DataMatrix, e: DataMatrix) -> float:

@@ -7,11 +7,9 @@ on the same sample and interior window (``_interior_error``): an open
 curve drops ``delta_fraction`` of its span at each end, a loop no point,
 and its report's ``delta_fraction`` is None.
 
-Recovery builds the same Laplacian for both curve kinds; the kind picks
-only how many eigenpairs are solved and which map turns them into
-labels: ``recover_open`` for an open curve, ``recover_closed`` for a
-closed loop.  The bandwidth is one setting, a number, ``"auto"`` or
-``"data"``, resolved by ``recover_labels``.  Each stage is a
+Recovery is ``recover.recover_labels``, the one path from data to
+labels; the bandwidth is one setting, a number, ``"auto"`` or
+``"data"``, checked with the rest of the config.  Each stage is a
 pure function of its inputs and the seeds in the config, so rerunning
 any stage from its persisted inputs reproduces its outputs.  When an
 output directory is given, every stage's artifact is written before the
@@ -28,26 +26,19 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from . import io
-from .core import TWO_PI, CurveKind, DataMatrix, KernelParams, TimeLabels
+from .core import TWO_PI, CurveKind, DataMatrix, TimeLabels
 from .denoise import ETA, DenoiseResult, check_denoise, denoise_auto, denoise_fixed_rank
-from .eigen import smallest_eigenpairs
-from .errors import ConfigError, DisconnectedGraphError, TooFewPointsError
-from .kernel import LaplacianMatrix, build_kernel, build_laplacian
+from .errors import ConfigError
 from .metrics import DELTA_FRACTION, check_delta_fraction, err_closed_time, err_open_time
 from .metrics import interior_relative_error
-from .recover import RecoveryOutput, check_bandwidth, recover_closed, recover_open
-from .recover import data_driven_bandwidth, select_bandwidth
+from .recover import CLOSED_MIN_POINTS, check_bandwidth, recover_labels
 from .synth import CurveSpec, check_sample, noisy_sample, serialrank_baseline
-
-CLOSED_MIN_POINTS = 3  # a closed loop's recovery reads three eigenpairs
 
 
 @dataclass(frozen=True)
@@ -78,89 +69,6 @@ class PipelineConfig:
         check_delta_fraction(self.delta_fraction)
         if self.curve.kind is CurveKind.CLOSED_LOOP and self.delta_fraction != DELTA_FRACTION:
             raise ConfigError(f"a closed loop reads no delta_fraction, got {self.delta_fraction!r}")
-
-
-def recover_labels(
-    z: DataMatrix,
-    kind: CurveKind,
-    sigma: float | str = "auto",
-    noise_level: float = 0.0,
-    on_laplacian: Callable[[LaplacianMatrix], None] | None = None,
-) -> RecoveryOutput:
-    """Bandwidth -> kernel -> Laplacian -> Fiedler vector(s) -> labels.
-
-    ``sigma``, ``noise_level``: a setting ``check_bandwidth`` accepts; the
-    sigma it resolves to comes back as ``RecoveryOutput.sigma``, and the rule
-    that chose it (``"auto"``, ``"data"`` or ``"fixed"``) as ``sigma_rule``.
-
-    Open curves map the Fiedler vector u2 back to the random-walk vector
-    D~^-1/2 u2 and label it with ``recover_open``.  Closed loops
-    read u2, u3 directly: atan2(u3, u2) is unchanged by the common
-    positive scale D~^-1/2, and ``recover_closed``'s degeneracy threshold
-    is set for unit-norm columns.  ``on_laplacian``, when given, sees the
-    Laplacian before the eigensolve.  The kernel, the Laplacian and the
-    eigensolve share one N x N buffer.
-
-    L has one zero eigenvalue per connected component of the kernel
-    graph, so a second eigenvalue at rounding level (at most N * eps)
-    means the Fiedler vectors only tell the components apart; that
-    raises ``DisconnectedGraphError`` instead of labels, naming sigma and
-    the count of computed eigenvalues at rounding level, a lower bound
-    on the number of components.
-
-    A closed loop needs three eigenpairs, so fewer than 3 points raise
-    ``TooFewPointsError`` before the bandwidth is chosen.  The returned
-    output carries the eigensolve's path, eigenvalues, largest residual
-    and operator applications, and the wall time of each stage in ms
-    (``RecoveryOutput.report``; ``on_laplacian`` is in none of them).
-    """
-    sigma = check_bandwidth(sigma, noise_level)
-    if kind is CurveKind.CLOSED_LOOP and z.n_points < CLOSED_MIN_POINTS:
-        raise TooFewPointsError(f"a closed loop needs at least {CLOSED_MIN_POINTS} points, "
-                                f"got N={z.n_points}")
-    stage_ms: dict[str, float] = {}
-    with _timed(stage_ms, "bandwidth"):
-        if sigma == "auto":
-            params = select_bandwidth(z.n_points, noise_level, kind)
-        elif sigma == "data":
-            params = data_driven_bandwidth(z)
-        else:
-            params = KernelParams(sigma)
-    with _timed(stage_ms, "kernel"):
-        km = build_kernel(z, params)
-    with _timed(stage_ms, "laplacian"):
-        lap = build_laplacian(km)
-    if on_laplacian is not None:
-        on_laplacian(lap)
-    with _timed(stage_ms, "eigensolve"):
-        spectral = smallest_eigenpairs(lap, k=2 if kind is CurveKind.OPEN_CURVE else 3)
-    rounding = lap.n * np.finfo(np.float64).eps
-    zeros = int(np.count_nonzero(spectral.eigenvalues <= rounding))
-    if zeros > 1:
-        raise DisconnectedGraphError(
-            f"kernel graph is disconnected at sigma={params.sigma!r}: {zeros} of the "
-            f"{spectral.eigenvalues.size} computed Laplacian eigenvalues are at rounding level "
-            f"(at most N*eps = {rounding:.3e}), so the graph has more than one component, "
-            f"at least {zeros}; use a larger bandwidth")
-    u = spectral.eigenvectors
-    with _timed(stage_ms, "labels"):
-        if kind is CurveKind.OPEN_CURVE:
-            out = recover_open(lap.inv_sqrt_degrees * u[:, 1])
-        else:
-            out = recover_closed(u[:, 1], u[:, 2])
-    return replace(out, sigma=params.sigma, solver_path=spectral.path,
-                   sigma_rule=sigma if isinstance(sigma, str) else "fixed",
-                   eigenvalues=tuple(spectral.eigenvalues.tolist()),
-                   max_residual=float(spectral.residuals.max()),
-                   applications=spectral.applications, stage_ms=stage_ms)
-
-
-@contextmanager
-def _timed(stage_ms: dict[str, float], name: str):
-    """Record the block's wall time in ms as ``stage_ms[name]``."""
-    started = time.perf_counter()
-    yield
-    stage_ms[name] = 1000.0 * (time.perf_counter() - started)
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:

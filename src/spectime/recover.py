@@ -1,4 +1,8 @@
-"""Map Fiedler eigenvectors to temporal labels and rankings.
+"""Recovery: bandwidth -> kernel -> Laplacian -> Fiedler vector(s) -> labels.
+
+``recover_labels`` is the whole path from data to labels; the CLI and
+the pipeline call it.  Both curve kinds use the same Laplacian (see ``kernel``); the kind picks how
+many eigenpairs are solved and which map turns them into labels.
 
 Open curves: the random-walk Fiedler vector f (see ``kernel``) tracks
 the first Neumann eigenfunction cos(t/2) of the curve (t rescaled to
@@ -32,14 +36,18 @@ common kernel-bandwidth heuristic.
 from __future__ import annotations
 
 import math
+import time
 import warnings
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import TWO_PI, CurveKind, DataMatrix, KernelParams, Ranking, TimeLabels, ranking_from_labels
-from .errors import CoincidentPointsError, ConfigError, LengthMismatchError
-from .kernel import _upper_strips
+from .eigen import smallest_eigenpairs
+from .errors import CoincidentPointsError, ConfigError, DisconnectedGraphError
+from .errors import LengthMismatchError, TooFewPointsError
+from .kernel import _upper_strips, build_kernel, build_laplacian
 from .synth import check_sample
 
 _UNIFORM_LABEL_AMPLITUDE = math.sqrt(2.0)  # of a unit-norm cos(t/2) under uniform labels
@@ -47,6 +55,8 @@ _UNIFORM_LABEL_AMPLITUDE = math.sqrt(2.0)  # of a unit-norm cos(t/2) under unifo
 DEGENERATE_SQ_NORM = 1e-24
 
 DATA_BANDWIDTH_GRID = 25  # sigmas on the log grid of data_driven_bandwidth
+
+CLOSED_MIN_POINTS = 3  # a closed loop's recovery reads three eigenpairs
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,85 @@ class RecoveryOutput:
                 "solver_path": self.solver_path, "eigenvalues": list(self.eigenvalues),
                 "max_residual": self.max_residual, "applications": self.applications,
                 "stage_ms": self.stage_ms}
+
+
+def recover_labels(
+    z: DataMatrix,
+    kind: CurveKind,
+    sigma: float | str = "auto",
+    noise_level: float = 0.0,
+) -> RecoveryOutput:
+    """Bandwidth -> kernel -> Laplacian -> Fiedler vector(s) -> labels.
+
+    ``sigma``, ``noise_level``: a setting ``check_bandwidth`` accepts; the
+    sigma it resolves to comes back as ``RecoveryOutput.sigma``, and the rule
+    that chose it (``"auto"``, ``"data"`` or ``"fixed"``) as ``sigma_rule``.
+
+    Open curves map the Fiedler vector u2 back to the random-walk vector
+    D~^-1/2 u2 and label it with ``recover_open``.  Closed loops
+    read u2, u3 directly: atan2(u3, u2) is unchanged by the common
+    positive scale D~^-1/2, and ``recover_closed``'s degeneracy threshold
+    is set for unit-norm columns.  The kernel, the Laplacian and the
+    eigensolve share one N x N buffer.
+
+    L has one zero eigenvalue per connected component of the kernel
+    graph, so a second eigenvalue at rounding level (at most N * eps)
+    means the Fiedler vectors only tell the components apart; that
+    raises ``DisconnectedGraphError`` instead of labels, naming sigma and
+    the count of computed eigenvalues at rounding level, a lower bound
+    on the number of components.
+
+    A closed loop needs three eigenpairs, so fewer than 3 points raise
+    ``TooFewPointsError`` before the bandwidth is chosen.  The returned
+    output carries the eigensolve's path, eigenvalues, largest residual
+    and operator applications, and the wall time of each stage in ms
+    (``RecoveryOutput.report``).
+    """
+    sigma = check_bandwidth(sigma, noise_level)
+    if kind is CurveKind.CLOSED_LOOP and z.n_points < CLOSED_MIN_POINTS:
+        raise TooFewPointsError(f"a closed loop needs at least {CLOSED_MIN_POINTS} points, "
+                                f"got N={z.n_points}")
+    stage_ms: dict[str, float] = {}
+    with _timed(stage_ms, "bandwidth"):
+        if sigma == "auto":
+            params = select_bandwidth(z.n_points, noise_level, kind)
+        elif sigma == "data":
+            params = data_driven_bandwidth(z)
+        else:
+            params = KernelParams(sigma)
+    with _timed(stage_ms, "kernel"):
+        km = build_kernel(z, params)
+    with _timed(stage_ms, "laplacian"):
+        lap = build_laplacian(km)
+    with _timed(stage_ms, "eigensolve"):
+        spectral = smallest_eigenpairs(lap, k=2 if kind is CurveKind.OPEN_CURVE else 3)
+    rounding = lap.n * np.finfo(np.float64).eps
+    zeros = int(np.count_nonzero(spectral.eigenvalues <= rounding))
+    if zeros > 1:
+        raise DisconnectedGraphError(
+            f"kernel graph is disconnected at sigma={params.sigma!r}: {zeros} of the "
+            f"{spectral.eigenvalues.size} computed Laplacian eigenvalues are at rounding level "
+            f"(at most N*eps = {rounding:.3e}), so the graph has more than one component, "
+            f"at least {zeros}; use a larger bandwidth")
+    u = spectral.eigenvectors
+    with _timed(stage_ms, "labels"):
+        if kind is CurveKind.OPEN_CURVE:
+            out = recover_open(lap.inv_sqrt_degrees * u[:, 1])
+        else:
+            out = recover_closed(u[:, 1], u[:, 2])
+    return replace(out, sigma=params.sigma, solver_path=spectral.path,
+                   sigma_rule=sigma if isinstance(sigma, str) else "fixed",
+                   eigenvalues=tuple(spectral.eigenvalues.tolist()),
+                   max_residual=float(spectral.residuals.max()),
+                   applications=spectral.applications, stage_ms=stage_ms)
+
+
+@contextmanager
+def _timed(stage_ms: dict[str, float], name: str):
+    """Record the block's wall time in ms as ``stage_ms[name]``."""
+    started = time.perf_counter()
+    yield
+    stage_ms[name] = 1000.0 * (time.perf_counter() - started)
 
 
 def recover_open(f: np.ndarray) -> RecoveryOutput:

@@ -15,9 +15,6 @@ from spectime import (
     CurveSpec,
     PipelineConfig,
     TimeLabels,
-    KernelParams,
-    build_kernel,
-    build_laplacian,
     data_driven_bandwidth,
     denoise_fixed_rank,
     err_closed_rank,
@@ -65,33 +62,29 @@ def test_open_curve_with_truth_span(tmp_path):
     assert json.loads(out.read_text())["error"] < math.pi / 2
 
 
-def test_recover_output_format_and_dump(tmp_path):
+def test_recover_output_format(tmp_path):
     z, est = tmp_path / "z.csv", tmp_path / "est.csv"
-    lap = tmp_path / "lap.csv"
     run(["generate", "--curve", "circle", "--n", "50", "--out", z])
-    run(["recover", "--kind", "closed", "--input", z, "--sigma", "0.5",
-         "--dump-laplacian", lap, "--out", est])
+    run(["recover", "--kind", "closed", "--input", z, "--sigma", "0.5", "--out", est])
     with open(est, newline="") as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["index", "t_hat", "rank"]
     assert len(rows) == 51
-    dumped = np.loadtxt(lap, delimiter=",")
-    assert dumped.shape == (50, 50)
-    assert np.abs(dumped - dumped.T).max() <= 1e-12
 
 
-def test_open_recover_matches_library(tmp_path):
-    z, est, lap = tmp_path / "z.csv", tmp_path / "est.csv", tmp_path / "lap.csv"
+def test_open_recover_matches_library(tmp_path, capsys):
+    z, est = tmp_path / "z.csv", tmp_path / "est.csv"
     run(["generate", "--curve", "half-circle", "--n", "120", "--snr", "1000",
          "--seed", "5", "--out", z])
     assert run(["recover", "--kind", "open", "--input", z, "--sigma", "0.22360679774997896",
-                "--dump-laplacian", lap, "--out", est]) == 0
-    data = load_data_matrix(z)
-    expected = recover_labels(data, CurveKind.OPEN_CURVE, math.sqrt(0.05))
+                "--out", est]) == 0
+    summary = json.loads(capsys.readouterr().err)
+    expected = recover_labels(load_data_matrix(z), CurveKind.OPEN_CURVE, math.sqrt(0.05))
     assert np.array_equal(load_labels(est).angles, expected.labels.angles)
-    dumped = np.loadtxt(lap, delimiter=",")
-    params = KernelParams(math.sqrt(0.05))
-    assert np.array_equal(dumped, build_laplacian(build_kernel(data, params)).l)
+    # the eigenpairs the CLI solved are the library's, bit for bit
+    report = expected.report()
+    assert summary["eigenvalues"] == report["eigenvalues"]
+    assert summary["max_residual"] == report["max_residual"]
 
 
 def test_denoise_cli_fixed_and_auto(tmp_path, capsys):
@@ -584,8 +577,7 @@ def test_baseline_output_scored_by_rank_metrics(tmp_path, metric):
 DECLARED_FLAGS = {
     "generate": ["--curve", "--n", "--snr", "--eps", "--out", "--labels", "--seed"],
     "denoise": ["--input", "--header", "--rank", "--auto", "--r0", "--eta", "--out", "--seed"],
-    "recover": ["--kind", "--input", "--header", "--sigma", "--noise-level", "--dump-laplacian",
-                "--out"],
+    "recover": ["--kind", "--input", "--header", "--sigma", "--noise-level", "--out"],
     "evaluate": ["--metric", "--truth", "--estimate", "--delta-fraction", "--truth-span",
                  "--matrix", "--header", "--out", "--format"],
     "sweep": ["--curve", "--n", "--snr", "--replicates", "--sigma", "--noise-level",
@@ -614,7 +606,7 @@ def declared_flags():
 
 def test_each_subcommand_declares_exactly_the_flags_it_reads():
     assert declared_flags() == DECLARED_FLAGS
-    assert sum(len(flags) for flags in DECLARED_FLAGS.values()) == 45
+    assert sum(len(flags) for flags in DECLARED_FLAGS.values()) == 44
 
 
 @pytest.mark.parametrize("command", sorted(DECLARED_FLAGS))
@@ -644,6 +636,8 @@ def test_undeclared_formerly_shared_flags_exit_2(tmp_path, monkeypatch, capsys, 
          "spectime recover: the following arguments are required: --out"),
         ([], "the following arguments are required: command"),
         (["smooth"], "invalid choice: 'smooth'"),
+        (["recover", "--kind", "closed", "--input", "z.csv", "--out", "o.csv",
+          "--dump-laplacian", "lap.csv"], "unrecognized arguments: --dump-laplacian lap.csv"),
     ],
 )
 def test_usage_error_is_a_json_config_error(tmp_path, monkeypatch, capsys, argv, message):

@@ -122,13 +122,6 @@ def test_indexed_files_sorted_by_index(tmp_path):
     assert np.allclose(back.angles, [0.1, 0.2, 0.3])
 
 
-def test_square_matrix_dump(tmp_path):
-    a = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    path = tmp_path / "lap.csv"
-    io.save_square_matrix(path, a)
-    assert np.array_equal(np.loadtxt(path, delimiter=","), a)
-
-
 def test_shuffled_indices_accepted(tmp_path):
     path = tmp_path / "rec.csv"
     path.write_text("index,t_hat,rank\n3,0.4,3\n1,0.2,1\n0,0.1,0\n2,0.3,2\n")
@@ -212,6 +205,9 @@ def test_non_numeric_cell_named_by_file_line_and_cell(tmp_path, text, message):
         ("1,2\n3,4\n5\n", False, LengthMismatchError, "line 3 has 1 columns, expected 2"),
         ("a,b\n1,2\n\n3,4,5\n", True, LengthMismatchError, "line 4 has 3 columns, expected 2"),
         ("1,2\n3,x\n", False, BadCellError, "line 2, column 2: 'x' is not a number"),
+        # no comments: a row is not dropped at "#"
+        ("1,2\n#3,4\n5,6 # c\n7,8\n", False, BadCellError,
+         "line 2, column 1: '#3' is not a number"),
     ],
 )
 def test_data_matrix_errors_named_by_file_and_line(tmp_path, text, header, error, message):

@@ -31,6 +31,13 @@ def rand_labels(rng, n):
     return TimeLabels(rng.uniform(0, TWO_PI, n))
 
 
+def relative_oracle(x, p, p2):
+    """relative_error from two whole gathers, p2 in both orientations."""
+    ref = x.values[:, p.perm]
+    return (min(np.linalg.norm(x.values[:, q] - ref) for q in (p2.perm, p2.perm[::-1]))
+            / np.linalg.norm(x.values))
+
+
 class TestClosedTime:
     def test_identity(self):
         t = TimeLabels(np.array([0.1, 1.0, 4.0]))
@@ -245,8 +252,16 @@ class TestRelativeError:
         x = DataMatrix(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
         p = Ranking(np.array([0, 1, 2]))
         p2 = Ranking(np.array([1, 0, 2]))
-        # swapped columns differ by (1,1) twice: sqrt(4) over ||X||_F = sqrt(91)
+        # swapped columns differ by (1,1) twice: sqrt(4) over ||X||_F = sqrt(91);
+        # the reversal [2, 0, 1] differs by (2,2), (1,1), (1,1): sqrt(12)
         assert relative_error(x, p, p2) == pytest.approx(2.0 / np.sqrt(91.0), rel=1e-12)
+        assert relative_error(x, p, p2) == pytest.approx(relative_oracle(x, p, p2), rel=1e-12)
+
+    def test_reversed_ranking_scores_zero(self):
+        rng = np.random.default_rng(17)
+        x = DataMatrix(rng.standard_normal((3, 50)))
+        p = Ranking(rng.permutation(50))
+        assert relative_error(x, p, Ranking(p.perm[::-1])) == 0.0
 
     def test_zero_norm(self):
         x = DataMatrix(np.zeros((2, 2)))
@@ -260,9 +275,7 @@ class TestRelativeError:
         x = DataMatrix(rng.standard_normal((400, 2000)))
         assert x.dim > metrics._CHUNK_ELEMENTS // x.n_points
         p, p2 = Ranking(rng.permutation(2000)), Ranking(rng.permutation(2000))
-        expected = (np.linalg.norm(x.values[:, p2.perm] - x.values[:, p.perm])
-                    / np.linalg.norm(x.values))
-        assert relative_error(x, p, p2) == pytest.approx(expected, rel=1e-12)
+        assert relative_error(x, p, p2) == pytest.approx(relative_oracle(x, p, p2), rel=1e-12)
 
 
 class TestSnr:
@@ -357,9 +370,7 @@ class TestArrangementPass:
         got = interior_relative_error(x, t, est, TWO_PI, 0.0)
         assert got == pytest.approx(interior_oracle(x, t, est, TWO_PI, 0.0), rel=1e-12)
         p, p2 = ranking_from_labels(t), ranking_from_labels(TimeLabels(np.mod(est, TWO_PI)))
-        expected = (np.linalg.norm(x.values[:, p2.perm] - x.values[:, p.perm])
-                    / np.linalg.norm(x.values))
-        assert relative_error(x, p, p2) == pytest.approx(expected, rel=1e-12)
+        assert relative_error(x, p, p2) == pytest.approx(relative_oracle(x, p, p2), rel=1e-12)
 
     def test_criterion_2_seeds_match_one_gather(self):
         spec = CurveSpec("half-circle")

@@ -28,7 +28,7 @@ from spectime import (
     select_bandwidth,
     smallest_eigenpairs,
 )
-from spectime import eigen, io, pipeline
+from spectime import eigen, io, pipeline, recover
 from spectime.errors import ConfigError, DisconnectedGraphError, TooFewPointsError
 
 STAGES = ("bandwidth", "kernel", "laplacian", "eigensolve", "labels")
@@ -65,18 +65,20 @@ def test_denoised_recovery_reads_coordinates(tmp_path, monkeypatch, mode):
     # the kernel sees the r_hat coordinate rows, and coords.csv holds them
     calls = {}
 
-    def spy(name):
-        fn = getattr(pipeline, name)
+    def spy(module, name):
+        fn = getattr(module, name)
 
         def wrapped(*args):
             result = fn(*args)
             calls[name] = (args, result)
             return result
 
-        monkeypatch.setattr(pipeline, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
 
-    for name in ("denoise_fixed_rank", "denoise_auto", "build_kernel", "build_laplacian"):
-        spy(name)
+    for name in ("denoise_fixed_rank", "denoise_auto"):
+        spy(pipeline, name)
+    for name in ("build_kernel", "build_laplacian"):
+        spy(recover, name)
     cfg = PipelineConfig(curve=CurveSpec("embedded", 50), n=120, seed=2, snr=10.0,
                          out_dir=str(tmp_path), **mode)
     report = run_pipeline(cfg)
@@ -134,7 +136,7 @@ def test_recover_labels_refuses_a_closed_loop_of_two_points_before_the_kernel(mo
         raise AssertionError("the bandwidth or the kernel ran")
 
     for name in ("select_bandwidth", "data_driven_bandwidth", "build_kernel"):
-        monkeypatch.setattr(pipeline, name, unreachable)
+        monkeypatch.setattr(recover, name, unreachable)
     z = DataMatrix(np.array([[1.0, -1.0], [0.0, 0.5]]))
     for sigma in ("auto", "data", 0.5):
         with pytest.raises(TooFewPointsError, match="closed loop needs at least 3 points, got N=2"):
@@ -283,10 +285,18 @@ def test_recover_labels_matches_separate_stages(kind, monkeypatch):
     x, _ = generate(CurveSpec(curve), 600, 21)
     z = noise_for_snr(x, 100.0, 22)
     seen = []
-    out = recover_labels(z, kind, 0.25, on_laplacian=seen.append)
+
+    def build_copy(km):
+        # L as recover_labels built it, copied before the eigensolve reads it
+        lap = build_laplacian(km)
+        seen.append(lap.l.copy())
+        return lap
+
+    monkeypatch.setattr(recover, "build_laplacian", build_copy)
+    out = recover_labels(z, kind, 0.25)
     assert out.sigma == 0.25
     lap = build_laplacian(build_kernel(z, KernelParams(0.25)))
-    assert np.array_equal(seen[0].l, lap.l)
+    assert np.array_equal(seen[0], lap.l)
     if kind is CurveKind.OPEN_CURVE:
         u = smallest_eigenpairs(lap, k=2).eigenvectors
         expected = recover_open(lap.inv_sqrt_degrees * u[:, 1])
