@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("denoise", help="PCA projection denoising")
     d.add_argument("--input", required=True)
-    d.add_argument("--header", action="store_true", help="input CSV has a header line")
     mode = d.add_mutually_exclusive_group(required=True)
     mode.add_argument("--rank", type=int, help="fixed projection rank")
     mode.add_argument("--auto", action="store_true", help="estimate the rank from a sketch")
@@ -69,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("recover", help="recover labels and ranking from data")
     r.add_argument("--kind", choices=("open", "closed"), required=True)
     r.add_argument("--input", required=True)
-    r.add_argument("--header", action="store_true")
     r.add_argument("--sigma", default="auto",
                    help="bandwidth: a float, 'auto' (rate formula), or 'data'")
     r.add_argument("--noise-level", type=float, default=0.0,
@@ -84,9 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--delta-fraction", type=float,
                    help="open-metric margin, a fraction in [0, 0.5) (default 0.05)")
     e.add_argument("--truth-span", type=float,
-                   help="rescale truth labels from [0, span] to [0, 2pi] first")
+                   help="rescale truth labels from [0, span] to [0, 2pi] (outside truth files)")
     e.add_argument("--matrix", help="data CSV, required for --metric relative")
-    e.add_argument("--header", action="store_true")
     e.add_argument("--out", help="write the report here instead of stdout")
     e.add_argument("--format", choices=("csv", "json"), default="json",
                    help="report format (default json)")
@@ -110,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("baseline", help="pairwise-comparison spectral ranking")
     b.add_argument("--input", required=True)
-    b.add_argument("--header", action="store_true")
     b.add_argument("--out", required=True, help="output CSV: index,value (value = rank)")
 
     return parser
@@ -129,7 +125,7 @@ def _cmd_denoise(args) -> int:
     r0 = 400 if args.r0 is None else args.r0
     eta = ETA if args.eta is None else args.eta
     check_denoise(args.rank, r0 if args.auto else None, eta)  # before I/O
-    z = io.load_data_matrix(args.input, header=args.header)
+    z = io.load_data_matrix(args.input)
     if args.auto:
         result = denoise_auto(z, r0, eta, 0 if args.seed is None else args.seed)
     else:
@@ -143,7 +139,7 @@ def _cmd_denoise(args) -> int:
 
 def _cmd_recover(args) -> int:
     sigma = check_bandwidth(args.sigma, args.noise_level)  # before the input is read
-    z = io.load_data_matrix(args.input, header=args.header)
+    z = io.load_data_matrix(args.input)
     out = recover_labels(z, CurveKind(args.kind), sigma, args.noise_level)
     io.save_recovery(args.out, out.labels, out.ranking)
     print(json.dumps({**out.report(), "out": args.out}), file=sys.stderr)
@@ -160,7 +156,7 @@ _METRICS = {
     "open-rank": ("ranking", lambda p, q, a: err_open_rank(p, q, a.delta_fraction),
                   ("--delta-fraction",)),
     "relative": ("ranking", lambda p, q, a: AlignmentReport(relative_error(
-        io.load_data_matrix(a.matrix, header=a.header), p, q), r=None), ("--matrix", "--header")),
+        io.load_data_matrix(a.matrix), p, q), r=None), ("--matrix",)),
 }
 
 # the optional flags each mode reads; giving one another mode reads is a usage error
@@ -174,7 +170,7 @@ def _refuse_unread_flags(args, mode: str) -> None:
     modes = _MODE_FLAGS[args.command]
     for flag in dict.fromkeys(flag for flags in modes.values() for flag in flags):
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and value is not False and flag not in modes[mode]:
+        if value is not None and flag not in modes[mode]:
             raise ConfigError(f"{mode} does not read {flag}")
 
 
@@ -229,7 +225,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    z = io.load_data_matrix(args.input, header=args.header)
+    z = io.load_data_matrix(args.input)
     io.save_ranking(args.out, serialrank_baseline(z))
     return 0
 

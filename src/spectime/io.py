@@ -1,12 +1,13 @@
 """CSV file formats.
 
 Data matrices are stored one point per row (an N x d file), i.e. the
-transpose of the in-memory (d, N) layout.  There is no header unless
-the caller asks to skip one on read or write one explicitly.  Label,
-ranking, and recovery files carry an ``index,...`` header, and their
-index column must hold 0..N-1 once each, in any order.  All floats
-are written with 17 significant digits so that a read-back round-trips
-bit-exactly.
+transpose of the in-memory (d, N) layout, and are written without a
+header.  Label, ranking, and recovery files carry an ``index,...``
+header, and their index column must hold 0..N-1 once each, in any
+order.  Every reader follows one header rule (``_read_table``): the
+first nonblank line is a header exactly when none of its cells is a
+number.  All floats are written with 17 significant digits so that a
+read-back round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -24,18 +25,12 @@ from .errors import NotAPermutationError, TooFewPointsError
 FLOAT_FMT = "%.17g"
 
 
-def load_data_matrix(path: str | Path, header: bool = False) -> DataMatrix:
+def load_data_matrix(path: str | Path) -> DataMatrix:
     """Read an N x d CSV of points (one per row) into a (d, N) DataMatrix.
     There are no comments: a ``#`` cell is a ``BadCellError`` like any
     other cell that is not a number.  A file with no data rows raises
     ``TooFewPointsError`` naming it."""
-    skip = 1 if header else 0
-    with warnings.catch_warnings():  # numpy warns on no data; the error below says so
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, comments=None)
-        except ValueError:
-            rows = _scan_cells(path, skip)  # or name the file, line and cell numpy refused
+    rows = _read_table(path)
     if rows.size == 0:
         raise TooFewPointsError(f"{path}: no data rows")
     return DataMatrix(rows.T)
@@ -74,9 +69,38 @@ def _write_indexed_csv(path: str | Path, head: list[str], *columns: list) -> Non
         w.writerows(zip(range(n), *columns))
 
 
-def _scan_cells(path: str | Path, skip: int, width: int | None = None) -> np.ndarray:
+def _read_table(path: str | Path) -> np.ndarray:
+    """The file's rows as a (rows, columns) array, with no rows when it
+    holds none.  The first nonblank line is a header exactly when none of
+    its cells is a number; a header fixes the width of every row.
+    ``np.loadtxt`` reads the rows, and a file it refuses is scanned by
+    ``_scan_cells``, which names the line or cell."""
+    with open(path, newline="") as f:
+        line, head = next(((i, row) for i, row in enumerate(csv.reader(f), start=1)
+                           if "".join(row).strip()), (0, []))
+    skip, width = (line, len(head)) if head and not any(map(_is_number, head)) else (0, None)
+    with warnings.catch_warnings():  # numpy warns on no data; the callers say so
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, comments=None)
+            if rows.size == 0 or width in (None, rows.shape[1]):
+                return rows
+        except ValueError:
+            pass
+    return _scan_cells(path, skip, width)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _scan_cells(path: str | Path, skip: int, width: int | None) -> np.ndarray:
     """The nonblank rows after line ``skip``, read cell by cell; a row not
-    ``width`` (default: the first row's) cells wide or a cell that is not a
+    ``width`` (if None, the first row's) cells wide or a cell that is not a
     number is named by file and line."""
     with open(path, newline="") as f:
         body = [(line, row) for line, row in enumerate(csv.reader(f), start=1)
@@ -98,27 +122,13 @@ def _scan_cells(path: str | Path, skip: int, width: int | None = None) -> np.nda
 
 
 def _read_indexed_csv(path: str | Path) -> np.ndarray:
-    """The rows sorted by index, after a header line if line 1 is not data,
-    parsed by ``np.loadtxt``; a file it refuses is scanned to name the line."""
-    with open(path, newline="") as f:
-        first = f.readline()
-        data_follows = any(line.strip() for line in f)
-    if not first:
-        raise LengthMismatchError(f"{path}: empty file")
-    head = next(csv.reader([first]), [])
-    try:
-        float(head[1])
-        skip = 0
-    except (ValueError, IndexError):
-        skip = 1  # header line
-    if skip and not data_follows:
+    """The rows of a label, ranking or recovery file (``_read_table``) by
+    index; no rows, or one column, is a ``LengthMismatchError``."""
+    data = _read_table(path)
+    if data.size == 0:
         raise LengthMismatchError(f"{path}: no data rows")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, comments=None)
-    except ValueError:
-        data = None
-    if data is None or data.shape[1] != len(head):
-        data = _scan_cells(path, skip, len(head))
+    if data.shape[1] < 2:
+        raise LengthMismatchError(f"{path}: 1 column; indexed files need index and value columns")
     data = data[np.argsort(data[:, 0], kind="stable")]
     n = data.shape[0]
     bad = np.flatnonzero(data[:, 0] != np.arange(n))

@@ -26,7 +26,8 @@ oracle.
 Open-curve metrics restrict to an interior window selected by the
 *first* argument (the truth) and minimize only over reflection; they are
 deliberately not symmetric in their arguments.  The window's margin is
-one fraction of the span, ``delta_fraction`` in [0, 0.5) at every reader.
+one fraction of the time span 2pi, ``delta_fraction`` in [0, 0.5) at every
+reader.
 
 Ranks are 0-based throughout.  The closed-loop reflection is applied
 verbatim as N - rank; the cyclic shift absorbs the unit offset from the
@@ -46,7 +47,7 @@ from .errors import ConfigError, DimensionMismatchError, EmptyInteriorError, Len
 from .errors import ZeroNormError
 from .kernel import _CHUNK_ELEMENTS, _on_workers, row_blocks  # a slab: 512 KB of float64
 
-DELTA_FRACTION = 0.05  # default interior margin of an open curve, a fraction of its span
+DELTA_FRACTION = 0.05  # default interior margin of an open curve, a fraction of 2pi
 
 
 @dataclass(frozen=True)
@@ -180,23 +181,24 @@ def interior_relative_error(
     x: DataMatrix,
     t_true: TimeLabels,
     t_est: np.ndarray | TimeLabels,
-    span: float,
     delta_fraction: float = DELTA_FRACTION,
 ) -> float:
     """Benchmark-style relative error restricted to the interior window.
 
-    Keeps the points whose true label lies in (delta_fraction*span,
-    (1-delta_fraction)*span), arranges them by true and by estimated
-    order, and returns the relative Frobenius distance, minimized over
-    the estimate's orientation (open-curve recoveries are identifiable
-    only up to reflection).  ``t_est`` may be any monotone proxy for
-    estimated time, e.g. recovered labels or baseline Fiedler scores.
+    Keeps the points whose true label lies in ``err_open_time``'s window
+    (delta, 2pi - delta), delta = delta_fraction * 2pi, arranges them by
+    true and by estimated order, and returns the relative Frobenius
+    distance, minimized over the estimate's orientation (open-curve
+    recoveries are identifiable only up to reflection).  ``t_est`` may be
+    any monotone proxy for estimated time, e.g. recovered labels or
+    baseline Fiedler scores.
     """
     est = t_est.angles if isinstance(t_est, TimeLabels) else np.asarray(t_est, dtype=np.float64)
     if len(t_true) != x.n_points or est.size != x.n_points:
         raise LengthMismatchError("labels do not match the matrix")
     check_delta_fraction(delta_fraction)
-    mask = (t_true.angles > delta_fraction * span) & (t_true.angles < (1.0 - delta_fraction) * span)
+    delta = delta_fraction * TWO_PI
+    mask = (t_true.angles > delta) & (t_true.angles < TWO_PI - delta)
     if not mask.any():
         raise EmptyInteriorError("interior window is empty")
     cols = np.flatnonzero(mask)

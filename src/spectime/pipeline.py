@@ -3,9 +3,9 @@
 The unit of work is a data set, one ``PipelineConfig``, which checks
 every per-run setting before any work.  ``run_pipeline`` scores its
 recovered labels and ``run_baseline`` the pairwise-comparison baseline,
-on the same sample and interior window (``_interior_error``): an open
-curve drops ``delta_fraction`` of its span at each end, a loop no point,
-and its report's ``delta_fraction`` is None.
+on the same sample and interior window (``interior_relative_error``):
+an open curve drops ``delta_fraction`` of its time at each end, a loop
+no point, and its report's ``delta_fraction`` is None.
 
 Recovery is ``recover.recover_labels``, the one path from data to
 labels; the bandwidth is one setting, a number, ``"auto"`` or
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .core import TWO_PI, CurveKind, DataMatrix, TimeLabels
+from .core import TWO_PI, CurveKind, DataMatrix
 from .denoise import ETA, DenoiseResult, check_denoise, denoise_auto, denoise_fixed_rank
 from .errors import ConfigError
 from .metrics import DELTA_FRACTION, check_delta_fraction, err_closed_time, err_open_time
@@ -106,17 +106,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     if out is not None:
         io.save_recovery(out / "recovered.csv", recovery.labels, recovery.ranking)
 
-    canon = cfg.curve.canonical_labels(t_true)
     if kind is CurveKind.CLOSED_LOOP:
-        aligned = err_closed_time(canon, recovery.labels)
+        aligned = err_closed_time(t_true, recovery.labels)
         report["time_error"] = aligned.error
         # Orderings on a loop only compare after undoing the rotation the
         # time metric identified; the wrap point then contributes little.
         est = np.mod(aligned.r * (recovery.labels.angles - aligned.theta), TWO_PI)
     else:
-        report["time_error"] = err_open_time(canon, recovery.labels, cfg.delta_fraction).error
+        report["time_error"] = err_open_time(t_true, recovery.labels, cfg.delta_fraction).error
         est = recovery.labels.angles
-    report["relative_error"] = _interior_error(cfg, x, t_true, est)
+    report["relative_error"] = interior_relative_error(x, t_true, est, _window(cfg) or 0.0)
     report["delta_fraction"] = _window(cfg)
     report["wall_ms"] = 1000.0 * (time.perf_counter() - started)
     if out is not None:
@@ -127,13 +126,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 def run_baseline(cfg: PipelineConfig) -> dict:
     """The baseline's ``relative_error`` on ``cfg``'s noisy sample (not denoised)."""
     x, t_true, z = noisy_sample(cfg.curve, cfg.n, cfg.seed, cfg.snr, cfg.eps)
-    return {"relative_error": _interior_error(cfg, x, t_true, baseline_labels(z))}
-
-
-def _interior_error(cfg: PipelineConfig, x: DataMatrix, t_true: TimeLabels,
-                    est: np.ndarray) -> float:
-    """``interior_relative_error`` on ``cfg``'s window."""
-    return interior_relative_error(x, t_true, est, cfg.curve.span, _window(cfg) or 0.0)
+    return {"relative_error": interior_relative_error(x, t_true, baseline_labels(z),
+                                                      _window(cfg) or 0.0)}
 
 
 def _window(cfg: PipelineConfig) -> float | None:

@@ -111,15 +111,18 @@ def recover_labels(
     on the number of components.
 
     A closed loop needs three eigenpairs, so fewer than 3 points raise
-    ``TooFewPointsError`` before the bandwidth is chosen.  The returned
-    output carries the eigensolve's path, eigenvalues, largest residual
-    and operator applications, and the wall time of each stage in ms
-    (``RecoveryOutput.report``).
+    ``TooFewPointsError`` before the bandwidth is chosen, and points that
+    all coincide raise ``CoincidentPointsError`` under every sigma rule.
+    The returned output carries the eigensolve's path, eigenvalues,
+    largest residual and operator applications, and the wall time of each
+    stage in ms (``RecoveryOutput.report``).
     """
     sigma = check_bandwidth(sigma, noise_level)
     if kind is CurveKind.CLOSED_LOOP and z.n_points < CLOSED_MIN_POINTS:
         raise TooFewPointsError(f"a closed loop needs at least {CLOSED_MIN_POINTS} points, "
                                 f"got N={z.n_points}")
+    if not np.ptp(z.values, axis=1).any():
+        raise CoincidentPointsError(f"all {z.n_points} points coincide; they have no order")
     stage_ms: dict[str, float] = {}
     with _timed(stage_ms, "bandwidth"):
         if sigma == "auto":

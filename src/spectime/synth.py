@@ -10,8 +10,9 @@ embedded:<d>  unit circle mapped into R^d by a seeded random
               orthonormal 2-frame (isometric, so recovery behaves like
               the planar circle after denoising)
 
-Labels are drawn i.i.d. uniform on the curve's domain.  Every generator
-is a pure function of (spec, n, seed).
+The parameter t is drawn i.i.d. uniform on the curve's domain, and the
+labels are t * 2pi / span, time on [0, 2pi] like every estimate.  Every
+generator is a pure function of (spec, n, seed).
 
 The baseline compares the points by their norms (distances from the
 origin), C(i,j) = sign(||Z_j|| - ||Z_i||), and ranks them as SerialRank
@@ -89,12 +90,6 @@ class CurveSpec:
             return CurveKind.CLOSED_LOOP
         return CurveKind.OPEN_CURVE
 
-    def canonical_labels(self, t: TimeLabels) -> TimeLabels:
-        """Rescale labels onto [0, 2pi], the scale recovery estimates live on."""
-        if self.span == TWO_PI:
-            return t
-        return TimeLabels(t.angles * (TWO_PI / self.span))
-
 
 def _positions(spec: CurveSpec, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if spec.name == "half-circle":
@@ -124,13 +119,12 @@ def check_sample(n: int, snr: float | None = None, eps: float | None = None) -> 
 
 
 def generate(spec: CurveSpec, n: int, seed: int) -> tuple[DataMatrix, TimeLabels]:
-    """Draw n uniform labels on the curve's domain and evaluate the curve."""
+    """Draw n uniform parameters t on the curve's domain [0, span), evaluate
+    the curve at them, and label each point with its time t * 2pi / span."""
     check_sample(n)
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, spec.span, n)
-    if spec.kind is CurveKind.CLOSED_LOOP:
-        t = np.mod(t, TWO_PI)
-    return DataMatrix._adopt(_positions(spec, t, rng)), TimeLabels(t)
+    return DataMatrix._adopt(_positions(spec, t, rng)), TimeLabels(t * (TWO_PI / spec.span))
 
 
 def add_noise(x: DataMatrix, eps: float, seed: int) -> DataMatrix:

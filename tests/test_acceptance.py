@@ -76,12 +76,10 @@ def test_criterion_1_closed_loop_consistency():
 
 
 def open_curve_run(seed: int, sigma2: float, snr: float, curve: str = "half-circle"):
-    spec = CurveSpec(curve)
-    x, t = generate(spec, 2000, seed)
+    x, t = generate(CurveSpec(curve), 2000, seed)
     z = noise_for_snr(x, snr, seed + 1)
     out = recover_labels(z, CurveKind.OPEN_CURVE, math.sqrt(sigma2))
-    canon = spec.canonical_labels(t)
-    return spec, x, t, canon, out
+    return x, t, out
 
 
 def test_criterion_2_open_curve_interior_recovery():
@@ -94,11 +92,9 @@ def test_criterion_2_open_curve_interior_recovery():
     delta_fraction = 0.025  # a margin of 0.05*pi radians
     time_errs, rel_errs = [], []
     for seed in range(20):
-        spec, x, t, canon, out = open_curve_run(100 + 3 * seed, sigma2=0.05, snr=1000.0)
-        time_errs.append(err_open_time(canon, out.labels, delta_fraction).error)
-        rel_errs.append(
-            interior_relative_error(x, t, out.labels.angles, spec.span, 0.05)
-        )
+        x, t, out = open_curve_run(100 + 3 * seed, sigma2=0.05, snr=1000.0)
+        time_errs.append(err_open_time(t, out.labels, delta_fraction).error)
+        rel_errs.append(interior_relative_error(x, t, out.labels.angles, 0.05))
     mean_time = float(np.mean(time_errs))
     mean_rel = float(np.mean(rel_errs))
     ok = mean_time <= 0.2 and mean_rel <= 0.05
@@ -118,12 +114,10 @@ def test_criterion_3_baseline_dominance():
     for snr in (100.0, 1000.0):
         for seed in range(20):
             base_seed = int(snr) * 1000 + 7 * seed
-            spec, x, t, canon, out = open_curve_run(
-                base_seed, sigma2=0.02, snr=snr, curve="cardioid"
-            )
-            rel_spectral = interior_relative_error(x, t, out.labels.angles, spec.span, 0.05)
+            x, t, out = open_curve_run(base_seed, sigma2=0.02, snr=snr, curve="cardioid")
+            rel_spectral = interior_relative_error(x, t, out.labels.angles, 0.05)
             z = noise_for_snr(x, snr, base_seed + 1)
-            rel_baseline = interior_relative_error(x, t, baseline_labels(z), spec.span, 0.05)
+            rel_baseline = interior_relative_error(x, t, baseline_labels(z), 0.05)
             wins += rel_spectral < rel_baseline
             runs.append((rel_spectral, rel_baseline))
     spectral_mean = float(np.mean([r[0] for r in runs]))

@@ -50,16 +50,23 @@ def test_generate_recover_evaluate_roundtrip(tmp_path, capsys):
 
 
 def test_open_curve_with_truth_span(tmp_path):
+    # generated labels are time on [0, 2pi]; --truth-span reads a truth file
+    # from outside, here the half-circle's own angle on [0, pi]
     z, t, est = tmp_path / "z.csv", tmp_path / "t.csv", tmp_path / "est.csv"
     run(["generate", "--curve", "half-circle", "--n", "400", "--seed", "1",
          "--snr", "1000", "--out", z, "--labels", t])
     assert run(["recover", "--kind", "open", "--input", z, "--sigma", "0.22360679774997896",
                 "--out", est]) == 0
-    out = tmp_path / "rep.json"
-    assert run(["evaluate", "--metric", "open-time", "--truth", t, "--estimate", est,
-                "--truth-span", str(math.pi), "--delta-fraction", "0.05",
-                "--out", out]) == 0
-    assert json.loads(out.read_text())["error"] < math.pi / 2
+    angle = tmp_path / "angle.csv"
+    save_labels(angle, TimeLabels(load_labels(t).angles / 2))
+    reports = []
+    for truth in (["--truth", t], ["--truth", angle, "--truth-span", str(math.pi)]):
+        out = tmp_path / "rep.json"
+        assert run(["evaluate", "--metric", "open-time", *truth, "--estimate", est,
+                    "--delta-fraction", "0.05", "--out", out]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1]
+    assert reports[0]["error"] < math.pi / 2
 
 
 def test_recover_output_format(tmp_path):
@@ -183,18 +190,17 @@ def test_missing_file_gives_json_error(tmp_path, capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("text, header", [("", []), ("\n\n", []), ("a,b\n", ["--header"])],
-                         ids=["empty", "blank", "header-only"])
+@pytest.mark.parametrize("text", ["", "\n\n", "a,b\n"], ids=["empty", "blank", "header-only"])
 @pytest.mark.parametrize("command", [["recover", "--kind", "open"], ["denoise", "--rank", "1"],
                                      ["baseline"]], ids=["recover", "denoise", "baseline"])
-def test_data_file_without_rows_is_one_json_error(tmp_path, capsys, text, header, command):
+def test_data_file_without_rows_is_one_json_error(tmp_path, capsys, text, command):
     # numpy warns on a file of no data; the warning must neither print nor,
     # as an error, escape main
     z, out = tmp_path / "z.csv", tmp_path / "o.csv"
     z.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = run([*command, "--input", z, *header, "--out", out])
+        code = run([*command, "--input", z, "--out", out])
     assert code == 2
     assert json.loads(capsys.readouterr().err) == {"error": "TooFewPointsError",
                                                    "message": f"{z}: no data rows"}
@@ -280,6 +286,40 @@ def test_recover_disconnected_graph_exits_2(tmp_path, capsys):
         assert err["error"] == "DisconnectedGraphError"
         assert "2 of 50" in err["message"]
     assert not est.exists()
+
+
+@pytest.mark.parametrize("sigma", ["auto", "data", "0.3"])
+@pytest.mark.parametrize("kind", ["open", "closed"])
+def test_recover_coincident_points_exits_2_under_every_rule(tmp_path, capsys, kind, sigma):
+    z, est = tmp_path / "z.csv", tmp_path / "est.csv"
+    z.write_text("1,1\n" * 50)
+    assert run(["recover", "--kind", kind, "--input", z, "--sigma", sigma, "--out", est]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "CoincidentPointsError",
+                   "message": "all 50 points coincide; they have no order"}
+    assert not est.exists()
+
+
+@pytest.mark.parametrize("text", ["index\n0\n1\n2\n", "0\n1\n2\n"], ids=["header", "no-header"])
+def test_one_column_truth_file_exits_2(tmp_path, capsys, text):
+    z, t, est = tmp_path / "z.csv", tmp_path / "t.csv", tmp_path / "est.csv"
+    run(["generate", "--curve", "circle", "--n", "3", "--out", z, "--labels", est])
+    t.write_text(text)
+    capsys.readouterr()
+    assert run(["evaluate", "--metric", "closed-time", "--truth", t, "--estimate", est]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "LengthMismatchError"
+    assert err["message"].startswith(f"{t}: 1 column")
+
+
+def test_data_file_with_a_text_header_recovers_as_without(tmp_path):
+    z, zh = tmp_path / "z.csv", tmp_path / "zh.csv"
+    run(["generate", "--curve", "circle", "--n", "300", "--snr", "100", "--out", z])
+    zh.write_text("x,y\n" + z.read_text())
+    for data in (z, zh):
+        assert run(["recover", "--kind", "closed", "--input", data,
+                    "--out", data.with_suffix(".est")]) == 0
+    assert z.with_suffix(".est").read_bytes() == zh.with_suffix(".est").read_bytes()
 
 
 def test_recover_data_bandwidth_on_coincident_points_exits_2(tmp_path, capsys):
@@ -431,7 +471,7 @@ def test_sweep_cli_nan_snr_exits_2_before_work(tmp_path, capsys):
     ("closed-time", ["--matrix", "nope.csv"]),
     ("closed-rank", ["--truth-span", "3"]),
     ("closed-rank", ["--delta-fraction", "0"]),
-    ("open-time", ["--header"]),
+    ("open-time", ["--matrix", "nope.csv"]),
     ("open-rank", ["--truth-span", "3"]),
     ("relative", ["--delta-fraction", "0.3"]),
     ("relative", ["--truth-span", "3"]),
@@ -576,13 +616,13 @@ def test_baseline_output_scored_by_rank_metrics(tmp_path, metric):
 # the flags each subcommand's handler reads, and no others
 DECLARED_FLAGS = {
     "generate": ["--curve", "--n", "--snr", "--eps", "--out", "--labels", "--seed"],
-    "denoise": ["--input", "--header", "--rank", "--auto", "--r0", "--eta", "--out", "--seed"],
-    "recover": ["--kind", "--input", "--header", "--sigma", "--noise-level", "--out"],
+    "denoise": ["--input", "--rank", "--auto", "--r0", "--eta", "--out", "--seed"],
+    "recover": ["--kind", "--input", "--sigma", "--noise-level", "--out"],
     "evaluate": ["--metric", "--truth", "--estimate", "--delta-fraction", "--truth-span",
-                 "--matrix", "--header", "--out", "--format"],
+                 "--matrix", "--out", "--format"],
     "sweep": ["--curve", "--n", "--snr", "--replicates", "--sigma", "--noise-level",
               "--methods", "--delta-fraction", "--seed", "--threads", "--out-dir"],
-    "baseline": ["--input", "--header", "--out"],
+    "baseline": ["--input", "--out"],
 }
 
 # the smallest argument list each subcommand parses; with one more flag
@@ -606,7 +646,7 @@ def declared_flags():
 
 def test_each_subcommand_declares_exactly_the_flags_it_reads():
     assert declared_flags() == DECLARED_FLAGS
-    assert sum(len(flags) for flags in DECLARED_FLAGS.values()) == 44
+    assert sum(len(flags) for flags in DECLARED_FLAGS.values()) == 40
 
 
 @pytest.mark.parametrize("command", sorted(DECLARED_FLAGS))
@@ -638,6 +678,9 @@ def test_undeclared_formerly_shared_flags_exit_2(tmp_path, monkeypatch, capsys, 
         (["smooth"], "invalid choice: 'smooth'"),
         (["recover", "--kind", "closed", "--input", "z.csv", "--out", "o.csv",
           "--dump-laplacian", "lap.csv"], "unrecognized arguments: --dump-laplacian lap.csv"),
+        # a text header is read as one with no flag
+        (["recover", "--kind", "closed", "--input", "z.csv", "--out", "o.csv", "--header"],
+         "unrecognized arguments: --header"),
     ],
 )
 def test_usage_error_is_a_json_config_error(tmp_path, monkeypatch, capsys, argv, message):

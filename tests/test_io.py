@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from spectime import DataMatrix, Ranking, TimeLabels
 from spectime import io
-from spectime.errors import BadCellError, BadIndexError, LengthMismatchError
+from spectime.errors import BadCellError, BadIndexError, LengthMismatchError, TooFewPointsError
 
 
 def test_matrix_roundtrip_is_exact(tmp_path):
@@ -63,11 +63,31 @@ def test_matrix_file_is_point_per_row(tmp_path):
     assert np.array_equal(m.values[:, 0], [1, 2, 3])
 
 
-def test_header_flag_skips_first_line(tmp_path):
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("a,b\n1,2\n3,4\n", [[1.0, 3.0], [2.0, 4.0]]),
+        ("1,2\n3,4\n", [[1.0, 3.0], [2.0, 4.0]]),
+        ("\na,b\n1,2\n3,4\n", [[1.0, 3.0], [2.0, 4.0]]),
+        ("\n1,2\n3,4\n", [[1.0, 3.0], [2.0, 4.0]]),
+        ("1,y\n3,4\n", (BadCellError, "line 1, column 2: 'y' is not a number")),
+        ("x,y\n", (TooFewPointsError, "no data rows")),
+        ("x,y\n1,2,3\n4,5,6\n", (LengthMismatchError, "line 2 has 3 columns, expected 2")),
+    ],
+    ids=["text-header", "no-header", "blank-then-header", "blank-then-data", "number-and-text",
+         "header-alone", "header-fixes-the-width"],
+)
+def test_first_line_is_a_header_when_no_cell_is_a_number(tmp_path, text, expected):
+    # one rule for every reader, and no flag: a header leaves the rows' values as they are
     path = tmp_path / "m.csv"
-    path.write_text("a,b\n1,2\n3,4\n")
-    m = io.load_data_matrix(path, header=True)
-    assert m.values.shape == (2, 2)
+    path.write_text(text)
+    if isinstance(expected, tuple):
+        error, message = expected
+        with pytest.raises(error, match=message) as err:
+            io.load_data_matrix(path)
+        assert str(path) in str(err.value)
+    else:
+        assert np.array_equal(io.load_data_matrix(path).values, expected)
 
 
 def test_labels_roundtrip(tmp_path):
@@ -172,6 +192,9 @@ def test_header_only_file_rejected(tmp_path):
         ("0,0.1\n1,0.2\n2\n", "line 3 has 1 columns, expected 2"),
         ("index,t_hat,rank\n0,0.1,0\n1,0.2\n", "line 3 has 2 columns, expected 3"),
         ("index,value\n0,0.1,9\n1,0.2,9\n", "line 2 has 3 columns, expected 2"),
+        # an index and no value column, with a header or without
+        ("index\n0\n1\n2\n", "1 column; indexed files need index and value columns"),
+        ("0\n1\n2\n", "1 column; indexed files need index and value columns"),
     ],
 )
 def test_ragged_row_named_by_file_and_line(tmp_path, text, message):
@@ -203,7 +226,7 @@ def test_non_numeric_cell_named_by_file_line_and_cell(tmp_path, text, message):
     "text, header, error, message",
     [
         ("1,2\n3,4\n5\n", False, LengthMismatchError, "line 3 has 1 columns, expected 2"),
-        ("a,b\n1,2\n\n3,4,5\n", True, LengthMismatchError, "line 4 has 3 columns, expected 2"),
+        ("1,2\n\n3,4,5\n", True, LengthMismatchError, "line 4 has 3 columns, expected 2"),
         ("1,2\n3,x\n", False, BadCellError, "line 2, column 2: 'x' is not a number"),
         # no comments: a row is not dropped at "#"
         ("1,2\n#3,4\n5,6 # c\n7,8\n", False, BadCellError,
@@ -211,8 +234,9 @@ def test_non_numeric_cell_named_by_file_line_and_cell(tmp_path, text, message):
     ],
 )
 def test_data_matrix_errors_named_by_file_and_line(tmp_path, text, header, error, message):
+    # the line numbers count a header line
     path = tmp_path / "m.csv"
-    path.write_text(text)
+    path.write_text(("a,b\n" if header else "") + text)
     with pytest.raises(error, match=message) as err:
-        io.load_data_matrix(path, header=header)
+        io.load_data_matrix(path)
     assert str(path) in str(err.value)

@@ -306,30 +306,30 @@ class TestSnr:
 class TestInteriorRelativeError:
     def test_perfect_estimate(self):
         rng = np.random.default_rng(12)
-        t = TimeLabels(rng.uniform(0, np.pi, 30))
-        x = DataMatrix(np.vstack([np.cos(t.angles), np.sin(t.angles)]))
-        assert interior_relative_error(x, t, t.angles, np.pi) <= 1e-12
+        t = TimeLabels(rng.uniform(0, TWO_PI, 30))
+        x = DataMatrix(np.vstack([np.cos(t.angles / 2), np.sin(t.angles / 2)]))
+        assert interior_relative_error(x, t, t.angles) <= 1e-12
 
     def test_chunks_match_direct_computation(self, monkeypatch):
         monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", 7)  # one row per slab
         rng = np.random.default_rng(15)
         x = DataMatrix(rng.standard_normal((3, 41)))
-        t = TimeLabels(rng.uniform(0, np.pi, 41))
+        t = TimeLabels(rng.uniform(0, TWO_PI, 41))
         est = t.angles + rng.normal(0, 0.3, 41)
-        mask = (t.angles > 0.05 * np.pi) & (t.angles < 0.95 * np.pi)
+        mask = (t.angles > 0.05 * TWO_PI) & (t.angles < 0.95 * TWO_PI)
         sub = x.values[:, mask]
         true_order = np.argsort(t.angles[mask], kind="stable")
         expected = min(
             np.linalg.norm(sub[:, np.argsort(e, kind="stable")] - sub[:, true_order])
             for e in (est[mask], -est[mask])
         ) / np.linalg.norm(sub)
-        assert interior_relative_error(x, t, est, np.pi) == pytest.approx(expected, rel=1e-12)
+        assert interior_relative_error(x, t, est) == pytest.approx(expected, rel=1e-12)
 
     def test_reflected_estimate_scores_zero(self):
         rng = np.random.default_rng(13)
-        t = TimeLabels(rng.uniform(0, np.pi, 30))
-        x = DataMatrix(np.vstack([np.cos(t.angles), np.sin(t.angles)]))
-        assert interior_relative_error(x, t, np.pi - t.angles, np.pi) <= 1e-12
+        t = TimeLabels(rng.uniform(0, TWO_PI, 30))
+        x = DataMatrix(np.vstack([np.cos(t.angles / 2), np.sin(t.angles / 2)]))
+        assert interior_relative_error(x, t, TWO_PI - t.angles) <= 1e-12
 
 
 def interior_oracle(x, t, est, span, delta_fraction):
@@ -348,8 +348,8 @@ class TestArrangementPass:
     @staticmethod
     def scores(monkeypatch, workers, x, t, est, p, p2):
         monkeypatch.setattr(kernel, "_worker_count", lambda *shape: workers)
-        return (interior_relative_error(x, t, est, TWO_PI),
-                interior_relative_error(x, t, est, TWO_PI, 0.0),
+        return (interior_relative_error(x, t, est),
+                interior_relative_error(x, t, est, 0.0),
                 relative_error(x, p, p2))
 
     def test_same_bits_at_one_two_and_three_workers(self, monkeypatch):
@@ -367,7 +367,7 @@ class TestArrangementPass:
         # as its recovery (about 0.06 rad)
         x, t, _ = noisy_sample(CurveSpec("embedded", 5000), 2000, 0, 1.0, None)
         est = t.angles + np.random.default_rng(31).normal(0.0, 0.06, 2000)
-        got = interior_relative_error(x, t, est, TWO_PI, 0.0)
+        got = interior_relative_error(x, t, est, 0.0)
         assert got == pytest.approx(interior_oracle(x, t, est, TWO_PI, 0.0), rel=1e-12)
         p, p2 = ranking_from_labels(t), ranking_from_labels(TimeLabels(np.mod(est, TWO_PI)))
         assert relative_error(x, p, p2) == pytest.approx(relative_oracle(x, p, p2), rel=1e-12)
@@ -377,8 +377,8 @@ class TestArrangementPass:
         for seed in range(20):
             x, t, z = noisy_sample(spec, 2000, 100 + 3 * seed, 1000.0, None)
             est = recover_labels(z, spec.kind, math.sqrt(0.05)).labels.angles
-            got = interior_relative_error(x, t, est, spec.span, 0.05)
-            assert got == pytest.approx(interior_oracle(x, t, est, spec.span, 0.05), rel=1e-12)
+            got = interior_relative_error(x, t, est, 0.05)
+            assert got == pytest.approx(interior_oracle(x, t, est, TWO_PI, 0.05), rel=1e-12)
 
     def test_no_copy_of_the_data(self):
         rng = np.random.default_rng(32)
@@ -387,7 +387,7 @@ class TestArrangementPass:
         est = t.angles + rng.normal(0.0, 0.3, 4000)
         tracemalloc.start()
         try:
-            interior_relative_error(x, t, est, TWO_PI)
+            interior_relative_error(x, t, est)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -401,5 +401,5 @@ class TestArrangementPass:
         rng = np.random.default_rng(33)
         t = rand_labels(rng, 5000)
         x = DataMatrix(np.vstack([np.cos(t.angles), np.sin(t.angles)]))
-        assert interior_relative_error(x, t, t.angles, TWO_PI) <= 1e-12
+        assert interior_relative_error(x, t, t.angles) <= 1e-12
         assert relative_error(x, ranking_from_labels(t), ranking_from_labels(t)) == 0.0

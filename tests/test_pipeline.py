@@ -236,8 +236,7 @@ def test_run_baseline_scores_the_pipelines_sample_and_window(curve):
     cfg = PipelineConfig(curve=CurveSpec(curve), n=80, seed=3, snr=50.0, **setting)
     x, t_true, z = noisy_sample(cfg.curve, cfg.n, cfg.seed, cfg.snr, None)
     fraction = 0.1 if curve == "half-circle" else 0.0
-    expected = interior_relative_error(x, t_true, pipeline.baseline_labels(z), cfg.curve.span,
-                                       fraction)
+    expected = interior_relative_error(x, t_true, pipeline.baseline_labels(z), fraction)
     assert pipeline.run_baseline(cfg) == {"relative_error": expected}
 
 

@@ -218,6 +218,15 @@ class TestDataDrivenBandwidth:
 
 
 class TestEndToEnd:
+    @pytest.mark.parametrize("sigma", ["auto", "data", 0.3])
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_coincident_points_rejected_under_every_rule(self, kind, sigma):
+        # a fixed or rate-formula sigma would build a connected graph whose
+        # eigenvectors are noise (eigenvalues 0, 1, 1) and return their labels
+        x = DataMatrix(np.ones((2, 50)))
+        with pytest.raises(CoincidentPointsError, match="all 50 points coincide"):
+            recover_labels(x, kind, sigma)
+
     def test_noiseless_circle_at_rate_bandwidth(self):
         n = 2000
         x, t = generate(CurveSpec("circle"), n, 0)
@@ -228,9 +237,7 @@ class TestEndToEnd:
         x, t = generate(CurveSpec("half-circle"), 400, 2)
         out = recover_labels(x, CurveKind.OPEN_CURVE, math.sqrt(0.05))
         # up to reflection, recovered order tracks the true order closely
-        spec = CurveSpec("half-circle")
-        canon = spec.canonical_labels(t)
         from spectime import err_open_time
 
-        rep = err_open_time(canon, out.labels, 0.1)
+        rep = err_open_time(t, out.labels, 0.1)
         assert rep.error < np.pi / 2

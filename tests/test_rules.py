@@ -192,7 +192,7 @@ P = ranking_from_labels(T)
 
 def window_readers(fraction):
     return (lambda: err_open_time(T, T, fraction), lambda: err_open_rank(P, P, fraction),
-            lambda: interior_relative_error(X, T, T, math.pi, fraction))
+            lambda: interior_relative_error(X, T, T, fraction))
 
 
 WINDOW_RULE = {

@@ -68,22 +68,29 @@ class TestCurveSpecs:
         with pytest.raises(ConfigError, match="embedded:<d>"):
             CurveSpec.parse(text)
 
-    def test_canonical_labels_rescale_open_domains(self):
-        spec = CurveSpec("half-circle")
-        t = TimeLabels(np.array([0.0, np.pi / 2, np.pi]))
-        canon = spec.canonical_labels(t)
-        assert np.allclose(canon.angles, [0.0, np.pi, TWO_PI])
-
 
 class TestGenerate:
+    @pytest.mark.parametrize("curve", ["half-circle", "cardioid", "circle", "embedded:5"])
+    def test_labels_are_the_drawn_parameter_as_time_on_0_2pi(self, curve):
+        # the factor 2pi / span is exactly 2 on the half-circle, 1.25 on the
+        # cardioid and 1 on the loops
+        spec = CurveSpec.parse(curve)
+        for seed in (0, 1, 2):
+            _, t = generate(spec, 500, seed)
+            drawn = np.random.default_rng(seed).uniform(0.0, spec.span, 500)
+            assert np.array_equal(t.angles, drawn * (TWO_PI / spec.span))
+        assert TWO_PI / spec.span == {"half-circle": 2.0, "cardioid": 1.25}.get(curve, 1.0)
+
     def test_half_circle_on_unit_circle(self):
         x, t = generate(CurveSpec("half-circle"), 100, 0)
         assert np.allclose(np.linalg.norm(x.values, axis=0), 1.0)
-        assert t.angles.max() <= np.pi
+        assert t.angles.max() <= TWO_PI
+        # time t on [0, 2pi] is the angle t/2 on [0, pi]
+        assert np.allclose(x.values, [np.cos(t.angles / 2), np.sin(t.angles / 2)], atol=1e-12)
 
     def test_cardioid_matches_formula_and_zero_start(self):
         x, t = generate(CurveSpec("cardioid"), 50, 1)
-        assert np.allclose(x.values, cardioid_curve(t.angles), atol=1e-12)
+        assert np.allclose(x.values, cardioid_curve(t.angles * 0.8), atol=1e-12)
         assert np.allclose(cardioid_curve(np.array([0.0])), 0.0, atol=1e-15)
 
     def test_circle_antipodal_symmetry(self):
