@@ -2,19 +2,17 @@
 
 Subcommands: generate, denoise, recover, evaluate, sweep, baseline.
 Each declares only the flags its handler reads: ``--seed`` belongs to
-generate, denoise and sweep, ``--threads`` and ``--out-dir`` to sweep,
-``--format`` to evaluate.  Every failure exits nonzero with a JSON
-object ``{"error": <class name>, "message": ...}`` on stderr: 2 for a
-usage error (an unknown flag, a bad value, a missing subcommand, all
-reported as ``ConfigError``) or a domain error, 3 for an I/O error.
-``--help`` exits 0.
+generate, denoise and sweep, ``--threads`` and ``--out-dir`` to sweep.
+Every failure exits nonzero with a JSON object ``{"error": <class name>,
+"message": ...}`` on stderr: 2 for a usage error (an unknown flag, a bad
+value, a missing subcommand, all reported as ``ConfigError``) or a domain
+error, 3 for an I/O error.  ``--help`` exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import io
@@ -81,12 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--estimate", required=True, help="estimate labels/ranking CSV")
     e.add_argument("--delta-fraction", type=float,
                    help="open-metric margin, a fraction in [0, 0.5) (default 0.05)")
-    e.add_argument("--truth-span", type=float,
-                   help="rescale truth labels from [0, span] to [0, 2pi] (outside truth files)")
     e.add_argument("--matrix", help="data CSV, required for --metric relative")
-    e.add_argument("--out", help="write the report here instead of stdout")
-    e.add_argument("--format", choices=("csv", "json"), default="json",
-                   help="report format (default json)")
+    e.add_argument("--out", help="write the JSON report here instead of stdout")
 
     s = sub.add_parser("sweep", help="benchmark grid over N x SNR x replicates")
     s.add_argument("--curve", required=True)
@@ -149,10 +143,10 @@ def _cmd_recover(args) -> int:
 # metric -> (what its truth and estimate files hold, score(truth, estimate, args),
 # the optional flags it reads); the lambdas look the metric up when called
 _METRICS = {
-    "closed-time": ("labels", lambda t, e, a: err_closed_time(t, e), ("--truth-span",)),
+    "closed-time": ("labels", lambda t, e, a: err_closed_time(t, e), ()),
     "closed-rank": ("ranking", lambda p, q, a: err_closed_rank(p, q), ()),
     "open-time": ("labels", lambda t, e, a: err_open_time(t, e, a.delta_fraction),
-                  ("--truth-span", "--delta-fraction")),
+                  ("--delta-fraction",)),
     "open-rank": ("ranking", lambda p, q, a: err_open_rank(p, q, a.delta_fraction),
                   ("--delta-fraction",)),
     "relative": ("ranking", lambda p, q, a: AlignmentReport(relative_error(
@@ -177,24 +171,16 @@ def _refuse_unread_flags(args, mode: str) -> None:
 def _cmd_evaluate(args) -> int:
     files, score, flags = _METRICS[args.metric]
     _refuse_unread_flags(args, f"--metric {args.metric}")
-    if args.truth_span is not None and not 0.0 < args.truth_span < math.inf:
-        raise ConfigError(f"--truth-span must be positive and finite, got {args.truth_span}")
     if args.metric == "relative" and not args.matrix:
         raise ConfigError("--metric relative needs --matrix")
     if "--delta-fraction" in flags:
         args.delta_fraction = DELTA_FRACTION if args.delta_fraction is None else args.delta_fraction
         check_delta_fraction(args.delta_fraction)  # before I/O
     load = getattr(io, f"load_{files}")
-    truth = load(args.truth) if args.truth_span is None else load(args.truth, args.truth_span)
-    est = load(args.estimate)
-    rep = score(truth, est, args)
+    rep = score(load(args.truth), load(args.estimate), args)
     report = {"metric": args.metric, "delta_fraction": args.delta_fraction, "r": rep.r,
               "theta": rep.theta, "shift": rep.shift, "error": rep.error}
-    if args.format == "csv":
-        cells = ("" if v is None else str(v) for v in report.values())
-        text = ",".join(report) + "\n" + ",".join(cells) + "\n"
-    else:
-        text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps(report, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)

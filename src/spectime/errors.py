@@ -15,8 +15,8 @@ class NonFiniteEntryError(SpectimeError):
 
 
 class TooFewPointsError(SpectimeError):
-    """Fewer than two data points were supplied, or fewer than three for a
-    closed loop."""
+    """Fewer than two data points were supplied, fewer than three for a
+    closed loop, or none to a closed-loop metric."""
 
 
 class DimensionMismatchError(SpectimeError):

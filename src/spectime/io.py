@@ -6,8 +6,9 @@ header.  Label, ranking, and recovery files carry an ``index,...``
 header, and their index column must hold 0..N-1 once each, in any
 order.  Every reader follows one header rule (``_read_table``): the
 first nonblank line is a header exactly when none of its cells is a
-number.  All floats are written with 17 significant digits so that a
-read-back round-trips bit-exactly.
+number, and a line of whitespace alone is blank.  All floats are
+written with 17 significant digits so that a read-back round-trips
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TWO_PI, DataMatrix, Ranking, TimeLabels, ranking_from_labels
+from .core import DataMatrix, Ranking, TimeLabels, ranking_from_labels
 from .errors import BadCellError, BadIndexError, LabelRangeError, LengthMismatchError
 from .errors import NotAPermutationError, TooFewPointsError
 
@@ -99,12 +100,13 @@ def _is_number(cell: str) -> bool:
 
 
 def _scan_cells(path: str | Path, skip: int, width: int | None) -> np.ndarray:
-    """The nonblank rows after line ``skip``, read cell by cell; a row not
+    """The nonblank rows (whitespace alone is blank, as in the header
+    search) after line ``skip``, read cell by cell; a row not
     ``width`` (if None, the first row's) cells wide or a cell that is not a
     number is named by file and line."""
     with open(path, newline="") as f:
         body = [(line, row) for line, row in enumerate(csv.reader(f), start=1)
-                if row and line > skip]
+                if "".join(row).strip() and line > skip]
     if width is None:
         width = len(body[0][1]) if body else 0
     out = []
@@ -144,22 +146,11 @@ def _read_indexed_csv(path: str | Path) -> np.ndarray:
     return data
 
 
-def load_labels(path: str | Path, span: float | None = None) -> TimeLabels:
-    """Read labels from an ``index,value`` or ``index,t_hat,rank`` file.
-
-    With ``span`` (``evaluate --truth-span``) the file's labels lie in
-    [0, span] and come back rescaled to [0, 2*pi]; a label equal to the
-    span is read as 2*pi."""
-    data = _read_indexed_csv(path)
-    if span is not None:
-        values = data[:, 1]
-        out = np.flatnonzero((values < 0.0) | (values > span))
-        if out.size:
-            i = int(out[0])
-            raise LabelRangeError(f"{path}: label {i} is {float(values[i])!r}, "
-                                  f"outside [0, --truth-span {span!r}]")
-        data[:, 1] = (values * (TWO_PI / span)).clip(max=TWO_PI)
-    return _labels(path, data)
+def load_labels(path: str | Path) -> TimeLabels:
+    """Read labels, time on [0, 2*pi], from an ``index,value`` or
+    ``index,t_hat,rank`` file; a label outside that range is a
+    ``LabelRangeError`` naming the file."""
+    return _labels(path, _read_indexed_csv(path))
 
 
 def _labels(path: str | Path, data: np.ndarray) -> TimeLabels:

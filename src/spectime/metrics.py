@@ -44,7 +44,7 @@ import numpy as np
 
 from .core import TWO_PI, DataMatrix, Ranking, TimeLabels
 from .errors import ConfigError, DimensionMismatchError, EmptyInteriorError, LengthMismatchError
-from .errors import ZeroNormError
+from .errors import TooFewPointsError, ZeroNormError
 from .kernel import _CHUNK_ELEMENTS, _on_workers, row_blocks  # a slab: 512 KB of float64
 
 DELTA_FRACTION = 0.05  # default interior margin of an open curve, a fraction of 2pi
@@ -66,9 +66,11 @@ def check_delta_fraction(delta_fraction: float) -> None:
         raise ConfigError(f"delta_fraction must lie in [0, 0.5), got {delta_fraction!r}")
 
 
-def _check_lengths(a, b) -> int:
+def _check_lengths(a, b, least: int = 0) -> int:
     if len(a) != len(b):
         raise LengthMismatchError(f"length mismatch: {len(a)} vs {len(b)}")
+    if len(a) < least:
+        raise TooFewPointsError(f"need at least {least} point, got {len(a)}")
     return len(a)
 
 
@@ -97,7 +99,7 @@ def _one_center(points: np.ndarray, r: int) -> AlignmentReport:
 
 def err_closed_time(t: TimeLabels, t2: TimeLabels) -> AlignmentReport:
     """Rotation/reflection-invariant sup-norm distance between label vectors."""
-    _check_lengths(t, t2)
+    _check_lengths(t, t2, least=1)
     return _best(_one_center(np.mod(t2.angles - r * t.angles, TWO_PI), r) for r in (1, -1))
 
 
@@ -108,7 +110,7 @@ def _rank_cost(x: np.ndarray, n: int) -> np.ndarray:
 def err_closed_rank(p: Ranking, p2: Ranking) -> AlignmentReport:
     """Shift/reflection-invariant sup-norm distance between rankings,
     normalized by N."""
-    n = _check_lengths(p, p2)
+    n = _check_lengths(p, p2, least=1)
     r1 = p.ranks().astype(np.int64)
     r2 = p2.ranks().astype(np.int64)
     shifts = np.arange(n, dtype=np.int64)

@@ -49,26 +49,6 @@ def test_generate_recover_evaluate_roundtrip(tmp_path, capsys):
     assert report["theta"] is not None
 
 
-def test_open_curve_with_truth_span(tmp_path):
-    # generated labels are time on [0, 2pi]; --truth-span reads a truth file
-    # from outside, here the half-circle's own angle on [0, pi]
-    z, t, est = tmp_path / "z.csv", tmp_path / "t.csv", tmp_path / "est.csv"
-    run(["generate", "--curve", "half-circle", "--n", "400", "--seed", "1",
-         "--snr", "1000", "--out", z, "--labels", t])
-    assert run(["recover", "--kind", "open", "--input", z, "--sigma", "0.22360679774997896",
-                "--out", est]) == 0
-    angle = tmp_path / "angle.csv"
-    save_labels(angle, TimeLabels(load_labels(t).angles / 2))
-    reports = []
-    for truth in (["--truth", t], ["--truth", angle, "--truth-span", str(math.pi)]):
-        out = tmp_path / "rep.json"
-        assert run(["evaluate", "--metric", "open-time", *truth, "--estimate", est,
-                    "--delta-fraction", "0.05", "--out", out]) == 0
-        reports.append(json.loads(out.read_text()))
-    assert reports[0] == reports[1]
-    assert reports[0]["error"] < math.pi / 2
-
-
 def test_recover_output_format(tmp_path):
     z, est = tmp_path / "z.csv", tmp_path / "est.csv"
     run(["generate", "--curve", "circle", "--n", "50", "--out", z])
@@ -244,19 +224,6 @@ def test_sweep_cli_bad_sigma_exits_2_before_work(tmp_path, capsys):
                 "--sigma", "-1", "--out-dir", out_dir]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not out_dir.exists()
-
-
-def test_evaluate_csv_format(tmp_path, capsys):
-    t = tmp_path / "t.csv"
-    run(["generate", "--curve", "circle", "--n", "30", "--out", tmp_path / "z.csv",
-         "--labels", t])
-    assert run(["evaluate", "--metric", "closed-time", "--truth", t, "--estimate", t,
-                "--format", "csv"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out[0].startswith("metric,")
-    assert "closed-time" in out[1]
-    row = dict(zip(out[0].split(","), out[1].split(",")))
-    assert row["delta_fraction"] == "" and row["shift"] == ""  # absent, as in results.csv
 
 
 def test_evaluate_relative_metric(tmp_path):
@@ -469,12 +436,11 @@ def test_sweep_cli_nan_snr_exits_2_before_work(tmp_path, capsys):
 @pytest.mark.parametrize("metric, flags", [
     ("closed-time", ["--delta-fraction", "5"]),
     ("closed-time", ["--matrix", "nope.csv"]),
-    ("closed-rank", ["--truth-span", "3"]),
+    ("closed-rank", ["--matrix", "nope.csv"]),
     ("closed-rank", ["--delta-fraction", "0"]),
     ("open-time", ["--matrix", "nope.csv"]),
-    ("open-rank", ["--truth-span", "3"]),
+    ("open-rank", ["--matrix", "nope.csv"]),
     ("relative", ["--delta-fraction", "0.3"]),
-    ("relative", ["--truth-span", "3"]),
 ])
 def test_evaluate_flag_its_metric_does_not_read_exits_2(tmp_path, capsys, metric, flags):
     # neither input exists: the flags are checked before any file is read
@@ -527,59 +493,12 @@ def test_default_open_reports_keep_the_window_and_errors(tmp_path, capsys):
                           "shift": None, "error": error}
 
 
-def test_truth_span_error_names_file_flag_and_value(tmp_path, capsys):
-    t = tmp_path / "t.csv"
-    t.write_text("index,value\n0,0.5\n1,3.1\n")
-    assert run(["evaluate", "--metric", "open-time", "--truth", t, "--estimate", t,
-                "--truth-span", "1.0"]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "LabelRangeError",
-                   "message": f"{t}: label 1 is 3.1, outside [0, --truth-span 1.0]"}
-    # a label equal to the span is read as 2pi (3.1 * (2pi / 3.1) rounds above 2pi)
-    assert run(["evaluate", "--metric", "open-time", "--truth", t, "--estimate", t,
-                "--truth-span", "3.1", "--delta-fraction", "0"]) == 0
-
-
-def test_truth_span_reads_labels_above_2pi(tmp_path, capsys):
-    t, est = tmp_path / "t.csv", tmp_path / "est.csv"
-    t.write_text("index,value\n0,0.5\n1,7.0\n2,10.0\n")
-    save_labels(est, TimeLabels(np.array([0.5, 7.0, 10.0]) * (2 * math.pi / 10.0)))
-    assert run(["evaluate", "--metric", "open-time", "--truth", t, "--estimate", est,
-                "--truth-span", "10", "--delta-fraction", "0"]) == 0
-    assert json.loads(capsys.readouterr().out)["error"] <= 1e-12
-
-
-@pytest.mark.parametrize("label", ["11.0", "-0.5"])
-def test_truth_label_outside_span_names_the_flag(tmp_path, capsys, label):
-    t = tmp_path / "t.csv"
-    t.write_text(f"index,value\n0,0.5\n1,{label}\n2,7.0\n")
-    assert run(["evaluate", "--metric", "closed-time", "--truth", t, "--estimate", t,
-                "--truth-span", "10"]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "LabelRangeError",
-                   "message": f"{t}: label 1 is {float(label)!r}, outside [0, --truth-span 10.0]"}
-
-
 def test_denoise_without_mode_exits_2_before_io(tmp_path, capsys):
     assert run(["denoise", "--input", tmp_path / "nope.csv", "--out", tmp_path / "x.csv"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert "one of the arguments --rank --auto is required" in err["message"]
     assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("span", ["0", "-1", "inf", "nan"])
-def test_evaluate_bad_truth_span_exits_2(tmp_path, capsys, span):
-    t, rep = tmp_path / "t.csv", tmp_path / "rep.json"
-    run(["generate", "--curve", "half-circle", "--n", "30", "--out", tmp_path / "z.csv",
-         "--labels", t])
-    capsys.readouterr()
-    assert run(["evaluate", "--metric", "open-time", "--truth", t, "--estimate", t,
-                "--truth-span", span, "--out", rep]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError"
-    assert "--truth-span" in err["message"]
-    assert not rep.exists()
 
 
 @pytest.mark.parametrize("metric", ["relative", "closed-rank"])
@@ -618,8 +537,7 @@ DECLARED_FLAGS = {
     "generate": ["--curve", "--n", "--snr", "--eps", "--out", "--labels", "--seed"],
     "denoise": ["--input", "--rank", "--auto", "--r0", "--eta", "--out", "--seed"],
     "recover": ["--kind", "--input", "--sigma", "--noise-level", "--out"],
-    "evaluate": ["--metric", "--truth", "--estimate", "--delta-fraction", "--truth-span",
-                 "--matrix", "--out", "--format"],
+    "evaluate": ["--metric", "--truth", "--estimate", "--delta-fraction", "--matrix", "--out"],
     "sweep": ["--curve", "--n", "--snr", "--replicates", "--sigma", "--noise-level",
               "--methods", "--delta-fraction", "--seed", "--threads", "--out-dir"],
     "baseline": ["--input", "--out"],
@@ -646,7 +564,7 @@ def declared_flags():
 
 def test_each_subcommand_declares_exactly_the_flags_it_reads():
     assert declared_flags() == DECLARED_FLAGS
-    assert sum(len(flags) for flags in DECLARED_FLAGS.values()) == 40
+    assert sum(len(flags) for flags in DECLARED_FLAGS.values()) == 38
 
 
 @pytest.mark.parametrize("command", sorted(DECLARED_FLAGS))
@@ -681,6 +599,11 @@ def test_undeclared_formerly_shared_flags_exit_2(tmp_path, monkeypatch, capsys, 
         # a text header is read as one with no flag
         (["recover", "--kind", "closed", "--input", "z.csv", "--out", "o.csv", "--header"],
          "unrecognized arguments: --header"),
+        # truth labels are time on [0, 2pi], and the report is JSON
+        (["evaluate", "--metric", "closed-time", "--truth", "t.csv", "--estimate", "e.csv",
+          "--out", "rep.json", "--truth-span", "3"], "unrecognized arguments: --truth-span 3"),
+        (["evaluate", "--metric", "closed-time", "--truth", "t.csv", "--estimate", "e.csv",
+          "--out", "rep.json", "--format", "csv"], "unrecognized arguments: --format csv"),
     ],
 )
 def test_usage_error_is_a_json_config_error(tmp_path, monkeypatch, capsys, argv, message):

@@ -70,15 +70,20 @@ def test_matrix_file_is_point_per_row(tmp_path):
         ("1,2\n3,4\n", [[1.0, 3.0], [2.0, 4.0]]),
         ("\na,b\n1,2\n3,4\n", [[1.0, 3.0], [2.0, 4.0]]),
         ("\n1,2\n3,4\n", [[1.0, 3.0], [2.0, 4.0]]),
+        ("1,2\n  \n3,4\n", [[1.0, 3.0], [2.0, 4.0]]),
+        ("  \na,b\n1,2\n3,4\n", [[1.0, 3.0], [2.0, 4.0]]),
+        ("  \n1,2\n3,4\n", [[1.0, 3.0], [2.0, 4.0]]),
         ("1,y\n3,4\n", (BadCellError, "line 1, column 2: 'y' is not a number")),
         ("x,y\n", (TooFewPointsError, "no data rows")),
         ("x,y\n1,2,3\n4,5,6\n", (LengthMismatchError, "line 2 has 3 columns, expected 2")),
     ],
-    ids=["text-header", "no-header", "blank-then-header", "blank-then-data", "number-and-text",
-         "header-alone", "header-fixes-the-width"],
+    ids=["text-header", "no-header", "blank-then-header", "blank-then-data",
+         "whitespace-between-data", "whitespace-then-header", "whitespace-then-data",
+         "number-and-text", "header-alone", "header-fixes-the-width"],
 )
 def test_first_line_is_a_header_when_no_cell_is_a_number(tmp_path, text, expected):
-    # one rule for every reader, and no flag: a header leaves the rows' values as they are
+    # one rule for every reader, and no flag: a header leaves the rows' values as they
+    # are, and a line of whitespace alone is blank
     path = tmp_path / "m.csv"
     path.write_text(text)
     if isinstance(expected, tuple):

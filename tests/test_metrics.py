@@ -20,7 +20,8 @@ from spectime import (
     snr,
 )
 from spectime import CurveSpec, kernel, metrics, noisy_sample, recover_labels
-from spectime.errors import EmptyInteriorError, LengthMismatchError, ZeroNormError
+from spectime.errors import EmptyInteriorError, LengthMismatchError, TooFewPointsError
+from spectime.errors import ZeroNormError
 
 from oracles import closed_rank_exhaustive, closed_rank_shift_table, closed_time_grid
 
@@ -161,6 +162,15 @@ class TestClosedRank:
             p, p2 = Ranking(perm), Ranking(perm2)
             rep = err_closed_rank(p, p2)
             assert (rep.error, rep.r, rep.shift) == closed_rank_shift_table(p.ranks(), p2.ranks())
+
+
+@pytest.mark.parametrize("metric, empty", [
+    (err_closed_time, TimeLabels(np.array([]))),
+    (err_closed_rank, Ranking(np.array([], dtype=np.int64))),
+], ids=["closed-time", "closed-rank"])
+def test_closed_metrics_refuse_no_points(metric, empty):
+    with pytest.raises(TooFewPointsError, match="at least 1 point, got 0"):
+        metric(empty, empty)
 
 
 class TestOpenTime:
