@@ -47,7 +47,7 @@ from .core import TWO_PI, CurveKind, DataMatrix, KernelParams, Ranking, TimeLabe
 from .eigen import smallest_eigenpairs
 from .errors import CoincidentPointsError, ConfigError, DisconnectedGraphError
 from .errors import LengthMismatchError, TooFewPointsError
-from .kernel import _upper_strips, build_kernel, build_laplacian
+from .kernel import _upper_strips, build_kernel, build_laplacian, exponent_floor
 from .synth import check_sample
 
 _UNIFORM_LABEL_AMPLITUDE = math.sqrt(2.0)  # of a unit-norm cos(t/2) under uniform labels
@@ -241,6 +241,11 @@ def data_driven_bandwidth(z: DataMatrix) -> KernelParams:
     This is a pragmatic fallback for data whose noise level is unknown,
     not a tuned or theory-backed rule.  Raises ``CoincidentPointsError``
     when no two points are apart.
+
+    Each exponent is clamped at the kernel's floor F (``exponent_floor``),
+    so a term below e^F reads e^F: the N^2 such terms at most add N^2 e^F,
+    far under ulp(N), to 2 * sum + N.  The 25 passes share one buffer of
+    the N(N - 1)/2 pairs beside the pairs themselves.
     """
     sq = np.empty((z.n_points,) * 2)
     _upper_strips(z.values, sq)
@@ -252,12 +257,14 @@ def data_driven_bandwidth(z: DataMatrix) -> KernelParams:
     lo = math.sqrt(float(np.quantile(positive, 0.01))) / 4.0
     hi = math.sqrt(float(positive.max()))
     sigmas = np.geomspace(lo, hi, DATA_BANDWIDTH_GRID)
-    mass = np.array(
-        [
-            2.0 * np.exp(-sq / (2.0 * s * s)).sum() + z.n_points
-            for s in sigmas
-        ]
-    ) / (np.sqrt(2.0 * math.pi) * sigmas)
+    floor = exponent_floor(z.n_points)
+    terms = np.empty_like(sq)
+    mass = np.empty(DATA_BANDWIDTH_GRID)
+    for i, s in enumerate(sigmas):
+        np.divide(sq, -2.0 * s * s, out=terms)
+        np.maximum(terms, floor, out=terms)  # keeps exp off its slow path
+        mass[i] = 2.0 * np.exp(terms, out=terms).sum() + z.n_points
+    mass /= np.sqrt(2.0 * math.pi) * sigmas
     slope = np.gradient(np.log(mass), np.log(sigmas))
     return KernelParams(float(sigmas[int(np.argmax(slope))]))
 

@@ -14,12 +14,15 @@ from spectime import (
     build_laplacian,
     generate,
     noise_for_snr,
+    noisy_sample,
     recover_labels,
+    select_bandwidth,
+    smallest_eigenpairs,
     CurveSpec,
 )
 from spectime import kernel
 from spectime.errors import DisconnectedGraphError
-from spectime.kernel import row_blocks
+from spectime.kernel import KernelMatrix, _upper_strips, exponent_floor, mirror_upper, row_blocks
 
 from oracles import gaussian_kernel_pdist, laplacian_outer_product
 
@@ -214,6 +217,93 @@ class TestWorkers:
 
 def _kernel_into(queue, x, sigma):
     queue.put(build_kernel(DataMatrix(x), KernelParams(sigma)).k)
+
+
+class TestExponentFloor:
+    """Exponents below F = ln(tiny N^2) + 1 are written as 0, so neither K
+    nor L holds a subnormal entry.  On the sweep's cardioid (N = 2000,
+    sigma = 0.1414, SNR 100) about 2.5% of the pairs lie below F; the
+    N = 2000 circle at ``"auto"`` sigma has no pair near it."""
+
+    N = 2000
+    SIGMA = 0.1414
+    TINY = np.finfo(np.float64).tiny
+
+    @pytest.fixture(scope="class")
+    def cardioid(self):
+        return noisy_sample(CurveSpec("cardioid"), self.N, 16, 100.0)[2]
+
+    @staticmethod
+    def _unfloored(z, sigma):
+        """(upper-triangle exponents, K) of the kernel formula with no floor,
+        step for step as the strip pass computes it."""
+        n = z.n_points
+        sq = np.empty((n, n))
+        _upper_strips(z.values, sq)
+        exponents = np.triu(sq) / (-2.0 * sigma**2)
+        k = np.exp(exponents) * (1.0 / (math.sqrt(2.0 * math.pi) * sigma))
+        mirror_upper(k)
+        return exponents, k
+
+    @classmethod
+    def _subnormal(cls, a):
+        return int(np.count_nonzero((a != 0.0) & (np.abs(a) < cls.TINY)))
+
+    @staticmethod
+    def _finish_names(monkeypatch):
+        """Record the name of each ``finish`` that ``build_kernel`` hands to
+        the strip pass."""
+        names = []
+
+        def spy(values, out, finish=None):
+            names.append(finish.__name__)
+            _upper_strips(values, out, finish)
+
+        monkeypatch.setattr(kernel, "_upper_strips", spy)
+        return names
+
+    def test_k_and_l_hold_no_subnormal_entry(self, cardioid):
+        km = build_kernel(cardioid, KernelParams(self.SIGMA))
+        assert self._subnormal(km.k) == 0
+        assert self._subnormal(build_laplacian(km).l) == 0
+        _, unfloored = self._unfloored(cardioid, self.SIGMA)
+        assert self._subnormal(unfloored) > 10_000  # what the floor removes
+
+    def test_entries_at_or_above_the_floor_match_the_formula(self, cardioid, monkeypatch):
+        names = self._finish_names(monkeypatch)
+        k = build_kernel(cardioid, KernelParams(self.SIGMA)).k
+        assert names == ["floored"]
+        exponents, unfloored = self._unfloored(cardioid, self.SIGMA)
+        upper = np.triu(np.ones((self.N, self.N), dtype=bool))
+        kept = upper & (exponents >= exponent_floor(self.N))
+        assert np.array_equal(k[kept], unfloored[kept])
+        assert np.count_nonzero(upper & ~kept) > 10_000
+        assert np.all(k[upper & ~kept] == 0.0)
+        assert np.array_equal(k, k.T)
+
+    def test_eigenpairs_match_the_unfloored_laplacian(self, cardioid):
+        km = build_kernel(cardioid, KernelParams(self.SIGMA))
+        _, unfloored = self._unfloored(cardioid, self.SIGMA)
+        degrees = unfloored.sum(axis=1)
+        assert np.array_equal(degrees, km.degrees)  # the zeros are far below ulp(d_i)
+        pairs = [smallest_eigenpairs(build_laplacian(m), 2)
+                 for m in (km, KernelMatrix(unfloored, degrees, self.SIGMA))]
+        assert pairs[0].path == pairs[1].path == "dense"
+        assert pairs[0].applications == pairs[1].applications
+        assert np.array_equal(pairs[0].eigenvalues, pairs[1].eigenvalues)
+        assert np.array_equal(pairs[0].eigenvectors, pairs[1].eigenvectors)
+
+    def test_circle_at_auto_sigma_skips_the_floor(self, monkeypatch):
+        _, _, z = noisy_sample(CurveSpec("circle"), self.N, 0, 100.0)
+        sigma = select_bandwidth(self.N, 0.0, CurveKind.CLOSED_LOOP).sigma
+        names = self._finish_names(monkeypatch)
+        k = build_kernel(z, KernelParams(sigma)).k
+        assert names == ["finish"]
+        exponents, unfloored = self._unfloored(z, sigma)
+        assert np.array_equal(k, unfloored)
+        # the bound that skipped the floor covers every computed distance
+        assert -2.0 * sigma**2 * exponents.min() <= kernel._farthest_sq(z.values)
+        assert kernel._farthest_sq(z.values) / (2.0 * sigma**2) < -exponent_floor(self.N)
 
 
 class TestBuildLaplacian:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from spectime import (
     select_bandwidth,
 )
 from spectime.errors import CoincidentPointsError, ConfigError, LengthMismatchError
-from spectime.recover import check_bandwidth
+from spectime.kernel import _upper_strips, exponent_floor
+from spectime.recover import DATA_BANDWIDTH_GRID, check_bandwidth
 
 from oracles import open_arccos_labels
 
@@ -205,6 +207,22 @@ class TestDataDrivenBandwidth:
         _, _, z = noisy_sample(CurveSpec(curve), n, 3, 100.0, None)
         assert data_driven_bandwidth(z).sigma == sigma
 
+    @pytest.mark.parametrize("curve", ["cardioid", "circle"])
+    def test_floor_keeps_the_unclamped_sigma_in_13_n_squared_bytes(self, curve):
+        n = 2000
+        _, _, z = noisy_sample(CurveSpec(curve), n, 0, 100.0, None)
+        sigma, smallest, sq = _unclamped_data_bandwidth(z)
+        # at the grid's smallest sigma some pairs lie below the exponent floor
+        assert sq.max() / (2.0 * smallest**2) > -exponent_floor(n)
+        tracemalloc.start()
+        try:
+            got = data_driven_bandwidth(z).sigma
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == sigma
+        assert peak <= 13 * n * n + 2**20
+
     def test_coincident_points_rejected(self):
         x = DataMatrix(np.tile(np.random.default_rng(3).standard_normal((300, 1)), (1, 40)))
         with pytest.raises(CoincidentPointsError, match="coincide"):
@@ -215,6 +233,20 @@ class TestDataDrivenBandwidth:
         out = recover_labels(x, CurveKind.CLOSED_LOOP, "data")
         assert out.sigma == data_driven_bandwidth(x).sigma
         assert err_closed_time(t, out.labels).error <= 0.5
+
+
+def _unclamped_data_bandwidth(z):
+    """(sigma, the grid's smallest sigma, each pair's squared distance) of
+    the data rule with no exponent floor, one fresh exp array per sigma."""
+    sq = np.empty((z.n_points,) * 2)
+    _upper_strips(z.values, sq)
+    sq = sq[~np.tri(z.n_points, dtype=bool)]
+    positive = sq[sq > 0]
+    sigmas = np.geomspace(math.sqrt(float(np.quantile(positive, 0.01))) / 4.0,
+                          math.sqrt(float(positive.max())), DATA_BANDWIDTH_GRID)
+    mass = np.array([2.0 * np.exp(-sq / (2.0 * s * s)).sum() + z.n_points for s in sigmas])
+    slope = np.gradient(np.log(mass / (np.sqrt(2.0 * math.pi) * sigmas)), np.log(sigmas))
+    return float(sigmas[int(np.argmax(slope))]), float(sigmas[0]), sq
 
 
 class TestEndToEnd:
