@@ -37,20 +37,16 @@ product to the eigensolve, and a ``KernelMatrix`` no longer holds its
 kernel once its Laplacian is built.
 
 An exponent -||v_i - v_j||^2 / (2 sigma^2) below F = ln(tiny * N^2) + 1
-(``exponent_floor``, -692 at N = 2000) gives an exact 0: the strip pass
-clamps it at F, so ``exp`` stays off its subnormal slow path (71 ns per
-entry against 0.5 ns, 2-core Xeon KVM box), and writes 0 where it was
-below; an entry at or above F is the unfloored formula's bit for bit.
-With p = 1 / (sqrt(2 pi) sigma), d_i <= N p and p / d_i^2 <= d~_i <= 1 / p,
-so build_laplacian's scale has 1 / (N^2 p) <= c_i c_j <= 1 / p: a kept
-entry (at least p e^F) leaves no subnormal number in L, and a dropped one
-moves its L entry by less than e * tiny * N^2, so ||dL||_2 < e * N^3 *
-tiny (4.8e-298 at N = 2000).  The floor adds three passes over the
-entries, so ``build_kernel`` skips it when no pair can reach F: when (2
-max_i ||v_i - mean||)^2 / (2 sigma^2), plus the Gram form's rounding, is
-below -F, an O(N d) bound.  It reads 42 on the N = 8000 circle at SNR
-100 and ``"auto"`` sigma, and 1124 on the open cardioid at sigma =
-0.1414, where 2.5% of the pairs lie below F.
+(``exponent_floor``, -692 at N = 2000) is clamped at F before ``exp``,
+which keeps ``exp`` off its subnormal slow path (71 ns per entry against
+0.5 ns, 2-core Xeon KVM box); an entry at or above F is the unfloored
+formula's bit for bit.  With p = 1 / (sqrt(2 pi) sigma), d_i <= N p and
+p / d_i^2 <= d~_i <= 1 / p, so build_laplacian's scale has
+1 / (N^2 p) <= c_i c_j <= 1 / p: every entry of K is at least p e^F, so
+no entry of L is subnormal (each is at least e^F / N^2 = e * tiny in
+magnitude), and a clamped entry moves its L entry by less than
+e^F = e * tiny * N^2, so ||dL||_2 < e * N^3 * tiny (4.8e-298 at
+N = 2000).
 
 Every N x N pass (the strips, the mirror with its row sums, and the
 Laplacian's scale pass) runs on W worker threads, W the number of CPUs
@@ -161,9 +157,7 @@ def _upper_strips(values: np.ndarray, out: np.ndarray, finish=None) -> None:
     ``finish``, if given, is applied to each chunk of a strip's rows while
     it is in cache.  The diagonal, and any entry at or below the Gram
     form's rounding error (d + 2) * eps * (n_i + n_j), is 0, so coincident
-    points are at distance 0.  ``finish`` also gets a boolean buffer of
-    the chunk's shape to use as scratch.  Nothing below the diagonal is
-    written."""
+    points are at distance 0.  Nothing below the diagonal is written."""
     n = out.shape[0]
     norms = np.einsum("ij,ij->j", values, values)
     floor = (values.shape[0] + 2) * np.finfo(np.float64).eps
@@ -184,7 +178,7 @@ def _upper_strips(values: np.ndarray, out: np.ndarray, finish=None) -> None:
                 np.copyto(chunk, 0.0, where=mask)
                 np.fill_diagonal(chunk[:, part.start :], 0.0)  # the entries (s + i, s + i)
                 if finish is not None:
-                    finish(chunk, mask)
+                    finish(chunk)
 
     _on_workers(run, list(row_blocks(n)), n, np.float64, np.bool_)
 
@@ -211,20 +205,9 @@ def mirror_upper(a: np.ndarray, sums: np.ndarray | None = None) -> None:
 
 
 def exponent_floor(n: int) -> float:
-    """F = ln(tiny * n^2) + 1, below which an exponent of an n-point kernel
-    is written as 0 (see the module docstring)."""
+    """F = ln(tiny * n^2) + 1, at which an exponent of an n-point kernel is
+    clamped (see the module docstring)."""
     return math.log(np.finfo(np.float64).tiny * n * n) + 1.0
-
-
-def _farthest_sq(values: np.ndarray) -> float:
-    """A bound on every squared distance the strip pass computes between
-    columns of ``values``: (2 max_i ||v_i - mean||)^2, plus 16 (d + 2) eps
-    max_i n_i for the rounding of that bound and of the Gram form."""
-    norms = np.einsum("ij,ij->j", values, values)
-    center = values.mean(axis=1)
-    spread = norms - 2.0 * (center @ values) + center @ center  # ||v_i - mean||^2
-    rounding = 16 * (values.shape[0] + 2) * np.finfo(np.float64).eps * norms.max()
-    return float(4.0 * spread.max() + rounding)
 
 
 def build_kernel(z: DataMatrix | np.ndarray, p: KernelParams) -> KernelMatrix:
@@ -236,20 +219,13 @@ def build_kernel(z: DataMatrix | np.ndarray, p: KernelParams) -> KernelMatrix:
     scale = -2.0 * p.sigma**2
     floor = exponent_floor(n)
 
-    def finish(chunk, mask):
+    def finish(chunk):
         chunk /= scale
+        np.maximum(chunk, floor, out=chunk)  # keeps exp off its slow path
         np.exp(chunk, out=chunk)
         chunk *= prefactor  # diagonal: exp(0) * prefactor
 
-    def floored(chunk, mask):
-        chunk /= scale
-        np.less(chunk, floor, out=mask)
-        np.maximum(chunk, floor, out=chunk)  # keeps exp off its slow path
-        np.exp(chunk, out=chunk)
-        chunk *= prefactor
-        np.copyto(chunk, 0.0, where=mask)
-
-    _upper_strips(values, k, floored if _farthest_sq(values) / scale < floor else finish)
+    _upper_strips(values, k, finish)
     degrees = np.empty(n)
     mirror_upper(k, degrees)
     return KernelMatrix(k=k, degrees=degrees, sigma=p.sigma)

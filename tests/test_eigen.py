@@ -605,9 +605,11 @@ class TestInPlaceFactor:
 
     @pytest.fixture
     def lap(self):
-        # sigma well below the loop's diameter: kernel entries underflow, so
-        # L holds -0.0 entries that a sloppy restore would turn into 0.0
+        # sigma well below the loop's diameter: the kernel clamps far pairs
+        # at its exponent floor, and those entries of L are set to -0.0, which
+        # a sloppy restore would turn into 0.0
         lap = circle_laplacian(300, sigma=0.05, seed=4)
+        lap.l[np.abs(lap.l) < 1e-300] = -0.0
         assert np.signbit(lap.l[lap.l == 0.0]).any()
         return lap
 

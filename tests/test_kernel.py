@@ -220,7 +220,7 @@ def _kernel_into(queue, x, sigma):
 
 
 class TestExponentFloor:
-    """Exponents below F = ln(tiny N^2) + 1 are written as 0, so neither K
+    """Exponents below F = ln(tiny N^2) + 1 are clamped at F, so neither K
     nor L holds a subnormal entry.  On the sweep's cardioid (N = 2000,
     sigma = 0.1414, SNR 100) about 2.5% of the pairs lie below F; the
     N = 2000 circle at ``"auto"`` sigma has no pair near it."""
@@ -249,19 +249,6 @@ class TestExponentFloor:
     def _subnormal(cls, a):
         return int(np.count_nonzero((a != 0.0) & (np.abs(a) < cls.TINY)))
 
-    @staticmethod
-    def _finish_names(monkeypatch):
-        """Record the name of each ``finish`` that ``build_kernel`` hands to
-        the strip pass."""
-        names = []
-
-        def spy(values, out, finish=None):
-            names.append(finish.__name__)
-            _upper_strips(values, out, finish)
-
-        monkeypatch.setattr(kernel, "_upper_strips", spy)
-        return names
-
     def test_k_and_l_hold_no_subnormal_entry(self, cardioid):
         km = build_kernel(cardioid, KernelParams(self.SIGMA))
         assert self._subnormal(km.k) == 0
@@ -269,23 +256,22 @@ class TestExponentFloor:
         _, unfloored = self._unfloored(cardioid, self.SIGMA)
         assert self._subnormal(unfloored) > 10_000  # what the floor removes
 
-    def test_entries_at_or_above_the_floor_match_the_formula(self, cardioid, monkeypatch):
-        names = self._finish_names(monkeypatch)
+    def test_entries_at_or_above_the_floor_match_the_formula(self, cardioid):
         k = build_kernel(cardioid, KernelParams(self.SIGMA)).k
-        assert names == ["floored"]
         exponents, unfloored = self._unfloored(cardioid, self.SIGMA)
         upper = np.triu(np.ones((self.N, self.N), dtype=bool))
         kept = upper & (exponents >= exponent_floor(self.N))
         assert np.array_equal(k[kept], unfloored[kept])
         assert np.count_nonzero(upper & ~kept) > 10_000
-        assert np.all(k[upper & ~kept] == 0.0)
+        prefactor = 1.0 / (math.sqrt(2.0 * math.pi) * self.SIGMA)
+        assert np.all(k[upper & ~kept] == np.exp(exponent_floor(self.N)) * prefactor)
         assert np.array_equal(k, k.T)
 
     def test_eigenpairs_match_the_unfloored_laplacian(self, cardioid):
         km = build_kernel(cardioid, KernelParams(self.SIGMA))
         _, unfloored = self._unfloored(cardioid, self.SIGMA)
         degrees = unfloored.sum(axis=1)
-        assert np.array_equal(degrees, km.degrees)  # the zeros are far below ulp(d_i)
+        assert np.array_equal(degrees, km.degrees)  # the clamped entries are far below ulp(d_i)
         pairs = [smallest_eigenpairs(build_laplacian(m), 2)
                  for m in (km, KernelMatrix(unfloored, degrees, self.SIGMA))]
         assert pairs[0].path == pairs[1].path == "dense"
@@ -293,17 +279,13 @@ class TestExponentFloor:
         assert np.array_equal(pairs[0].eigenvalues, pairs[1].eigenvalues)
         assert np.array_equal(pairs[0].eigenvectors, pairs[1].eigenvectors)
 
-    def test_circle_at_auto_sigma_skips_the_floor(self, monkeypatch):
+    def test_circle_at_auto_sigma_equals_the_unfloored_formula(self):
         _, _, z = noisy_sample(CurveSpec("circle"), self.N, 0, 100.0)
         sigma = select_bandwidth(self.N, 0.0, CurveKind.CLOSED_LOOP).sigma
-        names = self._finish_names(monkeypatch)
         k = build_kernel(z, KernelParams(sigma)).k
-        assert names == ["finish"]
         exponents, unfloored = self._unfloored(z, sigma)
+        assert exponents.min() > exponent_floor(self.N)
         assert np.array_equal(k, unfloored)
-        # the bound that skipped the floor covers every computed distance
-        assert -2.0 * sigma**2 * exponents.min() <= kernel._farthest_sq(z.values)
-        assert kernel._farthest_sq(z.values) / (2.0 * sigma**2) < -exponent_floor(self.N)
 
 
 class TestBuildLaplacian:
