@@ -93,6 +93,7 @@ def blas_threads() -> int | None:
                        "openblas_get_num_threads64_", "openblas_get_num_threads"):
             fn = getattr(handle, symbol, None)
             if fn is not None:
+                fn.argtypes = []
                 fn.restype = ctypes.c_int
                 return int(fn())
     return None

@@ -7,7 +7,8 @@ checked post hoc by direct multiplication.
 One iteration, two operators.  ``_block_smallest`` is a thick-restarted
 block Krylov iteration that ends each pass with Rayleigh-Ritz.  It starts
 from ``width`` random rows (``default_rng(0)``); each next block is the
-image of the last one, orthogonalized twice against the basis.  Blocks
+image of the last one, orthogonalized twice against the basis (three
+times when its QR leaves more than LEAK along it).  Blocks
 are stored as rows, and the operator comes as a function that writes
 ``rows @ op``.  The basis and its image live in two preallocated buffers
 of BASIS_ROWS rows, or 2(k + width) when that is more (12 MB at N=8000
@@ -40,10 +41,15 @@ buffers hold the probe's passes only, and are widened when the
 iteration goes on; at the full BASIS_ROWS they raised the cardioid
 sweep's peak resident size by about 1 MB.  A theta_1 <= -SHIFT proves
 that no factor exists, so the iteration goes on.  At N=2000, after two
-passes, the gap read 5.9-828 on the circle, the half-circle and
-``highdim-5k``'s Laplacian, which take 3-7 passes (0.02-0.03 s against
-0.10 s for the factor), and 0.22-0.59 on the cardioid at sigma = 0.0632
-and 0.1414, which take 27-105 (the factor, 20-22 solves).
+passes, the gap read 11.7-442 on the circle, the half-circle (SNR 100,
+seed 0) and ``highdim-5k``'s Laplacian, which take 4-7 passes (9-17 ms
+against 48-53 ms for the factor and its 6-7 solves), and 0.11-0.48 on
+the cardioid (seed 16) at sigma = 0.0632 and 0.1414, SNR 100 and 1000,
+which take 26-93 passes (62-218 ms against 58-116 ms for the factor and
+its 10-13 solves), or more than their budget at sigma = 0.0632, SNR 100
+(167 ms for the factor and its 24 solves).  A pass took 2.3-2.5 ms, of
+which 1.24 ms is the 12-row product (medians of 3 solves per path,
+2-core KVM box, OpenBLAS 0.3.31 with 2 threads).
 
 The dense path (chosen by the probe): one Cholesky factor of A + tau*I,
 then the iteration on -(A + tau*I)^-1 in blocks of k rows, whose k
@@ -130,8 +136,9 @@ BLOCK = 12  # least rows the block path applies L to in one pass over its memory
 BASIS_ROWS = 96  # basis rows the iteration holds before a thick restart (or 2(k + width))
 PASSES_PER_PAIR = 100  # the iteration's budget of passes, per wanted pair
 RANK_DROP = 1e-8  # a new basis row kept below this fraction of its norm is redrawn
+LEAK = 1e-14  # largest |q . b| left between a new row q and a basis row b before a third projection
 PROBE_PASSES = 2  # block passes before the path is chosen at N <= DENSE_CUTOFF, k <= N/4
-FACTOR_PASSES = 12  # the factor and its solves, in block passes (8.8-27 measured at N=2000)
+FACTOR_PASSES = 12  # the factor and its solves, in block passes (21-71 measured at N=2000)
 GAP_PASSES = 20  # block passes times sqrt(gap): 12-32 on circles and cardioids, N=500-2000
 
 
@@ -297,7 +304,10 @@ def _dense_smallest(work: np.ndarray, k: int,
 def _orthonormal(block: np.ndarray, basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """The rows of block made orthonormal and orthogonal to the rows of basis
     (projected twice, so rounding leaves no component along basis); a row
-    that loses rank is redrawn from rng."""
+    that loses rank is redrawn from rng.  The QR divides by r_ii, so a row
+    nearly dependent within its block magnifies the others' leftover
+    components along basis; past LEAK those are projected out once more
+    and the QR repeated."""
     while True:
         norms = np.linalg.norm(block, axis=1)
         for _ in range(2):
@@ -305,7 +315,12 @@ def _orthonormal(block: np.ndarray, basis: np.ndarray, rng: np.random.Generator)
         q, r = np.linalg.qr(block.T)
         lost = np.abs(r.diagonal()) <= RANK_DROP * norms
         if not lost.any():
-            return q.T
+            q = q.T
+            overlap = q @ basis.T
+            if np.abs(overlap).max(initial=0.0) > LEAK:
+                q -= overlap @ basis
+                q = np.linalg.qr(q.T)[0].T
+            return q
         block[lost] = rng.standard_normal((int(lost.sum()), block.shape[1]))
 
 

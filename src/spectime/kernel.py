@@ -23,18 +23,20 @@ neighbour in the graph; normalization then raises
 ``DisconnectedGraphError`` instead of handing a degenerate operator to
 the eigensolver.
 
-The kernel matrix is built in one N x N buffer, one strip of rows of
-its upper triangle at a time: a ``gemm`` writes the strip's block of the
-Gram product G = V^T V in place, and ||v_i - v_j||^2 = (n_i + n_j) -
-2 G_ij with n_i = ||v_i||^2, the distance floor, the exponential and the
-prefactor follow, a chunk of the strip's rows at a time, while the strip
-is in cache.  ``mirror_upper`` then copies the upper triangle onto the
-lower one, so the matrix is bit-exactly symmetric by construction; no
-copy of the data is made, and each degree is the row sum of a finished
-row of tiles.  ``build_laplacian`` then writes L over that same buffer,
-``km.k``, so the recovery path holds one N x N array from the Gram
-product to the eigensolve, and a ``KernelMatrix`` no longer holds its
-kernel once its Laplacian is built.
+K, D~ and L are symmetric, so only their upper triangle is read or
+written until L is mirrored.  The kernel is built in one N x N buffer,
+one strip of rows of that triangle at a time: a ``gemm`` writes the
+strip's block of -2 G, G = V^T V the Gram product, in place, and
+||v_i - v_j||^2 = (n_i + n_j) - 2 G_ij with n_i = ||v_i||^2, the
+distance floor, the exponential and the prefactor follow, a chunk of the
+strip's rows at a time, while the strip is in cache; the finished strip
+then adds its share of the degrees.  ``build_laplacian`` writes L over
+that same buffer, ``km.k``: one pass over the triangle sums d~, and one
+pass of tile rows scales the triangle by -(c_i c_j) and copies each
+scaled chunk onto the lower triangle while it is in cache, so L is
+bit-exactly symmetric by construction.  The recovery path holds one
+N x N array from the Gram product to the eigensolve, and a
+``KernelMatrix`` no longer holds its kernel once its Laplacian is built.
 
 An exponent -||v_i - v_j||^2 / (2 sigma^2) below F = ln(tiny * N^2) + 1
 (``exponent_floor``, -692 at N = 2000) is clamped at F before ``exp``,
@@ -48,8 +50,8 @@ magnitude), and a clamped entry moves its L entry by less than
 e^F = e * tiny * N^2, so ||dL||_2 < e * N^3 * tiny (4.8e-298 at
 N = 2000).
 
-Every N x N pass (the strips, the mirror with its row sums, and the
-Laplacian's scale pass) runs on W worker threads, W the number of CPUs
+Every N x N pass (the strips, the d~ sums, and the Laplacian's scale and
+mirror) runs on W worker threads, W the number of CPUs
 in the process's affinity mask (``taskset`` limits it) but at most one
 per 32 MB of the matrix, so one at N <= 2048, where a second worker
 gained nothing while the BLAS threads of the last product still spin;
@@ -58,10 +60,14 @@ numpy releases the interpreter lock in the ufuncs and in the strip
 dealt round-robin.  The calling thread allocates the workers' chunk
 buffers, about 0.6 MB split among them whatever W is (one row each at
 the least), and the pool lives for one call, so a forked child starts
-its own.  The strip heights are ``row_blocks``' whatever W is, and the
-rest is elementwise, so K, the degrees and L do not depend on W: the
-output is reproducible at a fixed BLAS thread count; a different BLAS
-count can change the last bits of G and of the eigensolver's output.
+its own.  The strip heights are ``row_blocks``' whatever W is.  A sum
+across strips (a degree's or a d~'s column part) is added per group of
+strips, strip i in group i mod ``_GROUPS``: a group's strips run in order
+on one worker, and the groups' O(N) partial sums are added in group
+order.  The rest is elementwise, so K, the degrees, d~ and L do not
+depend on W: the output is reproducible at a fixed BLAS thread count; a
+different BLAS count can change the last bits of G, of the sums and of
+the eigensolver's output.
 """
 
 from __future__ import annotations
@@ -80,13 +86,17 @@ from .errors import DisconnectedGraphError
 _BLOCK_ELEMENTS = 1 << 18  # row block of the N x N passes, 2 MB of float64
 _CHUNK_ELEMENTS = 1 << 16  # the workers' chunk buffers together, 512 KB of float64
 _TILE = 128  # side of the square tiles that mirror a triangle
+_GROUPS = 24  # strip groups whose column sums are added in a fixed order; a multiple of W <= 4
 _WORKER_ELEMENTS = 1 << 22  # entries per worker thread, 32 MB of float64; one at N <= 2048
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric N x N Gaussian similarity matrix with its degree vector;
-    ``build_laplacian`` writes L over ``k``."""
+    """Symmetric N x N Gaussian similarity matrix K with its degree vector.
+
+    ``k`` holds K on and above the diagonal; below it ``k`` is scratch,
+    neither read nor defined (``build_kernel`` leaves part of each strip's
+    diagonal block there).  ``build_laplacian`` writes L over ``k``."""
 
     k: np.ndarray
     degrees: np.ndarray
@@ -150,58 +160,116 @@ def _on_workers(task, jobs: list | range, shape: int | tuple[int, int], *dtypes)
             future.result()
 
 
-def _upper_strips(values: np.ndarray, out: np.ndarray, finish=None) -> None:
+def _on_strips(n: int, task, *dtypes) -> None:
+    """Call task(g, rows, *buffers) for each ``row_blocks`` strip of an
+    n x n matrix, strip i in group g = i mod ``_GROUPS``: the groups are
+    dealt to the workers (see ``_on_workers``), each group's strips in
+    order, so what a task adds up per group does not depend on W."""
+    strips = list(row_blocks(n))
+
+    def run(groups, *buffers):
+        for g in groups:
+            for rows in strips[g::_GROUPS]:
+                task(g, rows, *buffers)
+
+    _on_workers(run, range(min(_GROUPS, len(strips))), n, *dtypes)
+
+
+def _upper_strips(values: np.ndarray, out: np.ndarray, finish=None, done=None) -> None:
     """Write the squared distances between the columns of ``values`` into
     the upper triangle of ``out``, one ``row_blocks`` strip
-    out[rows, rows.start:] at a time, the strips dealt to the workers;
-    ``finish``, if given, is applied to each chunk of a strip's rows while
-    it is in cache.  The diagonal, and any entry at or below the Gram
-    form's rounding error (d + 2) * eps * (n_i + n_j), is 0, so coincident
-    points are at distance 0.  Nothing below the diagonal is written."""
-    n = out.shape[0]
+    out[rows, rows.start:] at a time (see ``_on_strips``); ``finish``, if
+    given, is applied to each chunk of a strip's rows while it is in cache,
+    and then ``done(g, rows)``, if given, to the finished strip.  The
+    diagonal, and any entry at or below the Gram form's rounding error
+    (d + 2) * eps * (n_i + n_j), is 0, so coincident points are at
+    distance 0.  Each strip's square block on the diagonal is written in
+    full, so the part of it below the diagonal holds scratch; nothing else
+    below the diagonal is written."""
     norms = np.einsum("ij,ij->j", values, values)
     floor = (values.shape[0] + 2) * np.finfo(np.float64).eps
 
-    def run(strips, total_buf, mask_buf):
-        for rows in strips:
-            s = rows.start
-            strip = np.matmul(values[:, rows].T, values[:, s:], out=out[rows, s:])
-            for part in row_blocks(strip.shape[0], strip.shape[1], total_buf.size):
-                chunk = strip[part]
-                shape = chunk.shape
-                total = np.add.outer(norms[rows][part], norms[s:],
-                                     out=total_buf[: chunk.size].reshape(shape))
-                chunk *= -2.0
-                chunk += total
-                total *= floor
-                mask = np.less_equal(chunk, total, out=mask_buf[: chunk.size].reshape(shape))
-                np.copyto(chunk, 0.0, where=mask)
-                np.fill_diagonal(chunk[:, part.start :], 0.0)  # the entries (s + i, s + i)
-                if finish is not None:
-                    finish(chunk)
+    def strip_task(g, rows, total_buf, mask_buf):
+        s = rows.start
+        # -2 G from the gemm itself, bit for bit: scaling by a power of 2 is exact
+        strip = np.matmul(-2.0 * values[:, rows].T, values[:, s:], out=out[rows, s:])
+        for part in row_blocks(strip.shape[0], strip.shape[1], total_buf.size):
+            chunk = strip[part]
+            shape = chunk.shape
+            total = np.add.outer(norms[rows][part], norms[s:],
+                                 out=total_buf[: chunk.size].reshape(shape))
+            chunk += total
+            total *= floor
+            mask = np.less_equal(chunk, total, out=mask_buf[: chunk.size].reshape(shape))
+            np.copyto(chunk, 0.0, where=mask)
+            np.fill_diagonal(chunk[:, part.start :], 0.0)  # the entries (s + i, s + i)
+            if finish is not None:
+                finish(chunk)
+        if done is not None:
+            done(g, rows)
 
-    _on_workers(run, list(row_blocks(n)), n, np.float64, np.bool_)
+    _on_strips(out.shape[0], strip_task, np.float64, np.bool_)
 
 
-def mirror_upper(a: np.ndarray, sums: np.ndarray | None = None) -> None:
+def mirror_upper(a: np.ndarray, scale: np.ndarray | None = None) -> None:
     """Copy a's strict upper triangle onto its strict lower one, one row of
-    tiles per job on the workers; with ``sums``, write each row's sum there
-    once its tile row is whole."""
+    tiles per job on the workers; with ``scale`` (c), first multiply each
+    entry on and above the diagonal by -(c_i c_j), one chunk of the tile
+    row at a time, and copy it down while it is in cache."""
     n = a.shape[0]
     below = np.tri(_TILE, k=-1, dtype=bool)
 
-    def run(starts):
+    def scaled(rows, cols, buf):
+        chunk = a[rows, cols]
+        if scale is not None:
+            neg = -scale[rows]
+            for part in row_blocks(chunk.shape[0], chunk.shape[1], buf.size):
+                piece = chunk[part]
+                piece *= np.multiply.outer(neg[part], scale[cols],  # -(c_i c_j) exactly
+                                           out=buf[: piece.size].reshape(piece.shape))
+        return chunk
+
+    def run(starts, buf):
         for i in starts:
             rows = slice(i, i + _TILE)
-            for j in range(0, i, _TILE):
-                a[rows, j : j + _TILE] = a[j : j + _TILE, rows].T
-            block = a[rows, rows]
+            block = scaled(rows, rows, buf)
             mask = below[: block.shape[0], : block.shape[0]]
             block[mask] = block.T[mask]
-            if sums is not None:
-                np.sum(a[rows], axis=1, out=sums[rows])
+            width = buf.size // block.shape[0]
+            for j in range(i + _TILE, n, width):
+                cols = slice(j, j + width)
+                a[cols, rows] = scaled(rows, cols, buf).T
 
-    _on_workers(run, range(0, n, _TILE), n)
+    _on_workers(run, range(0, n, _TILE), n, np.float64)
+
+
+def _triangle_product(a: np.ndarray, w: np.ndarray):
+    """(add, total) for A w, A the symmetric matrix whose upper triangle,
+    diagonal included, a holds; nothing below the diagonal is read.
+    add(g, rows), a task for ``_on_strips``, writes the strip's rows' part
+    of A w and adds its transpose's part, the columns', to group g's O(N)
+    partial sums; total() returns A w once every strip is added, the
+    groups summed in order."""
+    n = a.shape[0]
+    out, cols = np.empty(n), np.zeros((_GROUPS, n))
+
+    def add(g, rows):
+        s, e = rows.start, min(rows.stop, n)
+        diag, right = np.triu(a[rows, s:e]), a[rows, e:]
+        out[s:e] = diag @ w[s:e] + right @ w[e:]
+        np.fill_diagonal(diag, 0.0)
+        cols[g, s:e] += w[s:e] @ diag
+        cols[g, e:] += w[s:e] @ right
+
+    return add, lambda: out + cols.sum(axis=0)
+
+
+def symmetric_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A w for the symmetric A whose upper triangle a holds, in one pass
+    over that triangle (see ``_triangle_product``)."""
+    add, total = _triangle_product(a, w)
+    _on_strips(a.shape[0], add)
+    return total()
 
 
 def exponent_floor(n: int) -> float:
@@ -211,7 +279,8 @@ def exponent_floor(n: int) -> float:
 
 
 def build_kernel(z: DataMatrix | np.ndarray, p: KernelParams) -> KernelMatrix:
-    """Assemble the full pairwise similarity matrix and degree vector."""
+    """Assemble the upper triangle of the pairwise similarity matrix and,
+    from it, the degree vector (full row sums, self term included)."""
     values = z.values if isinstance(z, DataMatrix) else DataMatrix(z).values
     n = values.shape[1]
     k = np.empty((n, n))
@@ -225,10 +294,9 @@ def build_kernel(z: DataMatrix | np.ndarray, p: KernelParams) -> KernelMatrix:
         np.exp(chunk, out=chunk)
         chunk *= prefactor  # diagonal: exp(0) * prefactor
 
-    _upper_strips(values, k, finish)
-    degrees = np.empty(n)
-    mirror_upper(k, degrees)
-    return KernelMatrix(k=k, degrees=degrees, sigma=p.sigma)
+    add, degrees = _triangle_product(k, np.ones(n))
+    _upper_strips(values, k, finish, add)
+    return KernelMatrix(k=k, degrees=degrees(), sigma=p.sigma)
 
 
 def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:
@@ -236,8 +304,9 @@ def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:
     L shares the kernel's buffer; ``km.degrees`` is left as it was.
 
     With K~ = D^-1 K D^-1 and d~ its row sums, S_ij = k~_ij / sqrt(d~_i d~_j)
-    = k_ij c_i c_j for the scale vector c = D^-1 D~^-1/2, applied in row
-    blocks, so L is bit-exactly symmetric.  Every degree holds the self
+    = k_ij c_i c_j for the scale vector c = D^-1 D~^-1/2.  d~ is summed from
+    K's upper triangle, which is scaled and then copied onto the lower
+    one, so L is bit-exactly symmetric.  Every degree holds the self
     term 1 / (sqrt(2 pi) sigma), finite and positive for any sigma that
     ``KernelParams`` accepts, and no other entry is negative, so D^-1
     exists.
@@ -251,17 +320,7 @@ def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:
             "have no neighbour above rounding; use a larger bandwidth"
         )
     inv = 1.0 / deg
-    inv_sqrt = 1.0 / np.sqrt(inv * (k @ inv))  # d~ = D^-1 K D^-1 1
-    scale = inv * inv_sqrt
-
-    def run(strips, outer_buf):
-        for rows in strips:
-            strip, neg = k[rows], -scale[rows]
-            for part in row_blocks(strip.shape[0], n, outer_buf.size):
-                chunk = strip[part]
-                chunk *= np.multiply.outer(neg[part], scale,  # -(c_i c_j) exactly
-                                           out=outer_buf[: chunk.size].reshape(chunk.shape))
-
-    _on_workers(run, list(row_blocks(n)), n, np.float64)
+    inv_sqrt = 1.0 / np.sqrt(inv * symmetric_product(k, inv))  # d~ = D^-1 K D^-1 1
+    mirror_upper(k, inv * inv_sqrt)
     np.fill_diagonal(k, 1.0 + k.diagonal())
     return LaplacianMatrix(l=k, sigma=sigma, inv_sqrt_degrees=inv_sqrt)

@@ -100,10 +100,8 @@ def gaussian_kernel_pdist(values, sigma):
     return k
 
 
-def laplacian_outer_product(k, degrees):
-    """L = I - outer(c, c) * K with c = D^-1 D~^-1/2."""
-    inv = 1.0 / degrees
-    c = inv * (1.0 / np.sqrt(inv * (k @ inv)))
+def laplacian_outer_product(k, c):
+    """L = I - outer(c, c) * K for the scale vector c = D^-1 D~^-1/2."""
     lap = -(np.outer(c, c) * k)
     np.fill_diagonal(lap, 1.0 + lap.diagonal())
     return lap

@@ -538,10 +538,13 @@ class TestMoreThanAQuarterOfThePairs:
         assert res.path == "block" and res.applications == n and fallback_calls == []
         # k pairs, each certified, with orthonormal vectors and the k smallest
         # eigenvalues within ||residuals||_F of numpy's (the k-th and k+1-th
-        # are 6e-11 apart at N=200, so the k-space itself is not pinned)
+        # are 6e-11 apart at N=200, so the k-space itself is not pinned);
+        # a basis that reaches N keeps orthonormal rows to rounding (a
+        # single QR after the projections left 2.2e-9 at N=200, k=51 and
+        # 2.6e-9 at N=1000, k=251)
         w = np.linalg.eigvalsh(lap.l)
         assert np.abs(res.eigenvalues - w[:k]).max() <= np.linalg.norm(res.residuals)
-        assert np.abs(res.eigenvectors.T @ res.eigenvectors - np.eye(k)).max() <= 1e-8
+        assert np.abs(res.eigenvectors.T @ res.eigenvectors - np.eye(k)).max() <= 1e-13
         if n <= 100:
             assert_matches_eigh(res, lap.l, k)
 

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,11 +23,37 @@ from spectime import (
 )
 from spectime import kernel
 from spectime.errors import DisconnectedGraphError
-from spectime.kernel import KernelMatrix, _upper_strips, exponent_floor, mirror_upper, row_blocks
+from spectime.kernel import (
+    KernelMatrix,
+    _upper_strips,
+    exponent_floor,
+    mirror_upper,
+    row_blocks,
+    symmetric_product,
+)
 
 from oracles import gaussian_kernel_pdist, laplacian_outer_product
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def mirrored(k):
+    """The symmetric matrix whose upper triangle, diagonal included, k holds;
+    ``KernelMatrix.k`` leaves the entries below its diagonal undefined."""
+    return np.triu(k) + np.triu(k, 1).T
+
+
+def assert_degrees(km):
+    """Each degree within N eps d_i of the exact row sum of the mirrored K."""
+    k = mirrored(km.k)
+    exact = np.array([math.fsum(row) for row in k])
+    assert np.all(np.abs(km.degrees - exact) <= k.shape[0] * np.finfo(np.float64).eps * exact)
+
+
+def assert_symmetric_laplacian(km):
+    """L, built over km.k, equals its transpose bit for bit."""
+    lap = build_laplacian(km).l
+    assert np.array_equal(lap, lap.T)
 
 
 class TestGaussianKernel:
@@ -45,16 +72,16 @@ class TestGaussianKernel:
 
     def test_symmetry_random_pairs(self):
         x = np.random.default_rng(0).standard_normal((3, 100))
-        k = build_kernel(DataMatrix(x), KernelParams(0.7)).k
-        assert np.array_equal(k, k.T)
-        assert np.abs(k - gaussian_kernel_pdist(x, 0.7)).max() <= 1e-14
+        km = build_kernel(DataMatrix(x), KernelParams(0.7))
+        assert np.abs(mirrored(km.k) - gaussian_kernel_pdist(x, 0.7)).max() <= 1e-14
+        assert_symmetric_laplacian(km)
 
 
 class TestBuildKernel:
     def test_identical_points(self):
         z = DataMatrix(np.zeros((2, 2)))
         km = build_kernel(z, KernelParams(1.0))
-        assert np.allclose(km.k, INV_SQRT_2PI)
+        assert np.allclose(mirrored(km.k), INV_SQRT_2PI)
         assert np.allclose(km.degrees, 2 * INV_SQRT_2PI)
 
     def test_collinear_ratio(self):
@@ -70,7 +97,7 @@ class TestBuildKernel:
     def test_bit_exact_symmetry(self):
         rng = np.random.default_rng(2)
         km = build_kernel(DataMatrix(rng.standard_normal((4, 50))), KernelParams(0.8))
-        assert np.array_equal(km.k, km.k.T)
+        assert_symmetric_laplacian(km)
 
     @pytest.mark.parametrize("d", [2, 300])
     @pytest.mark.parametrize("offset", [0.0, 100.0])
@@ -81,7 +108,7 @@ class TestBuildKernel:
         rng = np.random.default_rng(10 + d)
         x = rng.standard_normal((d, 600)) / math.sqrt(d) + offset
         sigma = 0.5
-        k = build_kernel(DataMatrix(x), KernelParams(sigma)).k
+        k = mirrored(build_kernel(DataMatrix(x), KernelParams(sigma)).k)
         oracle = gaussian_kernel_pdist(x, sigma)
         eps = np.finfo(np.float64).eps
         sq_tol = 64 * eps * 2 * float((x * x).sum(axis=0).max())
@@ -92,7 +119,7 @@ class TestBuildKernel:
         # large enough that BLAS splits the Gram product into blocks
         rng = np.random.default_rng(11)
         km = build_kernel(DataMatrix(rng.standard_normal((300, 600))), KernelParams(20.0))
-        assert np.array_equal(km.k, km.k.T)
+        assert_symmetric_laplacian(km)
 
     @pytest.mark.parametrize("d", [2, 300])
     def test_coincident_points_at_distance_zero(self, d):
@@ -117,7 +144,8 @@ class TestBuildKernel:
 
 class TestStrips:
     """The kernel is built one row-block strip of the upper triangle at a
-    time and mirrored; N = 1500 spans 9 strips, the last one partial."""
+    time, and the degrees are summed from that triangle; N = 1500 spans 9
+    strips, the last one partial."""
 
     def test_strip_layout(self):
         # 9 strips, the last one partial, each under 750 rows high
@@ -137,17 +165,17 @@ class TestStrips:
         eps = np.finfo(np.float64).eps
         oracle = gaussian_kernel_pdist(x, sigma)
         sq_tol = 64 * eps * 2 * float((x * x).sum(axis=0).max())
-        assert np.all(np.abs(km.k - oracle) <= oracle * sq_tol / (2 * sigma**2) + 8 * eps * pref)
-        assert np.array_equal(km.k, km.k.T)
-        assert np.array_equal(km.degrees, km.k.sum(axis=1))
+        k = mirrored(km.k)
+        assert np.all(np.abs(k - oracle) <= oracle * sq_tol / (2 * sigma**2) + 8 * eps * pref)
+        assert_degrees(km)
         # at sigma = 1e-4 k equals its prefactor only at a distance of exactly 0
         tiny = 1e-4
         k0 = build_kernel(DataMatrix(x), KernelParams(tiny)).k
         pref0 = 1.0 / (math.sqrt(2 * math.pi) * tiny)
-        assert np.array_equal(k0, k0.T) and np.all(k0.diagonal() == pref0)
+        assert np.all(k0.diagonal() == pref0)
         i = np.arange(h)
-        for a, b in ((i, i + h), (i + h, i)):
-            assert np.all(km.k[a, b] == pref) and np.all(k0[a, b] == pref0)
+        assert np.all(km.k[i, i + h] == pref) and np.all(k0[i, i + h] == pref0)
+        assert_symmetric_laplacian(km)
 
     def test_peak_memory_one_n_by_n_array(self):
         # the kernel array plus the workers' chunk buffers, never a second N x N
@@ -169,24 +197,32 @@ class TestStrips:
 
 
 class TestWorkers:
-    """Every N x N pass runs on W worker threads; K, the degrees and L must
-    not depend on W at a fixed BLAS thread count."""
+    """Every N x N pass runs on W worker threads; K's upper triangle, the
+    degrees, L and D~^-1/2 must not depend on W at a fixed BLAS thread
+    count, though the degrees and d~ add sums across strips."""
 
     @staticmethod
     def _outputs(x, monkeypatch, workers):
         monkeypatch.setattr(kernel, "_worker_count", lambda n: workers)
         km = build_kernel(DataMatrix(x), KernelParams(0.4))
-        k, degrees = km.k.copy(), km.degrees
+        k, degrees = np.triu(km.k), km.degrees
         lap = build_laplacian(km)
         return k, degrees, lap.l, lap.inv_sqrt_degrees
 
     @pytest.mark.parametrize("n, d", [(3001, 2), (1500, 300)])
     def test_bit_identical_across_worker_counts(self, monkeypatch, n, d):
+        # 16 workers, more than the cores, with frequent thread switches: a
+        # group's partial sums shared between two workers would lose updates
         x = np.random.default_rng(n + d).standard_normal((d, n)) / math.sqrt(d) + 0.3
         one = self._outputs(x, monkeypatch, 1)
-        for workers in (2, 3):
-            for a, b in zip(one, self._outputs(x, monkeypatch, workers)):
-                assert np.array_equal(a, b)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 3, 16):
+                for a, b in zip(one, self._outputs(x, monkeypatch, workers)):
+                    assert np.array_equal(a, b)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_one_worker_per_32_mb_of_matrix(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -200,7 +236,7 @@ class TestWorkers:
         # a pool kept past its call would leave the child threads that do not exist
         monkeypatch.setattr(kernel, "_worker_count", lambda n: 2)
         x = np.random.default_rng(22).standard_normal((2, 600))
-        parent = build_kernel(DataMatrix(x), KernelParams(0.5)).k
+        parent = np.triu(build_kernel(DataMatrix(x), KernelParams(0.5)).k)
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         child = ctx.Process(target=_kernel_into, args=(queue, x, 0.5))
@@ -216,7 +252,7 @@ class TestWorkers:
 
 
 def _kernel_into(queue, x, sigma):
-    queue.put(build_kernel(DataMatrix(x), KernelParams(sigma)).k)
+    queue.put(np.triu(build_kernel(DataMatrix(x), KernelParams(sigma)).k))
 
 
 class TestExponentFloor:
@@ -251,7 +287,7 @@ class TestExponentFloor:
 
     def test_k_and_l_hold_no_subnormal_entry(self, cardioid):
         km = build_kernel(cardioid, KernelParams(self.SIGMA))
-        assert self._subnormal(km.k) == 0
+        assert self._subnormal(np.triu(km.k)) == 0
         assert self._subnormal(build_laplacian(km).l) == 0
         _, unfloored = self._unfloored(cardioid, self.SIGMA)
         assert self._subnormal(unfloored) > 10_000  # what the floor removes
@@ -265,12 +301,11 @@ class TestExponentFloor:
         assert np.count_nonzero(upper & ~kept) > 10_000
         prefactor = 1.0 / (math.sqrt(2.0 * math.pi) * self.SIGMA)
         assert np.all(k[upper & ~kept] == np.exp(exponent_floor(self.N)) * prefactor)
-        assert np.array_equal(k, k.T)
 
     def test_eigenpairs_match_the_unfloored_laplacian(self, cardioid):
         km = build_kernel(cardioid, KernelParams(self.SIGMA))
         _, unfloored = self._unfloored(cardioid, self.SIGMA)
-        degrees = unfloored.sum(axis=1)
+        degrees = symmetric_product(unfloored, np.ones(self.N))
         assert np.array_equal(degrees, km.degrees)  # the clamped entries are far below ulp(d_i)
         pairs = [smallest_eigenpairs(build_laplacian(m), 2)
                  for m in (km, KernelMatrix(unfloored, degrees, self.SIGMA))]
@@ -285,7 +320,7 @@ class TestExponentFloor:
         k = build_kernel(z, KernelParams(sigma)).k
         exponents, unfloored = self._unfloored(z, sigma)
         assert exponents.min() > exponent_floor(self.N)
-        assert np.array_equal(k, unfloored)
+        assert np.array_equal(np.triu(k), np.triu(unfloored))
 
 
 class TestBuildLaplacian:
@@ -311,7 +346,7 @@ class TestBuildLaplacian:
         km = build_kernel(DataMatrix(rng.standard_normal((3, 40))), KernelParams(0.9))
         # alpha = 1 kernel K~ = D^-1 K D^-1, formed explicitly as an oracle
         # before build_laplacian writes L over km.k
-        d_tilde = (km.k / np.outer(km.degrees, km.degrees)).sum(axis=1)
+        d_tilde = (mirrored(km.k) / np.outer(km.degrees, km.degrees)).sum(axis=1)
         lap = build_laplacian(km)
         v = np.sqrt(d_tilde)
         assert np.linalg.norm(lap.l @ v) / np.linalg.norm(v) <= 1e-10
@@ -327,7 +362,7 @@ class TestBuildLaplacian:
         # D~^-1/2 u is an eigenvector of the random-walk matrix D~^-1 K~
         rng = np.random.default_rng(12)
         km = build_kernel(DataMatrix(rng.standard_normal((2, 50))), KernelParams(0.7))
-        k_tilde = km.k / np.outer(km.degrees, km.degrees)  # read before L overwrites km.k
+        k_tilde = mirrored(km.k) / np.outer(km.degrees, km.degrees)  # read before L overwrites km.k
         lap = build_laplacian(km)
         w, u = np.linalg.eigh(lap.l)
         f = lap.inv_sqrt_degrees * u[:, 1]
@@ -353,11 +388,16 @@ class TestOneBuffer:
         assert np.array_equal(km.degrees, degrees)
 
     def test_row_blocks_match_whole_matrix_product(self):
-        # 1200 rows span several 2 MB row blocks, the last one partial
+        # 1200 rows span several 2 MB row blocks and 10 tile rows, the last
+        # ones partial; the oracle is given the implementation's c, whose
+        # sums run in another order than a whole-matrix product's
         x, _ = generate(CurveSpec("circle"), 1200, 15)
         km = build_kernel(x, KernelParams(0.2))
-        oracle = laplacian_outer_product(km.k, km.degrees)
-        assert np.array_equal(build_laplacian(km).l, oracle)
+        k, inv = mirrored(km.k), 1.0 / km.degrees
+        lap = build_laplacian(km)
+        c = inv * lap.inv_sqrt_degrees
+        assert np.allclose(c, inv / np.sqrt(inv * (k @ inv)), rtol=1e-13, atol=0.0)
+        assert np.array_equal(lap.l, laplacian_outer_product(k, c))
 
 
 class TestDisconnectedGraph:
@@ -399,8 +439,8 @@ class TestInvariances:
         x = rng.standard_normal((3, 40))
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         p = KernelParams(0.8)
-        k1 = build_kernel(DataMatrix(x), p).k
-        k2 = build_kernel(DataMatrix(q @ x), p).k
+        k1 = np.triu(build_kernel(DataMatrix(x), p).k)
+        k2 = np.triu(build_kernel(DataMatrix(q @ x), p).k)
         assert np.abs(k1 - k2).max() <= 1e-10
 
     def test_joint_scaling_leaves_laplacians_invariant(self):
@@ -411,8 +451,8 @@ class TestInvariances:
         l2 = build_laplacian(build_kernel(DataMatrix(c * x), KernelParams(0.5 * c))).l
         assert np.abs(l1 - l2).max() <= 1e-10
         # k * sigma itself is scale-invariant
-        k1 = build_kernel(DataMatrix(x), KernelParams(0.5)).k * 0.5
-        k2 = build_kernel(DataMatrix(c * x), KernelParams(0.5 * c)).k * (0.5 * c)
+        k1 = np.triu(build_kernel(DataMatrix(x), KernelParams(0.5)).k) * 0.5
+        k2 = np.triu(build_kernel(DataMatrix(c * x), KernelParams(0.5 * c)).k) * (0.5 * c)
         assert np.abs(k1 - k2).max() <= 1e-10
 
     def test_laplacian_symmetry(self):
