@@ -2,12 +2,12 @@
 
 Run from the root of a source checkout:
 
-    python3 scripts/bench.py [--repeats 3] [--n 2000 8000 16000] [--out DIR]
+    python3 scripts/bench.py [--out DIR]
 
 For the circle (closed) and the half-circle (open), SNR 100, seed 0, at
-each N, the script starts ``--repeats`` fresh processes.  Each generates
-its sample, runs ``recover_labels`` at the auto bandwidth and reports the
-recovery's ``stage_ms`` (bandwidth, kernel, laplacian, eigensolve,
+N = 2000, 8000 and 16000, the script starts 3 fresh processes per case.
+Each generates its sample, runs ``recover_labels`` at the auto bandwidth
+and reports the recovery's ``stage_ms`` (bandwidth, kernel, laplacian, eigensolve,
 labels) and its own peak resident size (``ru_maxrss``).  The repeats of a
 case are summarised by their median and quartiles; a case whose process
 fails is recorded with the error it printed instead.  The file
@@ -35,6 +35,8 @@ SRC = ROOT / "src"
 CURVES = ("circle", "half-circle")
 SNR = 100.0
 SEED = 0
+NS = (2000, 8000, 16000)
+REPEATS = 3
 
 CHILD = """
 import json, resource, sys
@@ -62,11 +64,11 @@ def quartiles(values: list[float]) -> dict:
     return {"median": round(at(0.5), 3), "q1": round(at(0.25), 3), "q3": round(at(0.75), 3)}
 
 
-def run_case(curve: str, n: int, repeats: int) -> dict:
+def run_case(curve: str, n: int) -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p)}
     runs = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         done = subprocess.run([sys.executable, "-c", CHILD, curve, str(n)],
                               env=env, capture_output=True, text=True)
         if done.returncode != 0:
@@ -75,7 +77,7 @@ def run_case(curve: str, n: int, repeats: int) -> dict:
         runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
     stages = runs[0]["stage_ms"].keys()
     return {
-        "repeats": repeats,
+        "repeats": REPEATS,
         "solver_path": sorted({r["solver_path"] for r in runs}),
         "stage_ms": {s: quartiles([r["stage_ms"][s] for r in runs]) for s in stages},
         "ru_maxrss_mb": quartiles([r["ru_maxrss_mb"] for r in runs]),
@@ -123,17 +125,13 @@ def src_lines() -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--n", type=int, nargs="+", default=[2000, 8000, 16000])
     parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args(argv)
-    if args.repeats < 3:
-        parser.error("--repeats must be at least 3")
     cases = []
-    for n in args.n:
+    for n in NS:
         for curve in CURVES:
             case = {"curve": curve, "n": n, "snr": SNR, "seed": SEED,
-                    **run_case(curve, n, args.repeats)}
+                    **run_case(curve, n)}
             print(json.dumps(case), file=sys.stderr)
             cases.append(case)
     today = datetime.date.today()

@@ -61,9 +61,9 @@ dealt round-robin.  The calling thread allocates the workers' chunk
 buffers, about 0.6 MB split among them whatever W is (one row each at
 the least), and the pool lives for one call, so a forked child starts
 its own.  The strip heights are ``row_blocks``' whatever W is.  A sum
-across strips (a degree's or a d~'s column part) is added per group of
-strips, strip i in group i mod ``_GROUPS``: a group's strips run in order
-on one worker, and the groups' O(N) partial sums are added in group
+across strips (a degree's or a d~'s column part) is added to the O(N)
+partial sums of a fixed number of strip groups, set by N alone, each
+group's strips in order (``_strip_sums``), and the groups are added in
 order.  The rest is elementwise, so K, the degrees, d~ and L do not
 depend on W: the output is reproducible at a fixed BLAS thread count; a
 different BLAS count can change the last bits of G, of the sums and of
@@ -72,8 +72,10 @@ the eigensolver's output.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -86,7 +88,6 @@ from .errors import DisconnectedGraphError
 _BLOCK_ELEMENTS = 1 << 18  # row block of the N x N passes, 2 MB of float64
 _CHUNK_ELEMENTS = 1 << 16  # the workers' chunk buffers together, 512 KB of float64
 _TILE = 128  # side of the square tiles that mirror a triangle
-_GROUPS = 24  # strip groups whose column sums are added in a fixed order; a multiple of W <= 4
 _WORKER_ELEMENTS = 1 << 22  # entries per worker thread, 32 MB of float64; one at N <= 2048
 
 
@@ -160,36 +161,79 @@ def _on_workers(task, jobs: list | range, shape: int | tuple[int, int], *dtypes)
             future.result()
 
 
-def _on_strips(n: int, task, *dtypes) -> None:
-    """Call task(g, rows, *buffers) for each ``row_blocks`` strip of an
-    n x n matrix, strip i in group g = i mod ``_GROUPS``: the groups are
-    dealt to the workers (see ``_on_workers``), each group's strips in
-    order, so what a task adds up per group does not depend on W."""
+def _strip_sums(n: int, task, *dtypes) -> np.ndarray:
+    """Call task(rows, *buffers) for each ``row_blocks`` strip of an n x n
+    matrix, the strips dealt to the workers (see ``_on_workers``), and
+    return the sum of what the tasks return, vectors over the columns
+    rows.start on (None adds nothing).  Strip i's vector is added to the
+    O(n) partial sums of group i mod G once strip i - G's has been, G =
+    n^2 / ``_WORKER_ELEMENTS`` (the most workers there can be) but at least
+    1 and at most the strips: each group adds its strips in order, and the
+    groups are summed in order, so the sum does not depend on W.  With
+    W <= G, strip i - G comes at least one job before strip i in the
+    workers' round-robin lists, so a worker seldom waits."""
     strips = list(row_blocks(n))
+    groups = max(1, min(len(strips), n * n // _WORKER_ELEMENTS))
+    sums = np.zeros((groups, n))
+    added = [threading.Lock() for _ in strips]  # each held until its strip is added
+    for lock in added:
+        lock.acquire()
 
-    def run(groups, *buffers):
-        for g in groups:
-            for rows in strips[g::_GROUPS]:
-                task(g, rows, *buffers)
+    def run(indices, *buffers):
+        try:
+            for i in indices:
+                part = task(strips[i], *buffers)
+                if part is not None:
+                    if i >= groups:
+                        added[i - groups].acquire()
+                    sums[i % groups, strips[i].start :] += part
+                added[i].release()
+        except BaseException:
+            for lock in added:  # no worker is left waiting on a strip never added
+                with contextlib.suppress(RuntimeError):  # released already
+                    lock.release()
+            raise
 
-    _on_workers(run, range(min(_GROUPS, len(strips))), n, *dtypes)
+    _on_workers(run, range(len(strips)), n, *dtypes)
+    return sums.sum(axis=0)
 
 
-def _upper_strips(values: np.ndarray, out: np.ndarray, finish=None, done=None) -> None:
+def _strip_product(a: np.ndarray, w: np.ndarray, out: np.ndarray, rows: slice, buf: np.ndarray):
+    """Write the strip's rows of A w into out[rows], A the symmetric matrix
+    whose upper triangle, diagonal included, a holds (nothing below the
+    diagonal is read), and return, in buf, the strip's part of the other
+    rows: w[rows] times the strip's strict upper triangle, over the columns
+    rows.start on."""
+    n = a.shape[0]
+    s, e = rows.start, min(rows.stop, n)
+    diag, right = np.triu(a[s:e, s:e]), a[s:e, e:]
+    out[s:e] = diag @ w[s:e] + right @ w[e:]
+    np.fill_diagonal(diag, 0.0)
+    part = buf[: n - s]
+    np.matmul(w[s:e], diag, out=part[: e - s])
+    np.matmul(w[s:e], right, out=part[e - s :])
+    return part
+
+
+def _upper_strips(values: np.ndarray, out: np.ndarray, finish=None,
+                  degrees: np.ndarray | None = None) -> None:
     """Write the squared distances between the columns of ``values`` into
     the upper triangle of ``out``, one ``row_blocks`` strip
-    out[rows, rows.start:] at a time (see ``_on_strips``); ``finish``, if
-    given, is applied to each chunk of a strip's rows while it is in cache,
-    and then ``done(g, rows)``, if given, to the finished strip.  The
-    diagonal, and any entry at or below the Gram form's rounding error
-    (d + 2) * eps * (n_i + n_j), is 0, so coincident points are at
-    distance 0.  Each strip's square block on the diagonal is written in
-    full, so the part of it below the diagonal holds scratch; nothing else
-    below the diagonal is written."""
+    out[rows, rows.start:] at a time (see ``_strip_sums``); ``finish``, if
+    given, is applied to each chunk of a strip's rows while it is in
+    cache, and the row sums of the finished symmetric matrix are written
+    into ``degrees``, if given, each strip adding its share while it is in
+    cache.  The diagonal, and any entry at or below the Gram form's
+    rounding error (d + 2) * eps * (n_i + n_j), is 0, so coincident points
+    are at distance 0.  Each strip's square block on the diagonal is
+    written in full, so the part of it below the diagonal holds scratch;
+    nothing else below the diagonal is written."""
+    n = out.shape[0]
     norms = np.einsum("ij,ij->j", values, values)
     floor = (values.shape[0] + 2) * np.finfo(np.float64).eps
+    ones = np.ones(n)
 
-    def strip_task(g, rows, total_buf, mask_buf):
+    def strip_task(rows, total_buf, mask_buf):
         s = rows.start
         # -2 G from the gemm itself, bit for bit: scaling by a power of 2 is exact
         strip = np.matmul(-2.0 * values[:, rows].T, values[:, s:], out=out[rows, s:])
@@ -205,10 +249,13 @@ def _upper_strips(values: np.ndarray, out: np.ndarray, finish=None, done=None) -
             np.fill_diagonal(chunk[:, part.start :], 0.0)  # the entries (s + i, s + i)
             if finish is not None:
                 finish(chunk)
-        if done is not None:
-            done(g, rows)
+        if degrees is not None:
+            return _strip_product(out, ones, degrees, rows, total_buf)
+        return None
 
-    _on_strips(out.shape[0], strip_task, np.float64, np.bool_)
+    columns = _strip_sums(n, strip_task, np.float64, np.bool_)
+    if degrees is not None:
+        degrees += columns
 
 
 def mirror_upper(a: np.ndarray, scale: np.ndarray | None = None) -> None:
@@ -243,33 +290,13 @@ def mirror_upper(a: np.ndarray, scale: np.ndarray | None = None) -> None:
     _on_workers(run, range(0, n, _TILE), n, np.float64)
 
 
-def _triangle_product(a: np.ndarray, w: np.ndarray):
-    """(add, total) for A w, A the symmetric matrix whose upper triangle,
-    diagonal included, a holds; nothing below the diagonal is read.
-    add(g, rows), a task for ``_on_strips``, writes the strip's rows' part
-    of A w and adds its transpose's part, the columns', to group g's O(N)
-    partial sums; total() returns A w once every strip is added, the
-    groups summed in order."""
-    n = a.shape[0]
-    out, cols = np.empty(n), np.zeros((_GROUPS, n))
-
-    def add(g, rows):
-        s, e = rows.start, min(rows.stop, n)
-        diag, right = np.triu(a[rows, s:e]), a[rows, e:]
-        out[s:e] = diag @ w[s:e] + right @ w[e:]
-        np.fill_diagonal(diag, 0.0)
-        cols[g, s:e] += w[s:e] @ diag
-        cols[g, e:] += w[s:e] @ right
-
-    return add, lambda: out + cols.sum(axis=0)
-
-
 def symmetric_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """A w for the symmetric A whose upper triangle a holds, in one pass
-    over that triangle (see ``_triangle_product``)."""
-    add, total = _triangle_product(a, w)
-    _on_strips(a.shape[0], add)
-    return total()
+    over that triangle (see ``_strip_product`` and ``_strip_sums``)."""
+    n = a.shape[0]
+    out = np.empty(n)
+    columns = _strip_sums(n, lambda rows, buf: _strip_product(a, w, out, rows, buf), np.float64)
+    return out + columns
 
 
 def exponent_floor(n: int) -> float:
@@ -294,9 +321,9 @@ def build_kernel(z: DataMatrix | np.ndarray, p: KernelParams) -> KernelMatrix:
         np.exp(chunk, out=chunk)
         chunk *= prefactor  # diagonal: exp(0) * prefactor
 
-    add, degrees = _triangle_product(k, np.ones(n))
-    _upper_strips(values, k, finish, add)
-    return KernelMatrix(k=k, degrees=degrees(), sigma=p.sigma)
+    degrees = np.empty(n)
+    _upper_strips(values, k, finish, degrees)
+    return KernelMatrix(k=k, degrees=degrees, sigma=p.sigma)
 
 
 def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -211,8 +212,9 @@ class TestWorkers:
 
     @pytest.mark.parametrize("n, d", [(3001, 2), (1500, 300)])
     def test_bit_identical_across_worker_counts(self, monkeypatch, n, d):
-        # 16 workers, more than the cores, with frequent thread switches: a
-        # group's partial sums shared between two workers would lose updates
+        # 16 workers, more than the cores and the strip groups, with frequent
+        # thread switches: a strip added before its group's previous one
+        # would change the sums' rounding
         x = np.random.default_rng(n + d).standard_normal((d, n)) / math.sqrt(d) + 0.3
         one = self._outputs(x, monkeypatch, 1)
         interval = sys.getswitchinterval()
@@ -223,6 +225,29 @@ class TestWorkers:
                     assert np.array_equal(a, b)
         finally:
             sys.setswitchinterval(interval)
+
+    def test_a_failing_strip_raises_and_leaves_no_worker_waiting(self, monkeypatch):
+        # N = 3001 has two strip groups; strip 2 waits for strip 0, which is
+        # on another of the three workers and raises
+        monkeypatch.setattr(kernel, "_worker_count", lambda n: 3)
+
+        def task(rows, buf):
+            if rows.start == 0:
+                raise RuntimeError("strip 0")
+            return buf[: 3001 - rows.start]
+
+        raised = []
+
+        def call():
+            try:
+                kernel._strip_sums(3001, task, np.float64)
+            except RuntimeError as error:
+                raised.append(error)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and len(raised) == 1
 
     def test_one_worker_per_32_mb_of_matrix(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -398,6 +423,21 @@ class TestOneBuffer:
         c = inv * lap.inv_sqrt_degrees
         assert np.allclose(c, inv / np.sqrt(inv * (k @ inv)), rtol=1e-13, atol=0.0)
         assert np.array_equal(lap.l, laplacian_outer_product(k, c))
+
+    def test_nothing_below_the_diagonal_is_read(self):
+        # below its diagonal km.k holds near-exact kernel values (each strip's
+        # diagonal block) or whatever the fresh memory held, so a pass that
+        # read them would move the sums only at rounding level; NaN there
+        # would reach every sum and every entry of L that read one
+        n = 3001  # two strip groups, more than one strip per group
+        x = np.random.default_rng(24).standard_normal((2, n))
+        km = build_kernel(DataMatrix(x), KernelParams(0.4))
+        k = km.k.copy()
+        k[np.tri(n, k=-1, dtype=bool)] = np.nan
+        assert np.array_equal(symmetric_product(k, np.ones(n)), km.degrees)
+        clean, poisoned = build_laplacian(km), build_laplacian(KernelMatrix(k, km.degrees, km.sigma))
+        assert np.array_equal(clean.l, poisoned.l)
+        assert np.array_equal(clean.inv_sqrt_degrees, poisoned.inv_sqrt_degrees)
 
 
 class TestDisconnectedGraph:
