@@ -4,16 +4,21 @@ Run from the root of a source checkout:
 
     python3 scripts/bench.py [--out DIR]
 
-For the circle (closed) and the half-circle (open), SNR 100, seed 0, at
-N = 2000, 8000 and 16000, the script starts 3 fresh processes per case.
-Each generates its sample, runs ``recover_labels`` at the auto bandwidth
-and reports the recovery's ``stage_ms`` (bandwidth, kernel, laplacian, eigensolve,
-labels) and its own peak resident size (``ru_maxrss``).  The repeats of a
-case are summarised by their median and quartiles; a case whose process
-fails is recorded with the error it printed instead.  The file
-``BENCH_<yyyymmdd>.json`` in ``--out`` (the checkout root by default)
-also records the machine (CPUs, numpy, its BLAS library and the BLAS
-thread count read from that library) and the line count of ``src/``.
+The cases are the circle (closed) and the half-circle (open), SNR 100,
+seed 0, at N = 2000, 8000 and 16000 and the auto bandwidth, and the open
+cardioid, SNR 100, seed 16, at N = 2000 and 4000 and sigma = 0.1414 and
+0.0632, whose clustered spectra test the eigensolver's hand-over to the
+factor.  The script starts 3 fresh processes per case.  Each generates
+its sample, runs ``recover_labels`` and reports the recovery's
+``stage_ms`` (bandwidth, kernel, laplacian, eigensolve, labels) and its
+own peak resident size (``ru_maxrss``).  The repeats of a case are
+summarised by their median and quartiles; a case whose process fails (a
+recovery that raises included) is recorded with the error it printed
+instead.  The file ``BENCH_<yyyymmdd>.json`` in ``--out`` (the checkout
+root by default), or the first ``BENCH_<yyyymmdd>-<k>.json``, k = 2, 3,
+..., that does not exist yet, also records the machine (CPUs, numpy, its
+BLAS library and the BLAS thread count read from that library) and the
+line count of ``src/``; no existing file is overwritten.
 
 An N = 16000 case holds one 2.05 GB array; the cases run one at a time.
 """
@@ -32,23 +37,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-CURVES = ("circle", "half-circle")
 SNR = 100.0
-SEED = 0
-NS = (2000, 8000, 16000)
 REPEATS = 3
+# (curve, n, seed, sigma): "auto" or a fixed bandwidth
+CASES = tuple((curve, n, 0, "auto") for n in (2000, 8000, 16000)
+              for curve in ("circle", "half-circle")) + tuple(
+    ("cardioid", n, 16, sigma) for n in (2000, 4000) for sigma in (0.1414, 0.0632))
 
 CHILD = """
 import json, resource, sys
 import spectime as st
-curve, n = sys.argv[1], int(sys.argv[2])
+curve, n, seed, sigma = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
 spec = st.CurveSpec(curve)
-_, _, z = st.noisy_sample(spec, n, {seed}, {snr})
-out = st.recover_labels(z, spec.kind)
+_, _, z = st.noisy_sample(spec, n, seed, {snr})
+out = st.recover_labels(z, spec.kind, sigma=sigma if sigma == "auto" else float(sigma))
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({{"stage_ms": out.stage_ms, "ru_maxrss_mb": peak_kb / 1024.0,
                   "solver_path": out.solver_path}}))
-""".format(seed=SEED, snr=SNR)
+""".format(snr=SNR)
 
 
 def quartiles(values: list[float]) -> dict:
@@ -64,12 +70,12 @@ def quartiles(values: list[float]) -> dict:
     return {"median": round(at(0.5), 3), "q1": round(at(0.25), 3), "q3": round(at(0.75), 3)}
 
 
-def run_case(curve: str, n: int) -> dict:
+def run_case(*case) -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p)}
     runs = []
     for _ in range(REPEATS):
-        done = subprocess.run([sys.executable, "-c", CHILD, curve, str(n)],
+        done = subprocess.run([sys.executable, "-c", CHILD, *map(str, case)],
                               env=env, capture_output=True, text=True)
         if done.returncode != 0:
             lines = done.stderr.strip().splitlines()
@@ -128,17 +134,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     cases = []
-    for n in NS:
-        for curve in CURVES:
-            case = {"curve": curve, "n": n, "snr": SNR, "seed": SEED,
-                    **run_case(curve, n)}
-            print(json.dumps(case), file=sys.stderr)
-            cases.append(case)
+    for curve, n, seed, sigma in CASES:
+        case = {"curve": curve, "n": n, "snr": SNR, "seed": seed, "sigma": sigma,
+                **run_case(curve, n, seed, sigma)}
+        print(json.dumps(case), file=sys.stderr)
+        cases.append(case)
     today = datetime.date.today()
     record = {"date": today.isoformat(), "machine": machine(), "src_lines": src_lines(),
               "cases": cases}
-    path = args.out / f"BENCH_{today:%Y%m%d}.json"
-    path.write_text(json.dumps(record, indent=2) + "\n")
+    path, k = args.out / f"BENCH_{today:%Y%m%d}.json", 2
+    while path.exists():
+        path, k = args.out / f"BENCH_{today:%Y%m%d}-{k}.json", k + 1
+    with open(path, "x") as f:  # "x": a file made meanwhile is not overwritten either
+        f.write(json.dumps(record, indent=2) + "\n")
     print(path)
     return 0
 

@@ -109,8 +109,8 @@ same way; the certificate and the block path read the caller's matrix.
 A factor reads one triangle only, so a bare ndarray must equal its
 transpose bit for bit, checked one row block at a time (no N x N
 temporary); one that does not raises ``AsymmetricMatrixError`` naming
-max|A - A^T|.  A ``LaplacianMatrix`` is symmetric by construction and
-skips the check.
+max|A - A^T|, NaN for a NaN opposite a number.  A ``LaplacianMatrix`` is
+symmetric by construction and skips the check.
 
 Sign convention: each eigenvector is flipped so that its first entry
 within 4 ulps of the largest absolute value is positive, which makes
@@ -222,7 +222,11 @@ def smallest_eigenpairs(
 def _check_symmetric(a: np.ndarray) -> None:
     worst = 0.0
     for rows in row_blocks(a.shape[0]):
-        worst = max(worst, float(np.abs(a[rows] - a[:, rows].T).max()))
+        upper, lower = a[rows], a[:, rows].T
+        if np.any(np.isnan(upper) != np.isnan(lower)):  # a NaN opposite a number
+            raise AsymmetricMatrixError(np.nan)
+        # fmax skips the NaN of a NaN pair or an inf pair, which are symmetric
+        worst = max(worst, float(np.fmax.reduce(np.abs(upper - lower), axis=None)))
     if worst > 0.0:
         raise AsymmetricMatrixError(worst)
 

@@ -60,22 +60,22 @@ numpy releases the interpreter lock in the ufuncs and in the strip
 dealt round-robin.  The calling thread allocates the workers' chunk
 buffers, about 0.6 MB split among them whatever W is (one row each at
 the least), and the pool lives for one call, so a forked child starts
-its own.  The strip heights are ``row_blocks``' whatever W is.  A sum
-across strips (a degree's or a d~'s column part) is added to the O(N)
-partial sums of a fixed number of strip groups, set by N alone, each
-group's strips in order (``_strip_sums``), and the groups are added in
-order.  The rest is elementwise, so K, the degrees, d~ and L do not
-depend on W: the output is reproducible at a fixed BLAS thread count; a
-different BLAS count can change the last bits of G, of the sums and of
-the eigensolver's output.
+its own.  The strip heights are ``row_blocks``' whatever W is, and strip
+i belongs to strip group i mod G, G set by N alone (two per worker there
+can be).  The groups are the strip passes' jobs: each group belongs to
+one worker, which runs its strips in strip order and adds each one's
+share of a sum across strips (a degree's or a d~'s column part) to the
+group's O(N) partial sums, and the groups are added in order
+(``_strip_sums``).  The rest is elementwise, so K, the degrees, d~ and L
+do not depend on W: the output is reproducible at a fixed BLAS thread
+count; a different BLAS count can change the last bits of G, of the sums
+and of the eigensolver's output.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -163,38 +163,25 @@ def _on_workers(task, jobs: list | range, shape: int | tuple[int, int], *dtypes)
 
 def _strip_sums(n: int, task, *dtypes) -> np.ndarray:
     """Call task(rows, *buffers) for each ``row_blocks`` strip of an n x n
-    matrix, the strips dealt to the workers (see ``_on_workers``), and
-    return the sum of what the tasks return, vectors over the columns
-    rows.start on (None adds nothing).  Strip i's vector is added to the
-    O(n) partial sums of group i mod G once strip i - G's has been, G =
-    n^2 / ``_WORKER_ELEMENTS`` (the most workers there can be) but at least
-    1 and at most the strips: each group adds its strips in order, and the
-    groups are summed in order, so the sum does not depend on W.  With
-    W <= G, strip i - G comes at least one job before strip i in the
-    workers' round-robin lists, so a worker seldom waits."""
+    matrix and return the sum of what the tasks return, vectors over the
+    columns rows.start on (None adds nothing).  Strip i belongs to group
+    i mod G, G = 2 n^2 / ``_WORKER_ELEMENTS`` (two per worker there can
+    be) but at least 1 and at most the strips; the groups are dealt to the
+    workers (see ``_on_workers``), each worker runs its groups' strips in
+    strip order and adds each vector to its group's O(n) partial sums,
+    and the groups are summed in order, so the sum does not depend on W."""
     strips = list(row_blocks(n))
-    groups = max(1, min(len(strips), n * n // _WORKER_ELEMENTS))
+    groups = max(1, min(len(strips), 2 * (n * n // _WORKER_ELEMENTS)))
     sums = np.zeros((groups, n))
-    added = [threading.Lock() for _ in strips]  # each held until its strip is added
-    for lock in added:
-        lock.acquire()
 
-    def run(indices, *buffers):
-        try:
-            for i in indices:
-                part = task(strips[i], *buffers)
+    def run(owned, *buffers):  # owned: this worker's groups, a range
+        for i, rows in enumerate(strips):
+            if i % groups in owned:
+                part = task(rows, *buffers)
                 if part is not None:
-                    if i >= groups:
-                        added[i - groups].acquire()
-                    sums[i % groups, strips[i].start :] += part
-                added[i].release()
-        except BaseException:
-            for lock in added:  # no worker is left waiting on a strip never added
-                with contextlib.suppress(RuntimeError):  # released already
-                    lock.release()
-            raise
+                    sums[i % groups, rows.start :] += part
 
-    _on_workers(run, range(len(strips)), n, *dtypes)
+    _on_workers(run, range(groups), n, *dtypes)
     return sums.sum(axis=0)
 
 
@@ -219,15 +206,16 @@ def _upper_strips(values: np.ndarray, out: np.ndarray, finish=None,
                   degrees: np.ndarray | None = None) -> None:
     """Write the squared distances between the columns of ``values`` into
     the upper triangle of ``out``, one ``row_blocks`` strip
-    out[rows, rows.start:] at a time (see ``_strip_sums``); ``finish``, if
-    given, is applied to each chunk of a strip's rows while it is in
+    out[rows, rows.start:] at a time, each worker running the strips of
+    its own strip groups in strip order (see ``_strip_sums``); ``finish``,
+    if given, is applied to each chunk of a strip's rows while it is in
     cache, and the row sums of the finished symmetric matrix are written
-    into ``degrees``, if given, each strip adding its share while it is in
-    cache.  The diagonal, and any entry at or below the Gram form's
-    rounding error (d + 2) * eps * (n_i + n_j), is 0, so coincident points
-    are at distance 0.  Each strip's square block on the diagonal is
-    written in full, so the part of it below the diagonal holds scratch;
-    nothing else below the diagonal is written."""
+    into ``degrees``, if given, each strip adding its share to its group's
+    partial sums while it is in cache.  The diagonal, and any entry at or
+    below the Gram form's rounding error (d + 2) * eps * (n_i + n_j), is 0,
+    so coincident points are at distance 0.  Each strip's square block on
+    the diagonal is written in full, so the part of it below the diagonal
+    holds scratch; nothing else below the diagonal is written."""
     n = out.shape[0]
     norms = np.einsum("ij,ij->j", values, values)
     floor = (values.shape[0] + 2) * np.finfo(np.float64).eps

@@ -14,8 +14,10 @@ and propagates.
 
 Output: ``results.csv`` plus a ``manifest.json`` recording the config,
 the seed of each row, and package version.  A spectral row also names
-its eigensolver's path and operator applications (``solver_path``,
-``applications``); baseline, failed and mean rows leave them empty.
+the rule that chose its bandwidth (``sigma_rule``) and its eigensolver's
+path, largest residual and operator applications (``solver_path``,
+``max_residual``, ``applications``); baseline, failed and mean rows
+leave them empty.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ CSV_COLUMNS = (
     "method",
     "time_error",
     "relative_error",
+    "sigma_rule",
     "solver_path",
+    "max_residual",
     "applications",
     "wall_ms",
     "error",
@@ -107,7 +111,8 @@ def _run_data_set(sc: SweepConfig, replicate: int, cfg: PipelineConfig) -> list[
             # module globals read per row: a wrapped or patched runner is the one called
             report = (run_pipeline if method == "spectral" else run_baseline)(cfg)
             row.update((k, report[k]) for k in ("sigma", "time_error", "relative_error",
-                                                "solver_path", "applications") if k in report)
+                                                "sigma_rule", "solver_path", "max_residual",
+                                                "applications") if k in report)
         except (SpectimeError, ValueError) as exc:  # bad data must not kill the sweep
             row["error"] = f"{type(exc).__name__}: {exc}"
         row["wall_ms"] = 1000.0 * (time.perf_counter() - started)

@@ -343,6 +343,15 @@ class TestAsymmetricInput:
             smallest_eigenpairs(a, k=3)
         assert err.value.max_asymmetry == np.abs(a - a.T).max()
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_nan_opposite_a_number_names_the_asymmetry(self, transpose):
+        # its |A - A^T| is NaN, which max(worst, nan) would skip; a NaN pair
+        # is symmetric and left to the solver (see TestNaNInput)
+        a = np.array([[1.0, np.nan], [1.0, 1.0]])
+        with pytest.raises(AsymmetricMatrixError) as err:
+            smallest_eigenpairs(a.T if transpose else a, k=1)
+        assert np.isnan(err.value.max_asymmetry)
+
     def test_check_makes_no_n_by_n_temporary(self):
         n = 2000
         a = np.random.default_rng(1).standard_normal((n, n))

@@ -178,9 +178,10 @@ class TestStrips:
         assert np.all(km.k[i, i + h] == pref) and np.all(k0[i, i + h] == pref0)
         assert_symmetric_laplacian(km)
 
-    def test_peak_memory_one_n_by_n_array(self):
-        # the kernel array plus the workers' chunk buffers, never a second N x N
-        n = 2000
+    @pytest.mark.parametrize("n", [2000, 3001])
+    def test_peak_memory_one_n_by_n_array(self, n):
+        # the kernel array plus the workers' chunk buffers, never a second N x N;
+        # at N = 3001 there are four strip groups, so their (G, N) sums are live
         z = DataMatrix(np.random.default_rng(21).standard_normal((2, n)))
         tracemalloc.start()
         try:
@@ -190,11 +191,12 @@ class TestStrips:
             tracemalloc.stop()
         assert peak <= 8 * n * n + 3 * 2**20
 
+    @pytest.mark.parametrize("n", [2000, 3001])
     @pytest.mark.parametrize("workers", [3, 16])
-    def test_peak_memory_at_many_workers(self, monkeypatch, workers):
+    def test_peak_memory_at_many_workers(self, monkeypatch, workers, n):
         # the workers' chunk buffers share one budget, so the bound holds at any W
         monkeypatch.setattr(kernel, "_worker_count", lambda n: workers)
-        self.test_peak_memory_one_n_by_n_array()
+        self.test_peak_memory_one_n_by_n_array(n)
 
 
 class TestWorkers:
@@ -213,8 +215,9 @@ class TestWorkers:
     @pytest.mark.parametrize("n, d", [(3001, 2), (1500, 300)])
     def test_bit_identical_across_worker_counts(self, monkeypatch, n, d):
         # 16 workers, more than the cores and the strip groups, with frequent
-        # thread switches: a strip added before its group's previous one
-        # would change the sums' rounding
+        # thread switches: each strip group belongs to one worker and adds its
+        # strips in strip order, so a group split across workers or a strip
+        # added out of order would change the sums' rounding
         x = np.random.default_rng(n + d).standard_normal((d, n)) / math.sqrt(d) + 0.3
         one = self._outputs(x, monkeypatch, 1)
         interval = sys.getswitchinterval()
@@ -227,8 +230,9 @@ class TestWorkers:
             sys.setswitchinterval(interval)
 
     def test_a_failing_strip_raises_and_leaves_no_worker_waiting(self, monkeypatch):
-        # N = 3001 has two strip groups; strip 2 waits for strip 0, which is
-        # on another of the three workers and raises
+        # N = 3001 has four strip groups on three workers; strip 0 raises on
+        # one worker while the others run their own groups' strips to the end,
+        # and the call must raise once, not wait or return a partial sum
         monkeypatch.setattr(kernel, "_worker_count", lambda n: 3)
 
         def task(rows, buf):
@@ -429,7 +433,7 @@ class TestOneBuffer:
         # diagonal block) or whatever the fresh memory held, so a pass that
         # read them would move the sums only at rounding level; NaN there
         # would reach every sum and every entry of L that read one
-        n = 3001  # two strip groups, more than one strip per group
+        n = 3001  # four strip groups, more than one strip per group
         x = np.random.default_rng(24).standard_normal((2, n))
         km = build_kernel(DataMatrix(x), KernelParams(0.4))
         k = km.k.copy()

@@ -249,7 +249,7 @@ def test_header_adds_the_solver_columns_and_keeps_the_rest(tmp_path):
         header = next(csv.reader(f))
     assert header == list(sweep_mod.CSV_COLUMNS)
     assert [c for c in header if c in PARENT_COLUMNS] == list(PARENT_COLUMNS)
-    assert {"solver_path", "applications"} <= set(header)
+    assert {"sigma_rule", "solver_path", "max_residual", "applications"} <= set(header)
 
 
 def test_failed_cells_leave_the_solver_columns_empty(tmp_path, monkeypatch):
@@ -260,31 +260,35 @@ def test_failed_cells_leave_the_solver_columns_empty(tmp_path, monkeypatch):
     sweep(SweepConfig(curve=CurveSpec("half-circle"), n_values=(40,), snr_values=(100.0,),
                       methods=("spectral",), out_dir=str(tmp_path)))
     for row in read_rows(tmp_path):
-        assert row["solver_path"] == row["applications"] == ""
+        assert row["sigma_rule"] == row["solver_path"] == row["max_residual"] == ""
+        assert row["applications"] == ""
 
 
 def solver_columns(tmp_path, **grid):
-    """(method, replicate, solver_path, applications) of every row on disk."""
+    """(method, replicate, sigma_rule, solver_path, max_residual, applications)
+    of every row on disk."""
     sweep(SweepConfig(**grid, out_dir=str(tmp_path)))
-    return [(r["method"], r["replicate"], r["solver_path"], r["applications"])
-            for r in read_rows(tmp_path)]
+    return [(r["method"], r["replicate"], r["sigma_rule"], r["solver_path"], r["max_residual"],
+             r["applications"]) for r in read_rows(tmp_path)]
 
 
 def test_cardioid_grid_spectral_cells_take_the_factor(tmp_path):
     # the grid of the sweep-cardioid-2k benchmark: a clustered spectrum
     rows = solver_columns(tmp_path, curve=CurveSpec("cardioid"), n_values=(2000,),
                           snr_values=(100.0, 1000.0), replicates=3, sigma=0.1414)
-    for method, replicate, path, applications in rows:
+    for method, replicate, rule, path, residual, applications in rows:
         if method == "spectral" and replicate != "mean":
-            assert path == "dense" and int(applications) > 0
+            assert rule == "fixed" and path == "dense" and int(applications) > 0
+            assert 0.0 <= float(residual) <= 2e-8  # the certificate: eigenvalues of L < 2
         else:  # baseline cells and mean rows
-            assert path == applications == ""
+            assert rule == path == residual == applications == ""
 
 
 def test_circle_cells_at_n_2000_take_the_block_path(tmp_path):
     rows = solver_columns(tmp_path, curve=CurveSpec("circle"), n_values=(2000,),
                           snr_values=(100.0,), replicates=2, methods=("spectral",))
-    cells = [(path, applications) for _, replicate, path, applications in rows
-             if replicate != "mean"]
+    cells = [row[2:] for row in rows if row[1] != "mean"]
     assert len(cells) == 2
-    assert all(path == "block" and int(applications) > 0 for path, applications in cells)
+    for rule, path, residual, applications in cells:
+        assert rule == "auto" and path == "block" and int(applications) > 0
+        assert 0.0 <= float(residual) <= 2e-8
