@@ -5,10 +5,11 @@ Run from the root of a source checkout:
     python3 scripts/bench.py [--out DIR]
 
 The cases are the circle (closed) and the half-circle (open), SNR 100,
-seed 0, at N = 2000, 8000 and 16000 and the auto bandwidth, and the open
+seed 0, at N = 2000, 8000 and 16000 and the auto bandwidth; the open
 cardioid, SNR 100, seed 16, at N = 2000 and 4000 and sigma = 0.1414 and
 0.0632, whose clustered spectra test the eigensolver's hand-over to the
-factor.  The script starts 3 fresh processes per case.  Each generates
+factor; and the circle, SNR 100, seed 0, at N = 2000 and 8000 and the
+data bandwidth.  The script starts 3 fresh processes per case.  Each generates
 its sample, runs ``recover_labels`` and reports the recovery's
 ``stage_ms`` (bandwidth, kernel, laplacian, eigensolve, labels) and its
 own peak resident size (``ru_maxrss``).  The repeats of a case are
@@ -39,10 +40,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 SNR = 100.0
 REPEATS = 3
-# (curve, n, seed, sigma): "auto" or a fixed bandwidth
+# (curve, n, seed, sigma): "auto", "data" or a fixed bandwidth
 CASES = tuple((curve, n, 0, "auto") for n in (2000, 8000, 16000)
               for curve in ("circle", "half-circle")) + tuple(
-    ("cardioid", n, 16, sigma) for n in (2000, 4000) for sigma in (0.1414, 0.0632))
+    ("cardioid", n, 16, sigma) for n in (2000, 4000) for sigma in (0.1414, 0.0632)) + tuple(
+    ("circle", n, 0, "data") for n in (2000, 8000))
 
 CHILD = """
 import json, resource, sys
@@ -50,7 +52,7 @@ import spectime as st
 curve, n, seed, sigma = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
 spec = st.CurveSpec(curve)
 _, _, z = st.noisy_sample(spec, n, seed, {snr})
-out = st.recover_labels(z, spec.kind, sigma=sigma if sigma == "auto" else float(sigma))
+out = st.recover_labels(z, spec.kind, sigma=sigma)  # a number is read from its text
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({{"stage_ms": out.stage_ms, "ru_maxrss_mb": peak_kb / 1024.0,
                   "solver_path": out.solver_path}}))

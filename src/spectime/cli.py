@@ -68,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--input", required=True)
     r.add_argument("--sigma", default="auto",
                    help="bandwidth: a float, 'auto' (rate formula), or 'data'")
-    r.add_argument("--noise-level", type=float, default=0.0,
-                   help="per-point noise magnitude fed to the auto bandwidth")
     r.add_argument("--out", required=True, help="output CSV: index,t_hat,rank")
 
     # no abbreviations: a radians --delta must not parse as --delta-fraction
@@ -91,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--replicates", type=int, default=1)
     s.add_argument("--sigma", default="auto",
                    help="bandwidth: a float, 'auto' (rate formula), or 'data'")
-    s.add_argument("--noise-level", type=float, default=0.0)
     s.add_argument("--methods", default=",".join(METHODS),
                    help="comma-separated subset of: " + ", ".join(METHODS))
     s.add_argument("--delta-fraction", type=float, default=DELTA_FRACTION)
@@ -132,9 +129,9 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    sigma = check_bandwidth(args.sigma, args.noise_level)  # before the input is read
+    sigma = check_bandwidth(args.sigma)  # before the input is read
     z = io.load_data_matrix(args.input)
-    out = recover_labels(z, CurveKind(args.kind), sigma, args.noise_level)
+    out = recover_labels(z, CurveKind(args.kind), sigma)
     io.save_recovery(args.out, out.labels, out.ranking)
     print(json.dumps({**out.report(), "out": args.out}), file=sys.stderr)
     return 0
@@ -197,7 +194,6 @@ def _cmd_sweep(args) -> int:
         replicates=args.replicates,
         methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
         sigma=args.sigma,  # each data set's PipelineConfig checks the per-run settings
-        noise_level=args.noise_level,
         seed_base=args.seed,
         threads=args.threads,
         delta_fraction=args.delta_fraction,

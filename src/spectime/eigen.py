@@ -27,9 +27,8 @@ blocks of max(BLOCK, k) rows.  One pass is ``block @ A``, which equals
 (A block^T)^T because A is symmetric, so OpenBLAS reads A once per
 block, at about the cost of one matrix-vector product, and a Laplacian
 built in the kernel's buffer stays the only N x N array.  Above
-DENSE_CUTOFF, the bound on where a factor may be held, and at k > N/4,
-where the basis reaches N rows and a factor only adds N^3/3 of work,
-the iteration runs to the end.  Else
+DENSE_CUTOFF and at k > N/4, where the basis reaches N rows and a
+factor only adds N^3/3 of work, no probe runs.  Else
 its first PROBE_PASSES passes are a probe: from their Ritz values theta
 it predicts GAP_PASSES / sqrt(gap) passes, gap = (theta_w - theta_k) /
 (theta_max - theta_w) for a block of w rows (a block iteration resolves
@@ -49,14 +48,20 @@ which take 26-93 passes (62-218 ms against 58-116 ms for the factor and
 its 10-13 solves), or more than their budget at sigma = 0.0632, SNR 100
 (167 ms for the factor and its 24 solves).  A pass took 2.3-2.5 ms, of
 which 1.24 ms is the 12-row product (medians of 3 solves per path,
-2-core KVM box, OpenBLAS 0.3.31 with 2 threads).
+2-core KVM box, OpenBLAS 0.3.31 with 2 threads).  An iteration that
+spends its budget of PASSES_PER_PAIR * k passes on input it may factor
+in place (see below), with theta_1 > -SHIFT, factors at any N instead of
+raising, and its applications are not counted either: the same
+cardioid at sigma = 0.0632, SNR 100 and N=2100, past the cutoff, spends
+its 2400 applications in 0.52 s and certifies on the factor 0.18 s
+later.
 
-The dense path (chosen by the probe): one Cholesky factor of A + tau*I,
-then the iteration on -(A + tau*I)^-1 in blocks of k rows, whose k
-smallest eigenvalues theta map back to lambda = -1/theta - tau.  A
-successful factorization proves lambda_min > -tau, so these are exactly
-the k smallest eigenvalues of A; tau changes the speed, never which
-pairs come back.  The cost is one N^3/3 factorization and a few dozen
+The dense path (chosen by the probe or a spent budget): one Cholesky
+factor of A + tau*I, then the iteration on -(A + tau*I)^-1 in blocks of
+k rows, whose k smallest eigenvalues theta map back to lambda =
+-1/theta - tau.  A successful factorization proves lambda_min > -tau,
+so these are exactly the k smallest eigenvalues of A; tau changes the
+speed, never which pairs come back.  The cost is one N^3/3 factorization and a few dozen
 O(N^2) triangular solves, where a symmetric eigensolver first spends
 4N^3/3 on a tridiagonal reduction.  The inner target is min(tol, 1e-10)
 / 100 on the transformed operator; a residual r there gives
@@ -93,8 +98,9 @@ k=3; 2-core KVM box, OpenBLAS 0.3.31, 2 threads).  ``SpectralResult``
 reports the path taken and the operator applications (one per vector: a
 pass counts its block's rows).  Every
 failure to certify k pairs raises ``NoConvergenceError`` with that
-count: the iteration past its budget of PASSES_PER_PAIR * k passes or
-with a non-finite entry, or a residual above the bound or NaN.
+count: the iteration past its budget of PASSES_PER_PAIR * k passes on
+input it may not factor in place or on the factor, or with a non-finite
+entry, or a residual above the bound or NaN.
 
 A writable, C-ordered ``LaplacianMatrix`` (bit-exactly symmetric, as
 ``kernel`` builds it) is factored in its own buffer, so the dense path
@@ -128,7 +134,7 @@ import numpy as np
 from .errors import AsymmetricMatrixError, NoConvergenceError
 from .kernel import LaplacianMatrix, mirror_upper, row_blocks
 
-DENSE_CUTOFF = 2048  # largest N whose L the probe may hand to the factor (memory, not speed)
+DENSE_CUTOFF = 2048  # largest N at which the probe runs; a spent budget factors at any N
 DEFAULT_TOL = 1e-8
 SHIFT = 1e-3  # tau of the dense path's shift-invert; sets the speed only
 FACTOR_BLOCK = 128  # rows of the dense factor's diagonal blocks
@@ -194,10 +200,11 @@ def smallest_eigenpairs(
     def product(rows, out):
         np.matmul(rows, a, out=out)
 
+    owned = isinstance(l, LaplacianMatrix) and a.flags.writeable and a.flags.c_contiguous
     probe = PROBE_PASSES if n <= DENSE_CUTOFF and k <= n // 4 else None
-    found, path = _block_smallest(product, n, k, max(BLOCK, k), tol, probe), "block"
-    if found is None:  # the probe chose the factor
-        owned = isinstance(l, LaplacianMatrix) and a.flags.writeable and a.flags.c_contiguous
+    found, path = _block_smallest(product, n, k, max(BLOCK, k), tol, probe,
+                                  factorable=owned), "block"
+    if found is None:  # the probe chose the factor, or the budget ran out on owned input
         work = a if owned else np.array(a, order="C")  # one copy of input it may not write
         found, path = _dense_smallest(work, k, tol), "dense"
         del work  # a copy is freed before the block iteration allocates
@@ -226,7 +233,8 @@ def _check_symmetric(a: np.ndarray) -> None:
         if np.any(np.isnan(upper) != np.isnan(lower)):  # a NaN opposite a number
             raise AsymmetricMatrixError(np.nan)
         # fmax skips the NaN of a NaN pair or an inf pair, which are symmetric
-        worst = max(worst, float(np.fmax.reduce(np.abs(upper - lower), axis=None)))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            worst = max(worst, float(np.fmax.reduce(np.abs(upper - lower), axis=None)))
     if worst > 0.0:
         raise AsymmetricMatrixError(worst)
 
@@ -347,14 +355,16 @@ def _widened(a: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _block_smallest(apply, n: int, k: int, width: int, tol: float,
-                    probe: int | None = None) -> tuple[np.ndarray, np.ndarray, int] | None:
+def _block_smallest(apply, n: int, k: int, width: int, tol: float, probe: int | None = None,
+                    factorable: bool = False) -> tuple[np.ndarray, np.ndarray, int] | None:
     """k smallest pairs of the symmetric operator that ``apply(rows, out)``
     applies (it writes ``rows @ op``), ascending, from a thick-restarted
     block Krylov iteration with Rayleigh-Ritz in blocks of ``width`` rows,
     and the number of vectors the operator was applied to.  With ``probe``,
     the buffers first hold that many passes, and the result is None when
-    the pairs are not found by then and ``_factor_pays``."""
+    the pairs are not found by then and ``_factor_pays``.  With
+    ``factorable``, a spent budget also returns None, not
+    ``NoConvergenceError``, while theta_1 > -SHIFT."""
     cap = min(n, max(BASIS_ROWS, 2 * (k + width)))
     rows = cap if probe is None else min(cap, probe * width)  # a probe holds its passes only
     rng = np.random.default_rng(0)  # fixed start, deterministic output
@@ -369,7 +379,8 @@ def _block_smallest(apply, n: int, k: int, width: int, tol: float,
         basis[start:used] = block
         apply(basis[start:used], image[start:used])  # one pass over the operator
         applied += used - start
-        h[start:used, :used] = image[start:used] @ basis[:used].T
+        with np.errstate(invalid="ignore"):  # a non-finite image raises just below
+            h[start:used, :used] = image[start:used] @ basis[:used].T
         if not np.isfinite(h[start:used, :used]).all():
             raise NoConvergenceError(applied, f"a non-finite entry after {applied} "
                                      "operator applications")
@@ -385,6 +396,8 @@ def _block_smallest(apply, n: int, k: int, width: int, tol: float,
                 return None
             basis, image = _widened(basis, cap), _widened(image, cap)
         if applied >= PASSES_PER_PAIR * k * width:
+            if factorable and theta[0] > -SHIFT:
+                return None
             raise NoConvergenceError(applied, f"Ritz residual {residual.max():.3e} "
                                      f"after {applied} operator applications")
         # the next Krylov block: the last block's image, orthogonal to the basis

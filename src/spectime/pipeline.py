@@ -51,7 +51,6 @@ class PipelineConfig:
     snr: float | None = None  # exact target SNR, or
     eps: float | None = None  # entrywise noise standard deviation
     sigma: float | str = "auto"  # fixed bandwidth | auto (rate formula) | data (log-mass slope)
-    noise_level: float = 0.0  # eps handed to the auto bandwidth formula
     denoise_rank: int | None = None  # fixed-rank projection
     denoise_auto_r0: int | None = None  # randomized rank estimation
     denoise_eta: float = ETA
@@ -65,7 +64,7 @@ class PipelineConfig:
                               f"got n={self.n}")
         check_denoise(self.denoise_rank, self.denoise_auto_r0, self.denoise_eta,
                       min(self.curve.embed_dim or 2, self.n))
-        object.__setattr__(self, "sigma", check_bandwidth(self.sigma, self.noise_level))
+        object.__setattr__(self, "sigma", check_bandwidth(self.sigma))
         check_delta_fraction(self.delta_fraction)
         if self.curve.kind is CurveKind.CLOSED_LOOP and self.delta_fraction != DELTA_FRACTION:
             raise ConfigError(f"a closed loop reads no delta_fraction, got {self.delta_fraction!r}")
@@ -101,7 +100,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         z = den.coords
 
     kind = cfg.curve.kind
-    recovery = recover_labels(z, kind, cfg.sigma, cfg.noise_level)
+    recovery = recover_labels(z, kind, cfg.sigma)
     report.update(recovery.report())
     if out is not None:
         io.save_recovery(out / "recovered.csv", recovery.labels, recovery.ranking)

@@ -26,11 +26,10 @@ the operator's D~^-1/2, so the label is just atan2(f3, f2) in
 
 Bandwidth: a setting is a positive number or the name of one of two
 rules (``check_bandwidth``).  ``"auto"`` follows the consistency
-analysis of the two cases: sigma = max(N^(-1/7), eps^(1/4)) for closed
-loops and max(N^(-1/14), eps^(2/7)) for open curves, with eps the
-caller's per-point noise magnitude (0 when unknown).  ``"data"`` picks
-sigma on a log grid where log sum_ij k_ij grows fastest in log sigma, a
-common kernel-bandwidth heuristic.
+analysis of the two cases: sigma = N^(-1/7) for closed loops and
+N^(-1/14) for open curves.  ``"data"`` picks sigma on a log grid where
+log sum_ij k_ij grows fastest in log sigma, a common kernel-bandwidth
+heuristic.
 """
 
 from __future__ import annotations
@@ -88,13 +87,12 @@ def recover_labels(
     z: DataMatrix,
     kind: CurveKind,
     sigma: float | str = "auto",
-    noise_level: float = 0.0,
 ) -> RecoveryOutput:
     """Bandwidth -> kernel -> Laplacian -> Fiedler vector(s) -> labels.
 
-    ``sigma``, ``noise_level``: a setting ``check_bandwidth`` accepts; the
-    sigma it resolves to comes back as ``RecoveryOutput.sigma``, and the rule
-    that chose it (``"auto"``, ``"data"`` or ``"fixed"``) as ``sigma_rule``.
+    ``sigma``: a setting ``check_bandwidth`` accepts; the sigma it resolves
+    to comes back as ``RecoveryOutput.sigma``, and the rule that chose it
+    (``"auto"``, ``"data"`` or ``"fixed"``) as ``sigma_rule``.
 
     Open curves map the Fiedler vector u2 back to the random-walk vector
     D~^-1/2 u2 and label it with ``recover_open``.  Closed loops
@@ -117,7 +115,7 @@ def recover_labels(
     largest residual and operator applications, and the wall time of each
     stage in ms (``RecoveryOutput.report``).
     """
-    sigma = check_bandwidth(sigma, noise_level)
+    sigma = check_bandwidth(sigma)
     if kind is CurveKind.CLOSED_LOOP and z.n_points < CLOSED_MIN_POINTS:
         raise TooFewPointsError(f"a closed loop needs at least {CLOSED_MIN_POINTS} points, "
                                 f"got N={z.n_points}")
@@ -126,7 +124,7 @@ def recover_labels(
     stage_ms: dict[str, float] = {}
     with _timed(stage_ms, "bandwidth"):
         if sigma == "auto":
-            params = select_bandwidth(z.n_points, noise_level, kind)
+            params = select_bandwidth(z.n_points, kind=kind)
         elif sigma == "data":
             params = data_driven_bandwidth(z)
         else:
@@ -223,15 +221,11 @@ def recover_closed(f2: np.ndarray, f3: np.ndarray) -> RecoveryOutput:
     return RecoveryOutput(labels=labels, ranking=ranking_from_labels(labels))
 
 
-def select_bandwidth(n: int, eps: float = 0.0, kind: CurveKind = CurveKind.CLOSED_LOOP) -> KernelParams:
-    """Rate-optimal Gaussian bandwidth for a given sample size and noise level."""
+def select_bandwidth(n: int, *, kind: CurveKind) -> KernelParams:
+    """Rate-optimal Gaussian bandwidth for a sample of n points of ``kind``."""
     check_sample(n)
-    check_bandwidth("auto", eps)
-    if kind is CurveKind.CLOSED_LOOP:
-        sigma = max(n ** (-1.0 / 7.0), eps ** (1.0 / 4.0))
-    else:
-        sigma = max(n ** (-1.0 / 14.0), eps ** (2.0 / 7.0))
-    return KernelParams(sigma)
+    rate = 7.0 if kind is CurveKind.CLOSED_LOOP else 14.0
+    return KernelParams(n ** (-1.0 / rate))
 
 
 def data_driven_bandwidth(z: DataMatrix) -> KernelParams:
@@ -269,16 +263,10 @@ def data_driven_bandwidth(z: DataMatrix) -> KernelParams:
     return KernelParams(float(sigmas[int(np.argmax(slope))]))
 
 
-def check_bandwidth(sigma: float | str, noise_level: float = 0.0) -> float | str:
+def check_bandwidth(sigma: float | str) -> float | str:
     """The sigma of a bandwidth setting: ``"auto"`` or ``"data"`` as given,
     anything else as a float (numeric strings included) that ``KernelParams``
-    accepts.  ``noise_level`` must be finite and >= 0, and 0 unless sigma
-    is ``"auto"``, the one rule that reads it.  Else ``ConfigError``."""
-    if not 0.0 <= noise_level < math.inf:
-        raise ConfigError(f"noise_level must be finite and nonnegative, got {noise_level!r}")
-    if noise_level != 0.0 and sigma != "auto":
-        raise ConfigError(
-            f"noise_level is read only by sigma='auto', got {noise_level!r} with sigma={sigma!r}")
+    accepts.  Else ``ConfigError``."""
     if sigma in ("auto", "data"):
         return sigma
     try:

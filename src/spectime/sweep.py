@@ -68,7 +68,6 @@ class SweepConfig:
     replicates: int = 1
     methods: tuple[str, ...] = METHODS
     sigma: float | str = "auto"  # fixed bandwidth | auto or data, chosen per data set
-    noise_level: float = 0.0
     seed_base: int = 0
     threads: int = 1
     delta_fraction: float = DELTA_FRACTION
@@ -92,8 +91,7 @@ class SweepConfig:
         grid = itertools.product(self.n_values, self.snr_values, range(self.replicates))
         data_sets = tuple(
             (rep, PipelineConfig(curve=self.curve, n=n, seed=self.seed_base + i, snr=snr,
-                                 sigma=self.sigma, noise_level=self.noise_level,
-                                 delta_fraction=self.delta_fraction))
+                                 sigma=self.sigma, delta_fraction=self.delta_fraction))
             for i, (n, snr, rep) in enumerate(grid))
         object.__setattr__(self, "data_sets", data_sets)
         object.__setattr__(self, "sigma", data_sets[0][1].sigma)

@@ -342,8 +342,8 @@ def test_recover_column_count_change_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, choice",
     [
-        (["--sigma", "auto", "--noise-level", "0.01"],
-         dict(pick=lambda z: select_bandwidth(z.n_points, 0.01, CurveKind.CLOSED_LOOP).sigma,
+        (["--sigma", "auto"],
+         dict(pick=lambda z: select_bandwidth(z.n_points, kind=CurveKind.CLOSED_LOOP).sigma,
               rule="auto")),
         (["--sigma", "data"], dict(pick=lambda z: data_driven_bandwidth(z).sigma, rule="data")),
         (["--sigma", "0.3"], dict(pick=lambda z: 0.3, rule="fixed")),
@@ -361,25 +361,7 @@ def test_recover_reports_the_bandwidth_choose_bandwidth_picks(tmp_path, capsys, 
     assert reported["sigma_rule"] == choice["rule"]
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--noise-level", "-1"], "noise_level must be finite and nonnegative"),
-    (["--noise-level", "inf"], "noise_level must be finite and nonnegative"),
-    (["--sigma", "0.3", "--noise-level", "0.5"], "noise_level is read only by sigma='auto'"),
-    (["--sigma", "data", "--noise-level", "0.5"], "noise_level is read only by sigma='auto'"),
-])
-def test_recover_bad_noise_level_exits_2_before_work(tmp_path, capsys, flags, message):
-    # the input does not exist: the setting is checked before it is read
-    z, est = tmp_path / "z.csv", tmp_path / "est.csv"
-    assert run(["recover", "--kind", "closed", "--input", z, "--out", est, *flags]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError"
-    assert message in err["message"]
-    assert not any(tmp_path.iterdir())
-
-
 @pytest.mark.parametrize("flags, name", [
-    (["--noise-level", "-1"], "noise_level"),
-    (["--sigma", "0.3", "--noise-level", "0.5"], "noise_level"),
     (["--delta-fraction", "0.7"], "delta_fraction"),
     (["--delta-fraction", "-0.1"], "delta_fraction"),
     (["--methods", ","], "methods"),
@@ -536,10 +518,10 @@ def test_baseline_output_scored_by_rank_metrics(tmp_path, metric):
 DECLARED_FLAGS = {
     "generate": ["--curve", "--n", "--snr", "--eps", "--out", "--labels", "--seed"],
     "denoise": ["--input", "--rank", "--auto", "--r0", "--eta", "--out", "--seed"],
-    "recover": ["--kind", "--input", "--sigma", "--noise-level", "--out"],
+    "recover": ["--kind", "--input", "--sigma", "--out"],
     "evaluate": ["--metric", "--truth", "--estimate", "--delta-fraction", "--matrix", "--out"],
-    "sweep": ["--curve", "--n", "--snr", "--replicates", "--sigma", "--noise-level",
-              "--methods", "--delta-fraction", "--seed", "--threads", "--out-dir"],
+    "sweep": ["--curve", "--n", "--snr", "--replicates", "--sigma", "--methods",
+              "--delta-fraction", "--seed", "--threads", "--out-dir"],
     "baseline": ["--input", "--out"],
 }
 
@@ -564,7 +546,7 @@ def declared_flags():
 
 def test_each_subcommand_declares_exactly_the_flags_it_reads():
     assert declared_flags() == DECLARED_FLAGS
-    assert sum(len(flags) for flags in DECLARED_FLAGS.values()) == 38
+    assert sum(len(flags) for flags in DECLARED_FLAGS.values()) == 36
 
 
 @pytest.mark.parametrize("command", sorted(DECLARED_FLAGS))
@@ -604,6 +586,11 @@ def test_undeclared_formerly_shared_flags_exit_2(tmp_path, monkeypatch, capsys, 
           "--out", "rep.json", "--truth-span", "3"], "unrecognized arguments: --truth-span 3"),
         (["evaluate", "--metric", "closed-time", "--truth", "t.csv", "--estimate", "e.csv",
           "--out", "rep.json", "--format", "csv"], "unrecognized arguments: --format csv"),
+        # the auto bandwidth reads no noise level
+        (["recover", "--kind", "closed", "--input", "z.csv", "--out", "o.csv",
+          "--noise-level", "0.01"], "unrecognized arguments: --noise-level 0.01"),
+        (["sweep", "--curve", "circle", "--n", "10", "--snr", "10", "--out-dir", "sw",
+          "--noise-level", "0.01"], "unrecognized arguments: --noise-level 0.01"),
     ],
 )
 def test_usage_error_is_a_json_config_error(tmp_path, monkeypatch, capsys, argv, message):

@@ -162,7 +162,7 @@ class TestCoordinates:
         d, n = 60, 200
         _, _, z = noisy_sample(CurveSpec("embedded", d), n, 12, 5.0, None)
         eps = np.finfo(np.float64).eps
-        sigma = select_bandwidth(n, 0.0, CurveKind.CLOSED_LOOP).sigma
+        sigma = select_bandwidth(n, kind=CurveKind.CLOSED_LOOP).sigma
         for res in both_denoisers(z):
             c, zt = res.coords.values, projection(res)
             # B C has the distances of C in exact arithmetic; taken from the

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,8 @@ class TestNoConvergenceCount:
         assert err.value.iterations > 0 and fallback_calls == []
 
     def test_block_path(self, monkeypatch):
+        # the spent budget hands the Laplacian to the factor, whose target is
+        # unreachable too
         monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
         with pytest.raises(NoConvergenceError) as err:
             smallest_eigenpairs(circle_laplacian(300, sigma=0.33), k=3, tol=1e-300)
@@ -315,9 +318,18 @@ class TestNaNInput:
             smallest_eigenpairs(a, 3)
         assert err.value.iterations == eigen.BLOCK
 
+    def test_inf_pair_raises_without_numpy_warnings(self):
+        # inf - inf in the symmetry check and inf * 0 in the first pass are
+        # NaN; the finite check after that pass raises the typed error
+        a = np.array([[1.0, np.inf], [np.inf, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergenceError, match="non-finite"):
+                smallest_eigenpairs(a, 1)
+
     def test_nan_residual_fails_the_certificate(self, monkeypatch):
         # a block iteration that hands back a NaN entry
-        def nan_vector(apply, n, k, width, tol, probe=None):
+        def nan_vector(apply, n, k, width, tol, probe=None, factorable=False):
             v = np.eye(n)[:, :k]
             v[0, 0] = np.nan
             return np.arange(k, dtype=float), v, 0
@@ -485,7 +497,7 @@ def noisy_laplacian(curve: str, n: int, snr: float, sigma: float | None = None, 
     """L of a noisy sample at ``sigma``, or at the auto bandwidth when None."""
     spec = CurveSpec(curve)
     x, _ = generate(spec, n, seed)
-    params = select_bandwidth(n, 0.0, spec.kind) if sigma is None else KernelParams(sigma)
+    params = select_bandwidth(n, kind=spec.kind) if sigma is None else KernelParams(sigma)
     return build_laplacian(build_kernel(noise_for_snr(x, snr, seed + 1), params))
 
 
@@ -677,6 +689,51 @@ class TestInPlaceFactor:
             res = smallest_eigenpairs(arg, k=3)
             assert same_bits(res.eigenvectors, ref.eigenvectors)
         assert same_bits(frozen, lap.l)
+
+
+class TestSpentBudget:
+    """A block iteration that spends its budget on a Laplacian it may factor
+    in place factors it instead of raising, at any N; other input raises as
+    before."""
+
+    @pytest.fixture
+    def clustered(self, monkeypatch):
+        # eigenvalues 2 (i/N)^4: the block iteration on A spends its budget
+        # at k=2; no probe runs, so the spent budget is the only hand-over
+        monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
+        n = 300
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))[0]
+        a = (q * (2.0 * (np.arange(n) / n) ** 4)) @ q.T
+        return (a + a.T) / 2.0
+
+    def test_owned_laplacian_is_factored(self, clustered):
+        lap = LaplacianMatrix(clustered.copy(), 1.0, np.ones(300))
+        res = smallest_eigenpairs(lap, k=2)
+        assert res.path == "dense" and same_bits(lap.l, clustered)
+        # the spent block applications are not counted
+        assert res.applications == eigen._dense_smallest(clustered.copy(), 2,
+                                                         eigen.DEFAULT_TOL)[2]
+        assert_matches_eigh(res, clustered, 2)
+
+    @pytest.mark.parametrize("given", ["bare", "read-only", "fortran", "below-minus-shift"])
+    def test_other_input_raises(self, clustered, given):
+        a = clustered - 2.0 * SHIFT * np.eye(300) if given == "below-minus-shift" else clustered
+        if given == "fortran":
+            a = np.asfortranarray(a)
+        if given == "read-only":
+            a.flags.writeable = False
+        arg = a if given == "bare" else LaplacianMatrix(a, 1.0, np.ones(300))
+        with pytest.raises(NoConvergenceError, match="Ritz residual") as err:
+            smallest_eigenpairs(arg, k=2)
+        assert err.value.iterations == eigen.PASSES_PER_PAIR * 2 * eigen.BLOCK
+
+    def test_slow_cardioid_past_the_cutoff_certifies_on_the_factor(self):
+        # the N=2000 case certifies on the factor through the probe; at
+        # N=2100 no probe runs and the block path spends its 2400 applications
+        lap = noisy_laplacian("cardioid", 2100, 100.0, 0.0632, seed=16)
+        res = smallest_eigenpairs(lap, k=2)
+        assert lap.n > eigen.DENSE_CUTOFF and res.path == "dense"
+        assert res.eigenvalues[0] <= 1e-12 < res.eigenvalues[1]
 
 
 def spd_with_signed_zeros(n: int, seed: int = 0) -> np.ndarray:

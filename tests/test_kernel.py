@@ -345,7 +345,7 @@ class TestExponentFloor:
 
     def test_circle_at_auto_sigma_equals_the_unfloored_formula(self):
         _, _, z = noisy_sample(CurveSpec("circle"), self.N, 0, 100.0)
-        sigma = select_bandwidth(self.N, 0.0, CurveKind.CLOSED_LOOP).sigma
+        sigma = select_bandwidth(self.N, kind=CurveKind.CLOSED_LOOP).sigma
         k = build_kernel(z, KernelParams(sigma)).k
         exponents, unfloored = self._unfloored(z, sigma)
         assert exponents.min() > exponent_floor(self.N)

@@ -198,13 +198,10 @@ def test_report_records_the_denoise_route_and_the_recovery_diagnostics(tmp_path)
 
 
 @pytest.mark.parametrize("setting, name", [
-    (dict(noise_level=-1.0), "noise_level"),
-    (dict(noise_level=float("inf")), "noise_level"),
-    (dict(sigma="data", noise_level=0.1), "noise_level"),
     (dict(delta_fraction=0.7), "delta_fraction"),
     (dict(delta_fraction=float("nan")), "delta_fraction"),
 ])
-def test_bad_noise_level_or_delta_fraction_rejected_before_work(tmp_path, setting, name):
+def test_bad_delta_fraction_rejected_before_work(tmp_path, setting, name):
     with pytest.raises(ConfigError, match=name):
         PipelineConfig(curve=CurveSpec("half-circle"), n=10, out_dir=str(tmp_path / "run"),
                        **setting)
@@ -242,13 +239,13 @@ def test_run_baseline_scores_the_pipelines_sample_and_window(curve):
 
 @pytest.mark.parametrize("kind, curve", [(CurveKind.CLOSED_LOOP, "circle"),
                                          (CurveKind.OPEN_CURVE, "half-circle")])
-@pytest.mark.parametrize("setting", [dict(sigma="auto", noise_level=0.01), dict(sigma="data")])
+@pytest.mark.parametrize("setting", [dict(sigma="auto"), dict(sigma="data")])
 def test_report_sigma_is_the_rules_pick(kind, curve, setting):
     # a fixed sigma is test_fixed_sigma_respected
     cfg = PipelineConfig(curve=CurveSpec(curve), n=120, seed=6, snr=100.0, **setting)
     report = run_pipeline(cfg)
     if setting["sigma"] == "auto":
-        expected = select_bandwidth(cfg.n, 0.01, kind)
+        expected = select_bandwidth(cfg.n, kind=kind)
     else:
         _, _, z = noisy_sample(cfg.curve, cfg.n, cfg.seed, cfg.snr, None)
         expected = data_driven_bandwidth(z)

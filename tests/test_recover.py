@@ -139,23 +139,24 @@ class TestRecoverClosed:
 
 class TestSelectBandwidth:
     def test_closed_noiseless(self):
-        p = select_bandwidth(2000, 0.0, CurveKind.CLOSED_LOOP)
+        p = select_bandwidth(2000, kind=CurveKind.CLOSED_LOOP)
         assert p.sigma == 2000 ** (-1 / 7)
         assert p.sigma == pytest.approx(0.3376, abs=1e-4)
 
     def test_open_noiseless(self):
-        p = select_bandwidth(2000, 0.0, CurveKind.OPEN_CURVE)
+        p = select_bandwidth(2000, kind=CurveKind.OPEN_CURVE)
         assert p.sigma == 2000 ** (-1 / 14)
-
-    def test_noise_term_dominates(self):
-        assert select_bandwidth(2000, 1.0, CurveKind.CLOSED_LOOP).sigma == 1.0
-        # eps^(1/4) vs eps^(2/7) exponents differ between the two cases
-        assert select_bandwidth(10, 0.5, CurveKind.CLOSED_LOOP).sigma == 0.5**0.25
-        assert select_bandwidth(10**15, 0.5, CurveKind.OPEN_CURVE).sigma == 0.5 ** (2 / 7)
 
     def test_n_validation(self):
         with pytest.raises(ValueError):
-            select_bandwidth(1, 0.0, CurveKind.CLOSED_LOOP)
+            select_bandwidth(1, kind=CurveKind.CLOSED_LOOP)
+
+    # the rule reads no noise level: a call that passes one must not
+    # silently read it as the kind
+    @pytest.mark.parametrize("args", [(2000, 0.01, CurveKind.CLOSED_LOOP), (2000, 0.5)])
+    def test_stale_noise_argument_raises(self, args):
+        with pytest.raises(TypeError):
+            select_bandwidth(*args)
 
 
 class TestCheckSigma:
@@ -170,20 +171,6 @@ class TestCheckSigma:
     def test_bad_settings_raise(self, given):
         with pytest.raises(ConfigError, match="positive number, 'auto' or 'data'"):
             check_bandwidth(given)
-
-    # the noise level is part of the setting: finite, >= 0, read by "auto" only
-    @pytest.mark.parametrize("sigma, noise_level, message", [
-        ("auto", -1.0, "finite and nonnegative"), ("auto", np.inf, "finite and nonnegative"),
-        ("auto", np.nan, "finite and nonnegative"), ("data", -1.0, "finite and nonnegative"),
-        (0.3, 0.5, "read only by sigma='auto'"), ("data", 0.01, "read only by sigma='auto'"),
-    ])
-    def test_bad_noise_levels_raise(self, sigma, noise_level, message):
-        with pytest.raises(ConfigError, match=f"noise_level.*{message}"):
-            check_bandwidth(sigma, noise_level)
-
-    def test_noise_level_kept_with_auto(self):
-        assert check_bandwidth("auto", 0.5) == "auto"
-        assert check_bandwidth(0.3, 0.0) == 0.3
 
 
 class TestDataDrivenBandwidth:

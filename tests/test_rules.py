@@ -34,7 +34,6 @@ from spectime import (
     noisy_sample,
     ranking_from_labels,
     run_pipeline,
-    select_bandwidth,
     sweep,
 )
 from spectime import io, metrics
@@ -131,18 +130,6 @@ SAMPLE_RULE = {
                         dict(snr=1.0, eps=0.1), None, (generate_argv("--snr", "1", "--eps", "0.1"),)),
 }
 
-# recover.check_bandwidth: the noise level is finite, >= 0 and read by sigma="auto" only
-NOISE_LEVEL_RULE = {
-    "nan": Case(ConfigError, lambda: select_bandwidth(2000, NAN), dict(noise_level=NAN),
-                dict(noise_level=NAN),
-                (["recover", "--kind", "closed", "--input", "{z}", "--noise-level", "nan",
-                  "--out", "{out}/est.csv"], sweep_argv("--noise-level", "nan"))),
-    "negative": Case(ConfigError, lambda: select_bandwidth(2000, -1.0), dict(noise_level=-1.0),
-                     dict(noise_level=-1.0), (sweep_argv("--noise-level", "-1"),)),
-    "inf": Case(ConfigError, lambda: select_bandwidth(2000, INF), dict(noise_level=INF),
-                dict(noise_level=INF), (sweep_argv("--noise-level", "inf"),)),
-}
-
 # denoise.check_denoise: at most one of rank and r0; 0 < eta < 1, read only with r0;
 # the rank an integer in [1, min(d, N)]
 EMBEDDED_30 = dict(curve=EMBEDDED, n=30, snr=10.0)
@@ -212,11 +199,6 @@ WINDOW_RULE = {
 
 @pytest.mark.parametrize("case, entry", entries(SAMPLE_RULE))
 def test_sample_rule(case, entry, tmp_path, monkeypatch, capsys):
-    refused_before_any_write(case, entry, tmp_path, monkeypatch, capsys)
-
-
-@pytest.mark.parametrize("case, entry", entries(NOISE_LEVEL_RULE))
-def test_noise_level_rule(case, entry, tmp_path, monkeypatch, capsys):
     refused_before_any_write(case, entry, tmp_path, monkeypatch, capsys)
 
 

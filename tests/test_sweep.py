@@ -105,14 +105,11 @@ def test_bad_sigma_rejected_before_work(tmp_path, sigma):
 
 
 @pytest.mark.parametrize("setting, name", [
-    (dict(noise_level=-1.0), "noise_level"),
-    (dict(noise_level=float("nan")), "noise_level"),
-    (dict(sigma=0.3, noise_level=0.5), "noise_level"),
     (dict(delta_fraction=0.7), "delta_fraction"),
     (dict(delta_fraction=0.5), "delta_fraction"),
     (dict(delta_fraction=-0.1), "delta_fraction"),
 ])
-def test_bad_noise_level_or_delta_fraction_rejected_before_work(tmp_path, setting, name):
+def test_bad_delta_fraction_rejected_before_work(tmp_path, setting, name):
     with pytest.raises(ConfigError, match=name):
         SweepConfig(curve=CurveSpec("half-circle"), n_values=(10,), snr_values=(10.0,),
                     out_dir=str(tmp_path / "sw"), **setting)
@@ -179,12 +176,12 @@ def test_manifest_records_config_and_seeds(tmp_path):
 def test_manifest_bytes_for_a_fixed_config(tmp_path):
     # every SweepConfig field but threads and out_dir, in field order
     sc = SweepConfig(curve=CurveSpec("half-circle"), n_values=(40, 50), snr_values=(100.0,),
-                     methods=("spectral", "serialrank"), noise_level=0.01, seed_base=3,
+                     methods=("spectral", "serialrank"), seed_base=3,
                      threads=2, delta_fraction=0.1, out_dir=str(tmp_path))
     sweep(sc)
     config = ('{"curve": "half-circle", "n_values": [40, 50], "snr_values": [100.0], '
               '"replicates": 1, "methods": ["spectral", "serialrank"], "sigma": "auto", '
-              '"noise_level": 0.01, "seed_base": 3, "delta_fraction": 0.1}')
+              '"seed_base": 3, "delta_fraction": 0.1}')
     expected = {"config": json.loads(config), "seeds": [3, 3, 4, 4],
                 "version": spectime.__version__, "rows": 4}
     assert (tmp_path / "manifest.json").read_text() == json.dumps(expected, indent=2)
