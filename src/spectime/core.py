@@ -105,9 +105,9 @@ class TimeLabels:
         arr = np.asarray(self.angles, dtype=np.float64).copy()
         if arr.ndim != 1:
             raise LengthMismatchError(f"labels must be a vector, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            bad = int(np.argwhere(~np.isfinite(arr))[0])
-            raise NonFiniteEntryError(0, bad)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise NonFiniteEntryError(0, bad[0])
         if arr.size and (arr.min() < 0.0 or arr.max() > TWO_PI):
             i = int(np.flatnonzero((arr < 0.0) | (arr > TWO_PI))[0])
             raise LabelRangeError(f"label {i} is {float(arr[i])!r}, outside [0, 2*pi]")

@@ -1,8 +1,21 @@
-"""Smallest eigenpairs of a symmetric matrix with certified residuals.
+"""Smallest eigenpairs of a graph Laplacian with certified residuals.
 
 The contract is the residual certificate, not the method: every returned
 pair (lambda_j, v_j) satisfies ||A v_j - lambda_j v_j|| <= tol * max(1, max|lambda|),
 checked post hoc by direct multiplication.
+
+The one input is a ``LaplacianMatrix`` from ``kernel.build_laplacian``;
+its ``l``, the A of these notes, is bit-exactly symmetric by
+construction, so no symmetry check runs, and the certificate stays the
+arbiter.  The dense path factors ``l`` in its own buffer, so it holds
+one N x N array too: ``_factor`` writes only the lower triangle, and
+however its solve ends (pairs, a failed factor, an error)
+``kernel.mirror_upper`` copies it back from the intact upper one and the
+saved diagonal is restored, so ``l`` comes back bit for bit.  Do not
+share one ``LaplacianMatrix`` between concurrent solves.  Other input
+is refused before any work, its array untouched: anything that is not a
+``LaplacianMatrix`` raises ``TypeError``, and an ``l`` that is not
+square, or is read-only or not C-ordered, raises ``ValueError``.
 
 One iteration, two operators.  ``_block_smallest`` is a thick-restarted
 block Krylov iteration that ends each pass with Rayleigh-Ritz.  It starts
@@ -49,12 +62,11 @@ its 10-13 solves), or more than their budget at sigma = 0.0632, SNR 100
 (167 ms for the factor and its 24 solves).  A pass took 2.3-2.5 ms, of
 which 1.24 ms is the 12-row product (medians of 3 solves per path,
 2-core KVM box, OpenBLAS 0.3.31 with 2 threads).  An iteration that
-spends its budget of PASSES_PER_PAIR * k passes on input it may factor
-in place (see below), with theta_1 > -SHIFT, factors at any N instead of
-raising, and its applications are not counted either: the same
-cardioid at sigma = 0.0632, SNR 100 and N=2100, past the cutoff, spends
-its 2400 applications in 0.52 s and certifies on the factor 0.18 s
-later.
+spends its budget of PASSES_PER_PAIR * k passes with theta_1 > -SHIFT
+factors at any N instead of raising, and its applications are not
+counted either: the same cardioid at sigma = 0.0632, SNR 100 and
+N=2100, past the cutoff, spends its 2400 applications in 0.52 s and
+certifies on the factor 0.18 s later.
 
 The dense path (chosen by the probe or a spent budget): one Cholesky
 factor of A + tau*I, then the iteration on -(A + tau*I)^-1 in blocks of
@@ -66,11 +78,11 @@ O(N^2) triangular solves, where a symmetric eigensolver first spends
 4N^3/3 on a tridiagonal reduction.  The inner target is min(tol, 1e-10)
 / 100 on the transformed operator; a residual r there gives
 ||A v - lambda v|| <= (||A|| + tau) ||r|| / |theta|, far inside the
-certificate, which stays the only arbiter.  Input that is not positive
-definite after the shift (an indefinite A, never a Laplacian) takes the
-block path on A instead, from its start and with no probe, once a copy
-made for the factor is freed; the iteration needs no bound on the
-spectrum, so it serves any symmetric matrix.
+certificate, which stays the only arbiter.  A matrix that is not
+positive definite after the shift (a hand-built ``LaplacianMatrix`` with
+lambda_min <= -SHIFT, never one from ``build_laplacian``) takes the block
+path on A instead, from its start and with no probe; the iteration needs
+no bound on the spectrum.
 
 The factor is built from numpy alone, so the process runs one BLAS
 library.  numpy and scipy each load their own OpenBLAS, and each keeps a
@@ -99,24 +111,8 @@ reports the path taken and the operator applications (one per vector: a
 pass counts its block's rows).  Every
 failure to certify k pairs raises ``NoConvergenceError`` with that
 count: the iteration past its budget of PASSES_PER_PAIR * k passes on
-input it may not factor in place or on the factor, or with a non-finite
-entry, or a residual above the bound or NaN.
-
-A writable, C-ordered ``LaplacianMatrix`` (bit-exactly symmetric, as
-``kernel`` builds it) is factored in its own buffer, so the dense path
-holds one N x N array too: ``_factor`` writes only the lower triangle
-of ``l``.  However the factor's solve ends (pairs, a failed factor, an
-error), ``kernel.mirror_upper`` copies that triangle back from the
-intact upper one and the saved diagonal is restored, so ``l`` comes back
-bit for bit.  Do not share one ``LaplacianMatrix`` between concurrent
-solves.  Other input (a bare ndarray, or a read-only or Fortran-ordered
-Laplacian) is first copied into a C-ordered array, which is factored the
-same way; the certificate and the block path read the caller's matrix.
-A factor reads one triangle only, so a bare ndarray must equal its
-transpose bit for bit, checked one row block at a time (no N x N
-temporary); one that does not raises ``AsymmetricMatrixError`` naming
-max|A - A^T|, NaN for a NaN opposite a number.  A ``LaplacianMatrix`` is
-symmetric by construction and skips the check.
+A with theta_1 <= -SHIFT or on the factor, or with a non-finite entry,
+or a residual above the bound or NaN.
 
 Sign convention: each eigenvector is flipped so that its first entry
 within 4 ulps of the largest absolute value is positive, which makes
@@ -131,8 +127,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import AsymmetricMatrixError, NoConvergenceError
-from .kernel import LaplacianMatrix, mirror_upper, row_blocks
+from .errors import NoConvergenceError
+from .kernel import LaplacianMatrix, mirror_upper
 
 DENSE_CUTOFF = 2048  # largest N at which the probe runs; a spent budget factors at any N
 DEFAULT_TOL = 1e-8
@@ -165,49 +161,50 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
 
 
-def smallest_eigenpairs(
-    l: LaplacianMatrix | np.ndarray, k: int, tol: float = DEFAULT_TOL
-) -> SpectralResult:
-    """Return the k algebraically smallest eigenpairs of a symmetric matrix.
+def smallest_eigenpairs(lap: LaplacianMatrix, k: int, tol: float = DEFAULT_TOL) -> SpectralResult:
+    """Return the k algebraically smallest eigenpairs of a Laplacian.
 
     Parameters
     ----------
-    l : LaplacianMatrix or symmetric ndarray
+    lap : LaplacianMatrix whose ``l`` is square, writable and C-ordered
     k : number of eigenpairs, 1 <= k <= N
     tol : residual target; every pair satisfies
-        ||A v - lambda v|| <= tol * max(1, max|lambda|)
+        ||L v - lambda v|| <= tol * max(1, max|lambda|)
 
     Raises
     ------
-    AsymmetricMatrixError
-        if a bare ndarray differs from its transpose.
+    TypeError
+        if lap is not a ``LaplacianMatrix``.
+    ValueError
+        if ``lap.l`` is not square, or is read-only or not C-ordered, or
+        k or tol is out of range; before any work.
     NoConvergenceError
         if the residual target cannot be certified within the iteration
         budget: the iteration meets a non-finite entry or spends its
         passes, or a residual exceeds the bound or is NaN.
     """
-    a = l.l if isinstance(l, LaplacianMatrix) else np.asarray(l, dtype=np.float64)
+    if not isinstance(lap, LaplacianMatrix):
+        raise TypeError(f"expected a LaplacianMatrix (see build_laplacian), "
+                        f"got {type(lap).__name__}")
+    a = lap.l
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not (a.flags.writeable and a.flags.c_contiguous):
+        raise ValueError("L must be writable and C-ordered: the dense path factors it in place")
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not isinstance(l, LaplacianMatrix):
-        _check_symmetric(a)
 
     def product(rows, out):
         np.matmul(rows, a, out=out)
 
-    owned = isinstance(l, LaplacianMatrix) and a.flags.writeable and a.flags.c_contiguous
     probe = PROBE_PASSES if n <= DENSE_CUTOFF and k <= n // 4 else None
     found, path = _block_smallest(product, n, k, max(BLOCK, k), tol, probe,
-                                  factorable=owned), "block"
-    if found is None:  # the probe chose the factor, or the budget ran out on owned input
-        work = a if owned else np.array(a, order="C")  # one copy of input it may not write
-        found, path = _dense_smallest(work, k, tol), "dense"
-        del work  # a copy is freed before the block iteration allocates
+                                  factorable=True), "block"
+    if found is None:  # the probe chose the factor, or the budget ran out
+        found, path = _dense_smallest(a, k, tol), "dense"
     if found is None:  # A + SHIFT*I has no Cholesky factor
         found, path = _block_smallest(product, n, k, max(BLOCK, k), tol), "block"
     values, vectors, applied = found
@@ -224,19 +221,6 @@ def smallest_eigenpairs(
             f"after {applied} operator applications")
     return SpectralResult(eigenvalues=values, eigenvectors=vectors, residuals=residuals,
                           path=path, applications=applied)
-
-
-def _check_symmetric(a: np.ndarray) -> None:
-    worst = 0.0
-    for rows in row_blocks(a.shape[0]):
-        upper, lower = a[rows], a[:, rows].T
-        if np.any(np.isnan(upper) != np.isnan(lower)):  # a NaN opposite a number
-            raise AsymmetricMatrixError(np.nan)
-        # fmax skips the NaN of a NaN pair or an inf pair, which are symmetric
-        with np.errstate(invalid="ignore"):  # inf - inf
-            worst = max(worst, float(np.fmax.reduce(np.abs(upper - lower), axis=None)))
-    if worst > 0.0:
-        raise AsymmetricMatrixError(worst)
 
 
 @contextmanager

@@ -6,12 +6,12 @@ class SpectimeError(Exception):
 
 
 class NonFiniteEntryError(SpectimeError):
-    """A data matrix contains a NaN or infinite entry."""
+    """A data matrix, a label or a rank holds a NaN or infinite entry."""
 
-    def __init__(self, row: int, col: int):
+    def __init__(self, row: int, col: int, message: str = ""):
         self.row = int(row)
         self.col = int(col)
-        super().__init__(f"non-finite entry at ({self.row}, {self.col})")
+        super().__init__(message or f"non-finite entry at ({self.row}, {self.col})")
 
 
 class TooFewPointsError(SpectimeError):
@@ -55,16 +55,6 @@ class NoConvergenceError(SpectimeError):
     def __init__(self, iterations: int, message: str = ""):
         self.iterations = int(iterations)
         super().__init__(message or f"no convergence after {self.iterations} iterations")
-
-
-class AsymmetricMatrixError(SpectimeError):
-    """A matrix handed to the symmetric eigensolver is not its own transpose."""
-
-    def __init__(self, max_asymmetry: float):
-        self.max_asymmetry = float(max_asymmetry)
-        super().__init__(
-            f"matrix is not symmetric: max|A - A^T| = {self.max_asymmetry:.3e}; "
-            "symmetrize it first, e.g. (A + A.T) / 2")
 
 
 class EmptyInteriorError(SpectimeError):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import DataMatrix, Ranking, TimeLabels, ranking_from_labels
 from .errors import BadCellError, BadIndexError, LabelRangeError, LengthMismatchError
-from .errors import NotAPermutationError, TooFewPointsError
+from .errors import NonFiniteEntryError, NotAPermutationError, TooFewPointsError
 
 FLOAT_FMT = "%.17g"
 
@@ -146,16 +146,29 @@ def _read_indexed_csv(path: str | Path) -> np.ndarray:
     return data
 
 
+def _column(path: str | Path, data: np.ndarray, col: int) -> np.ndarray:
+    """Column ``col`` of an indexed file's rows; a cell that is not finite
+    is a ``NonFiniteEntryError`` naming the file, the index and the column."""
+    values = data[:, col]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise NonFiniteEntryError(i, col, f"{path}: index {i}, column {col + 1}: "
+                                  f"{float(values[i])!r} is not a finite number")
+    return values
+
+
 def load_labels(path: str | Path) -> TimeLabels:
     """Read labels, time on [0, 2*pi], from an ``index,value`` or
     ``index,t_hat,rank`` file; a label outside that range is a
-    ``LabelRangeError`` naming the file."""
+    ``LabelRangeError`` naming the file, and one that is not finite a
+    ``NonFiniteEntryError``."""
     return _labels(path, _read_indexed_csv(path))
 
 
 def _labels(path: str | Path, data: np.ndarray) -> TimeLabels:
     try:
-        return TimeLabels(data[:, 1])
+        return TimeLabels(_column(path, data, 1))
     except LabelRangeError as exc:
         raise LabelRangeError(f"{path}: {exc}") from None
 
@@ -163,10 +176,11 @@ def _labels(path: str | Path, data: np.ndarray) -> TimeLabels:
 def load_ranking(path: str | Path) -> Ranking:
     """Read a ranking from an ``index,value`` (value = rank) or
     ``index,t_hat,rank`` file; when that column, rounded, is not a
-    permutation of 0..N-1, from the labels in column 1, ranked."""
+    permutation of 0..N-1, from the labels in column 1, ranked.  A rank
+    that is not finite is a ``NonFiniteEntryError`` naming the file."""
     data = _read_indexed_csv(path)
     col = 2 if data.shape[1] >= 3 else 1
     try:
-        return Ranking.from_ranks(np.rint(data[:, col]).astype(np.int64))
+        return Ranking.from_ranks(np.rint(_column(path, data, col)).astype(np.int64))
     except NotAPermutationError:
         return ranking_from_labels(_labels(path, data))

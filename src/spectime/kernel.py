@@ -106,10 +106,10 @@ class KernelMatrix:
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
-    """Symmetric normalized graph Laplacian L = I - S.
-
-    ``l`` is bit-exactly symmetric; the dense eigensolve relies on that
-    when it factors ``l`` in place and restores it (see ``eigen``)."""
+    """Symmetric normalized graph Laplacian L = I - S, the one input of
+    ``eigen.smallest_eigenpairs``.  ``l`` is bit-exactly symmetric,
+    writable and C-ordered: the dense eigensolve factors it in place and
+    restores it, and refuses an ``l`` it may not write (see ``eigen``)."""
 
     l: np.ndarray
     sigma: float

@@ -267,7 +267,7 @@ def check_bandwidth(sigma: float | str) -> float | str:
     """The sigma of a bandwidth setting: ``"auto"`` or ``"data"`` as given,
     anything else as a float (numeric strings included) that ``KernelParams``
     accepts.  Else ``ConfigError``."""
-    if sigma in ("auto", "data"):
+    if isinstance(sigma, str) and sigma in ("auto", "data"):
         return sigma
     try:
         return KernelParams(float(sigma)).sigma

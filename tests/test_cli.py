@@ -329,6 +329,24 @@ def test_evaluate_non_numeric_cell_exits_2(tmp_path, capsys):
     assert "line 3, column 2: 'abc' is not a number" in err["message"]
 
 
+@pytest.mark.parametrize("metric, text", [
+    ("closed-time", "index,value\n0,0.1\n1,nan\n2,0.3\n"),
+    ("closed-rank", "index,value\n0,0\n1,nan\n2,2\n"),
+], ids=["labels", "ranking"])
+def test_evaluate_nan_cell_exits_2(tmp_path, capsys, metric, text):
+    # a labels file and a ranking file; numpy's cast of a NaN rank warns,
+    # so the check runs before it
+    t = tmp_path / "t.csv"
+    t.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["evaluate", "--metric", metric, "--truth", t, "--estimate", t]) == 2
+    err = json.loads(capsys.readouterr().err)  # exactly one JSON object
+    assert err["error"] == "NonFiniteEntryError"
+    assert str(t) in err["message"]
+    assert "index 1, column 2: nan is not a finite number" in err["message"]
+
+
 def test_recover_column_count_change_exits_2(tmp_path, capsys):
     z = tmp_path / "z.csv"
     z.write_text("0.0,1.0\n1.0,0.0\n-1.0\n")

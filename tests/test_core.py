@@ -93,6 +93,13 @@ class TestTimeLabels:
     def test_endpoints_allowed(self):
         TimeLabels(np.array([0.0, 2 * np.pi]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_label_names_its_index(self, bad):
+        with pytest.raises(NonFiniteEntryError) as exc:
+            TimeLabels(np.array([0.1, 0.2, bad, np.nan]))
+        assert (exc.value.row, exc.value.col) == (0, 2)
+        assert "(0, 2)" in str(exc.value)
+
 
 class TestRanking:
     def test_rejects_repeats(self):

@@ -1,5 +1,4 @@
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,7 +23,7 @@ from spectime import (
 )
 from spectime import eigen
 from spectime.eigen import SHIFT, _block_smallest, _fix_signs
-from spectime.errors import AsymmetricMatrixError, NoConvergenceError
+from spectime.errors import NoConvergenceError
 
 
 def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -39,6 +38,11 @@ def circle_laplacian(n, sigma=None, seed=0):
     x, _ = generate(CurveSpec("circle"), n, seed)
     params = KernelParams(sigma if sigma is not None else n ** (-1 / 7))
     return build_laplacian(build_kernel(x, params))
+
+
+def laplacian_of(a: np.ndarray) -> LaplacianMatrix:
+    """A bare symmetric matrix in the solver's one input type, on its own buffer."""
+    return LaplacianMatrix(np.array(a, order="C"), 1.0, np.ones(a.shape[0]))
 
 
 def product(a):
@@ -97,7 +101,7 @@ def test_import_and_dense_recovery_load_no_scipy():
 class TestClosedForm:
     def test_two_by_two(self):
         l = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        res = smallest_eigenpairs(l, k=2)
+        res = smallest_eigenpairs(laplacian_of(l), k=2)
         assert np.allclose(res.eigenvalues, [0.0, 1.0], atol=1e-12)
         inv_sqrt2 = 1 / np.sqrt(2)
         assert np.allclose(res.eigenvectors[:, 0], [inv_sqrt2, inv_sqrt2], atol=1e-12)
@@ -163,11 +167,50 @@ class TestContracts:
             assert col[np.argmax(np.abs(col))] > 0
 
     def test_k_bounds(self):
-        l = np.eye(3)
+        l = laplacian_of(np.eye(3))
         with pytest.raises(ValueError):
             smallest_eigenpairs(l, k=0)
         with pytest.raises(ValueError):
             smallest_eigenpairs(l, k=4)
+
+
+class TestRefusedInput:
+    """The solver takes a LaplacianMatrix whose l is square, writable and
+    C-ordered; anything else is refused before its operator is applied,
+    with the array untouched."""
+
+    @pytest.fixture
+    def applied(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("refused input reached the solver")
+
+        monkeypatch.setattr(eigen, "_block_smallest", spy)
+        monkeypatch.setattr(eigen, "_dense_smallest", spy)
+        return calls
+
+    def test_bare_ndarray_raises_type_error(self, applied):
+        a = circle_laplacian(100, sigma=0.4).l
+        before = a.copy()
+        with pytest.raises(TypeError, match="build_laplacian"):
+            smallest_eigenpairs(a, k=2)
+        with pytest.raises(TypeError, match="build_laplacian"):
+            smallest_eigenpairs(np.eye(3), 1)
+        assert same_bits(a, before) and applied == []
+
+    @pytest.mark.parametrize("given", ["read-only", "fortran", "non-square"])
+    def test_laplacian_it_may_not_factor_raises_value_error(self, applied, given):
+        lap = circle_laplacian(100, sigma=0.4)
+        a = {"read-only": lap.l, "fortran": np.asfortranarray(lap.l),
+             "non-square": lap.l[:, :99]}[given]
+        if given == "read-only":
+            a.flags.writeable = False
+        before = a.copy()
+        with pytest.raises(ValueError, match="square" if given == "non-square" else "C-ordered"):
+            smallest_eigenpairs(LaplacianMatrix(a, lap.sigma, lap.inv_sqrt_degrees), k=2)
+        assert same_bits(a, before) and applied == []
 
 
 class TestDenseSubset:
@@ -180,7 +223,7 @@ class TestDenseSubset:
 
     def assert_matches_full(self, a, k):
         w, v = np.linalg.eigh(a)
-        res = smallest_eigenpairs(a, k=k)
+        res = smallest_eigenpairs(laplacian_of(a), k=k)
         scale = max(1.0, np.abs(w).max())
         assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10 * scale
         # a generic random matrix has simple eigenvalues: vectors match up to sign
@@ -245,14 +288,14 @@ class TestShiftInvert:
     def test_negative_eigenvalue_above_minus_shift_stays_on_shift_invert(self, factor_first):
         lap = circle_laplacian(300, sigma=0.33, seed=4).l - 0.5 * SHIFT * np.eye(300)
         w, v = np.linalg.eigh(lap)
-        res = smallest_eigenpairs(lap, k=3)
+        res = smallest_eigenpairs(laplacian_of(lap), k=3)
         assert w[0] < 0 and res.path == "dense"
         assert np.abs(res.eigenvalues - w[:3]).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v[:, :3]) <= 1e-6
 
     def test_eigenvalue_below_minus_shift_falls_back(self, factor_first, fallback_calls):
         lap = circle_laplacian(300, sigma=0.33, seed=4).l - 2.0 * SHIFT * np.eye(300)
-        res = smallest_eigenpairs(lap, k=3)
+        res = smallest_eigenpairs(laplacian_of(lap), k=3)
         assert fallback_calls == [3] and res.path == "block" and res.applications > 0
         assert_matches_eigh(res, lap, 3)
 
@@ -296,7 +339,7 @@ class TestNaNInput:
         a = np.eye(5)
         a[1, 2] = a[2, 1] = np.nan
         with pytest.raises(NoConvergenceError):
-            smallest_eigenpairs(a, k)
+            smallest_eigenpairs(laplacian_of(a), k)
 
     # every solve starts on the block iteration on A, which meets the NaN
     # in its first pass of 5 rows, whatever k is, before any factor
@@ -307,7 +350,7 @@ class TestNaNInput:
         a[0, 0] = -1.0
         a[1, 2] = a[2, 1] = np.nan
         with pytest.raises(NoConvergenceError, match="non-finite") as err:
-            smallest_eigenpairs(a, k)
+            smallest_eigenpairs(laplacian_of(a), k)
         assert fallback_calls == [] and err.value.iterations == 5
 
     def test_block_path(self, monkeypatch):
@@ -315,17 +358,17 @@ class TestNaNInput:
         a = np.eye(80)
         a[1, 2] = a[2, 1] = np.nan
         with pytest.raises(NoConvergenceError, match="non-finite") as err:
-            smallest_eigenpairs(a, 3)
+            smallest_eigenpairs(laplacian_of(a), 3)
         assert err.value.iterations == eigen.BLOCK
 
     def test_inf_pair_raises_without_numpy_warnings(self):
-        # inf - inf in the symmetry check and inf * 0 in the first pass are
-        # NaN; the finite check after that pass raises the typed error
+        # inf * 0 in the first pass is NaN; the finite check after that
+        # pass raises the typed error
         a = np.array([[1.0, np.inf], [np.inf, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NoConvergenceError, match="non-finite"):
-                smallest_eigenpairs(a, 1)
+                smallest_eigenpairs(laplacian_of(a), 1)
 
     def test_nan_residual_fails_the_certificate(self, monkeypatch):
         # a block iteration that hands back a NaN entry
@@ -336,54 +379,7 @@ class TestNaNInput:
 
         monkeypatch.setattr(eigen, "_block_smallest", nan_vector)
         with pytest.raises(NoConvergenceError, match="residual nan"):
-            smallest_eigenpairs(np.diag(np.arange(5.0)), 2)
-
-
-class TestAsymmetricInput:
-    """A bare ndarray must equal its transpose: the dense factor reads one
-    triangle, so an asymmetric matrix is invalid input, not a solver failure."""
-
-    def perturbed(self):
-        a = circle_laplacian(300, sigma=0.3).l
-        return a + 1e-9 * np.random.default_rng(0).standard_normal(a.shape)
-
-    @pytest.mark.parametrize("cutoff", [eigen.DENSE_CUTOFF, 16])
-    def test_perturbed_laplacian_names_the_asymmetry(self, monkeypatch, cutoff):
-        monkeypatch.setattr(eigen, "DENSE_CUTOFF", cutoff)
-        a = self.perturbed()
-        with pytest.raises(AsymmetricMatrixError, match=re.escape("max|A - A^T|")) as err:
-            smallest_eigenpairs(a, k=3)
-        assert err.value.max_asymmetry == np.abs(a - a.T).max()
-
-    @pytest.mark.parametrize("transpose", [False, True])
-    def test_nan_opposite_a_number_names_the_asymmetry(self, transpose):
-        # its |A - A^T| is NaN, which max(worst, nan) would skip; a NaN pair
-        # is symmetric and left to the solver (see TestNaNInput)
-        a = np.array([[1.0, np.nan], [1.0, 1.0]])
-        with pytest.raises(AsymmetricMatrixError) as err:
-            smallest_eigenpairs(a.T if transpose else a, k=1)
-        assert np.isnan(err.value.max_asymmetry)
-
-    def test_check_makes_no_n_by_n_temporary(self):
-        n = 2000
-        a = np.random.default_rng(1).standard_normal((n, n))
-        a = (a + a.T) / 2.0
-        a[n - 1, 0] += 1e-12
-        tracemalloc.start()
-        try:
-            with pytest.raises(AsymmetricMatrixError):
-                smallest_eigenpairs(a, k=3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n * 8 / 4
-
-    def test_laplacian_skips_the_check(self, monkeypatch):
-        def refuse(a):
-            raise AssertionError("a LaplacianMatrix was checked for symmetry")
-
-        monkeypatch.setattr(eigen, "_check_symmetric", refuse)
-        assert smallest_eigenpairs(circle_laplacian(300, sigma=0.3), k=3).eigenvalues[0] < 1e-10
+            smallest_eigenpairs(laplacian_of(np.diag(np.arange(5.0))), 2)
 
 
 class TestIterativePath:
@@ -445,7 +441,7 @@ class TestIterativePath:
         a = np.random.default_rng(0).standard_normal((40, 40))
         a = a + a.T
         w = np.linalg.eigvalsh(a)
-        res = smallest_eigenpairs(a, k=10)
+        res = smallest_eigenpairs(laplacian_of(a), k=10)
         assert res.applications == 40  # blocks of 12, 12, 12 and 4 rows
         assert np.abs(res.eigenvalues - w[:10]).max() <= 1e-10 * np.abs(w).max()
 
@@ -456,7 +452,7 @@ class TestIterativePath:
         q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((100, 100)))
         p = q[:, 3:] @ q[:, 3:].T
         a = (p + p.T) / 2.0
-        res = smallest_eigenpairs(a, k=3)
+        res = smallest_eigenpairs(laplacian_of(a), k=3)
         assert res.applications == 2 * eigen.BLOCK
         assert np.abs(res.eigenvalues).max() <= 1e-12
         assert principal_angle(res.eigenvectors, q[:, :3]) <= 1e-6
@@ -467,7 +463,7 @@ class TestIterativePath:
         # every vector is an eigenvector of 2I: k = 20 > BLOCK widens the
         # block to 20 rows, whose Ritz pairs are exact after one pass
         monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
-        res = smallest_eigenpairs(2.0 * np.eye(100), k=20)
+        res = smallest_eigenpairs(laplacian_of(2.0 * np.eye(100)), k=20)
         assert res.applications == 20
         assert np.abs(res.eigenvalues - 2.0).max() <= 1e-14
 
@@ -477,7 +473,7 @@ class TestIterativePath:
         monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
         q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((100, 100)))
         p = q[:, 20:] @ q[:, 20:].T
-        res = smallest_eigenpairs((p + p.T) / 2.0, k=15)
+        res = smallest_eigenpairs(laplacian_of((p + p.T) / 2.0), k=15)
         assert res.path == "block"
         assert np.abs(res.eigenvalues).max() <= 1e-12
         assert np.abs(q[:, 20:].T @ res.eigenvectors).max() <= 1e-10  # in the null space
@@ -520,7 +516,7 @@ class TestPathByInput:
         # theta_1 <= -SHIFT after the probe: A + SHIFT*I has no factor to try
         a = np.random.default_rng(7).standard_normal((300, 300))
         a = (a + a.T) / 2.0
-        res = smallest_eigenpairs(a, k=3)
+        res = smallest_eigenpairs(laplacian_of(a), k=3)
         assert res.path == "block" and fallback_calls == []
         assert_matches_eigh(res, a, 3)
 
@@ -657,9 +653,11 @@ class TestInPlaceFactor:
         assert smallest_eigenpairs(lap, k=3).path == "dense"
         assert same_bits(lap.l, before)
 
-    def test_same_pairs_as_the_copy_path(self, lap):
+    def test_two_dense_solves_return_the_same_bits(self, lap):
+        # the second solve factors the buffer the first one restored
         res = smallest_eigenpairs(lap, k=3)
-        ref = smallest_eigenpairs(lap.l.copy(), k=3)  # a bare ndarray is copied
+        ref = smallest_eigenpairs(lap, k=3)
+        assert res.path == ref.path == "dense" and res.applications == ref.applications
         for field in ("eigenvalues", "eigenvectors", "residuals"):
             assert same_bits(getattr(res, field), getattr(ref, field))
 
@@ -681,20 +679,11 @@ class TestInPlaceFactor:
         assert err.value.iterations == eigen.PASSES_PER_PAIR * 3 * 3
         assert same_bits(lap.l, before)
 
-    def test_read_only_inputs_are_copied(self, lap):
-        ref = smallest_eigenpairs(lap, k=3)
-        frozen = lap.l.copy()
-        frozen.flags.writeable = False
-        for arg in (frozen, LaplacianMatrix(frozen, lap.sigma, lap.inv_sqrt_degrees)):
-            res = smallest_eigenpairs(arg, k=3)
-            assert same_bits(res.eigenvectors, ref.eigenvectors)
-        assert same_bits(frozen, lap.l)
-
 
 class TestSpentBudget:
-    """A block iteration that spends its budget on a Laplacian it may factor
-    in place factors it instead of raising, at any N; other input raises as
-    before."""
+    """A block iteration that spends its budget with theta_1 > -SHIFT
+    factors the Laplacian in place instead of raising, at any N; one with
+    theta_1 <= -SHIFT, which has no factor, raises."""
 
     @pytest.fixture
     def clustered(self, monkeypatch):
@@ -715,16 +704,10 @@ class TestSpentBudget:
                                                          eigen.DEFAULT_TOL)[2]
         assert_matches_eigh(res, clustered, 2)
 
-    @pytest.mark.parametrize("given", ["bare", "read-only", "fortran", "below-minus-shift"])
-    def test_other_input_raises(self, clustered, given):
-        a = clustered - 2.0 * SHIFT * np.eye(300) if given == "below-minus-shift" else clustered
-        if given == "fortran":
-            a = np.asfortranarray(a)
-        if given == "read-only":
-            a.flags.writeable = False
-        arg = a if given == "bare" else LaplacianMatrix(a, 1.0, np.ones(300))
+    def test_eigenvalue_below_minus_shift_raises(self, clustered):
+        lap = laplacian_of(clustered - 2.0 * SHIFT * np.eye(300))
         with pytest.raises(NoConvergenceError, match="Ritz residual") as err:
-            smallest_eigenpairs(arg, k=2)
+            smallest_eigenpairs(lap, k=2)
         assert err.value.iterations == eigen.PASSES_PER_PAIR * 2 * eigen.BLOCK
 
     def test_slow_cardioid_past_the_cutoff_certifies_on_the_factor(self):

@@ -166,8 +166,9 @@ class TestCheckSigma:
         assert check_bandwidth(given) == kept
 
     # 1e-200 and 1e300: 2 sigma^2 underflows to 0 and overflows to inf
+    # an array is not a str, so it names no rule and fails the float conversion
     @pytest.mark.parametrize("given", ["guess", "", None, 0.0, -1.0, "-1", np.inf, np.nan,
-                                       1e-200, "1e300"])
+                                       1e-200, "1e300", np.array([0.1, 0.2])])
     def test_bad_settings_raise(self, given):
         with pytest.raises(ConfigError, match="positive number, 'auto' or 'data'"):
             check_bandwidth(given)
