@@ -9,13 +9,15 @@ seed 0, at N = 2000, 8000 and 16000 and the auto bandwidth; the open
 cardioid, SNR 100, seed 16, at N = 2000 and 4000 and sigma = 0.1414 and
 0.0632, whose clustered spectra test the eigensolver's hand-over to the
 factor; and the circle, SNR 100, seed 0, at N = 2000 and 8000 and the
-data bandwidth.  The script starts 3 fresh processes per case.  Each generates
-its sample, runs ``recover_labels`` and reports the recovery's
-``stage_ms`` (bandwidth, kernel, laplacian, eigensolve, labels) and its
-own peak resident size (``ru_maxrss``).  The repeats of a case are
-summarised by their median and quartiles; a case whose process fails (a
-recovery that raises included) is recorded with the error it printed
-instead.  The file ``BENCH_<yyyymmdd>.json`` in ``--out`` (the checkout
+data bandwidth.  The script starts 3 fresh processes per case.  Each
+generates its sample, writes z as CSV and reads it back, and reports
+``data_ms`` (``generate``, ``noise_for_snr``, ``save_data_matrix``,
+``load_data_matrix``); then it runs ``recover_labels`` on the file's z
+and reports the recovery's ``stage_ms`` (bandwidth, kernel, laplacian,
+eigensolve, labels) and its own peak resident size (``ru_maxrss``).  The
+repeats of a case are summarised by their median and quartiles; a case
+whose process fails (a recovery that raises included) is recorded with
+the error it printed instead.  The file ``BENCH_<yyyymmdd>.json`` in ``--out`` (the checkout
 root by default), or the first ``BENCH_<yyyymmdd>-<k>.json``, k = 2, 3,
 ..., that does not exist yet, also records the machine (CPUs, numpy, its
 BLAS library and the BLAS thread count read from that library) and the
@@ -47,14 +49,28 @@ CASES = tuple((curve, n, 0, "auto") for n in (2000, 8000, 16000)
     ("circle", n, 0, "data") for n in (2000, 8000))
 
 CHILD = """
-import json, resource, sys
+import json, os, resource, sys, tempfile, time
 import spectime as st
+from spectime import io
 curve, n, seed, sigma = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
 spec = st.CurveSpec(curve)
-_, _, z = st.noisy_sample(spec, n, seed, {snr})
+data_ms = {{}}
+
+def timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    data_ms[fn.__name__] = 1e3 * (time.perf_counter() - start)
+    return out
+
+x, _ = timed(st.generate, spec, n, seed)
+z = timed(st.noise_for_snr, x, {snr}, seed + 1)  # noisy_sample's z
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "z.csv")
+    timed(io.save_data_matrix, path, z)
+    z = timed(io.load_data_matrix, path)  # the same bits
 out = st.recover_labels(z, spec.kind, sigma=sigma)  # a number is read from its text
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({{"stage_ms": out.stage_ms, "ru_maxrss_mb": peak_kb / 1024.0,
+print(json.dumps({{"data_ms": data_ms, "stage_ms": out.stage_ms, "ru_maxrss_mb": peak_kb / 1024.0,
                   "solver_path": out.solver_path}}))
 """.format(snr=SNR)
 
@@ -83,11 +99,11 @@ def run_case(*case) -> dict:
             lines = done.stderr.strip().splitlines()
             return {"error": lines[-1] if lines else f"exit code {done.returncode}"}
         runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
-    stages = runs[0]["stage_ms"].keys()
     return {
         "repeats": REPEATS,
         "solver_path": sorted({r["solver_path"] for r in runs}),
-        "stage_ms": {s: quartiles([r["stage_ms"][s] for r in runs]) for s in stages},
+        **{key: {s: quartiles([r[key][s] for r in runs]) for s in runs[0][key]}
+           for key in ("data_ms", "stage_ms")},
         "ru_maxrss_mb": quartiles([r["ru_maxrss_mb"] for r in runs]),
     }
 

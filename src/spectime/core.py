@@ -59,6 +59,15 @@ def validate_matrix(values: np.ndarray) -> np.ndarray:
     return arr
 
 
+def sum_of_squares(a: np.ndarray) -> float:
+    """The sum of the squares of a's entries by one numpy reduction, not
+    BLAS (``np.linalg.norm`` of a whole array is a BLAS dot product): no
+    BLAS thread pool is woken, and the bits do not depend on its thread
+    count."""
+    v = a.ravel()
+    return float(np.einsum("i,i->", v, v))
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """N points in d dimensions, one column per point.

@@ -24,50 +24,81 @@ from .errors import BadCellError, BadIndexError, LabelRangeError, LengthMismatch
 from .errors import NonFiniteEntryError, NotAPermutationError, TooFewPointsError
 
 FLOAT_FMT = "%.17g"
+BLOCK = 1 << 16  # values formatted by one % operation and written by one write
 
 
 def load_data_matrix(path: str | Path) -> DataMatrix:
     """Read an N x d CSV of points (one per row) into a (d, N) DataMatrix.
     There are no comments: a ``#`` cell is a ``BadCellError`` like any
     other cell that is not a number.  A file with no data rows raises
-    ``TooFewPointsError`` naming it."""
+    ``TooFewPointsError`` naming it, and a cell that is not finite a
+    ``NonFiniteEntryError`` naming the file, the line and the column."""
     rows = _read_table(path)
     if rows.size == 0:
         raise TooFewPointsError(f"{path}: no data rows")
+    finite = np.isfinite(rows)
+    if not finite.all():
+        i, col = divmod(int(np.argmin(finite)), rows.shape[1])
+        lines = [line for line, _ in _nonblank_rows(path)]
+        line = lines[len(lines) - len(rows) + i]  # past a header line, if there is one
+        raise NonFiniteEntryError(i, col, f"{path}: line {line}, column {col + 1}: "
+                                  f"{float(rows[i, col])!r} is not a finite number")
     return DataMatrix(rows.T)
 
 
 def save_data_matrix(path: str | Path, m: DataMatrix) -> None:
-    np.savetxt(path, m.values.T, delimiter=",", fmt=FLOAT_FMT)
+    """Write one point per row, no header, ``\\n`` line ends: the bytes of
+    ``np.savetxt(path, m.values.T, delimiter=",", fmt=FLOAT_FMT)``."""
+    _write_table(path, "", ",".join([FLOAT_FMT] * m.dim) + "\n", m.values.T)
 
 
 def save_labels(path: str | Path, t: TimeLabels) -> None:
     """Write ``index,value`` rows, one per point."""
-    _write_indexed_csv(path, ["index", "value"], [FLOAT_FMT % v for v in t.angles])
+    _write_indexed_csv(path, "index,value", FLOAT_FMT, t.angles)
 
 
 def save_ranking(path: str | Path, r: Ranking) -> None:
     """Write ``index,value`` rows where value is the rank of point index."""
-    _write_indexed_csv(path, ["index", "value"], r.ranks().tolist())
+    _write_indexed_csv(path, "index,value", "%d", r.ranks())
 
 
 def save_recovery(path: str | Path, t: TimeLabels, r: Ranking) -> None:
     """Write ``index,t_hat,rank`` rows, one per point."""
-    _write_indexed_csv(path, ["index", "t_hat", "rank"],
-                       [FLOAT_FMT % v for v in t.angles], r.ranks().tolist())
+    _write_indexed_csv(path, "index,t_hat,rank", FLOAT_FMT + ",%d", t.angles, r.ranks())
 
 
-def _write_indexed_csv(path: str | Path, head: list[str], *columns: list) -> None:
-    """Write ``head``, then one row ``i, columns[0][i], ...`` per point.
-    No points raise ``LengthMismatchError``: a file without data rows
-    does not load."""
+def _write_indexed_csv(path: str | Path, head: str, fmt: str, *columns: np.ndarray) -> None:
+    """Write ``head``, then one row ``i,columns[0][i],...`` per point in
+    ``fmt``, each line ended by ``\\r\\n``: the bytes of ``csv.writer``'s
+    rows.  The columns and the index are held as float64 (a rank, like an
+    index, is below 2^53, so ``%d`` prints it exactly).  No points raise
+    ``LengthMismatchError``: a file without data rows does not load."""
     n = len(columns[0])
     if n == 0:
         raise LengthMismatchError(f"{path}: no points to write; a file of no rows does not load")
+    table = np.column_stack((np.arange(n), *columns))
+    _write_table(path, head + "\r\n", "%d," + fmt + "\r\n", table)
+
+
+def _write_table(path: str | Path, head: str, row: str, table: np.ndarray) -> None:
+    """Write ``head``, then ``row % tuple(table[i])`` for each row i of the
+    2-D ``table``: a block of whole rows, about ``BLOCK`` values (at least
+    one row), is formatted by one ``%`` and written by one ``write``."""
+    rows = max(1, BLOCK // table.shape[1])
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(head)
-        w.writerows(zip(range(n), *columns))
+        f.write(head)
+        for start in range(0, table.shape[0], rows):
+            block = table[start:start + rows]
+            f.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _nonblank_rows(path: str | Path):
+    """The ``(line, cells)`` of each line of the file that is not blank;
+    a line of whitespace alone is blank."""
+    with open(path, newline="") as f:
+        for line, cells in enumerate(csv.reader(f), start=1):
+            if "".join(cells).strip():
+                yield line, cells
 
 
 def _read_table(path: str | Path) -> np.ndarray:
@@ -76,9 +107,7 @@ def _read_table(path: str | Path) -> np.ndarray:
     its cells is a number; a header fixes the width of every row.
     ``np.loadtxt`` reads the rows, and a file it refuses is scanned by
     ``_scan_cells``, which names the line or cell."""
-    with open(path, newline="") as f:
-        line, head = next(((i, row) for i, row in enumerate(csv.reader(f), start=1)
-                           if "".join(row).strip()), (0, []))
+    line, head = next(_nonblank_rows(path), (0, []))
     skip, width = (line, len(head)) if head and not any(map(_is_number, head)) else (0, None)
     with warnings.catch_warnings():  # numpy warns on no data; the callers say so
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -104,9 +133,7 @@ def _scan_cells(path: str | Path, skip: int, width: int | None) -> np.ndarray:
     search) after line ``skip``, read cell by cell; a row not
     ``width`` (if None, the first row's) cells wide or a cell that is not a
     number is named by file and line."""
-    with open(path, newline="") as f:
-        body = [(line, row) for line, row in enumerate(csv.reader(f), start=1)
-                if "".join(row).strip() and line > skip]
+    body = [(line, row) for line, row in _nonblank_rows(path) if line > skip]
     if width is None:
         width = len(body[0][1]) if body else 0
     out = []

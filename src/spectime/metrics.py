@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, DataMatrix, Ranking, TimeLabels
+from .core import TWO_PI, DataMatrix, Ranking, TimeLabels, sum_of_squares
 from .errors import ConfigError, DimensionMismatchError, EmptyInteriorError, LengthMismatchError
 from .errors import TooFewPointsError, ZeroNormError
 from .kernel import _CHUNK_ELEMENTS, _on_workers, row_blocks  # a slab: 512 KB of float64
@@ -173,10 +173,10 @@ def snr(x: DataMatrix, e: DataMatrix) -> float:
         raise DimensionMismatchError(
             f"shape mismatch: {x.values.shape} vs {e.values.shape}"
         )
-    noise = float(np.linalg.norm(e.values) ** 2)
+    noise = sum_of_squares(e.values)
     if noise == 0.0:
         return math.inf
-    return float(np.linalg.norm(x.values) ** 2) / noise
+    return sum_of_squares(x.values) / noise
 
 
 def interior_relative_error(

@@ -43,6 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import TWO_PI, CurveKind, DataMatrix, KernelParams, Ranking, TimeLabels, ranking_from_labels
+from .core import sum_of_squares
 from .eigen import smallest_eigenpairs
 from .errors import CoincidentPointsError, ConfigError, DisconnectedGraphError
 from .errors import LengthMismatchError, TooFewPointsError
@@ -179,7 +180,7 @@ def recover_open(f: np.ndarray) -> RecoveryOutput:
     arguments fell outside [-1, 1] before clamping.
     """
     f = np.asarray(f, dtype=np.float64).ravel()
-    arg = math.sqrt(f.size) * (f / np.linalg.norm(f)) / _UNIFORM_LABEL_AMPLITUDE
+    arg = math.sqrt(f.size) * (f / math.sqrt(sum_of_squares(f))) / _UNIFORM_LABEL_AMPLITUDE
     t_arccos = 2.0 * np.arccos(np.clip(arg, -1.0, 1.0))
     ranks = np.empty(f.size)
     ranks[np.argsort(-f, kind="stable")] = np.arange(f.size)

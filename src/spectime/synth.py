@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, CurveKind, DataMatrix, Ranking, TimeLabels
+from .core import TWO_PI, CurveKind, DataMatrix, Ranking, TimeLabels, sum_of_squares
 from .errors import ConfigError, DegenerateBaselineError, ZeroSignalError
 
 
@@ -140,14 +140,15 @@ def add_noise(x: DataMatrix, eps: float, seed: int) -> DataMatrix:
 
 def noise_for_snr(x: DataMatrix, target_snr: float, seed: int) -> DataMatrix:
     """Z = X + E with the realized noise rescaled so that
-    ||X||_F^2 / ||E||_F^2 equals target_snr exactly."""
+    ||X||_F^2 / ||E||_F^2 equals target_snr exactly.  Both norms are
+    ``sum_of_squares``, so Z does not depend on the BLAS thread count."""
     check_sample(x.n_points, snr=target_snr)
-    signal = float(np.linalg.norm(x.values))
+    signal = math.sqrt(sum_of_squares(x.values))
     if signal == 0.0:
         raise ZeroSignalError("cannot scale noise against an all-zero signal")
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(x.values.shape)
-    e *= signal / (math.sqrt(target_snr) * np.linalg.norm(e))
+    e *= signal / (math.sqrt(target_snr) * math.sqrt(sum_of_squares(e)))
     e += x.values  # the same sums as x + e: IEEE addition commutes
     return DataMatrix._adopt(e)
 

@@ -2,8 +2,11 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -345,6 +348,35 @@ def test_evaluate_nan_cell_exits_2(tmp_path, capsys, metric, text):
     assert err["error"] == "NonFiniteEntryError"
     assert str(t) in err["message"]
     assert "index 1, column 2: nan is not a finite number" in err["message"]
+
+
+@pytest.mark.parametrize("command", [["recover", "--kind", "closed"], ["baseline"]],
+                         ids=["recover", "baseline"])
+def test_data_file_nan_cell_named_by_file_line_and_column(tmp_path, capsys, command):
+    z, out = tmp_path / "z.csv", tmp_path / "o.csv"
+    z.write_text("0.0,1.0\n1.0,0.0\nnan,0.5\n")
+    assert run([*command, "--input", z, "--out", out]) == 2
+    err = json.loads(capsys.readouterr().err)  # exactly one JSON object
+    assert err == {"error": "NonFiniteEntryError",
+                   "message": f"{z}: line 3, column 1: nan is not a finite number"}
+    assert not out.exists()
+
+
+def test_generated_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # each case's noise scale differed in its last bits under 1 and 2 BLAS
+    # threads while it was a BLAS dot product
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for curve, n in (("circle", 8000), ("embedded:50", 2000)):
+        files = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                [src, os.environ.get("PYTHONPATH", "")])}
+            z, t = tmp_path / f"z{threads}.csv", tmp_path / f"t{threads}.csv"
+            subprocess.run([sys.executable, "-m", "spectime.cli", "generate", "--curve", curve,
+                            "--n", str(n), "--snr", "100", "--seed", "1", "--out", str(z),
+                            "--labels", str(t)], env=env, check=True)
+            files.append((z.read_bytes(), t.read_bytes()))
+        assert files[0] == files[1], curve
 
 
 def test_recover_column_count_change_exits_2(tmp_path, capsys):

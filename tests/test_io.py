@@ -1,3 +1,5 @@
+import csv
+import math
 import tempfile
 from pathlib import Path
 
@@ -9,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from spectime import DataMatrix, Ranking, TimeLabels
 from spectime import io
-from spectime.errors import BadCellError, BadIndexError, LengthMismatchError, TooFewPointsError
+from spectime.errors import BadCellError, BadIndexError, LengthMismatchError, NonFiniteEntryError
+from spectime.errors import TooFewPointsError
 
 
 def test_matrix_roundtrip_is_exact(tmp_path):
@@ -132,6 +135,54 @@ def test_indexed_writers_bytes(tmp_path):
         b"index,t_hat,rank\r\n0,0.5,1\r\n1,0.10000000000000001,0\r\n")
 
 
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308]  # signed zero, least subnormal, largest
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (3, 2), (1, io.BLOCK + 1), (2, io.BLOCK + 7),
+                                  (io.BLOCK + 3, 2)],
+                         ids=["d=1", "N=2", "d=1-past-a-block", "past-whole-blocks",
+                              "row-wider-than-a-block"])
+def test_data_matrix_bytes_are_savetxts(tmp_path, d, n):
+    values = np.random.default_rng(n).standard_normal((d, n)) * 1e3
+    values.flat[:3] = EXTREMES
+    m = DataMatrix(values)
+    np.savetxt(tmp_path / "old.csv", m.values.T, delimiter=",", fmt="%.17g")
+    io.save_data_matrix(tmp_path / "new.csv", m)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert same_bits(io.load_data_matrix(tmp_path / "new.csv").values, m.values)
+
+
+def write_with_csv_module(path, head, *columns):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(head)
+        w.writerows(zip(range(len(columns[0])), *columns))
+
+
+@pytest.mark.parametrize("n", [1, 3, io.BLOCK + 7], ids=["N=1", "N=3", "past-whole-blocks"])
+def test_indexed_file_bytes_are_csv_writers(tmp_path, n):
+    # the rows of 2 and 3 columns, 32768 and 21845 to a block, end mid-block
+    rng = np.random.default_rng(n)
+    angles = rng.uniform(0.0, 2.0 * math.pi, n)
+    angles[:3] = [-0.0, 5e-324, 2.0 * math.pi][:n]
+    t, r = TimeLabels(angles), Ranking(rng.permutation(n))
+    labels = ["%.17g" % v for v in t.angles]
+    ranks = r.ranks().tolist()
+    for name, save, args, head, columns in [
+        ("t", io.save_labels, [t], ["index", "value"], [labels]),
+        ("r", io.save_ranking, [r], ["index", "value"], [ranks]),
+        ("rec", io.save_recovery, [t, r], ["index", "t_hat", "rank"], [labels, ranks]),
+    ]:
+        write_with_csv_module(tmp_path / f"old-{name}.csv", head, *columns)
+        save(tmp_path / f"{name}.csv", *args)
+        assert (tmp_path / f"{name}.csv").read_bytes() == (
+            tmp_path / f"old-{name}.csv").read_bytes(), name
+    assert same_bits(io.load_labels(tmp_path / "t.csv").angles, t.angles)
+    assert same_bits(io.load_labels(tmp_path / "rec.csv").angles, t.angles)
+    for name in ("r", "rec"):
+        assert np.array_equal(io.load_ranking(tmp_path / f"{name}.csv").perm, r.perm)
+
+
 def test_empty_ranking_and_recovery_refused(tmp_path):
     t, r = TimeLabels(np.empty(0)), Ranking(np.empty(0, dtype=np.int64))
     for write in (lambda p: io.save_ranking(p, r), lambda p: io.save_recovery(p, t, r)):
@@ -236,6 +287,13 @@ def test_non_numeric_cell_named_by_file_line_and_cell(tmp_path, text, message):
         # no comments: a row is not dropped at "#"
         ("1,2\n#3,4\n5,6 # c\n7,8\n", False, BadCellError,
          "line 2, column 1: '#3' is not a number"),
+        ("0.0,1.0\n1.0,0.0\nnan,0.5\n", False, NonFiniteEntryError,
+         "line 3, column 1: nan is not a finite number"),
+        ("1,2\n\n3,-inf\n", True, NonFiniteEntryError,
+         "line 4, column 2: -inf is not a finite number"),
+        # quoted cells: the csv scan reads the rows
+        ('"1",2\n  \n3,"inf"\n', False, NonFiniteEntryError,
+         "line 3, column 2: inf is not a finite number"),
     ],
 )
 def test_data_matrix_errors_named_by_file_and_line(tmp_path, text, header, error, message):
@@ -245,3 +303,4 @@ def test_data_matrix_errors_named_by_file_and_line(tmp_path, text, header, error
     with pytest.raises(error, match=message) as err:
         io.load_data_matrix(path)
     assert str(path) in str(err.value)
+

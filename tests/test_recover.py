@@ -184,11 +184,11 @@ class TestDataDrivenBandwidth:
 
     @pytest.mark.parametrize("curve, n, sigma", [
         ("circle", 200, 0.0876374223101844),
-        ("circle", 2000, 0.041212887357113634),
-        ("half-circle", 200, 0.06880058843541824),
+        ("circle", 2000, 0.04121288735711504),
+        ("half-circle", 200, 0.06880058843542239),
         ("half-circle", 2000, 0.03839474394439145),
         ("cardioid", 200, 0.22117484104166135),
-        ("cardioid", 2000, 0.09352123189557808),
+        ("cardioid", 2000, 0.09352123189557814),
     ])
     def test_pinned_values(self, curve, n, sigma):
         # exact: the distances come from the kernel's strips, bit for bit

@@ -156,7 +156,9 @@ class TestNoise:
         x, _ = generate(CurveSpec.parse("embedded:7"), 200, 4)
         e = np.random.default_rng(5).standard_normal(x.values.shape)
         assert np.array_equal(add_noise(x, 0.3, 5).values, x.values + 0.3 * e)
-        scaled = e * (np.linalg.norm(x.values) / (np.sqrt(2.0) * np.linalg.norm(e)))
+        # the norms are numpy sums of squares, not BLAS dot products
+        norm_x, norm_e = (np.sqrt(np.einsum("ij,ij->", a, a)) for a in (x.values, e))
+        scaled = e * (norm_x / (np.sqrt(2.0) * norm_e))
         assert np.array_equal(noise_for_snr(x, 2.0, 5).values, x.values + scaled)
 
     @pytest.mark.parametrize("make", [
