@@ -14,14 +14,18 @@ generates its sample, writes z as CSV and reads it back, and reports
 ``data_ms`` (``generate``, ``noise_for_snr``, ``save_data_matrix``,
 ``load_data_matrix``); then it runs ``recover_labels`` on the file's z
 and reports the recovery's ``stage_ms`` (bandwidth, kernel, laplacian,
-eigensolve, labels) and its own peak resident size (``ru_maxrss``).  The
-repeats of a case are summarised by their median and quartiles; a case
-whose process fails (a recovery that raises included) is recorded with
-the error it printed instead.  The file ``BENCH_<yyyymmdd>.json`` in ``--out`` (the checkout
+eigensolve, labels), the eigensolver's operator ``applications`` and
+its own peak resident size (``ru_maxrss``).  The repeats of a case are
+summarised by their median and quartiles, and each process's
+``stage_ms`` and ``applications`` are kept next to them under
+``processes``, so one stalled process shows; a case whose process fails
+(a recovery that raises included) is recorded with the error it printed
+instead.  The file ``BENCH_<yyyymmdd>.json`` in ``--out`` (the checkout
 root by default), or the first ``BENCH_<yyyymmdd>-<k>.json``, k = 2, 3,
 ..., that does not exist yet, also records the machine (CPUs, numpy, its
 BLAS library and the BLAS thread count read from that library) and the
-line count of ``src/``; no existing file is overwritten.
+lines of ``src/``: total, code, docstring, comment and blank; no
+existing file is overwritten.
 
 An N = 16000 case holds one 2.05 GB array; the cases run one at a time.
 """
@@ -29,6 +33,7 @@ An N = 16000 case holds one 2.05 GB array; the cases run one at a time.
 from __future__ import annotations
 
 import argparse
+import ast
 import ctypes
 import datetime
 import json
@@ -47,6 +52,7 @@ CASES = tuple((curve, n, 0, "auto") for n in (2000, 8000, 16000)
               for curve in ("circle", "half-circle")) + tuple(
     ("cardioid", n, 16, sigma) for n in (2000, 4000) for sigma in (0.1414, 0.0632)) + tuple(
     ("circle", n, 0, "data") for n in (2000, 8000))
+LINE_KINDS = ("total", "code", "docstring", "comment", "blank")
 
 CHILD = """
 import json, os, resource, sys, tempfile, time
@@ -71,7 +77,7 @@ with tempfile.TemporaryDirectory() as tmp:
 out = st.recover_labels(z, spec.kind, sigma=sigma)  # a number is read from its text
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({{"data_ms": data_ms, "stage_ms": out.stage_ms, "ru_maxrss_mb": peak_kb / 1024.0,
-                  "solver_path": out.solver_path}}))
+                  "solver_path": out.solver_path, "applications": out.applications}}))
 """.format(snr=SNR)
 
 
@@ -105,6 +111,8 @@ def run_case(*case) -> dict:
         **{key: {s: quartiles([r[key][s] for r in runs]) for s in runs[0][key]}
            for key in ("data_ms", "stage_ms")},
         "ru_maxrss_mb": quartiles([r["ru_maxrss_mb"] for r in runs]),
+        "processes": [{"stage_ms": {s: round(ms, 3) for s, ms in r["stage_ms"].items()},
+                       "applications": r["applications"]} for r in runs],
     }
 
 
@@ -143,8 +151,34 @@ def machine() -> dict:
     }
 
 
-def src_lines() -> int:
-    return sum(len(p.read_text().splitlines()) for p in sorted(SRC.rglob("*.py")))
+def line_counts(path: Path) -> dict:
+    """Lines of one Python file: total, code, docstring (a blank line
+    inside a docstring included), comment (whole-line) and blank."""
+    text = path.read_text()
+    docstring = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstring.update(range(first.lineno, first.end_lineno + 1))
+    counts = dict.fromkeys(LINE_KINDS, 0)
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        kind = ("docstring" if number in docstring else "blank" if not line
+                else "comment" if line.startswith("#") else "code")
+        counts["total"] += 1
+        counts[kind] += 1
+    return counts
+
+
+def src_lines() -> dict:
+    """``line_counts`` summed over the modules of ``src/``."""
+    total = dict.fromkeys(LINE_KINDS, 0)
+    for path in sorted(SRC.rglob("*.py")):
+        for kind, lines in line_counts(path).items():
+            total[kind] += lines
+    return total
 
 
 def main(argv: list[str] | None = None) -> int:

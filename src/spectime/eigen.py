@@ -1,18 +1,20 @@
 """Smallest eigenpairs of a graph Laplacian with certified residuals.
 
 The contract is the residual certificate, not the method: every returned
-pair (lambda_j, v_j) satisfies ||A v_j - lambda_j v_j|| <= tol * max(1, max|lambda|),
-checked post hoc by direct multiplication.
+pair (lambda_j, v_j) satisfies
+||A v_j - lambda_j v_j|| <= DEFAULT_TOL * max(1, max|lambda|), checked
+post hoc by one direct product, ``V^T A``, written by the block path's
+own pass.
 
 The one input is a ``LaplacianMatrix`` from ``kernel.build_laplacian``;
-its ``l``, the A of these notes, is bit-exactly symmetric by
-construction, so no symmetry check runs, and the certificate stays the
-arbiter.  The dense path factors ``l`` in its own buffer, so it holds
-one N x N array too: ``_factor`` writes only the lower triangle, and
-however its solve ends (pairs, a failed factor, an error)
-``kernel.mirror_upper`` copies it back from the intact upper one and the
-saved diagonal is restored, so ``l`` comes back bit for bit.  Do not
-share one ``LaplacianMatrix`` between concurrent solves.  Other input
+its ``l``, the A of these notes, is bit-exactly symmetric and positive
+semidefinite by construction, so no symmetry check runs, and the
+certificate stays the arbiter.  The dense path factors ``l`` in its own
+buffer, so it holds one N x N array too: ``_factor`` writes only the
+lower triangle, and however its solve ends (pairs, a failed factor, an
+error) ``kernel.mirror_upper`` copies it back from the intact upper one
+and the saved diagonal is restored, so ``l`` comes back bit for bit.  Do
+not share one ``LaplacianMatrix`` between concurrent solves.  Other input
 is refused before any work, its array untouched: anything that is not a
 ``LaplacianMatrix`` raises ``TypeError``, and an ``l`` that is not
 square, or is read-only or not C-ordered, raises ``ValueError``.
@@ -21,12 +23,11 @@ One iteration, two operators.  ``_block_smallest`` is a thick-restarted
 block Krylov iteration that ends each pass with Rayleigh-Ritz.  It starts
 from ``width`` random rows (``default_rng(0)``); each next block is the
 image of the last one, orthogonalized twice against the basis (three
-times when its QR leaves more than LEAK along it).  Blocks
-are stored as rows, and the operator comes as a function that writes
-``rows @ op``.  The basis and its image live in two preallocated buffers
-of BASIS_ROWS rows, or 2(k + width) when that is more (12 MB at N=8000
-for k <= 24).  The iteration stops when the k smallest Ritz pairs'
-residuals, read from the stored image, are at most half of
+times when its QR leaves more than LEAK along it).  Blocks are stored as
+rows, and the operator comes as a function that writes ``rows @ op``.
+The basis and its image live in two buffers of BASIS_ROWS rows, or
+2(k + width) when that is more.  The iteration stops when the k smallest
+Ritz pairs' residuals, read from the stored image, are at most half of
 tol * max(1, max|theta|).  When the buffers fill it keeps the k + BLOCK
 smallest Ritz vectors and goes on from the last image's part orthogonal
 to the old basis.  A row that loses rank is redrawn from the same
@@ -35,84 +36,56 @@ Ritz pairs go to the certificate.  No bound on the spectrum is needed.
 The Krylov space of w start rows holds at most w copies of a repeated
 eigenvalue, so both paths use w >= k.
 
-Every solve starts on the block path, whose operator is A itself in
-blocks of max(BLOCK, k) rows.  One pass is ``block @ A``, which equals
-(A block^T)^T because A is symmetric, so OpenBLAS reads A once per
-block, at about the cost of one matrix-vector product, and a Laplacian
-built in the kernel's buffer stays the only N x N array.  Above
-DENSE_CUTOFF and at k > N/4, where the basis reaches N rows and a
-factor only adds N^3/3 of work, no probe runs.  Else
-its first PROBE_PASSES passes are a probe: from their Ritz values theta
-it predicts GAP_PASSES / sqrt(gap) passes, gap = (theta_w - theta_k) /
-(theta_max - theta_w) for a block of w rows (a block iteration resolves
-the k smallest pairs at a rate set by how far its block's low spectrum
-lies below the top), and when that exceeds FACTOR_PASSES, the factor's
-cost in passes, it frees its buffers and the solve factors as if no
-probe had run (the probe's applications are not counted).  Those
-buffers hold the probe's passes only, and are widened when the
-iteration goes on; at the full BASIS_ROWS they raised the cardioid
-sweep's peak resident size by about 1 MB.  A theta_1 <= -SHIFT proves
-that no factor exists, so the iteration goes on.  At N=2000, after two
-passes, the gap read 11.7-442 on the circle, the half-circle (SNR 100,
-seed 0) and ``highdim-5k``'s Laplacian, which take 4-7 passes (9-17 ms
-against 48-53 ms for the factor and its 6-7 solves), and 0.11-0.48 on
-the cardioid (seed 16) at sigma = 0.0632 and 0.1414, SNR 100 and 1000,
-which take 26-93 passes (62-218 ms against 58-116 ms for the factor and
-its 10-13 solves), or more than their budget at sigma = 0.0632, SNR 100
-(167 ms for the factor and its 24 solves).  A pass took 2.3-2.5 ms, of
-which 1.24 ms is the 12-row product (medians of 3 solves per path,
-2-core KVM box, OpenBLAS 0.3.31 with 2 threads).  An iteration that
-spends its budget of PASSES_PER_PAIR * k passes with theta_1 > -SHIFT
-factors at any N instead of raising, and its applications are not
-counted either: the same cardioid at sigma = 0.0632, SNR 100 and
-N=2100, past the cutoff, spends its 2400 applications in 0.52 s and
-certifies on the factor 0.18 s later.
+The block path: every solve starts on A itself, in blocks of
+max(BLOCK, k) rows.  One pass is ``block @ A``, which equals
+(A block^T)^T because A is symmetric, so BLAS reads A once per block and
+a Laplacian built in the kernel's buffer stays the only N x N array.  At
+N <= DENSE_CUTOFF and k <= N/4 its first PROBE_PASSES passes are a
+probe: from their Ritz values theta it predicts GAP_PASSES / sqrt(gap)
+passes, gap = (theta_w - theta_k) / (theta_max - theta_w) for a block of
+w rows (a block iteration resolves the k smallest pairs at a rate set by
+how far its block's low spectrum lies below the top), and when that
+exceeds FACTOR_PASSES, the factor's cost in passes, the solve factors as
+if no probe had run (the probe's applications are not counted).  Above
+the cutoff, and at k > N/4, where the basis reaches N rows and a factor
+only adds N^3/3 of work, no probe runs.  An iteration that spends its
+budget of PASSES_PER_PAIR * k passes factors at any N instead of
+raising, its applications not counted either, unless theta_1 <= -SHIFT,
+which proves that no factor exists.
 
-The dense path (chosen by the probe or a spent budget): one Cholesky
-factor of A + tau*I, then the iteration on -(A + tau*I)^-1 in blocks of
-k rows, whose k smallest eigenvalues theta map back to lambda =
--1/theta - tau.  A successful factorization proves lambda_min > -tau,
-so these are exactly the k smallest eigenvalues of A; tau changes the
-speed, never which pairs come back.  The cost is one N^3/3 factorization and a few dozen
-O(N^2) triangular solves, where a symmetric eigensolver first spends
-4N^3/3 on a tridiagonal reduction.  The inner target is min(tol, 1e-10)
-/ 100 on the transformed operator; a residual r there gives
+The dense path: one Cholesky factor of A + tau*I, tau = SHIFT, then the
+iteration on -(A + tau*I)^-1 in blocks of k rows, whose k smallest
+eigenvalues theta map back to lambda = -1/theta - tau.  A successful
+factorization proves lambda_min > -tau, so these are exactly the k
+smallest eigenvalues of A; tau changes the speed, never which pairs come
+back.  No graph Laplacian has an eigenvalue at or below -tau, so its
+factor exists; a hand-built ``LaplacianMatrix`` that has one is refused
+with ``NoConvergenceError`` when its factor fails.  The cost is one
+N^3/3 factorization and a few dozen O(N^2) triangular solves, where a
+symmetric eigensolver first spends 4N^3/3 on a tridiagonal reduction.
+The inner target is min(DEFAULT_TOL, 1e-10) / 100 on the transformed
+operator; a residual r there gives
 ||A v - lambda v|| <= (||A|| + tau) ||r|| / |theta|, far inside the
-certificate, which stays the only arbiter.  A matrix that is not
-positive definite after the shift (a hand-built ``LaplacianMatrix`` with
-lambda_min <= -SHIFT, never one from ``build_laplacian``) takes the block
-path on A instead, from its start and with no probe; the iteration needs
-no bound on the spectrum.
+certificate, which stays the only arbiter.
 
-The factor is built from numpy alone, so the process runs one BLAS
-library.  numpy and scipy each load their own OpenBLAS, and each keeps a
-thread pool that spins for about 0.1 s after a threaded call; scipy's
-``potrf`` right after numpy's kernel build took 0.10-0.14 s at N=2000,
-against 0.05 s alone (2-core KVM box, OpenBLAS 0.3.30, 2 threads).
-``_factor`` is a left-looking blocked Cholesky: each column block of at
-most FACTOR_BLOCK columns takes one product for its update from the
-blocks left of it, ``np.linalg.cholesky`` on its diagonal block, and the
-panel below times that block's inverse.  The inverse is stored in place
-of the diagonal block, and ``_solve``'s forward and back solves multiply
-by it one column block at a time.  Multiplying by an inverse in place of
-a triangular solve loses little: A + tau*I of a positive semidefinite A
+``_factor`` is a left-looking blocked Cholesky built from numpy alone, so
+the process loads one BLAS library: each column block of at most
+FACTOR_BLOCK columns takes one product for its update from the blocks
+left of it, ``np.linalg.cholesky`` on its diagonal block, and the panel
+below times that block's inverse.  The inverse is stored in place of the
+diagonal block, and ``_solve``'s forward and back solves multiply by it
+one column block at a time.  Multiplying by an inverse in place of a
+triangular solve loses little: A + tau*I of a positive semidefinite A
 has cond(A + tau*I) <= (||A|| + tau) / tau, about 2000 for a Laplacian
 (||A|| <= 2), and a diagonal block of its factor has a condition number
-of at most the square root of that, about 45.  The certificate stays the
-arbiter of every pair.
+of at most the square root of that, about 45.
 
-Both paths certify with one product, ``V^T A``, which reads A in rows:
-at N=8000, ``A V`` with 3 columns raised the resident size by 24 MB,
-``V^T A`` by 1.3 MB, and ``V^T A`` was the faster of the two at both
-sizes (medians of 30 alternating calls on a circle Laplacian: 1.6 ms
-against 2.4 ms at N=2000 with k=2, 36 ms against 75 ms at N=8000 with
-k=3; 2-core KVM box, OpenBLAS 0.3.31, 2 threads).  ``SpectralResult``
-reports the path taken and the operator applications (one per vector: a
-pass counts its block's rows).  Every
-failure to certify k pairs raises ``NoConvergenceError`` with that
-count: the iteration past its budget of PASSES_PER_PAIR * k passes on
-A with theta_1 <= -SHIFT or on the factor, or with a non-finite entry,
-or a residual above the bound or NaN.
+``SpectralResult`` reports the path taken and the operator applications
+(one per vector: a pass counts its block's rows).  Every failure to
+certify k pairs raises ``NoConvergenceError`` with that count: a factor
+that does not exist, the iteration past its budget on A with
+theta_1 <= -SHIFT or on the factor, a non-finite entry, or a residual
+above the bound or NaN.
 
 Sign convention: each eigenvector is flipped so that its first entry
 within 4 ulps of the largest absolute value is positive, which makes
@@ -131,7 +104,7 @@ from .errors import NoConvergenceError
 from .kernel import LaplacianMatrix, mirror_upper
 
 DENSE_CUTOFF = 2048  # largest N at which the probe runs; a spent budget factors at any N
-DEFAULT_TOL = 1e-8
+DEFAULT_TOL = 1e-8  # the certificate: residual <= DEFAULT_TOL * max(1, max|lambda|)
 SHIFT = 1e-3  # tau of the dense path's shift-invert; sets the speed only
 FACTOR_BLOCK = 128  # rows of the dense factor's diagonal blocks
 BLOCK = 12  # least rows the block path applies L to in one pass over its memory
@@ -161,15 +134,14 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
 
 
-def smallest_eigenpairs(lap: LaplacianMatrix, k: int, tol: float = DEFAULT_TOL) -> SpectralResult:
-    """Return the k algebraically smallest eigenpairs of a Laplacian.
+def smallest_eigenpairs(lap: LaplacianMatrix, k: int) -> SpectralResult:
+    """Return the k algebraically smallest eigenpairs of a Laplacian; every
+    pair satisfies ||L v - lambda v|| <= DEFAULT_TOL * max(1, max|lambda|).
 
     Parameters
     ----------
     lap : LaplacianMatrix whose ``l`` is square, writable and C-ordered
     k : number of eigenpairs, 1 <= k <= N
-    tol : residual target; every pair satisfies
-        ||L v - lambda v|| <= tol * max(1, max|lambda|)
 
     Raises
     ------
@@ -177,11 +149,12 @@ def smallest_eigenpairs(lap: LaplacianMatrix, k: int, tol: float = DEFAULT_TOL) 
         if lap is not a ``LaplacianMatrix``.
     ValueError
         if ``lap.l`` is not square, or is read-only or not C-ordered, or
-        k or tol is out of range; before any work.
+        k is out of range; before any work.
     NoConvergenceError
         if the residual target cannot be certified within the iteration
-        budget: the iteration meets a non-finite entry or spends its
-        passes, or a residual exceeds the bound or is NaN.
+        budget: L + SHIFT*I has no Cholesky factor, the iteration meets a
+        non-finite entry or spends its passes, or a residual exceeds the
+        bound or is NaN.
     """
     if not isinstance(lap, LaplacianMatrix):
         raise TypeError(f"expected a LaplacianMatrix (see build_laplacian), "
@@ -194,27 +167,24 @@ def smallest_eigenpairs(lap: LaplacianMatrix, k: int, tol: float = DEFAULT_TOL) 
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     def product(rows, out):
         np.matmul(rows, a, out=out)
 
     probe = PROBE_PASSES if n <= DENSE_CUTOFF and k <= n // 4 else None
-    found, path = _block_smallest(product, n, k, max(BLOCK, k), tol, probe,
+    found, path = _block_smallest(product, n, k, max(BLOCK, k), DEFAULT_TOL, probe,
                                   factorable=True), "block"
     if found is None:  # the probe chose the factor, or the budget ran out
-        found, path = _dense_smallest(a, k, tol), "dense"
-    if found is None:  # A + SHIFT*I has no Cholesky factor
-        found, path = _block_smallest(product, n, k, max(BLOCK, k), tol), "block"
+        found, path = _dense_smallest(a, k), "dense"
     values, vectors, applied = found
 
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = _fix_signs(vectors[:, order])
-    # V^T A reads A in rows, as the block path does (A V costs OpenBLAS an N x k buffer)
-    residuals = np.linalg.norm(vectors.T @ a - vectors.T * values[:, None], axis=1)
-    bound = tol * max(1.0, float(np.abs(values).max()))
+    image = np.empty((k, n))  # V^T A, read in rows as the block path reads A
+    product(vectors.T, image)
+    residuals = np.linalg.norm(image - vectors.T * values[:, None], axis=1)
+    bound = DEFAULT_TOL * max(1.0, float(np.abs(values).max()))
     if not residuals.max() <= bound:  # NaN fails too
         raise NoConvergenceError(
             applied, f"residual {residuals.max():.3e} exceeds {bound:.3e} "
@@ -280,20 +250,22 @@ def _solve(a: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
     np.negative(out, out=out)
 
 
-def _dense_smallest(work: np.ndarray, k: int,
-                    tol: float) -> tuple[np.ndarray, np.ndarray, int] | None:
+def _dense_smallest(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Smallest pairs of the matrix in ``work`` (a C-ordered array, restored
-    before returning) from the block iteration on -(A + SHIFT*I)^-1, with the
-    operator applications; None when A + SHIFT*I has no Cholesky factor."""
+    before returning or raising) from the block iteration on
+    -(A + SHIFT*I)^-1, with the operator applications; raises
+    ``NoConvergenceError`` when A + SHIFT*I has no Cholesky factor."""
     with _shifted(work):
         try:
             _factor(work)
         except np.linalg.LinAlgError:
-            return None  # lambda_min(A) <= -SHIFT: an indefinite matrix, never a Laplacian
+            raise NoConvergenceError(0, f"L + SHIFT*I (SHIFT = {SHIFT:g}) has no Cholesky "
+                                     "factor, so L has an eigenvalue at or below -SHIFT, "
+                                     "which no graph Laplacian has") from None
         # the inner target is relative to the transformed spectrum; ask
         # well below the certificate, which stays the only arbiter
         theta, v, applied = _block_smallest(partial(_solve, work), work.shape[0], k, k,
-                                            min(tol, 1e-10) * 1e-2)
+                                            min(DEFAULT_TOL, 1e-10) * 1e-2)
     return -1.0 / theta - SHIFT, v, applied
 
 
@@ -332,28 +304,19 @@ def _factor_pays(theta: np.ndarray, k: int, width: int) -> bool:
     return GAP_PASSES**2 * above > FACTOR_PASSES**2 * below
 
 
-def _widened(a: np.ndarray, rows: int) -> np.ndarray:
-    """a's rows at the top of a new array of ``rows`` rows."""
-    out = np.empty((rows, a.shape[1]))
-    out[: a.shape[0]] = a
-    return out
-
-
 def _block_smallest(apply, n: int, k: int, width: int, tol: float, probe: int | None = None,
                     factorable: bool = False) -> tuple[np.ndarray, np.ndarray, int] | None:
     """k smallest pairs of the symmetric operator that ``apply(rows, out)``
     applies (it writes ``rows @ op``), ascending, from a thick-restarted
     block Krylov iteration with Rayleigh-Ritz in blocks of ``width`` rows,
     and the number of vectors the operator was applied to.  With ``probe``,
-    the buffers first hold that many passes, and the result is None when
-    the pairs are not found by then and ``_factor_pays``.  With
-    ``factorable``, a spent budget also returns None, not
-    ``NoConvergenceError``, while theta_1 > -SHIFT."""
+    the result is None when the pairs are not found in that many passes
+    and ``_factor_pays``.  With ``factorable``, a spent budget also returns
+    None, not ``NoConvergenceError``, while theta_1 > -SHIFT."""
     cap = min(n, max(BASIS_ROWS, 2 * (k + width)))
-    rows = cap if probe is None else min(cap, probe * width)  # a probe holds its passes only
     rng = np.random.default_rng(0)  # fixed start, deterministic output
-    basis = np.empty((rows, n))  # orthonormal rows
-    image = np.empty((rows, n))  # basis @ op; row j is op @ basis[j], op being symmetric
+    basis = np.empty((cap, n))  # orthonormal rows
+    image = np.empty((cap, n))  # basis @ op; row j is op @ basis[j], op being symmetric
     h = np.zeros((cap, cap))  # basis op basis^T, lower triangle
     block = _orthonormal(rng.standard_normal((min(width, n), n)), basis[:0], rng)
     used = applied = passes = 0
@@ -375,10 +338,8 @@ def _block_smallest(apply, n: int, k: int, width: int, tol: float, probe: int | 
         bound = tol * max(1.0, float(np.abs(theta[:k]).max()))
         if used >= k and (residual.max() <= 0.5 * bound or used == n):  # n: the whole space
             return theta[:k], ritz.T, applied
-        if passes == probe:
-            if _factor_pays(theta, k, width):
-                return None
-            basis, image = _widened(basis, cap), _widened(image, cap)
+        if passes == probe and _factor_pays(theta, k, width):
+            return None
         if applied >= PASSES_PER_PAIR * k * width:
             if factorable and theta[0] > -SHIFT:
                 return None

@@ -52,9 +52,9 @@ class CoincidentPointsError(SpectimeError):
 class NoConvergenceError(SpectimeError):
     """The eigensolver failed to reach its residual target."""
 
-    def __init__(self, iterations: int, message: str = ""):
-        self.iterations = int(iterations)
-        super().__init__(message or f"no convergence after {self.iterations} iterations")
+    def __init__(self, applications: int, message: str):
+        self.applications = int(applications)  # vectors the solver applied its operator to
+        super().__init__(message)
 
 
 class EmptyInteriorError(SpectimeError):

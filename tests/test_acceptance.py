@@ -263,7 +263,7 @@ def test_criterion_7_eigensolver_certification():
     worst_value_gap = 0.0
     worst_angle = 0.0
     for name, lap in instances:
-        res = smallest_eigenpairs(lap, k=3, tol=1e-8)
+        res = smallest_eigenpairs(lap, k=3)
         direct = np.linalg.norm(lap.l @ res.eigenvectors - res.eigenvectors * res.eigenvalues[None, :], axis=0)
         worst_residual = max(worst_residual, float(direct.max()))
         if lap.n <= 300:

@@ -60,22 +60,6 @@ def factor_first(monkeypatch):
     monkeypatch.setattr(eigen, "_factor_pays", lambda theta, k, width: True)
 
 
-@pytest.fixture
-def fallback_calls(monkeypatch):
-    """k of each dense solve whose factor failed, sending it to the block path."""
-    calls = []
-    dense = eigen._dense_smallest
-
-    def spy(work, k, tol):
-        found = dense(work, k, tol)
-        if found is None:
-            calls.append(k)
-        return found
-
-    monkeypatch.setattr(eigen, "_dense_smallest", spy)
-    return calls
-
-
 def assert_matches_eigh(res, a, k):
     """Eigenvalues within 1e-10 max|lambda| of numpy's full eigh, and the
     same k-dimensional eigenspace."""
@@ -120,7 +104,7 @@ class TestClosedForm:
 class TestContracts:
     def test_residual_certificates(self):
         lap = circle_laplacian(200, sigma=0.3)
-        res = smallest_eigenpairs(lap, k=4, tol=1e-8)
+        res = smallest_eigenpairs(lap, k=4)
         for j in range(4):
             r = np.linalg.norm(lap.l @ res.eigenvectors[:, j]
                                - res.eigenvalues[j] * res.eigenvectors[:, j])
@@ -249,7 +233,7 @@ class TestDenseSubset:
 class TestShiftInvert:
     """The dense path factors A + SHIFT*I and runs the block iteration on
     its negated inverse; input that is not positive definite after the
-    shift falls back to the block iteration on A."""
+    shift is refused."""
 
     @pytest.mark.parametrize(
         "curve, kind, sigma",
@@ -259,10 +243,9 @@ class TestShiftInvert:
             ("half-circle", CurveKind.OPEN_CURVE, np.sqrt(0.05)),
         ],
     )
-    def test_laplacian_never_reaches_dense_solver(self, factor_first, fallback_calls,
-                                                  curve, kind, sigma):
+    def test_laplacian_never_reaches_dense_solver(self, factor_first, curve, kind, sigma):
         # k as recovery asks for it: u2, u3 on a loop, u2 on an open curve;
-        # a Laplacian's factor exists, so nothing falls back
+        # a Laplacian's factor exists
         k = 3 if kind is CurveKind.CLOSED_LOOP else 2
         x, _ = generate(CurveSpec(curve), 400, 8)
         lap = build_laplacian(build_kernel(x, KernelParams(sigma)))
@@ -270,7 +253,7 @@ class TestShiftInvert:
         res = smallest_eigenpairs(lap, k=k)
         assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v[:, :k]) <= 1e-6
-        assert res.path == "dense" and res.applications > 0 and fallback_calls == []
+        assert res.path == "dense" and res.applications > 0
 
     @pytest.mark.parametrize("sigma2", [0.02, 0.002])
     def test_slow_cardioid_spectrum(self, sigma2):
@@ -293,19 +276,22 @@ class TestShiftInvert:
         assert np.abs(res.eigenvalues - w[:3]).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v[:, :3]) <= 1e-6
 
-    def test_eigenvalue_below_minus_shift_falls_back(self, factor_first, fallback_calls):
-        lap = circle_laplacian(300, sigma=0.33, seed=4).l - 2.0 * SHIFT * np.eye(300)
-        res = smallest_eigenpairs(laplacian_of(lap), k=3)
-        assert fallback_calls == [3] and res.path == "block" and res.applications > 0
-        assert_matches_eigh(res, lap, 3)
+    def test_eigenvalue_below_minus_shift_is_refused(self, factor_first):
+        # no graph Laplacian has lambda_min <= -SHIFT; a hand-built one
+        # handed to the factor raises, with its l restored
+        a = circle_laplacian(300, sigma=0.33, seed=4).l - 2.0 * SHIFT * np.eye(300)
+        lap = laplacian_of(a)
+        with pytest.raises(NoConvergenceError, match="SHIFT") as err:
+            smallest_eigenpairs(lap, k=3)
+        assert err.value.applications == 0
+        assert same_bits(lap.l, a)
 
     @pytest.mark.parametrize("k", [7, 8])
-    def test_k_at_least_n_minus_one_takes_the_block_path(self, fallback_calls, k):
+    def test_k_at_least_n_minus_one_takes_the_block_path(self, k):
         # k > n // 4 never reaches the factor; one pass of n = 8 rows
         # solves the whole space
         lap = circle_laplacian(8, sigma=0.6, seed=2)
         res = smallest_eigenpairs(lap, k=k)
-        assert fallback_calls == []
         assert res.path == "block" and res.applications == 8
         assert_matches_eigh(res, lap.l, k)
 
@@ -314,18 +300,22 @@ class TestNoConvergenceCount:
     """An unreachable residual target reports how many times the iterative
     solver applied its operator."""
 
-    def test_shift_invert_path(self, fallback_calls):
+    @pytest.fixture(autouse=True)
+    def unreachable(self, monkeypatch):
+        monkeypatch.setattr(eigen, "DEFAULT_TOL", 1e-300)
+
+    def test_shift_invert_path(self):
         with pytest.raises(NoConvergenceError) as err:
-            smallest_eigenpairs(circle_laplacian(300, sigma=0.33), k=3, tol=1e-300)
-        assert err.value.iterations > 0 and fallback_calls == []
+            smallest_eigenpairs(circle_laplacian(300, sigma=0.33), k=3)
+        assert err.value.applications > 0
 
     def test_block_path(self, monkeypatch):
         # the spent budget hands the Laplacian to the factor, whose target is
         # unreachable too
         monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
         with pytest.raises(NoConvergenceError) as err:
-            smallest_eigenpairs(circle_laplacian(300, sigma=0.33), k=3, tol=1e-300)
-        assert err.value.iterations > 0
+            smallest_eigenpairs(circle_laplacian(300, sigma=0.33), k=3)
+        assert err.value.applications > 0
 
 
 class TestNaNInput:
@@ -344,14 +334,13 @@ class TestNaNInput:
     # every solve starts on the block iteration on A, which meets the NaN
     # in its first pass of 5 rows, whatever k is, before any factor
     @pytest.mark.parametrize("k", [5, 4, 1])
-    def test_indefinite_with_nan_pair_reaches_the_block_path(self, factor_first,
-                                                             fallback_calls, k):
+    def test_indefinite_with_nan_pair_reaches_the_block_path(self, factor_first, k):
         a = np.eye(5)
         a[0, 0] = -1.0
         a[1, 2] = a[2, 1] = np.nan
         with pytest.raises(NoConvergenceError, match="non-finite") as err:
             smallest_eigenpairs(laplacian_of(a), k)
-        assert fallback_calls == [] and err.value.iterations == 5
+        assert err.value.applications == 5
 
     def test_block_path(self, monkeypatch):
         monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
@@ -359,7 +348,7 @@ class TestNaNInput:
         a[1, 2] = a[2, 1] = np.nan
         with pytest.raises(NoConvergenceError, match="non-finite") as err:
             smallest_eigenpairs(laplacian_of(a), 3)
-        assert err.value.iterations == eigen.BLOCK
+        assert err.value.applications == eigen.BLOCK
 
     def test_inf_pair_raises_without_numpy_warnings(self):
         # inf * 0 in the first pass is NaN; the finite check after that
@@ -503,21 +492,21 @@ class TestPathByInput:
     a clustered one."""
 
     @pytest.mark.parametrize("curve, k", [("circle", 3), ("half-circle", 2)])
-    def test_separated_spectrum_takes_the_block_path(self, fallback_calls, curve, k):
+    def test_separated_spectrum_takes_the_block_path(self, curve, k):
         res = smallest_eigenpairs(noisy_laplacian(curve, 2000, 100.0), k=k)
-        assert res.path == "block" and fallback_calls == []
+        assert res.path == "block"
 
     @pytest.mark.parametrize("snr", [100.0, 1000.0])
     def test_clustered_cardioid_takes_the_factor(self, snr):
         res = smallest_eigenpairs(noisy_laplacian("cardioid", 2000, snr, 0.1414), k=2)
         assert res.path == "dense"
 
-    def test_indefinite_input_takes_the_block_path(self, fallback_calls):
+    def test_indefinite_input_takes_the_block_path(self):
         # theta_1 <= -SHIFT after the probe: A + SHIFT*I has no factor to try
         a = np.random.default_rng(7).standard_normal((300, 300))
         a = (a + a.T) / 2.0
         res = smallest_eigenpairs(laplacian_of(a), k=3)
-        assert res.path == "block" and fallback_calls == []
+        assert res.path == "block"
         assert_matches_eigh(res, a, 3)
 
     @pytest.mark.parametrize("curve, k, sigma", [("circle", 3, None), ("cardioid", 2, 0.1414)])
@@ -549,10 +538,10 @@ class TestMoreThanAQuarterOfThePairs:
         (60, 0.3, 16, None), (100, 0.4, 26, None), (200, 0.3, 51, None),
         (1000, 0.3, 251, 100.0), (2000, 0.3, 501, 100.0),
     ])
-    def test_circle_certifies_on_the_block_path(self, fallback_calls, n, sigma, k, snr):
+    def test_circle_certifies_on_the_block_path(self, n, sigma, k, snr):
         lap = circle_laplacian(n, sigma) if snr is None else noisy_laplacian("circle", n, snr, sigma)
         res = smallest_eigenpairs(lap, k=k)
-        assert res.path == "block" and res.applications == n and fallback_calls == []
+        assert res.path == "block" and res.applications == n
         # k pairs, each certified, with orthonormal vectors and the k smallest
         # eigenvalues within ||residuals||_F of numpy's (the k-th and k+1-th
         # are 6e-11 apart at N=200, so the k-space itself is not pinned);
@@ -565,8 +554,8 @@ class TestMoreThanAQuarterOfThePairs:
         if n <= 100:
             assert_matches_eigh(res, lap.l, k)
 
-    def test_whole_space_residual_is_judged_by_the_certificate(self):
-        # the whole-space Ritz residual r is what rounding leaves; a tol
+    def test_whole_space_residual_is_judged_by_the_certificate(self, monkeypatch):
+        # the whole-space Ritz residual r is what rounding leaves; a target
         # that puts r between half the bound and the bound returns the
         # pairs, and one that puts it above the bound raises
         lap = circle_laplacian(200, sigma=0.3)
@@ -574,11 +563,13 @@ class TestMoreThanAQuarterOfThePairs:
         assert applied == 200
         r = np.linalg.norm(vectors.T @ lap.l - vectors.T * values[:, None], axis=1).max()
         scale = max(1.0, np.abs(values).max())
-        res = smallest_eigenpairs(lap, k=51, tol=1.5 * r / scale)
+        monkeypatch.setattr(eigen, "DEFAULT_TOL", 1.5 * r / scale)
+        res = smallest_eigenpairs(lap, k=51)
         assert res.path == "block" and res.applications == 200
         assert 0.5 * 1.5 * r < res.residuals.max() <= 1.5 * r
+        monkeypatch.setattr(eigen, "DEFAULT_TOL", 0.5 * r / scale)
         with pytest.raises(NoConvergenceError, match="exceeds"):
-            smallest_eigenpairs(lap, k=51, tol=0.5 * r / scale)
+            smallest_eigenpairs(lap, k=51)
 
 
 @pytest.fixture(scope="module")
@@ -661,22 +652,22 @@ class TestInPlaceFactor:
         for field in ("eigenvalues", "eigenvectors", "residuals"):
             assert same_bits(getattr(res, field), getattr(ref, field))
 
-    def test_laplacian_unchanged_after_failed_factor(self, factor_first, fallback_calls):
+    def test_laplacian_unchanged_after_failed_factor(self, factor_first):
         a = np.random.default_rng(3).standard_normal((300, 300))
         a = (a + a.T) / 2.0  # bit-exactly symmetric and indefinite
         lap = LaplacianMatrix(l=a.copy(), sigma=1.0, inv_sqrt_degrees=np.ones(300))
-        res = smallest_eigenpairs(lap, k=3)
-        assert fallback_calls == [3] and res.path == "block"
+        with pytest.raises(NoConvergenceError, match="no graph Laplacian"):
+            smallest_eigenpairs(lap, k=3)
         assert same_bits(lap.l, a)
-        assert_matches_eigh(res, a, 3)
 
-    def test_laplacian_unchanged_after_no_convergence(self, lap):
+    def test_laplacian_unchanged_after_no_convergence(self, monkeypatch, lap):
         # an unreachable target spends the budget of PASSES_PER_PAIR * k
         # passes of k rows on the factor, then raises
+        monkeypatch.setattr(eigen, "DEFAULT_TOL", 1e-300)
         before = lap.l.copy()
         with pytest.raises(NoConvergenceError) as err:
-            smallest_eigenpairs(lap, k=3, tol=1e-300)
-        assert err.value.iterations == eigen.PASSES_PER_PAIR * 3 * 3
+            smallest_eigenpairs(lap, k=3)
+        assert err.value.applications == eigen.PASSES_PER_PAIR * 3 * 3
         assert same_bits(lap.l, before)
 
 
@@ -700,15 +691,14 @@ class TestSpentBudget:
         res = smallest_eigenpairs(lap, k=2)
         assert res.path == "dense" and same_bits(lap.l, clustered)
         # the spent block applications are not counted
-        assert res.applications == eigen._dense_smallest(clustered.copy(), 2,
-                                                         eigen.DEFAULT_TOL)[2]
+        assert res.applications == eigen._dense_smallest(clustered.copy(), 2)[2]
         assert_matches_eigh(res, clustered, 2)
 
     def test_eigenvalue_below_minus_shift_raises(self, clustered):
         lap = laplacian_of(clustered - 2.0 * SHIFT * np.eye(300))
         with pytest.raises(NoConvergenceError, match="Ritz residual") as err:
             smallest_eigenpairs(lap, k=2)
-        assert err.value.iterations == eigen.PASSES_PER_PAIR * 2 * eigen.BLOCK
+        assert err.value.applications == eigen.PASSES_PER_PAIR * 2 * eigen.BLOCK
 
     def test_slow_cardioid_past_the_cutoff_certifies_on_the_factor(self):
         # the N=2000 case certifies on the factor through the probe; at
@@ -773,8 +763,9 @@ class TestBlockedFactor:
         assert not same_bits(work[:, :256], a[:, :256])
         upper = np.triu_indices(n, 1)
         assert same_bits(work[upper], a[upper])
+        # the probe hands it to the factor, which fails there too: refused,
+        # with l restored
         lap = LaplacianMatrix(l=a.copy(), sigma=1.0, inv_sqrt_degrees=np.ones(n))
-        res = smallest_eigenpairs(lap, k=2)
-        assert res.path == "block"
+        with pytest.raises(NoConvergenceError, match="SHIFT"):
+            smallest_eigenpairs(lap, k=2)
         assert same_bits(lap.l, a)
-        assert_matches_eigh(res, a, 2)
