@@ -14,11 +14,12 @@ generates its sample, writes z as CSV and reads it back, and reports
 ``data_ms`` (``generate``, ``noise_for_snr``, ``save_data_matrix``,
 ``load_data_matrix``); then it runs ``recover_labels`` on the file's z
 and reports the recovery's ``stage_ms`` (bandwidth, kernel, laplacian,
-eigensolve, labels), the eigensolver's operator ``applications`` and
-its own peak resident size (``ru_maxrss``).  The repeats of a case are
-summarised by their median and quartiles, and each process's
-``stage_ms`` and ``applications`` are kept next to them under
-``processes``, so one stalled process shows; a case whose process fails
+eigensolve, labels) and ``stage_peak_mb`` (how far each stage raised
+the peak resident size), the eigensolver's operator ``applications``
+and its own peak resident size (``ru_maxrss``).  The repeats of a case
+are summarised by their median and quartiles, and each process's
+``stage_ms``, ``stage_peak_mb`` and ``applications`` are kept next to
+them under ``processes``, so one stalled process shows; a case whose process fails
 (a recovery that raises included) is recorded with the error it printed
 instead.  The file ``BENCH_<yyyymmdd>.json`` in ``--out`` (the checkout
 root by default), or the first ``BENCH_<yyyymmdd>-<k>.json``, k = 2, 3,
@@ -27,7 +28,9 @@ BLAS library and the BLAS thread count read from that library) and the
 lines of ``src/``: total, code, docstring, comment and blank; no
 existing file is overwritten.
 
-An N = 16000 case holds one 2.05 GB array; the cases run one at a time.
+An N = 16000 case holds one packed Laplacian of 1.03 GB (and a packed
+factor of the same size on the dense path); the cases run one at a
+time.
 """
 
 from __future__ import annotations
@@ -76,8 +79,9 @@ with tempfile.TemporaryDirectory() as tmp:
     z = timed(io.load_data_matrix, path)  # the same bits
 out = st.recover_labels(z, spec.kind, sigma=sigma)  # a number is read from its text
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({{"data_ms": data_ms, "stage_ms": out.stage_ms, "ru_maxrss_mb": peak_kb / 1024.0,
-                  "solver_path": out.solver_path, "applications": out.applications}}))
+print(json.dumps({{"data_ms": data_ms, "stage_ms": out.stage_ms, "stage_peak_mb": out.stage_peak_mb,
+                  "ru_maxrss_mb": peak_kb / 1024.0, "solver_path": out.solver_path,
+                  "applications": out.applications}}))
 """.format(snr=SNR)
 
 
@@ -109,9 +113,10 @@ def run_case(*case) -> dict:
         "repeats": REPEATS,
         "solver_path": sorted({r["solver_path"] for r in runs}),
         **{key: {s: quartiles([r[key][s] for r in runs]) for s in runs[0][key]}
-           for key in ("data_ms", "stage_ms")},
+           for key in ("data_ms", "stage_ms", "stage_peak_mb")},
         "ru_maxrss_mb": quartiles([r["ru_maxrss_mb"] for r in runs]),
         "processes": [{"stage_ms": {s: round(ms, 3) for s, ms in r["stage_ms"].items()},
+                       "stage_peak_mb": {s: round(mb, 3) for s, mb in r["stage_peak_mb"].items()},
                        "applications": r["applications"]} for r in runs],
     }
 

@@ -20,7 +20,7 @@ from .core import (
 )
 from .denoise import DenoiseResult, denoise_auto, denoise_fixed_rank
 from .eigen import SpectralResult, smallest_eigenpairs
-from .kernel import KernelMatrix, LaplacianMatrix, build_kernel, build_laplacian
+from .kernel import KernelMatrix, LaplacianMatrix, PackedSymmetric, build_kernel, build_laplacian
 from .metrics import (
     AlignmentReport,
     err_closed_rank,
@@ -62,6 +62,7 @@ __all__ = [
     "KernelMatrix",
     "KernelParams",
     "LaplacianMatrix",
+    "PackedSymmetric",
     "PipelineConfig",
     "Ranking",
     "RecoveryOutput",

@@ -7,17 +7,13 @@ post hoc by one direct product, ``V^T A``, written by the block path's
 own pass.
 
 The one input is a ``LaplacianMatrix`` from ``kernel.build_laplacian``;
-its ``l``, the A of these notes, is bit-exactly symmetric and positive
-semidefinite by construction, so no symmetry check runs, and the
-certificate stays the arbiter.  The dense path factors ``l`` in its own
-buffer, so it holds one N x N array too: ``_factor`` writes only the
-lower triangle, and however its solve ends (pairs, a failed factor, an
-error) ``kernel.mirror_upper`` copies it back from the intact upper one
-and the saved diagonal is restored, so ``l`` comes back bit for bit.  Do
-not share one ``LaplacianMatrix`` between concurrent solves.  Other input
-is refused before any work, its array untouched: anything that is not a
-``LaplacianMatrix`` raises ``TypeError``, and an ``l`` that is not
-square, or is read-only or not C-ordered, raises ``ValueError``.
+its ``l``, the A of these notes, is a ``kernel.PackedSymmetric``,
+bit-exactly symmetric and positive semidefinite by construction, so no
+symmetry check runs, and the certificate stays the arbiter.  The solver
+reads A only through ``PackedSymmetric.apply`` and the dense path's
+copy, and never writes it, so one ``LaplacianMatrix`` can serve any
+number of solves, concurrent ones included.  Anything that is not a
+``LaplacianMatrix`` raises ``TypeError`` before any work.
 
 One iteration, two operators.  ``_block_smallest`` is a thick-restarted
 block Krylov iteration that ends each pass with Rayleigh-Ritz.  It starts
@@ -38,11 +34,12 @@ eigenvalue, so both paths use w >= k.
 
 The block path: every solve starts on A itself, in blocks of
 max(BLOCK, k) rows.  One pass is ``block @ A``, which equals
-(A block^T)^T because A is symmetric, so BLAS reads A once per block and
-a Laplacian built in the kernel's buffer stays the only N x N array.  At
-N <= DENSE_CUTOFF and k <= N/4 its first PROBE_PASSES passes are a
-probe: from their Ritz values theta it predicts GAP_PASSES / sqrt(gap)
-passes, gap = (theta_w - theta_k) / (theta_max - theta_w) for a block of
+(A block^T)^T because A is symmetric: ``apply`` reads each strip of A
+in two products on the calling thread, BLAS's threads doing the work,
+so the Laplacian built in the kernel's packed matrix stays the only
+large array.  At N <= DENSE_CUTOFF and k <= N/4 its first PROBE_PASSES
+passes are a probe: from their Ritz values theta it predicts
+GAP_PASSES / sqrt(gap) passes, gap = (theta_w - theta_k) / (theta_max - theta_w) for a block of
 w rows (a block iteration resolves the k smallest pairs at a rate set by
 how far its block's low spectrum lies below the top), and when that
 exceeds FACTOR_PASSES, the factor's cost in passes, the solve factors as
@@ -68,15 +65,18 @@ operator; a residual r there gives
 ||A v - lambda v|| <= (||A|| + tau) ||r|| / |theta|, far inside the
 certificate, which stays the only arbiter.
 
-``_factor`` is a left-looking blocked Cholesky built from numpy alone, so
-the process loads one BLAS library: each column block of at most
-FACTOR_BLOCK columns takes one product for its update from the blocks
-left of it, ``np.linalg.cholesky`` on its diagonal block, and the panel
-below times that block's inverse.  The inverse is stored in place of the
-diagonal block, and ``_solve``'s forward and back solves multiply by it
-one column block at a time.  Multiplying by an inverse in place of a
-triangular solve loses little: A + tau*I of a positive semidefinite A
-has cond(A + tau*I) <= (||A|| + tau) / tau, about 2000 for a Laplacian
+``_factor`` is a left-looking blocked Cholesky A + tau*I = U^T U built
+from numpy alone, so the process loads one BLAS library.  U is upper
+triangular and goes into a second ``PackedSymmetric`` of A's layout, the
+only one this path allocates, so the path holds two half-size matrices,
+as many bytes as one N x N array.  Each strip of U starts as a copy of
+A's, shifted, and takes one product per strip above it for its update,
+``np.linalg.cholesky`` on its diagonal block, and the part right of that
+block times the block's inverse.  The inverse of U's diagonal block is
+stored in place of the block, and ``_solve``'s forward and back solves
+multiply by it one strip at a time.  Multiplying by an inverse in place
+of a triangular solve loses little: A + tau*I of a positive semidefinite
+A has cond(A + tau*I) <= (||A|| + tau) / tau, about 2000 for a Laplacian
 (||A|| <= 2), and a diagonal block of its factor has a condition number
 of at most the square root of that, about 45.
 
@@ -94,19 +94,17 @@ the output a pure function of the input matrix.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import NoConvergenceError
-from .kernel import LaplacianMatrix, mirror_upper
+from .kernel import STRIP, LaplacianMatrix, PackedSymmetric
 
 DENSE_CUTOFF = 2048  # largest N at which the probe runs; a spent budget factors at any N
 DEFAULT_TOL = 1e-8  # the certificate: residual <= DEFAULT_TOL * max(1, max|lambda|)
 SHIFT = 1e-3  # tau of the dense path's shift-invert; sets the speed only
-FACTOR_BLOCK = 128  # rows of the dense factor's diagonal blocks
 BLOCK = 12  # least rows the block path applies L to in one pass over its memory
 BASIS_ROWS = 96  # basis rows the iteration holds before a thick restart (or 2(k + width))
 PASSES_PER_PAIR = 100  # the iteration's budget of passes, per wanted pair
@@ -140,7 +138,7 @@ def smallest_eigenpairs(lap: LaplacianMatrix, k: int) -> SpectralResult:
 
     Parameters
     ----------
-    lap : LaplacianMatrix whose ``l`` is square, writable and C-ordered
+    lap : LaplacianMatrix, read and never written
     k : number of eigenpairs, 1 <= k <= N
 
     Raises
@@ -148,8 +146,7 @@ def smallest_eigenpairs(lap: LaplacianMatrix, k: int) -> SpectralResult:
     TypeError
         if lap is not a ``LaplacianMatrix``.
     ValueError
-        if ``lap.l`` is not square, or is read-only or not C-ordered, or
-        k is out of range; before any work.
+        if k is out of range; before any work.
     NoConvergenceError
         if the residual target cannot be certified within the iteration
         budget: L + SHIFT*I has no Cholesky factor, the iteration meets a
@@ -159,20 +156,11 @@ def smallest_eigenpairs(lap: LaplacianMatrix, k: int) -> SpectralResult:
     if not isinstance(lap, LaplacianMatrix):
         raise TypeError(f"expected a LaplacianMatrix (see build_laplacian), "
                         f"got {type(lap).__name__}")
-    a = lap.l
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not (a.flags.writeable and a.flags.c_contiguous):
-        raise ValueError("L must be writable and C-ordered: the dense path factors it in place")
-    n = a.shape[0]
+    a, n = lap.l, lap.n
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-
-    def product(rows, out):
-        np.matmul(rows, a, out=out)
-
     probe = PROBE_PASSES if n <= DENSE_CUTOFF and k <= n // 4 else None
-    found, path = _block_smallest(product, n, k, max(BLOCK, k), DEFAULT_TOL, probe,
+    found, path = _block_smallest(a.apply, n, k, max(BLOCK, k), DEFAULT_TOL, probe,
                                   factorable=True), "block"
     if found is None:  # the probe chose the factor, or the budget ran out
         found, path = _dense_smallest(a, k), "dense"
@@ -182,7 +170,7 @@ def smallest_eigenpairs(lap: LaplacianMatrix, k: int) -> SpectralResult:
     values = values[order]
     vectors = _fix_signs(vectors[:, order])
     image = np.empty((k, n))  # V^T A, read in rows as the block path reads A
-    product(vectors.T, image)
+    a.apply(vectors.T, image)
     residuals = np.linalg.norm(image - vectors.T * values[:, None], axis=1)
     bound = DEFAULT_TOL * max(1.0, float(np.abs(values).max()))
     if not residuals.max() <= bound:  # NaN fails too
@@ -193,79 +181,60 @@ def smallest_eigenpairs(lap: LaplacianMatrix, k: int) -> SpectralResult:
                           path=path, applications=applied)
 
 
-@contextmanager
-def _shifted(a: np.ndarray):
-    """Shift a to A + SHIFT*I in its own buffer, for ``_factor`` to
-    overwrite its lower triangle; restored from the strict upper triangle
-    and the saved diagonal however the block ends."""
-    n = a.shape[0]
-    diag = a.diagonal().copy()
-    a[np.diag_indices(n)] = diag + SHIFT
-    try:
-        yield
-    finally:
-        mirror_upper(a)
-        a[np.diag_indices(n)] = diag
+def _factor(a: PackedSymmetric) -> PackedSymmetric:
+    """U of A + SHIFT*I = U^T U, upper triangular, in a new packed matrix
+    of a's layout, computed left-looking one strip of rows at a time; the
+    diagonal block of each strip of U holds that block's inverse (upper
+    triangular, zeros below), which both the rest of the strip and
+    ``_solve`` multiply by.  a is only read.  Raises ``LinAlgError`` when a
+    diagonal block has no Cholesky factor."""
+    u = PackedSymmetric(a.n)
+    update = np.empty((STRIP, a.n))
+    for j, ((rows, strip), (_, source)) in enumerate(zip(u.strips, a.strips)):
+        m = rows.stop - rows.start
+        np.copyto(strip, source)
+        np.fill_diagonal(strip, strip.diagonal() + SHIFT)
+        for above_rows, above in u.strips[:j]:  # U[:s, rows]^T U[:s, s:], a strip at a time
+            at = rows.start - above_rows.start
+            strip -= np.matmul(above[:, at : at + m].T, above[:, at:],
+                               out=update[:m, : strip.shape[1]])
+        # L^-1 for the block's L L^T: U's diagonal block is L^T
+        inv = np.linalg.inv(np.linalg.cholesky(strip[:, :m]))
+        right = strip[:, m:]
+        right[...] = np.matmul(inv, right, out=update[:m, : right.shape[1]])
+        strip[:, :m] = inv.T
+    return u
 
 
-def _factor(a: np.ndarray) -> None:
-    """Overwrite the lower triangle of the C-ordered symmetric matrix a (read
-    from that triangle) with its Cholesky factor L, a = L L^T, computed
-    left-looking in column blocks of FACTOR_BLOCK; each diagonal block of L
-    is stored as its inverse, which both the panel below it and ``_solve``
-    multiply by.  The strict upper triangle is never written.  Raises
-    ``LinAlgError`` when a diagonal block has no Cholesky factor, leaving
-    the blocks before it factored."""
-    n = a.shape[0]
-    lower = np.tri(FACTOR_BLOCK, dtype=bool)
-    update = np.empty((n, min(n, FACTOR_BLOCK)))
-    for j in range(0, n, FACTOR_BLOCK):
-        cols = slice(j, j + FACTOR_BLOCK)
-        m = min(FACTOR_BLOCK, n - j)
-        panel = update[: n - j, :m]
-        np.matmul(a[j:, :j], a[cols, :j].T, out=panel)  # the block column's update
-        np.subtract(a[j:, cols], panel, out=panel)
-        inv = np.linalg.inv(np.linalg.cholesky(panel[:m]))
-        block = a[cols, cols]
-        block[lower[:m, :m]] = inv[lower[:m, :m]]
-        np.matmul(panel[m:], inv.T, out=a[j + m:, cols])
-
-
-def _solve(a: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """out = -rows (L L^T)^-1 for the factor ``_factor`` left in a: a forward
-    solve Y L^T = rows, then a back solve X L = Y, one block of columns at a
+def _solve(u: PackedSymmetric, rows: np.ndarray, out: np.ndarray) -> None:
+    """out = -rows (U^T U)^-1 for the factor U that ``_factor`` returned: a
+    forward solve Y U = rows, then a back solve X U^T = Y, one strip at a
     time, each multiplied by its diagonal block's stored inverse."""
-    n = a.shape[0]
-    lower = np.tri(FACTOR_BLOCK, dtype=bool)
-    inv = np.zeros((FACTOR_BLOCK, FACTOR_BLOCK))  # the upper triangle stays 0
-    starts = range(0, n, FACTOR_BLOCK)
-    for j in starts:
-        cols, m = slice(j, j + FACTOR_BLOCK), min(FACTOR_BLOCK, n - j)
-        np.copyto(inv[:m, :m], a[cols, cols], where=lower[:m, :m])
-        out[:, cols] = (rows[:, cols] - out[:, :j] @ a[cols, :j].T) @ inv[:m, :m].T
-    for j in reversed(starts):
-        cols, m = slice(j, j + FACTOR_BLOCK), min(FACTOR_BLOCK, n - j)
-        np.copyto(inv[:m, :m], a[cols, cols], where=lower[:m, :m])
-        out[:, cols] = (out[:, cols] - out[:, j + m:] @ a[j + m:, cols]) @ inv[:m, :m]
+    np.copyto(out, rows)
+    for span, strip in u.strips:
+        m = span.stop - span.start
+        out[:, span] = out[:, span] @ strip[:, :m]
+        out[:, span.stop :] -= out[:, span] @ strip[:, m:]
+    for span, strip in reversed(u.strips):
+        m = span.stop - span.start
+        out[:, span] = (out[:, span] - out[:, span.stop :] @ strip[:, m:].T) @ strip[:, :m].T
     np.negative(out, out=out)
 
 
-def _dense_smallest(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Smallest pairs of the matrix in ``work`` (a C-ordered array, restored
-    before returning or raising) from the block iteration on
-    -(A + SHIFT*I)^-1, with the operator applications; raises
-    ``NoConvergenceError`` when A + SHIFT*I has no Cholesky factor."""
-    with _shifted(work):
-        try:
-            _factor(work)
-        except np.linalg.LinAlgError:
-            raise NoConvergenceError(0, f"L + SHIFT*I (SHIFT = {SHIFT:g}) has no Cholesky "
-                                     "factor, so L has an eigenvalue at or below -SHIFT, "
-                                     "which no graph Laplacian has") from None
-        # the inner target is relative to the transformed spectrum; ask
-        # well below the certificate, which stays the only arbiter
-        theta, v, applied = _block_smallest(partial(_solve, work), work.shape[0], k, k,
-                                            min(DEFAULT_TOL, 1e-10) * 1e-2)
+def _dense_smallest(a: PackedSymmetric, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Smallest pairs of A from the block iteration on -(A + SHIFT*I)^-1,
+    with the operator applications; raises ``NoConvergenceError`` when
+    A + SHIFT*I has no Cholesky factor."""
+    try:
+        u = _factor(a)
+    except np.linalg.LinAlgError:
+        raise NoConvergenceError(0, f"L + SHIFT*I (SHIFT = {SHIFT:g}) has no Cholesky "
+                                 "factor, so L has an eigenvalue at or below -SHIFT, "
+                                 "which no graph Laplacian has") from None
+    # the inner target is relative to the transformed spectrum; ask
+    # well below the certificate, which stays the only arbiter
+    theta, v, applied = _block_smallest(partial(_solve, u), a.n, k, k,
+                                        min(DEFAULT_TOL, 1e-10) * 1e-2)
     return -1.0 / theta - SHIFT, v, applied
 
 

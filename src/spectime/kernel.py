@@ -23,20 +23,25 @@ neighbour in the graph; normalization then raises
 ``DisconnectedGraphError`` instead of handing a degenerate operator to
 the eigensolver.
 
-K, D~ and L are symmetric, so only their upper triangle is read or
-written until L is mirrored.  The kernel is built in one N x N buffer,
-one strip of rows of that triangle at a time: a ``gemm`` writes the
-strip's block of -2 G, G = V^T V the Gram product, in place, and
-||v_i - v_j||^2 = (n_i + n_j) - 2 G_ij with n_i = ||v_i||^2, the
-distance floor, the exponential and the prefactor follow, a chunk of the
-strip's rows at a time, while the strip is in cache; the finished strip
-then adds its share of the degrees.  ``build_laplacian`` writes L over
-that same buffer, ``km.k``: one pass over the triangle sums d~, and one
-pass of tile rows scales the triangle by -(c_i c_j) and copies each
-scaled chunk onto the lower triangle while it is in cache, so L is
-bit-exactly symmetric by construction.  The recovery path holds one
-N x N array from the Gram product to the eigensolve, and a
-``KernelMatrix`` no longer holds its kernel once its Laplacian is built.
+K, D~ and L are symmetric, so one ``PackedSymmetric`` holds each of
+them: its upper triangle in row strips of STRIP rows, strip i holding rows
+[i STRIP, (i + 1) STRIP) from its diagonal on, each strip's square
+diagonal block in full, bit-exactly symmetric, so the whole takes
+N(N + 1)/2 + N (STRIP - 1)/2 entries at the most, half of an N x N array.
+``apply`` multiplies a block of rows by the matrix strip by strip; the
+eigensolver reads L through it alone.  The kernel is built one strip at a time, in
+row pieces of about 2 MB: a ``gemm`` writes the piece's block of -2 G,
+G = V^T V the Gram product, in place, and ||v_i - v_j||^2 = (n_i + n_j)
+- 2 G_ij with n_i = ||v_i||^2, the distance floor, the exponential and
+the prefactor follow, a chunk of the piece's rows at a time, while it is
+in cache; the finished strip copies its diagonal block's upper part onto
+the lower one and adds its share of the degrees.  ``build_laplacian``
+writes L over that same matrix, ``km.k``: one pass over the strips sums
+d~, and one pass scales each strip by -(c_i c_j) in place, which keeps
+the diagonal blocks symmetric bit for bit (c_i c_j = c_j c_i exactly).
+The recovery path holds one packed matrix from the Gram product to the
+eigensolve, and a ``KernelMatrix`` no longer holds its kernel once its
+Laplacian is built.
 
 An exponent -||v_i - v_j||^2 / (2 sigma^2) below F = ln(tiny * N^2) + 1
 (``exponent_floor``, -692 at N = 2000) is clamped at F before ``exp``,
@@ -50,19 +55,18 @@ magnitude), and a clamped entry moves its L entry by less than
 e^F = e * tiny * N^2, so ||dL||_2 < e * N^3 * tiny (4.8e-298 at
 N = 2000).
 
-Every N x N pass (the strips, the d~ sums, and the Laplacian's scale and
-mirror) runs on W worker threads, W the number of CPUs
-in the process's affinity mask (``taskset`` limits it) but at most one
-per 32 MB of the matrix, so one at N <= 2048, where a second worker
-gained nothing while the BLAS threads of the last product still spin;
-numpy releases the interpreter lock in the ufuncs and in the strip
-``gemm``.  Strips and tile rows shrink along the triangle, so jobs are
-dealt round-robin.  The calling thread allocates the workers' chunk
-buffers, about 0.6 MB split among them whatever W is (one row each at
-the least), and the pool lives for one call, so a forked child starts
-its own.  The strip heights are ``row_blocks``' whatever W is, and strip
-i belongs to strip group i mod G, G set by N alone (two per worker there
-can be).  The groups are the strip passes' jobs: each group belongs to
+Every pass over the strips (the kernel, the d~ sums and the Laplacian's
+scale) runs on W worker threads, W the number of CPUs in the process's
+affinity mask (``taskset`` limits it) but at most one per 32 MB of an
+N x N array, so one at N <= 2048, where a second worker gained nothing
+while the BLAS threads of the last product still spin; numpy releases
+the interpreter lock in the ufuncs and in the strip ``gemm``.  Strips
+shrink along the triangle, so jobs are dealt round-robin.  The calling
+thread allocates the workers' chunk buffers, about 0.6 MB split among
+them whatever W is (one row each at the least), and the pool lives for
+one call, so a forked child starts its own.  Strip i belongs to strip
+group i mod G, G set by N alone (two per worker there can be).  The
+groups are the strip passes' jobs: each group belongs to
 one worker, which runs its strips in strip order and adds each one's
 share of a sum across strips (a degree's or a d~'s column part) to the
 group's O(N) partial sums, and the groups are added in order
@@ -85,21 +89,62 @@ from .core import DataMatrix, KernelParams
 from .errors import DisconnectedGraphError
 
 
-_BLOCK_ELEMENTS = 1 << 18  # row block of the N x N passes, 2 MB of float64
+STRIP = 128  # rows of a packed strip, and of the dense factor's diagonal blocks
+_BLOCK_ELEMENTS = 1 << 18  # row piece of a strip pass, 2 MB of float64
 _CHUNK_ELEMENTS = 1 << 16  # the workers' chunk buffers together, 512 KB of float64
-_TILE = 128  # side of the square tiles that mirror a triangle
-_WORKER_ELEMENTS = 1 << 22  # entries per worker thread, 32 MB of float64; one at N <= 2048
+_WORKER_ELEMENTS = 1 << 22  # N x N entries per worker thread, 32 MB of float64; one at N <= 2048
+
+
+class PackedSymmetric:
+    """A symmetric N x N float64 matrix held as its upper triangle, in one
+    flat buffer ``data`` of C-ordered row strips: ``strips`` lists
+    (rows, strip) for rows = [s, e), e - s = STRIP but for the last, and
+    strip the (e - s) x (N - s) array of rows s..e-1 from column s on.  A
+    strip's diagonal block strip[:, :e - s] is stored in full, its part
+    below the diagonal a copy of the part above, so the matrix is the one
+    whose entry (i, j), i <= j, the strip holding row i holds.  A new
+    matrix's entries are undefined until they are written."""
+
+    def __init__(self, n: int):
+        self.n = n
+        starts = range(0, n, STRIP)
+        sizes = [(min(s + STRIP, n) - s) * (n - s) for s in starts]
+        self.data = np.empty(sum(sizes))
+        ends = np.cumsum(sizes)
+        self.strips = [(slice(s, min(s + STRIP, n)), self.data[end - size : end].reshape(-1, n - s))
+                       for s, size, end in zip(starts, sizes, ends)]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    def diagonal(self) -> np.ndarray:
+        """The N diagonal entries, a new array."""
+        out = np.empty(self.n)
+        for rows, strip in self.strips:
+            out[rows] = strip.diagonal()
+        return out
+
+    def apply(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Write rows @ A into out, both w x N, one strip of A at a time on
+        the calling thread: the strip's rows of A times rows' columns from
+        the strip's first row on give out's columns of the strip, and the
+        strip right of its diagonal block adds rows' columns of the strip
+        times it to out's columns beyond.  Each product is one ``gemm``."""
+        out[...] = 0.0
+        buf = np.empty(out.shape)
+        for span, strip in self.strips:
+            s, e = span.start, span.stop
+            out[:, span] += np.matmul(rows[:, s:], strip.T, out=buf[:, : e - s])
+            out[:, e:] += np.matmul(rows[:, span], strip[:, e - s :], out=buf[:, e:])
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric N x N Gaussian similarity matrix K with its degree vector.
+    """Symmetric N x N Gaussian similarity matrix K with its degree vector;
+    ``build_laplacian`` writes L over ``k``."""
 
-    ``k`` holds K on and above the diagonal; below it ``k`` is scratch,
-    neither read nor defined (``build_kernel`` leaves part of each strip's
-    diagonal block there).  ``build_laplacian`` writes L over ``k``."""
-
-    k: np.ndarray
+    k: PackedSymmetric
     degrees: np.ndarray
     sigma: float
 
@@ -107,17 +152,15 @@ class KernelMatrix:
 @dataclass(frozen=True)
 class LaplacianMatrix:
     """Symmetric normalized graph Laplacian L = I - S, the one input of
-    ``eigen.smallest_eigenpairs``.  ``l`` is bit-exactly symmetric,
-    writable and C-ordered: the dense eigensolve factors it in place and
-    restores it, and refuses an ``l`` it may not write (see ``eigen``)."""
+    ``eigen.smallest_eigenpairs``, which only reads it."""
 
-    l: np.ndarray
+    l: PackedSymmetric
     sigma: float
     inv_sqrt_degrees: np.ndarray  # D~^-1/2 of S; random-walk vector = inv_sqrt_degrees * u
 
     @property
     def n(self) -> int:
-        return self.l.shape[0]
+        return self.l.n
 
 
 def row_blocks(n: int, width: int | None = None, elements: int = _BLOCK_ELEMENTS):
@@ -161,130 +204,132 @@ def _on_workers(task, jobs: list | range, shape: int | tuple[int, int], *dtypes)
             future.result()
 
 
-def _strip_sums(n: int, task, *dtypes) -> np.ndarray:
-    """Call task(rows, *buffers) for each ``row_blocks`` strip of an n x n
-    matrix and return the sum of what the tasks return, vectors over the
-    columns rows.start on (None adds nothing).  Strip i belongs to group
-    i mod G, G = 2 n^2 / ``_WORKER_ELEMENTS`` (two per worker there can
-    be) but at least 1 and at most the strips; the groups are dealt to the
-    workers (see ``_on_workers``), each worker runs its groups' strips in
-    strip order and adds each vector to its group's O(n) partial sums,
-    and the groups are summed in order, so the sum does not depend on W."""
-    strips = list(row_blocks(n))
-    groups = max(1, min(len(strips), 2 * (n * n // _WORKER_ELEMENTS)))
+def _strip_sums(a: PackedSymmetric, task, *dtypes) -> np.ndarray:
+    """Call task(rows, strip, *buffers) for each strip of a and return the
+    sum of what the tasks return, vectors over the columns rows.stop on
+    (None adds nothing).  Strip i belongs to group i mod G,
+    G = 2 N^2 / ``_WORKER_ELEMENTS`` (two per worker there can be) but at
+    least 1 and at most the strips; the groups are dealt to the workers
+    (see ``_on_workers``), each worker runs its groups' strips in strip
+    order and adds each vector to its group's O(N) partial sums, and the
+    groups are summed in order, so the sum does not depend on W."""
+    n = a.n
+    groups = max(1, min(len(a.strips), 2 * (n * n // _WORKER_ELEMENTS)))
     sums = np.zeros((groups, n))
 
     def run(owned, *buffers):  # owned: this worker's groups, a range
-        for i, rows in enumerate(strips):
+        for i, (rows, strip) in enumerate(a.strips):
             if i % groups in owned:
-                part = task(rows, *buffers)
+                part = task(rows, strip, *buffers)
                 if part is not None:
-                    sums[i % groups, rows.start :] += part
+                    sums[i % groups, rows.stop :] += part
 
     _on_workers(run, range(groups), n, *dtypes)
     return sums.sum(axis=0)
 
 
-def _strip_product(a: np.ndarray, w: np.ndarray, out: np.ndarray, rows: slice, buf: np.ndarray):
-    """Write the strip's rows of A w into out[rows], A the symmetric matrix
-    whose upper triangle, diagonal included, a holds (nothing below the
-    diagonal is read), and return, in buf, the strip's part of the other
-    rows: w[rows] times the strip's strict upper triangle, over the columns
-    rows.start on."""
-    n = a.shape[0]
-    s, e = rows.start, min(rows.stop, n)
-    diag, right = np.triu(a[s:e, s:e]), a[s:e, e:]
-    out[s:e] = diag @ w[s:e] + right @ w[e:]
-    np.fill_diagonal(diag, 0.0)
-    part = buf[: n - s]
-    np.matmul(w[s:e], diag, out=part[: e - s])
-    np.matmul(w[s:e], right, out=part[e - s :])
-    return part
+def _piece_product(w: np.ndarray, out: np.ndarray, rows: slice, strip: np.ndarray,
+                   piece_rows: slice, below: np.ndarray) -> None:
+    """For the rows piece_rows of the strip, write their rows of A w into
+    out and add their part of the rows below the strip, their entries of w
+    times their part right of the diagonal block, to ``below`` (over the
+    columns rows.stop on)."""
+    s = rows.start
+    piece = strip[piece_rows]
+    top = slice(s + piece_rows.start, s + piece_rows.start + piece.shape[0])
+    np.matmul(piece, w[s:], out=out[top])
+    below += w[top] @ piece[:, rows.stop - s :]
 
 
-def _upper_strips(values: np.ndarray, out: np.ndarray, finish=None,
+def _mirror_rows(block: np.ndarray, rows: slice) -> None:
+    """Copy the square block's entries above the diagonal onto those below
+    it in ``rows``, whose columns' rows above the diagonal are final."""
+    a, b = rows.start, min(rows.stop, block.shape[0])
+    below = np.tri(b - a, b, k=a - 1, dtype=bool)  # (i, j) with j < i
+    block[a:b, :b][below] = block[:b, a:b].T[below]
+
+
+def _upper_strips(values: np.ndarray, out: PackedSymmetric, finish=None,
                   degrees: np.ndarray | None = None) -> None:
     """Write the squared distances between the columns of ``values`` into
-    the upper triangle of ``out``, one ``row_blocks`` strip
-    out[rows, rows.start:] at a time, each worker running the strips of
-    its own strip groups in strip order (see ``_strip_sums``); ``finish``,
-    if given, is applied to each chunk of a strip's rows while it is in
-    cache, and the row sums of the finished symmetric matrix are written
-    into ``degrees``, if given, each strip adding its share to its group's
-    partial sums while it is in cache.  The diagonal, and any entry at or
+    ``out``, one strip at a time, each worker running the strips of its own
+    strip groups in strip order (see ``_strip_sums``) and each strip in row
+    pieces of about ``_BLOCK_ELEMENTS`` entries; ``finish``, if given, is
+    applied to each chunk of a piece's rows while it is in cache, and the
+    row sums of the finished matrix are written into ``degrees``, if given,
+    each piece adding its share while it is in cache, and each strip its
+    share to its group's partial sums.  The diagonal, and any entry at or
     below the Gram form's rounding error (d + 2) * eps * (n_i + n_j), is 0,
-    so coincident points are at distance 0.  Each strip's square block on
-    the diagonal is written in full, so the part of it below the diagonal
-    holds scratch; nothing else below the diagonal is written."""
-    n = out.shape[0]
+    so coincident points are at distance 0.  Each strip's diagonal block is
+    computed in full, then each piece's part below the diagonal copied from
+    the part above."""
+    n = out.n
     norms = np.einsum("ij,ij->j", values, values)
     floor = (values.shape[0] + 2) * np.finfo(np.float64).eps
     ones = np.ones(n)
 
-    def strip_task(rows, total_buf, mask_buf):
+    def strip_task(rows, strip, total_buf, mask_buf, below_buf):
         s = rows.start
-        # -2 G from the gemm itself, bit for bit: scaling by a power of 2 is exact
-        strip = np.matmul(-2.0 * values[:, rows].T, values[:, s:], out=out[rows, s:])
-        for part in row_blocks(strip.shape[0], strip.shape[1], total_buf.size):
-            chunk = strip[part]
-            shape = chunk.shape
-            total = np.add.outer(norms[rows][part], norms[s:],
-                                 out=total_buf[: chunk.size].reshape(shape))
-            chunk += total
-            total *= floor
-            mask = np.less_equal(chunk, total, out=mask_buf[: chunk.size].reshape(shape))
-            np.copyto(chunk, 0.0, where=mask)
-            np.fill_diagonal(chunk[:, part.start :], 0.0)  # the entries (s + i, s + i)
-            if finish is not None:
-                finish(chunk)
-        if degrees is not None:
-            return _strip_product(out, ones, degrees, rows, total_buf)
-        return None
+        below = below_buf[: n - rows.stop]
+        below[...] = 0.0
+        for piece_rows in row_blocks(strip.shape[0], strip.shape[1]):
+            piece = strip[piece_rows]
+            top = s + piece_rows.start
+            # -2 G from the gemm itself, bit for bit: scaling by a power of 2 is exact
+            np.matmul(-2.0 * values[:, top : top + piece.shape[0]].T, values[:, s:], out=piece)
+            for part in row_blocks(piece.shape[0], piece.shape[1], total_buf.size):
+                chunk = piece[part]
+                shape = chunk.shape
+                total = np.add.outer(norms[top + part.start : top + part.start + shape[0]],
+                                     norms[s:], out=total_buf[: chunk.size].reshape(shape))
+                chunk += total
+                total *= floor
+                mask = np.less_equal(chunk, total, out=mask_buf[: chunk.size].reshape(shape))
+                np.copyto(chunk, 0.0, where=mask)
+                np.fill_diagonal(chunk[:, top - s + part.start :], 0.0)  # the entries (i, i)
+                if finish is not None:
+                    finish(chunk)
+            _mirror_rows(strip[:, : rows.stop - s], piece_rows)
+            if degrees is not None:
+                _piece_product(ones, degrees, rows, strip, piece_rows, below)
+        return below if degrees is not None else None
 
-    columns = _strip_sums(n, strip_task, np.float64, np.bool_)
+    columns = _strip_sums(out, strip_task, np.float64, np.bool_, np.float64)
     if degrees is not None:
         degrees += columns
 
 
-def mirror_upper(a: np.ndarray, scale: np.ndarray | None = None) -> None:
-    """Copy a's strict upper triangle onto its strict lower one, one row of
-    tiles per job on the workers; with ``scale`` (c), first multiply each
-    entry on and above the diagonal by -(c_i c_j), one chunk of the tile
-    row at a time, and copy it down while it is in cache."""
-    n = a.shape[0]
-    below = np.tri(_TILE, k=-1, dtype=bool)
-
-    def scaled(rows, cols, buf):
-        chunk = a[rows, cols]
-        if scale is not None:
-            neg = -scale[rows]
-            for part in row_blocks(chunk.shape[0], chunk.shape[1], buf.size):
-                piece = chunk[part]
-                piece *= np.multiply.outer(neg[part], scale[cols],  # -(c_i c_j) exactly
-                                           out=buf[: piece.size].reshape(piece.shape))
-        return chunk
-
-    def run(starts, buf):
-        for i in starts:
-            rows = slice(i, i + _TILE)
-            block = scaled(rows, rows, buf)
-            mask = below[: block.shape[0], : block.shape[0]]
-            block[mask] = block.T[mask]
-            width = buf.size // block.shape[0]
-            for j in range(i + _TILE, n, width):
-                cols = slice(j, j + width)
-                a[cols, rows] = scaled(rows, cols, buf).T
-
-    _on_workers(run, range(0, n, _TILE), n, np.float64)
+def _squared_distances(values: np.ndarray) -> np.ndarray:
+    """The squared distance of each pair of columns once, in row order of
+    the upper triangle, read from the strips of a packed distance matrix
+    that is freed on return."""
+    n = values.shape[1]
+    distances = PackedSymmetric(n)
+    _upper_strips(values, distances)
+    sq = np.empty(n * (n - 1) // 2)
+    above = ~np.tri(STRIP, n, dtype=bool)  # a strip's entries right of the diagonal
+    at = 0
+    for _, strip in distances.strips:
+        pairs = strip[above[: strip.shape[0], : strip.shape[1]]]
+        sq[at : at + pairs.size] = pairs
+        at += pairs.size
+    return sq
 
 
-def symmetric_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """A w for the symmetric A whose upper triangle a holds, in one pass
-    over that triangle (see ``_strip_product`` and ``_strip_sums``)."""
-    n = a.shape[0]
-    out = np.empty(n)
-    columns = _strip_sums(n, lambda rows, buf: _strip_product(a, w, out, rows, buf), np.float64)
-    return out + columns
+def symmetric_product(a: PackedSymmetric, w: np.ndarray) -> np.ndarray:
+    """A w in one pass over a's strips, each in row pieces of about
+    ``_BLOCK_ELEMENTS`` entries (see ``_piece_product`` and
+    ``_strip_sums``)."""
+    out = np.empty(a.n)
+
+    def task(rows, strip, buf):
+        below = buf[: a.n - rows.stop]
+        below[...] = 0.0
+        for piece_rows in row_blocks(strip.shape[0], strip.shape[1]):
+            _piece_product(w, out, rows, strip, piece_rows, below)
+        return below
+
+    return out + _strip_sums(a, task, np.float64)
 
 
 def exponent_floor(n: int) -> float:
@@ -294,11 +339,11 @@ def exponent_floor(n: int) -> float:
 
 
 def build_kernel(z: DataMatrix | np.ndarray, p: KernelParams) -> KernelMatrix:
-    """Assemble the upper triangle of the pairwise similarity matrix and,
-    from it, the degree vector (full row sums, self term included)."""
+    """Assemble the packed pairwise similarity matrix and, from it, the
+    degree vector (full row sums, self term included)."""
     values = z.values if isinstance(z, DataMatrix) else DataMatrix(z).values
     n = values.shape[1]
-    k = np.empty((n, n))
+    k = PackedSymmetric(n)
     prefactor = 1.0 / (math.sqrt(2.0 * math.pi) * p.sigma)
     scale = -2.0 * p.sigma**2
     floor = exponent_floor(n)
@@ -319,15 +364,15 @@ def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:
     L shares the kernel's buffer; ``km.degrees`` is left as it was.
 
     With K~ = D^-1 K D^-1 and d~ its row sums, S_ij = k~_ij / sqrt(d~_i d~_j)
-    = k_ij c_i c_j for the scale vector c = D^-1 D~^-1/2.  d~ is summed from
-    K's upper triangle, which is scaled and then copied onto the lower
-    one, so L is bit-exactly symmetric.  Every degree holds the self
-    term 1 / (sqrt(2 pi) sigma), finite and positive for any sigma that
+    = k_ij c_i c_j for the scale vector c = D^-1 D~^-1/2.  d~ is summed over
+    K's strips, which are then scaled in place, so L is bit-exactly
+    symmetric as K is.  Every degree holds the self term
+    1 / (sqrt(2 pi) sigma), finite and positive for any sigma that
     ``KernelParams`` accepts, and no other entry is negative, so D^-1
     exists.
     """
     k, deg, sigma = km.k, km.degrees, km.sigma
-    n = k.shape[0]
+    n = k.n
     isolated = np.count_nonzero(deg - k.diagonal() <= n * np.finfo(np.float64).eps * deg)
     if isolated:
         raise DisconnectedGraphError(
@@ -336,6 +381,16 @@ def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:
         )
     inv = 1.0 / deg
     inv_sqrt = 1.0 / np.sqrt(inv * symmetric_product(k, inv))  # d~ = D^-1 K D^-1 1
-    mirror_upper(k, inv * inv_sqrt)
-    np.fill_diagonal(k, 1.0 + k.diagonal())
+    c = inv * inv_sqrt
+    neg = -c
+
+    def scale(jobs, buf):  # each strip times -(c_i c_j), one chunk of rows at a time
+        for rows, strip in jobs:
+            for part in row_blocks(strip.shape[0], strip.shape[1], buf.size):
+                piece = strip[part]
+                piece *= np.multiply.outer(neg[rows][part], c[rows.start :],  # -(c_i c_j) exactly
+                                           out=buf[: piece.size].reshape(piece.shape))
+            np.fill_diagonal(strip, 1.0 + strip.diagonal())
+
+    _on_workers(scale, k.strips, n, np.float64)
     return LaplacianMatrix(l=k, sigma=sigma, inv_sqrt_degrees=inv_sqrt)

@@ -35,6 +35,7 @@ heuristic.
 from __future__ import annotations
 
 import math
+import resource
 import time
 import warnings
 from contextlib import contextmanager
@@ -47,7 +48,7 @@ from .core import sum_of_squares
 from .eigen import smallest_eigenpairs
 from .errors import CoincidentPointsError, ConfigError, DisconnectedGraphError
 from .errors import LengthMismatchError, TooFewPointsError
-from .kernel import _upper_strips, build_kernel, build_laplacian, exponent_floor
+from .kernel import _squared_distances, build_kernel, build_laplacian, exponent_floor, row_blocks
 from .synth import check_sample
 
 _UNIFORM_LABEL_AMPLITUDE = math.sqrt(2.0)  # of a unit-norm cos(t/2) under uniform labels
@@ -74,6 +75,7 @@ class RecoveryOutput:
     max_residual: float | None = None  # largest ||L v - lambda v||
     applications: int | None = None  # vectors the eigensolver applied its operator to
     stage_ms: dict[str, float] | None = None  # bandwidth, kernel, laplacian, eigensolve, labels
+    stage_peak_mb: dict[str, float] | None = None  # each stage's rise of the peak resident size
 
     def report(self) -> dict:
         """The JSON-ready diagnostics: everything but the labels and the ranking."""
@@ -81,7 +83,7 @@ class RecoveryOutput:
                 "clamped_count": self.clamped_count,
                 "solver_path": self.solver_path, "eigenvalues": list(self.eigenvalues),
                 "max_residual": self.max_residual, "applications": self.applications,
-                "stage_ms": self.stage_ms}
+                "stage_ms": self.stage_ms, "stage_peak_mb": self.stage_peak_mb}
 
 
 def recover_labels(
@@ -100,7 +102,7 @@ def recover_labels(
     read u2, u3 directly: atan2(u3, u2) is unchanged by the common
     positive scale D~^-1/2, and ``recover_closed``'s degeneracy threshold
     is set for unit-norm columns.  The kernel, the Laplacian and the
-    eigensolve share one N x N buffer.
+    eigensolve share one packed symmetric matrix, half an N x N array.
 
     L has one zero eigenvalue per connected component of the kernel
     graph, so a second eigenvalue at rounding level (at most N * eps)
@@ -113,8 +115,11 @@ def recover_labels(
     ``TooFewPointsError`` before the bandwidth is chosen, and points that
     all coincide raise ``CoincidentPointsError`` under every sigma rule.
     The returned output carries the eigensolve's path, eigenvalues,
-    largest residual and operator applications, and the wall time of each
-    stage in ms (``RecoveryOutput.report``).
+    largest residual and operator applications, and for each stage its
+    wall time in ms and how far it raised the process's peak resident
+    size (``ru_maxrss``) in MB (``RecoveryOutput.report``).  A stage that
+    stays below an earlier peak, of this recovery or of anything the
+    process ran before, reads 0.
     """
     sigma = check_bandwidth(sigma)
     if kind is CurveKind.CLOSED_LOOP and z.n_points < CLOSED_MIN_POINTS:
@@ -123,18 +128,19 @@ def recover_labels(
     if not np.ptp(z.values, axis=1).any():
         raise CoincidentPointsError(f"all {z.n_points} points coincide; they have no order")
     stage_ms: dict[str, float] = {}
-    with _timed(stage_ms, "bandwidth"):
+    stage_peak_mb: dict[str, float] = {}
+    with _timed(stage_ms, stage_peak_mb, "bandwidth"):
         if sigma == "auto":
             params = select_bandwidth(z.n_points, kind=kind)
         elif sigma == "data":
             params = data_driven_bandwidth(z)
         else:
             params = KernelParams(sigma)
-    with _timed(stage_ms, "kernel"):
+    with _timed(stage_ms, stage_peak_mb, "kernel"):
         km = build_kernel(z, params)
-    with _timed(stage_ms, "laplacian"):
+    with _timed(stage_ms, stage_peak_mb, "laplacian"):
         lap = build_laplacian(km)
-    with _timed(stage_ms, "eigensolve"):
+    with _timed(stage_ms, stage_peak_mb, "eigensolve"):
         spectral = smallest_eigenpairs(lap, k=2 if kind is CurveKind.OPEN_CURVE else 3)
     rounding = lap.n * np.finfo(np.float64).eps
     zeros = int(np.count_nonzero(spectral.eigenvalues <= rounding))
@@ -145,7 +151,7 @@ def recover_labels(
             f"(at most N*eps = {rounding:.3e}), so the graph has more than one component, "
             f"at least {zeros}; use a larger bandwidth")
     u = spectral.eigenvectors
-    with _timed(stage_ms, "labels"):
+    with _timed(stage_ms, stage_peak_mb, "labels"):
         if kind is CurveKind.OPEN_CURVE:
             out = recover_open(lap.inv_sqrt_degrees * u[:, 1])
         else:
@@ -154,15 +160,20 @@ def recover_labels(
                    sigma_rule=sigma if isinstance(sigma, str) else "fixed",
                    eigenvalues=tuple(spectral.eigenvalues.tolist()),
                    max_residual=float(spectral.residuals.max()),
-                   applications=spectral.applications, stage_ms=stage_ms)
+                   applications=spectral.applications, stage_ms=stage_ms,
+                   stage_peak_mb=stage_peak_mb)
 
 
 @contextmanager
-def _timed(stage_ms: dict[str, float], name: str):
-    """Record the block's wall time in ms as ``stage_ms[name]``."""
+def _timed(stage_ms: dict[str, float], stage_peak_mb: dict[str, float], name: str):
+    """Record the block's wall time in ms as ``stage_ms[name]`` and the rise
+    of the process's peak resident size during it in MB (Linux reports
+    ``ru_maxrss`` in KiB) as ``stage_peak_mb[name]``."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     started = time.perf_counter()
     yield
     stage_ms[name] = 1000.0 * (time.perf_counter() - started)
+    stage_peak_mb[name] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak) / 1024.0
 
 
 def recover_open(f: np.ndarray) -> RecoveryOutput:
@@ -239,18 +250,25 @@ def data_driven_bandwidth(z: DataMatrix) -> KernelParams:
 
     Each exponent is clamped at the kernel's floor F (``exponent_floor``),
     so a term below e^F reads e^F: the N^2 such terms at most add N^2 e^F,
-    far under ulp(N), to 2 * sum + N.  The 25 passes share one buffer of
-    the N(N - 1)/2 pairs beside the pairs themselves.
+    far under ulp(N), to 2 * sum + N.  The pairs are read from the packed
+    distance matrix's strips, each pair once, in row order, and the
+    positive ones from the pairs a block at a time, so at most two arrays
+    of N(N - 1)/2 entries are live at once; the 25 passes share one buffer
+    of that size beside the pairs themselves.
     """
-    sq = np.empty((z.n_points,) * 2)
-    _upper_strips(z.values, sq)
-    sq = sq[~np.tri(z.n_points, dtype=bool)]  # each pair once; frees the N x N buffer
-    positive = sq[sq > 0]
+    sq = _squared_distances(z.values)
+    positive = np.empty(np.count_nonzero(sq))  # no pair is negative
     if positive.size == 0:
         raise CoincidentPointsError(
             f"all {z.n_points} points coincide; the data-driven bandwidth is undefined")
-    lo = math.sqrt(float(np.quantile(positive, 0.01))) / 4.0
+    at = 0
+    for block in row_blocks(sq.size, 1):
+        kept = sq[block][sq[block] > 0]
+        positive[at : at + kept.size] = kept
+        at += kept.size
     hi = math.sqrt(float(positive.max()))
+    lo = math.sqrt(float(np.quantile(positive, 0.01, overwrite_input=True))) / 4.0
+    del positive
     sigmas = np.geomspace(lo, hi, DATA_BANDWIDTH_GRID)
     floor = exponent_floor(z.n_points)
     terms = np.empty_like(sq)

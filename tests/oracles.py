@@ -5,7 +5,9 @@ time alignment is minimized over an explicit theta grid, the ranking
 alignment enumerates every (reflection, shift, modular term) combination
 with plain loops or with full N x N shift tables, the kernel matrix
 is assembled from scipy's pairwise distances, the Laplacian is one
-whole-matrix product with outer(c, c), the serialrank baseline is
+whole-matrix product with outer(c, c), a packed symmetric matrix is
+packed and unpacked by plain slicing of its strips, the serialrank
+baseline is
 the Fiedler vector of its similarity Laplacian from LAPACK, and the
 arccos half of the open-curve label map is its formula alone.
 """
@@ -13,6 +15,8 @@ arccos half of the open-curve label map is its formula alone.
 import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial.distance import pdist, squareform
+
+from spectime.kernel import PackedSymmetric
 
 TWO_PI = 2.0 * np.pi
 
@@ -105,6 +109,30 @@ def laplacian_outer_product(k, c):
     lap = -(np.outer(c, c) * k)
     np.fill_diagonal(lap, 1.0 + lap.diagonal())
     return lap
+
+
+def pack(a):
+    """The PackedSymmetric of the symmetric array a: each strip copied from
+    a's rows from the diagonal on, its diagonal block's part below the
+    diagonal then copied from the part above."""
+    a = np.asarray(a, dtype=float)
+    p = PackedSymmetric(a.shape[0])
+    for rows, strip in p.strips:
+        strip[...] = a[rows, rows.start:]
+        block = strip[:, : rows.stop - rows.start]
+        block[...] = np.triu(block) + np.triu(block, 1).T
+    return p
+
+
+def unpack(p):
+    """The N x N array of a PackedSymmetric: each strip's rows from the
+    diagonal on, and their transpose below; each diagonal block comes out
+    transposed, so the array is symmetric only if every block is."""
+    a = np.empty(p.shape)
+    for rows, strip in p.strips:
+        a[rows, rows.start:] = strip
+        a[rows.start:, rows] = strip.T
+    return a
 
 
 def comparison_signs(norms):

@@ -449,8 +449,8 @@ def test_recover_stderr_reports_the_eigensolve(tmp_path, capsys):
     assert run(["recover", "--kind", "closed", "--input", z, "--sigma", "0.4", "--out", est]) == 0
     summary = json.loads(capsys.readouterr().err)
     expected = recover_labels(load_data_matrix(z), CurveKind.CLOSED_LOOP, 0.4).report()
-    stage_ms = summary.pop("stage_ms")  # timings differ from run to run
-    assert set(stage_ms) == set(expected.pop("stage_ms"))
+    for key in ("stage_ms", "stage_peak_mb"):  # timings and memory rises differ from run to run
+        assert set(summary.pop(key)) == set(expected.pop(key))
     assert summary == {**expected, "out": str(est)}  # the path the solver returned, too
     assert len(summary["eigenvalues"]) == 3
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -25,6 +26,8 @@ from spectime import eigen
 from spectime.eigen import SHIFT, _block_smallest, _fix_signs
 from spectime.errors import NoConvergenceError
 
+from oracles import pack, unpack
+
 
 def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
     """Largest principal angle between the column spaces of a and b."""
@@ -41,16 +44,8 @@ def circle_laplacian(n, sigma=None, seed=0):
 
 
 def laplacian_of(a: np.ndarray) -> LaplacianMatrix:
-    """A bare symmetric matrix in the solver's one input type, on its own buffer."""
-    return LaplacianMatrix(np.array(a, order="C"), 1.0, np.ones(a.shape[0]))
-
-
-def product(a):
-    """The block path's operator: rows -> rows @ a."""
-    def apply(rows, out):
-        np.matmul(rows, a, out=out)
-
-    return apply
+    """A bare symmetric matrix, packed, in the solver's one input type."""
+    return LaplacianMatrix(pack(a), 1.0, np.ones(a.shape[0]))
 
 
 @pytest.fixture
@@ -106,7 +101,7 @@ class TestContracts:
         lap = circle_laplacian(200, sigma=0.3)
         res = smallest_eigenpairs(lap, k=4)
         for j in range(4):
-            r = np.linalg.norm(lap.l @ res.eigenvectors[:, j]
+            r = np.linalg.norm(unpack(lap.l) @ res.eigenvectors[:, j]
                                - res.eigenvalues[j] * res.eigenvectors[:, j])
             assert r <= 1e-8
 
@@ -124,7 +119,7 @@ class TestContracts:
 
     def test_matches_dense_oracle_small_instance(self):
         lap = circle_laplacian(200, sigma=0.3, seed=0)
-        oracle = np.sort(np.linalg.eigvalsh(lap.l))
+        oracle = np.sort(np.linalg.eigvalsh(unpack(lap.l)))
         res = smallest_eigenpairs(lap, k=3)
         assert np.abs(res.eigenvalues - oracle[:3]).max() <= 1e-8
 
@@ -134,7 +129,7 @@ class TestContracts:
         # (Their plain ratio fluctuates 10-30% with the sampling at these
         # sizes, so the cluster-separation form is the stable property.)
         lap = circle_laplacian(500, sigma=500 ** (-1 / 7), seed=0)
-        oracle = np.sort(np.linalg.eigvalsh(lap.l))
+        oracle = np.sort(np.linalg.eigvalsh(unpack(lap.l)))
         res = smallest_eigenpairs(lap, k=4)
         assert np.abs(res.eigenvalues - oracle[:4]).max() <= 1e-8
         split = res.eigenvalues[2] - res.eigenvalues[1]
@@ -159,9 +154,8 @@ class TestContracts:
 
 
 class TestRefusedInput:
-    """The solver takes a LaplacianMatrix whose l is square, writable and
-    C-ordered; anything else is refused before its operator is applied,
-    with the array untouched."""
+    """The solver takes a LaplacianMatrix; anything else is refused before
+    its operator is applied, with the array untouched."""
 
     @pytest.fixture
     def applied(self, monkeypatch):
@@ -176,24 +170,12 @@ class TestRefusedInput:
         return calls
 
     def test_bare_ndarray_raises_type_error(self, applied):
-        a = circle_laplacian(100, sigma=0.4).l
+        a = unpack(circle_laplacian(100, sigma=0.4).l)
         before = a.copy()
         with pytest.raises(TypeError, match="build_laplacian"):
             smallest_eigenpairs(a, k=2)
         with pytest.raises(TypeError, match="build_laplacian"):
             smallest_eigenpairs(np.eye(3), 1)
-        assert same_bits(a, before) and applied == []
-
-    @pytest.mark.parametrize("given", ["read-only", "fortran", "non-square"])
-    def test_laplacian_it_may_not_factor_raises_value_error(self, applied, given):
-        lap = circle_laplacian(100, sigma=0.4)
-        a = {"read-only": lap.l, "fortran": np.asfortranarray(lap.l),
-             "non-square": lap.l[:, :99]}[given]
-        if given == "read-only":
-            a.flags.writeable = False
-        before = a.copy()
-        with pytest.raises(ValueError, match="square" if given == "non-square" else "C-ordered"):
-            smallest_eigenpairs(LaplacianMatrix(a, lap.sigma, lap.inv_sqrt_degrees), k=2)
         assert same_bits(a, before) and applied == []
 
 
@@ -223,7 +205,7 @@ class TestDenseSubset:
 
     def test_laplacian_subspace_matches_full_eigh(self):
         lap = circle_laplacian(300, sigma=0.33, seed=4)
-        w, v = np.linalg.eigh(lap.l)
+        w, v = np.linalg.eigh(unpack(lap.l))
         res = smallest_eigenpairs(lap, k=3)
         assert np.abs(res.eigenvalues - w[:3]).max() <= 1e-10
         # lambda_2 ~ lambda_3 on a loop: compare subspaces, not vectors
@@ -249,7 +231,7 @@ class TestShiftInvert:
         k = 3 if kind is CurveKind.CLOSED_LOOP else 2
         x, _ = generate(CurveSpec(curve), 400, 8)
         lap = build_laplacian(build_kernel(x, KernelParams(sigma)))
-        w, v = np.linalg.eigh(lap.l)
+        w, v = np.linalg.eigh(unpack(lap.l))
         res = smallest_eigenpairs(lap, k=k)
         assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v[:, :k]) <= 1e-6
@@ -262,14 +244,14 @@ class TestShiftInvert:
         # passes here, the factor's inverse 10 and 15 passes of 2 rows
         x, _ = generate(CurveSpec("cardioid"), 2000, 0)
         lap = build_laplacian(build_kernel(x, KernelParams(np.sqrt(sigma2))))
-        w, v = eigh(lap.l, subset_by_index=[0, 1])
+        w, v = eigh(unpack(lap.l), subset_by_index=[0, 1])
         res = smallest_eigenpairs(lap, k=2)
         assert res.path == "dense"
         assert np.abs(res.eigenvalues - w).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v) <= 1e-6
 
     def test_negative_eigenvalue_above_minus_shift_stays_on_shift_invert(self, factor_first):
-        lap = circle_laplacian(300, sigma=0.33, seed=4).l - 0.5 * SHIFT * np.eye(300)
+        lap = unpack(circle_laplacian(300, sigma=0.33, seed=4).l) - 0.5 * SHIFT * np.eye(300)
         w, v = np.linalg.eigh(lap)
         res = smallest_eigenpairs(laplacian_of(lap), k=3)
         assert w[0] < 0 and res.path == "dense"
@@ -278,13 +260,13 @@ class TestShiftInvert:
 
     def test_eigenvalue_below_minus_shift_is_refused(self, factor_first):
         # no graph Laplacian has lambda_min <= -SHIFT; a hand-built one
-        # handed to the factor raises, with its l restored
-        a = circle_laplacian(300, sigma=0.33, seed=4).l - 2.0 * SHIFT * np.eye(300)
+        # handed to the factor raises, with its l as it was
+        a = unpack(circle_laplacian(300, sigma=0.33, seed=4).l) - 2.0 * SHIFT * np.eye(300)
         lap = laplacian_of(a)
         with pytest.raises(NoConvergenceError, match="SHIFT") as err:
             smallest_eigenpairs(lap, k=3)
         assert err.value.applications == 0
-        assert same_bits(lap.l, a)
+        assert same_bits(unpack(lap.l), a)
 
     @pytest.mark.parametrize("k", [7, 8])
     def test_k_at_least_n_minus_one_takes_the_block_path(self, k):
@@ -293,7 +275,7 @@ class TestShiftInvert:
         lap = circle_laplacian(8, sigma=0.6, seed=2)
         res = smallest_eigenpairs(lap, k=k)
         assert res.path == "block" and res.applications == 8
-        assert_matches_eigh(res, lap.l, k)
+        assert_matches_eigh(res, unpack(lap.l), k)
 
 
 class TestNoConvergenceCount:
@@ -374,8 +356,8 @@ class TestNaNInput:
 class TestIterativePath:
     def test_matches_dense_oracle(self):
         lap = circle_laplacian(300, sigma=0.33, seed=1)
-        w_dense, v_dense = np.linalg.eigh(lap.l)
-        values, vectors, _ = _block_smallest(product(lap.l), 300, 3, eigen.BLOCK, 1e-10)
+        w_dense, v_dense = np.linalg.eigh(unpack(lap.l))
+        values, vectors, _ = _block_smallest(lap.l.apply, 300, 3, eigen.BLOCK, 1e-10)
         order = np.argsort(values)
         values = values[order]
         vectors = vectors[:, order]
@@ -388,7 +370,7 @@ class TestIterativePath:
         a = np.random.default_rng(9).standard_normal((300, 300))
         a = 10.0 * (a + a.T)
         w_dense, v_dense = np.linalg.eigh(a)
-        values, vectors, _ = _block_smallest(product(a), 300, 3, eigen.BLOCK, 1e-10)
+        values, vectors, _ = _block_smallest(pack(a).apply, 300, 3, eigen.BLOCK, 1e-10)
         order = np.argsort(values)
         scale = np.abs(w_dense).max()
         assert np.abs(values[order] - w_dense[:3]).max() <= 1e-10 * scale
@@ -396,9 +378,9 @@ class TestIterativePath:
 
     def test_iterative_respects_certificate(self):
         lap = circle_laplacian(300, sigma=0.33, seed=2)
-        values, vectors, _ = _block_smallest(product(lap.l), 300, 2, eigen.BLOCK, 1e-8)
+        values, vectors, _ = _block_smallest(lap.l.apply, 300, 2, eigen.BLOCK, 1e-8)
         for j in range(2):
-            r = np.linalg.norm(lap.l @ vectors[:, j] - values[j] * vectors[:, j])
+            r = np.linalg.norm(unpack(lap.l) @ vectors[:, j] - values[j] * vectors[:, j])
             assert r <= 1e-8
 
     def test_large_path_via_public_api(self):
@@ -419,7 +401,7 @@ class TestIterativePath:
         monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
         x, _ = generate(CurveSpec(curve), 400, 8)
         lap = build_laplacian(build_kernel(x, KernelParams(sigma)))
-        w, v = np.linalg.eigh(lap.l)
+        w, v = np.linalg.eigh(unpack(lap.l))
         res = smallest_eigenpairs(lap, k=k)
         assert res.path == "block"
         assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
@@ -512,7 +494,7 @@ class TestPathByInput:
     @pytest.mark.parametrize("curve, k, sigma", [("circle", 3, None), ("cardioid", 2, 0.1414)])
     def test_forced_paths_agree_within_the_certificate(self, monkeypatch, curve, k, sigma):
         lap = noisy_laplacian(curve, 1000, 100.0, sigma)
-        before = lap.l.copy()
+        before = lap.l.data.copy()
         found = {}
         for path, pays in (("dense", True), ("block", False)):
             with monkeypatch.context() as m:
@@ -522,7 +504,7 @@ class TestPathByInput:
             assert a.path == b.path == path
             for field in ("eigenvalues", "eigenvectors", "residuals"):
                 assert same_bits(getattr(a, field), getattr(b, field))
-            assert same_bits(lap.l, before)
+            assert same_bits(lap.l.data, before)
             found[path] = a
         dense, block = found["dense"], found["block"]
         # each eigenvalue lies within its residual of one of A's
@@ -548,20 +530,20 @@ class TestMoreThanAQuarterOfThePairs:
         # a basis that reaches N keeps orthonormal rows to rounding (a
         # single QR after the projections left 2.2e-9 at N=200, k=51 and
         # 2.6e-9 at N=1000, k=251)
-        w = np.linalg.eigvalsh(lap.l)
+        w = np.linalg.eigvalsh(unpack(lap.l))
         assert np.abs(res.eigenvalues - w[:k]).max() <= np.linalg.norm(res.residuals)
         assert np.abs(res.eigenvectors.T @ res.eigenvectors - np.eye(k)).max() <= 1e-13
         if n <= 100:
-            assert_matches_eigh(res, lap.l, k)
+            assert_matches_eigh(res, unpack(lap.l), k)
 
     def test_whole_space_residual_is_judged_by_the_certificate(self, monkeypatch):
         # the whole-space Ritz residual r is what rounding leaves; a target
         # that puts r between half the bound and the bound returns the
         # pairs, and one that puts it above the bound raises
         lap = circle_laplacian(200, sigma=0.3)
-        values, vectors, applied = _block_smallest(product(lap.l), 200, 51, 51, 1e-300)
+        values, vectors, applied = _block_smallest(lap.l.apply, 200, 51, 51, 1e-300)
         assert applied == 200
-        r = np.linalg.norm(vectors.T @ lap.l - vectors.T * values[:, None], axis=1).max()
+        r = np.linalg.norm(vectors.T @ unpack(lap.l) - vectors.T * values[:, None], axis=1).max()
         scale = max(1.0, np.abs(values).max())
         monkeypatch.setattr(eigen, "DEFAULT_TOL", 1.5 * r / scale)
         res = smallest_eigenpairs(lap, k=51)
@@ -589,9 +571,9 @@ class TestBlockPathContracts:
         assert a.applications == b.applications
 
     def test_laplacian_unchanged_after_return(self, circle_2100):
-        before = circle_2100.l.copy()
+        before = circle_2100.l.data.copy()
         smallest_eigenpairs(circle_2100, k=3)
-        assert same_bits(circle_2100.l, before)
+        assert same_bits(circle_2100.l.data, before)
 
     def test_allocates_less_than_a_quarter_of_the_matrix(self, circle_2100):
         n = circle_2100.n
@@ -611,22 +593,24 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class TestInPlaceFactor:
-    """The dense path factors a LaplacianMatrix in its own buffer and hands
-    it back unchanged, bit for bit, however the solve ends."""
+    """The dense path factors a LaplacianMatrix into a packed matrix of its
+    own and leaves L as it was, bit for bit, however the solve ends."""
 
     @pytest.fixture
     def lap(self):
         # sigma well below the loop's diameter: the kernel clamps far pairs
         # at its exponent floor, and those entries of L are set to -0.0, which
-        # a sloppy restore would turn into 0.0
+        # a write to L would be likely to turn into 0.0
         lap = circle_laplacian(300, sigma=0.05, seed=4)
-        lap.l[np.abs(lap.l) < 1e-300] = -0.0
-        assert np.signbit(lap.l[lap.l == 0.0]).any()
+        data = lap.l.data
+        data[np.abs(data) < 1e-300] = -0.0
+        assert np.signbit(data[data == 0.0]).any()
         return lap
 
-    def test_allocates_less_than_a_quarter_of_the_matrix(self):
+    def test_allocates_one_packed_factor_and_less_than_a_quarter_more(self):
         # a clustered spectrum, which the probe hands to the factor; the
-        # probe's buffers are freed before the factor allocates
+        # probe's buffers are freed before the factor allocates its packed
+        # matrix, of L's size
         n = 2000
         x, _ = generate(CurveSpec("cardioid"), n, 5)
         lap = build_laplacian(build_kernel(x, KernelParams(0.1414)))
@@ -637,15 +621,15 @@ class TestInPlaceFactor:
         finally:
             tracemalloc.stop()
         assert n <= eigen.DENSE_CUTOFF and res.path == "dense"
-        assert peak < n * n * 8 / 4
+        assert peak < lap.l.data.nbytes + n * n * 8 / 4
 
     def test_laplacian_unchanged_after_return(self, lap):
-        before = lap.l.copy()
+        before = lap.l.data.copy()
         assert smallest_eigenpairs(lap, k=3).path == "dense"
-        assert same_bits(lap.l, before)
+        assert same_bits(lap.l.data, before)
 
     def test_two_dense_solves_return_the_same_bits(self, lap):
-        # the second solve factors the buffer the first one restored
+        # the second solve factors the L the first one read
         res = smallest_eigenpairs(lap, k=3)
         ref = smallest_eigenpairs(lap, k=3)
         assert res.path == ref.path == "dense" and res.applications == ref.applications
@@ -655,20 +639,46 @@ class TestInPlaceFactor:
     def test_laplacian_unchanged_after_failed_factor(self, factor_first):
         a = np.random.default_rng(3).standard_normal((300, 300))
         a = (a + a.T) / 2.0  # bit-exactly symmetric and indefinite
-        lap = LaplacianMatrix(l=a.copy(), sigma=1.0, inv_sqrt_degrees=np.ones(300))
+        lap = laplacian_of(a)
         with pytest.raises(NoConvergenceError, match="no graph Laplacian"):
             smallest_eigenpairs(lap, k=3)
-        assert same_bits(lap.l, a)
+        assert same_bits(unpack(lap.l), a)
 
     def test_laplacian_unchanged_after_no_convergence(self, monkeypatch, lap):
         # an unreachable target spends the budget of PASSES_PER_PAIR * k
         # passes of k rows on the factor, then raises
         monkeypatch.setattr(eigen, "DEFAULT_TOL", 1e-300)
-        before = lap.l.copy()
+        before = lap.l.data.copy()
         with pytest.raises(NoConvergenceError) as err:
             smallest_eigenpairs(lap, k=3)
         assert err.value.applications == eigen.PASSES_PER_PAIR * 3 * 3
-        assert same_bits(lap.l, before)
+        assert same_bits(lap.l.data, before)
+
+    def test_concurrent_solves_share_one_laplacian(self, factor_first, lap):
+        # four threads, more than the cores, solve one L on the dense and the
+        # block path at once; L is only read, so each solve certifies its
+        # pairs and L stays as it was
+        before = lap.l.data.copy()
+        results, interval = [], sys.getswitchinterval()
+
+        def solve():
+            results.append(smallest_eigenpairs(lap, k=3))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, daemon=True) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(results) == 4
+        serial = smallest_eigenpairs(lap, k=3)
+        for res in results:
+            assert res.path == "dense" and res.residuals.max() <= eigen.DEFAULT_TOL
+            assert np.abs(res.eigenvalues - serial.eigenvalues).max() <= 1e-10
+        assert same_bits(lap.l.data, before)
 
 
 class TestSpentBudget:
@@ -687,11 +697,11 @@ class TestSpentBudget:
         return (a + a.T) / 2.0
 
     def test_owned_laplacian_is_factored(self, clustered):
-        lap = LaplacianMatrix(clustered.copy(), 1.0, np.ones(300))
+        lap = laplacian_of(clustered)
         res = smallest_eigenpairs(lap, k=2)
-        assert res.path == "dense" and same_bits(lap.l, clustered)
+        assert res.path == "dense" and same_bits(unpack(lap.l), clustered)
         # the spent block applications are not counted
-        assert res.applications == eigen._dense_smallest(clustered.copy(), 2)[2]
+        assert res.applications == eigen._dense_smallest(pack(clustered), 2)[2]
         assert_matches_eigh(res, clustered, 2)
 
     def test_eigenvalue_below_minus_shift_raises(self, clustered):
@@ -719,53 +729,67 @@ def spd_with_signed_zeros(n: int, seed: int = 0) -> np.ndarray:
     return a
 
 
-def undo_inverted_blocks(factored: np.ndarray) -> np.ndarray:
-    """The lower factor _factor leaves in its lower triangle, with each
+def undo_inverted_blocks(u) -> np.ndarray:
+    """The upper factor U of the packed matrix _factor returns, with each
     stored diagonal-block inverse inverted back."""
-    out = np.tril(factored)
-    for j in range(0, factored.shape[0], eigen.FACTOR_BLOCK):
-        cols = slice(j, j + eigen.FACTOR_BLOCK)
-        out[cols, cols] = np.linalg.inv(out[cols, cols])
+    out = np.zeros(u.shape)
+    for rows, strip in u.strips:
+        out[rows, rows.start:] = strip
+        out[rows, rows] = np.linalg.inv(strip[:, : rows.stop - rows.start])
     return out
 
 
 class TestBlockedFactor:
-    """The dense path's Cholesky factor, built from numpy in column blocks
-    of FACTOR_BLOCK, against scipy's LAPACK factor."""
+    """The dense path's Cholesky factor of A + SHIFT*I, built from numpy one
+    packed strip at a time, against scipy's LAPACK factor; A is only read."""
 
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
     def test_matches_scipy_cholesky(self, n):
         a = spd_with_signed_zeros(n)
-        work = a.copy()
-        eigen._factor(work)
-        assert np.abs(undo_inverted_blocks(work) - cholesky(a, lower=True)).max() <= 1e-13
-        upper = np.triu_indices(n, 1)
-        assert same_bits(work[upper], a[upper])
+        packed = pack(a)
+        before = packed.data.copy()
+        u = eigen._factor(packed)
+        assert np.abs(undo_inverted_blocks(u) - cholesky(a + SHIFT * np.eye(n))).max() <= 1e-13
+        assert same_bits(packed.data, before)
 
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
     def test_solve_inverts_the_factored_matrix(self, n):
         a = spd_with_signed_zeros(n)
-        work = a.copy()
-        eigen._factor(work)
+        u = eigen._factor(pack(a))
         rows = np.random.default_rng(1).standard_normal((3, n))
         out = np.empty_like(rows)
-        eigen._solve(work, rows, out)
-        assert np.abs(out @ a + rows).max() <= 1e-12
+        eigen._solve(u, rows, out)
+        assert np.abs(out @ (a + SHIFT * np.eye(n)) + rows).max() <= 1e-12
 
     def test_indefinite_later_block_raises_and_laplacian_comes_back(self):
         n = 300
         a = spd_with_signed_zeros(n)
         a[280, 280] = -1.0  # only the third diagonal block is indefinite
-        work = a.copy()
+        packed = pack(a)
+        before = packed.data.copy()
         with pytest.raises(np.linalg.LinAlgError):
-            eigen._factor(work)
-        # the first two column blocks were factored before the failure
-        assert not same_bits(work[:, :256], a[:, :256])
-        upper = np.triu_indices(n, 1)
-        assert same_bits(work[upper], a[upper])
+            eigen._factor(packed)
+        assert same_bits(packed.data, before)
         # the probe hands it to the factor, which fails there too: refused,
-        # with l restored
-        lap = LaplacianMatrix(l=a.copy(), sigma=1.0, inv_sqrt_degrees=np.ones(n))
+        # with l as it was
+        lap = laplacian_of(a)
         with pytest.raises(NoConvergenceError, match="SHIFT"):
             smallest_eigenpairs(lap, k=2)
-        assert same_bits(lap.l, a)
+        assert same_bits(lap.l.data, before)
+
+
+@pytest.mark.parametrize("curve, k", [("circle", 3), ("half-circle", 2)])
+def test_packed_laplacian_at_3000_matches_scipy_eigh(curve, k):
+    # the block path's pairs against LAPACK's of the unpacked L: each
+    # eigenvalue within the residuals' norm of LAPACK's, and the eigenspace
+    # within the Davis-Kahan angle that norm allows over the gap above it
+    lap = noisy_laplacian(curve, 3000, 100.0)
+    res = smallest_eigenpairs(lap, k=k)
+    w, v = eigh(unpack(lap.l), subset_by_index=[0, k])
+    spread = np.linalg.norm(res.residuals)
+    assert res.path == "block"
+    assert res.residuals.max() <= eigen.DEFAULT_TOL * max(1.0, np.abs(w).max())
+    assert np.abs(res.eigenvalues - w[:k]).max() <= spread
+    u = res.eigenvectors
+    sin_angle = np.linalg.norm(u - v[:, :k] @ (v[:, :k].T @ u), 2)  # accurate at small angles
+    assert sin_angle <= spread / (w[k] - w[k - 1] - spread) + 1e-12  # 1e-12: LAPACK's own error

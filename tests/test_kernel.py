@@ -25,35 +25,30 @@ from spectime import (
 from spectime import kernel
 from spectime.errors import DisconnectedGraphError
 from spectime.kernel import (
+    STRIP,
     KernelMatrix,
+    PackedSymmetric,
     _upper_strips,
     exponent_floor,
-    mirror_upper,
-    row_blocks,
     symmetric_product,
 )
 
-from oracles import gaussian_kernel_pdist, laplacian_outer_product
+from oracles import gaussian_kernel_pdist, laplacian_outer_product, pack, unpack
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def mirrored(k):
-    """The symmetric matrix whose upper triangle, diagonal included, k holds;
-    ``KernelMatrix.k`` leaves the entries below its diagonal undefined."""
-    return np.triu(k) + np.triu(k, 1).T
-
-
 def assert_degrees(km):
-    """Each degree within N eps d_i of the exact row sum of the mirrored K."""
-    k = mirrored(km.k)
+    """Each degree within N eps d_i of the exact row sum of K."""
+    k = unpack(km.k)
     exact = np.array([math.fsum(row) for row in k])
     assert np.all(np.abs(km.degrees - exact) <= k.shape[0] * np.finfo(np.float64).eps * exact)
 
 
 def assert_symmetric_laplacian(km):
-    """L, built over km.k, equals its transpose bit for bit."""
-    lap = build_laplacian(km).l
+    """L, built over km.k, equals its transpose bit for bit, its diagonal
+    blocks included."""
+    lap = unpack(build_laplacian(km).l)
     assert np.array_equal(lap, lap.T)
 
 
@@ -62,19 +57,19 @@ class TestGaussianKernel:
 
     def test_zero_distance(self):
         z = DataMatrix(np.array([[1.0, 1.0], [2.0, 2.0]]))
-        v = build_kernel(z, KernelParams(1.0)).k[0, 1]
+        v = unpack(build_kernel(z, KernelParams(1.0)).k)[0, 1]
         assert v == pytest.approx(INV_SQRT_2PI, abs=1e-15)
 
     def test_unit_sigma_sqrt2_distance(self):
         # ||x - y|| = sqrt(2) so the exponent is -1
         z = DataMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        v = build_kernel(z, KernelParams(1.0)).k[0, 1]
+        v = unpack(build_kernel(z, KernelParams(1.0)).k)[0, 1]
         assert v == pytest.approx(math.exp(-1.0) * INV_SQRT_2PI, abs=1e-15)
 
     def test_symmetry_random_pairs(self):
         x = np.random.default_rng(0).standard_normal((3, 100))
         km = build_kernel(DataMatrix(x), KernelParams(0.7))
-        assert np.abs(mirrored(km.k) - gaussian_kernel_pdist(x, 0.7)).max() <= 1e-14
+        assert np.abs(unpack(km.k) - gaussian_kernel_pdist(x, 0.7)).max() <= 1e-14
         assert_symmetric_laplacian(km)
 
 
@@ -82,13 +77,14 @@ class TestBuildKernel:
     def test_identical_points(self):
         z = DataMatrix(np.zeros((2, 2)))
         km = build_kernel(z, KernelParams(1.0))
-        assert np.allclose(mirrored(km.k), INV_SQRT_2PI)
+        assert np.allclose(unpack(km.k), INV_SQRT_2PI)
         assert np.allclose(km.degrees, 2 * INV_SQRT_2PI)
 
     def test_collinear_ratio(self):
         z = DataMatrix(np.array([[0.0, 1.0, 2.0]]))
         km = build_kernel(z, KernelParams(1.0))
-        assert km.k[0, 2] / km.k[0, 1] == pytest.approx(math.exp(-1.5), rel=1e-12)
+        k = unpack(km.k)
+        assert k[0, 2] / k[0, 1] == pytest.approx(math.exp(-1.5), rel=1e-12)
 
     def test_degrees_dominate_self_term(self):
         rng = np.random.default_rng(1)
@@ -109,7 +105,7 @@ class TestBuildKernel:
         rng = np.random.default_rng(10 + d)
         x = rng.standard_normal((d, 600)) / math.sqrt(d) + offset
         sigma = 0.5
-        k = mirrored(build_kernel(DataMatrix(x), KernelParams(sigma)).k)
+        k = unpack(build_kernel(DataMatrix(x), KernelParams(sigma)).k)
         oracle = gaussian_kernel_pdist(x, sigma)
         eps = np.finfo(np.float64).eps
         sq_tol = 64 * eps * 2 * float((x * x).sum(axis=0).max())
@@ -133,7 +129,7 @@ class TestBuildKernel:
         for sigma in (1.0, 1e-4):
             km = build_kernel(DataMatrix(x), KernelParams(sigma))
             pref = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
-            assert np.all(km.k[np.arange(200), np.arange(200, 400)] == pref)
+            assert np.all(unpack(km.k)[np.arange(200), np.arange(200, 400)] == pref)
             assert np.all(km.k.diagonal() == pref)
 
     def test_diagonal_is_prefactor(self):
@@ -144,14 +140,49 @@ class TestBuildKernel:
 
 
 class TestStrips:
-    """The kernel is built one row-block strip of the upper triangle at a
-    time, and the degrees are summed from that triangle; N = 1500 spans 9
+    """The kernel is built one packed strip of the upper triangle at a
+    time, and the degrees are summed over the strips; N = 1500 spans 12
     strips, the last one partial."""
 
     def test_strip_layout(self):
-        # 9 strips, the last one partial, each under 750 rows high
-        blocks = list(row_blocks(1500))
-        assert len(blocks) == 9 and blocks[-1].stop > 1500 and blocks[0].stop <= 750
+        # 12 strips tile the flat buffer in order, each of STRIP rows but the
+        # last, from its diagonal on
+        a = PackedSymmetric(1500)
+        assert a.shape == (1500, 1500) and len(a.strips) == 12
+        at = 0
+        for i, (rows, strip) in enumerate(a.strips):
+            assert rows == slice(i * STRIP, min((i + 1) * STRIP, 1500))
+            assert strip.shape == (rows.stop - rows.start, 1500 - rows.start)
+            assert strip.flags.c_contiguous and strip.ctypes.data == a.data[at:].ctypes.data
+            at += strip.size
+        assert at == a.data.size and a.strips[-1][0].stop == 1500
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 1500, 3001])
+    def test_buffer_holds_half_the_matrix(self, n):
+        # the upper triangle and the diagonal blocks' lower parts, no more
+        assert PackedSymmetric(n).data.size <= n * (n + 1) // 2 + n * STRIP
+
+    def test_built_kernel_and_laplacian_are_n_by_n_and_packed(self):
+        n = 1500
+        km = build_kernel(DataMatrix(np.random.default_rng(25).standard_normal((2, n))),
+                          KernelParams(0.3))
+        assert km.k.shape == (n, n)
+        lap = build_laplacian(km)
+        assert lap.l.shape == (n, n) and lap.n == n
+        assert lap.l.data.size <= n * (n + 1) // 2 + n * STRIP
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    def test_apply_matches_the_dense_product(self, n):
+        # rows given C-ordered and as the transpose of an (n, w) array, as
+        # the eigensolver's certificate passes its vectors
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, n))
+        a = pack(g + g.T)
+        dense = unpack(a)
+        for rows in (rng.standard_normal((12, n)), rng.standard_normal((n, 3)).T):
+            out = np.full(rows.shape, np.nan)
+            a.apply(rows, out)
+            assert np.abs(out - rows @ dense).max() <= 1e-12 * max(1.0, np.abs(dense).max()) * n
 
     @pytest.mark.parametrize("d", [1, 2, 300])
     @pytest.mark.parametrize("n", [2, 3, 1500])
@@ -166,22 +197,23 @@ class TestStrips:
         eps = np.finfo(np.float64).eps
         oracle = gaussian_kernel_pdist(x, sigma)
         sq_tol = 64 * eps * 2 * float((x * x).sum(axis=0).max())
-        k = mirrored(km.k)
+        k = unpack(km.k)
         assert np.all(np.abs(k - oracle) <= oracle * sq_tol / (2 * sigma**2) + 8 * eps * pref)
         assert_degrees(km)
         # at sigma = 1e-4 k equals its prefactor only at a distance of exactly 0
         tiny = 1e-4
-        k0 = build_kernel(DataMatrix(x), KernelParams(tiny)).k
+        k0 = unpack(build_kernel(DataMatrix(x), KernelParams(tiny)).k)
         pref0 = 1.0 / (math.sqrt(2 * math.pi) * tiny)
         assert np.all(k0.diagonal() == pref0)
         i = np.arange(h)
-        assert np.all(km.k[i, i + h] == pref) and np.all(k0[i, i + h] == pref0)
+        assert np.all(k[i, i + h] == pref) and np.all(k0[i, i + h] == pref0)
         assert_symmetric_laplacian(km)
 
     @pytest.mark.parametrize("n", [2000, 3001])
     def test_peak_memory_one_n_by_n_array(self, n):
-        # the kernel array plus the workers' chunk buffers, never a second N x N;
-        # at N = 3001 there are four strip groups, so their (G, N) sums are live
+        # the packed kernel, half an N x N array, plus the workers' chunk
+        # buffers; at N = 3001 there are four strip groups, so their (G, N)
+        # sums are live
         z = DataMatrix(np.random.default_rng(21).standard_normal((2, n)))
         tracemalloc.start()
         try:
@@ -189,7 +221,7 @@ class TestStrips:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n * n + 3 * 2**20
+        assert peak <= 8 * (n * (n + 1) // 2 + n * STRIP) + 3 * 2**20
 
     @pytest.mark.parametrize("n", [2000, 3001])
     @pytest.mark.parametrize("workers", [3, 16])
@@ -208,9 +240,9 @@ class TestWorkers:
     def _outputs(x, monkeypatch, workers):
         monkeypatch.setattr(kernel, "_worker_count", lambda n: workers)
         km = build_kernel(DataMatrix(x), KernelParams(0.4))
-        k, degrees = np.triu(km.k), km.degrees
+        k, degrees = km.k.data.copy(), km.degrees
         lap = build_laplacian(km)
-        return k, degrees, lap.l, lap.inv_sqrt_degrees
+        return k, degrees, lap.l.data, lap.inv_sqrt_degrees
 
     @pytest.mark.parametrize("n, d", [(3001, 2), (1500, 300)])
     def test_bit_identical_across_worker_counts(self, monkeypatch, n, d):
@@ -235,16 +267,16 @@ class TestWorkers:
         # and the call must raise once, not wait or return a partial sum
         monkeypatch.setattr(kernel, "_worker_count", lambda n: 3)
 
-        def task(rows, buf):
+        def task(rows, strip, buf):
             if rows.start == 0:
                 raise RuntimeError("strip 0")
-            return buf[: 3001 - rows.start]
+            return buf[: 3001 - rows.stop]
 
         raised = []
 
         def call():
             try:
-                kernel._strip_sums(3001, task, np.float64)
+                kernel._strip_sums(PackedSymmetric(3001), task, np.float64)
             except RuntimeError as error:
                 raised.append(error)
 
@@ -265,7 +297,7 @@ class TestWorkers:
         # a pool kept past its call would leave the child threads that do not exist
         monkeypatch.setattr(kernel, "_worker_count", lambda n: 2)
         x = np.random.default_rng(22).standard_normal((2, 600))
-        parent = np.triu(build_kernel(DataMatrix(x), KernelParams(0.5)).k)
+        parent = build_kernel(DataMatrix(x), KernelParams(0.5)).k.data
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         child = ctx.Process(target=_kernel_into, args=(queue, x, 0.5))
@@ -281,7 +313,7 @@ class TestWorkers:
 
 
 def _kernel_into(queue, x, sigma):
-    queue.put(np.triu(build_kernel(DataMatrix(x), KernelParams(sigma)).k))
+    queue.put(build_kernel(DataMatrix(x), KernelParams(sigma)).k.data)
 
 
 class TestExponentFloor:
@@ -302,13 +334,10 @@ class TestExponentFloor:
     def _unfloored(z, sigma):
         """(upper-triangle exponents, K) of the kernel formula with no floor,
         step for step as the strip pass computes it."""
-        n = z.n_points
-        sq = np.empty((n, n))
+        sq = PackedSymmetric(z.n_points)
         _upper_strips(z.values, sq)
-        exponents = np.triu(sq) / (-2.0 * sigma**2)
-        k = np.exp(exponents) * (1.0 / (math.sqrt(2.0 * math.pi) * sigma))
-        mirror_upper(k)
-        return exponents, k
+        exponents = unpack(sq) / (-2.0 * sigma**2)
+        return exponents, np.exp(exponents) * (1.0 / (math.sqrt(2.0 * math.pi) * sigma))
 
     @classmethod
     def _subnormal(cls, a):
@@ -316,13 +345,13 @@ class TestExponentFloor:
 
     def test_k_and_l_hold_no_subnormal_entry(self, cardioid):
         km = build_kernel(cardioid, KernelParams(self.SIGMA))
-        assert self._subnormal(np.triu(km.k)) == 0
-        assert self._subnormal(build_laplacian(km).l) == 0
+        assert self._subnormal(km.k.data) == 0
+        assert self._subnormal(build_laplacian(km).l.data) == 0
         _, unfloored = self._unfloored(cardioid, self.SIGMA)
         assert self._subnormal(unfloored) > 10_000  # what the floor removes
 
     def test_entries_at_or_above_the_floor_match_the_formula(self, cardioid):
-        k = build_kernel(cardioid, KernelParams(self.SIGMA)).k
+        k = unpack(build_kernel(cardioid, KernelParams(self.SIGMA)).k)
         exponents, unfloored = self._unfloored(cardioid, self.SIGMA)
         upper = np.triu(np.ones((self.N, self.N), dtype=bool))
         kept = upper & (exponents >= exponent_floor(self.N))
@@ -334,10 +363,10 @@ class TestExponentFloor:
     def test_eigenpairs_match_the_unfloored_laplacian(self, cardioid):
         km = build_kernel(cardioid, KernelParams(self.SIGMA))
         _, unfloored = self._unfloored(cardioid, self.SIGMA)
-        degrees = symmetric_product(unfloored, np.ones(self.N))
+        degrees = symmetric_product(pack(unfloored), np.ones(self.N))
         assert np.array_equal(degrees, km.degrees)  # the clamped entries are far below ulp(d_i)
         pairs = [smallest_eigenpairs(build_laplacian(m), 2)
-                 for m in (km, KernelMatrix(unfloored, degrees, self.SIGMA))]
+                 for m in (km, KernelMatrix(pack(unfloored), degrees, self.SIGMA))]
         assert pairs[0].path == pairs[1].path == "dense"
         assert pairs[0].applications == pairs[1].applications
         assert np.array_equal(pairs[0].eigenvalues, pairs[1].eigenvalues)
@@ -346,54 +375,54 @@ class TestExponentFloor:
     def test_circle_at_auto_sigma_equals_the_unfloored_formula(self):
         _, _, z = noisy_sample(CurveSpec("circle"), self.N, 0, 100.0)
         sigma = select_bandwidth(self.N, kind=CurveKind.CLOSED_LOOP).sigma
-        k = build_kernel(z, KernelParams(sigma)).k
+        k = unpack(build_kernel(z, KernelParams(sigma)).k)
         exponents, unfloored = self._unfloored(z, sigma)
         assert exponents.min() > exponent_floor(self.N)
-        assert np.array_equal(np.triu(k), np.triu(unfloored))
+        assert np.array_equal(k, unfloored)
 
 
 class TestBuildLaplacian:
     def test_two_identical_points(self):
         km = build_kernel(DataMatrix(np.zeros((2, 2))), KernelParams(1.0))
         expected = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        assert np.allclose(build_laplacian(km).l, expected, atol=1e-15)
+        assert np.allclose(unpack(build_laplacian(km).l), expected, atol=1e-15)
 
     def test_closed_positive_semidefinite(self):
         x, _ = generate(CurveSpec("circle"), 60, 5)
         lap = build_laplacian(build_kernel(x, KernelParams(0.6)))
-        assert np.linalg.eigvalsh(lap.l).min() >= -1e-10
+        assert np.linalg.eigvalsh(unpack(lap.l)).min() >= -1e-10
 
     def test_open_half_circle_smallest_eigenvalue_near_zero(self):
         # dense eigendecomposition oracle on 50 noiseless half-circle points
         x, _ = generate(CurveSpec("half-circle"), 50, 0)
         km = build_kernel(x, KernelParams(math.sqrt(0.05)))
         lap = build_laplacian(km)
-        assert abs(np.linalg.eigvalsh(lap.l).min()) <= 1e-10
+        assert abs(np.linalg.eigvalsh(unpack(lap.l)).min()) <= 1e-10
 
     def test_open_null_vector_sqrt_density_normalized_degrees(self):
         rng = np.random.default_rng(10)
         km = build_kernel(DataMatrix(rng.standard_normal((3, 40))), KernelParams(0.9))
         # alpha = 1 kernel K~ = D^-1 K D^-1, formed explicitly as an oracle
         # before build_laplacian writes L over km.k
-        d_tilde = (mirrored(km.k) / np.outer(km.degrees, km.degrees)).sum(axis=1)
+        d_tilde = (unpack(km.k) / np.outer(km.degrees, km.degrees)).sum(axis=1)
         lap = build_laplacian(km)
         v = np.sqrt(d_tilde)
-        assert np.linalg.norm(lap.l @ v) / np.linalg.norm(v) <= 1e-10
+        assert np.linalg.norm(unpack(lap.l) @ v) / np.linalg.norm(v) <= 1e-10
         assert np.allclose(lap.inv_sqrt_degrees, 1.0 / v, rtol=1e-12, atol=0.0)
 
     def test_open_positive_semidefinite(self):
         rng = np.random.default_rng(11)
         km = build_kernel(DataMatrix(rng.standard_normal((2, 60))), KernelParams(0.6))
         lap = build_laplacian(km)
-        assert np.linalg.eigvalsh(lap.l).min() >= -1e-10
+        assert np.linalg.eigvalsh(unpack(lap.l)).min() >= -1e-10
 
     def test_open_random_walk_eigenvector(self):
         # D~^-1/2 u is an eigenvector of the random-walk matrix D~^-1 K~
         rng = np.random.default_rng(12)
         km = build_kernel(DataMatrix(rng.standard_normal((2, 50))), KernelParams(0.7))
-        k_tilde = mirrored(km.k) / np.outer(km.degrees, km.degrees)  # read before L overwrites km.k
+        k_tilde = unpack(km.k) / np.outer(km.degrees, km.degrees)  # read before L overwrites km.k
         lap = build_laplacian(km)
-        w, u = np.linalg.eigh(lap.l)
+        w, u = np.linalg.eigh(unpack(lap.l))
         f = lap.inv_sqrt_degrees * u[:, 1]
         walk = k_tilde / k_tilde.sum(axis=1)[:, None]
         assert np.linalg.norm(walk @ f - (1.0 - w[1]) * f) <= 1e-10 * np.linalg.norm(f)
@@ -405,43 +434,28 @@ class TestBuildLaplacian:
 
 
 class TestOneBuffer:
-    """``build_laplacian`` writes L over the kernel's own buffer, and its
-    row blocks must reproduce the whole-matrix product."""
+    """``build_laplacian`` writes L over the kernel's own packed matrix, and
+    its strips must reproduce the whole-matrix product."""
 
     def test_build_laplacian_writes_over_the_kernel(self):
         x, _ = generate(CurveSpec("circle"), 400, 13)
         km = build_kernel(noise_for_snr(x, 100.0, 14), KernelParams(0.3))
         degrees = km.degrees.copy()
         lap = build_laplacian(km)
-        assert np.shares_memory(lap.l, km.k)
+        assert lap.l is km.k
         assert np.array_equal(km.degrees, degrees)
 
     def test_row_blocks_match_whole_matrix_product(self):
-        # 1200 rows span several 2 MB row blocks and 10 tile rows, the last
-        # ones partial; the oracle is given the implementation's c, whose
-        # sums run in another order than a whole-matrix product's
+        # 1200 rows span 10 strips and several chunks of each, the last ones
+        # partial; the oracle is given the implementation's c, whose sums run
+        # in another order than a whole-matrix product's
         x, _ = generate(CurveSpec("circle"), 1200, 15)
         km = build_kernel(x, KernelParams(0.2))
-        k, inv = mirrored(km.k), 1.0 / km.degrees
+        k, inv = unpack(km.k), 1.0 / km.degrees
         lap = build_laplacian(km)
         c = inv * lap.inv_sqrt_degrees
         assert np.allclose(c, inv / np.sqrt(inv * (k @ inv)), rtol=1e-13, atol=0.0)
-        assert np.array_equal(lap.l, laplacian_outer_product(k, c))
-
-    def test_nothing_below_the_diagonal_is_read(self):
-        # below its diagonal km.k holds near-exact kernel values (each strip's
-        # diagonal block) or whatever the fresh memory held, so a pass that
-        # read them would move the sums only at rounding level; NaN there
-        # would reach every sum and every entry of L that read one
-        n = 3001  # four strip groups, more than one strip per group
-        x = np.random.default_rng(24).standard_normal((2, n))
-        km = build_kernel(DataMatrix(x), KernelParams(0.4))
-        k = km.k.copy()
-        k[np.tri(n, k=-1, dtype=bool)] = np.nan
-        assert np.array_equal(symmetric_product(k, np.ones(n)), km.degrees)
-        clean, poisoned = build_laplacian(km), build_laplacian(KernelMatrix(k, km.degrees, km.sigma))
-        assert np.array_equal(clean.l, poisoned.l)
-        assert np.array_equal(clean.inv_sqrt_degrees, poisoned.inv_sqrt_degrees)
+        assert np.array_equal(unpack(lap.l), laplacian_outer_product(k, c))
 
 
 class TestDisconnectedGraph:
@@ -466,7 +480,8 @@ class TestDisconnectedGraph:
         # nonzero, but within the N * eps rounding of the row sum
         z = DataMatrix(np.array([[0.0, 0.1, 0.942]]))
         km = build_kernel(z, KernelParams(0.1))
-        assert 0.0 < km.degrees[2] - km.k[2, 2] <= 3 * np.finfo(np.float64).eps * km.degrees[2]
+        self_term = km.k.diagonal()[2]
+        assert 0.0 < km.degrees[2] - self_term <= 3 * np.finfo(np.float64).eps * km.degrees[2]
         with pytest.raises(DisconnectedGraphError, match="1 of 3"):
             build_laplacian(km)
 
@@ -483,24 +498,24 @@ class TestInvariances:
         x = rng.standard_normal((3, 40))
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         p = KernelParams(0.8)
-        k1 = np.triu(build_kernel(DataMatrix(x), p).k)
-        k2 = np.triu(build_kernel(DataMatrix(q @ x), p).k)
+        k1 = unpack(build_kernel(DataMatrix(x), p).k)
+        k2 = unpack(build_kernel(DataMatrix(q @ x), p).k)
         assert np.abs(k1 - k2).max() <= 1e-10
 
     def test_joint_scaling_leaves_laplacians_invariant(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 35))
         c = 3.7
-        l1 = build_laplacian(build_kernel(DataMatrix(x), KernelParams(0.5))).l
-        l2 = build_laplacian(build_kernel(DataMatrix(c * x), KernelParams(0.5 * c))).l
+        l1 = unpack(build_laplacian(build_kernel(DataMatrix(x), KernelParams(0.5))).l)
+        l2 = unpack(build_laplacian(build_kernel(DataMatrix(c * x), KernelParams(0.5 * c))).l)
         assert np.abs(l1 - l2).max() <= 1e-10
         # k * sigma itself is scale-invariant
-        k1 = np.triu(build_kernel(DataMatrix(x), KernelParams(0.5)).k) * 0.5
-        k2 = np.triu(build_kernel(DataMatrix(c * x), KernelParams(0.5 * c)).k) * (0.5 * c)
+        k1 = unpack(build_kernel(DataMatrix(x), KernelParams(0.5)).k) * 0.5
+        k2 = unpack(build_kernel(DataMatrix(c * x), KernelParams(0.5 * c)).k) * (0.5 * c)
         assert np.abs(k1 - k2).max() <= 1e-10
 
     def test_laplacian_symmetry(self):
         rng = np.random.default_rng(9)
-        lap = build_laplacian(build_kernel(DataMatrix(rng.standard_normal((2, 45))),
-                                           KernelParams(0.7))).l
+        lap = unpack(build_laplacian(build_kernel(DataMatrix(rng.standard_normal((2, 45))),
+                                                  KernelParams(0.7))).l)
         assert np.abs(lap - lap.T).max() <= 1e-12 * max(1.0, np.abs(lap).max())

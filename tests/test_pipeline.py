@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from spectime import (
 )
 from spectime import eigen, io, pipeline, recover
 from spectime.errors import ConfigError, DisconnectedGraphError, TooFewPointsError
+from spectime.kernel import STRIP
 
 STAGES = ("bandwidth", "kernel", "laplacian", "eigensolve", "labels")
 
@@ -85,7 +90,7 @@ def test_denoised_recovery_reads_coordinates(tmp_path, monkeypatch, mode):
     (z, *_), den = calls["denoise_fixed_rank" if "denoise_rank" in mode else "denoise_auto"]
     (seen, _), km = calls["build_kernel"]
     ((built,), lap) = calls["build_laplacian"]
-    assert built is km and lap.l is km.k  # L is written over the kernel's buffer
+    assert built is km and lap.l is km.k  # L is written over the kernel's packed matrix
     assert seen.values.shape == (report["r_hat"], 120)
     assert np.array_equal(seen.values, den.basis.T @ z.values)
     written = io.load_data_matrix(tmp_path / "coords.csv").values
@@ -102,7 +107,8 @@ def test_rerun_reproduces_stage_outputs(tmp_path):
     ra = json.loads((a_dir / "report.json").read_text())
     rb = json.loads((b_dir / "report.json").read_text())
     for r in (ra, rb):
-        r.pop("wall_ms"), r.pop("stage_ms")  # the timings are the nondeterministic fields
+        # the timings and the memory rises are the nondeterministic fields
+        r.pop("wall_ms"), r.pop("stage_ms"), r.pop("stage_peak_mb")
     assert ra == rb
 
 
@@ -168,6 +174,30 @@ def test_report_times_each_stage_of_the_recovery(sigma):
     assert all(ms >= 0.0 for ms in out.stage_ms.values())
     assert sum(out.stage_ms.values()) <= elapsed_ms
     assert out.report()["stage_ms"] == out.stage_ms
+    assert tuple(out.stage_peak_mb) == STAGES
+    assert all(mb >= 0.0 for mb in out.stage_peak_mb.values())
+    assert out.report()["stage_peak_mb"] == out.stage_peak_mb
+
+
+def test_stage_peaks_add_up_to_less_than_one_n_by_n_array():
+    # in a fresh process the kernel stage raises the peak resident size by at
+    # most its packed matrix, half an N x N array, and a few MB, and all the
+    # stages together (the Laplacian is written over that matrix) by less
+    # than one N x N array.  How much of the kernel shows depends on how much
+    # freed memory malloc had kept, so there is no lower bound.
+    n = 3000
+    src = str(Path(eigen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = ("import json, spectime as st\n"
+              f"z = st.noisy_sample(st.CurveSpec('circle'), {n}, 0, 100.0)[2]\n"
+              "print(json.dumps(st.recover_labels(z, st.CurveKind.CLOSED_LOOP).stage_peak_mb))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True, timeout=300)
+    peak = json.loads(out.stdout)
+    packed_mb = 8 * (n * (n + 1) // 2 + n * STRIP) / 2**20
+    assert tuple(peak) == STAGES
+    assert peak["kernel"] <= packed_mb + 8.0
+    assert sum(peak.values()) < 8 * n * n / 2**20
 
 
 def test_highdim_configuration_takes_the_block_path():
@@ -190,11 +220,11 @@ def test_report_records_the_denoise_route_and_the_recovery_diagnostics(tmp_path)
         den.r_hat, "gram", den.ratio)
     recovery = recover_labels(den.coords, CurveKind.CLOSED_LOOP)
     for key, value in recovery.report().items():
-        assert key == "stage_ms" or report[key] == value
+        assert key in ("stage_ms", "stage_peak_mb") or report[key] == value
     assert len(report["eigenvalues"]) == 3
     written = json.loads((tmp_path / "report.json").read_text())
     assert written["solver_path"] == recovery.solver_path
-    assert set(written["stage_ms"]) == set(STAGES)
+    assert set(written["stage_ms"]) == set(written["stage_peak_mb"]) == set(STAGES)
 
 
 @pytest.mark.parametrize("setting, name", [
@@ -285,14 +315,14 @@ def test_recover_labels_matches_separate_stages(kind, monkeypatch):
     def build_copy(km):
         # L as recover_labels built it, copied before the eigensolve reads it
         lap = build_laplacian(km)
-        seen.append(lap.l.copy())
+        seen.append(lap.l.data.copy())
         return lap
 
     monkeypatch.setattr(recover, "build_laplacian", build_copy)
     out = recover_labels(z, kind, 0.25)
     assert out.sigma == 0.25
     lap = build_laplacian(build_kernel(z, KernelParams(0.25)))
-    assert np.array_equal(seen[0], lap.l)
+    assert np.array_equal(seen[0], lap.l.data)
     if kind is CurveKind.OPEN_CURVE:
         u = smallest_eigenpairs(lap, k=2).eigenvectors
         expected = recover_open(lap.inv_sqrt_degrees * u[:, 1])

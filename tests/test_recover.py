@@ -19,10 +19,10 @@ from spectime import (
     select_bandwidth,
 )
 from spectime.errors import CoincidentPointsError, ConfigError, LengthMismatchError
-from spectime.kernel import _upper_strips, exponent_floor
+from spectime.kernel import STRIP, PackedSymmetric, _upper_strips, exponent_floor
 from spectime.recover import DATA_BANDWIDTH_GRID, check_bandwidth
 
-from oracles import open_arccos_labels
+from oracles import open_arccos_labels, unpack
 
 TWO_PI = 2 * np.pi
 
@@ -209,6 +209,11 @@ class TestDataDrivenBandwidth:
         finally:
             tracemalloc.stop()
         assert got == sigma
+        # the packed distances and the pairs, then the pairs and the positive
+        # ones or the terms: never an N x N array; the first strip's pairs
+        # are copied out through a temporary of two 8-byte words per entry
+        packed, pairs = 8 * (n * (n + 1) // 2 + n * STRIP), 4 * n * (n - 1)
+        assert peak <= packed + pairs + 16 * STRIP * n + 2**20
         assert peak <= 13 * n * n + 2**20
 
     def test_coincident_points_rejected(self):
@@ -226,9 +231,9 @@ class TestDataDrivenBandwidth:
 def _unclamped_data_bandwidth(z):
     """(sigma, the grid's smallest sigma, each pair's squared distance) of
     the data rule with no exponent floor, one fresh exp array per sigma."""
-    sq = np.empty((z.n_points,) * 2)
-    _upper_strips(z.values, sq)
-    sq = sq[~np.tri(z.n_points, dtype=bool)]
+    packed = PackedSymmetric(z.n_points)
+    _upper_strips(z.values, packed)
+    sq = unpack(packed)[~np.tri(z.n_points, dtype=bool)]
     positive = sq[sq > 0]
     sigmas = np.geomspace(math.sqrt(float(np.quantile(positive, 0.01))) / 4.0,
                           math.sqrt(float(positive.max())), DATA_BANDWIDTH_GRID)
