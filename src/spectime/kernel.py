@@ -28,20 +28,21 @@ them: its upper triangle in row strips of STRIP rows, strip i holding rows
 [i STRIP, (i + 1) STRIP) from its diagonal on, each strip's square
 diagonal block in full, bit-exactly symmetric, so the whole takes
 N(N + 1)/2 + N (STRIP - 1)/2 entries at the most, half of an N x N array.
-``apply`` multiplies a block of rows by the matrix strip by strip; the
-eigensolver reads L through it alone.  The kernel is built one strip at a time, in
-row pieces of about 2 MB: a ``gemm`` writes the piece's block of -2 G,
-G = V^T V the Gram product, in place, and ||v_i - v_j||^2 = (n_i + n_j)
-- 2 G_ij with n_i = ||v_i||^2, the distance floor, the exponential and
-the prefactor follow, a chunk of the piece's rows at a time, while it is
-in cache; the finished strip copies its diagonal block's upper part onto
-the lower one and adds its share of the degrees.  ``build_laplacian``
-writes L over that same matrix, ``km.k``: one pass over the strips sums
-d~, and one pass scales each strip by -(c_i c_j) in place, which keeps
-the diagonal blocks symmetric bit for bit (c_i c_j = c_j c_i exactly).
-The recovery path holds one packed matrix from the Gram product to the
-eigensolve, and a ``KernelMatrix`` no longer holds its kernel once its
-Laplacian is built.
+``apply`` multiplies a block of rows by the matrix strip by strip, and
+it is the one product with the matrix: the degrees, d~ and the
+eigensolver's passes all go through it.  The kernel is built one strip
+at a time, in row pieces of about 2 MB: a ``gemm`` writes the piece's
+block of -2 G, G = V^T V the Gram product, in place, and
+||v_i - v_j||^2 = (n_i + n_j) - 2 G_ij with n_i = ||v_i||^2, the
+distance floor, the exponential and the prefactor follow, a chunk of the
+piece's rows at a time, while it is in cache, and the piece copies its
+part of the diagonal block's upper part onto the lower one; the degrees
+are then K 1, one ``apply``.  ``build_laplacian`` writes L over that
+same matrix, ``km.k``: one ``apply`` gives d~, and one pass scales each
+strip by -(c_i c_j) in place, which keeps the diagonal blocks symmetric
+bit for bit (c_i c_j = c_j c_i exactly).  The recovery path holds one
+packed matrix from the Gram product to the eigensolve, and a
+``KernelMatrix`` no longer holds its kernel once its Laplacian is built.
 
 An exponent -||v_i - v_j||^2 / (2 sigma^2) below F = ln(tiny * N^2) + 1
 (``exponent_floor``, -692 at N = 2000) is clamped at F before ``exp``,
@@ -55,25 +56,21 @@ magnitude), and a clamped entry moves its L entry by less than
 e^F = e * tiny * N^2, so ||dL||_2 < e * N^3 * tiny (4.8e-298 at
 N = 2000).
 
-Every pass over the strips (the kernel, the d~ sums and the Laplacian's
-scale) runs on W worker threads, W the number of CPUs in the process's
-affinity mask (``taskset`` limits it) but at most one per 32 MB of an
-N x N array, so one at N <= 2048, where a second worker gained nothing
-while the BLAS threads of the last product still spin; numpy releases
-the interpreter lock in the ufuncs and in the strip ``gemm``.  Strips
-shrink along the triangle, so jobs are dealt round-robin.  The calling
-thread allocates the workers' chunk buffers, about 0.6 MB split among
-them whatever W is (one row each at the least), and the pool lives for
-one call, so a forked child starts its own.  Strip i belongs to strip
-group i mod G, G set by N alone (two per worker there can be).  The
-groups are the strip passes' jobs: each group belongs to
-one worker, which runs its strips in strip order and adds each one's
-share of a sum across strips (a degree's or a d~'s column part) to the
-group's O(N) partial sums, and the groups are added in order
-(``_strip_sums``).  The rest is elementwise, so K, the degrees, d~ and L
-do not depend on W: the output is reproducible at a fixed BLAS thread
-count; a different BLAS count can change the last bits of G, of the sums
-and of the eigensolver's output.
+The kernel's strip pass and the Laplacian's scale run on W worker
+threads, W the number of CPUs in the process's affinity mask
+(``taskset`` limits it) but at most one per 32 MB of an N x N array, so
+one at N <= 2048, where a second worker gained nothing while the BLAS
+threads of the last product still spin; numpy releases the interpreter
+lock in the ufuncs and in the strip ``gemm``.  Strips shrink along the
+triangle, so they are dealt round-robin.  The calling thread allocates
+the workers' chunk buffers, about 0.6 MB split among them whatever W is
+(one row each at the least), and the pool lives for one call, so a
+forked child starts its own.  One rule makes the output independent of
+W: the workers only fill and scale disjoint strips, and every sum across
+strips (the degrees, d~, the eigensolver's products) is an ``apply`` on
+the calling thread.  So K, the degrees, d~ and L are the same bits at
+any W; a different BLAS thread count can change the last bits of G, of
+the sums and of the eigensolver's output.
 """
 
 from __future__ import annotations
@@ -204,43 +201,6 @@ def _on_workers(task, jobs: list | range, shape: int | tuple[int, int], *dtypes)
             future.result()
 
 
-def _strip_sums(a: PackedSymmetric, task, *dtypes) -> np.ndarray:
-    """Call task(rows, strip, *buffers) for each strip of a and return the
-    sum of what the tasks return, vectors over the columns rows.stop on
-    (None adds nothing).  Strip i belongs to group i mod G,
-    G = 2 N^2 / ``_WORKER_ELEMENTS`` (two per worker there can be) but at
-    least 1 and at most the strips; the groups are dealt to the workers
-    (see ``_on_workers``), each worker runs its groups' strips in strip
-    order and adds each vector to its group's O(N) partial sums, and the
-    groups are summed in order, so the sum does not depend on W."""
-    n = a.n
-    groups = max(1, min(len(a.strips), 2 * (n * n // _WORKER_ELEMENTS)))
-    sums = np.zeros((groups, n))
-
-    def run(owned, *buffers):  # owned: this worker's groups, a range
-        for i, (rows, strip) in enumerate(a.strips):
-            if i % groups in owned:
-                part = task(rows, strip, *buffers)
-                if part is not None:
-                    sums[i % groups, rows.stop :] += part
-
-    _on_workers(run, range(groups), n, *dtypes)
-    return sums.sum(axis=0)
-
-
-def _piece_product(w: np.ndarray, out: np.ndarray, rows: slice, strip: np.ndarray,
-                   piece_rows: slice, below: np.ndarray) -> None:
-    """For the rows piece_rows of the strip, write their rows of A w into
-    out and add their part of the rows below the strip, their entries of w
-    times their part right of the diagonal block, to ``below`` (over the
-    columns rows.stop on)."""
-    s = rows.start
-    piece = strip[piece_rows]
-    top = slice(s + piece_rows.start, s + piece_rows.start + piece.shape[0])
-    np.matmul(piece, w[s:], out=out[top])
-    below += w[top] @ piece[:, rows.stop - s :]
-
-
 def _mirror_rows(block: np.ndarray, rows: slice) -> None:
     """Copy the square block's entries above the diagonal onto those below
     it in ``rows``, whose columns' rows above the diagonal are final."""
@@ -249,54 +209,43 @@ def _mirror_rows(block: np.ndarray, rows: slice) -> None:
     block[a:b, :b][below] = block[:b, a:b].T[below]
 
 
-def _upper_strips(values: np.ndarray, out: PackedSymmetric, finish=None,
-                  degrees: np.ndarray | None = None) -> None:
+def _upper_strips(values: np.ndarray, out: PackedSymmetric, finish=None) -> None:
     """Write the squared distances between the columns of ``values`` into
-    ``out``, one strip at a time, each worker running the strips of its own
-    strip groups in strip order (see ``_strip_sums``) and each strip in row
-    pieces of about ``_BLOCK_ELEMENTS`` entries; ``finish``, if given, is
-    applied to each chunk of a piece's rows while it is in cache, and the
-    row sums of the finished matrix are written into ``degrees``, if given,
-    each piece adding its share while it is in cache, and each strip its
-    share to its group's partial sums.  The diagonal, and any entry at or
-    below the Gram form's rounding error (d + 2) * eps * (n_i + n_j), is 0,
-    so coincident points are at distance 0.  Each strip's diagonal block is
-    computed in full, then each piece's part below the diagonal copied from
-    the part above."""
+    ``out``, its strips dealt to the workers (see ``_on_workers``) and each
+    strip written in row pieces of about ``_BLOCK_ELEMENTS`` entries;
+    ``finish``, if given, is applied to each chunk of a piece's rows while
+    it is in cache.  The diagonal, and any entry at or below the Gram
+    form's rounding error (d + 2) * eps * (n_i + n_j), is 0, so coincident
+    points are at distance 0.  Each strip's diagonal block is computed in
+    full, then each piece's part below the diagonal copied from the part
+    above."""
     n = out.n
     norms = np.einsum("ij,ij->j", values, values)
     floor = (values.shape[0] + 2) * np.finfo(np.float64).eps
-    ones = np.ones(n)
 
-    def strip_task(rows, strip, total_buf, mask_buf, below_buf):
-        s = rows.start
-        below = below_buf[: n - rows.stop]
-        below[...] = 0.0
-        for piece_rows in row_blocks(strip.shape[0], strip.shape[1]):
-            piece = strip[piece_rows]
-            top = s + piece_rows.start
-            # -2 G from the gemm itself, bit for bit: scaling by a power of 2 is exact
-            np.matmul(-2.0 * values[:, top : top + piece.shape[0]].T, values[:, s:], out=piece)
-            for part in row_blocks(piece.shape[0], piece.shape[1], total_buf.size):
-                chunk = piece[part]
-                shape = chunk.shape
-                total = np.add.outer(norms[top + part.start : top + part.start + shape[0]],
-                                     norms[s:], out=total_buf[: chunk.size].reshape(shape))
-                chunk += total
-                total *= floor
-                mask = np.less_equal(chunk, total, out=mask_buf[: chunk.size].reshape(shape))
-                np.copyto(chunk, 0.0, where=mask)
-                np.fill_diagonal(chunk[:, top - s + part.start :], 0.0)  # the entries (i, i)
-                if finish is not None:
-                    finish(chunk)
-            _mirror_rows(strip[:, : rows.stop - s], piece_rows)
-            if degrees is not None:
-                _piece_product(ones, degrees, rows, strip, piece_rows, below)
-        return below if degrees is not None else None
+    def run(jobs, total_buf, mask_buf):
+        for rows, strip in jobs:
+            s = rows.start
+            for piece_rows in row_blocks(strip.shape[0], strip.shape[1]):
+                piece = strip[piece_rows]
+                top = s + piece_rows.start
+                # -2 G from the gemm itself, bit for bit: scaling by a power of 2 is exact
+                np.matmul(-2.0 * values[:, top : top + piece.shape[0]].T, values[:, s:], out=piece)
+                for part in row_blocks(piece.shape[0], piece.shape[1], total_buf.size):
+                    chunk = piece[part]
+                    shape = chunk.shape
+                    total = np.add.outer(norms[top + part.start : top + part.start + shape[0]],
+                                         norms[s:], out=total_buf[: chunk.size].reshape(shape))
+                    chunk += total
+                    total *= floor
+                    mask = np.less_equal(chunk, total, out=mask_buf[: chunk.size].reshape(shape))
+                    np.copyto(chunk, 0.0, where=mask)
+                    np.fill_diagonal(chunk[:, top - s + part.start :], 0.0)  # the entries (i, i)
+                    if finish is not None:
+                        finish(chunk)
+                _mirror_rows(strip[:, : rows.stop - s], piece_rows)
 
-    columns = _strip_sums(out, strip_task, np.float64, np.bool_, np.float64)
-    if degrees is not None:
-        degrees += columns
+    _on_workers(run, out.strips, n, np.float64, np.bool_)
 
 
 def _squared_distances(values: np.ndarray) -> np.ndarray:
@@ -314,22 +263,6 @@ def _squared_distances(values: np.ndarray) -> np.ndarray:
         sq[at : at + pairs.size] = pairs
         at += pairs.size
     return sq
-
-
-def symmetric_product(a: PackedSymmetric, w: np.ndarray) -> np.ndarray:
-    """A w in one pass over a's strips, each in row pieces of about
-    ``_BLOCK_ELEMENTS`` entries (see ``_piece_product`` and
-    ``_strip_sums``)."""
-    out = np.empty(a.n)
-
-    def task(rows, strip, buf):
-        below = buf[: a.n - rows.stop]
-        below[...] = 0.0
-        for piece_rows in row_blocks(strip.shape[0], strip.shape[1]):
-            _piece_product(w, out, rows, strip, piece_rows, below)
-        return below
-
-    return out + _strip_sums(a, task, np.float64)
 
 
 def exponent_floor(n: int) -> float:
@@ -354,9 +287,10 @@ def build_kernel(z: DataMatrix | np.ndarray, p: KernelParams) -> KernelMatrix:
         np.exp(chunk, out=chunk)
         chunk *= prefactor  # diagonal: exp(0) * prefactor
 
-    degrees = np.empty(n)
-    _upper_strips(values, k, finish, degrees)
-    return KernelMatrix(k=k, degrees=degrees, sigma=p.sigma)
+    _upper_strips(values, k, finish)
+    degrees = np.empty((1, n))
+    k.apply(np.ones((1, n)), degrees)  # K 1, as K is symmetric
+    return KernelMatrix(k=k, degrees=degrees[0], sigma=p.sigma)
 
 
 def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:
@@ -364,9 +298,9 @@ def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:
     L shares the kernel's buffer; ``km.degrees`` is left as it was.
 
     With K~ = D^-1 K D^-1 and d~ its row sums, S_ij = k~_ij / sqrt(d~_i d~_j)
-    = k_ij c_i c_j for the scale vector c = D^-1 D~^-1/2.  d~ is summed over
-    K's strips, which are then scaled in place, so L is bit-exactly
-    symmetric as K is.  Every degree holds the self term
+    = k_ij c_i c_j for the scale vector c = D^-1 D~^-1/2.  d~ takes one
+    ``apply`` of K, whose strips are then scaled in place, so L is
+    bit-exactly symmetric as K is.  Every degree holds the self term
     1 / (sqrt(2 pi) sigma), finite and positive for any sigma that
     ``KernelParams`` accepts, and no other entry is negative, so D^-1
     exists.
@@ -380,7 +314,9 @@ def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:
             "have no neighbour above rounding; use a larger bandwidth"
         )
     inv = 1.0 / deg
-    inv_sqrt = 1.0 / np.sqrt(inv * symmetric_product(k, inv))  # d~ = D^-1 K D^-1 1
+    k_inv = np.empty((1, n))
+    k.apply(inv[None], k_inv)  # K D^-1 1, as K is symmetric
+    inv_sqrt = 1.0 / np.sqrt(inv * k_inv[0])  # d~ = D^-1 K D^-1 1
     c = inv * inv_sqrt
     neg = -c
 

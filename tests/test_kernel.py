@@ -30,7 +30,6 @@ from spectime.kernel import (
     PackedSymmetric,
     _upper_strips,
     exponent_floor,
-    symmetric_product,
 )
 
 from oracles import gaussian_kernel_pdist, laplacian_outer_product, pack, unpack
@@ -212,8 +211,7 @@ class TestStrips:
     @pytest.mark.parametrize("n", [2000, 3001])
     def test_peak_memory_one_n_by_n_array(self, n):
         # the packed kernel, half an N x N array, plus the workers' chunk
-        # buffers; at N = 3001 there are four strip groups, so their (G, N)
-        # sums are live
+        # buffers and the degrees' few rows of N
         z = DataMatrix(np.random.default_rng(21).standard_normal((2, n)))
         tracemalloc.start()
         try:
@@ -232,9 +230,10 @@ class TestStrips:
 
 
 class TestWorkers:
-    """Every N x N pass runs on W worker threads; K's upper triangle, the
+    """The strip passes run on W worker threads; K's upper triangle, the
     degrees, L and D~^-1/2 must not depend on W at a fixed BLAS thread
-    count, though the degrees and d~ add sums across strips."""
+    count: the workers only fill and scale disjoint strips, and the sums
+    across strips (the degrees and d~) run on the calling thread."""
 
     @staticmethod
     def _outputs(x, monkeypatch, workers):
@@ -246,10 +245,9 @@ class TestWorkers:
 
     @pytest.mark.parametrize("n, d", [(3001, 2), (1500, 300)])
     def test_bit_identical_across_worker_counts(self, monkeypatch, n, d):
-        # 16 workers, more than the cores and the strip groups, with frequent
-        # thread switches: each strip group belongs to one worker and adds its
-        # strips in strip order, so a group split across workers or a strip
-        # added out of order would change the sums' rounding
+        # 16 workers, more than the cores, with frequent thread switches: a
+        # sum across strips taken on the workers, or a strip written by two
+        # of them, would change the outputs' bits with W
         x = np.random.default_rng(n + d).standard_normal((d, n)) / math.sqrt(d) + 0.3
         one = self._outputs(x, monkeypatch, 1)
         interval = sys.getswitchinterval()
@@ -262,21 +260,20 @@ class TestWorkers:
             sys.setswitchinterval(interval)
 
     def test_a_failing_strip_raises_and_leaves_no_worker_waiting(self, monkeypatch):
-        # N = 3001 has four strip groups on three workers; strip 0 raises on
-        # one worker while the others run their own groups' strips to the end,
-        # and the call must raise once, not wait or return a partial sum
+        # the 24 strips of N = 3001 on three workers; strip 0 raises on one
+        # worker while the others write their own strips to the end, and the
+        # call must raise once, not wait or return a partial matrix
         monkeypatch.setattr(kernel, "_worker_count", lambda n: 3)
 
-        def task(rows, strip, buf):
-            if rows.start == 0:
+        def finish(chunk):
+            if chunk.shape[1] == 3001:  # a chunk of strip 0, the only one N wide
                 raise RuntimeError("strip 0")
-            return buf[: 3001 - rows.stop]
 
         raised = []
 
         def call():
             try:
-                kernel._strip_sums(PackedSymmetric(3001), task, np.float64)
+                _upper_strips(np.zeros((2, 3001)), PackedSymmetric(3001), finish)
             except RuntimeError as error:
                 raised.append(error)
 
@@ -363,10 +360,11 @@ class TestExponentFloor:
     def test_eigenpairs_match_the_unfloored_laplacian(self, cardioid):
         km = build_kernel(cardioid, KernelParams(self.SIGMA))
         _, unfloored = self._unfloored(cardioid, self.SIGMA)
-        degrees = symmetric_product(pack(unfloored), np.ones(self.N))
-        assert np.array_equal(degrees, km.degrees)  # the clamped entries are far below ulp(d_i)
+        degrees = np.empty((1, self.N))
+        pack(unfloored).apply(np.ones((1, self.N)), degrees)
+        assert np.array_equal(degrees[0], km.degrees)  # the clamped entries are far below ulp(d_i)
         pairs = [smallest_eigenpairs(build_laplacian(m), 2)
-                 for m in (km, KernelMatrix(pack(unfloored), degrees, self.SIGMA))]
+                 for m in (km, KernelMatrix(pack(unfloored), degrees[0], self.SIGMA))]
         assert pairs[0].path == pairs[1].path == "dense"
         assert pairs[0].applications == pairs[1].applications
         assert np.array_equal(pairs[0].eigenvalues, pairs[1].eigenvalues)
@@ -399,9 +397,10 @@ class TestBuildLaplacian:
         lap = build_laplacian(km)
         assert abs(np.linalg.eigvalsh(unpack(lap.l)).min()) <= 1e-10
 
-    def test_open_null_vector_sqrt_density_normalized_degrees(self):
+    @pytest.mark.parametrize("n", [40, 1500])  # one strip, and 12
+    def test_open_null_vector_sqrt_density_normalized_degrees(self, n):
         rng = np.random.default_rng(10)
-        km = build_kernel(DataMatrix(rng.standard_normal((3, 40))), KernelParams(0.9))
+        km = build_kernel(DataMatrix(rng.standard_normal((3, n))), KernelParams(0.9))
         # alpha = 1 kernel K~ = D^-1 K D^-1, formed explicitly as an oracle
         # before build_laplacian writes L over km.k
         d_tilde = (unpack(km.k) / np.outer(km.degrees, km.degrees)).sum(axis=1)
