@@ -6,13 +6,13 @@ pair (lambda_j, v_j) satisfies
 post hoc by one direct product, ``V^T A``, written by the block path's
 own pass.
 
-The one input is a ``LaplacianMatrix`` from ``kernel.build_laplacian``;
-its ``l``, the A of these notes, is a ``kernel.PackedSymmetric``,
-bit-exactly symmetric and positive semidefinite by construction, so no
-symmetry check runs, and the certificate stays the arbiter.  The solver
-reads A only through ``PackedSymmetric.apply`` and the dense path's
-copy, and never writes it, so one ``LaplacianMatrix`` can serve any
-number of solves, concurrent ones included.  Anything that is not a
+The one input is a ``LaplacianMatrix`` from ``kernel.build_laplacian``,
+the operator A = I - C K C of these notes over the kernel's packed K,
+symmetric and positive semidefinite by construction, so no symmetry
+check runs, and the certificate stays the arbiter.  The solver reads A
+only through ``LaplacianMatrix.apply`` and the dense path's copy, and
+never writes K, so one ``LaplacianMatrix`` can serve any number of
+solves, concurrent ones included.  Anything that is not a
 ``LaplacianMatrix`` raises ``TypeError`` before any work.
 
 One iteration, two operators.  ``_block_smallest`` is a thick-restarted
@@ -34,12 +34,12 @@ eigenvalue, so both paths use w >= k.
 
 The block path: every solve starts on A itself, in blocks of
 max(BLOCK, k) rows.  One pass is ``block @ A``, which equals
-(A block^T)^T because A is symmetric: ``apply`` reads each strip of A
+(A block^T)^T because A is symmetric: ``apply`` reads each strip of K
 in two products on the calling thread, BLAS's threads doing the work,
-so the Laplacian built in the kernel's packed matrix stays the only
-large array.  At N <= DENSE_CUTOFF and k <= N/4 its first PROBE_PASSES
-passes are a probe: from their Ritz values theta it predicts
-GAP_PASSES / sqrt(gap) passes, gap = (theta_w - theta_k) / (theta_max - theta_w) for a block of
+so the kernel's packed matrix stays the only large array.  At
+N <= DENSE_CUTOFF and k <= N/4 its first PROBE_PASSES passes are a
+probe: from their Ritz values theta it predicts GAP_PASSES / sqrt(gap)
+passes, gap = (theta_w - theta_k) / (theta_max - theta_w) for a block of
 w rows (a block iteration resolves the k smallest pairs at a rate set by
 how far its block's low spectrum lies below the top), and when that
 exceeds FACTOR_PASSES, the factor's cost in passes, the solve factors as
@@ -67,10 +67,11 @@ certificate, which stays the only arbiter.
 
 ``_factor`` is a left-looking blocked Cholesky A + tau*I = U^T U built
 from numpy alone, so the process loads one BLAS library.  U is upper
-triangular and goes into a second ``PackedSymmetric`` of A's layout, the
+triangular and goes into a second ``PackedSymmetric`` of K's layout, the
 only one this path allocates, so the path holds two half-size matrices,
-as many bytes as one N x N array.  Each strip of U starts as a copy of
-A's, shifted, and takes one product per strip above it for its update,
+as many bytes as one N x N array.  Each strip of U starts as that strip
+of A + tau*I, formed from K's as -(c_i c_j) k_ij plus 1 + tau on the
+diagonal, and takes one product per strip above it for its update,
 ``np.linalg.cholesky`` on its diagonal block, and the part right of that
 block times the block's inverse.  The inverse of U's diagonal block is
 stored in place of the block, and ``_solve``'s forward and back solves
@@ -156,21 +157,21 @@ def smallest_eigenpairs(lap: LaplacianMatrix, k: int) -> SpectralResult:
     if not isinstance(lap, LaplacianMatrix):
         raise TypeError(f"expected a LaplacianMatrix (see build_laplacian), "
                         f"got {type(lap).__name__}")
-    a, n = lap.l, lap.n
+    n = lap.n
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     probe = PROBE_PASSES if n <= DENSE_CUTOFF and k <= n // 4 else None
-    found, path = _block_smallest(a.apply, n, k, max(BLOCK, k), DEFAULT_TOL, probe,
+    found, path = _block_smallest(lap.apply, n, k, max(BLOCK, k), DEFAULT_TOL, probe,
                                   factorable=True), "block"
     if found is None:  # the probe chose the factor, or the budget ran out
-        found, path = _dense_smallest(a, k), "dense"
+        found, path = _dense_smallest(lap, k), "dense"
     values, vectors, applied = found
 
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = _fix_signs(vectors[:, order])
     image = np.empty((k, n))  # V^T A, read in rows as the block path reads A
-    a.apply(vectors.T, image)
+    lap.apply(vectors.T, image)
     residuals = np.linalg.norm(image - vectors.T * values[:, None], axis=1)
     bound = DEFAULT_TOL * max(1.0, float(np.abs(values).max()))
     if not residuals.max() <= bound:  # NaN fails too
@@ -181,19 +182,22 @@ def smallest_eigenpairs(lap: LaplacianMatrix, k: int) -> SpectralResult:
                           path=path, applications=applied)
 
 
-def _factor(a: PackedSymmetric) -> PackedSymmetric:
-    """U of A + SHIFT*I = U^T U, upper triangular, in a new packed matrix
-    of a's layout, computed left-looking one strip of rows at a time; the
-    diagonal block of each strip of U holds that block's inverse (upper
-    triangular, zeros below), which both the rest of the strip and
-    ``_solve`` multiply by.  a is only read.  Raises ``LinAlgError`` when a
-    diagonal block has no Cholesky factor."""
-    u = PackedSymmetric(a.n)
-    update = np.empty((STRIP, a.n))
-    for j, ((rows, strip), (_, source)) in enumerate(zip(u.strips, a.strips)):
+def _factor(lap: LaplacianMatrix) -> PackedSymmetric:
+    """U of A + SHIFT*I = U^T U, A = I - C K C, upper triangular, in a new
+    packed matrix of K's layout, computed left-looking one strip of rows
+    at a time; the diagonal block of each strip of U holds that block's
+    inverse (upper triangular, zeros below), which both the rest of the
+    strip and ``_solve`` multiply by.  K is only read.  Raises
+    ``LinAlgError`` when a diagonal block has no Cholesky factor."""
+    u = PackedSymmetric(lap.n)
+    update = np.empty((STRIP, lap.n))
+    c, neg = lap.scale, -lap.scale
+    for j, ((rows, strip), (_, source)) in enumerate(zip(u.strips, lap.k.strips)):
         m = rows.stop - rows.start
-        np.copyto(strip, source)
-        np.fill_diagonal(strip, strip.diagonal() + SHIFT)
+        # -(c_i c_j) exactly, times k_ij; symmetric blocks, as c_i c_j = c_j c_i
+        np.multiply(np.multiply.outer(neg[rows], c[rows.start :], out=update[:m, : strip.shape[1]]),
+                    source, out=strip)
+        np.fill_diagonal(strip, 1.0 + strip.diagonal() + SHIFT)
         for above_rows, above in u.strips[:j]:  # U[:s, rows]^T U[:s, s:], a strip at a time
             at = rows.start - above_rows.start
             strip -= np.matmul(above[:, at : at + m].T, above[:, at:],
@@ -221,19 +225,19 @@ def _solve(u: PackedSymmetric, rows: np.ndarray, out: np.ndarray) -> None:
     np.negative(out, out=out)
 
 
-def _dense_smallest(a: PackedSymmetric, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _dense_smallest(lap: LaplacianMatrix, k: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Smallest pairs of A from the block iteration on -(A + SHIFT*I)^-1,
     with the operator applications; raises ``NoConvergenceError`` when
     A + SHIFT*I has no Cholesky factor."""
     try:
-        u = _factor(a)
+        u = _factor(lap)
     except np.linalg.LinAlgError:
         raise NoConvergenceError(0, f"L + SHIFT*I (SHIFT = {SHIFT:g}) has no Cholesky "
                                  "factor, so L has an eigenvalue at or below -SHIFT, "
                                  "which no graph Laplacian has") from None
     # the inner target is relative to the transformed spectrum; ask
     # well below the certificate, which stays the only arbiter
-    theta, v, applied = _block_smallest(partial(_solve, u), a.n, k, k,
+    theta, v, applied = _block_smallest(partial(_solve, u), lap.n, k, k,
                                         min(DEFAULT_TOL, 1e-10) * 1e-2)
     return -1.0 / theta - SHIFT, v, applied
 

@@ -23,54 +23,46 @@ neighbour in the graph; normalization then raises
 ``DisconnectedGraphError`` instead of handing a degenerate operator to
 the eigensolver.
 
-K, D~ and L are symmetric, so one ``PackedSymmetric`` holds each of
-them: its upper triangle in row strips of STRIP rows, strip i holding rows
-[i STRIP, (i + 1) STRIP) from its diagonal on, each strip's square
-diagonal block in full, bit-exactly symmetric, so the whole takes
-N(N + 1)/2 + N (STRIP - 1)/2 entries at the most, half of an N x N array.
-``apply`` multiplies a block of rows by the matrix strip by strip, and
-it is the one product with the matrix: the degrees, d~ and the
-eigensolver's passes all go through it.  The kernel is built one strip
-at a time, in row pieces of about 2 MB: a ``gemm`` writes the piece's
-block of -2 G, G = V^T V the Gram product, in place, and
-||v_i - v_j||^2 = (n_i + n_j) - 2 G_ij with n_i = ||v_i||^2, the
-distance floor, the exponential and the prefactor follow, a chunk of the
-piece's rows at a time, while it is in cache, and the piece copies its
-part of the diagonal block's upper part onto the lower one; the degrees
-are then K 1, one ``apply``.  ``build_laplacian`` writes L over that
-same matrix, ``km.k``: one ``apply`` gives d~, and one pass scales each
-strip by -(c_i c_j) in place, which keeps the diagonal blocks symmetric
-bit for bit (c_i c_j = c_j c_i exactly).  The recovery path holds one
-packed matrix from the Gram product to the eigensolve, and a
-``KernelMatrix`` no longer holds its kernel once its Laplacian is built.
+K is symmetric, so one ``PackedSymmetric`` holds it: its upper triangle
+in row strips of STRIP rows, strip i holding rows [i STRIP, (i + 1) STRIP)
+from its diagonal on, each strip's square diagonal block in full,
+bit-exactly symmetric, so the whole takes N(N + 1)/2 + N (STRIP - 1)/2
+entries at the most, half of an N x N array.  ``apply`` multiplies a
+block of rows by the matrix strip by strip, and it is the one product
+with the matrix: the degrees K 1, d~ and the eigensolver's passes all go
+through it.  L = I - C K C, C = diag(c), is an operator over that same
+matrix: ``LaplacianMatrix.apply`` scales the rows by c before K and the
+product by c after it, and the eigensolver's dense path forms each
+strip of L + SHIFT I in its own copy.  So K is written once, by the
+kernel's strip pass, and only read from then on; the recovery path holds
+one packed matrix from the Gram product to the eigensolve.
 
 An exponent -||v_i - v_j||^2 / (2 sigma^2) below F = ln(tiny * N^2) + 1
 (``exponent_floor``, -692 at N = 2000) is clamped at F before ``exp``,
 which keeps ``exp`` off its subnormal slow path (71 ns per entry against
 0.5 ns, 2-core Xeon KVM box); an entry at or above F is the unfloored
-formula's bit for bit.  With p = 1 / (sqrt(2 pi) sigma), d_i <= N p and
-p / d_i^2 <= d~_i <= 1 / p, so build_laplacian's scale has
-1 / (N^2 p) <= c_i c_j <= 1 / p: every entry of K is at least p e^F, so
-no entry of L is subnormal (each is at least e^F / N^2 = e * tiny in
-magnitude), and a clamped entry moves its L entry by less than
-e^F = e * tiny * N^2, so ||dL||_2 < e * N^3 * tiny (4.8e-298 at
-N = 2000).
+formula's bit for bit.  Every entry of K is at least p e^F, p = 1 /
+(sqrt(2 pi) sigma), so none is subnormal.  With d_i <= N p and
+p / d_i^2 <= d~_i <= 1 / p, the scale has 1 / (N^2 p) <= c_i c_j <= 1 / p,
+so no entry -(c_i c_j) k_ij of the factor's L + SHIFT I is subnormal
+either (each is at least e^F / N^2 = e * tiny in magnitude), and a
+clamped entry moves its L entry by less than e^F = e * tiny * N^2, so
+||dL||_2 < e * N^3 * tiny (4.8e-298 at N = 2000).
 
-The kernel's strip pass and the Laplacian's scale run on W worker
-threads, W the number of CPUs in the process's affinity mask
-(``taskset`` limits it) but at most one per 32 MB of an N x N array, so
-one at N <= 2048, where a second worker gained nothing while the BLAS
-threads of the last product still spin; numpy releases the interpreter
-lock in the ufuncs and in the strip ``gemm``.  Strips shrink along the
-triangle, so they are dealt round-robin.  The calling thread allocates
-the workers' chunk buffers, about 0.6 MB split among them whatever W is
-(one row each at the least), and the pool lives for one call, so a
-forked child starts its own.  One rule makes the output independent of
-W: the workers only fill and scale disjoint strips, and every sum across
-strips (the degrees, d~, the eigensolver's products) is an ``apply`` on
-the calling thread.  So K, the degrees, d~ and L are the same bits at
-any W; a different BLAS thread count can change the last bits of G, of
-the sums and of the eigensolver's output.
+The kernel's strip pass runs on W worker threads, W the number of CPUs
+in the process's affinity mask (``taskset`` limits it) but at most one
+per 32 MB of an N x N array, so one at N <= 2048, where a second worker
+gained nothing while the BLAS threads of the last product still spin;
+numpy releases the interpreter lock in the ufuncs and in the strip
+``gemm``.  Strips shrink along the triangle, so they are dealt
+round-robin.  The calling thread allocates the workers' chunk buffers,
+about 0.6 MB split among them whatever W is (one row each at the least),
+and the pool lives for one call, so a forked child starts its own.  One
+rule makes the output independent of W: the workers only fill disjoint
+strips, and every sum across strips (the degrees, d~, the eigensolver's
+products) is an ``apply`` on the calling thread.  So K, the degrees, d~
+and c are the same bits at any W; a different BLAS thread count can
+change the last bits of G, of the sums and of the eigensolver's output.
 """
 
 from __future__ import annotations
@@ -138,8 +130,7 @@ class PackedSymmetric:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric N x N Gaussian similarity matrix K with its degree vector;
-    ``build_laplacian`` writes L over ``k``."""
+    """Symmetric N x N Gaussian similarity matrix K with its degree vector."""
 
     k: PackedSymmetric
     degrees: np.ndarray
@@ -148,16 +139,25 @@ class KernelMatrix:
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
-    """Symmetric normalized graph Laplacian L = I - S, the one input of
-    ``eigen.smallest_eigenpairs``, which only reads it."""
+    """Symmetric normalized graph Laplacian L = I - C K C, C = diag(scale),
+    as an operator over the kernel's packed K, which it only reads; the one
+    input of ``eigen.smallest_eigenpairs``."""
 
-    l: PackedSymmetric
+    k: PackedSymmetric  # K itself, the kernel's ``km.k``
+    scale: np.ndarray  # c = D^-1 D~^-1/2
     sigma: float
     inv_sqrt_degrees: np.ndarray  # D~^-1/2 of S; random-walk vector = inv_sqrt_degrees * u
 
     @property
     def n(self) -> int:
-        return self.l.n
+        return self.k.n
+
+    def apply(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Write rows @ L = rows - ((rows c) @ K) c into out, both w x N,
+        through ``PackedSymmetric.apply``."""
+        self.k.apply(rows * self.scale, out)
+        out *= self.scale
+        np.subtract(rows, out, out=out)
 
 
 def row_blocks(n: int, width: int | None = None, elements: int = _BLOCK_ELEMENTS):
@@ -294,13 +294,12 @@ def build_kernel(z: DataMatrix | np.ndarray, p: KernelParams) -> KernelMatrix:
 
 
 def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:
-    """Overwrite the kernel matrix ``km.k`` with L = I - S and return it, so
-    L shares the kernel's buffer; ``km.degrees`` is left as it was.
+    """L = I - S as an operator over the kernel's matrix ``km.k``, which
+    is read and never written; ``km.degrees`` is left as it was too.
 
     With K~ = D^-1 K D^-1 and d~ its row sums, S_ij = k~_ij / sqrt(d~_i d~_j)
-    = k_ij c_i c_j for the scale vector c = D^-1 D~^-1/2.  d~ takes one
-    ``apply`` of K, whose strips are then scaled in place, so L is
-    bit-exactly symmetric as K is.  Every degree holds the self term
+    = c_i k_ij c_j for the scale vector c = D^-1 D~^-1/2, and d~ takes one
+    ``apply`` of K.  Every degree holds the self term
     1 / (sqrt(2 pi) sigma), finite and positive for any sigma that
     ``KernelParams`` accepts, and no other entry is negative, so D^-1
     exists.
@@ -317,16 +316,4 @@ def build_laplacian(km: KernelMatrix) -> LaplacianMatrix:
     k_inv = np.empty((1, n))
     k.apply(inv[None], k_inv)  # K D^-1 1, as K is symmetric
     inv_sqrt = 1.0 / np.sqrt(inv * k_inv[0])  # d~ = D^-1 K D^-1 1
-    c = inv * inv_sqrt
-    neg = -c
-
-    def scale(jobs, buf):  # each strip times -(c_i c_j), one chunk of rows at a time
-        for rows, strip in jobs:
-            for part in row_blocks(strip.shape[0], strip.shape[1], buf.size):
-                piece = strip[part]
-                piece *= np.multiply.outer(neg[rows][part], c[rows.start :],  # -(c_i c_j) exactly
-                                           out=buf[: piece.size].reshape(piece.shape))
-            np.fill_diagonal(strip, 1.0 + strip.diagonal())
-
-    _on_workers(scale, k.strips, n, np.float64)
-    return LaplacianMatrix(l=k, sigma=sigma, inv_sqrt_degrees=inv_sqrt)
+    return LaplacianMatrix(k=k, scale=inv * inv_sqrt, sigma=sigma, inv_sqrt_degrees=inv_sqrt)

@@ -111,6 +111,12 @@ def laplacian_outer_product(k, c):
     return lap
 
 
+def dense_laplacian(lap):
+    """The N x N array of the operator L = I - C K C a LaplacianMatrix
+    applies, from its packed K and its scale c."""
+    return laplacian_outer_product(unpack(lap.k), lap.scale)
+
+
 def pack(a):
     """The PackedSymmetric of the symmetric array a: each strip copied from
     a's rows from the diagonal on, its diagonal block's part below the

@@ -200,6 +200,8 @@ class TestGramRoute:
            fixed=st.booleans(), pick=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     @example(d=12, n=50, low_rank=True, fixed=True, pick=1.0, seed=0)  # d < N: a a^T
     @example(d=50, n=12, low_rank=True, fixed=False, pick=1.0, seed=1)  # d > N: a^T a
+    # the ratio rule keeps a noise direction at s_r^2 = 2.6e-12 < delta = 1.6e-11
+    @example(d=29, n=29, low_rank=True, fixed=False, pick=0.96875, seed=29)
     def test_matches_svd(self, d, n, low_rank, fixed, pick, seed):
         rng = np.random.default_rng(seed)
         m = min(d, n)
@@ -216,6 +218,13 @@ class TestGramRoute:
         s, basis, route = _left_basis(a, rule)
         u, s_svd, _ = np.linalg.svd(a, full_matrices=False)
         r = rule(s_svd)
+        # condition 3 of the certificate: the Gram's w_r above its rounding margin
+        gram = a.T @ a if n <= d else a @ a.T
+        w = np.linalg.eigh(gram)[0][::-1]
+        if not w[r - 1] > 2.0 * (d + n) * np.finfo(np.float64).eps * float(np.trace(gram)):
+            assert route == "svd"
+            assert np.array_equal(s, s_svd) and np.array_equal(basis, u[:, :r])
+            return
         assert route == "gram"
         assert basis.shape == (d, r)
         # the Gram holds s_i**2, to 1e-12 s_1**2: s_i is within 1e-12 s_1**2 / (2 s_i)

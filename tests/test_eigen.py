@@ -26,7 +26,7 @@ from spectime import eigen
 from spectime.eigen import SHIFT, _block_smallest, _fix_signs
 from spectime.errors import NoConvergenceError
 
-from oracles import pack, unpack
+from oracles import dense_laplacian, pack
 
 
 def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -44,8 +44,12 @@ def circle_laplacian(n, sigma=None, seed=0):
 
 
 def laplacian_of(a: np.ndarray) -> LaplacianMatrix:
-    """A bare symmetric matrix, packed, in the solver's one input type."""
-    return LaplacianMatrix(pack(a), 1.0, np.ones(a.shape[0]))
+    """A bare symmetric matrix a in the solver's one input type: the
+    operator I - C K C with c = 1 and K = I - a, whose entries off the
+    diagonal are -a's, bit for bit, signed zeros included."""
+    k = np.negative(a)
+    k[np.diag_indices_from(k)] += 1.0
+    return LaplacianMatrix(pack(k), np.ones(a.shape[0]), 1.0, np.ones(a.shape[0]))
 
 
 @pytest.fixture
@@ -101,7 +105,7 @@ class TestContracts:
         lap = circle_laplacian(200, sigma=0.3)
         res = smallest_eigenpairs(lap, k=4)
         for j in range(4):
-            r = np.linalg.norm(unpack(lap.l) @ res.eigenvectors[:, j]
+            r = np.linalg.norm(dense_laplacian(lap) @ res.eigenvectors[:, j]
                                - res.eigenvalues[j] * res.eigenvectors[:, j])
             assert r <= 1e-8
 
@@ -119,7 +123,7 @@ class TestContracts:
 
     def test_matches_dense_oracle_small_instance(self):
         lap = circle_laplacian(200, sigma=0.3, seed=0)
-        oracle = np.sort(np.linalg.eigvalsh(unpack(lap.l)))
+        oracle = np.sort(np.linalg.eigvalsh(dense_laplacian(lap)))
         res = smallest_eigenpairs(lap, k=3)
         assert np.abs(res.eigenvalues - oracle[:3]).max() <= 1e-8
 
@@ -129,7 +133,7 @@ class TestContracts:
         # (Their plain ratio fluctuates 10-30% with the sampling at these
         # sizes, so the cluster-separation form is the stable property.)
         lap = circle_laplacian(500, sigma=500 ** (-1 / 7), seed=0)
-        oracle = np.sort(np.linalg.eigvalsh(unpack(lap.l)))
+        oracle = np.sort(np.linalg.eigvalsh(dense_laplacian(lap)))
         res = smallest_eigenpairs(lap, k=4)
         assert np.abs(res.eigenvalues - oracle[:4]).max() <= 1e-8
         split = res.eigenvalues[2] - res.eigenvalues[1]
@@ -170,7 +174,7 @@ class TestRefusedInput:
         return calls
 
     def test_bare_ndarray_raises_type_error(self, applied):
-        a = unpack(circle_laplacian(100, sigma=0.4).l)
+        a = dense_laplacian(circle_laplacian(100, sigma=0.4))
         before = a.copy()
         with pytest.raises(TypeError, match="build_laplacian"):
             smallest_eigenpairs(a, k=2)
@@ -205,7 +209,7 @@ class TestDenseSubset:
 
     def test_laplacian_subspace_matches_full_eigh(self):
         lap = circle_laplacian(300, sigma=0.33, seed=4)
-        w, v = np.linalg.eigh(unpack(lap.l))
+        w, v = np.linalg.eigh(dense_laplacian(lap))
         res = smallest_eigenpairs(lap, k=3)
         assert np.abs(res.eigenvalues - w[:3]).max() <= 1e-10
         # lambda_2 ~ lambda_3 on a loop: compare subspaces, not vectors
@@ -231,7 +235,7 @@ class TestShiftInvert:
         k = 3 if kind is CurveKind.CLOSED_LOOP else 2
         x, _ = generate(CurveSpec(curve), 400, 8)
         lap = build_laplacian(build_kernel(x, KernelParams(sigma)))
-        w, v = np.linalg.eigh(unpack(lap.l))
+        w, v = np.linalg.eigh(dense_laplacian(lap))
         res = smallest_eigenpairs(lap, k=k)
         assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v[:, :k]) <= 1e-6
@@ -244,14 +248,15 @@ class TestShiftInvert:
         # passes here, the factor's inverse 10 and 15 passes of 2 rows
         x, _ = generate(CurveSpec("cardioid"), 2000, 0)
         lap = build_laplacian(build_kernel(x, KernelParams(np.sqrt(sigma2))))
-        w, v = eigh(unpack(lap.l), subset_by_index=[0, 1])
+        w, v = eigh(dense_laplacian(lap), subset_by_index=[0, 1])
         res = smallest_eigenpairs(lap, k=2)
         assert res.path == "dense"
         assert np.abs(res.eigenvalues - w).max() <= 1e-10
         assert principal_angle(res.eigenvectors, v) <= 1e-6
 
     def test_negative_eigenvalue_above_minus_shift_stays_on_shift_invert(self, factor_first):
-        lap = unpack(circle_laplacian(300, sigma=0.33, seed=4).l) - 0.5 * SHIFT * np.eye(300)
+        lap = dense_laplacian(circle_laplacian(300, sigma=0.33, seed=4))
+        lap -= 0.5 * SHIFT * np.eye(300)
         w, v = np.linalg.eigh(lap)
         res = smallest_eigenpairs(laplacian_of(lap), k=3)
         assert w[0] < 0 and res.path == "dense"
@@ -260,13 +265,15 @@ class TestShiftInvert:
 
     def test_eigenvalue_below_minus_shift_is_refused(self, factor_first):
         # no graph Laplacian has lambda_min <= -SHIFT; a hand-built one
-        # handed to the factor raises, with its l as it was
-        a = unpack(circle_laplacian(300, sigma=0.33, seed=4).l) - 2.0 * SHIFT * np.eye(300)
+        # handed to the factor raises, with its K as it was
+        a = dense_laplacian(circle_laplacian(300, sigma=0.33, seed=4))
+        a -= 2.0 * SHIFT * np.eye(300)
         lap = laplacian_of(a)
+        before = lap.k.data.copy()
         with pytest.raises(NoConvergenceError, match="SHIFT") as err:
             smallest_eigenpairs(lap, k=3)
         assert err.value.applications == 0
-        assert same_bits(unpack(lap.l), a)
+        assert same_bits(lap.k.data, before)
 
     @pytest.mark.parametrize("k", [7, 8])
     def test_k_at_least_n_minus_one_takes_the_block_path(self, k):
@@ -275,7 +282,7 @@ class TestShiftInvert:
         lap = circle_laplacian(8, sigma=0.6, seed=2)
         res = smallest_eigenpairs(lap, k=k)
         assert res.path == "block" and res.applications == 8
-        assert_matches_eigh(res, unpack(lap.l), k)
+        assert_matches_eigh(res, dense_laplacian(lap), k)
 
 
 class TestNoConvergenceCount:
@@ -356,8 +363,8 @@ class TestNaNInput:
 class TestIterativePath:
     def test_matches_dense_oracle(self):
         lap = circle_laplacian(300, sigma=0.33, seed=1)
-        w_dense, v_dense = np.linalg.eigh(unpack(lap.l))
-        values, vectors, _ = _block_smallest(lap.l.apply, 300, 3, eigen.BLOCK, 1e-10)
+        w_dense, v_dense = np.linalg.eigh(dense_laplacian(lap))
+        values, vectors, _ = _block_smallest(lap.apply, 300, 3, eigen.BLOCK, 1e-10)
         order = np.argsort(values)
         values = values[order]
         vectors = vectors[:, order]
@@ -378,9 +385,9 @@ class TestIterativePath:
 
     def test_iterative_respects_certificate(self):
         lap = circle_laplacian(300, sigma=0.33, seed=2)
-        values, vectors, _ = _block_smallest(lap.l.apply, 300, 2, eigen.BLOCK, 1e-8)
+        values, vectors, _ = _block_smallest(lap.apply, 300, 2, eigen.BLOCK, 1e-8)
         for j in range(2):
-            r = np.linalg.norm(unpack(lap.l) @ vectors[:, j] - values[j] * vectors[:, j])
+            r = np.linalg.norm(dense_laplacian(lap) @ vectors[:, j] - values[j] * vectors[:, j])
             assert r <= 1e-8
 
     def test_large_path_via_public_api(self):
@@ -401,7 +408,7 @@ class TestIterativePath:
         monkeypatch.setattr(eigen, "DENSE_CUTOFF", 16)
         x, _ = generate(CurveSpec(curve), 400, 8)
         lap = build_laplacian(build_kernel(x, KernelParams(sigma)))
-        w, v = np.linalg.eigh(unpack(lap.l))
+        w, v = np.linalg.eigh(dense_laplacian(lap))
         res = smallest_eigenpairs(lap, k=k)
         assert res.path == "block"
         assert np.abs(res.eigenvalues - w[:k]).max() <= 1e-10
@@ -494,7 +501,7 @@ class TestPathByInput:
     @pytest.mark.parametrize("curve, k, sigma", [("circle", 3, None), ("cardioid", 2, 0.1414)])
     def test_forced_paths_agree_within_the_certificate(self, monkeypatch, curve, k, sigma):
         lap = noisy_laplacian(curve, 1000, 100.0, sigma)
-        before = lap.l.data.copy()
+        before = lap.k.data.copy()
         found = {}
         for path, pays in (("dense", True), ("block", False)):
             with monkeypatch.context() as m:
@@ -504,7 +511,7 @@ class TestPathByInput:
             assert a.path == b.path == path
             for field in ("eigenvalues", "eigenvectors", "residuals"):
                 assert same_bits(getattr(a, field), getattr(b, field))
-            assert same_bits(lap.l.data, before)
+            assert same_bits(lap.k.data, before)
             found[path] = a
         dense, block = found["dense"], found["block"]
         # each eigenvalue lies within its residual of one of A's
@@ -530,20 +537,21 @@ class TestMoreThanAQuarterOfThePairs:
         # a basis that reaches N keeps orthonormal rows to rounding (a
         # single QR after the projections left 2.2e-9 at N=200, k=51 and
         # 2.6e-9 at N=1000, k=251)
-        w = np.linalg.eigvalsh(unpack(lap.l))
+        w = np.linalg.eigvalsh(dense_laplacian(lap))
         assert np.abs(res.eigenvalues - w[:k]).max() <= np.linalg.norm(res.residuals)
         assert np.abs(res.eigenvectors.T @ res.eigenvectors - np.eye(k)).max() <= 1e-13
         if n <= 100:
-            assert_matches_eigh(res, unpack(lap.l), k)
+            assert_matches_eigh(res, dense_laplacian(lap), k)
 
     def test_whole_space_residual_is_judged_by_the_certificate(self, monkeypatch):
         # the whole-space Ritz residual r is what rounding leaves; a target
         # that puts r between half the bound and the bound returns the
         # pairs, and one that puts it above the bound raises
         lap = circle_laplacian(200, sigma=0.3)
-        values, vectors, applied = _block_smallest(lap.l.apply, 200, 51, 51, 1e-300)
+        values, vectors, applied = _block_smallest(lap.apply, 200, 51, 51, 1e-300)
         assert applied == 200
-        r = np.linalg.norm(vectors.T @ unpack(lap.l) - vectors.T * values[:, None], axis=1).max()
+        l = dense_laplacian(lap)
+        r = np.linalg.norm(vectors.T @ l - vectors.T * values[:, None], axis=1).max()
         scale = max(1.0, np.abs(values).max())
         monkeypatch.setattr(eigen, "DEFAULT_TOL", 1.5 * r / scale)
         res = smallest_eigenpairs(lap, k=51)
@@ -571,9 +579,9 @@ class TestBlockPathContracts:
         assert a.applications == b.applications
 
     def test_laplacian_unchanged_after_return(self, circle_2100):
-        before = circle_2100.l.data.copy()
+        before = circle_2100.k.data.copy()
         smallest_eigenpairs(circle_2100, k=3)
-        assert same_bits(circle_2100.l.data, before)
+        assert same_bits(circle_2100.k.data, before)
 
     def test_allocates_less_than_a_quarter_of_the_matrix(self, circle_2100):
         n = circle_2100.n
@@ -594,15 +602,15 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 class TestInPlaceFactor:
     """The dense path factors a LaplacianMatrix into a packed matrix of its
-    own and leaves L as it was, bit for bit, however the solve ends."""
+    own and leaves K as it was, bit for bit, however the solve ends."""
 
     @pytest.fixture
     def lap(self):
         # sigma well below the loop's diameter: the kernel clamps far pairs
-        # at its exponent floor, and those entries of L are set to -0.0, which
-        # a write to L would be likely to turn into 0.0
+        # at its exponent floor, and those entries of K are set to -0.0, which
+        # a write to K would be likely to turn into 0.0
         lap = circle_laplacian(300, sigma=0.05, seed=4)
-        data = lap.l.data
+        data = lap.k.data
         data[np.abs(data) < 1e-300] = -0.0
         assert np.signbit(data[data == 0.0]).any()
         return lap
@@ -610,7 +618,7 @@ class TestInPlaceFactor:
     def test_allocates_one_packed_factor_and_less_than_a_quarter_more(self):
         # a clustered spectrum, which the probe hands to the factor; the
         # probe's buffers are freed before the factor allocates its packed
-        # matrix, of L's size
+        # matrix, of K's size
         n = 2000
         x, _ = generate(CurveSpec("cardioid"), n, 5)
         lap = build_laplacian(build_kernel(x, KernelParams(0.1414)))
@@ -621,12 +629,12 @@ class TestInPlaceFactor:
         finally:
             tracemalloc.stop()
         assert n <= eigen.DENSE_CUTOFF and res.path == "dense"
-        assert peak < lap.l.data.nbytes + n * n * 8 / 4
+        assert peak < lap.k.data.nbytes + n * n * 8 / 4
 
     def test_laplacian_unchanged_after_return(self, lap):
-        before = lap.l.data.copy()
+        before = lap.k.data.copy()
         assert smallest_eigenpairs(lap, k=3).path == "dense"
-        assert same_bits(lap.l.data, before)
+        assert same_bits(lap.k.data, before)
 
     def test_two_dense_solves_return_the_same_bits(self, lap):
         # the second solve factors the L the first one read
@@ -640,25 +648,26 @@ class TestInPlaceFactor:
         a = np.random.default_rng(3).standard_normal((300, 300))
         a = (a + a.T) / 2.0  # bit-exactly symmetric and indefinite
         lap = laplacian_of(a)
+        before = lap.k.data.copy()
         with pytest.raises(NoConvergenceError, match="no graph Laplacian"):
             smallest_eigenpairs(lap, k=3)
-        assert same_bits(unpack(lap.l), a)
+        assert same_bits(lap.k.data, before)
 
     def test_laplacian_unchanged_after_no_convergence(self, monkeypatch, lap):
         # an unreachable target spends the budget of PASSES_PER_PAIR * k
         # passes of k rows on the factor, then raises
         monkeypatch.setattr(eigen, "DEFAULT_TOL", 1e-300)
-        before = lap.l.data.copy()
+        before = lap.k.data.copy()
         with pytest.raises(NoConvergenceError) as err:
             smallest_eigenpairs(lap, k=3)
         assert err.value.applications == eigen.PASSES_PER_PAIR * 3 * 3
-        assert same_bits(lap.l.data, before)
+        assert same_bits(lap.k.data, before)
 
     def test_concurrent_solves_share_one_laplacian(self, factor_first, lap):
         # four threads, more than the cores, solve one L on the dense and the
-        # block path at once; L is only read, so each solve certifies its
-        # pairs and L stays as it was
-        before = lap.l.data.copy()
+        # block path at once; K is only read, so each solve certifies its
+        # pairs and K stays as it was
+        before = lap.k.data.copy()
         results, interval = [], sys.getswitchinterval()
 
         def solve():
@@ -678,7 +687,7 @@ class TestInPlaceFactor:
         for res in results:
             assert res.path == "dense" and res.residuals.max() <= eigen.DEFAULT_TOL
             assert np.abs(res.eigenvalues - serial.eigenvalues).max() <= 1e-10
-        assert same_bits(lap.l.data, before)
+        assert same_bits(lap.k.data, before)
 
 
 class TestSpentBudget:
@@ -698,10 +707,11 @@ class TestSpentBudget:
 
     def test_owned_laplacian_is_factored(self, clustered):
         lap = laplacian_of(clustered)
+        before = lap.k.data.copy()
         res = smallest_eigenpairs(lap, k=2)
-        assert res.path == "dense" and same_bits(unpack(lap.l), clustered)
+        assert res.path == "dense" and same_bits(lap.k.data, before)
         # the spent block applications are not counted
-        assert res.applications == eigen._dense_smallest(pack(clustered), 2)[2]
+        assert res.applications == eigen._dense_smallest(lap, 2)[2]
         assert_matches_eigh(res, clustered, 2)
 
     def test_eigenvalue_below_minus_shift_raises(self, clustered):
@@ -741,21 +751,21 @@ def undo_inverted_blocks(u) -> np.ndarray:
 
 class TestBlockedFactor:
     """The dense path's Cholesky factor of A + SHIFT*I, built from numpy one
-    packed strip at a time, against scipy's LAPACK factor; A is only read."""
+    packed strip at a time, against scipy's LAPACK factor; K is only read."""
 
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
     def test_matches_scipy_cholesky(self, n):
         a = spd_with_signed_zeros(n)
-        packed = pack(a)
-        before = packed.data.copy()
-        u = eigen._factor(packed)
+        lap = laplacian_of(a)
+        before = lap.k.data.copy()
+        u = eigen._factor(lap)
         assert np.abs(undo_inverted_blocks(u) - cholesky(a + SHIFT * np.eye(n))).max() <= 1e-13
-        assert same_bits(packed.data, before)
+        assert same_bits(lap.k.data, before)
 
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
     def test_solve_inverts_the_factored_matrix(self, n):
         a = spd_with_signed_zeros(n)
-        u = eigen._factor(pack(a))
+        u = eigen._factor(laplacian_of(a))
         rows = np.random.default_rng(1).standard_normal((3, n))
         out = np.empty_like(rows)
         eigen._solve(u, rows, out)
@@ -765,27 +775,26 @@ class TestBlockedFactor:
         n = 300
         a = spd_with_signed_zeros(n)
         a[280, 280] = -1.0  # only the third diagonal block is indefinite
-        packed = pack(a)
-        before = packed.data.copy()
-        with pytest.raises(np.linalg.LinAlgError):
-            eigen._factor(packed)
-        assert same_bits(packed.data, before)
-        # the probe hands it to the factor, which fails there too: refused,
-        # with l as it was
         lap = laplacian_of(a)
+        before = lap.k.data.copy()
+        with pytest.raises(np.linalg.LinAlgError):
+            eigen._factor(lap)
+        assert same_bits(lap.k.data, before)
+        # the probe hands it to the factor, which fails there too: refused,
+        # with K as it was
         with pytest.raises(NoConvergenceError, match="SHIFT"):
             smallest_eigenpairs(lap, k=2)
-        assert same_bits(lap.l.data, before)
+        assert same_bits(lap.k.data, before)
 
 
 @pytest.mark.parametrize("curve, k", [("circle", 3), ("half-circle", 2)])
 def test_packed_laplacian_at_3000_matches_scipy_eigh(curve, k):
-    # the block path's pairs against LAPACK's of the unpacked L: each
+    # the block path's pairs against LAPACK's of the dense L: each
     # eigenvalue within the residuals' norm of LAPACK's, and the eigenspace
     # within the Davis-Kahan angle that norm allows over the gap above it
     lap = noisy_laplacian(curve, 3000, 100.0)
     res = smallest_eigenpairs(lap, k=k)
-    w, v = eigh(unpack(lap.l), subset_by_index=[0, k])
+    w, v = eigh(dense_laplacian(lap), subset_by_index=[0, k])
     spread = np.linalg.norm(res.residuals)
     assert res.path == "block"
     assert res.residuals.max() <= eigen.DEFAULT_TOL * max(1.0, np.abs(w).max())

@@ -22,7 +22,7 @@ from spectime import (
     smallest_eigenpairs,
     CurveSpec,
 )
-from spectime import kernel
+from spectime import eigen, kernel
 from spectime.errors import DisconnectedGraphError
 from spectime.kernel import (
     STRIP,
@@ -32,7 +32,7 @@ from spectime.kernel import (
     exponent_floor,
 )
 
-from oracles import gaussian_kernel_pdist, laplacian_outer_product, pack, unpack
+from oracles import dense_laplacian, gaussian_kernel_pdist, laplacian_outer_product, pack, unpack
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -44,11 +44,31 @@ def assert_degrees(km):
     assert np.all(np.abs(km.degrees - exact) <= k.shape[0] * np.finfo(np.float64).eps * exact)
 
 
-def assert_symmetric_laplacian(km):
-    """L, built over km.k, equals its transpose bit for bit, its diagonal
-    blocks included."""
-    lap = unpack(build_laplacian(km).l)
-    assert np.array_equal(lap, lap.T)
+def assert_symmetric_kernel(km):
+    """K equals its transpose bit for bit, its diagonal blocks included
+    (``unpack`` writes each block transposed), so L = I - C K C does too,
+    as c_i c_j = c_j c_i."""
+    k = unpack(km.k)
+    assert np.array_equal(k, k.T)
+
+
+def factor_input(lap):
+    """L + SHIFT*I as ``eigen._factor`` forms it from K and c, strip by
+    strip, each strip copied as it stands once its diagonal is set, before
+    the factor's updates."""
+    formed = PackedSymmetric(lap.n)
+    strips = iter(formed.strips)
+    fill = np.fill_diagonal
+
+    def spy(a, val, wrap=False):
+        fill(a, val, wrap)
+        np.copyto(next(strips)[1], a)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np, "fill_diagonal", spy)
+        eigen._factor(lap)
+    assert next(strips, None) is None  # one diagonal per strip
+    return formed
 
 
 class TestGaussianKernel:
@@ -69,7 +89,7 @@ class TestGaussianKernel:
         x = np.random.default_rng(0).standard_normal((3, 100))
         km = build_kernel(DataMatrix(x), KernelParams(0.7))
         assert np.abs(unpack(km.k) - gaussian_kernel_pdist(x, 0.7)).max() <= 1e-14
-        assert_symmetric_laplacian(km)
+        assert_symmetric_kernel(km)
 
 
 class TestBuildKernel:
@@ -93,7 +113,7 @@ class TestBuildKernel:
     def test_bit_exact_symmetry(self):
         rng = np.random.default_rng(2)
         km = build_kernel(DataMatrix(rng.standard_normal((4, 50))), KernelParams(0.8))
-        assert_symmetric_laplacian(km)
+        assert_symmetric_kernel(km)
 
     @pytest.mark.parametrize("d", [2, 300])
     @pytest.mark.parametrize("offset", [0.0, 100.0])
@@ -115,7 +135,7 @@ class TestBuildKernel:
         # large enough that BLAS splits the Gram product into blocks
         rng = np.random.default_rng(11)
         km = build_kernel(DataMatrix(rng.standard_normal((300, 600))), KernelParams(20.0))
-        assert_symmetric_laplacian(km)
+        assert_symmetric_kernel(km)
 
     @pytest.mark.parametrize("d", [2, 300])
     def test_coincident_points_at_distance_zero(self, d):
@@ -167,8 +187,8 @@ class TestStrips:
                           KernelParams(0.3))
         assert km.k.shape == (n, n)
         lap = build_laplacian(km)
-        assert lap.l.shape == (n, n) and lap.n == n
-        assert lap.l.data.size <= n * (n + 1) // 2 + n * STRIP
+        assert lap.k is km.k and lap.n == n
+        assert km.k.data.size <= n * (n + 1) // 2 + n * STRIP
 
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
     def test_apply_matches_the_dense_product(self, n):
@@ -206,7 +226,7 @@ class TestStrips:
         assert np.all(k0.diagonal() == pref0)
         i = np.arange(h)
         assert np.all(k[i, i + h] == pref) and np.all(k0[i, i + h] == pref0)
-        assert_symmetric_laplacian(km)
+        assert_symmetric_kernel(km)
 
     @pytest.mark.parametrize("n", [2000, 3001])
     def test_peak_memory_one_n_by_n_array(self, n):
@@ -230,18 +250,17 @@ class TestStrips:
 
 
 class TestWorkers:
-    """The strip passes run on W worker threads; K's upper triangle, the
-    degrees, L and D~^-1/2 must not depend on W at a fixed BLAS thread
-    count: the workers only fill and scale disjoint strips, and the sums
+    """The kernel's strip pass runs on W worker threads; K's upper
+    triangle, the degrees, c and D~^-1/2 must not depend on W at a fixed
+    BLAS thread count: the workers only fill disjoint strips, and the sums
     across strips (the degrees and d~) run on the calling thread."""
 
     @staticmethod
     def _outputs(x, monkeypatch, workers):
         monkeypatch.setattr(kernel, "_worker_count", lambda n: workers)
         km = build_kernel(DataMatrix(x), KernelParams(0.4))
-        k, degrees = km.k.data.copy(), km.degrees
         lap = build_laplacian(km)
-        return k, degrees, lap.l.data, lap.inv_sqrt_degrees
+        return km.k.data, km.degrees, lap.scale, lap.inv_sqrt_degrees
 
     @pytest.mark.parametrize("n, d", [(3001, 2), (1500, 300)])
     def test_bit_identical_across_worker_counts(self, monkeypatch, n, d):
@@ -315,9 +334,10 @@ def _kernel_into(queue, x, sigma):
 
 class TestExponentFloor:
     """Exponents below F = ln(tiny N^2) + 1 are clamped at F, so neither K
-    nor L holds a subnormal entry.  On the sweep's cardioid (N = 2000,
-    sigma = 0.1414, SNR 100) about 2.5% of the pairs lie below F; the
-    N = 2000 circle at ``"auto"`` sigma has no pair near it."""
+    nor the dense path's L + SHIFT*I holds a subnormal entry.  On the
+    sweep's cardioid (N = 2000, sigma = 0.1414, SNR 100) about 2.5% of the
+    pairs lie below F; the N = 2000 circle at ``"auto"`` sigma has no pair
+    near it."""
 
     N = 2000
     SIGMA = 0.1414
@@ -343,7 +363,7 @@ class TestExponentFloor:
     def test_k_and_l_hold_no_subnormal_entry(self, cardioid):
         km = build_kernel(cardioid, KernelParams(self.SIGMA))
         assert self._subnormal(km.k.data) == 0
-        assert self._subnormal(build_laplacian(km).l.data) == 0
+        assert self._subnormal(factor_input(build_laplacian(km)).data) == 0
         _, unfloored = self._unfloored(cardioid, self.SIGMA)
         assert self._subnormal(unfloored) > 10_000  # what the floor removes
 
@@ -383,45 +403,44 @@ class TestBuildLaplacian:
     def test_two_identical_points(self):
         km = build_kernel(DataMatrix(np.zeros((2, 2))), KernelParams(1.0))
         expected = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        assert np.allclose(unpack(build_laplacian(km).l), expected, atol=1e-15)
+        assert np.allclose(dense_laplacian(build_laplacian(km)), expected, atol=1e-15)
 
     def test_closed_positive_semidefinite(self):
         x, _ = generate(CurveSpec("circle"), 60, 5)
         lap = build_laplacian(build_kernel(x, KernelParams(0.6)))
-        assert np.linalg.eigvalsh(unpack(lap.l)).min() >= -1e-10
+        assert np.linalg.eigvalsh(dense_laplacian(lap)).min() >= -1e-10
 
     def test_open_half_circle_smallest_eigenvalue_near_zero(self):
         # dense eigendecomposition oracle on 50 noiseless half-circle points
         x, _ = generate(CurveSpec("half-circle"), 50, 0)
         km = build_kernel(x, KernelParams(math.sqrt(0.05)))
         lap = build_laplacian(km)
-        assert abs(np.linalg.eigvalsh(unpack(lap.l)).min()) <= 1e-10
+        assert abs(np.linalg.eigvalsh(dense_laplacian(lap)).min()) <= 1e-10
 
     @pytest.mark.parametrize("n", [40, 1500])  # one strip, and 12
     def test_open_null_vector_sqrt_density_normalized_degrees(self, n):
         rng = np.random.default_rng(10)
         km = build_kernel(DataMatrix(rng.standard_normal((3, n))), KernelParams(0.9))
         # alpha = 1 kernel K~ = D^-1 K D^-1, formed explicitly as an oracle
-        # before build_laplacian writes L over km.k
         d_tilde = (unpack(km.k) / np.outer(km.degrees, km.degrees)).sum(axis=1)
         lap = build_laplacian(km)
         v = np.sqrt(d_tilde)
-        assert np.linalg.norm(unpack(lap.l) @ v) / np.linalg.norm(v) <= 1e-10
+        assert np.linalg.norm(dense_laplacian(lap) @ v) / np.linalg.norm(v) <= 1e-10
         assert np.allclose(lap.inv_sqrt_degrees, 1.0 / v, rtol=1e-12, atol=0.0)
 
     def test_open_positive_semidefinite(self):
         rng = np.random.default_rng(11)
         km = build_kernel(DataMatrix(rng.standard_normal((2, 60))), KernelParams(0.6))
         lap = build_laplacian(km)
-        assert np.linalg.eigvalsh(unpack(lap.l)).min() >= -1e-10
+        assert np.linalg.eigvalsh(dense_laplacian(lap)).min() >= -1e-10
 
     def test_open_random_walk_eigenvector(self):
         # D~^-1/2 u is an eigenvector of the random-walk matrix D~^-1 K~
         rng = np.random.default_rng(12)
         km = build_kernel(DataMatrix(rng.standard_normal((2, 50))), KernelParams(0.7))
-        k_tilde = unpack(km.k) / np.outer(km.degrees, km.degrees)  # read before L overwrites km.k
+        k_tilde = unpack(km.k) / np.outer(km.degrees, km.degrees)
         lap = build_laplacian(km)
-        w, u = np.linalg.eigh(unpack(lap.l))
+        w, u = np.linalg.eigh(dense_laplacian(lap))
         f = lap.inv_sqrt_degrees * u[:, 1]
         walk = k_tilde / k_tilde.sum(axis=1)[:, None]
         assert np.linalg.norm(walk @ f - (1.0 - w[1]) * f) <= 1e-10 * np.linalg.norm(f)
@@ -429,32 +448,37 @@ class TestBuildLaplacian:
     def test_diagonal_below_one(self):
         rng = np.random.default_rng(6)
         km = build_kernel(DataMatrix(rng.standard_normal((2, 30))), KernelParams(0.5))
-        assert np.all(build_laplacian(km).l.diagonal() < 1.0)
+        assert np.all(dense_laplacian(build_laplacian(km)).diagonal() < 1.0)
 
 
 class TestOneBuffer:
-    """``build_laplacian`` writes L over the kernel's own packed matrix, and
-    its strips must reproduce the whole-matrix product."""
+    """L is an operator over the kernel's own packed matrix, which
+    ``build_laplacian`` leaves as it was, and the strips of L + SHIFT*I
+    that the dense path forms must reproduce the whole-matrix product."""
 
-    def test_build_laplacian_writes_over_the_kernel(self):
+    def test_build_laplacian_leaves_the_kernel_as_it_was(self):
         x, _ = generate(CurveSpec("circle"), 400, 13)
         km = build_kernel(noise_for_snr(x, 100.0, 14), KernelParams(0.3))
-        degrees = km.degrees.copy()
+        k, degrees = km.k.data.copy(), km.degrees.copy()
         lap = build_laplacian(km)
-        assert lap.l is km.k
+        assert lap.k is km.k
+        assert np.array_equal(km.k.data.view(np.uint64), k.view(np.uint64))
         assert np.array_equal(km.degrees, degrees)
 
     def test_row_blocks_match_whole_matrix_product(self):
-        # 1200 rows span 10 strips and several chunks of each, the last ones
-        # partial; the oracle is given the implementation's c, whose sums run
-        # in another order than a whole-matrix product's
+        # 1200 rows span 10 strips, the last one partial; the oracle is given
+        # the implementation's c, whose sums run in another order than a
+        # whole-matrix product's
         x, _ = generate(CurveSpec("circle"), 1200, 15)
         km = build_kernel(x, KernelParams(0.2))
         k, inv = unpack(km.k), 1.0 / km.degrees
         lap = build_laplacian(km)
         c = inv * lap.inv_sqrt_degrees
+        assert np.array_equal(lap.scale, c)
         assert np.allclose(c, inv / np.sqrt(inv * (k @ inv)), rtol=1e-13, atol=0.0)
-        assert np.array_equal(unpack(lap.l), laplacian_outer_product(k, c))
+        expected = laplacian_outer_product(k, c)
+        np.fill_diagonal(expected, expected.diagonal() + eigen.SHIFT)
+        assert np.array_equal(unpack(factor_input(lap)), expected)
 
 
 class TestDisconnectedGraph:
@@ -488,7 +512,7 @@ class TestDisconnectedGraph:
         # the lone point's neighbour weight exp(-18) is far above N * eps
         z = DataMatrix(np.array([[0.0, 0.1, 0.7]]))
         lap = build_laplacian(build_kernel(z, KernelParams(0.1)))
-        assert np.all(lap.l.diagonal() < 1.0)
+        assert np.all(dense_laplacian(lap).diagonal() < 1.0)
 
 
 class TestInvariances:
@@ -505,8 +529,8 @@ class TestInvariances:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 35))
         c = 3.7
-        l1 = unpack(build_laplacian(build_kernel(DataMatrix(x), KernelParams(0.5))).l)
-        l2 = unpack(build_laplacian(build_kernel(DataMatrix(c * x), KernelParams(0.5 * c))).l)
+        l1, l2 = (dense_laplacian(build_laplacian(build_kernel(DataMatrix(y), KernelParams(s))))
+                  for y, s in ((x, 0.5), (c * x, 0.5 * c)))
         assert np.abs(l1 - l2).max() <= 1e-10
         # k * sigma itself is scale-invariant
         k1 = unpack(build_kernel(DataMatrix(x), KernelParams(0.5)).k) * 0.5
@@ -515,6 +539,8 @@ class TestInvariances:
 
     def test_laplacian_symmetry(self):
         rng = np.random.default_rng(9)
-        lap = unpack(build_laplacian(build_kernel(DataMatrix(rng.standard_normal((2, 45))),
-                                                  KernelParams(0.7))).l)
+        op = build_laplacian(build_kernel(DataMatrix(rng.standard_normal((2, 45))),
+                                          KernelParams(0.7)))
+        lap = np.empty((45, 45))
+        op.apply(np.eye(45), lap)  # the operator's own rows
         assert np.abs(lap - lap.T).max() <= 1e-12 * max(1.0, np.abs(lap).max())

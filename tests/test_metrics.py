@@ -20,7 +20,8 @@ from spectime import (
     snr,
 )
 from spectime import CurveSpec, kernel, metrics, noisy_sample, recover_labels
-from spectime.errors import EmptyInteriorError, LengthMismatchError, TooFewPointsError
+from spectime.errors import DimensionMismatchError, EmptyInteriorError, LengthMismatchError
+from spectime.errors import TooFewPointsError
 from spectime.errors import ZeroNormError
 
 from oracles import closed_rank_exhaustive, closed_rank_shift_table, closed_time_grid
@@ -299,6 +300,8 @@ class TestSnr:
         x = DataMatrix(rng.standard_normal((3, 5)))
         e = DataMatrix(x.values / 10.0)
         assert snr(x, e) == pytest.approx(100.0)
+        with pytest.raises(DimensionMismatchError, match=r"\(3, 5\) vs \(3, 4\)"):
+            snr(x, DataMatrix(e.values[:, :4]))
 
     def test_matches_elementwise_sum_oracle(self):
         rng = np.random.default_rng(11)

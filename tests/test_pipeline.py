@@ -90,7 +90,7 @@ def test_denoised_recovery_reads_coordinates(tmp_path, monkeypatch, mode):
     (z, *_), den = calls["denoise_fixed_rank" if "denoise_rank" in mode else "denoise_auto"]
     (seen, _), km = calls["build_kernel"]
     ((built,), lap) = calls["build_laplacian"]
-    assert built is km and lap.l is km.k  # L is written over the kernel's packed matrix
+    assert built is km and lap.k is km.k  # L is an operator over the kernel's packed matrix
     assert seen.values.shape == (report["r_hat"], 120)
     assert np.array_equal(seen.values, den.basis.T @ z.values)
     written = io.load_data_matrix(tmp_path / "coords.csv").values
@@ -313,16 +313,16 @@ def test_recover_labels_matches_separate_stages(kind, monkeypatch):
     seen = []
 
     def build_copy(km):
-        # L as recover_labels built it, copied before the eigensolve reads it
+        # K and c as recover_labels built them, copied before the eigensolve
         lap = build_laplacian(km)
-        seen.append(lap.l.data.copy())
+        seen.append((lap.k.data.copy(), lap.scale.copy()))
         return lap
 
     monkeypatch.setattr(recover, "build_laplacian", build_copy)
     out = recover_labels(z, kind, 0.25)
     assert out.sigma == 0.25
     lap = build_laplacian(build_kernel(z, KernelParams(0.25)))
-    assert np.array_equal(seen[0], lap.l.data)
+    assert np.array_equal(seen[0][0], lap.k.data) and np.array_equal(seen[0][1], lap.scale)
     if kind is CurveKind.OPEN_CURVE:
         u = smallest_eigenpairs(lap, k=2).eigenvectors
         expected = recover_open(lap.inv_sqrt_degrees * u[:, 1])
